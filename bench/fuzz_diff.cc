@@ -22,6 +22,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iomanip>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -116,7 +117,10 @@ main(int argc, char **argv)
         }
         const tenoc::DiffReport rep = tenoc::runDiff(cfg, opts);
         if (rep.ok()) {
-            std::cout << "replay PASS " << path << "\n";
+            std::cout << "replay PASS " << path << " digest "
+                      << std::hex << std::setw(16) << std::setfill('0')
+                      << rep.signatureDigest << std::dec
+                      << "\n";
         } else {
             ++failures;
             std::cerr << "replay FAIL " << path << ":\n";

@@ -4,22 +4,25 @@
  *
  * An ActiveSet is a bitmask over component indices (routers or NIs of
  * one network).  Components mark themselves active when work arrives
- * (a flit buffered, a credit in flight, a packet enqueued); the
- * network ticks only marked components each interconnect cycle and
- * retires the ones that ran out of work.  Iteration visits indices in
- * ascending order, so the tick order is identical to the full
- * tick-everything sweep and the simulation stays bit-exact (see
- * docs/performance.md).
+ * (a flit buffered, a credit in flight, a packet enqueued); every phase
+ * of MeshNetwork::cycle visits only the marked indices of its shard's
+ * range [lo, hi) and the network retires the components that ran out
+ * of work at the end of the cycle.  Visits are in ascending index
+ * order, so the tick order is identical to the full tick-everything
+ * sweep and the simulation stays bit-exact (see docs/performance.md).
  *
- * Parallel phase execution (common/parallel.hh) adds a *deferred
- * marking* mode: while a phase runs data-parallel across shards, the
- * word array is frozen and mark() appends the index to a per-worker
- * buffer instead of writing a shared word.  mergeDeferredMarks() ORs
- * the buffers back at the phase barrier; since marking is idempotent
- * the merge order cannot matter, and because the words are frozen
- * during the phase no snapshot copy is needed — readers of test() see
- * exactly the mask the phase started with, matching the serial
- * scheduler's "marks become visible at the next phase" semantics.
+ * One shard (S = 1) reads the live words: a mark made by one phase is
+ * visited by the later phases of the same cycle.  Several shards
+ * running in parallel (common/parallel.hh) use *deferred marking*
+ * instead: while a phase runs, the word array is frozen and mark()
+ * appends the index to a per-worker buffer instead of writing a shared
+ * word.  mergeDeferredMarks() ORs the buffers back at the phase
+ * barrier; since marking is idempotent the merge order cannot matter,
+ * and because the words are frozen during the phase no snapshot copy
+ * is needed — readers of test() see exactly the mask the phase started
+ * with.  Both visibilities give identical results: a mark made during
+ * a phase only ever wakes a component whose visit in that phase would
+ * be a no-op.
  */
 
 #ifndef TENOC_NOC_ACTIVITY_HH
@@ -70,15 +73,6 @@ class ActiveSet
         return (words_[i >> 6] >> (i & 63)) & 1;
     }
 
-    bool
-    empty() const
-    {
-        for (auto w : words_)
-            if (w)
-                return false;
-        return true;
-    }
-
     /** Number of marked indices. */
     unsigned
     popCount() const
@@ -122,7 +116,7 @@ class ActiveSet
      * ORs every buffered mark into the word array and empties the
      * buffers.  Call only at a phase barrier (single-threaded).  The
      * result is independent of buffer order — marking is idempotent —
-     * so it is bit-identical to the serial scheduler's live marks.
+     * so it is bit-identical to one shard's live marks.
      */
     void
     mergeDeferredMarks()
@@ -135,31 +129,12 @@ class ActiveSet
     }
 
     /**
-     * Calls f(index) for each marked index in ascending order.  Bits
-     * set during iteration inside the word currently being scanned are
-     * not visited this pass; callers rely only on marks set in earlier
+     * Calls f(index) for each marked index in [lo, hi), ascending: one
+     * shard's slice of the mask.  Shard boundaries fall mid-word
+     * without double visits because both edges are masked.  Bits set
+     * during iteration inside the word currently being scanned are not
+     * visited this pass; callers rely only on marks set in earlier
      * phases of the cycle being visited (see MeshNetwork::cycle).
-     */
-    template <typename F>
-    void
-    forEach(F &&f) const
-    {
-        for (std::size_t w = 0; w < words_.size(); ++w) {
-            std::uint64_t bits = words_[w];
-            while (bits) {
-                const auto b =
-                    static_cast<unsigned>(std::countr_zero(bits));
-                bits &= bits - 1;
-                f(static_cast<unsigned>(w * 64 + b));
-            }
-        }
-    }
-
-    /**
-     * Calls f(index) for each marked index in [lo, hi), ascending.
-     * Used by the parallel scheduler to iterate one shard's slice of a
-     * frozen mask; shard boundaries fall mid-word without double
-     * visits because both edges are masked.
      */
     template <typename F>
     void

@@ -8,7 +8,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <vector>
 
 #include "common/log.hh"
 
@@ -16,10 +15,9 @@ namespace tenoc
 {
 
 /**
- * Classic rotating-priority arbiter.  grant() scans requestors starting
- * just after the last winner; in iSLIP fashion the pointer only
- * advances when a grant is accepted (callers that implement plain
- * round-robin can pass update=true unconditionally).
+ * Classic rotating-priority arbiter: the winner is the first requestor
+ * at or after the pointer (wrapping), and in iSLIP fashion the pointer
+ * only advances past a winner when its grant is accepted.
  */
 class RoundRobinArbiter
 {
@@ -36,27 +34,11 @@ class RoundRobinArbiter
     unsigned size() const { return size_; }
 
     /**
-     * @param requests request flags, size() entries
-     * @return winning index, or size() if no requests
-     */
-    unsigned
-    grant(const std::vector<bool> &requests) const
-    {
-        tenoc_assert(requests.size() == size_, "arbiter size mismatch");
-        for (unsigned i = 0; i < size_; ++i) {
-            const unsigned idx = (pointer_ + i) % size_;
-            if (requests[idx])
-                return idx;
-        }
-        return size_;
-    }
-
-    /**
-     * Bitmask grant: identical result to grant() with requests packed
-     * into bit i of `requests`, in O(1) via count-trailing-zeros (the
-     * winner is the lowest set bit at or after the pointer, else the
-     * lowest set bit overall).  Usable whenever size() <= 64 — every
-     * router-local arbiter (inputs * vcs requestors) qualifies.
+     * Bitmask grant over requests packed into bit i of `requests`, in
+     * O(1) via count-trailing-zeros (the winner is the lowest set bit
+     * at or after the pointer, else the lowest set bit overall).
+     * Usable whenever size() <= 64 — every router-local arbiter of the
+     * stock geometries (inputs * vcs requestors) qualifies.
      *
      * @return winning index, or size() if no requests
      */
@@ -73,7 +55,7 @@ class RoundRobinArbiter
     }
 
     /**
-     * Multi-word bitmask grant: identical result to grant() with
+     * Multi-word bitmask grant: identical result to grantMask() with
      * requests packed into bit (i % 64) of words[i / 64].  The scan is
      * O(words) via count-trailing-zeros: lowest set bit at or after
      * the pointer, else lowest set bit overall.  This is the wide

@@ -6,6 +6,7 @@
 #include "noc/golden/diff.hh"
 
 #include <algorithm>
+#include <bit>
 #include <deque>
 #include <functional>
 #include <map>
@@ -328,6 +329,39 @@ captureSignature(const NetStats &stats, Cycle end_cycle)
     s.nodeEjBytes = stats.nodeEjectedBytes;
     s.histBuckets = stats.totalLatencyHist.buckets();
     return s;
+}
+
+/** FNV-1a over every signature field, in declaration order. */
+std::uint64_t
+signatureDigest(const RunSignature &s)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    const auto mix = [&h](std::uint64_t v) {
+        for (unsigned i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ULL;
+        }
+    };
+    const auto mixAll = [&mix](const std::vector<std::uint64_t> &v) {
+        mix(v.size());
+        for (const std::uint64_t x : v)
+            mix(x);
+    };
+    mix(s.endCycle);
+    mix(s.packetsInjected);
+    mix(s.packetsEjected);
+    mix(s.flitsInjected);
+    mix(s.flitsEjected);
+    mix(s.latCount);
+    mix(std::bit_cast<std::uint64_t>(s.latSum));
+    mix(std::bit_cast<std::uint64_t>(s.latMin));
+    mix(std::bit_cast<std::uint64_t>(s.latMax));
+    mixAll(s.nodeInjFlits);
+    mixAll(s.nodeEjFlits);
+    mixAll(s.nodeInjBytes);
+    mixAll(s.nodeEjBytes);
+    mixAll(s.histBuckets);
+    return h;
 }
 
 /** Adds `b`'s totals into `a` (merging two slices into one view). */
@@ -1066,6 +1100,7 @@ runDiff(const DiffConfig &cfg, const DiffOptions &opts)
 
     const RunSignature base =
         shadowRun(cfg, Toggles{}, rep.violations);
+    rep.signatureDigest = signatureDigest(base);
 
     // Oracle 4: determinism — bit-identical rerun.
     {

@@ -104,6 +104,13 @@ DiffConfig sampleDiffConfig(Rng &rng);
 struct DiffReport
 {
     std::vector<std::string> violations;
+    /** FNV-1a digest of the baseline shadow run's final-statistics
+     *  signature (end cycle, packet/flit totals, latency accumulator,
+     *  per-node traffic, latency histogram).  Toggle oracles only
+     *  compare runs with each other; checking this against a recorded
+     *  value catches a timing change every run shares.  0 when the
+     *  config is illegal. */
+    std::uint64_t signatureDigest = 0;
     bool ok() const { return violations.empty(); }
 };
 

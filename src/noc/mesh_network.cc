@@ -298,11 +298,12 @@ MeshNetwork::MeshNetwork(const MeshNetworkParams &params,
     if (params_.idleSkip)
         checker_->setActivity(&router_active_, &ni_active_);
 
-    // Intra-cycle parallel engine (see docs/performance.md).  Routers
-    // are sharded into contiguous ascending-index ranges; each shard
-    // accumulates switch traversals privately and activity marks land
-    // in per-worker buffers merged at phase barriers; NIs buffer every
-    // shared-stat side effect in per-NI deltas applied in index order.
+    // Intra-cycle parallelism (see docs/performance.md).  Routers are
+    // sharded into contiguous ascending-index ranges; with more than
+    // one shard each accumulates switch traversals privately, activity
+    // marks land in per-worker buffers merged at phase barriers, and
+    // NIs buffer every shared-stat side effect in per-NI deltas
+    // applied in index order.
     cycle_threads_ = std::min(
         parallel::resolveCycleThreads(params_.cycleThreads),
         topo_.numNodes());
@@ -356,10 +357,6 @@ MeshNetwork::setSink(NodeId n, PacketSink *sink)
 void
 MeshNetwork::cycle(Cycle now)
 {
-    if (cycle_threads_ > 1) {
-        engineCycle(now);
-        return;
-    }
     PhaseProfile *prof = profile_;
     std::uint64_t t0 = prof ? profileNowNs() : 0;
     const auto lap = [&](std::uint64_t PhaseProfile::*slot) {
@@ -377,356 +374,181 @@ MeshNetwork::cycle(Cycle now)
         faults_->tick(now);
     // Deliver this cycle's channel arrivals first: matured wheel
     // entries set their receiver's pending-port bits and mark it
-    // active before either scheduler branch reads the masks.
-    if (arrival_.configured())
+    // active before any phase (or the inline-run test) reads the masks.
+    const bool arr = arrival_.configured();
+    if (arr)
         arrival_.fire(now);
     // Hoisted fault gate: routerFrozen() is consulted per router tick
     // only while a freeze is actually active; otherwise the fault hook
     // costs this single pointer test per cycle.
     const FaultEngine *fe =
         (faults_ && faults_->anyFrozen()) ? faults_.get() : nullptr;
-    lap(&PhaseProfile::bookkeepingNs);
-    if (!params_.idleSkip) {
-        // Reference scheduler: tick everything every cycle.  A frozen
-        // router (ROUTER_FREEZE fault) is skipped entirely: its
-        // buffers, arbiters and attached channel endpoints hold still.
-        for (auto &r : routers_) {
-            if (!fe || !fe->routerFrozen(r->id()))
-                r->readInputs(now);
-        }
-        lap(&PhaseProfile::readInputsNs);
-        // The arena's contiguous pending counters gate the phase call:
-        // an NI with nothing queued or mid-injection is a guaranteed
-        // no-op (injectPhase early-outs on the same counter), so the
-        // sweep touches one cache-resident word per idle NI.
-        for (NodeId n = 0; n < topo_.numNodes(); ++n) {
-            if (ni_slabs_.pendingInject[n] != 0)
-                nis_[n]->injectPhase(now);
-        }
-        lap(&PhaseProfile::injectNs);
-        if (tracer_attached_) {
-            // Legacy whole-router ticks keep trace events in
-            // per-router RC/VA/SA order.
-            for (auto &r : routers_) {
-                if (!fe || !fe->routerFrozen(r->id()))
-                    r->compute(now);
-            }
-        } else {
-            // Batch each pipeline stage across all routers: one
-            // streaming pass per stage over the slab arrays.  Routers
-            // only interact through >= 1-cycle channels, so nothing a
-            // router's stage writes is visible to any other router
-            // until next cycle's readInputs, and reordering (RC all,
-            // VA all, SA all) is bit-identical to per-router ticks.
-            for (auto &r : routers_) {
-                if (!fe || !fe->routerFrozen(r->id()))
-                    r->routeCompute(now);
-            }
-            for (auto &r : routers_) {
-                if (!fe || !fe->routerFrozen(r->id()))
-                    r->vcAllocate(now);
-            }
-            for (auto &r : routers_) {
-                if (!fe || !fe->routerFrozen(r->id()))
-                    r->switchAllocate(now);
-            }
-        }
-        lap(&PhaseProfile::computeNs);
-        for (NodeId n = 0; n < topo_.numNodes(); ++n) {
-            if (ni_slabs_.ejOccupancy[n] != 0)
-                nis_[n]->drainPhase(now);
-        }
-        lap(&PhaseProfile::drainNs);
-        postCycle(now);
-        lap(&PhaseProfile::bookkeepingNs);
-        return;
-    }
-    // Idle-skip: tick only components that can make progress.  An idle
-    // component performs no state change when ticked (arbiters only
-    // advance on accept()), so skipping it is bit-exact; iteration is
-    // ascending-index, matching the reference sweep order.  Marks made
-    // by one phase (NI injectFlit -> router, router ejectFlit -> NI)
-    // are observed by the later phases of the same cycle because each
-    // forEach reads the live mask.
-    router_active_.forEach([&](unsigned n) {
-        if (!fe || !fe->routerFrozen(n))
-            routers_[n]->readInputs(now);
-    });
-    lap(&PhaseProfile::readInputsNs);
-    ni_active_.forEach([&](unsigned n) {
-        if (ni_slabs_.pendingInject[n] != 0)
-            nis_[n]->injectPhase(now);
-    });
-    lap(&PhaseProfile::injectNs);
-    if (tracer_attached_) {
-        router_active_.forEach([&](unsigned n) {
-            if (routers_[n]->bufferedFlits() &&
-                (!fe || !fe->routerFrozen(n))) {
-                routers_[n]->compute(now);
-            }
-        });
-    } else {
-        // Batched stages (see the full-sweep branch above for why this
-        // is bit-exact).  Each stage's own O(vcs) eligibility scan
-        // subsumes the bufferedFlits() guard: with nothing buffered
-        // every stage is a no-op.  Routers marked mid-pass by a
-        // channel send have their new flit still in flight (>= 1 cycle
-        // of latency), so any pass that visits them no-ops — exactly
-        // what the whole-router tick did.
-        router_active_.forEach([&](unsigned n) {
-            if (!fe || !fe->routerFrozen(n))
-                routers_[n]->routeCompute(now);
-        });
-        router_active_.forEach([&](unsigned n) {
-            if (!fe || !fe->routerFrozen(n))
-                routers_[n]->vcAllocate(now);
-        });
-        router_active_.forEach([&](unsigned n) {
-            if (!fe || !fe->routerFrozen(n))
-                routers_[n]->switchAllocate(now);
-        });
-    }
-    lap(&PhaseProfile::computeNs);
-    ni_active_.forEach([&](unsigned n) {
-        if (ni_slabs_.ejOccupancy[n] != 0)
-            nis_[n]->drainPhase(now);
-    });
-    lap(&PhaseProfile::drainNs);
-    // Retire components that ran dry: a retired router/NI is re-marked
-    // by the event that next gives it work (channel send, injection,
-    // ejection — or, under arrivalSleep, the wheel at the arrival
-    // cycle), never silently forgotten.  A frozen router retires only
-    // if it truly has no work (couldWork covers its buffers and
-    // pending arrivals whether or not it is being ticked).
-    router_active_.retireIf(
-        [&](unsigned n) { return !routers_[n]->couldWork(); });
-    ni_active_.retireIf([&](unsigned n) { return nis_[n]->idle(); });
-    postCycle(now);
-    lap(&PhaseProfile::bookkeepingNs);
-}
-
-void
-MeshNetwork::engineCycle(Cycle now)
-{
-    PhaseProfile *prof = profile_;
-    std::uint64_t t0 = prof ? profileNowNs() : 0;
-    const auto lap = [&](std::uint64_t PhaseProfile::*slot) {
-        if (!prof)
-            return;
-        const std::uint64_t t1 = profileNowNs();
-        prof->*slot += t1 - t0;
-        t0 = t1;
-    };
-    if (prof)
-        ++prof->cycles;
-    if (count_cycles_)
-        ++stats_->cycles;
-    if (faults_)
-        faults_->tick(now);
-    // Matured channel arrivals mark their receivers before the masks
-    // freeze (and before the inline-run heuristic reads the popcounts).
-    if (arrival_.configured())
-        arrival_.fire(now);
-    const FaultEngine *fe =
-        (faults_ && faults_->anyFrozen()) ? faults_.get() : nullptr;
     const unsigned S = cycle_threads_;
     const unsigned nodes = topo_.numNodes();
+    const bool sharded = S > 1;
 
-    // Cheap cycles run the shards inline on this thread: the code path
-    // (deferred marks/stats, shard order) is identical either way —
+    // Every phase runs over S static ascending-index shards; S = 1 is
+    // the inline one-shard case.  Cheap cycles run the shards inline
+    // on this thread too: the code path is identical either way —
     // static sharding makes the thread count invisible to results — so
-    // this is purely a latency call.  A tracer pins execution inline
-    // so trace callbacks stay single-threaded and in component order.
-    const bool inline_run = tracer_attached_ ||
+    // this is purely a latency call.  A tracer pins execution inline so
+    // trace callbacks stay single-threaded.
+    const bool inline_run = !sharded || tracer_attached_ ||
         (params_.idleSkip &&
          router_active_.popCount() + ni_active_.popCount() < 2 * S);
-    auto runPhase = [&](auto &&body) {
+    const auto runPhase = [&](auto &&body) {
+        auto shard = [&](unsigned s) {
+            const auto [lo, hi] = parallel::shardRange(s, nodes, S);
+            body(lo, hi);
+        };
         if (inline_run) {
             for (unsigned s = 0; s < S; ++s)
-                body(s);
+                shard(s);
         } else {
-            parallel::parallelFor(S, body);
+            parallel::parallelFor(S, shard);
         }
     };
+    // Idle-skip visits only the marked components of [lo, hi), in
+    // ascending order, so the tick order is the full sweep's.  An idle
+    // component performs no state change when ticked (arbiters only
+    // advance on accept()), so skipping it is bit-exact.  The reference
+    // full tick (idleSkip off) is the every-bit-set case: every index
+    // is visited and nothing retires.
+    const auto visit = [&](const ActiveSet &set, unsigned lo, unsigned hi,
+                           auto &&f) {
+        if (params_.idleSkip) {
+            set.forEachInRange(lo, hi, f);
+        } else {
+            for (unsigned n = lo; n < hi; ++n)
+                f(n);
+        }
+    };
+    // A frozen router (ROUTER_FREEZE fault) is skipped entirely: its
+    // buffers, arbiters and attached channel endpoints hold still.
+    const auto routerPass = [&](unsigned lo, unsigned hi, auto &&tick) {
+        visit(router_active_, lo, hi, [&](unsigned n) {
+            if (!fe || !fe->routerFrozen(n))
+                tick(*routers_[n]);
+        });
+    };
 
-    // Freeze both masks: phase code reads the mask state the phase
-    // started with (the serial scheduler's visibility, since a fresh
-    // same-phase mark is always a no-op visit there), and new marks
-    // buffer per worker until the merges below.  The arrival wheel
-    // freezes too: worker-thread sends buffer their wheel entries per
-    // worker, merged once at the end of the cycle (every entry matures
-    // at >= now + 1, so that is early enough).
-    router_active_.beginDeferred();
-    ni_active_.beginDeferred();
-    const bool arr = arrival_.configured();
-    if (arr)
-        arrival_.beginDeferred();
+    // Mark visibility.  One shard reads the live masks: a mark made by
+    // one phase (NI injectFlit -> router, router ejectFlit -> NI) is
+    // seen by the later phases of the same cycle, and a fresh
+    // same-phase mark is always a no-op visit.  Several shards freeze
+    // both masks instead — phase code reads the mask state the phase
+    // started with, and new marks buffer per worker until the merges
+    // at the phase barriers below.  The arrival wheel freezes too:
+    // worker-thread sends buffer their wheel entries per worker,
+    // merged once at the end of the cycle (every entry matures at
+    // >= now + 1, so that is early enough).
+    if (sharded) {
+        router_active_.beginDeferred();
+        ni_active_.beginDeferred();
+        if (arr)
+            arrival_.beginDeferred();
+    }
     lap(&PhaseProfile::bookkeepingNs);
 
-    if (params_.idleSkip) {
-        runPhase([&](unsigned s) {
-            const auto [lo, hi] = parallel::shardRange(s, nodes, S);
-            router_active_.forEachInRange(lo, hi, [&](unsigned n) {
-                if (!fe || !fe->routerFrozen(n))
-                    routers_[n]->readInputs(now);
-            });
+    runPhase([&](unsigned lo, unsigned hi) {
+        routerPass(lo, hi, [&](Router &r) { r.readInputs(now); });
+    });
+    lap(&PhaseProfile::readInputsNs);
+    // The arena's contiguous pending counters gate the phase call: an
+    // NI with nothing queued or mid-injection is a guaranteed no-op
+    // (injectPhase early-outs on the same counter), so the sweep
+    // touches one cache-resident word per idle NI.
+    runPhase([&](unsigned lo, unsigned hi) {
+        visit(ni_active_, lo, hi, [&](unsigned n) {
+            if (ni_slabs_.pendingInject[n] != 0)
+                nis_[n]->injectPhase(now);
         });
-        lap(&PhaseProfile::readInputsNs);
-        runPhase([&](unsigned s) {
-            const auto [lo, hi] = parallel::shardRange(s, nodes, S);
-            ni_active_.forEachInRange(lo, hi, [&](unsigned n) {
-                if (ni_slabs_.pendingInject[n] != 0)
-                    nis_[n]->injectPhase(now);
-            });
-        });
-        lap(&PhaseProfile::injectNs);
-        // Injection wakes routers; compute must observe those marks
-        // exactly like the serial scheduler's live mask does.
+    });
+    lap(&PhaseProfile::injectNs);
+    if (sharded) {
+        // Injection wakes routers; compute must observe those marks.
         router_active_.mergeDeferredMarks();
         lap(&PhaseProfile::bookkeepingNs);
-        runPhase([&](unsigned s) {
-            const auto [lo, hi] = parallel::shardRange(s, nodes, S);
-            if (tracer_attached_) {
-                // Whole-router ticks keep trace events in per-router
-                // RC/VA/SA order (shards run inline under a tracer).
-                router_active_.forEachInRange(lo, hi, [&](unsigned n) {
-                    if (routers_[n]->bufferedFlits() &&
-                        (!fe || !fe->routerFrozen(n))) {
-                        routers_[n]->compute(now);
-                    }
-                });
-                return;
-            }
-            // Batched pipeline stages over this shard's slab slice
-            // (bit-exact: routers only interact across >= 1-cycle
-            // channels; see the serial scheduler).
-            router_active_.forEachInRange(lo, hi, [&](unsigned n) {
-                if (!fe || !fe->routerFrozen(n))
-                    routers_[n]->routeCompute(now);
-            });
-            router_active_.forEachInRange(lo, hi, [&](unsigned n) {
-                if (!fe || !fe->routerFrozen(n))
-                    routers_[n]->vcAllocate(now);
-            });
-            router_active_.forEachInRange(lo, hi, [&](unsigned n) {
-                if (!fe || !fe->routerFrozen(n))
-                    routers_[n]->switchAllocate(now);
-            });
-        });
-        lap(&PhaseProfile::computeNs);
+    }
+    // Batch each pipeline stage across the shard's routers: one
+    // streaming pass per stage over the slab arrays.  Routers only
+    // interact through >= 1-cycle channels, so nothing a router's stage
+    // writes is visible to any other router until next cycle's
+    // readInputs, and the order (RC all, VA all, SA all) is bit-exact
+    // with per-router ticks.  Each stage's own O(vcs) eligibility scan
+    // subsumes a buffered-flits guard, and a router marked mid-pass by
+    // a channel send has its new flit still in flight, so any stage
+    // that visits it no-ops.
+    runPhase([&](unsigned lo, unsigned hi) {
+        routerPass(lo, hi, [&](Router &r) { r.routeCompute(now); });
+        routerPass(lo, hi, [&](Router &r) { r.vcAllocate(now); });
+        routerPass(lo, hi, [&](Router &r) { r.switchAllocate(now); });
+    });
+    lap(&PhaseProfile::computeNs);
+    if (sharded) {
         // Ejection (router -> NI) wakes NIs for the drain phase;
         // channel sends wake routers for the next cycle.
         router_active_.mergeDeferredMarks();
         ni_active_.mergeDeferredMarks();
         lap(&PhaseProfile::bookkeepingNs);
-        runPhase([&](unsigned s) {
-            const auto [lo, hi] = parallel::shardRange(s, nodes, S);
-            ni_active_.forEachInRange(lo, hi, [&](unsigned n) {
-                if (ni_slabs_.ejOccupancy[n] != 0)
-                    nis_[n]->drainPhase(now);
-            });
+    }
+    runPhase([&](unsigned lo, unsigned hi) {
+        visit(ni_active_, lo, hi, [&](unsigned n) {
+            if (ni_slabs_.ejOccupancy[n] != 0)
+                nis_[n]->drainPhase(now);
         });
-        lap(&PhaseProfile::drainNs);
-    } else {
-        // Reference full sweep, sharded.  Marks still defer (the
-        // channels are wired to the masks) so they merge at barriers
-        // instead of racing.
-        runPhase([&](unsigned s) {
-            const auto [lo, hi] = parallel::shardRange(s, nodes, S);
-            for (unsigned n = lo; n < hi; ++n) {
-                if (!fe || !fe->routerFrozen(n))
-                    routers_[n]->readInputs(now);
-            }
-        });
-        lap(&PhaseProfile::readInputsNs);
-        runPhase([&](unsigned s) {
-            const auto [lo, hi] = parallel::shardRange(s, nodes, S);
-            for (unsigned n = lo; n < hi; ++n) {
-                if (ni_slabs_.pendingInject[n] != 0)
-                    nis_[n]->injectPhase(now);
-            }
-        });
-        lap(&PhaseProfile::injectNs);
-        router_active_.mergeDeferredMarks();
-        lap(&PhaseProfile::bookkeepingNs);
-        runPhase([&](unsigned s) {
-            const auto [lo, hi] = parallel::shardRange(s, nodes, S);
-            if (tracer_attached_) {
-                for (unsigned n = lo; n < hi; ++n) {
-                    if (!fe || !fe->routerFrozen(n))
-                        routers_[n]->compute(now);
-                }
-                return;
-            }
-            for (unsigned n = lo; n < hi; ++n) {
-                if (!fe || !fe->routerFrozen(n))
-                    routers_[n]->routeCompute(now);
-            }
-            for (unsigned n = lo; n < hi; ++n) {
-                if (!fe || !fe->routerFrozen(n))
-                    routers_[n]->vcAllocate(now);
-            }
-            for (unsigned n = lo; n < hi; ++n) {
-                if (!fe || !fe->routerFrozen(n))
-                    routers_[n]->switchAllocate(now);
-            }
-        });
-        lap(&PhaseProfile::computeNs);
+    });
+    lap(&PhaseProfile::drainNs);
+
+    if (sharded) {
+        router_active_.endDeferred();
+        ni_active_.endDeferred();
         router_active_.mergeDeferredMarks();
         ni_active_.mergeDeferredMarks();
-        lap(&PhaseProfile::bookkeepingNs);
-        runPhase([&](unsigned s) {
-            const auto [lo, hi] = parallel::shardRange(s, nodes, S);
-            for (unsigned n = lo; n < hi; ++n) {
-                if (ni_slabs_.ejOccupancy[n] != 0)
-                    nis_[n]->drainPhase(now);
-            }
-        });
-        lap(&PhaseProfile::drainNs);
+        if (arr) {
+            arrival_.endDeferred();
+            arrival_.mergeDeferred();
+        }
+        // Fold per-shard traversal counts into the network total
+        // before anything downstream (watchdog, telemetry, checker)
+        // reads it.
+        for (auto &t : shard_traversed_) {
+            flits_traversed_total_ += t.value;
+            t.value = 0;
+        }
     }
-
-    router_active_.endDeferred();
-    ni_active_.endDeferred();
-    router_active_.mergeDeferredMarks();
-    ni_active_.mergeDeferredMarks();
-    if (arr) {
-        arrival_.endDeferred();
-        arrival_.mergeDeferred();
-    }
-
-    // Fold per-shard traversal counts into the network total before
-    // anything downstream (watchdog, telemetry, checker) reads it.
-    for (auto &t : shard_traversed_) {
-        flits_traversed_total_ += t.value;
-        t.value = 0;
-    }
-
     if (params_.idleSkip) {
-        // Retiring before the delivery replay is equivalent to the
-        // serial retire-after-deliveries order: a replayed delivery
-        // that enqueues re-marks its NI live, so the final mask state
+        // Retire components that ran dry: a retired router/NI is
+        // re-marked by the event that next gives it work (channel
+        // send, injection, ejection — or, under arrivalSleep, the wheel
+        // at the arrival cycle), never silently forgotten.  A frozen
+        // router retires only if it truly has no work (couldWork covers
+        // its buffers and pending arrivals whether or not it is being
+        // ticked).  Retiring before a sharded cycle's delivery replay
+        // is equivalent to retiring after it: a replayed delivery that
+        // enqueues re-marks its NI live, so the final mask state
         // matches either way.
         router_active_.retireIf(
             [&](unsigned n) { return !routers_[n]->couldWork(); });
         ni_active_.retireIf([&](unsigned n) { return nis_[n]->idle(); });
     }
-
     if (defer_to_parent_) {
         lap(&PhaseProfile::bookkeepingNs);
         return; // DoubleNetwork flushes and runs postCycle, in order
     }
-    flushEngineDeferred();
+    if (sharded)
+        flushDeferred();
     postCycle(now);
     lap(&PhaseProfile::bookkeepingNs);
 }
 
 void
-MeshNetwork::flushEngineDeferred()
+MeshNetwork::flushDeferred()
 {
     // Ascending NI order, each NI's counters/samples then deliveries:
-    // exactly the order the serial drain produces shared-state
+    // exactly the order a one-shard drain produces shared-state
     // updates, so accumulator and histogram contents (including
-    // floating-point sums) are bit-identical to the serial scheduler.
+    // floating-point sums) are bit-identical at every shard count.
     for (auto &ni : nis_) {
         ni->applyDeferredStats();
         ni->flushDeferredDeliveries();
@@ -824,9 +646,9 @@ MeshNetwork::attachTelemetryPrefixed(telemetry::TelemetryHub &hub,
         });
     }
     if (auto *tracer = hub.tracer()) {
-        // Trace sinks are single-threaded; the parallel engine runs
-        // its shards inline (serial, ascending order) while a tracer
-        // is attached so event order matches the serial scheduler.
+        // Trace sinks are single-threaded: while a tracer is attached
+        // every shard runs inline on the calling thread, in ascending
+        // order.
         tracer_attached_ = true;
         for (auto &r : routers_)
             r->setTracer(tracer);
@@ -1056,12 +878,12 @@ DoubleNetwork::DoubleNetwork(const MeshNetworkParams &base)
 
     // Intra-cycle parallelism: run the slices as two pool tasks.  The
     // slices resolved the same cycleThreads value (identical params
-    // and cap at construction), so engine mode is all-or-nothing.
-    engine_ = request_->cycleThreads() > 1 &&
-              reply_->cycleThreads() > 1;
-    if (engine_) {
-        request_->setEngineParent();
-        reply_->setEngineParent();
+    // and cap at construction), so sharding is all-or-nothing.
+    sharded_ = request_->cycleThreads() > 1 &&
+               reply_->cycleThreads() > 1;
+    if (sharded_) {
+        request_->setDeferToParent();
+        reply_->setDeferToParent();
     }
 }
 
@@ -1106,7 +928,7 @@ void
 DoubleNetwork::cycle(Cycle now)
 {
     ++stats_->cycles;
-    if (!engine_) {
+    if (!sharded_) {
         // Each slice bumps the shared cycle counter; correct for the
         // double count so `cycles` tracks wall interconnect cycles.
         request_->cycle(now);
@@ -1114,25 +936,25 @@ DoubleNetwork::cycle(Cycle now)
         stats_->cycles -= 2;
         return;
     }
-    // Engine mode: the slices don't count cycles themselves and defer
-    // every shared side effect (NetStats deltas, deliveries,
-    // postCycle) to this thread, which flushes request-first — the
-    // serial slice order — after both have quiesced.  A slice's own
+    // Sharded slices don't count cycles themselves and defer every
+    // shared side effect (NetStats deltas, deliveries, postCycle) to
+    // this thread, which flushes request-first — the unsharded slice
+    // order — after both have quiesced.  A slice's own
     // nested parallelFor finds the pool busy and runs inline, which
     // is bit-exact by the static-sharding contract.
     MeshNetwork *slices[2] = {request_.get(), reply_.get()};
-    if (telemetry_attached_) {
-        // Trace sinks are single-threaded: keep slice execution (and
-        // thus trace event order) serial while a tracer is attached.
+    if (request_->tracer_attached_) {
+        // Trace sinks are single-threaded: run the slices one after the
+        // other on this thread while a tracer is attached.
         slices[0]->cycle(now);
         slices[1]->cycle(now);
     } else {
         parallel::parallelFor(
             2, [&](unsigned s) { slices[s]->cycle(now); });
     }
-    request_->flushEngineDeferred();
+    request_->flushDeferred();
     request_->postCycle(now);
-    reply_->flushEngineDeferred();
+    reply_->flushDeferred();
     reply_->postCycle(now);
 }
 
@@ -1155,8 +977,6 @@ DoubleNetwork::diagnosticReport(Cycle now) const
 void
 DoubleNetwork::attachTelemetry(telemetry::TelemetryHub &hub)
 {
-    if (hub.tracer())
-        telemetry_attached_ = true;
     request_->attachTelemetryPrefixed(hub, "req_");
     reply_->attachTelemetryPrefixed(hub, "rep_");
 }

@@ -97,10 +97,10 @@ struct MeshNetworkParams
      * Intra-cycle parallelism: number of worker threads ticking this
      * network's phases (and, through Chip, its SIMT cores).  0 means
      * "use the TENOC_CYCLE_THREADS environment variable" (default 1 =
-     * today's serial scheduler, byte-for-byte).  Any value >1 runs
-     * each phase data-parallel over static ascending-index shards with
-     * barriers between phases; results are bit-identical to serial for
-     * every thread count (see docs/performance.md).  Resolved once at
+     * one shard, run inline).  Any value >1 runs each phase
+     * data-parallel over that many static ascending-index shards with
+     * barriers between phases; results are bit-identical for every
+     * thread count (see docs/performance.md).  Resolved once at
      * construction (common/parallel.hh:resolveCycleThreads).
      */
     unsigned cycleThreads = 0;
@@ -205,7 +205,8 @@ class MeshNetwork : public Network
      *  dry (an idle-skip scheduling bug the checker must detect). */
     void debugRetireRouter(NodeId n) { router_active_.clear(n); }
 
-    /** Resolved intra-cycle thread count (1 = serial scheduler). */
+    /** Resolved intra-cycle thread (shard) count; 1 = one inline
+     *  shard. */
     unsigned cycleThreads() const { return cycle_threads_; }
 
     /** Attaches (or detaches, with nullptr) a per-phase wall-time
@@ -228,15 +229,14 @@ class MeshNetwork : public Network
 
     void postCycle(Cycle now);
     void fireWatchdog(Cycle now, const char *reason);
-    /** Phase-parallel cycle (cycle_threads_ > 1). */
-    void engineCycle(Cycle now);
     /** Applies the NIs' deferred stat deltas and replays deliveries in
-     *  ascending NI order (the serial drain order). Caller thread. */
-    void flushEngineDeferred();
-    /** DoubleNetwork slice wiring: the parent flushes deferred state
-     *  and runs postCycle itself, in request-then-reply order. */
+     *  ascending NI order (the one-shard drain order). Caller thread;
+     *  sharded networks only (cycle_threads_ > 1). */
+    void flushDeferred();
+    /** Sharded DoubleNetwork slice wiring: the parent flushes deferred
+     *  state and runs postCycle itself, in request-then-reply order. */
     void
-    setEngineParent()
+    setDeferToParent()
     {
         defer_to_parent_ = true;
         count_cycles_ = false;
@@ -288,17 +288,17 @@ class MeshNetwork : public Network
     /** Running sum of router switch traversals (telemetry). */
     std::uint64_t flits_traversed_total_ = 0;
 
-    // --- intra-cycle parallel engine (see docs/performance.md) ---
-    /** Resolved at construction; 1 = serial scheduler. */
+    // --- intra-cycle parallelism (see docs/performance.md) ---
+    /** Shard count, resolved at construction; 1 = one inline shard. */
     unsigned cycle_threads_ = 1;
-    /** DoubleNetwork slice mode: skip flush/postCycle in engineCycle
+    /** Sharded DoubleNetwork slice: skip flush/postCycle in cycle()
      *  (the parent runs them in request-then-reply order). */
     bool defer_to_parent_ = false;
-    /** False for DoubleNetwork slices in engine mode (the parent
-     *  counts wall cycles once). */
+    /** False for sharded DoubleNetwork slices (the parent counts wall
+     *  cycles once). */
     bool count_cycles_ = true;
     /** A flit tracer is attached: run shards inline on the caller so
-     *  trace callbacks stay single-threaded and in component order. */
+     *  trace callbacks stay single-threaded. */
     bool tracer_attached_ = false;
     /** Per-shard switch-traversal counts, folded into
      *  flits_traversed_total_ at the end-of-cycle barrier.  One cache
@@ -373,9 +373,7 @@ class DoubleNetwork : public Network
     MeshNetwork &subnetFor(int proto_class) const;
 
     /** Run the two slices as pool tasks (cycleThreads > 1). */
-    bool engine_ = false;
-    /** A tracer is attached: slices must run serially. */
-    bool telemetry_attached_ = false;
+    bool sharded_ = false;
     std::unique_ptr<NetStats> stats_;
     /** Shared packet-id counter: ids must stay unique across slices. */
     std::uint64_t next_pkt_id_ = 1;

@@ -46,7 +46,6 @@ runOpenLoop(const OpenLoopParams &params)
     // destination picks depend only on (seed, node), never on how many
     // draws its neighbors happened to make.
     const std::uint64_t traffic_seed = params.seed ^ 0xfeedfaceULL;
-    Rng shared_rng(traffic_seed);
     DestinationChooser dests(topo.mcNodes(), params.hotspotFraction);
 
     Accumulator req_lat("req_latency");
@@ -59,15 +58,11 @@ runOpenLoop(const OpenLoopParams &params)
     std::vector<std::unique_ptr<CollectorSink>> cores;
 
     for (NodeId n : topo.computeNodes()) {
-        Rng *rng = &shared_rng;
-        if (!params.legacySharedRng) {
-            source_rngs.push_back(std::make_unique<Rng>(
-                deriveStreamSeed(traffic_seed, n)));
-            rng = source_rngs.back().get();
-        }
+        source_rngs.push_back(
+            std::make_unique<Rng>(deriveStreamSeed(traffic_seed, n)));
         sources.push_back(std::make_unique<OpenLoopSource>(
             n, params.injectionRate, params.requestFlits, dests, net,
-            *rng));
+            *source_rngs.back()));
         cores.push_back(
             std::make_unique<CollectorSink>(rep_lat, &measure));
         net.setSink(n, cores.back().get());

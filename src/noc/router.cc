@@ -58,17 +58,14 @@ Router::initPorts()
     outputs_.resize(numOutputs());
     in_links_.resize(NUM_DIRS);
     sa_input_arb_.assign(numInputs(), RoundRobinArbiter(vcs));
-    mask_alloc_ = numInputs() * vcs <= 64;
-    va_out_reqs_.resize(numOutputs());
-    sa_out_mask_.resize(numOutputs());
     va_words_ = (numInputs() * vcs + 63) / 64;
     vc_words_ = (vcs + 63) / 64;
     in_words_ = (numInputs() + 63) / 64;
-    if (!mask_alloc_) {
-        va_wide_reqs_.resize(numOutputs() * va_words_);
-        sa_vc_words_.resize(vc_words_);
-        sa_out_words_.resize(numOutputs() * in_words_);
-    }
+    va_reqs_.resize(numOutputs() * va_words_);
+    sa_out_reqs_.resize(numOutputs() * in_words_);
+    sa_cand_.resize(va_words_);
+    sa_req_.resize(vc_words_);
+    sa_elig_.resize(vc_words_);
     sa_nominee_.resize(numInputs());
     for (unsigned o = 0; o < numOutputs(); ++o) {
         outputs_[o].vaArb.resize(numInputs() * vcs);
@@ -199,14 +196,6 @@ Router::readInputs(Cycle now)
     }
 }
 
-void
-Router::compute(Cycle now)
-{
-    routeCompute(now);
-    vcAllocate(now);
-    switchAllocate(now);
-}
-
 Cycle
 Router::packetAge(const Flit &f)
 {
@@ -276,219 +265,277 @@ Router::routeCompute(Cycle now)
     }
 }
 
-void
-Router::vcAllocate(Cycle now)
+namespace
 {
-    if (!mask_alloc_) {
-        vcAllocateWide(now);
-        return;
+
+// Word-array helpers for the allocators.  A request set is an array of
+// uint64 words, bit i = requestor i.  W is the word count when fixed at
+// compile time — 1 for every router with at most 64 input VCs — or 0
+// for the runtime count `nw`; the W = 1 forms reduce to plain
+// single-mask operations.
+
+template <unsigned W>
+constexpr unsigned
+wordsOf(unsigned nw)
+{
+    return W != 0 ? W : nw;
+}
+
+template <unsigned W>
+void
+setBit(std::uint64_t *words, unsigned i)
+{
+    if constexpr (W == 1)
+        words[0] |= std::uint64_t{1} << i;
+    else
+        words[i >> 6] |= std::uint64_t{1} << (i & 63);
+}
+
+template <unsigned W>
+void
+clearBit(std::uint64_t *words, unsigned i)
+{
+    if constexpr (W == 1)
+        words[0] &= ~(std::uint64_t{1} << i);
+    else
+        words[i >> 6] &= ~(std::uint64_t{1} << (i & 63));
+}
+
+template <unsigned W>
+bool
+anyBit(const std::uint64_t *words, unsigned nw)
+{
+    std::uint64_t live = 0;
+    for (unsigned w = 0; w < wordsOf<W>(nw); ++w)
+        live |= words[w];
+    return live != 0;
+}
+
+/** Calls f(i) for every set bit i, ascending. */
+template <unsigned W, typename F>
+void
+forEachBit(const std::uint64_t *words, unsigned nw, F &&f)
+{
+    for (unsigned w = 0; w < wordsOf<W>(nw); ++w) {
+        for (std::uint64_t m = words[w]; m != 0; m &= m - 1)
+            f(w * 64 + static_cast<unsigned>(std::countr_zero(m)));
     }
-    const unsigned vcs = nvcs_;
-    const unsigned n = numInputs() * vcs;
-    // One contiguous pass over the state slab builds the per-output
-    // requestor masks (bit i = input VC i wants this output); outputs
-    // with no requestors are skipped entirely, which is bit-exact
-    // because an arbiter only advances when a grant is accepted.
-    const VcState *st = slab_->inState.data() + in_base_;
-    const std::uint32_t *op = slab_->inOutPort.data() + in_base_;
-    bool any = false;
-    std::fill(va_out_reqs_.begin(), va_out_reqs_.end(), 0);
-    for (unsigned i = 0; i < n; ++i) {
-        if (st[i] == VcState::VC_ALLOC) {
-            va_out_reqs_[op[i]] |= std::uint64_t{1} << i;
-            any = true;
+}
+
+/** Round-robin winner among the set bits, or arb.size() if none. */
+template <unsigned W>
+unsigned
+grant(const RoundRobinArbiter &arb, const std::uint64_t *words,
+      unsigned nw)
+{
+    if constexpr (W == 1)
+        return arb.grantMask(words[0]);
+    else
+        return arb.grantWords(words, nw);
+}
+
+/** Set bit with the smallest age(i), first in ascending order on ties;
+ *  `none` if no bit is set. */
+template <unsigned W, typename Age>
+unsigned
+oldest(const std::uint64_t *words, unsigned nw, unsigned none, Age &&age)
+{
+    unsigned win = none;
+    Cycle best = INVALID_CYCLE;
+    forEachBit<W>(words, nw, [&](unsigned i) {
+        const Cycle a = age(i);
+        if (win == none || a < best) {
+            best = a;
+            win = i;
         }
-    }
-    if (!any)
-        return;
-    for (unsigned o = 0; o < numOutputs(); ++o) {
-        std::uint64_t reqs = va_out_reqs_[o];
-        if (reqs == 0)
-            continue;
-        auto &out = outputs_[o];
-        // Grant output VCs in round-robin requestor order until the
-        // eligible VCs run out.
-        while (reqs != 0) {
-            const unsigned idx = out.vaArb.grantMask(reqs);
-            const unsigned in = idx / vcs;
-            const unsigned vc = idx % vcs;
-            const unsigned base = inputs_[in].baseVc(vc);
-            unsigned granted = vcs;
-            for (unsigned l = 0; l < params_.vcMap.vcsPerClass; ++l) {
-                const unsigned cand = base + l;
-                if (!slab_->outOwned[ov(o, cand)]) {
-                    granted = cand;
-                    break;
-                }
-            }
-            reqs &= ~(std::uint64_t{1} << idx);
-            if (granted == vcs) {
-                // No eligible VC free; the requestor retries next
-                // cycle.  Other requestors may still want different
-                // (protocol/routing class) VCs.
-                continue;
-            }
-            const std::size_t g = ov(o, granted);
-            slab_->outOwned[g] = 1;
-            slab_->outOwnerIn[g] = in;
-            slab_->outOwnerVc[g] = vc;
-            inputs_[in].setOutVc(vc, granted);
-            inputs_[in].setState(vc, VcState::ACTIVE);
-            out.vaArb.accept(idx);
-            if (tracer_) {
-                const Packet &pkt = *inputs_[in].front(vc).pkt;
-                if (tracer_->wants(pkt.id))
-                    tracer_->instant("va", id_, pkt.id, now);
-            }
+    });
+    return win;
+}
+
+/**
+ * Copies bits [pos, pos + len) of `src` (`src_words` words) into `dst`
+ * (`nw` = ceil(len / 64) words), zero-filled above `len`.
+ */
+template <unsigned W>
+void
+extractBits(const std::uint64_t *src, unsigned src_words, unsigned pos,
+            unsigned len, std::uint64_t *dst, unsigned nw)
+{
+    if constexpr (W == 1) {
+        (void)src_words;
+        (void)nw;
+        const std::uint64_t mask = len >= 64
+            ? ~std::uint64_t{0} : (std::uint64_t{1} << len) - 1;
+        dst[0] = (src[0] >> pos) & mask;
+    } else {
+        for (unsigned j = 0; j < nw; ++j) {
+            const unsigned b = pos + 64 * j;
+            const unsigned w = b >> 6;
+            const unsigned sh = b & 63;
+            std::uint64_t v = src[w] >> sh;
+            if (sh != 0 && w + 1 < src_words)
+                v |= src[w + 1] << (64 - sh);
+            const unsigned left = len - 64 * j;
+            if (left < 64)
+                v &= (std::uint64_t{1} << left) - 1;
+            dst[j] = v;
         }
     }
 }
 
+} // namespace
+
 void
-Router::vcAllocateWide(Cycle now)
+Router::vcAllocate(Cycle now)
 {
-    const unsigned vcs = nvcs_;
-    const unsigned n = numInputs() * vcs;
-    const VcState *st = slab_->inState.data() + in_base_;
-    const std::uint32_t *op = slab_->inOutPort.data() + in_base_;
-    // One contiguous pass builds the per-output requestor word arrays
-    // (bit i of output o's set = input VC i wants o) — the same
-    // request sets as the single-word fast path, just spread over
-    // va_words_ words per output.
-    std::fill(va_wide_reqs_.begin(), va_wide_reqs_.end(), 0);
-    bool any = false;
-    for (unsigned i = 0; i < n; ++i) {
-        if (st[i] == VcState::VC_ALLOC) {
-            va_wide_reqs_[op[i] * va_words_ + (i >> 6)] |=
-                std::uint64_t{1} << (i & 63);
-            any = true;
-        }
-    }
-    if (!any)
-        return;
-    for (unsigned o = 0; o < numOutputs(); ++o) {
-        std::uint64_t *reqs = va_wide_reqs_.data() + o * va_words_;
-        std::uint64_t live = 0;
-        for (unsigned w = 0; w < va_words_; ++w)
-            live |= reqs[w];
-        if (live == 0)
-            continue;
-        auto &out = outputs_[o];
-        // Grant output VCs in round-robin requestor order until the
-        // eligible VCs run out.
-        while (true) {
-            const unsigned idx = out.vaArb.grantWords(reqs, va_words_);
-            if (idx >= n)
-                break;
-            const unsigned in = idx / vcs;
-            const unsigned vc = idx % vcs;
-            const unsigned base = inputs_[in].baseVc(vc);
-            unsigned granted = vcs;
-            for (unsigned l = 0; l < params_.vcMap.vcsPerClass; ++l) {
-                const unsigned cand = base + l;
-                if (!slab_->outOwned[ov(o, cand)]) {
-                    granted = cand;
-                    break;
-                }
-            }
-            reqs[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
-            if (granted == vcs) {
-                // No eligible VC free; the requestor retries next
-                // cycle.  Other requestors may still want different
-                // (protocol/routing class) VCs.
-                continue;
-            }
-            const std::size_t g = ov(o, granted);
-            slab_->outOwned[g] = 1;
-            slab_->outOwnerIn[g] = in;
-            slab_->outOwnerVc[g] = vc;
-            inputs_[in].setOutVc(vc, granted);
-            inputs_[in].setState(vc, VcState::ACTIVE);
-            out.vaArb.accept(idx);
-            if (tracer_) {
-                const Packet &pkt = *inputs_[in].front(vc).pkt;
-                if (tracer_->wants(pkt.id))
-                    tracer_->instant("va", id_, pkt.id, now);
-            }
-        }
-    }
+    if (va_words_ == 1)
+        vcAllocateWords<1>(now);
+    else
+        vcAllocateWords<0>(now);
 }
 
 void
 Router::switchAllocate(Cycle now)
 {
-    if (!mask_alloc_) {
-        switchAllocateWide(now);
-        return;
-    }
+    if (va_words_ == 1)
+        switchAllocateWords<1>(now);
+    else
+        switchAllocateWords<0>(now);
+}
+
+template <unsigned W>
+void
+Router::vcAllocateWords(Cycle now)
+{
     const unsigned vcs = nvcs_;
     const unsigned n = numInputs() * vcs;
+    const unsigned nw = wordsOf<W>(va_words_);
+    // One contiguous pass over the state slab builds the per-output
+    // requestor sets (bit i = input VC i wants this output); outputs
+    // with no requestors grant nothing, which is bit-exact because an
+    // arbiter only advances when a grant is accepted.
+    const VcState *st = slab_->inState.data() + in_base_;
+    const std::uint32_t *op = slab_->inOutPort.data() + in_base_;
+    bool any = false;
+    std::fill(va_reqs_.begin(), va_reqs_.end(), 0);
+    for (unsigned i = 0; i < n; ++i) {
+        if (st[i] == VcState::VC_ALLOC) {
+            setBit<W>(va_reqs_.data() + op[i] * nw, i);
+            any = true;
+        }
+    }
+    if (!any)
+        return;
+    for (unsigned o = 0; o < numOutputs(); ++o) {
+        std::uint64_t *reqs = va_reqs_.data() + o * nw;
+        auto &out = outputs_[o];
+        // Grant output VCs in round-robin requestor order until the
+        // requestors run out.
+        for (;;) {
+            const unsigned idx = grant<W>(out.vaArb, reqs, nw);
+            if (idx >= n)
+                break;
+            clearBit<W>(reqs, idx);
+            const unsigned in = idx / vcs;
+            const unsigned vc = idx % vcs;
+            const unsigned base = inputs_[in].baseVc(vc);
+            unsigned granted = vcs;
+            for (unsigned l = 0; l < params_.vcMap.vcsPerClass; ++l) {
+                const unsigned cand = base + l;
+                if (!slab_->outOwned[ov(o, cand)]) {
+                    granted = cand;
+                    break;
+                }
+            }
+            if (granted == vcs) {
+                // No eligible VC free; the requestor retries next
+                // cycle.  Other requestors may still want different
+                // (protocol/routing class) VCs.
+                continue;
+            }
+            const std::size_t g = ov(o, granted);
+            slab_->outOwned[g] = 1;
+            slab_->outOwnerIn[g] = in;
+            slab_->outOwnerVc[g] = vc;
+            inputs_[in].setOutVc(vc, granted);
+            inputs_[in].setState(vc, VcState::ACTIVE);
+            out.vaArb.accept(idx);
+            if (tracer_) {
+                const Packet &pkt = *inputs_[in].front(vc).pkt;
+                if (tracer_->wants(pkt.id))
+                    tracer_->instant("va", id_, pkt.id, now);
+            }
+        }
+    }
+}
+
+template <unsigned W>
+void
+Router::switchAllocateWords(Cycle now)
+{
+    const unsigned vcs = nvcs_;
+    const unsigned n = numInputs() * vcs;
+    const unsigned cw = wordsOf<W>(va_words_); // all input VCs
+    const unsigned vw = wordsOf<W>(vc_words_); // one input's VCs
+    const unsigned iw = wordsOf<W>(in_words_); // input ports
+    // Single-word sets live in registers; wider ones in scratch.
+    std::uint64_t one_word[3] = {};
+    std::uint64_t *cand = W == 1 ? &one_word[0] : sa_cand_.data();
+    std::uint64_t *req = W == 1 ? &one_word[1] : sa_req_.data();
+    std::uint64_t *elig = W == 1 ? &one_word[2] : sa_elig_.data();
+
     // One contiguous pass over the state slab finds every ACTIVE VC
     // with a buffered flit (bit i = input VC i); the expensive per-flit
     // eligibility checks below only touch those bits.
     const VcState *st = slab_->inState.data() + in_base_;
     const std::uint32_t *cnt = slab_->ringCount.data() + in_base_;
-    std::uint64_t cand = 0;
+    std::fill_n(cand, cw, 0);
     for (unsigned i = 0; i < n; ++i) {
         if (st[i] == VcState::ACTIVE && cnt[i] != 0)
-            cand |= std::uint64_t{1} << i;
+            setBit<W>(cand, i);
     }
-    if (cand == 0)
+    if (!anyBit<W>(cand, cw))
         return;
 
     // Input stage: each input port nominates one ready VC.
     auto &nominee = sa_nominee_;
     nominee.assign(numInputs(), vcs);
-    std::fill(sa_out_mask_.begin(), sa_out_mask_.end(), 0);
-    const std::uint64_t vc_mask =
-        vcs >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << vcs) - 1;
+    std::fill(sa_out_reqs_.begin(), sa_out_reqs_.end(), 0);
     bool any_nominee = false;
     for (unsigned in = 0; in < numInputs(); ++in) {
-        std::uint64_t req = (cand >> (in * vcs)) & vc_mask;
-        if (req == 0)
+        extractBits<W>(cand, cw, in * vcs, vcs, req, vw);
+        if (!anyBit<W>(req, vw))
             continue;
         auto &port = inputs_[in];
-        std::uint64_t eligible = 0;
-        for (std::uint64_t m = req; m != 0; m &= m - 1) {
-            const unsigned vc =
-                static_cast<unsigned>(std::countr_zero(m));
+        std::fill_n(elig, vw, 0);
+        forEachBit<W>(req, vw, [&](unsigned vc) {
             const Flit &f = port.front(vc);
             // A flit spends `pipelineDepth` cycles in the router (it
             // departs no earlier than arrival + depth), giving the
             // paper's 5-cycle hops for 4-stage routers + 1-cycle
             // channels (Sec. III-B).
             if (f.enqueueCycle + params_.pipelineDepth > now)
-                continue; // still in the router pipeline
+                return; // still in the router pipeline
             const unsigned o = port.outPort(vc);
             if (isEjection(o)) {
                 tenoc_assert(sink_, "no ejection sink attached");
                 if (!sink_->ejectReady(o - NUM_DIRS))
-                    continue;
-            } else {
-                if (slab_->outCredits[ov(o, port.outVc(vc))] == 0)
-                    continue;
+                    return;
+            } else if (slab_->outCredits[ov(o, port.outVc(vc))] == 0) {
+                return;
             }
-            eligible |= std::uint64_t{1} << vc;
-        }
-        if (eligible == 0)
+            setBit<W>(elig, vc);
+        });
+        if (!anyBit<W>(elig, vw))
             continue;
-        unsigned win = vcs;
-        if (params_.agePriority) {
-            Cycle best = INVALID_CYCLE;
-            for (std::uint64_t m = eligible; m != 0; m &= m - 1) {
-                const unsigned vc =
-                    static_cast<unsigned>(std::countr_zero(m));
-                const Cycle age = packetAge(port.front(vc));
-                if (win == vcs || age < best) {
-                    best = age;
-                    win = vc;
-                }
-            }
-        } else {
-            win = sa_input_arb_[in].grantMask(eligible);
-        }
+        const unsigned win = params_.agePriority
+            ? oldest<W>(elig, vw, vcs,
+                        [&](unsigned vc) {
+                            return packetAge(port.front(vc));
+                        })
+            : grant<W>(sa_input_arb_[in], elig, vw);
         nominee[in] = win;
-        sa_out_mask_[port.outPort(win)] |= std::uint64_t{1} << in;
+        setBit<W>(sa_out_reqs_.data() + port.outPort(win) * iw, in);
         any_nominee = true;
     }
     if (!any_nominee)
@@ -496,168 +543,15 @@ Router::switchAllocate(Cycle now)
 
     // Output stage: one winner per output port.
     for (unsigned o = 0; o < numOutputs(); ++o) {
-        const std::uint64_t reqs = sa_out_mask_[o];
-        if (reqs == 0)
+        const std::uint64_t *reqs = sa_out_reqs_.data() + o * iw;
+        if (!anyBit<W>(reqs, iw))
             continue;
-        unsigned in = numInputs();
-        if (params_.agePriority) {
-            Cycle best = INVALID_CYCLE;
-            for (std::uint64_t m = reqs; m != 0; m &= m - 1) {
-                const unsigned c =
-                    static_cast<unsigned>(std::countr_zero(m));
-                const Cycle age = packetAge(inputs_[c].front(nominee[c]));
-                if (in == numInputs() || age < best) {
-                    best = age;
-                    in = c;
-                }
-            }
-        } else {
-            in = outputs_[o].saArb.grantMask(reqs);
-        }
-        const unsigned vc = nominee[in];
-
-        // Switch traversal.
-        Flit flit = inputs_[in].pop(vc);
-        const unsigned out_vc = inputs_[in].outVc(vc);
-        const bool tail = flit.tail;
-        if (!isInjection(in) && in_links_[in].creditOut)
-            in_links_[in].creditOut->send(Credit{flit.vc}, now);
-        if (tracer_ && flit.head && tracer_->wants(flit.pkt->id)) {
-            tracer_->complete(isEjection(o) ? "eject_hop" : "hop", id_,
-                              flit.pkt->id, flit.enqueueCycle, now);
-        }
-        flit.vc = out_vc;
-        if (isEjection(o)) {
-            sink_->ejectFlit(o - NUM_DIRS, std::move(flit), now);
-        } else {
-            auto &credits = slab_->outCredits[ov(o, out_vc)];
-            tenoc_assert(credits > 0, "SA granted without credit");
-            --credits;
-            outputs_[o].flitOut->send(std::move(flit), now);
-            ++link_flits_[o];
-        }
-        if (tail) {
-            slab_->outOwned[ov(o, out_vc)] = 0;
-            inputs_[in].setState(vc, VcState::IDLE);
-        }
-        ++flits_traversed_;
-        if (net_traversed_)
-            ++*net_traversed_;
-        sa_input_arb_[in].accept(vc);
-        outputs_[o].saArb.accept(in);
-    }
-}
-
-void
-Router::switchAllocateWide(Cycle now)
-{
-    const unsigned vcs = nvcs_;
-    const unsigned n = numInputs() * vcs;
-    // Contiguous-scan early-out: SA considers only active VCs with
-    // buffered flits; with none present neither stage builds a request,
-    // so no arbiter moves and no flit traverses — a no-op.
-    {
-        const VcState *st = slab_->inState.data() + in_base_;
-        const std::uint32_t *cnt = slab_->ringCount.data() + in_base_;
-        bool eligible = false;
-        for (unsigned i = 0; i < n; ++i) {
-            if (st[i] == VcState::ACTIVE && cnt[i] != 0) {
-                eligible = true;
-                break;
-            }
-        }
-        if (!eligible)
-            return;
-    }
-    // Input stage: each input port nominates one ready VC.  The
-    // eligibility set lives in a word array so the arbiter grant is
-    // O(words) (RoundRobinArbiter::grantWords), not an O(vcs) scan.
-    auto &nominee = sa_nominee_;
-    nominee.assign(numInputs(), vcs);
-    std::fill(sa_out_words_.begin(), sa_out_words_.end(), 0);
-    bool any_nominee = false;
-    for (unsigned in = 0; in < numInputs(); ++in) {
-        auto &port = inputs_[in];
-        std::uint64_t *elig = sa_vc_words_.data();
-        std::fill(sa_vc_words_.begin(), sa_vc_words_.end(), 0);
-        bool any = false;
-        for (unsigned vc = 0; vc < vcs; ++vc) {
-            if (port.state(vc) != VcState::ACTIVE || port.empty(vc))
-                continue;
-            const Flit &f = port.front(vc);
-            // A flit spends `pipelineDepth` cycles in the router (it
-            // departs no earlier than arrival + depth), giving the
-            // paper's 5-cycle hops for 4-stage routers + 1-cycle
-            // channels (Sec. III-B).
-            if (f.enqueueCycle + params_.pipelineDepth > now)
-                continue; // still in the router pipeline
-            const unsigned o = port.outPort(vc);
-            if (isEjection(o)) {
-                tenoc_assert(sink_, "no ejection sink attached");
-                if (!sink_->ejectReady(o - NUM_DIRS))
-                    continue;
-            } else {
-                if (slab_->outCredits[ov(o, port.outVc(vc))] == 0)
-                    continue;
-            }
-            elig[vc >> 6] |= std::uint64_t{1} << (vc & 63);
-            any = true;
-        }
-        if (!any)
-            continue;
-        unsigned win = vcs;
-        if (params_.agePriority) {
-            Cycle best = INVALID_CYCLE;
-            for (unsigned w = 0; w < vc_words_; ++w) {
-                for (std::uint64_t m = elig[w]; m != 0; m &= m - 1) {
-                    const unsigned vc = w * 64 +
-                        static_cast<unsigned>(std::countr_zero(m));
-                    const Cycle age = packetAge(port.front(vc));
-                    if (win == vcs || age < best) {
-                        best = age;
-                        win = vc;
-                    }
-                }
-            }
-        } else {
-            win = sa_input_arb_[in].grantWords(elig, vc_words_);
-        }
-        nominee[in] = win;
-        sa_out_words_[port.outPort(win) * in_words_ + (in >> 6)] |=
-            std::uint64_t{1} << (in & 63);
-        any_nominee = true;
-    }
-    if (!any_nominee)
-        return;
-
-    // Output stage: one winner per output port.
-    for (unsigned o = 0; o < numOutputs(); ++o) {
-        const std::uint64_t *reqs = sa_out_words_.data() + o * in_words_;
-        std::uint64_t live = 0;
-        for (unsigned w = 0; w < in_words_; ++w)
-            live |= reqs[w];
-        if (live == 0)
-            continue;
-        unsigned in = numInputs();
-        if (params_.agePriority) {
-            Cycle best = INVALID_CYCLE;
-            for (unsigned w = 0; w < in_words_; ++w) {
-                for (std::uint64_t m = reqs[w]; m != 0; m &= m - 1) {
-                    const unsigned cand = w * 64 +
-                        static_cast<unsigned>(std::countr_zero(m));
-                    const Cycle age =
-                        packetAge(inputs_[cand].front(nominee[cand]));
-                    if (in == numInputs() || age < best) {
-                        best = age;
-                        in = cand;
-                    }
-                }
-            }
-        } else {
-            in = outputs_[o].saArb.grantWords(reqs, in_words_);
-        }
-        if (in >= numInputs())
-            continue;
+        const unsigned in = params_.agePriority
+            ? oldest<W>(reqs, iw, numInputs(),
+                        [&](unsigned c) {
+                            return packetAge(inputs_[c].front(nominee[c]));
+                        })
+            : grant<W>(outputs_[o].saArb, reqs, iw);
         const unsigned vc = nominee[in];
 
         // Switch traversal.

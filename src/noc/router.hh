@@ -193,14 +193,13 @@ class Router
     // --- simulation phases (network drives these each icnt cycle) ---
     /** Phase 1: drain arriving flits and credits from channels. */
     void readInputs(Cycle now);
-    /** Phase 2: RC, VA, SA, ST. */
-    void compute(Cycle now);
 
-    // Individual pipeline stages, exposed so MeshNetwork can batch one
-    // stage across all active routers (better locality than ticking a
-    // whole router at a time).  Each early-outs when no VC is eligible
-    // — a case in which running it would not change any state, return
-    // any grant, or emit any trace event, so skipping is bit-exact.
+    // Phase 2, one pipeline stage per call, so MeshNetwork can batch
+    // each stage across all active routers (better locality than
+    // ticking a whole router at a time).  Each early-outs when no VC is
+    // eligible — a case in which running it would not change any state,
+    // return any grant, or emit any trace event, so skipping is
+    // bit-exact.
     /** RC: assign output ports to idle VCs with buffered heads. */
     void routeCompute(Cycle now);
     /** VA: round-robin output-VC grants to routed head flits. */
@@ -318,15 +317,14 @@ class Router
   private:
     void initPorts();
 
-    // Fallback allocators for geometries whose requestor counts exceed
-    // 64 (so per-stage request state cannot pack into one word); the
-    // request sets live in uint64 word-mask arrays and grants come
-    // from RoundRobinArbiter::grantWords, so concentrated/high-radix
-    // routers keep O(words) arbitration instead of falling back to
-    // vector<bool> scans.  Produces grants identical to the mask fast
-    // paths in vcAllocate/switchAllocate.
-    void vcAllocateWide(Cycle now);
-    void switchAllocateWide(Cycle now);
+    // The allocators over word-array request sets, W words per set
+    // (W = 1: every router with at most 64 input VCs, single-mask code
+    // with O(1) RoundRobinArbiter::grantMask grants; W = 0: the runtime
+    // word counts below, O(words) grantWords grants).
+    template <unsigned W>
+    void vcAllocateWords(Cycle now);
+    template <unsigned W>
+    void switchAllocateWords(Cycle now);
 
     bool isInjection(unsigned in) const { return in >= NUM_DIRS; }
     bool isEjection(unsigned out) const { return out >= NUM_DIRS; }
@@ -390,21 +388,17 @@ class Router
 
     // Allocation scratch, hoisted out of the per-cycle loops so the
     // hot path performs no heap allocation.
-    /** True when numInputs*vcs <= 64: request sets pack into single
-     *  words and the allocators run their mask fast paths. */
-    bool mask_alloc_ = true;
-    std::vector<std::uint64_t> va_out_reqs_; ///< per-output VA masks
-    std::vector<std::uint64_t> sa_out_mask_; ///< per-output SA masks
-    // Wide-path word geometry (requestor counts above 64).
-    unsigned va_words_ = 1; ///< words per input-VC request set
-    unsigned vc_words_ = 1; ///< words per per-input VC set
+    unsigned va_words_ = 1; ///< words per input-VC set (inputs * vcs)
+    unsigned vc_words_ = 1; ///< words per one input's VC set
     unsigned in_words_ = 1; ///< words per input-port set
-    /** Per-output VA requestor words: numOutputs * va_words_. */
-    std::vector<std::uint64_t> va_wide_reqs_;
-    /** Wide SA input-stage eligibility words: vc_words_. */
-    std::vector<std::uint64_t> sa_vc_words_;
-    /** Per-output wide SA requestor words: numOutputs * in_words_. */
-    std::vector<std::uint64_t> sa_out_words_;
+    /** Per-output VA requestor sets: numOutputs * va_words_. */
+    std::vector<std::uint64_t> va_reqs_;
+    /** Per-output SA requestor sets: numOutputs * in_words_. */
+    std::vector<std::uint64_t> sa_out_reqs_;
+    /** Multi-word SA input-stage sets (W = 1 keeps them in registers):
+     *  candidate VCs (va_words_), one input's requests and eligible
+     *  VCs (vc_words_ each). */
+    std::vector<std::uint64_t> sa_cand_, sa_req_, sa_elig_;
     std::vector<unsigned> sa_nominee_; ///< per input port
 };
 

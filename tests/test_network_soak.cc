@@ -31,6 +31,15 @@ struct SoakConfig
     bool sliced;
 };
 
+// Print a config by its name.  Without this gtest dumps the raw bytes,
+// which include the `name` pointer, so the listed test names would
+// change with every rebuild that moves the string literals.
+void
+PrintTo(const SoakConfig &cfg, std::ostream *os)
+{
+    *os << cfg.name;
+}
+
 class NetworkSoak : public ::testing::TestWithParam<SoakConfig>
 {};
 

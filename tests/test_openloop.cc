@@ -84,32 +84,12 @@ TEST(DestinationChooser, ExclusionOfNonMemberChangesNothing)
         EXPECT_EQ(dc.pick(a), dc.pick(b, 99));
 }
 
-TEST(OpenLoop, LegacySharedRngReproducesPinnedStats)
-{
-    // Pinned latency statistics from the pre-stream-split harness
-    // (one shared Rng for all sources).  The compat flag must
-    // reproduce them bit for bit; if this ever breaks, the legacy
-    // draw order changed.
-    OpenLoopParams p = quickParams(0.03);
-    p.legacySharedRng = true;
-    auto r = runOpenLoop(p);
-    EXPECT_NEAR(r.avgLatency, 30.3652355397, 1e-9);
-    EXPECT_NEAR(r.avgRequestLatency, 25.7930828861, 1e-9);
-    EXPECT_NEAR(r.avgReplyLatency, 34.9373881932, 1e-9);
-    EXPECT_DOUBLE_EQ(r.p95Latency, 60.0);
-}
-
 TEST(OpenLoop, PerSourceStreamsAreDeterministic)
 {
     auto r1 = runOpenLoop(quickParams(0.03));
     auto r2 = runOpenLoop(quickParams(0.03));
     EXPECT_DOUBLE_EQ(r1.avgLatency, r2.avgLatency);
     EXPECT_DOUBLE_EQ(r1.acceptedLoad, r2.acceptedLoad);
-    // And the stream split really changed the schedule vs legacy.
-    OpenLoopParams legacy = quickParams(0.03);
-    legacy.legacySharedRng = true;
-    auto r3 = runOpenLoop(legacy);
-    EXPECT_NE(r1.avgLatency, r3.avgLatency);
 }
 
 TEST(OpenLoop, TelemetryWarmupLandsInDedicatedIntervalRow)

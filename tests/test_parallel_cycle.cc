@@ -14,7 +14,7 @@
  *   3. end-to-end bit-equivalence — seeded network and whole-chip
  *      runs compared across cycleThreads in {1, 2, MAX}, crossed with
  *      the idle-skip scheduler, the invariant checker, fault
- *      injection, and single/sliced networks.
+ *      injection, single/sliced networks and an attached tracer.
  *
  * Corpus replay under threads rides on test_fuzz_corpus.cc: runDiff's
  * toggle battery now includes cycleThreads=2 shadow runs, so every
@@ -23,8 +23,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -36,6 +38,8 @@
 #include "common/rng.hh"
 #include "noc/activity.hh"
 #include "noc/mesh_network.hh"
+#include "telemetry/telemetry.hh"
+#include "telemetry/trace_sink.hh"
 
 namespace tenoc
 {
@@ -385,6 +389,65 @@ TEST(ParallelCycleEquivalence, ChipRunIdenticalUnderCoreThreads)
         EXPECT_EQ(serial.avgTotalLatency, par.avgTotalLatency);
         EXPECT_EQ(serial.packetsEjected, par.packetsEjected);
         EXPECT_EQ(serial.dramEfficiency, par.dramEfficiency);
+    }
+}
+
+/**
+ * The hub's Chrome trace as a sorted list of event lines.  Emission
+ * order follows the scheduler's batched stage order, which is not part
+ * of the trace contract; the event multiset is.
+ */
+std::vector<std::string>
+sortedTraceEvents(telemetry::TelemetryHub &hub)
+{
+    const auto *sink =
+        dynamic_cast<const telemetry::ChromeTraceSink *>(hub.tracer());
+    EXPECT_NE(sink, nullptr);
+    std::vector<std::string> events;
+    if (!sink)
+        return events;
+    std::ostringstream os;
+    sink->write(os);
+    std::istringstream lines(os.str());
+    std::string line;
+    while (std::getline(lines, line)) {
+        if (line.find('{') == std::string::npos)
+            continue; // the enclosing "[" / "]" lines
+        if (line.back() == ',')
+            line.pop_back();
+        events.push_back(line);
+    }
+    std::sort(events.begin(), events.end());
+    return events;
+}
+
+TEST(ParallelCycleEquivalence, TracerChangesNoStatsAtAnyThreadCount)
+{
+    // Attaching a tracer pins the shards inline but must not move a
+    // single sealed stat, and the traced event multiset must not
+    // depend on the thread count.
+    for (const bool sliced : {false, true}) {
+        SCOPED_TRACE(sliced ? "double" : "single");
+        std::vector<std::string> events[2];
+        for (const unsigned threads : {1u, 2u}) {
+            const EquivCase c{threads, true, false, false, sliced};
+            const auto plain = makeMeshNetwork(equivParams(c, threads),
+                                               sliced);
+            const auto traced = makeMeshNetwork(equivParams(c, threads),
+                                                sliced);
+            telemetry::TelemetryConfig cfg;
+            cfg.tracePath = "unused.json"; // enables the sink only
+            cfg.traceSampleEvery = 1;
+            telemetry::TelemetryHub hub(cfg);
+            traced->attachTelemetry(hub);
+            const Cycle done_plain = drive(*plain, 97, 1500);
+            const Cycle done_traced = drive(*traced, 97, 1500);
+            EXPECT_EQ(done_plain, done_traced) << threads << " threads";
+            expectStatsEqual(plain->stats(), traced->stats());
+            events[threads - 1] = sortedTraceEvents(hub);
+        }
+        EXPECT_FALSE(events[0].empty());
+        EXPECT_EQ(events[0], events[1]);
     }
 }
 

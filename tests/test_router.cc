@@ -35,6 +35,15 @@ routerParams(bool half = false, unsigned inj = 1, unsigned ej = 1)
     return rp;
 }
 
+/** One router's RC, VA and SA + ST stages for cycle `now`. */
+void
+computeStages(Router &r, Cycle now)
+{
+    r.routeCompute(now);
+    r.vcAllocate(now);
+    r.switchAllocate(now);
+}
+
 TEST(RouterConnectivity, FullRouterConnectsEverything)
 {
     Topology topo(TopologyParams{});
@@ -121,8 +130,8 @@ class TwoRouterTest : public ::testing::Test, public EjectionSink
                 f.vc = 0;
                 a_.injectFlit(0, std::move(f), now_);
             }
-            a_.compute(now_);
-            b_.compute(now_);
+            computeStages(a_, now_);
+            computeStages(b_, now_);
         }
     }
 
@@ -201,8 +210,8 @@ TEST(Router, AggressiveSingleCycleRouter)
     makeFlits(pkt, flits);
     flits[0].vc = 0;
     a.injectFlit(0, std::move(flits[0]), 5);
-    a.compute(5);
-    a.compute(6);
+    computeStages(a, 5);
+    computeStages(a, 6);
     // 1-cycle router: one cycle of residency (2-cycle hops with the
     // 1-cycle channel, vs 5 for the 4-stage baseline).
     EXPECT_EQ(sink.eject_time, 6u);
@@ -239,7 +248,7 @@ TEST(Router, MultiEjectionPortsRoundRobin)
     }
     for (Cycle t = 0; t < 10; ++t) {
         r.readInputs(t);
-        r.compute(t);
+        computeStages(r, t);
     }
     ASSERT_EQ(sink.ports.size(), 2u);
     EXPECT_NE(sink.ports[0], sink.ports[1]);
@@ -279,8 +288,8 @@ TEST(Router, AgePriorityGrantsOldestPacket)
     const auto old_pkt = old_flit.pkt;
     r.injectFlit(0, std::move(old_flit), 100);
 
-    r.compute(100); // RC + VA
-    r.compute(101); // SA + ST (1-cycle residency elapsed)
+    computeStages(r, 100); // RC + VA
+    computeStages(r, 101); // SA + ST (1-cycle residency elapsed)
     auto first = out.receive(102);
     ASSERT_TRUE(first.has_value());
     EXPECT_EQ(first->pkt.get(), old_pkt.get());
