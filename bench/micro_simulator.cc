@@ -156,7 +156,7 @@ runTelemetryHarness(telemetry::TelemetryConfig cfg,
 
     // Canonical hash of this run's effective configuration, echoed
     // into the stats-JSON header and interval-CSV metadata so sweep
-    // tooling can content-address the outputs (docs/fleet.md).
+    // tooling can content-address the outputs (docs/telemetry.md).
     Config id_cfg;
     id_cfg.set("base", "baseline");
     id_cfg.set("workload", workload);
@@ -213,7 +213,7 @@ main(int argc, char **argv)
     // sees them (it rejects unknown arguments).
     const auto cfg = telemetry::parseTelemetryFlags(argc, argv);
 
-    // Checkpoint/restore flags (docs/fleet.md): --checkpoint-at N
+    // Checkpoint/restore flags (docs/robustness.md): --checkpoint-at N
     // --checkpoint-out FILE snapshots the harness run mid-flight;
     // --restore FILE resumes from a snapshot.
     RunOptions opts;

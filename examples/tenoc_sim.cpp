@@ -14,6 +14,9 @@
  *   scale    = kernel-length scale (default 1.0)
  *   stats    = true to dump detailed statistics
  *
+ * Exits 2 when any run hits the icnt cycle cap (sim.maxIcntCycles),
+ * like micro_simulator, so scripts can fail on a timed-out run.
+ *
  * Example:
  *   tenoc_sim - workload=BFS base=thr-eff noc.mcInjPorts=2 scale=0.5
  */
@@ -80,10 +83,13 @@ main(int argc, char **argv)
                     r.result.timedOut ? "  TIMEOUT" : "");
     };
 
+    bool timed_out = false;
     if (workload == "suite") {
         const auto runs = runSuite(params, scale);
-        for (const auto &r : runs)
+        for (const auto &r : runs) {
             report(r);
+            timed_out |= r.result.timedOut;
+        }
         std::printf("\nharmonic-mean IPC: %.2f\n",
                     harmonicMeanIpc(runs));
     } else {
@@ -94,6 +100,7 @@ main(int argc, char **argv)
         r.cls = profile.expectedClass;
         r.result = runWorkload(params, profile);
         report(r);
+        timed_out = r.result.timedOut;
         if (dump_stats) {
             std::printf("\nscalar insts      %llu\n",
                         static_cast<unsigned long long>(
@@ -118,5 +125,5 @@ main(int argc, char **argv)
                         r.result.dramRowHitRate);
         }
     }
-    return 0;
+    return timed_out ? 2 : 0;
 }

@@ -6,7 +6,6 @@
 #include "accel/chip.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <string>
 #include <utility>
 #include <vector>
@@ -429,24 +428,8 @@ Chip::run()
         if (checkpoint_at_ != 0 && !checkpoint_written_ &&
             icnt_now_ >= checkpoint_at_)
             writeCheckpoint();
-        if (periodic_every_ != 0 && icnt_now_ >= periodic_next_) {
-            writePeriodicCheckpoint();
-            if (periodic_every_ != 0)
-                while (periodic_next_ <= icnt_now_)
-                    periodic_next_ += periodic_every_;
-        }
-        if (progress_every_ != 0 && icnt_now_ >= progress_next_) {
-            progress_fn_(progressNow());
-            while (progress_next_ <= icnt_now_)
-                progress_next_ += progress_every_;
-        }
         return true;
     };
-
-    // An immediate first heartbeat tells the supervisor the worker is
-    // alive before the first (possibly long) cycle interval elapses.
-    if (progress_every_ != 0)
-        progress_fn_(progressNow());
 
     const unsigned kernels = std::max(1u, profile_.numKernels);
     while (kernel_ < kernels && !timed_out) {
@@ -492,57 +475,6 @@ Chip::writeCheckpoint()
     if (!saveToFile(checkpoint_path_, &error))
         tenoc_fatal("checkpoint write failed: ", error);
     checkpoint_written_ = true;
-}
-
-void
-Chip::schedulePeriodicCheckpoint(Cycle every, std::string path)
-{
-    tenoc_assert(every > 0, "checkpoint interval must be positive");
-    tenoc_assert(!path.empty(), "periodic checkpoint needs a path");
-    periodic_every_ = every;
-    periodic_path_ = std::move(path);
-    // Anchor to absolute cycles so a resumed run checkpoints at the
-    // same cycle numbers the original would have.
-    periodic_next_ = (icnt_now_ / every + 1) * every;
-}
-
-void
-Chip::writePeriodicCheckpoint()
-{
-    const std::string tmp = periodic_path_ + ".tmp";
-    std::string error;
-    if (!saveToFile(tmp, &error) ||
-        std::rename(tmp.c_str(), periodic_path_.c_str()) != 0) {
-        warn("periodic checkpoint to '", periodic_path_,
-             "' failed (", error.empty() ? "rename failed" : error,
-             "); disarming further checkpoints");
-        std::remove(tmp.c_str());
-        periodic_every_ = 0;
-    }
-}
-
-void
-Chip::setProgressCallback(Cycle every, ProgressFn fn)
-{
-    tenoc_assert(every > 0, "progress interval must be positive");
-    tenoc_assert(static_cast<bool>(fn), "progress callback is empty");
-    progress_every_ = every;
-    progress_fn_ = std::move(fn);
-    progress_next_ = (icnt_now_ / every + 1) * every;
-}
-
-Chip::Progress
-Chip::progressNow() const
-{
-    Progress p;
-    p.icntCycle = icnt_now_;
-    p.coreCycle = core_now_;
-    p.kernel = kernel_;
-    for (const auto &c : cores_)
-        p.scalarInsts += c->scalarInsts();
-    p.packetsEjected =
-        const_cast<Chip *>(this)->net_->stats().packetsEjected;
-    return p;
 }
 
 void

@@ -43,18 +43,6 @@ runWorkload(const ChipParams &params, const KernelProfile &profile,
                         "file");
         chip.scheduleCheckpoint(opts.checkpointAt, opts.checkpointOut);
     }
-    if (opts.checkpointEvery != 0) {
-        if (opts.checkpointEveryOut.empty())
-            tenoc_fatal("periodic checkpoint interval given without "
-                        "an output file");
-        chip.schedulePeriodicCheckpoint(opts.checkpointEvery,
-                                        opts.checkpointEveryOut);
-    }
-    if (opts.progressEvery != 0) {
-        if (!opts.onProgress)
-            tenoc_fatal("progress interval given without a callback");
-        chip.setProgressCallback(opts.progressEvery, opts.onProgress);
-    }
     if (hub)
         chip.attachTelemetry(*hub);
     ChipResult result = chip.run();

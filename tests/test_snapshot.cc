@@ -126,7 +126,7 @@ TEST(Snapshot, ResumeMatchesThroughputEffective)
 }
 
 /**
- * The fleet acceptance shape: one warm-up checkpoint consumed by two
+ * Warm-up reuse: one warm-up checkpoint consumed by two
  * differently *scheduled* downstream runs (validation on; two cycle
  * threads).  Scheduler knobs are bit-exact by design, so both resumed
  * runs must land in the identical final state as the uninterrupted
