@@ -6,6 +6,8 @@
 #include "cache/mshr.hh"
 
 #include <algorithm>
+#include <bit>
+#include <vector>
 
 #include "common/log.hh"
 #include "common/snapshot.hh"
@@ -14,70 +16,143 @@ namespace tenoc
 {
 
 MshrTable::MshrTable(unsigned entries, unsigned max_merged)
-    : entries_(entries), max_merged_(max_merged)
+    : entries_(entries), max_merged_(max_merged),
+      buckets_(std::bit_ceil(2 * entries))
 {
-    tenoc_assert(entries_ >= 1 && max_merged_ >= 1, "bad MSHR geometry");
+    tenoc_assert(entries_ >= 1 && entries_ < 0x8000 && max_merged_ >= 1,
+                 "bad MSHR geometry");
+    bucket_mask_ = static_cast<unsigned>(buckets_.size()) - 1;
+    hash_shift_ = 64 - static_cast<unsigned>(
+        std::countr_zero(buckets_.size()));
+}
+
+void
+MshrTable::clear()
+{
+    std::fill(buckets_.begin(), buckets_.end(), std::uint16_t{0});
+    used_ = 0;
+    slots_.clear();
+    free_head_ = NONE;
 }
 
 bool
 MshrTable::canAllocate(Addr line) const
 {
-    auto it = table_.find(line);
-    if (it != table_.end())
-        return it->second.size() < max_merged_;
-    return table_.size() < entries_;
+    const unsigned b = find(line);
+    if (b != NONE)
+        return slots_[buckets_[b] - 1].count < max_merged_;
+    return used_ < entries_;
 }
 
 bool
 MshrTable::allocate(Addr line, std::uint64_t waiter)
 {
-    auto it = table_.find(line);
-    if (it != table_.end()) {
-        tenoc_assert(it->second.size() < max_merged_,
-                     "MSHR merge overflow");
-        it->second.push_back(waiter);
+    ++generation_;
+    unsigned b = find(line);
+    const bool fresh = b == NONE;
+    if (fresh) {
+        tenoc_assert(used_ < entries_, "MSHR table overflow");
+        unsigned s;
+        if (free_head_ != NONE) {
+            s = free_head_;
+            free_head_ = slots_[s].nextFree;
+            slots_[s] = Slot{line};
+        } else {
+            s = static_cast<unsigned>(slots_.size());
+            slots_.push_back(Slot{line});
+        }
+        b = home(line);
+        while (buckets_[b] != 0)
+            b = (b + 1) & bucket_mask_;
+        buckets_[b] = static_cast<std::uint16_t>(s + 1);
+        ++used_;
+        ++allocations_;
+    } else {
         ++merges_;
-        return false;
     }
-    tenoc_assert(table_.size() < entries_, "MSHR table overflow");
-    table_.emplace(line, std::vector<std::uint64_t>{waiter});
-    ++allocations_;
-    return true;
+    const unsigned s = buckets_[b] - 1u;
+    const std::uint32_t k = slots_[s].count++;
+    tenoc_assert(k < max_merged_, "MSHR merge overflow");
+    if (waiters_.size() <= static_cast<std::size_t>(k) * entries_) {
+        waiters_.resize(waiters_.size() + entries_);
+        released_.resize(k + 1);
+    }
+    waiters_[waiterAt(s, k)] = waiter;
+    return fresh;
 }
 
-std::vector<std::uint64_t>
-MshrTable::release(Addr line)
+void
+MshrTable::markStore(Addr line)
 {
-    auto it = table_.find(line);
-    tenoc_assert(it != table_.end(), "release of unknown MSHR line");
-    std::vector<std::uint64_t> waiters = std::move(it->second);
-    table_.erase(it);
-    return waiters;
+    const unsigned b = find(line);
+    tenoc_assert(b != NONE, "store mark on unknown MSHR line");
+    slots_[buckets_[b] - 1].store = true;
+}
+
+std::span<const std::uint64_t>
+MshrTable::release(Addr line, bool *store)
+{
+    const unsigned b = find(line);
+    tenoc_assert(b != NONE, "release of unknown MSHR line");
+    ++generation_;
+    const unsigned s = buckets_[b] - 1u;
+    unlink(b);
+    slots_[s].nextFree = free_head_;
+    free_head_ = s;
+    --used_;
+    if (store)
+        *store = slots_[s].store;
+    for (std::uint32_t k = 0; k < slots_[s].count; ++k)
+        released_[k] = waiters_[waiterAt(s, k)];
+    return {released_.data(), slots_[s].count};
+}
+
+void
+MshrTable::unlink(unsigned bucket)
+{
+    // Pull each later member of the probe run back into the hole
+    // unless its home lies cyclically in (hole, member].
+    unsigned hole = bucket;
+    for (unsigned b = (hole + 1) & bucket_mask_; buckets_[b] != 0;
+         b = (b + 1) & bucket_mask_) {
+        const unsigned h = home(slots_[buckets_[b] - 1].line);
+        if (((b - h) & bucket_mask_) >= ((b - hole) & bucket_mask_)) {
+            buckets_[hole] = buckets_[b];
+            hole = b;
+        }
+    }
+    buckets_[hole] = 0;
 }
 
 std::size_t
 MshrTable::waiters(Addr line) const
 {
-    auto it = table_.find(line);
-    return it == table_.end() ? 0 : it->second.size();
+    const unsigned b = find(line);
+    return b == NONE ? 0 : slots_[buckets_[b] - 1].count;
 }
 
 void
 MshrTable::save(SnapshotWriter &w) const
 {
     w.tag("MSHR");
-    std::vector<Addr> lines;
-    lines.reserve(table_.size());
-    for (const auto &[line, waiters] : table_)
-        lines.push_back(line);
-    std::sort(lines.begin(), lines.end());
-    w.u64(lines.size());
-    for (const Addr line : lines) {
-        w.u64(line);
-        const auto &waiters = table_.at(line);
-        w.u64(waiters.size());
-        for (const std::uint64_t waiter : waiters)
-            w.u64(waiter);
+    std::vector<const Slot *> pending;
+    pending.reserve(used_);
+    for (unsigned b = 0; b <= bucket_mask_; ++b) {
+        if (buckets_[b] != 0)
+            pending.push_back(&slots_[buckets_[b] - 1]);
+    }
+    std::sort(pending.begin(), pending.end(),
+              [](const Slot *a, const Slot *b) {
+                  return a->line < b->line;
+              });
+    w.u64(pending.size());
+    for (const Slot *slot : pending) {
+        w.u64(slot->line);
+        w.boolean(slot->store);
+        w.u64(slot->count);
+        const auto s = static_cast<unsigned>(slot - slots_.data());
+        for (std::uint32_t k = 0; k < slot->count; ++k)
+            w.u64(waiters_[waiterAt(s, k)]);
     }
     w.u64(allocations_);
     w.u64(merges_);
@@ -87,18 +162,20 @@ void
 MshrTable::restore(SnapshotReader &r)
 {
     r.tag("MSHR");
-    table_.clear();
+    clear();
     const std::uint64_t n = r.u64();
     for (std::uint64_t i = 0; i < n; ++i) {
         const Addr line = r.u64();
-        auto &waiters = table_[line];
+        const bool store = r.boolean();
         const std::uint64_t m = r.u64();
-        waiters.reserve(m);
-        for (std::uint64_t j = 0; j < m; ++j)
-            waiters.push_back(r.u64());
+        for (std::uint64_t k = 0; k < m; ++k)
+            allocate(line, r.u64());
+        if (store)
+            markStore(line);
     }
     allocations_ = r.u64();
     merges_ = r.u64();
+    ++generation_;
 }
 
 } // namespace tenoc

@@ -6,13 +6,20 @@
  * merge onto the existing entry instead of issuing another request.
  * A full table stalls the core's memory stage (the closed-loop
  * self-throttling the paper's simulations rely on).
+ *
+ * The table is flat and fixed-capacity: an open-addressed index maps a
+ * line to one of `entries` storage slots, and each slot has room for
+ * `max_merged` waiters, so steady-state operation never allocates.  A
+ * generation counter changes whenever the table does, which lets a
+ * caller that failed a probe skip retrying it until the answer could
+ * differ.
  */
 
 #ifndef TENOC_CACHE_MSHR_HH
 #define TENOC_CACHE_MSHR_HH
 
 #include <cstdint>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "common/types.hh"
@@ -34,11 +41,11 @@ class MshrTable
     explicit MshrTable(unsigned entries, unsigned max_merged = 32);
 
     unsigned capacity() const { return entries_; }
-    std::size_t size() const { return table_.size(); }
-    bool full() const { return table_.size() >= entries_; }
+    std::size_t size() const { return used_; }
+    bool full() const { return used_ >= entries_; }
 
     /** @return true if a refill for this line is already pending. */
-    bool pending(Addr line) const { return table_.count(line) != 0; }
+    bool pending(Addr line) const { return find(line) != NONE; }
 
     /**
      * @return true if a new access for `line` can be tracked (either a
@@ -53,16 +60,28 @@ class MshrTable
      */
     bool allocate(Addr line, std::uint64_t waiter);
 
+    /** Marks the pending refill of `line` as wanted by a store
+     *  (write-allocate dirtiness); release() reports the mark. */
+    void markStore(Addr line);
+
     /**
-     * Completes the refill of `line`, returning all merged waiters.
+     * Completes the refill of `line`.
+     * @param store if given, set to whether markStore() hit the entry
+     * @return the merged waiters in allocation order; the view stays
+     * valid until the next release() or restore()
      */
-    std::vector<std::uint64_t> release(Addr line);
+    std::span<const std::uint64_t> release(Addr line,
+                                           bool *store = nullptr);
 
     /** Merged-access count for a pending line. */
     std::size_t waiters(Addr line) const;
 
+    /** Changes on every allocate, release and restore: while it holds
+     *  still, canAllocate() answers every line as it did before. */
+    std::uint64_t generation() const { return generation_; }
+
     /** Serializes pending entries (sorted by line address so blobs
-     *  are independent of hash-map iteration order) and counters. */
+     *  are independent of bucket and slot placement) and counters. */
     void save(SnapshotWriter &w) const;
 
     /** Restores state written by save(). */
@@ -73,9 +92,73 @@ class MshrTable
     std::uint64_t merges() const { return merges_; }
 
   private:
+    static constexpr unsigned NONE = ~0u;
+
+    /** One storage slot: a pending line and its merged waiters. */
+    struct Slot
+    {
+        Addr line = 0;
+        std::uint32_t count = 0;       ///< waiters held
+        std::uint32_t nextFree = NONE; ///< free-list link while unused
+        bool store = false;            ///< markStore() hit this refill
+    };
+
+    /** @return the home bucket of `line` (Fibonacci hashing). */
+    unsigned
+    home(Addr line) const
+    {
+        return static_cast<unsigned>(
+            (line * 0x9e3779b97f4a7c15ull) >> hash_shift_);
+    }
+
+    /** @return the bucket indexing `line`, or NONE. */
+    unsigned
+    find(Addr line) const
+    {
+        // Linear probing at load <= 1/2 always meets an empty bucket.
+        for (unsigned b = home(line);; b = (b + 1) & bucket_mask_) {
+            if (buckets_[b] == 0)
+                return NONE;
+            if (slots_[buckets_[b] - 1].line == line)
+                return b;
+        }
+    }
+
+    /** Empties the index and frees every slot. */
+    void clear();
+
+    /** Takes `bucket` out of the index (backward-shift deletion). */
+    void unlink(unsigned bucket);
+
+    /** @return the index in waiters_ of waiter `k` of `slot`. */
+    std::size_t
+    waiterAt(unsigned slot, std::uint32_t k) const
+    {
+        return static_cast<std::size_t>(k) * entries_ + slot;
+    }
+
     unsigned entries_;
     unsigned max_merged_;
-    std::unordered_map<Addr, std::vector<std::uint64_t>> table_;
+    unsigned used_ = 0;
+    /** Open-addressed index over the pending lines: storage slot + 1,
+     *  0 when empty.  A power of two at least twice `entries_`, so
+     *  probe runs stay short. */
+    std::vector<std::uint16_t> buckets_;
+    unsigned bucket_mask_ = 0;
+    unsigned hash_shift_ = 0;
+    /** Storage slots, added as the table first fills (at most
+     *  `entries_`); released slots form a LIFO list through
+     *  Slot::nextFree. */
+    std::vector<Slot> slots_;
+    /** Waiters, merge depth major: row k holds waiter k of every
+     *  slot.  A row is added the first time some entry reaches its
+     *  depth (at most `max_merged_` rows), so the table holds only
+     *  the depths merging has reached. */
+    std::vector<std::uint64_t> waiters_;
+    /** The waiters the last release() returned. */
+    std::vector<std::uint64_t> released_;
+    unsigned free_head_ = NONE;
+    std::uint64_t generation_ = 0;
     std::uint64_t allocations_ = 0;
     std::uint64_t merges_ = 0;
 };

@@ -3,8 +3,8 @@
  * Flat FIFO ring queue with inline small storage.
  *
  * Replaces std::deque in simulator hot paths (channel in-flight
- * queues) where the common-case population is tiny and bounded by the
- * channel latency: the first INLINE items live inside the owning
+ * queues, DRAM controller queues) where the common-case population is
+ * small and bounded: the first INLINE items live inside the owning
  * object, so a steady-state channel performs no heap allocation at
  * all, and iteration touches one contiguous block in FIFO order.
  * Capacity grows geometrically (powers of two) when a queue backs up
@@ -77,12 +77,43 @@ class RingQueue
         return *slot(head_);
     }
 
+    /** The i-th oldest item. */
+    T &
+    operator[](std::size_t i)
+    {
+        return *slot((head_ + i) & (cap_ - 1));
+    }
+
+    const T &
+    operator[](std::size_t i) const
+    {
+        return *slot((head_ + i) & (cap_ - 1));
+    }
+
     void
     pop_front()
     {
         tenoc_assert(size_ != 0, "pop_front() on empty ring");
         slot(head_)->~T();
         head_ = (head_ + 1) & (cap_ - 1);
+        --size_;
+    }
+
+    /** Removes the i-th oldest item, keeping the others in order; the
+     *  shorter side of the ring shifts over the gap. */
+    void
+    erase(std::size_t i)
+    {
+        tenoc_assert(i < size_, "erase() past the end of the ring");
+        if (i < size_ / 2) {
+            for (std::size_t k = i; k > 0; --k)
+                (*this)[k] = std::move((*this)[k - 1]);
+            pop_front();
+            return;
+        }
+        for (std::size_t k = i; k + 1 < size_; ++k)
+            (*this)[k] = std::move((*this)[k + 1]);
+        slot((head_ + size_ - 1) & (cap_ - 1))->~T();
         --size_;
     }
 

@@ -13,30 +13,6 @@
 namespace tenoc
 {
 
-bool
-DramBank::canActivate(Cycle now) const
-{
-    if (state_ != State::IDLE || now < ready_at_)
-        return false;
-    if (ever_activated_ && now < last_activate_ + timing_.tRC)
-        return false;
-    return true;
-}
-
-bool
-DramBank::canCas(Cycle now, std::uint64_t row) const
-{
-    return state_ == State::ACTIVE && active_row_ == row &&
-        now >= ready_at_;
-}
-
-bool
-DramBank::canPrecharge(Cycle now) const
-{
-    return state_ == State::ACTIVE && now >= ras_done_at_ &&
-        now >= last_cas_end_ && now >= ready_at_;
-}
-
 void
 DramBank::activate(Cycle now, std::uint64_t row)
 {

@@ -31,13 +31,36 @@ class DramBank
 
     /** @return true if ACTIVATE may issue at `now` (tRC/tRP honored;
      *  the cross-bank tRRD check belongs to the channel). */
-    bool canActivate(Cycle now) const;
+    bool
+    canActivate(Cycle now) const
+    {
+        // Bitwise ands: the channel evaluates this for every bank each
+        // cycle, where data-dependent branches mispredict.
+        return (state_ == State::IDLE) & (now >= ready_at_) &
+            (!ever_activated_ | (now >= last_activate_ + timing_.tRC));
+    }
+
+    /** @return true if a CAS to the open row may issue at `now`. */
+    bool
+    casReady(Cycle now) const
+    {
+        return (state_ == State::ACTIVE) & (now >= ready_at_);
+    }
 
     /** @return true if a CAS to `row` may issue at `now`. */
-    bool canCas(Cycle now, std::uint64_t row) const;
+    bool
+    canCas(Cycle now, std::uint64_t row) const
+    {
+        return casReady(now) && active_row_ == row;
+    }
 
     /** @return true if PRECHARGE may issue at `now`. */
-    bool canPrecharge(Cycle now) const;
+    bool
+    canPrecharge(Cycle now) const
+    {
+        return (state_ == State::ACTIVE) & (now >= ras_done_at_) &
+            (now >= last_cas_end_) & (now >= ready_at_);
+    }
 
     /** Issues ACTIVATE for `row`. */
     void activate(Cycle now, std::uint64_t row);

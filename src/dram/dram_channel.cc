@@ -5,6 +5,8 @@
 
 #include "dram/dram_channel.hh"
 
+#include <bit>
+
 #include "common/log.hh"
 #include "common/snapshot.hh"
 
@@ -19,6 +21,7 @@ DramChannel::DramChannel(const DramChannelParams &params)
                  params_.timing.numBanks <= 32,
                  "bank count must fit the scheduler's bank mask");
     banks_.assign(params_.timing.numBanks, DramBank(params_.timing));
+    bank_queued_.assign(params_.timing.numBanks, 0);
 }
 
 bool
@@ -33,7 +36,15 @@ DramChannel::push(DramRequest req, Cycle now)
     tenoc_assert(canAccept(), "DRAM queue overflow");
     req.arrival = now;
     req.coord = mapAddress(params_.timing, req.localAddr);
-    queue_.push_back(std::move(req));
+    enqueue(std::move(req));
+}
+
+void
+DramChannel::enqueue(DramRequest req)
+{
+    ++bank_queued_[req.coord.bank];
+    queued_banks_ |= 1u << req.coord.bank;
+    queue_.emplace_back(std::move(req));
 }
 
 void
@@ -41,7 +52,7 @@ DramChannel::cycle(Cycle now)
 {
     // Retire in-flight transfers whose data burst has finished.
     while (!in_flight_.empty() && in_flight_.front().doneAt <= now) {
-        completed_.push_back(std::move(in_flight_.front().req));
+        completed_.emplace_back(std::move(in_flight_.front().req));
         in_flight_.pop_front();
     }
 
@@ -90,12 +101,11 @@ DramChannel::cycle(Cycle now)
                 ++row_misses_;
             else
                 ++row_hits_;
-            InFlight fl;
-            fl.req = std::move(req);
-            fl.doneAt = data_start + t.burstCycles();
-            in_flight_.push_back(std::move(fl));
-            queue_.erase(queue_.begin() +
-                         static_cast<std::ptrdiff_t>(i));
+            if (--bank_queued_[req.coord.bank] == 0)
+                queued_banks_ &= ~(1u << req.coord.bank);
+            in_flight_.emplace_back(
+                InFlight{std::move(req), data_start + t.burstCycles()});
+            queue_.erase(i);
             ++served_;
             return;
         }
@@ -104,32 +114,42 @@ DramChannel::cycle(Cycle now)
     // Otherwise prepare a bank.  Banks are prepared in parallel: for
     // each bank, only its oldest queued request steers it (no row
     // thrashing), and the single command slot this cycle goes to the
-    // eligible preparation whose request is oldest (FCFS).
+    // eligible preparation whose request is oldest (FCFS).  Only banks
+    // with queued requests that could take a PRECHARGE or ACTIVATE now
+    // can act, so the scan ends once each has met its oldest request.
+    const bool rrd_ok =
+        !ever_activated_ || now >= last_activate_ + t.tRRD;
+    std::uint32_t can_act = 0;
+    for (std::uint32_t m = queued_banks_; m != 0; m &= m - 1) {
+        const unsigned b = static_cast<unsigned>(std::countr_zero(m));
+        const DramBank &bank = banks_[b];
+        const bool can = bank.canPrecharge(now) |
+            (rrd_ok & bank.canActivate(now));
+        can_act |= static_cast<std::uint32_t>(can) << b;
+    }
     std::uint32_t seen_banks = 0;
-    for (auto &req : queue_) {
+    for (std::size_t i = 0;
+         i < queue_.size() && (can_act & ~seen_banks) != 0; ++i) {
+        DramRequest &req = queue_[i];
         const std::uint32_t bit = 1u << req.coord.bank;
         if (seen_banks & bit)
             continue;
         seen_banks |= bit;
+        if ((can_act & bit) == 0)
+            continue;
         auto &bank = banks_[req.coord.bank];
         if (bank.state() == DramBank::State::ACTIVE) {
             if (bank.activeRow() == req.coord.row)
                 continue; // ready or waiting on CAS/bus
-            if (bank.canPrecharge(now)) {
-                bank.precharge(now);
-                return;
-            }
-            continue;
-        }
-        // Bank idle: activate, honoring channel-wide tRRD.
-        if (bank.canActivate(now) &&
-            (!ever_activated_ || now >= last_activate_ + t.tRRD)) {
-            bank.activate(now, req.coord.row);
-            req.openedRow = true;
-            last_activate_ = now;
-            ever_activated_ = true;
+            bank.precharge(now);
             return;
         }
+        // Bank idle: activate (tRRD was checked with can_act).
+        bank.activate(now, req.coord.row);
+        req.openedRow = true;
+        last_activate_ = now;
+        ever_activated_ = true;
+        return;
     }
 }
 
@@ -221,16 +241,15 @@ DramChannel::save(SnapshotWriter &w) const
     for (const DramBank &bank : banks_)
         bank.save(w);
     w.u64(queue_.size());
-    for (const DramRequest &req : queue_)
-        saveRequest(w, req);
+    queue_.forEach([&w](const DramRequest &req) { saveRequest(w, req); });
     w.u64(in_flight_.size());
-    for (const InFlight &inf : in_flight_) {
+    in_flight_.forEach([&w](const InFlight &inf) {
         saveRequest(w, inf.req);
         w.u64(inf.doneAt);
-    }
+    });
     w.u64(completed_.size());
-    for (const DramRequest &req : completed_)
-        saveRequest(w, req);
+    completed_.forEach(
+        [&w](const DramRequest &req) { saveRequest(w, req); });
     w.u64(bus_free_at_);
     w.u64(last_activate_);
     w.boolean(ever_activated_);
@@ -255,21 +274,21 @@ DramChannel::restore(SnapshotReader &r)
     for (DramBank &bank : banks_)
         bank.restore(r);
     queue_.clear();
+    bank_queued_.assign(banks_.size(), 0);
+    queued_banks_ = 0;
     const std::uint64_t nq = r.u64();
     for (std::uint64_t i = 0; i < nq; ++i)
-        queue_.push_back(loadRequest(r));
+        enqueue(loadRequest(r));
     in_flight_.clear();
     const std::uint64_t nf = r.u64();
     for (std::uint64_t i = 0; i < nf; ++i) {
-        InFlight inf;
-        inf.req = loadRequest(r);
-        inf.doneAt = r.u64();
-        in_flight_.push_back(std::move(inf));
+        DramRequest req = loadRequest(r);
+        in_flight_.emplace_back(InFlight{std::move(req), r.u64()});
     }
     completed_.clear();
     const std::uint64_t nc = r.u64();
     for (std::uint64_t i = 0; i < nc; ++i)
-        completed_.push_back(loadRequest(r));
+        completed_.emplace_back(loadRequest(r));
     bus_free_at_ = r.u64();
     last_activate_ = r.u64();
     ever_activated_ = r.boolean();

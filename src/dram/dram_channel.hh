@@ -8,7 +8,6 @@
 #ifndef TENOC_DRAM_DRAM_CHANNEL_HH
 #define TENOC_DRAM_DRAM_CHANNEL_HH
 
-#include <deque>
 #include <optional>
 #include <vector>
 
@@ -84,17 +83,26 @@ class DramChannel
     friend class FrFcfsScheduler;
 
   private:
+    /** Adds `req` to the queue, counting it against its bank. */
+    void enqueue(DramRequest req);
+
     DramChannelParams params_;
     std::vector<DramBank> banks_;
-    std::deque<DramRequest> queue_;
+    FrFcfsScheduler::Queue queue_;
+    /** Queued requests per bank, and the mask of banks with any: the
+     *  per-cycle bank scans visit only these banks. */
+    std::vector<unsigned> bank_queued_;
+    std::uint32_t queued_banks_ = 0;
 
     struct InFlight
     {
         DramRequest req;
         Cycle doneAt;
     };
-    std::deque<InFlight> in_flight_;
-    std::deque<DramRequest> completed_;
+    /** CAS issue keeps in-flight plus completed requests under the
+     *  read-out buffer size, so these stay inline at its default. */
+    RingQueue<InFlight, 4> in_flight_;
+    RingQueue<DramRequest, 4> completed_;
 
     Cycle bus_free_at_ = 0;     ///< data bus reserved until
     Cycle last_activate_ = 0;   ///< channel-wide tRRD

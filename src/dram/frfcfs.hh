@@ -11,9 +11,9 @@
 #define TENOC_DRAM_FRFCFS_HH
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 
+#include "common/ring.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "dram/gddr3.hh"
@@ -47,11 +47,15 @@ struct FrFcfsStats
 class FrFcfsScheduler
 {
   public:
-    using Queue = std::deque<DramRequest>;
+    /** The controller queue in arrival order; 32 entries (Table II)
+     *  stay inline. */
+    using Queue = RingQueue<DramRequest, 32>;
 
     /**
      * @return index into `queue` of the oldest row-hit request whose
-     * bank can issue a CAS at `now`, if any.  When `stats` is given,
+     * bank can issue a CAS at `now`, if any.  Only requests at a bank
+     * that is ready for a CAS are compared with its open row, and no
+     * request is looked at when no bank is.  When `stats` is given,
      * records the pick and how far it reordered past the queue head.
      */
     static std::optional<std::size_t>

@@ -5,6 +5,8 @@
 
 #include "gpu/simt_core.hh"
 
+#include <bit>
+
 #include "common/log.hh"
 #include "common/snapshot.hh"
 
@@ -50,7 +52,8 @@ SimtCore::SimtCore(unsigned id, const SimtCoreParams &params,
         want_warps = profile_.warpsPerCore;
     }
     const unsigned warps = std::min(want_warps, params_.maxWarps);
-    tenoc_assert(warps >= 1, "kernel needs at least one warp");
+    tenoc_assert(warps >= 1 && warps <= 64,
+                 "the issue mask holds 1 to 64 warps, not ", warps);
     if (!source_) {
         source_ = std::make_unique<ProfileInstSource>(
             profile_, id_, warps, params_.lineBytes,
@@ -65,7 +68,19 @@ SimtCore::SimtCore(unsigned id, const SimtCoreParams &params,
             ++warps_done_;
         }
     }
+    issuable_ = issuableWarps();
     slot_countdown_ = params_.issueInterval();
+}
+
+std::uint64_t
+SimtCore::issuableWarps() const
+{
+    std::uint64_t mask = 0;
+    for (const Warp &warp : warps_) {
+        if (warp.canIssue(profile_.maxPendingLines))
+            mask |= std::uint64_t{1} << warp.id;
+    }
+    return mask;
 }
 
 void
@@ -88,6 +103,8 @@ SimtCore::restart()
             ++warps_done_;
         }
     }
+    issuable_ = issuableWarps();
+    mshr_parked_ = 0;
 }
 
 void
@@ -115,68 +132,100 @@ bool
 SimtCore::issueSlot(Cycle core_cycle)
 {
     (void)core_cycle;
-    const unsigned n = static_cast<unsigned>(warps_.size());
-    for (unsigned i = 0; i < n; ++i) {
-        const unsigned w = (rr_warp_ + i) % n;
-        Warp &warp = warps_[w];
-        if (!warp.canIssue(profile_.maxPendingLines))
-            continue;
-
-        // Decode once; a structurally stalled instruction is retried
-        // as-is so congestion cannot bias the instruction mix.
-        if (!warp.next.valid) {
-            source_->decode(w, warp.next, rng_);
-            warp.next.valid = true;
+    // Parked warps were refused by an MSHR table that has not changed
+    // since; once it has (allocate, merge, release or restore), they
+    // rejoin the scan.
+    if (mshr_parked_ != 0 && mshrs_.generation() != parked_gen_) {
+        issuable_ |= mshr_parked_;
+        mshr_parked_ = 0;
+    }
+    // Rotating priority: the issuable warps at or after rr_warp_ in
+    // ascending order, then those before it -- the order of a
+    // (rr_warp_ + i) % n scan that skips warps which cannot issue.
+    const std::uint64_t from_rr =
+        issuable_ & (~std::uint64_t{0} << rr_warp_);
+    unsigned port_refused = ~0u;
+    for (std::uint64_t part : {from_rr, issuable_ & ~from_rr}) {
+        for (; part != 0; part &= part - 1) {
+            const auto w = static_cast<unsigned>(std::countr_zero(part));
+            if (tryIssue(w, port_refused))
+                return true;
         }
-        if (warp.next.isMem) {
-            if (!executeMemInst(warp)) {
-                // Structural stall (MSHRs or injection queue full):
-                // this warp holds its decoded instruction; the
-                // scheduler tries the next ready warp.
-                continue;
-            }
-            ++mem_insts_;
-        }
-        warp.next = Warp::PendingInst{};
-        ++warp_insts_;
-        scalar_insts_ += params_.warpSize;
-        tenoc_assert(warp.instsRemaining > 0, "warp over-ran kernel");
-        --warp.instsRemaining;
-        if (warp.instsRemaining == 0 && warp.pendingReplies == 0) {
-            warp.state = Warp::State::DONE;
-            ++warps_done_;
-        } else if (warp.instsRemaining == 0) {
-            // Retire once the last loads come back.
-            warp.state = Warp::State::BLOCKED;
-        }
-        rr_warp_ = (w + 1) % n;
-        return true;
     }
     return false; // no ready warp
 }
 
 bool
-SimtCore::executeMemInst(Warp &warp)
+SimtCore::tryIssue(unsigned w, unsigned &port_refused)
+{
+    const std::uint64_t bit = std::uint64_t{1} << w;
+    Warp &warp = warps_[w];
+
+    // Decode once; a structurally stalled instruction is retried
+    // as-is so congestion cannot bias the instruction mix.
+    if (!warp.next.valid) {
+        source_->decode(w, warp.next, rng_);
+        warp.next.valid = true;
+    }
+    if (warp.next.isMem) {
+        const MemIssue res = executeMemInst(warp, port_refused);
+        if (res == MemIssue::MSHR_FULL) {
+            // Same table, same lines, same refusal: park this warp
+            // until the table changes.
+            issuable_ &= ~bit;
+            mshr_parked_ |= bit;
+            parked_gen_ = mshrs_.generation();
+        }
+        if (res != MemIssue::ISSUED) {
+            // Structural stall: this warp holds its decoded
+            // instruction; the scheduler tries the next ready warp.
+            return false;
+        }
+        ++mem_insts_;
+    }
+    warp.next = Warp::PendingInst{};
+    ++warp_insts_;
+    scalar_insts_ += params_.warpSize;
+    tenoc_assert(warp.instsRemaining > 0, "warp over-ran kernel");
+    --warp.instsRemaining;
+    if (warp.instsRemaining == 0 && warp.pendingReplies == 0) {
+        warp.state = Warp::State::DONE;
+        ++warps_done_;
+    } else if (warp.instsRemaining == 0) {
+        // Retire once the last loads come back.
+        warp.state = Warp::State::BLOCKED;
+    }
+    if (!warp.canIssue(profile_.maxPendingLines))
+        issuable_ &= ~bit;
+    rr_warp_ = (w + 1) % static_cast<unsigned>(warps_.size());
+    return true;
+}
+
+SimtCore::MemIssue
+SimtCore::executeMemInst(Warp &warp, unsigned &port_refused)
 {
     const bool is_store = warp.next.isStore;
     const auto &lines = warp.next.lines;
 
     // Conservative resource check: every line might miss and every
     // miss might add a dirty eviction.
-    if (!port_.canSendRequests(
-            static_cast<unsigned>(lines.size()) * 2)) {
-        return false;
+    const auto need = static_cast<unsigned>(lines.size()) * 2;
+    if (need >= port_refused)
+        return MemIssue::PORT_FULL;
+    if (!port_.canSendRequests(need)) {
+        port_refused = need;
+        return MemIssue::PORT_FULL;
     }
     unsigned new_entries = 0;
     for (Addr raw : lines) {
         const Addr line = l1_.lineAddr(raw);
         if (!mshrs_.canAllocate(line))
-            return false;
+            return MemIssue::MSHR_FULL;
         if (!mshrs_.pending(line))
             ++new_entries;
     }
     if (mshrs_.size() + new_entries > mshrs_.capacity())
-        return false;
+        return MemIssue::MSHR_FULL;
 
     for (Addr raw : lines) {
         const Addr line = l1_.lineAddr(raw);
@@ -195,21 +244,23 @@ SimtCore::executeMemInst(Warp &warp)
             ++reads_sent_;
         }
         if (is_store)
-            pending_store_lines_.insert(line);
+            mshrs_.markStore(line);
         ++warp.pendingReplies;
     }
     if (warp.pendingReplies >= profile_.maxPendingLines)
         warp.state = Warp::State::BLOCKED;
-    return true;
+    return MemIssue::ISSUED;
 }
 
 void
 SimtCore::onReadReply(Addr line)
 {
+    bool dirty = false;
+    const auto waiters = mshrs_.release(line, &dirty);
+
     // Real-tag mode: install the line; a dirty victim becomes a write
     // request (queued if the injection port is momentarily full).
     if (l1_.params().mode == CacheParams::Mode::REAL) {
-        const bool dirty = pending_store_lines_.erase(line) > 0;
         if (const auto wb = l1_.fill(line, dirty)) {
             if (port_.canSendRequests(1)) {
                 port_.sendWrite(*wb);
@@ -218,11 +269,9 @@ SimtCore::onReadReply(Addr line)
                 pending_writebacks_.push_back(*wb);
             }
         }
-    } else {
-        pending_store_lines_.erase(line);
     }
 
-    for (std::uint64_t waiter : mshrs_.release(line)) {
+    for (std::uint64_t waiter : waiters) {
         auto &warp = warps_[static_cast<std::size_t>(waiter)];
         tenoc_assert(warp.pendingReplies > 0,
                      "reply for warp with no pending requests");
@@ -236,6 +285,7 @@ SimtCore::onReadReply(Addr line)
             }
         } else if (warp.pendingReplies < profile_.maxPendingLines) {
             warp.state = Warp::State::READY;
+            issuable_ |= std::uint64_t{1} << warp.id;
         }
     }
 }
@@ -285,9 +335,6 @@ SimtCore::save(SnapshotWriter &w) const
         for (const Addr line : warp.next.lines)
             w.u64(line);
     }
-    w.u64(pending_store_lines_.size());
-    for (const Addr line : pending_store_lines_)
-        w.u64(line);
     w.u64(pending_writebacks_.size());
     for (const Addr line : pending_writebacks_)
         w.u64(line);
@@ -329,10 +376,6 @@ SimtCore::restore(SnapshotReader &r)
         for (std::uint64_t i = 0; i < nlines; ++i)
             warp.next.lines.push_back(r.u64());
     }
-    pending_store_lines_.clear();
-    const std::uint64_t nstore = r.u64();
-    for (std::uint64_t i = 0; i < nstore; ++i)
-        pending_store_lines_.insert(r.u64());
     pending_writebacks_.clear();
     const std::uint64_t nwb = r.u64();
     for (std::uint64_t i = 0; i < nwb; ++i)
@@ -347,6 +390,8 @@ SimtCore::restore(SnapshotReader &r)
     reads_sent_ = r.u64();
     writes_sent_ = r.u64();
     finish_cycle_ = r.u64();
+    issuable_ = issuableWarps();
+    mshr_parked_ = 0;
 }
 
 } // namespace tenoc

@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "cache/cache.hh"
@@ -41,7 +40,8 @@ class CoreMemPort
 {
   public:
     virtual ~CoreMemPort() = default;
-    /** @return true if `n` more request packets can be queued now. */
+    /** @return true if `n` more request packets can be queued now.
+     *  Monotone in `n`: if `n` is refused, so is any larger count. */
     virtual bool canSendRequests(unsigned n) const = 0;
     /** Sends a read request for one line. */
     virtual void sendRead(Addr line) = 0;
@@ -123,11 +123,30 @@ class SimtCore
     void restore(SnapshotReader &r);
 
   private:
+    /** Outcome of one memory-instruction attempt. */
+    enum class MemIssue : std::uint8_t
+    {
+        ISSUED,
+        PORT_FULL, ///< the injection queue lacks room
+        MSHR_FULL  ///< the MSHR table cannot take every line
+    };
+
     /** Attempts to issue one warp instruction; @return success. */
     bool issueSlot(Cycle core_cycle);
 
-    /** Executes a memory instruction for `warp`; @return success. */
-    bool executeMemInst(Warp &warp);
+    /**
+     * Attempts to issue warp `w`'s next instruction; @return success.
+     * A warp the MSHRs refuse is parked.  `port_refused` is the
+     * smallest request count the port refused in this issue slot
+     * (failed attempts change nothing, so it holds for the slot).
+     */
+    bool tryIssue(unsigned w, unsigned &port_refused);
+
+    /** Executes a memory instruction for `warp`; see tryIssue(). */
+    MemIssue executeMemInst(Warp &warp, unsigned &port_refused);
+
+    /** @return the warps whose state lets them issue. */
+    std::uint64_t issuableWarps() const;
 
     unsigned id_;
     SimtCoreParams params_;
@@ -140,9 +159,14 @@ class SimtCore
     std::unique_ptr<InstSource> source_;
 
     std::vector<Warp> warps_;
-    /** Lines whose pending refill was triggered by a store
-     *  (write-allocate dirtiness for real-tag caches). */
-    std::set<Addr> pending_store_lines_;
+    /** Bit w: warp w may issue and is not parked on the MSHRs.  The
+     *  scheduler tries exactly these warps. */
+    std::uint64_t issuable_ = 0;
+    /** Warps whose held memory instruction failed the MSHR check while
+     *  the table was at generation `parked_gen_`; they cannot pass it
+     *  before the generation moves on. */
+    std::uint64_t mshr_parked_ = 0;
+    std::uint64_t parked_gen_ = 0;
     /** Dirty victims waiting for injection-queue space. */
     std::deque<Addr> pending_writebacks_;
     unsigned rr_warp_ = 0;

@@ -6,6 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <map>
+#include <sstream>
+#include <string>
+
+#include "accel/chip.hh"
 #include "accel/experiments.hh"
 
 namespace tenoc
@@ -242,6 +249,89 @@ TEST(Chip, EnvScaleParsing)
     EXPECT_DOUBLE_EQ(envScale(1.0), 1.0);
     ::unsetenv("TENOC_SCALE");
     EXPECT_DOUBLE_EQ(envScale(0.5), 0.5);
+}
+
+/** FNV-1a digest of a chip's result and full stat dump. */
+std::string
+chipDigest(const ChipResult &r, const Chip &chip)
+{
+    std::ostringstream os;
+    os.precision(17);
+    os << r.ipc << ' ' << r.scalarInsts << ' ' << r.coreCycles << ' '
+       << r.icntCycles << ' ' << r.memCycles << ' ' << r.timedOut << ' '
+       << r.mcStallFractionMean << ' ' << r.mcStallFractionMax << ' '
+       << r.mcInjectionRate << ' ' << r.avgNetLatency << ' '
+       << r.avgTotalLatency << ' ' << r.acceptedBytesPerNode << ' '
+       << r.mcToCoreInjectionRatio << ' ' << r.dramEfficiency << ' '
+       << r.dramRowHitRate << ' ' << r.packetsEjected << '\n';
+    chip.statGroup().dump(os);
+    std::uint64_t h = 1469598103934665603ull;
+    for (const unsigned char c : os.str()) {
+        h ^= c;
+        h *= 1099511628211ull;
+    }
+    char buf[17];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(h));
+    return buf;
+}
+
+/**
+ * Recorded digests (tests/chip_digests.txt): one `<run> <16 hex digits>`
+ * line per run, `#` lines are comments.
+ */
+std::map<std::string, std::string>
+recordedChipDigests()
+{
+    std::map<std::string, std::string> digests;
+    std::ifstream in(TENOC_CHIP_DIGESTS);
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.empty() || line[0] == '#')
+            continue;
+        std::istringstream fields(line);
+        std::string name, hex;
+        fields >> name >> hex;
+        digests[name] = hex;
+    }
+    return digests;
+}
+
+TEST(Chip, MemoryPathDigestsMatchRecorded)
+{
+    // Eight MSHRs per core make MSHR stalls dominate, so the issue
+    // scheduler's MSHR arming, the MSHR table and FR-FCFS all decide
+    // the timing; the digests pin it to the recorded simulator.  The
+    // real-cache TRA runs add store-dirtied refills and writebacks.
+    const auto recorded = recordedChipDigests();
+    unsigned runs = 0;
+    auto check = [&](const char *kernel, ConfigId id, const char *config,
+                     unsigned seed, bool real) {
+        const std::string name = std::string(kernel) + "/" + config +
+            "/s" + std::to_string(seed) + (real ? "/real" : "");
+        auto params = makeConfig(id, seed);
+        params.core.mshrEntries = 8;
+        auto profile = quick(kernel);
+        profile.realCaches = real;
+        Chip chip(params, profile);
+        const ChipResult r = chip.run();
+        EXPECT_FALSE(r.timedOut) << name;
+        const auto it = recorded.find(name);
+        ++runs;
+        ASSERT_NE(it, recorded.end()) << "no recorded digest for " << name;
+        EXPECT_EQ(chipDigest(r, chip), it->second) << name;
+    };
+    const std::pair<ConfigId, const char *> configs[] = {
+        {ConfigId::PERFECT, "PERFECT"},
+        {ConfigId::BASELINE_TB_DOR, "BASELINE_TB_DOR"}};
+    for (const auto &[id, config] : configs) {
+        for (const char *kernel : {"BFS", "TRA", "RD"}) {
+            for (const unsigned seed : {2u, 3u})
+                check(kernel, id, config, seed, false);
+        }
+        check("TRA", id, config, 2, true);
+    }
+    EXPECT_EQ(recorded.size(), runs) << "stale recorded digests";
 }
 
 } // namespace

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+
+#include "common/rng.hh"
 #include "dram/dram_channel.hh"
 
 namespace tenoc
@@ -128,6 +131,65 @@ TEST(DramChannel, FrFcfsPrefersRowHitOverOlderMiss)
     EXPECT_EQ(done[1].tag, 3u); // out-of-order row hit first
     EXPECT_EQ(done[2].tag, 2u);
     EXPECT_GE(ch.rowHits(), 1u);
+}
+
+TEST(DramChannel, RowHitOnBankNotReadyIsSkipped)
+{
+    DramChannel ch(params());
+    ch.push(read(2048, 0), 0);      // bank 1, row 0
+    ch.push(read(0, 1), 0);         // bank 0, row 0
+    ch.push(read(2048 + 64, 2), 0); // bank 1, row 0
+    ch.push(read(64, 3), 0);        // bank 0, row 0
+    // ACT bank 1 at 0 (ready at tRCD = 12), ACT bank 0 at tRRD = 8
+    // (ready at 20); CAS tag 0 at 12, after which bank 1 is ready again
+    // at 12 + burst = 16.
+    for (Cycle t = 0; t < 16; ++t)
+        ch.cycle(t);
+    ASSERT_EQ(ch.servedRequests(), 1u);
+    EXPECT_EQ(ch.bank(0).activeRow(), 0u);
+    EXPECT_FALSE(ch.bank(0).casReady(16));
+    EXPECT_TRUE(ch.bank(1).casReady(16));
+    // At 16 tag 1 (queue index 0) hits bank 0's open row, but bank 0
+    // is not ready: tag 2 (index 1) at bank 1 goes first.
+    ch.cycle(16);
+    ASSERT_EQ(ch.servedRequests(), 2u);
+    const auto &depth = ch.schedStats().reorderDepth;
+    EXPECT_EQ(depth.count(), 2u);
+    EXPECT_DOUBLE_EQ(depth.sum(), 1.0);
+    Cycle now = 17;
+    const auto done = runUntil(ch, 4, now);
+    ASSERT_EQ(done.size(), 4u);
+    EXPECT_EQ(done[0].tag, 0u);
+    EXPECT_EQ(done[1].tag, 2u);
+    EXPECT_EQ(done[2].tag, 1u);
+    EXPECT_EQ(done[3].tag, 3u);
+    EXPECT_EQ(ch.rowHits(), 2u);
+}
+
+TEST(RingQueue, EraseAndIndexMatchDequeAcrossWrapAndGrowth)
+{
+    // The controller queue erases from the middle; both shift
+    // directions, a wrapped head and heap growth must keep FIFO order.
+    RingQueue<int, 4> ring;
+    std::deque<int> ref;
+    Rng rng(5);
+    for (int step = 0; step < 5000; ++step) {
+        const std::uint64_t op = rng.nextRange(4);
+        if (op < 2 || ref.empty()) {
+            ring.emplace_back(step);
+            ref.push_back(step);
+        } else if (op == 2) {
+            ring.pop_front();
+            ref.pop_front();
+        } else {
+            const auto i = rng.nextRange(ref.size());
+            ring.erase(i);
+            ref.erase(ref.begin() + static_cast<std::ptrdiff_t>(i));
+        }
+        ASSERT_EQ(ring.size(), ref.size());
+        for (std::size_t i = 0; i < ref.size(); ++i)
+            ASSERT_EQ(ring[i], ref[i]);
+    }
 }
 
 TEST(DramChannel, ReadWriteTurnaroundCostsTime)

@@ -5,7 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
 #include "cache/mshr.hh"
+#include "common/rng.hh"
+#include "common/snapshot.hh"
 
 namespace tenoc
 {
@@ -72,6 +77,137 @@ TEST(Mshr, CapacityMatchesTableII)
         EXPECT_TRUE(m.allocate(i * 64, i));
     EXPECT_TRUE(m.full());
     EXPECT_EQ(m.capacity(), 64u);
+}
+
+/** Copies a release() view before the table is touched again. */
+std::vector<std::uint64_t>
+released(MshrTable &m, Addr line, bool *store = nullptr)
+{
+    const auto view = m.release(line, store);
+    return {view.begin(), view.end()};
+}
+
+TEST(Mshr, ReusedSlotKeepsWaiterOrder)
+{
+    MshrTable m(2);
+    m.allocate(0x40, 1);
+    m.allocate(0x40, 2);
+    m.allocate(0x80, 3);
+    m.markStore(0x40);
+    bool store = false;
+    EXPECT_EQ(released(m, 0x40, &store),
+              (std::vector<std::uint64_t>{1, 2}));
+    EXPECT_TRUE(store);
+    // The freed slot takes a new line; its waiters and store mark
+    // start over.
+    m.allocate(0xc0, 4);
+    m.allocate(0xc0, 5);
+    m.allocate(0x80, 6);
+    m.allocate(0xc0, 7);
+    EXPECT_TRUE(m.full());
+    EXPECT_EQ(released(m, 0xc0, &store),
+              (std::vector<std::uint64_t>{4, 5, 7}));
+    EXPECT_FALSE(store);
+    EXPECT_EQ(released(m, 0x80), (std::vector<std::uint64_t>{3, 6}));
+    EXPECT_EQ(m.size(), 0u);
+}
+
+TEST(Mshr, FullMergeReleasesEveryWaiterInOrder)
+{
+    constexpr unsigned max_merged = 32;
+    MshrTable m(4, max_merged);
+    std::vector<std::uint64_t> want;
+    for (unsigned k = 0; k < max_merged; ++k) {
+        ASSERT_TRUE(m.canAllocate(0x100));
+        m.allocate(0x100, 1000 + k);
+        want.push_back(1000 + k);
+    }
+    EXPECT_FALSE(m.canAllocate(0x100));
+    EXPECT_EQ(m.waiters(0x100), max_merged);
+    EXPECT_EQ(released(m, 0x100), want);
+    EXPECT_TRUE(m.canAllocate(0x100));
+}
+
+TEST(Mshr, SaveRestoreSaveIsByteIdentical)
+{
+    MshrTable m(8, 4);
+    for (Addr line = 0; line < 6; ++line) {
+        for (std::uint64_t w = 0; w <= line % 3; ++w)
+            m.allocate(line * 0x1000, line * 10 + w);
+    }
+    m.markStore(0x2000);
+    m.release(0x1000);
+    SnapshotWriter first;
+    m.save(first);
+
+    MshrTable copy(8, 4);
+    copy.allocate(0x7000, 99); // overwritten by restore
+    SnapshotReader r(first.data());
+    copy.restore(r);
+    SnapshotWriter second;
+    copy.save(second);
+    EXPECT_EQ(first.data(), second.data());
+    EXPECT_EQ(copy.size(), 5u);
+    EXPECT_FALSE(copy.pending(0x7000));
+    bool store = false;
+    EXPECT_EQ(released(copy, 0x2000, &store),
+              (std::vector<std::uint64_t>{20, 21, 22}));
+    EXPECT_TRUE(store);
+}
+
+TEST(Mshr, GenerationMovesOnEveryChange)
+{
+    MshrTable m(4);
+    std::uint64_t gen = m.generation();
+    auto moved = [&] {
+        const bool changed = m.generation() != gen;
+        gen = m.generation();
+        return changed;
+    };
+    m.allocate(0x40, 1);
+    EXPECT_TRUE(moved()) << "allocate";
+    m.allocate(0x40, 2);
+    EXPECT_TRUE(moved()) << "merge";
+    EXPECT_TRUE(m.canAllocate(0x80));
+    EXPECT_TRUE(m.pending(0x40));
+    EXPECT_FALSE(moved()) << "queries";
+    m.release(0x40);
+    EXPECT_TRUE(moved()) << "release";
+    SnapshotWriter w;
+    m.save(w);
+    EXPECT_FALSE(moved()) << "save";
+    SnapshotReader r(w.data());
+    m.restore(r);
+    EXPECT_TRUE(moved()) << "restore";
+}
+
+TEST(Mshr, MatchesReferenceUnderChurn)
+{
+    // Colliding line addresses exercise probe runs and backward-shift
+    // deletion; a map of vectors is the reference.
+    MshrTable m(16, 3);
+    std::map<Addr, std::vector<std::uint64_t>> ref;
+    Rng rng(11);
+    std::uint64_t next_waiter = 0;
+    for (int step = 0; step < 20000; ++step) {
+        const Addr line = rng.nextRange(40) << 20;
+        const auto it = ref.find(line);
+        if (it != ref.end() && rng.nextBool(0.4)) {
+            ASSERT_EQ(released(m, line), it->second);
+            ref.erase(it);
+            continue;
+        }
+        const bool can = it != ref.end() ? it->second.size() < 3
+                                         : ref.size() < 16;
+        ASSERT_EQ(m.canAllocate(line), can);
+        if (can) {
+            ASSERT_EQ(m.allocate(line, next_waiter), it == ref.end());
+            ref[line].push_back(next_waiter++);
+        }
+        ASSERT_EQ(m.size(), ref.size());
+        for (const auto &[l, waiters] : ref)
+            ASSERT_EQ(m.waiters(l), waiters.size());
+    }
 }
 
 TEST(MshrDeath, ReleaseUnknownLinePanics)

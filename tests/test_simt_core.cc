@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <string>
 
 #include "gpu/simt_core.hh"
 
@@ -231,6 +232,86 @@ TEST(SimtCore, DeterministicAcrossRuns)
         return std::tuple{t, port.reads, port.writes};
     };
     EXPECT_EQ(run_once(), run_once());
+}
+
+/** A profile whose L1 misses every access and never writes back. */
+KernelProfile
+missingProfile()
+{
+    auto prof = computeProfile();
+    prof.l1HitRate = 0.0;
+    prof.writebackRate = 0.0;
+    prof.maxPendingLines = 64;
+    return prof;
+}
+
+TEST(SimtCore, MshrStalledWarpIssuesAfterRelease)
+{
+    // Four warps of single-line loads on a 2-entry MSHR table: two
+    // loads fill it, then every warp stalls until a reply frees an
+    // entry.  Each reply must wake the scheduler for the very next
+    // issue slot.
+    std::string text;
+    for (unsigned k = 0; k < 4; ++k) {
+        for (unsigned w = 0; w < 4; ++w) {
+            text += std::to_string(w) + " L " +
+                std::to_string(0x10000 * (w + 1) + 0x40 * k) + "\n";
+        }
+    }
+    FakePort port;
+    SimtCoreParams params;
+    params.mshrEntries = 2;
+    const auto prof = missingProfile();
+    SimtCore core(0, params, prof, port, 8,
+                  TraceInstSource::fromText(text));
+    Cycle t = 0;
+    for (; t < 400; ++t)
+        core.cycle(t);
+    EXPECT_EQ(core.warpInstsIssued(), 2u);
+    EXPECT_TRUE(core.mshrs().full());
+    const std::uint64_t stalls = core.stallSlots();
+    EXPECT_GT(stalls, 90u);
+
+    for (std::uint64_t issued = 3; issued <= 16; ++issued) {
+        port.replyOldest(core, 1);
+        for (unsigned c = 0; c < params.issueInterval(); ++c)
+            core.cycle(t++);
+        ASSERT_EQ(core.warpInstsIssued(), issued);
+    }
+    port.replyOldest(core, 2);
+    core.cycle(t++);
+    EXPECT_TRUE(core.done());
+    EXPECT_EQ(port.reads, 16u);
+}
+
+TEST(SimtCore, MshrMergeRearmsStalledWarp)
+{
+    // Warp 1's load touches one line twice, so with one free MSHR it
+    // needs two new entries and stalls.  Warp 2 then allocates that
+    // line, which turns warp 1's load into a legal merge: that
+    // allocate, not a reply, must re-arm warp 1.
+    const std::string text = "0 L 0x1000\n"
+                             "1 L 0x2000 0x2004\n"
+                             "2 L 0x2000\n";
+    FakePort port;
+    SimtCoreParams params;
+    params.mshrEntries = 2;
+    const auto prof = missingProfile();
+    SimtCore core(0, params, prof, port, 9,
+                  TraceInstSource::fromText(text));
+    for (Cycle t = 0; t < 2 * params.issueInterval(); ++t)
+        core.cycle(t);
+    EXPECT_EQ(core.warpInstsIssued(), 2u); // warps 0 and 2
+    EXPECT_EQ(core.stallSlots(), 0u);
+    EXPECT_TRUE(core.mshrs().full());
+    for (Cycle t = 2 * params.issueInterval(); t < 100; ++t)
+        core.cycle(t);
+    EXPECT_EQ(core.warpInstsIssued(), 3u);
+    EXPECT_EQ(core.mshrs().waiters(0x2000), 3u);
+    EXPECT_EQ(port.reads, 2u); // the merge sent nothing
+    port.replyOldest(core, 2);
+    core.cycle(100);
+    EXPECT_TRUE(core.done());
 }
 
 } // namespace
