@@ -105,6 +105,8 @@ SimtCore::restart()
     }
     issuable_ = issuableWarps();
     mshr_parked_ = 0;
+    port_parked_ = 0;
+    port_need_ = ~0u;
 }
 
 void
@@ -139,16 +141,25 @@ SimtCore::issueSlot(Cycle core_cycle)
         issuable_ |= mshr_parked_;
         mshr_parked_ = 0;
     }
+    // Port-parked warps need at least port_need_ requests.  A refusal
+    // has no side effects and refuses every larger count too, so they
+    // would all be refused again until the port takes port_need_; only
+    // then do they rejoin the scan.  One port query per slot replaces
+    // one per parked warp.
+    if (port_parked_ != 0 && port_.canSendRequests(port_need_)) {
+        issuable_ |= port_parked_;
+        port_parked_ = 0;
+        port_need_ = ~0u;
+    }
     // Rotating priority: the issuable warps at or after rr_warp_ in
     // ascending order, then those before it -- the order of a
     // (rr_warp_ + i) % n scan that skips warps which cannot issue.
     const std::uint64_t from_rr =
         issuable_ & (~std::uint64_t{0} << rr_warp_);
-    unsigned port_refused = ~0u;
     for (std::uint64_t part : {from_rr, issuable_ & ~from_rr}) {
         for (; part != 0; part &= part - 1) {
             const auto w = static_cast<unsigned>(std::countr_zero(part));
-            if (tryIssue(w, port_refused))
+            if (tryIssue(w))
                 return true;
         }
     }
@@ -156,7 +167,7 @@ SimtCore::issueSlot(Cycle core_cycle)
 }
 
 bool
-SimtCore::tryIssue(unsigned w, unsigned &port_refused)
+SimtCore::tryIssue(unsigned w)
 {
     const std::uint64_t bit = std::uint64_t{1} << w;
     Warp &warp = warps_[w];
@@ -168,13 +179,18 @@ SimtCore::tryIssue(unsigned w, unsigned &port_refused)
         warp.next.valid = true;
     }
     if (warp.next.isMem) {
-        const MemIssue res = executeMemInst(warp, port_refused);
+        const MemIssue res = executeMemInst(warp);
         if (res == MemIssue::MSHR_FULL) {
             // Same table, same lines, same refusal: park this warp
             // until the table changes.
             issuable_ &= ~bit;
             mshr_parked_ |= bit;
             parked_gen_ = mshrs_.generation();
+        } else if (res == MemIssue::PORT_FULL) {
+            // Same request count, same refusal: park this warp until
+            // the port takes port_need_ (see issueSlot()).
+            issuable_ &= ~bit;
+            port_parked_ |= bit;
         }
         if (res != MemIssue::ISSUED) {
             // Structural stall: this warp holds its decoded
@@ -202,18 +218,19 @@ SimtCore::tryIssue(unsigned w, unsigned &port_refused)
 }
 
 SimtCore::MemIssue
-SimtCore::executeMemInst(Warp &warp, unsigned &port_refused)
+SimtCore::executeMemInst(Warp &warp)
 {
     const bool is_store = warp.next.isStore;
     const auto &lines = warp.next.lines;
 
     // Conservative resource check: every line might miss and every
-    // miss might add a dirty eviction.
+    // miss might add a dirty eviction.  The port refuses port_need_ in
+    // this slot (see port_parked_), so it refuses any larger count too.
     const auto need = static_cast<unsigned>(lines.size()) * 2;
-    if (need >= port_refused)
+    if (need >= port_need_)
         return MemIssue::PORT_FULL;
     if (!port_.canSendRequests(need)) {
-        port_refused = need;
+        port_need_ = need;
         return MemIssue::PORT_FULL;
     }
     unsigned new_entries = 0;
@@ -392,6 +409,8 @@ SimtCore::restore(SnapshotReader &r)
     finish_cycle_ = r.u64();
     issuable_ = issuableWarps();
     mshr_parked_ = 0;
+    port_parked_ = 0;
+    port_need_ = ~0u;
 }
 
 } // namespace tenoc

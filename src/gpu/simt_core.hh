@@ -136,14 +136,12 @@ class SimtCore
 
     /**
      * Attempts to issue warp `w`'s next instruction; @return success.
-     * A warp the MSHRs refuse is parked.  `port_refused` is the
-     * smallest request count the port refused in this issue slot
-     * (failed attempts change nothing, so it holds for the slot).
+     * A warp the MSHRs or the port refuse is parked.
      */
-    bool tryIssue(unsigned w, unsigned &port_refused);
+    bool tryIssue(unsigned w);
 
     /** Executes a memory instruction for `warp`; see tryIssue(). */
-    MemIssue executeMemInst(Warp &warp, unsigned &port_refused);
+    MemIssue executeMemInst(Warp &warp);
 
     /** @return the warps whose state lets them issue. */
     std::uint64_t issuableWarps() const;
@@ -159,14 +157,21 @@ class SimtCore
     std::unique_ptr<InstSource> source_;
 
     std::vector<Warp> warps_;
-    /** Bit w: warp w may issue and is not parked on the MSHRs.  The
-     *  scheduler tries exactly these warps. */
+    /** Bit w: warp w may issue and is not parked on the MSHRs or the
+     *  port.  The scheduler tries exactly these warps. */
     std::uint64_t issuable_ = 0;
     /** Warps whose held memory instruction failed the MSHR check while
      *  the table was at generation `parked_gen_`; they cannot pass it
      *  before the generation moves on. */
     std::uint64_t mshr_parked_ = 0;
     std::uint64_t parked_gen_ = 0;
+    /** Warps whose held memory instruction the port refused.  Each
+     *  needs at least `port_need_` requests, the smallest count the
+     *  port refused since they parked; they re-arm at the first issue
+     *  slot where canSendRequests(port_need_) holds.  Until then every
+     *  attempt in the slot may treat that count as refused. */
+    std::uint64_t port_parked_ = 0;
+    unsigned port_need_ = ~0u;
     /** Dirty victims waiting for injection-queue space. */
     std::deque<Addr> pending_writebacks_;
     unsigned rr_warp_ = 0;

@@ -5,6 +5,7 @@
 
 #include "noc/invariants.hh"
 
+#include <bit>
 #include <cstdlib>
 
 #include "common/log.hh"
@@ -25,6 +26,40 @@ addViolation(std::vector<Violation> &out, Violation::Kind kind,
 {
     if (out.size() < InvariantChecker::maxViolations)
         out.push_back({kind, std::move(message)});
+}
+
+/**
+ * Reports the first bit where `kept`, one of a router's event-kept stage
+ * masks, differs from `derived`, the same mask rebuilt from slab state.
+ * `what` names the mask; `per_output` marks the per-output VA request
+ * sets, one mask-width set per output.
+ */
+void
+compareStageMask(const Router &r, const std::string &what, bool per_output,
+                 const std::vector<std::uint64_t> &kept,
+                 const std::vector<std::uint64_t> &derived,
+                 std::vector<Violation> &out)
+{
+    const std::size_t words = r.stageMasks().rc.size();
+    for (std::size_t w = 0; w < kept.size(); ++w) {
+        const std::uint64_t diff = kept[w] ^ derived[w];
+        if (diff == 0)
+            continue;
+        const unsigned b = static_cast<unsigned>(std::countr_zero(diff));
+        const std::size_t bit = (w % words) * 64 + b;
+        const bool has = (kept[w] >> b) & 1;
+        const std::string name = per_output
+            ? what + " (output " + std::to_string(w / words) + ")"
+            : what;
+        addViolation(out, Violation::Kind::STAGE_MASK,
+                     formatMessage(
+                         "router ", r.id(), " ", name, " mask ",
+                         has ? "holds" : "lacks", " input ",
+                         bit / r.numVcs(), " vc ", bit % r.numVcs(),
+                         " but slab state ", has ? "excludes" : "includes",
+                         " it"));
+        return;
+    }
 }
 
 } // namespace
@@ -49,6 +84,8 @@ violationKindName(Violation::Kind kind)
         return "connectivity";
       case Violation::Kind::ACTIVITY:
         return "activity";
+      case Violation::Kind::STAGE_MASK:
+        return "stage_mask";
     }
     return "unknown";
 }
@@ -219,6 +256,16 @@ InvariantChecker::checkRouter(const Router &r,
             }
         }
     }
+
+    // The stage masks are derived state kept by the pipeline events;
+    // they must match what the slab state says.
+    const Router::StageMasks &kept = r.stageMasks();
+    const Router::StageMasks derived = r.deriveStageMasks();
+    compareStageMask(r, "RC", false, kept.rc, derived.rc, out);
+    compareStageMask(r, "VA", false, kept.va, derived.va, out);
+    compareStageMask(r, "SA", false, kept.sa, derived.sa, out);
+    compareStageMask(r, "VA request", true, kept.vaReqs, derived.vaReqs,
+                     out);
 
     for (unsigned o = 0; o < outputs; ++o) {
         const bool directional = o < NUM_DIRS;

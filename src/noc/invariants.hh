@@ -17,6 +17,8 @@
  *    Network::drained() equals the packets actually held by NIs plus
  *    tail flits in transit;
  *  - VC state-machine legality and output-VC ownership consistency;
+ *  - router stage masks (RC/VA/SA work sets and per-output VA
+ *    requests) equal to the ones derived from slab state;
  *  - buffer occupancy bounds and half-router connectivity compliance;
  *  - idle-skip activity: any component that could make progress is
  *    marked in its active set (a violation here means idle-skip would
@@ -62,7 +64,8 @@ struct Violation
         VC_OWNERSHIP,        ///< output-VC owner bookkeeping mismatch
         OCCUPANCY,           ///< buffer over capacity / counter drift
         CONNECTIVITY,        ///< half-router mask / port-range breach
-        ACTIVITY             ///< workable component not in active set
+        ACTIVITY,            ///< workable component not in active set
+        STAGE_MASK           ///< router stage mask differs from slab state
     };
 
     Kind kind;

@@ -470,19 +470,20 @@ MeshNetwork::cycle(Cycle now)
         router_active_.mergeDeferredMarks();
         lap(&PhaseProfile::bookkeepingNs);
     }
-    // Batch each pipeline stage across the shard's routers: one
-    // streaming pass per stage over the slab arrays.  Routers only
-    // interact through >= 1-cycle channels, so nothing a router's stage
-    // writes is visible to any other router until next cycle's
-    // readInputs, and the order (RC all, VA all, SA all) is bit-exact
-    // with per-router ticks.  Each stage's own O(vcs) eligibility scan
-    // subsumes a buffered-flits guard, and a router marked mid-pass by
-    // a channel send has its new flit still in flight, so any stage
-    // that visits it no-ops.
+    // One pass over the shard's routers runs each router's RC, VA and
+    // SA.  Routers only interact through >= 1-cycle channels, so
+    // nothing a router's stage writes is visible to any other router
+    // until next cycle's readInputs, and this order is bit-exact with
+    // running each stage across all routers in turn.  Each stage's test
+    // of its own work mask subsumes a buffered-flits guard, and a
+    // router marked mid-pass by a channel send has its new flit still
+    // in flight, so its stages no-op if the pass reaches it.
     runPhase([&](unsigned lo, unsigned hi) {
-        routerPass(lo, hi, [&](Router &r) { r.routeCompute(now); });
-        routerPass(lo, hi, [&](Router &r) { r.vcAllocate(now); });
-        routerPass(lo, hi, [&](Router &r) { r.switchAllocate(now); });
+        routerPass(lo, hi, [&](Router &r) {
+            r.routeCompute(now);
+            r.vcAllocate(now);
+            r.switchAllocate(now);
+        });
     });
     lap(&PhaseProfile::computeNs);
     if (sharded) {

@@ -61,9 +61,14 @@ Router::initPorts()
     va_words_ = (numInputs() * vcs + 63) / 64;
     vc_words_ = (vcs + 63) / 64;
     in_words_ = (numInputs() + 63) / 64;
-    va_reqs_.resize(numOutputs() * va_words_);
+    tenoc_assert(numOutputs() <= 64, "router ", id_, " has ",
+                 numOutputs(), " outputs; switch allocation takes 64");
+    masks_.rc.assign(va_words_, 0);
+    masks_.va.assign(va_words_, 0);
+    masks_.sa.assign(va_words_, 0);
+    masks_.vaReqs.assign(numOutputs() * va_words_, 0);
     sa_out_reqs_.resize(numOutputs() * in_words_);
-    sa_cand_.resize(va_words_);
+    va_try_.resize(va_words_);
     sa_req_.resize(vc_words_);
     sa_elig_.resize(vc_words_);
     sa_nominee_.resize(numInputs());
@@ -127,7 +132,7 @@ Router::injFreeSlots(unsigned inj, unsigned vc) const
 void
 Router::injectFlit(unsigned inj, Flit &&flit, Cycle now)
 {
-    inputs_[NUM_DIRS + inj].push(std::move(flit), now);
+    pushFlit(NUM_DIRS + inj, std::move(flit), now);
     if (active_set_)
         active_set_->mark(active_idx_);
 }
@@ -166,7 +171,7 @@ Router::readInputs(Cycle now)
             if (b < NUM_DIRS) {
                 Channel<Flit> *ch = in_links_[b].flitIn;
                 while (auto f = ch->receive(now))
-                    inputs_[b].push(std::move(*f), now);
+                    pushFlit(b, std::move(*f), now);
                 // A stalled link keeps its matured backlog; the bit
                 // stays pending so the router keeps polling (exactly
                 // the cycles mark-on-send would have kept it awake).
@@ -187,7 +192,7 @@ Router::readInputs(Cycle now)
     for (unsigned d = 0; d < NUM_DIRS; ++d) {
         if (in_links_[d].flitIn) {
             while (auto f = in_links_[d].flitIn->receive(now))
-                inputs_[d].push(std::move(*f), now);
+                pushFlit(d, std::move(*f), now);
         }
         if (outputs_[d].creditIn) {
             while (auto c = outputs_[d].creditIn->receive(now))
@@ -209,60 +214,6 @@ Router::nextEjectionPort()
     const unsigned p = ej_rr_ % params_.numEjPorts;
     ++ej_rr_;
     return NUM_DIRS + p;
-}
-
-void
-Router::routeCompute(Cycle now)
-{
-    (void)now;
-    const unsigned vcs = nvcs_;
-    const unsigned n = numInputs() * vcs;
-    // Contiguous-scan early-out: RC only acts on an idle VC with a
-    // buffered head flit; with none present the stage is a no-op.
-    const VcState *st = slab_->inState.data() + in_base_;
-    const std::uint32_t *cnt = slab_->ringCount.data() + in_base_;
-    bool eligible = false;
-    for (unsigned i = 0; i < n; ++i) {
-        if (st[i] == VcState::IDLE && cnt[i] != 0) {
-            eligible = true;
-            break;
-        }
-    }
-    if (!eligible)
-        return;
-    for (unsigned in = 0; in < numInputs(); ++in) {
-        for (unsigned vc = 0; vc < vcs; ++vc) {
-            auto &port = inputs_[in];
-            if (port.state(vc) != VcState::IDLE || port.empty(vc))
-                continue;
-            const Flit &head = port.front(vc);
-            tenoc_assert(head.head,
-                         "non-head flit at front of idle VC (router ",
-                         id_, " in ", in, " vc ", vc, ")");
-            Packet &pkt = *head.pkt;
-            unsigned out = routing_.route(id_, pkt);
-            if (out == PORT_EJECT) {
-                tenoc_assert(pkt.dst == id_,
-                             "ejection at non-destination node");
-                out = nextEjectionPort();
-            } else {
-                tenoc_assert(out < NUM_DIRS &&
-                             topo_.neighbor(id_,
-                                 static_cast<Direction>(out)) !=
-                                 INVALID_NODE,
-                             "route off mesh edge at node ", id_);
-            }
-            tenoc_assert(connectivityAllows(in, out),
-                         "illegal turn at ", params_.half ? "half" :
-                         "full", "-router ", id_, ": in=",
-                         inputPortName(in), " out=", outputPortName(out));
-            port.setOutPort(vc, out);
-            // The packet is already hot here; caching its VC-class base
-            // spares VC allocation the pointer chase entirely.
-            port.setBaseVc(vc, params_.vcMap.baseVc(pkt));
-            port.setState(vc, VcState::VC_ALLOC);
-        }
-    }
 }
 
 namespace
@@ -386,6 +337,65 @@ extractBits(const std::uint64_t *src, unsigned src_words, unsigned pos,
 } // namespace
 
 void
+Router::pushFlit(unsigned in, Flit &&flit, Cycle now)
+{
+    const unsigned vc = flit.vc;
+    inputs_[in].push(std::move(flit), now);
+    // The pushed flit makes an IDLE VC routable and an ACTIVE VC
+    // switchable; a VC_ALLOC VC already holds its head.
+    const VcState st = inputs_[in].state(vc);
+    if (st == VcState::IDLE)
+        setBit<0>(masks_.rc.data(), in * nvcs_ + vc);
+    else if (st == VcState::ACTIVE)
+        setBit<0>(masks_.sa.data(), in * nvcs_ + vc);
+}
+
+void
+Router::routeCompute(Cycle now)
+{
+    (void)now;
+    std::uint64_t *rc = masks_.rc.data();
+    if (!anyBit<0>(rc, va_words_))
+        return;
+    const unsigned vcs = nvcs_;
+    forEachBit<0>(rc, va_words_, [&](unsigned i) {
+        const unsigned in = i / vcs;
+        const unsigned vc = i - in * vcs;
+        auto &port = inputs_[in];
+        const Flit &head = port.front(vc);
+        tenoc_assert(head.head,
+                     "non-head flit at front of idle VC (router ",
+                     id_, " in ", in, " vc ", vc, ")");
+        Packet &pkt = *head.pkt;
+        unsigned out = routing_.route(id_, pkt);
+        if (out == PORT_EJECT) {
+            tenoc_assert(pkt.dst == id_,
+                         "ejection at non-destination node");
+            out = nextEjectionPort();
+        } else {
+            tenoc_assert(out < NUM_DIRS &&
+                         topo_.neighbor(id_,
+                             static_cast<Direction>(out)) !=
+                             INVALID_NODE,
+                         "route off mesh edge at node ", id_);
+        }
+        tenoc_assert(connectivityAllows(in, out),
+                     "illegal turn at ", params_.half ? "half" :
+                     "full", "-router ", id_, ": in=",
+                     inputPortName(in), " out=", outputPortName(out));
+        port.setOutPort(vc, out);
+        // The packet is already hot here; caching its VC-class base
+        // spares VC allocation the pointer chase entirely.
+        port.setBaseVc(vc, params_.vcMap.baseVc(pkt));
+        port.setState(vc, VcState::VC_ALLOC);
+        setBit<0>(masks_.va.data(), i);
+        setBit<0>(masks_.vaReqs.data() + out * va_words_, i);
+    });
+    // Every VC in the mask has been routed.
+    std::fill_n(rc, va_words_, 0);
+}
+
+void
 Router::vcAllocate(Cycle now)
 {
     if (va_words_ == 1)
@@ -410,32 +420,27 @@ Router::vcAllocateWords(Cycle now)
     const unsigned vcs = nvcs_;
     const unsigned n = numInputs() * vcs;
     const unsigned nw = wordsOf<W>(va_words_);
-    // One contiguous pass over the state slab builds the per-output
-    // requestor sets (bit i = input VC i wants this output); outputs
-    // with no requestors grant nothing, which is bit-exact because an
-    // arbiter only advances when a grant is accepted.
-    const VcState *st = slab_->inState.data() + in_base_;
-    const std::uint32_t *op = slab_->inOutPort.data() + in_base_;
-    bool any = false;
-    std::fill(va_reqs_.begin(), va_reqs_.end(), 0);
-    for (unsigned i = 0; i < n; ++i) {
-        if (st[i] == VcState::VC_ALLOC) {
-            setBit<W>(va_reqs_.data() + op[i] * nw, i);
-            any = true;
-        }
-    }
-    if (!any)
+    std::uint64_t *va = masks_.va.data();
+    if (!anyBit<W>(va, nw))
         return;
+    std::uint64_t one_word = 0;
+    std::uint64_t *untried = W == 1 ? &one_word : va_try_.data();
     for (unsigned o = 0; o < numOutputs(); ++o) {
-        std::uint64_t *reqs = va_reqs_.data() + o * nw;
+        // Bit i = input VC i waits for an output VC here.  Outputs with
+        // no requestors grant nothing, which is bit-exact because an
+        // arbiter only advances when a grant is accepted.
+        std::uint64_t *reqs = masks_.vaReqs.data() + o * nw;
+        if (!anyBit<W>(reqs, nw))
+            continue;
+        std::copy_n(reqs, nw, untried);
         auto &out = outputs_[o];
         // Grant output VCs in round-robin requestor order until the
         // requestors run out.
         for (;;) {
-            const unsigned idx = grant<W>(out.vaArb, reqs, nw);
+            const unsigned idx = grant<W>(out.vaArb, untried, nw);
             if (idx >= n)
                 break;
-            clearBit<W>(reqs, idx);
+            clearBit<W>(untried, idx);
             const unsigned in = idx / vcs;
             const unsigned vc = idx % vcs;
             const unsigned base = inputs_[in].baseVc(vc);
@@ -448,8 +453,9 @@ Router::vcAllocateWords(Cycle now)
                 }
             }
             if (granted == vcs) {
-                // No eligible VC free; the requestor retries next
-                // cycle.  Other requestors may still want different
+                // No eligible VC free; the requestor stays in this
+                // output's set and retries next cycle.  Other
+                // requestors may still want different
                 // (protocol/routing class) VCs.
                 continue;
             }
@@ -459,6 +465,10 @@ Router::vcAllocateWords(Cycle now)
             slab_->outOwnerVc[g] = vc;
             inputs_[in].setOutVc(vc, granted);
             inputs_[in].setState(vc, VcState::ACTIVE);
+            // A VC_ALLOC VC always buffers its head flit.
+            clearBit<W>(reqs, idx);
+            clearBit<W>(va, idx);
+            setBit<W>(masks_.sa.data(), idx);
             out.vaArb.accept(idx);
             if (tracer_) {
                 const Packet &pkt = *inputs_[in].front(vc).pkt;
@@ -474,34 +484,22 @@ void
 Router::switchAllocateWords(Cycle now)
 {
     const unsigned vcs = nvcs_;
-    const unsigned n = numInputs() * vcs;
     const unsigned cw = wordsOf<W>(va_words_); // all input VCs
     const unsigned vw = wordsOf<W>(vc_words_); // one input's VCs
     const unsigned iw = wordsOf<W>(in_words_); // input ports
-    // Single-word sets live in registers; wider ones in scratch.
-    std::uint64_t one_word[3] = {};
-    std::uint64_t *cand = W == 1 ? &one_word[0] : sa_cand_.data();
-    std::uint64_t *req = W == 1 ? &one_word[1] : sa_req_.data();
-    std::uint64_t *elig = W == 1 ? &one_word[2] : sa_elig_.data();
-
-    // One contiguous pass over the state slab finds every ACTIVE VC
-    // with a buffered flit (bit i = input VC i); the expensive per-flit
-    // eligibility checks below only touch those bits.
-    const VcState *st = slab_->inState.data() + in_base_;
-    const std::uint32_t *cnt = slab_->ringCount.data() + in_base_;
-    std::fill_n(cand, cw, 0);
-    for (unsigned i = 0; i < n; ++i) {
-        if (st[i] == VcState::ACTIVE && cnt[i] != 0)
-            setBit<W>(cand, i);
-    }
+    // Candidates: the ACTIVE VCs with a buffered flit.  The expensive
+    // per-flit eligibility checks below only touch those bits.
+    std::uint64_t *cand = masks_.sa.data();
     if (!anyBit<W>(cand, cw))
         return;
+    // Single-word sets live in registers; wider ones in scratch.
+    std::uint64_t one_word[2] = {};
+    std::uint64_t *req = W == 1 ? &one_word[0] : sa_req_.data();
+    std::uint64_t *elig = W == 1 ? &one_word[1] : sa_elig_.data();
 
     // Input stage: each input port nominates one ready VC.
     auto &nominee = sa_nominee_;
-    nominee.assign(numInputs(), vcs);
-    std::fill(sa_out_reqs_.begin(), sa_out_reqs_.end(), 0);
-    bool any_nominee = false;
+    std::uint64_t requested = 0; // bit o: output o has a nominee
     for (unsigned in = 0; in < numInputs(); ++in) {
         extractBits<W>(cand, cw, in * vcs, vcs, req, vw);
         if (!anyBit<W>(req, vw))
@@ -535,23 +533,22 @@ Router::switchAllocateWords(Cycle now)
                         })
             : grant<W>(sa_input_arb_[in], elig, vw);
         nominee[in] = win;
-        setBit<W>(sa_out_reqs_.data() + port.outPort(win) * iw, in);
-        any_nominee = true;
+        const unsigned o = port.outPort(win);
+        setBit<W>(sa_out_reqs_.data() + o * iw, in);
+        requested |= std::uint64_t{1} << o;
     }
-    if (!any_nominee)
-        return;
 
-    // Output stage: one winner per output port.
-    for (unsigned o = 0; o < numOutputs(); ++o) {
-        const std::uint64_t *reqs = sa_out_reqs_.data() + o * iw;
-        if (!anyBit<W>(reqs, iw))
-            continue;
+    // Output stage: one winner per requested output port, ascending.
+    for (; requested != 0; requested &= requested - 1) {
+        const auto o = static_cast<unsigned>(std::countr_zero(requested));
+        std::uint64_t *reqs = sa_out_reqs_.data() + o * iw;
         const unsigned in = params_.agePriority
             ? oldest<W>(reqs, iw, numInputs(),
                         [&](unsigned c) {
                             return packetAge(inputs_[c].front(nominee[c]));
                         })
             : grant<W>(outputs_[o].saArb, reqs, iw);
+        std::fill_n(reqs, iw, 0);
         const unsigned vc = nominee[in];
 
         // Switch traversal.
@@ -574,9 +571,16 @@ Router::switchAllocateWords(Cycle now)
             outputs_[o].flitOut->send(std::move(flit), now);
             ++link_flits_[o];
         }
+        const unsigned i = in * vcs + vc;
         if (tail) {
             slab_->outOwned[ov(o, out_vc)] = 0;
             inputs_[in].setState(vc, VcState::IDLE);
+            clearBit<W>(cand, i);
+            // The next packet's head may already wait behind the tail.
+            if (!inputs_[in].empty(vc))
+                setBit<W>(masks_.rc.data(), i);
+        } else if (inputs_[in].empty(vc)) {
+            clearBit<W>(cand, i);
         }
         ++flits_traversed_;
         if (net_traversed_)
@@ -589,10 +593,47 @@ Router::switchAllocateWords(Cycle now)
 bool
 Router::empty() const
 {
-    for (const auto &p : inputs_)
-        if (p.totalOccupancy() != 0)
-            return false;
-    return true;
+    // Every buffered flit sits on an IDLE, VC_ALLOC or ACTIVE VC, so it
+    // is in exactly one stage mask.
+    return !anyBit<0>(masks_.rc.data(), va_words_) &&
+        !anyBit<0>(masks_.va.data(), va_words_) &&
+        !anyBit<0>(masks_.sa.data(), va_words_);
+}
+
+Router::StageMasks
+Router::deriveStageMasks() const
+{
+    StageMasks m;
+    m.rc.assign(va_words_, 0);
+    m.va.assign(va_words_, 0);
+    m.sa.assign(va_words_, 0);
+    m.vaReqs.assign(numOutputs() * va_words_, 0);
+    for (unsigned in = 0; in < numInputs(); ++in) {
+        const InputPort &port = inputs_[in];
+        for (unsigned vc = 0; vc < nvcs_; ++vc) {
+            const unsigned i = in * nvcs_ + vc;
+            switch (port.state(vc)) {
+              case VcState::IDLE:
+                if (!port.empty(vc))
+                    setBit<0>(m.rc.data(), i);
+                break;
+              case VcState::ROUTING:
+                break;
+              case VcState::VC_ALLOC:
+                setBit<0>(m.va.data(), i);
+                if (port.outPort(vc) < numOutputs()) {
+                    setBit<0>(m.vaReqs.data() +
+                                  port.outPort(vc) * va_words_, i);
+                }
+                break;
+              case VcState::ACTIVE:
+                if (!port.empty(vc))
+                    setBit<0>(m.sa.data(), i);
+                break;
+            }
+        }
+    }
+    return m;
 }
 
 bool
@@ -698,6 +739,7 @@ Router::restore(SnapshotReader &r)
     flits_traversed_ = r.u64();
     for (std::uint64_t &f : link_flits_)
         f = r.u64();
+    masks_ = deriveStageMasks();
 }
 
 } // namespace tenoc

@@ -32,9 +32,12 @@
  * built by MeshNetwork views contiguous index ranges of the network's
  * shared arena (see slab.hh); a standalone router owns a private one.
  * The pipeline stages (routeCompute/vcAllocate/switchAllocate) are
- * public so the network can batch one stage across all active routers
- * — each stage early-outs in O(vcs) contiguous loads when it has no
- * eligible VC, which is exactly the case where running it would have
+ * public so the network can run them in one pass over its active
+ * routers.  Each stage walks its own work set, a bit mask over the
+ * router's input
+ * VCs kept up to date by the events that change VC state or ring
+ * occupancy (see StageMasks), so a stage with no eligible VC returns
+ * after one mask test — exactly the case where running it would have
  * been a no-op.
  */
 
@@ -194,12 +197,11 @@ class Router
     /** Phase 1: drain arriving flits and credits from channels. */
     void readInputs(Cycle now);
 
-    // Phase 2, one pipeline stage per call, so MeshNetwork can batch
-    // each stage across all active routers (better locality than
-    // ticking a whole router at a time).  Each early-outs when no VC is
-    // eligible — a case in which running it would not change any state,
-    // return any grant, or emit any trace event, so skipping is
-    // bit-exact.
+    // Phase 2, one pipeline stage per call; MeshNetwork runs RC, VA
+    // and SA of each active router in turn.  Each walks the set bits
+    // of its stage mask and early-outs when the mask is empty — a case
+    // in which running it would not change any state, return any
+    // grant, or emit any trace event, so skipping is bit-exact.
     /** RC: assign output ports to idle VCs with buffered heads. */
     void routeCompute(Cycle now);
     /** VA: round-robin output-VC grants to routed head flits. */
@@ -207,7 +209,7 @@ class Router
     /** SA + ST: separable switch allocation, then traversal. */
     void switchAllocate(Cycle now);
 
-    /** @return true if no flits are buffered here (O(inputs)). */
+    /** @return true if no flits are buffered here (a mask test). */
     bool empty() const;
 
     /** @return true if input `in` may be switched to output `out`. */
@@ -288,6 +290,29 @@ class Router
         }
     }
 
+    /**
+     * The stage work sets, va_words_ words per set, bit in * vcs + vc
+     * for input VC (`in`, `vc`).  They are derived from slab state and
+     * kept by the events that change it (a push, RC, a VA grant, an SA
+     * pop or tail), so the stages never rescan the state slab.
+     */
+    struct StageMasks
+    {
+        std::vector<std::uint64_t> rc; ///< IDLE with a buffered head
+        std::vector<std::uint64_t> va; ///< VC_ALLOC
+        std::vector<std::uint64_t> sa; ///< ACTIVE with a buffered flit
+        /** VC_ALLOC VCs by RC-assigned output: numOutputs sets. */
+        std::vector<std::uint64_t> vaReqs;
+
+        bool operator==(const StageMasks &) const = default;
+    };
+
+    /** The masks as kept by the pipeline events. */
+    const StageMasks &stageMasks() const { return masks_; }
+
+    /** The masks recomputed from slab state (invariant audit, restore). */
+    StageMasks deriveStageMasks() const;
+
     // --- checkpoint/restore ---
     /** Serializes all dynamic router state (buffers, VC ownership,
      *  credits, arbiter pointers, counters). */
@@ -316,6 +341,10 @@ class Router
 
   private:
     void initPorts();
+
+    /** Buffers `flit` on input `in` and files its VC in the RC or SA
+     *  mask when the push makes it eligible there. */
+    void pushFlit(unsigned in, Flit &&flit, Cycle now);
 
     // The allocators over word-array request sets, W words per set
     // (W = 1: every router with at most 64 input VCs, single-mask code
@@ -386,20 +415,22 @@ class Router
     ArrivalScheduler *arrival_sched_ = nullptr;
     unsigned arrival_idx_ = 0;
 
-    // Allocation scratch, hoisted out of the per-cycle loops so the
-    // hot path performs no heap allocation.
     unsigned va_words_ = 1; ///< words per input-VC set (inputs * vcs)
     unsigned vc_words_ = 1; ///< words per one input's VC set
     unsigned in_words_ = 1; ///< words per input-port set
-    /** Per-output VA requestor sets: numOutputs * va_words_. */
-    std::vector<std::uint64_t> va_reqs_;
-    /** Per-output SA requestor sets: numOutputs * in_words_. */
+    StageMasks masks_;
+
+    // Allocation scratch, hoisted out of the per-cycle loops so the
+    // hot path performs no heap allocation.
+    /** Per-output SA requestor sets: numOutputs * in_words_, all zero
+     *  between calls (the output stage clears each set it consumes). */
     std::vector<std::uint64_t> sa_out_reqs_;
-    /** Multi-word SA input-stage sets (W = 1 keeps them in registers):
-     *  candidate VCs (va_words_), one input's requests and eligible
-     *  VCs (vc_words_ each). */
-    std::vector<std::uint64_t> sa_cand_, sa_req_, sa_elig_;
-    std::vector<unsigned> sa_nominee_; ///< per input port
+    /** Multi-word allocator sets (W = 1 keeps them in registers): one
+     *  output's untried VA requestors (va_words_), one input's SA
+     *  requests and eligible VCs (vc_words_ each). */
+    std::vector<std::uint64_t> va_try_, sa_req_, sa_elig_;
+    /** SA nominee per input port; only inputs with a request are read. */
+    std::vector<unsigned> sa_nominee_;
 };
 
 } // namespace tenoc

@@ -4,8 +4,8 @@
  * bidirectional many-to-few-to-many traffic and check conservation
  * invariants (every packet delivered exactly once, to the right node,
  * with all its flits, and the network drains).  The router's internal
- * assertions (credit protocol, connectivity, turn legality) are live
- * during the soak.
+ * assertions (credit protocol, connectivity, turn legality) and the
+ * invariant audit, stage masks included, are live during the soak.
  */
 
 #include <gtest/gtest.h>
@@ -29,6 +29,7 @@ struct SoakConfig
     unsigned mcInjPorts;
     unsigned mcEjPorts;
     bool sliced;
+    unsigned concentration = 1;
 };
 
 // Print a config by its name.  Without this gtest dumps the raw bytes,
@@ -69,6 +70,7 @@ TEST_P(NetworkSoak, ConservationUnderRandomTraffic)
     p.vcsPerClass = cfg.vcsPerClass;
     p.mcInjPorts = cfg.mcInjPorts;
     p.mcEjPorts = cfg.mcEjPorts;
+    p.topo.concentration = cfg.concentration;
     p.seed = 31337;
     // Full hardening during the soak: audit every invariant on a tight
     // stride and keep the deadlock watchdog well inside the drain
@@ -171,7 +173,11 @@ INSTANTIATE_TEST_SUITE_P(
         SoakConfig{"double2p", "cr", true, 16, 1, 2, 1, true},
         SoakConfig{"o1turn", "o1turn", false, 16, 1, 1, 1, false},
         SoakConfig{"romm", "romm", false, 16, 1, 1, 1, false},
-        SoakConfig{"valiant", "valiant", false, 16, 1, 1, 1, false}),
+        SoakConfig{"valiant", "valiant", false, 16, 1, 1, 1, false},
+        // 4 terminals per router and 2 MC ports of each kind: an MC
+        // router has 4 + 4 * 2 inputs of 8 VCs, past the 64 input VCs
+        // of the single-word allocator.
+        SoakConfig{"cmesh2p", "xy", false, 16, 4, 2, 2, false, 4}),
     [](const auto &info) { return std::string(info.param.name); });
 
 } // namespace

@@ -1,11 +1,15 @@
 /**
  * @file
  * Unit tests for the VC router: connectivity rules, pipeline latency,
- * credit flow, and multi-port ejection.
+ * credit flow, multi-port ejection, and the event-kept stage masks.
  */
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+#include <vector>
+
+#include "common/snapshot.hh"
 #include "noc/router.hh"
 
 namespace tenoc
@@ -312,6 +316,169 @@ TEST(Router, InjFreeSlotsTracksOccupancy)
     EXPECT_EQ(r.injFreeSlots(0, 0), 7u);
     EXPECT_EQ(r.bufferedFlits(), 1u);
     EXPECT_FALSE(r.empty());
+}
+
+/** Ejection sink recording (cycle, packet id, seq) per ejected flit. */
+struct RecordingSink : EjectionSink
+{
+    bool ejectReady(unsigned) const override { return true; }
+
+    void
+    ejectFlit(unsigned, Flit &&flit, Cycle now) override
+    {
+        log.emplace_back(now, flit.pkt->id, flit.seq);
+    }
+
+    std::vector<std::tuple<Cycle, std::uint64_t, unsigned>> log;
+};
+
+/** Flits of a `size`-flit protocol-class-0 packet from (1, 0) that
+ *  ejects at (0, 0), all on VC 0. */
+std::vector<Flit>
+ejectingPacket(const Topology &topo, std::uint64_t id, unsigned size)
+{
+    auto pkt = makePacket();
+    pkt->id = id;
+    pkt->src = topo.nodeAt(1, 0);
+    pkt->dst = topo.nodeAt(0, 0);
+    pkt->sizeFlits = size;
+    pkt->protoClass = 0;
+    pkt->mode = RouteMode::XY;
+    std::vector<Flit> flits;
+    makeFlits(pkt, flits);
+    for (Flit &f : flits)
+        f.vc = 0;
+    return flits;
+}
+
+/** Injects every flit of `flits` into injection port `inj` at `now`. */
+void
+injectAll(Router &r, unsigned inj, std::vector<Flit> flits, Cycle now)
+{
+    for (Flit &f : flits)
+        r.injectFlit(inj, std::move(f), now);
+}
+
+TEST(RouterStageMasks, HeadBehindDepartingTailIsRoutedNextCycle)
+{
+    // Packet 1's tail and packet 2's head share injection VC 0.  When
+    // the tail leaves, the VC turns IDLE with a head already buffered:
+    // that head must be routed by the very next RC.
+    Topology topo{TopologyParams{}};
+    DorRouting xy(topo, true);
+    Router r(topo.nodeAt(0, 0), topo, xy, routerParams());
+    RecordingSink sink;
+    r.setEjectionSink(&sink);
+    injectAll(r, 0, ejectingPacket(topo, 1, 2), 0);
+    injectAll(r, 0, ejectingPacket(topo, 2, 1), 0);
+
+    const unsigned inj = NUM_DIRS;
+    for (Cycle t = 0; t <= 5; ++t)
+        computeStages(r, t);
+    // Pipeline depth 4: packet 1 ejects at cycles 4 and 5.
+    ASSERT_EQ(sink.log.size(), 2u);
+    EXPECT_EQ(sink.log[1], std::make_tuple(Cycle{5}, std::uint64_t{1}, 1u));
+    ASSERT_NE(r.vcFront(inj, 0), nullptr);
+    EXPECT_TRUE(r.vcFront(inj, 0)->head);
+    EXPECT_EQ(r.vcState(inj, 0), VcState::IDLE);
+    EXPECT_EQ(r.stageMasks(), r.deriveStageMasks());
+
+    r.routeCompute(6);
+    EXPECT_EQ(r.vcState(inj, 0), VcState::VC_ALLOC);
+    r.vcAllocate(6);
+    EXPECT_EQ(r.vcState(inj, 0), VcState::ACTIVE);
+    r.switchAllocate(6);
+    ASSERT_EQ(sink.log.size(), 3u);
+    EXPECT_EQ(sink.log[2], std::make_tuple(Cycle{6}, std::uint64_t{2}, 0u));
+    EXPECT_TRUE(r.empty());
+    EXPECT_EQ(r.stageMasks(), r.deriveStageMasks());
+}
+
+/**
+ * Two injection ports contend for ejection output VC 0: a 3-flit
+ * packet 1 on port 0 wins VA at cycle 0, so the 1-flit packet 2 on
+ * port 1 waits in VC_ALLOC until packet 1's tail frees the VC at
+ * cycle 6.
+ */
+struct VaWaitScenario
+{
+    VaWaitScenario()
+        : topo(TopologyParams{}), xy(topo, true),
+          r(topo.nodeAt(0, 0), topo, xy, routerParams(false, 2, 1))
+    {
+        r.setEjectionSink(&sink);
+        injectAll(r, 0, ejectingPacket(topo, 1, 3), 0);
+        injectAll(r, 1, ejectingPacket(topo, 2, 1), 0);
+    }
+
+    Topology topo;
+    DorRouting xy;
+    Router r;
+    RecordingSink sink;
+};
+
+TEST(RouterStageMasks, VaRefusedHeadGrantedWhenTailFreesVc)
+{
+    VaWaitScenario s;
+    const unsigned waiter = NUM_DIRS + 1;
+    for (Cycle t = 0; t <= 6; ++t) {
+        computeStages(s.r, t);
+        // Refused for lack of a free output VC, the head keeps
+        // requesting every cycle until the owner's tail leaves.
+        EXPECT_EQ(s.r.vcState(waiter, 0), VcState::VC_ALLOC) << t;
+        EXPECT_EQ(s.r.stageMasks(), s.r.deriveStageMasks()) << t;
+    }
+    ASSERT_EQ(s.sink.log.size(), 3u);
+    EXPECT_EQ(s.sink.log[2], std::make_tuple(Cycle{6}, std::uint64_t{1}, 2u));
+    EXPECT_FALSE(s.r.outputVcOwned(NUM_DIRS, 0));
+
+    // The first VA after the tail freed the VC grants it.
+    s.r.routeCompute(7);
+    s.r.vcAllocate(7);
+    EXPECT_EQ(s.r.vcState(waiter, 0), VcState::ACTIVE);
+    EXPECT_EQ(s.r.outputVcOwnerIn(NUM_DIRS, 0), waiter);
+    s.r.switchAllocate(7);
+    ASSERT_EQ(s.sink.log.size(), 4u);
+    EXPECT_EQ(s.sink.log[3], std::make_tuple(Cycle{7}, std::uint64_t{2}, 0u));
+}
+
+TEST(RouterStageMasks, RestoreMidVaWaitAndMidWormKeepsSchedule)
+{
+    // Saved after cycle 4's stages: packet 1 is mid-worm (head gone,
+    // two flits buffered) and packet 2 mid-VA-wait.  A fresh router
+    // restored from the snapshot must rebuild its masks and emit the
+    // uninterrupted router's flit schedule.
+    VaWaitScenario full;
+    VaWaitScenario saved;
+    for (Cycle t = 0; t <= 4; ++t) {
+        computeStages(full.r, t);
+        computeStages(saved.r, t);
+    }
+    SnapshotWriter w;
+    saved.r.save(w);
+
+    Topology topo{TopologyParams{}};
+    DorRouting xy(topo, true);
+    Router restored(topo.nodeAt(0, 0), topo, xy, routerParams(false, 2, 1));
+    RecordingSink sink;
+    restored.setEjectionSink(&sink);
+    SnapshotReader r(w.data());
+    restored.restore(r);
+    EXPECT_EQ(restored.vcState(NUM_DIRS, 0), VcState::ACTIVE);
+    EXPECT_EQ(restored.vcState(NUM_DIRS + 1, 0), VcState::VC_ALLOC);
+    EXPECT_EQ(restored.stageMasks(), full.r.stageMasks());
+
+    const std::size_t before = full.sink.log.size();
+    for (Cycle t = 5; t <= 12; ++t) {
+        computeStages(full.r, t);
+        computeStages(restored, t);
+    }
+    const std::vector<std::tuple<Cycle, std::uint64_t, unsigned>> after(
+        full.sink.log.begin() + static_cast<std::ptrdiff_t>(before),
+        full.sink.log.end());
+    EXPECT_EQ(after.size(), 3u);
+    EXPECT_EQ(sink.log, after);
+    EXPECT_TRUE(restored.empty());
 }
 
 } // namespace

@@ -7,7 +7,9 @@
 
 #include <deque>
 #include <string>
+#include <vector>
 
+#include "common/snapshot.hh"
 #include "gpu/simt_core.hh"
 
 namespace tenoc
@@ -312,6 +314,152 @@ TEST(SimtCore, MshrMergeRearmsStalledWarp)
     port.replyOldest(core, 2);
     core.cycle(100);
     EXPECT_TRUE(core.done());
+}
+
+/** Port whose queue space the test sets; each request sent takes one
+ *  slot, and every canSendRequests() call is counted. */
+class SpacePort : public CoreMemPort
+{
+  public:
+    bool
+    canSendRequests(unsigned n) const override
+    {
+        ++queries;
+        return n <= space;
+    }
+
+    void
+    sendRead(Addr line) override
+    {
+        take();
+        reads.push_back(line);
+    }
+
+    void
+    sendWrite(Addr) override
+    {
+        take();
+    }
+
+    void
+    take()
+    {
+        if (space == 0)
+            ADD_FAILURE() << "request sent into a full queue";
+        else
+            --space;
+    }
+
+    unsigned space = 0;
+    mutable unsigned queries = 0;
+    std::vector<Addr> reads;
+};
+
+/** One load per warp needing 8, 4 and 2 requests (two per line). */
+const char *const kNeeds842 = "0 L 0x1000 0x2000 0x3000 0x4000\n"
+                              "1 L 0x5000 0x6000\n"
+                              "2 L 0x7000\n";
+
+/** Runs one issue slot's worth of core cycles from `t`. */
+void
+runSlot(SimtCore &core, const SimtCoreParams &params, Cycle &t)
+{
+    for (unsigned c = 0; c < params.issueInterval(); ++c)
+        core.cycle(t++);
+}
+
+TEST(SimtCore, PortParkedSlotAsksPortAtMostOnce)
+{
+    // The first slot asks for 8, 4 and 2 requests and is refused each
+    // time.  The parked warps then cost one query per slot (for the
+    // smallest refused count), not one per warp.
+    SpacePort port;
+    SimtCoreParams params;
+    const auto prof = missingProfile();
+    SimtCore core(0, params, prof, port, 10,
+                  TraceInstSource::fromText(kNeeds842));
+    Cycle t = 0;
+    runSlot(core, params, t);
+    EXPECT_EQ(port.queries, 3u);
+    for (unsigned slot = 0; slot < 20; ++slot) {
+        const unsigned before = port.queries;
+        runSlot(core, params, t);
+        EXPECT_LE(port.queries - before, 1u) << slot;
+    }
+    EXPECT_EQ(core.warpInstsIssued(), 0u);
+    EXPECT_EQ(core.stallSlots(), 21u);
+
+    port.space = 64;
+    while (core.warpInstsIssued() < 3 && t < 1000)
+        runSlot(core, params, t);
+    EXPECT_EQ(core.warpInstsIssued(), 3u);
+    EXPECT_EQ(port.reads.size(), 7u);
+}
+
+TEST(SimtCore, PortParkedWarpsIssueByNeed)
+{
+    // Warp 0 needs 4 requests, warp 1 needs 2.  With room for 2 only
+    // warp 1 issues; warp 0 waits until the room reaches 4.
+    SpacePort port;
+    SimtCoreParams params;
+    const auto prof = missingProfile();
+    SimtCore core(0, params, prof, port, 11,
+                  TraceInstSource::fromText("0 L 0x1000 0x2000\n"
+                                            "1 L 0x3000\n"));
+    Cycle t = 0;
+    runSlot(core, params, t); // both refused and parked
+    EXPECT_EQ(core.warpInstsIssued(), 0u);
+
+    port.space = 2;
+    runSlot(core, params, t);
+    EXPECT_EQ(core.warpInstsIssued(), 1u);
+    EXPECT_EQ(port.reads, std::vector<Addr>{0x3000});
+    for (unsigned slot = 0; slot < 10; ++slot)
+        runSlot(core, params, t);
+    EXPECT_EQ(core.warpInstsIssued(), 1u);
+
+    port.space = 4;
+    runSlot(core, params, t);
+    EXPECT_EQ(core.warpInstsIssued(), 2u);
+    EXPECT_EQ(port.reads, (std::vector<Addr>{0x3000, 0x1000, 0x2000}));
+}
+
+TEST(SimtCore, RestartAndRestoreClearPortParking)
+{
+    // A core restored over parked warps, or restarted after a launch
+    // that parked, must try every warp again in its first slot, like
+    // a fresh core: three queries, not the parked core's one.
+    SimtCoreParams params;
+    const auto prof = missingProfile();
+    SpacePort port;
+    SimtCore core(0, params, prof, port, 12,
+                  TraceInstSource::fromText(kNeeds842));
+    Cycle t = 0;
+    SnapshotWriter w;
+    core.save(w);
+    runSlot(core, params, t);
+    runSlot(core, params, t);
+    ASSERT_EQ(port.queries, 4u);
+
+    SnapshotReader r(w.data());
+    core.restore(r);
+    port.queries = 0;
+    runSlot(core, params, t);
+    EXPECT_EQ(port.queries, 3u);
+
+    port.space = 64;
+    while (!core.done() && t < 1000) {
+        runSlot(core, params, t);
+        for (Addr line : port.reads)
+            core.onReadReply(line);
+        port.reads.clear();
+    }
+    ASSERT_TRUE(core.done());
+    core.restart();
+    port.space = 0;
+    port.queries = 0;
+    runSlot(core, params, t);
+    EXPECT_EQ(port.queries, 3u);
 }
 
 } // namespace
