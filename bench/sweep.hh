@@ -20,19 +20,14 @@
  *
  * TENOC_THREADS overrides the worker count (default: hardware
  * concurrency); TENOC_THREADS=1 gives the exact sequential execution.
- *
- * Nested parallelism: simulations can themselves run phase-parallel
- * cycles (TENOC_CYCLE_THREADS, see common/parallel.hh).  sweepMap
- * splits the TENOC_THREADS budget between the two levels — each sweep
- * worker's simulations get at most budget/workers cycle threads — so
- * a sweep never oversubscribes to workers x cycle_threads threads.
- * Cycle-thread counts never change results (bit-exact by design), so
- * this cap is purely a scheduling decision.
+ * This is the simulator's only parallelism: each simulation runs its
+ * cycles serially on the worker that built it.
  */
 
 #ifndef TENOC_BENCH_SWEEP_HH
 #define TENOC_BENCH_SWEEP_HH
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdlib>
@@ -42,23 +37,28 @@
 #include <vector>
 
 #include "common/log.hh"
-#include "common/parallel.hh"
 
 namespace tenoc::bench
 {
 
+/** Ceiling on TENOC_THREADS: sweepMap spawns one std::thread per
+ *  worker, so larger values are rejected rather than honoured. */
+constexpr long MAX_SWEEP_THREADS = 1024;
+
 /** Worker count: TENOC_THREADS env override, else hardware threads.
- *  Malformed values (non-numeric, trailing junk, < 1) are rejected
- *  with a warning rather than silently parsed as 0. */
+ *  Malformed values (non-numeric, trailing junk, < 1 or above
+ *  MAX_SWEEP_THREADS) are rejected with a warning rather than silently
+ *  parsed as 0 or truncated. */
 inline unsigned
 sweepThreads()
 {
     if (const char *env = std::getenv("TENOC_THREADS")) {
         char *end = nullptr;
         const long v = std::strtol(env, &end, 10);
-        if (end == env || *end != '\0' || v < 1) {
+        if (end == env || *end != '\0' || v < 1 ||
+            v > MAX_SWEEP_THREADS) {
             warn("ignoring invalid TENOC_THREADS='", env,
-                 "' (want a positive integer)");
+                 "' (want an integer in 1..", MAX_SWEEP_THREADS, ")");
         } else {
             return static_cast<unsigned>(v);
         }
@@ -90,13 +90,6 @@ sweepMap(std::size_t n, Fn &&fn)
         return out;
     }
 
-    // Split the thread budget between sweep workers and the cycle
-    // pools of the simulations they construct (networks resolve their
-    // cycle-thread count at construction, inside the workers).
-    const unsigned prev_cap = parallel::setCycleThreadCap(
-        std::max<unsigned>(
-            1, sweepThreads() / static_cast<unsigned>(workers)));
-
     std::atomic<std::size_t> next{0};
     std::atomic<bool> failed{false};
     std::exception_ptr error;
@@ -123,7 +116,6 @@ sweepMap(std::size_t n, Fn &&fn)
         pool.emplace_back(work);
     for (auto &t : pool)
         t.join();
-    parallel::setCycleThreadCap(prev_cap);
     if (error)
         std::rethrow_exception(error);
     return out;

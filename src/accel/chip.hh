@@ -135,12 +135,6 @@ class Chip
     std::vector<std::unique_ptr<CoreSink>> sinks_;
     std::vector<std::unique_ptr<McNode>> mcs_;
     std::vector<NodeId> core_nodes_;
-    /** Core slots per compute node (topology concentration). */
-    unsigned core_conc_ = 1;
-    /** Per-compute-node deferred-request counts, shared by the node's
-     *  CorePorts so concentrated slots see each other's queued claims
-     *  on the injection queue (exactness of canSendRequests). */
-    std::vector<unsigned> node_deferred_;
 
     ClockDomainSet clocks_;
     ClockDomainSet::DomainId core_dom_ = 0;
@@ -164,12 +158,6 @@ class Chip
     Cycle checkpoint_at_ = 0; ///< 0 = no checkpoint armed
     std::string checkpoint_path_;
     bool checkpoint_written_ = false;
-
-    /** Worker threads for the per-core-clock SIMT sweep (resolved from
-     *  mesh.cycleThreads; 1 = serial).  Cores shard by index; their
-     *  memory requests defer in the CorePorts and replay in core order
-     *  so network RNG draws and packet ids match serial exactly. */
-    unsigned core_threads_ = 1;
 
     // Statistics hierarchy (groups are registries of pointers into the
     // components above, so they must outlive nothing).

@@ -23,14 +23,6 @@
  * argument).  Pending words are pure schedule metadata: they select
  * which ports are scanned, and a port without a matured front entry
  * delivers nothing when scanned, so scanning fewer ports is invisible.
- *
- * Parallel phase execution reuses the ActiveSet deferral pattern:
- * while a phase runs data-parallel across shards the buckets are
- * frozen and schedule() appends to a per-worker buffer instead;
- * mergeDeferred() inserts the buffered entries at the phase barrier.
- * Entries always mature at arrival >= send cycle + 1, so merging at
- * the end of the send cycle is early enough, and bucket order cannot
- * matter because firing is an idempotent OR + mark per entry.
  */
 
 #ifndef TENOC_NOC_ARRIVAL_HH
@@ -40,7 +32,6 @@
 #include <vector>
 
 #include "common/log.hh"
-#include "common/parallel.hh"
 #include "common/types.hh"
 #include "noc/activity.hh"
 
@@ -81,24 +72,18 @@ class ArrivalScheduler
 
     /**
      * Posts a wake: at cycle `arrival`, OR `bit` into receiver `idx`'s
-     * pending word and mark it active.  Buffered per-worker while a
-     * parallel phase has the buckets frozen.
+     * pending word and mark it active.
      */
     void
     schedule(Cycle arrival, unsigned idx, std::uint32_t bit)
     {
-        if (deferring_) {
-            deferred_[parallel::workerSlot()].buf.push_back(
-                Entry{arrival, idx, bit});
-            return;
-        }
-        insert(Entry{arrival, idx, bit});
+        buckets_[arrival & mask_].push_back(Entry{arrival, idx, bit});
+        ++population_;
     }
 
     /**
      * Immediate wake (stall-clear path): the receiver has a matured
      * backlog right now, so set the pending bit and mark it live.
-     * Caller thread only, outside frozen phases.
      */
     void
     wakeNow(unsigned idx, std::uint32_t bit)
@@ -110,7 +95,7 @@ class ArrivalScheduler
     /**
      * Fires every entry that matures by cycle `now`: sets its pending
      * bit and marks its receiver.  Call once at the start of each
-     * network cycle, before the active masks are frozen or iterated.
+     * network cycle, before the active masks are iterated.
      * Handles drivers that skip cycles (every bucket in the gap is
      * visited; a gap spanning the whole wheel degrades to one full
      * sweep) and a fresh post-restore wheel (full sweep on first
@@ -159,36 +144,6 @@ class ArrivalScheduler
      *  to deliver. */
     Cycle firedThrough() const { return primed_ ? last_fire_ : 0; }
 
-    // --- deferred scheduling (parallel phase execution) ---
-
-    /** Allocates per-worker entry buffers; idempotent. */
-    void
-    enableDeferred()
-    {
-        if (deferred_.empty())
-            deferred_.resize(parallel::maxSlots());
-    }
-
-    /** Freezes the buckets: schedule() buffers until the next merge. */
-    void beginDeferred() { deferring_ = true; }
-
-    /** Leaves deferred mode (buckets directly writable again). */
-    void endDeferred() { deferring_ = false; }
-
-    /** Inserts every buffered entry.  Call only at a phase barrier
-     *  (single-threaded); all buffered arrivals are in the future, so
-     *  merging after the phase is early enough, and insertion order
-     *  cannot matter (firing is an idempotent OR + mark). */
-    void
-    mergeDeferred()
-    {
-        for (auto &slot : deferred_) {
-            for (const Entry &e : slot.buf)
-                insert(e);
-            slot.buf.clear();
-        }
-    }
-
   private:
     struct Entry
     {
@@ -196,19 +151,6 @@ class ArrivalScheduler
         std::uint32_t idx;
         std::uint32_t bit;
     };
-
-    /** Per-worker entry buffer, padded like ActiveSet::DeferredSlot. */
-    struct alignas(parallel::CACHE_LINE) DeferredSlot
-    {
-        std::vector<Entry> buf;
-    };
-
-    void
-    insert(const Entry &e)
-    {
-        buckets_[e.arrival & mask_].push_back(e);
-        ++population_;
-    }
 
     /** Fires matured entries of one bucket, keeping future ones (an
      *  aliased entry one wheel turn out stays for its own cycle). */
@@ -236,8 +178,6 @@ class ArrivalScheduler
     bool primed_ = false;
     Cycle last_fire_ = 0;
     ActiveSet *wake_ = nullptr;
-    bool deferring_ = false;
-    std::vector<DeferredSlot> deferred_;
 };
 
 } // namespace tenoc

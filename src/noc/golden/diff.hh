@@ -116,8 +116,9 @@ struct DiffReport
 
 struct DiffOptions
 {
-    /** Run all 8 idle-skip x validate x pool-bypass combinations
-     *  instead of baseline + all-flipped (slower, used by tests). */
+    /** Run all 15 non-default idle-skip x validate x pool-bypass x
+     *  arrival-sleep combinations instead of four that set each toggle
+     *  both ways (slower, used by tests). */
     bool thorough = false;
     /** Zero-load single-packet probes per config. */
     unsigned zeroLoadProbes = 32;

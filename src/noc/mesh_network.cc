@@ -10,7 +10,6 @@
 #include <cstdlib>
 #include <fstream>
 
-#include "common/parallel.hh"
 #include "common/snapshot.hh"
 #include "telemetry/json.hh"
 #include "telemetry/telemetry.hh"
@@ -297,33 +296,6 @@ MeshNetwork::MeshNetwork(const MeshNetworkParams &params,
     }
     if (params_.idleSkip)
         checker_->setActivity(&router_active_, &ni_active_);
-
-    // Intra-cycle parallelism (see docs/performance.md).  Routers are
-    // sharded into contiguous ascending-index ranges; with more than
-    // one shard each accumulates switch traversals privately, activity
-    // marks land in per-worker buffers merged at phase barriers, and
-    // NIs buffer every shared-stat side effect in per-NI deltas
-    // applied in index order.
-    cycle_threads_ = std::min(
-        parallel::resolveCycleThreads(params_.cycleThreads),
-        topo_.numNodes());
-    if (cycle_threads_ > 1) {
-        router_active_.enableDeferredMarks();
-        ni_active_.enableDeferredMarks();
-        shard_traversed_.assign(cycle_threads_, parallel::PaddedU64{});
-        for (unsigned s = 0; s < cycle_threads_; ++s) {
-            const auto [lo, hi] = parallel::shardRange(
-                s, topo_.numNodes(), cycle_threads_);
-            for (NodeId n = lo; n < hi; ++n) {
-                routers_[n]->setTraversalCounter(
-                    &shard_traversed_[s].value);
-            }
-        }
-        for (auto &ni : nis_)
-            ni->setDeferredStats(true);
-        if (arrival_.configured())
-            arrival_.enableDeferred();
-    }
 }
 
 bool
@@ -368,13 +340,12 @@ MeshNetwork::cycle(Cycle now)
     };
     if (prof)
         ++prof->cycles;
-    if (count_cycles_)
-        ++stats_->cycles;
+    ++stats_->cycles;
     if (faults_)
         faults_->tick(now);
     // Deliver this cycle's channel arrivals first: matured wheel
     // entries set their receiver's pending-port bits and mark it
-    // active before any phase (or the inline-run test) reads the masks.
+    // active before any phase reads the masks.
     const bool arr = arrival_.configured();
     if (arr)
         arrival_.fire(now);
@@ -383,141 +354,65 @@ MeshNetwork::cycle(Cycle now)
     // costs this single pointer test per cycle.
     const FaultEngine *fe =
         (faults_ && faults_->anyFrozen()) ? faults_.get() : nullptr;
-    const unsigned S = cycle_threads_;
+    // Idle-skip visits only the marked components, in ascending order,
+    // so the tick order is the full sweep's.  An idle component
+    // performs no state change when ticked (arbiters only advance on
+    // accept()), so skipping it is bit-exact.  The reference full tick
+    // (idleSkip off) is the every-bit-set case: every index is visited
+    // and nothing retires.  Masks are live: a mark made by one phase
+    // (NI injectFlit -> router, router ejectFlit -> NI) is seen by the
+    // later phases of the same cycle, and a fresh same-phase mark is
+    // always a no-op visit.
     const unsigned nodes = topo_.numNodes();
-    const bool sharded = S > 1;
-
-    // Every phase runs over S static ascending-index shards; S = 1 is
-    // the inline one-shard case.  Cheap cycles run the shards inline
-    // on this thread too: the code path is identical either way —
-    // static sharding makes the thread count invisible to results — so
-    // this is purely a latency call.  A tracer pins execution inline so
-    // trace callbacks stay single-threaded.
-    const bool inline_run = !sharded || tracer_attached_ ||
-        (params_.idleSkip &&
-         router_active_.popCount() + ni_active_.popCount() < 2 * S);
-    const auto runPhase = [&](auto &&body) {
-        auto shard = [&](unsigned s) {
-            const auto [lo, hi] = parallel::shardRange(s, nodes, S);
-            body(lo, hi);
-        };
-        if (inline_run) {
-            for (unsigned s = 0; s < S; ++s)
-                shard(s);
-        } else {
-            parallel::parallelFor(S, shard);
-        }
-    };
-    // Idle-skip visits only the marked components of [lo, hi), in
-    // ascending order, so the tick order is the full sweep's.  An idle
-    // component performs no state change when ticked (arbiters only
-    // advance on accept()), so skipping it is bit-exact.  The reference
-    // full tick (idleSkip off) is the every-bit-set case: every index
-    // is visited and nothing retires.
-    const auto visit = [&](const ActiveSet &set, unsigned lo, unsigned hi,
-                           auto &&f) {
+    const auto visit = [&](const ActiveSet &set, auto &&f) {
         if (params_.idleSkip) {
-            set.forEachInRange(lo, hi, f);
+            set.forEach(f);
         } else {
-            for (unsigned n = lo; n < hi; ++n)
+            for (unsigned n = 0; n < nodes; ++n)
                 f(n);
         }
     };
     // A frozen router (ROUTER_FREEZE fault) is skipped entirely: its
     // buffers, arbiters and attached channel endpoints hold still.
-    const auto routerPass = [&](unsigned lo, unsigned hi, auto &&tick) {
-        visit(router_active_, lo, hi, [&](unsigned n) {
+    const auto routerPass = [&](auto &&tick) {
+        visit(router_active_, [&](unsigned n) {
             if (!fe || !fe->routerFrozen(n))
                 tick(*routers_[n]);
         });
     };
-
-    // Mark visibility.  One shard reads the live masks: a mark made by
-    // one phase (NI injectFlit -> router, router ejectFlit -> NI) is
-    // seen by the later phases of the same cycle, and a fresh
-    // same-phase mark is always a no-op visit.  Several shards freeze
-    // both masks instead — phase code reads the mask state the phase
-    // started with, and new marks buffer per worker until the merges
-    // at the phase barriers below.  The arrival wheel freezes too:
-    // worker-thread sends buffer their wheel entries per worker,
-    // merged once at the end of the cycle (every entry matures at
-    // >= now + 1, so that is early enough).
-    if (sharded) {
-        router_active_.beginDeferred();
-        ni_active_.beginDeferred();
-        if (arr)
-            arrival_.beginDeferred();
-    }
     lap(&PhaseProfile::bookkeepingNs);
 
-    runPhase([&](unsigned lo, unsigned hi) {
-        routerPass(lo, hi, [&](Router &r) { r.readInputs(now); });
-    });
+    routerPass([&](Router &r) { r.readInputs(now); });
     lap(&PhaseProfile::readInputsNs);
     // The arena's contiguous pending counters gate the phase call: an
     // NI with nothing queued or mid-injection is a guaranteed no-op
     // (injectPhase early-outs on the same counter), so the sweep
     // touches one cache-resident word per idle NI.
-    runPhase([&](unsigned lo, unsigned hi) {
-        visit(ni_active_, lo, hi, [&](unsigned n) {
-            if (ni_slabs_.pendingInject[n] != 0)
-                nis_[n]->injectPhase(now);
-        });
+    visit(ni_active_, [&](unsigned n) {
+        if (ni_slabs_.pendingInject[n] != 0)
+            nis_[n]->injectPhase(now);
     });
     lap(&PhaseProfile::injectNs);
-    if (sharded) {
-        // Injection wakes routers; compute must observe those marks.
-        router_active_.mergeDeferredMarks();
-        lap(&PhaseProfile::bookkeepingNs);
-    }
-    // One pass over the shard's routers runs each router's RC, VA and
-    // SA.  Routers only interact through >= 1-cycle channels, so
-    // nothing a router's stage writes is visible to any other router
-    // until next cycle's readInputs, and this order is bit-exact with
-    // running each stage across all routers in turn.  Each stage's test
+    // One pass over the routers runs each router's RC, VA and SA.
+    // Routers only interact through >= 1-cycle channels, so nothing a
+    // router's stage writes is visible to any other router until next
+    // cycle's readInputs, and this order is bit-exact with running
+    // each stage across all routers in turn.  Each stage's test
     // of its own work mask subsumes a buffered-flits guard, and a
     // router marked mid-pass by a channel send has its new flit still
     // in flight, so its stages no-op if the pass reaches it.
-    runPhase([&](unsigned lo, unsigned hi) {
-        routerPass(lo, hi, [&](Router &r) {
-            r.routeCompute(now);
-            r.vcAllocate(now);
-            r.switchAllocate(now);
-        });
+    routerPass([&](Router &r) {
+        r.routeCompute(now);
+        r.vcAllocate(now);
+        r.switchAllocate(now);
     });
     lap(&PhaseProfile::computeNs);
-    if (sharded) {
-        // Ejection (router -> NI) wakes NIs for the drain phase;
-        // channel sends wake routers for the next cycle.
-        router_active_.mergeDeferredMarks();
-        ni_active_.mergeDeferredMarks();
-        lap(&PhaseProfile::bookkeepingNs);
-    }
-    runPhase([&](unsigned lo, unsigned hi) {
-        visit(ni_active_, lo, hi, [&](unsigned n) {
-            if (ni_slabs_.ejOccupancy[n] != 0)
-                nis_[n]->drainPhase(now);
-        });
+    visit(ni_active_, [&](unsigned n) {
+        if (ni_slabs_.ejOccupancy[n] != 0)
+            nis_[n]->drainPhase(now);
     });
     lap(&PhaseProfile::drainNs);
 
-    if (sharded) {
-        router_active_.endDeferred();
-        ni_active_.endDeferred();
-        router_active_.mergeDeferredMarks();
-        ni_active_.mergeDeferredMarks();
-        if (arr) {
-            arrival_.endDeferred();
-            arrival_.mergeDeferred();
-        }
-        // Fold per-shard traversal counts into the network total
-        // before anything downstream (watchdog, telemetry, checker)
-        // reads it.
-        for (auto &t : shard_traversed_) {
-            flits_traversed_total_ += t.value;
-            t.value = 0;
-        }
-    }
     if (params_.idleSkip) {
         // Retire components that ran dry: a retired router/NI is
         // re-marked by the event that next gives it work (channel
@@ -525,35 +420,13 @@ MeshNetwork::cycle(Cycle now)
         // at the arrival cycle), never silently forgotten.  A frozen
         // router retires only if it truly has no work (couldWork covers
         // its buffers and pending arrivals whether or not it is being
-        // ticked).  Retiring before a sharded cycle's delivery replay
-        // is equivalent to retiring after it: a replayed delivery that
-        // enqueues re-marks its NI live, so the final mask state
-        // matches either way.
+        // ticked).
         router_active_.retireIf(
             [&](unsigned n) { return !routers_[n]->couldWork(); });
         ni_active_.retireIf([&](unsigned n) { return nis_[n]->idle(); });
     }
-    if (defer_to_parent_) {
-        lap(&PhaseProfile::bookkeepingNs);
-        return; // DoubleNetwork flushes and runs postCycle, in order
-    }
-    if (sharded)
-        flushDeferred();
     postCycle(now);
     lap(&PhaseProfile::bookkeepingNs);
-}
-
-void
-MeshNetwork::flushDeferred()
-{
-    // Ascending NI order, each NI's counters/samples then deliveries:
-    // exactly the order a one-shard drain produces shared-state
-    // updates, so accumulator and histogram contents (including
-    // floating-point sums) are bit-identical at every shard count.
-    for (auto &ni : nis_) {
-        ni->applyDeferredStats();
-        ni->flushDeferredDeliveries();
-    }
 }
 
 void
@@ -647,10 +520,6 @@ MeshNetwork::attachTelemetryPrefixed(telemetry::TelemetryHub &hub,
         });
     }
     if (auto *tracer = hub.tracer()) {
-        // Trace sinks are single-threaded: while a tracer is attached
-        // every shard runs inline on the calling thread, in ascending
-        // order.
-        tracer_attached_ = true;
         for (auto &r : routers_)
             r->setTracer(tracer);
         for (auto &ni : nis_)
@@ -876,16 +745,6 @@ DoubleNetwork::DoubleNetwork(const MeshNetworkParams &base)
     rep_slice.seed = base.seed + 0x9e3779b9ULL;
     reply_ = std::make_unique<MeshNetwork>(rep_slice, stats_.get(),
                                            &next_pkt_id_);
-
-    // Intra-cycle parallelism: run the slices as two pool tasks.  The
-    // slices resolved the same cycleThreads value (identical params
-    // and cap at construction), so sharding is all-or-nothing.
-    sharded_ = request_->cycleThreads() > 1 &&
-               reply_->cycleThreads() > 1;
-    if (sharded_) {
-        request_->setDeferToParent();
-        reply_->setDeferToParent();
-    }
 }
 
 unsigned
@@ -928,35 +787,11 @@ DoubleNetwork::setSink(NodeId n, PacketSink *sink)
 void
 DoubleNetwork::cycle(Cycle now)
 {
-    ++stats_->cycles;
-    if (!sharded_) {
-        // Each slice bumps the shared cycle counter; correct for the
-        // double count so `cycles` tracks wall interconnect cycles.
-        request_->cycle(now);
-        reply_->cycle(now);
-        stats_->cycles -= 2;
-        return;
-    }
-    // Sharded slices don't count cycles themselves and defer every
-    // shared side effect (NetStats deltas, deliveries, postCycle) to
-    // this thread, which flushes request-first — the unsharded slice
-    // order — after both have quiesced.  A slice's own
-    // nested parallelFor finds the pool busy and runs inline, which
-    // is bit-exact by the static-sharding contract.
-    MeshNetwork *slices[2] = {request_.get(), reply_.get()};
-    if (request_->tracer_attached_) {
-        // Trace sinks are single-threaded: run the slices one after the
-        // other on this thread while a tracer is attached.
-        slices[0]->cycle(now);
-        slices[1]->cycle(now);
-    } else {
-        parallel::parallelFor(
-            2, [&](unsigned s) { slices[s]->cycle(now); });
-    }
-    request_->flushDeferred();
-    request_->postCycle(now);
-    reply_->flushDeferred();
-    reply_->postCycle(now);
+    // Each slice bumps the shared cycle counter; correct for the
+    // double count so `cycles` tracks wall interconnect cycles.
+    request_->cycle(now);
+    reply_->cycle(now);
+    --stats_->cycles;
 }
 
 bool

@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "common/parallel.hh"
 #include "common/rng.hh"
 #include "noc/faults.hh"
 #include "noc/invariants.hh"
@@ -93,17 +92,6 @@ struct MeshNetworkParams
     std::string watchdogSnapshotPath = "tenoc_watchdog_snapshot.json";
     /** Seeded fault injection (see noc/faults.hh); inert when empty. */
     FaultConfig faults;
-    /**
-     * Intra-cycle parallelism: number of worker threads ticking this
-     * network's phases (and, through Chip, its SIMT cores).  0 means
-     * "use the TENOC_CYCLE_THREADS environment variable" (default 1 =
-     * one shard, run inline).  Any value >1 runs each phase
-     * data-parallel over that many static ascending-index shards with
-     * barriers between phases; results are bit-identical for every
-     * thread count (see docs/performance.md).  Resolved once at
-     * construction (common/parallel.hh:resolveCycleThreads).
-     */
-    unsigned cycleThreads = 0;
 };
 
 /**
@@ -118,7 +106,7 @@ void validateMeshNetworkParams(const MeshNetworkParams &params);
  * Per-phase wall-time breakdown of MeshNetwork::cycle, accumulated
  * while a profile is attached (noc_speed --profile).  "Bookkeeping"
  * covers everything outside the four component phases: arrival-wheel
- * firing, fault ticks, deferred-mark merges, retirement and postCycle.
+ * firing, fault ticks, retirement and postCycle.
  */
 struct PhaseProfile
 {
@@ -205,10 +193,6 @@ class MeshNetwork : public Network
      *  dry (an idle-skip scheduling bug the checker must detect). */
     void debugRetireRouter(NodeId n) { router_active_.clear(n); }
 
-    /** Resolved intra-cycle thread (shard) count; 1 = one inline
-     *  shard. */
-    unsigned cycleThreads() const { return cycle_threads_; }
-
     /** Attaches (or detaches, with nullptr) a per-phase wall-time
      *  profile accumulated by every subsequent cycle() call. */
     void setPhaseProfile(PhaseProfile *profile) { profile_ = profile; }
@@ -225,22 +209,8 @@ class MeshNetwork : public Network
     void restore(SnapshotReader &r) override;
 
   private:
-    friend class DoubleNetwork;
-
     void postCycle(Cycle now);
     void fireWatchdog(Cycle now, const char *reason);
-    /** Applies the NIs' deferred stat deltas and replays deliveries in
-     *  ascending NI order (the one-shard drain order). Caller thread;
-     *  sharded networks only (cycle_threads_ > 1). */
-    void flushDeferred();
-    /** Sharded DoubleNetwork slice wiring: the parent flushes deferred
-     *  state and runs postCycle itself, in request-then-reply order. */
-    void
-    setDeferToParent()
-    {
-        defer_to_parent_ = true;
-        count_cycles_ = false;
-    }
 
     MeshNetworkParams params_;
     Topology topo_;
@@ -287,24 +257,6 @@ class MeshNetwork : public Network
     std::uint64_t inflight_ = 0;
     /** Running sum of router switch traversals (telemetry). */
     std::uint64_t flits_traversed_total_ = 0;
-
-    // --- intra-cycle parallelism (see docs/performance.md) ---
-    /** Shard count, resolved at construction; 1 = one inline shard. */
-    unsigned cycle_threads_ = 1;
-    /** Sharded DoubleNetwork slice: skip flush/postCycle in cycle()
-     *  (the parent runs them in request-then-reply order). */
-    bool defer_to_parent_ = false;
-    /** False for sharded DoubleNetwork slices (the parent counts wall
-     *  cycles once). */
-    bool count_cycles_ = true;
-    /** A flit tracer is attached: run shards inline on the caller so
-     *  trace callbacks stay single-threaded. */
-    bool tracer_attached_ = false;
-    /** Per-shard switch-traversal counts, folded into
-     *  flits_traversed_total_ at the end-of-cycle barrier.  One cache
-     *  line per shard: each worker increments its counter on every
-     *  switch traversal, so adjacent bare words would false-share. */
-    std::vector<parallel::PaddedU64> shard_traversed_;
 
     /** Monotone flit entry/exit counters for THIS network (NetStats
      *  totals are shared between double-network slices); their
@@ -372,8 +324,6 @@ class DoubleNetwork : public Network
   private:
     MeshNetwork &subnetFor(int proto_class) const;
 
-    /** Run the two slices as pool tasks (cycleThreads > 1). */
-    bool sharded_ = false;
     std::unique_ptr<NetStats> stats_;
     /** Shared packet-id counter: ids must stay unique across slices. */
     std::uint64_t next_pkt_id_ = 1;

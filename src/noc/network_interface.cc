@@ -155,27 +155,15 @@ NetworkInterface::injectPhase(Cycle now)
                                       pkt->createdCycle, now);
                 }
             }
-            if (defer_) {
-                delta_.dirty = true;
-                ++delta_.flitsInjected;
-                ++delta_.nodeInjFlits;
-                ++delta_.netIn;
-            } else {
-                ++stats_.flitsInjected;
-                stats_.nodeInjectedFlits[node_] += 1;
-                if (net_flits_in_)
-                    ++*net_flits_in_;
-            }
+            ++stats_.flitsInjected;
+            stats_.nodeInjectedFlits[node_] += 1;
+            if (net_flits_in_)
+                ++*net_flits_in_;
             router_.injectFlit(p, std::move(flit), now);
             ++s.actNext[slot];
             if (s.actNext[slot] == s.actFlits[slot].size()) {
-                if (defer_) {
-                    ++delta_.packetsInjected;
-                    delta_.nodeInjBytes += pkt->sizeBytes;
-                } else {
-                    ++stats_.packetsInjected;
-                    stats_.nodeInjectedBytes[node_] += pkt->sizeBytes;
-                }
+                ++stats_.packetsInjected;
+                stats_.nodeInjectedBytes[node_] += pkt->sizeBytes;
                 // Reset in place: keep the flit vector's capacity so
                 // the next packet on this (port, VC) lane reuses it.
                 pkt.reset();
@@ -223,57 +211,34 @@ NetworkInterface::drainPhase(Cycle now)
             continue; // node backpressure (e.g. MC queue full)
         Flit flit = s.ejPop(ring);
         --s.ejOccupancy[ni_];
-        if (defer_) {
-            delta_.dirty = true;
-            ++delta_.flitsEjected;
-            ++delta_.nodeEjFlits;
-            ++delta_.netOut;
-        } else {
-            ++stats_.flitsEjected;
-            stats_.nodeEjectedFlits[node_] += 1;
-            if (net_flits_out_)
-                ++*net_flits_out_;
-        }
+        ++stats_.flitsEjected;
+        stats_.nodeEjectedFlits[node_] += 1;
+        if (net_flits_out_)
+            ++*net_flits_out_;
         if (flit.head)
             flit.pkt->headEjectedCycle = now;
         if (flit.tail) {
             PacketPtr pkt = flit.pkt;
             pkt->ejectedCycle = now;
-            // Record the same samples the live path takes, in the
-            // same order; tags are replayed by applyDeferredStats.
-            auto sample = [&](std::uint8_t tag, auto &live, double v) {
-                if (defer_)
-                    delta_.samples.emplace_back(tag, v);
-                else
-                    live.sample(v);
-            };
-            if (defer_) {
-                ++delta_.inflightDec;
-                ++delta_.packetsEjected;
-                delta_.nodeEjBytes += pkt->sizeBytes;
-            } else {
-                if (inflight_)
-                    --*inflight_;
-                ++stats_.packetsEjected;
-                stats_.nodeEjectedBytes[node_] += pkt->sizeBytes;
-            }
-            sample(0, stats_.totalLatency,
-                   static_cast<double>(now - pkt->createdCycle));
-            sample(1, stats_.totalLatencyHist,
-                   static_cast<double>(now - pkt->createdCycle));
+            if (inflight_)
+                --*inflight_;
+            ++stats_.packetsEjected;
+            stats_.nodeEjectedBytes[node_] += pkt->sizeBytes;
+            stats_.totalLatency.sample(
+                static_cast<double>(now - pkt->createdCycle));
+            stats_.totalLatencyHist.sample(
+                static_cast<double>(now - pkt->createdCycle));
             if (pkt->injectedCycle != INVALID_CYCLE) {
-                sample(2, stats_.netLatency,
-                       static_cast<double>(now - pkt->injectedCycle));
-                sample(3, stats_.queueLatencyHist,
-                       static_cast<double>(pkt->injectedCycle -
-                                           pkt->createdCycle));
+                stats_.netLatency.sample(
+                    static_cast<double>(now - pkt->injectedCycle));
+                stats_.queueLatencyHist.sample(static_cast<double>(
+                    pkt->injectedCycle - pkt->createdCycle));
                 if (pkt->headEjectedCycle != INVALID_CYCLE) {
-                    sample(4, stats_.traversalLatencyHist,
-                           static_cast<double>(pkt->headEjectedCycle -
-                                               pkt->injectedCycle));
-                    sample(5, stats_.serializationLatencyHist,
-                           static_cast<double>(now -
-                                               pkt->headEjectedCycle));
+                    stats_.traversalLatencyHist.sample(
+                        static_cast<double>(pkt->headEjectedCycle -
+                                            pkt->injectedCycle));
+                    stats_.serializationLatencyHist.sample(
+                        static_cast<double>(now - pkt->headEjectedCycle));
                 }
             }
             if (tracer_ && tracer_->wants(pkt->id)) {
@@ -283,13 +248,8 @@ NetworkInterface::drainPhase(Cycle now)
                         ? pkt->headEjectedCycle : now,
                     now);
             }
-            if (defer_) {
-                // Deliveries (and the final PacketPtr release) replay
-                // on the orchestrating thread, which owns the pool.
-                delta_.deliveries.emplace_back(std::move(pkt), now);
-            } else if (sink_) {
+            if (sink_)
                 sink_->deliver(std::move(pkt), now);
-            }
         }
     }
 }
@@ -299,57 +259,6 @@ NetworkInterface::idle() const
 {
     return nslab_->pendingInject[ni_] == 0 &&
            nslab_->ejOccupancy[ni_] == 0;
-}
-
-void
-NetworkInterface::applyDeferredStats()
-{
-    if (!delta_.dirty)
-        return;
-    stats_.flitsInjected += delta_.flitsInjected;
-    stats_.flitsEjected += delta_.flitsEjected;
-    stats_.packetsInjected += delta_.packetsInjected;
-    stats_.packetsEjected += delta_.packetsEjected;
-    stats_.nodeInjectedFlits[node_] += delta_.nodeInjFlits;
-    stats_.nodeEjectedFlits[node_] += delta_.nodeEjFlits;
-    stats_.nodeInjectedBytes[node_] += delta_.nodeInjBytes;
-    stats_.nodeEjectedBytes[node_] += delta_.nodeEjBytes;
-    if (net_flits_in_)
-        *net_flits_in_ += delta_.netIn;
-    if (net_flits_out_)
-        *net_flits_out_ += delta_.netOut;
-    if (inflight_)
-        *inflight_ -= delta_.inflightDec;
-    for (const auto &[tag, v] : delta_.samples) {
-        switch (tag) {
-          case 0: stats_.totalLatency.sample(v); break;
-          case 1: stats_.totalLatencyHist.sample(v); break;
-          case 2: stats_.netLatency.sample(v); break;
-          case 3: stats_.queueLatencyHist.sample(v); break;
-          case 4: stats_.traversalLatencyHist.sample(v); break;
-          case 5: stats_.serializationLatencyHist.sample(v); break;
-        }
-    }
-    // Reset scalars in place; the vectors keep their capacity.
-    delta_.samples.clear();
-    delta_.dirty = false;
-    delta_.flitsInjected = delta_.flitsEjected = 0;
-    delta_.packetsInjected = delta_.packetsEjected = 0;
-    delta_.nodeInjFlits = delta_.nodeEjFlits = 0;
-    delta_.nodeInjBytes = delta_.nodeEjBytes = 0;
-    delta_.netIn = delta_.netOut = delta_.inflightDec = 0;
-}
-
-void
-NetworkInterface::flushDeferredDeliveries()
-{
-    for (auto &[pkt, cyc] : delta_.deliveries) {
-        if (sink_)
-            sink_->deliver(std::move(pkt), cyc);
-        else
-            pkt.reset();
-    }
-    delta_.deliveries.clear();
 }
 
 NiAuditInfo
@@ -404,7 +313,6 @@ NetworkInterface::save(SnapshotWriter &w) const
     // the snapshot format.
     const NiSlabs &s = *nslab_;
     w.tag("NIFC");
-    tenoc_assert(!delta_.dirty, "NI snapshot with pending deferred stats");
     w.u32(s.pendingInject[ni_]);
     w.u32(s.ejOccupancy[ni_]);
     w.u64(vc_map_.protoClasses);

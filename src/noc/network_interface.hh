@@ -134,59 +134,13 @@ class NetworkInterface : public EjectionSink
 
     // --- checkpoint/restore ---
     /** Serializes all dynamic NI state.  Must be called at a cycle
-     *  boundary, where the deferred-stats delta is empty. */
+     *  boundary. */
     void save(SnapshotWriter &w) const;
 
     /** Restores state written by save(). */
     void restore(SnapshotReader &r);
 
-    // --- deferred stats (parallel phase execution) ---
-
-    /**
-     * In deferred mode every shared-state side effect of the phase
-     * methods (NetStats counters, latency samples, the network flit /
-     * in-flight counters, and sink deliveries) is buffered in a
-     * private delta instead of applied live, so injectPhase/drainPhase
-     * can run on a pool worker while other NIs run concurrently.  The
-     * orchestrating thread applies the deltas NI-by-NI in ascending
-     * index order at the end-of-cycle barrier — the exact order the
-     * serial scheduler produces them — so accumulator and histogram
-     * contents stay bit-identical.  Deliveries are replayed on the
-     * caller too, which keeps final PacketPtr releases on the thread
-     * that owns the packet pool (see noc/pool.hh).
-     */
-    void setDeferredStats(bool on) { defer_ = on; }
-
-    /** Folds the buffered counter/sample delta into the shared stats
-     *  block.  Caller thread only. */
-    void applyDeferredStats();
-
-    /** Replays buffered sink deliveries in eject order.  Caller thread
-     *  only; may re-enter the network (echo sinks enqueue replies). */
-    void flushDeferredDeliveries();
-
   private:
-    /** Buffered side effects of one cycle's phases (deferred mode). */
-    struct NiStatDelta
-    {
-        bool dirty = false;
-        std::uint64_t flitsInjected = 0;
-        std::uint64_t flitsEjected = 0;
-        std::uint64_t packetsInjected = 0;
-        std::uint64_t packetsEjected = 0;
-        std::uint64_t nodeInjFlits = 0;
-        std::uint64_t nodeEjFlits = 0;
-        std::uint64_t nodeInjBytes = 0;
-        std::uint64_t nodeEjBytes = 0;
-        std::uint64_t netIn = 0;
-        std::uint64_t netOut = 0;
-        std::uint64_t inflightDec = 0;
-        /** (stat tag, value) in sample order; see applyDeferredStats. */
-        std::vector<std::pair<std::uint8_t, double>> samples;
-        /** (packet, eject cycle) in eject order. */
-        std::vector<std::pair<PacketPtr, Cycle>> deliveries;
-    };
-
     /** Tries to assign one queued packet to a free (port, vc) slot. */
     bool refillOne(Cycle now);
 
@@ -202,10 +156,6 @@ class NetworkInterface : public EjectionSink
     std::uint64_t *inflight_ = nullptr;
     std::uint64_t *net_flits_in_ = nullptr;
     std::uint64_t *net_flits_out_ = nullptr;
-
-    /** Deferred-stats mode (parallel phase execution). */
-    bool defer_ = false;
-    NiStatDelta delta_;
 
     /**
      * SoA hot state: injection class queues, one in-flight packet per

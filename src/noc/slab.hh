@@ -17,10 +17,8 @@
  *
  * Routers receive contiguous index ranges in node order at network
  * construction, so the ActiveSet's ascending-index iteration streams
- * the arrays front to back and the parallel engine's shard boundaries
- * (contiguous node ranges) partition the slabs into disjoint
- * contiguous blocks.  Standalone routers (unit tests) own a private
- * arena with the same layout.
+ * the arrays front to back.  Standalone routers (unit tests) own a
+ * private arena with the same layout.
  *
  * The arena is pure storage: every state-machine transition still
  * happens in Router/InputPort code, so the refactor is invisible to

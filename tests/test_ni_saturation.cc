@@ -8,9 +8,8 @@
  * that accepts only a fraction of reservation attempts (ejection
  * buffers pinned at ejBufferFlits, credits withheld upstream) — and
  * requires bit-identical final statistics across the scheduler
- * toggles: idle-skip, channel slicing (DoubleNetwork), the parallel
- * cycle engine, arrival-scheduled channels, and link-stall fault
- * injection.  The slab-backed NI rings spend the whole run at their
+ * toggles: idle-skip, channel slicing (DoubleNetwork),
+ * arrival-scheduled channels, and link-stall fault injection.  The slab-backed NI rings spend the whole run at their
  * capacity bounds, so any ring-arithmetic or early-out-counter bug
  * diverges a counter here.
  */
@@ -29,9 +28,7 @@ namespace
  * Accepts one reservation in `stride`, refusing the rest.  One sink
  * per node: each NI issues its reservation attempts in a
  * deterministic per-NI order, so a per-node counter throttles
- * identically whatever the cross-NI execution order — a single
- * shared counter would observe the parallel drain phase's worker
- * interleaving and break the equivalence the suite asserts.
+ * identically whatever the schedulers skip.
  */
 struct ThrottledSink : PacketSink
 {
@@ -149,19 +146,18 @@ baseParams(std::uint64_t seed)
 
 constexpr Cycle SAT_CYCLES = 1200;
 
-/** (seed, idleSkip, sliced, cycleThreads, faults) toggle cross. */
+/** (seed, idleSkip, sliced, faults) toggle cross. */
 class NiSaturationEquivalence
     : public ::testing::TestWithParam<
-          std::tuple<std::uint64_t, bool, bool, unsigned, bool>>
+          std::tuple<std::uint64_t, bool, bool, bool>>
 {};
 
 TEST_P(NiSaturationEquivalence, MatchesReferenceScheduler)
 {
-    const auto [seed, idle_skip, sliced, threads, faults] = GetParam();
+    const auto [seed, idle_skip, sliced, faults] = GetParam();
 
     MeshNetworkParams ref = baseParams(seed);
     ref.idleSkip = false;
-    ref.cycleThreads = 1;
     if (faults) {
         ref.faults.linkStallRate = 1e-3;
         ref.faults.linkStallDuration = 8;
@@ -170,7 +166,6 @@ TEST_P(NiSaturationEquivalence, MatchesReferenceScheduler)
 
     MeshNetworkParams toggled = ref;
     toggled.idleSkip = idle_skip;
-    toggled.cycleThreads = threads;
 
     // Slicing is a topology axis, not a results-preserving toggle
     // (a DoubleNetwork is two half-width physical networks), so the
@@ -182,13 +177,13 @@ TEST_P(NiSaturationEquivalence, MatchesReferenceScheduler)
 
 std::string
 satCaseName(const ::testing::TestParamInfo<
-            std::tuple<std::uint64_t, bool, bool, unsigned, bool>>
-                &info)
+            std::tuple<std::uint64_t, bool, bool, bool>> &info)
 {
-    const auto [seed, idle_skip, sliced, threads, faults] = info.param;
+    const auto [seed, idle_skip, sliced, faults] = info.param;
+    // "_t1" marks the one-thread (serial) cycle every instance runs; it
+    // keeps the instance names stable.
     std::string s = idle_skip ? "skip" : "full";
-    s += sliced ? "_double" : "_single";
-    s += "_t" + std::to_string(threads);
+    s += sliced ? "_double_t1" : "_single_t1";
     s += faults ? "_faults" : "_clean";
     s += "_" + std::to_string(seed);
     return s;
@@ -198,7 +193,7 @@ INSTANTIATE_TEST_SUITE_P(
     ToggleCross, NiSaturationEquivalence,
     ::testing::Combine(::testing::Values<std::uint64_t>(11),
                        ::testing::Bool(), ::testing::Bool(),
-                       ::testing::Values(1u, 2u), ::testing::Bool()),
+                       ::testing::Bool()),
     satCaseName);
 
 TEST(NiSaturation, ArrivalSleepInvariantUnderBackpressure)

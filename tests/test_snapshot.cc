@@ -5,7 +5,7 @@
  * bit-for-bit in the final sealed state, not just statistically — from
  * the run that was never interrupted.  Exercised across the scheduler
  * knobs that must not leak into architectural state (idle-skip,
- * validation, cycle threads) and both network shapes, plus the
+ * validation) and both network shapes, plus the
  * rejection paths (wrong version, trailing bytes, wrong structure).
  */
 
@@ -105,13 +105,6 @@ TEST(Snapshot, ResumeMatchesWithValidation)
     expectResumeBitIdentical(p, "BFS", 0.05, 400);
 }
 
-TEST(Snapshot, ResumeMatchesWithCycleThreads)
-{
-    auto p = makeConfig(ConfigId::BASELINE_TB_DOR);
-    p.mesh.cycleThreads = 2;
-    expectResumeBitIdentical(p, "MM", 0.05, 300);
-}
-
 TEST(Snapshot, ResumeMatchesDoubleNetwork)
 {
     expectResumeBitIdentical(makeConfig(ConfigId::CP_CR_DOUBLE),
@@ -126,11 +119,10 @@ TEST(Snapshot, ResumeMatchesThroughputEffective)
 }
 
 /**
- * Warm-up reuse: one warm-up checkpoint consumed by two
- * differently *scheduled* downstream runs (validation on; two cycle
- * threads).  Scheduler knobs are bit-exact by design, so both resumed
- * runs must land in the identical final state as the uninterrupted
- * reference.
+ * Warm-up reuse: one warm-up checkpoint consumed by two downstream
+ * runs, one plain and one with validation on.  Validation is pure
+ * observation, so both resumed runs must land in the identical final
+ * state as the uninterrupted reference.
  */
 TEST(Snapshot, WarmupFeedsTwoDownstreamConfigs)
 {
@@ -155,9 +147,7 @@ TEST(Snapshot, WarmupFeedsTwoDownstreamConfigs)
     a.run();
     EXPECT_EQ(want, sealedState(a));
 
-    auto with_threads = base;
-    with_threads.mesh.cycleThreads = 2;
-    Chip b(with_threads, prof);
+    Chip b(base, prof);
     ASSERT_TRUE(b.restoreFromFile(path, &error)) << error;
     b.run();
     EXPECT_EQ(want, sealedState(b));

@@ -4,7 +4,7 @@
  *
  * The VcSlabs arena is pure storage: every router/VC state machine
  * reads and writes through it, so a layout bug shows up as a stats
- * divergence somewhere in the scheduler/threading/fault matrix.  Three
+ * divergence somewhere in the scheduler/fault matrix.  Three
  * layers of coverage:
  *   1. arena mechanics — configure() growth and shrink-with-reuse,
  *      release of stale packet references, ring wraparound, and the
@@ -12,7 +12,7 @@
  *   2. view independence — InputPort views at different bases of one
  *      arena must not alias;
  *   3. sealed-stats equality — the identical seeded workload run
- *      across the full idleSkip x validate x cycleThreads toggle cube,
+ *      across the full idleSkip x validate toggle square,
  *      crossed with the semantic axes (fault injection, single vs
  *      sliced double network), each cell compared field-for-field
  *      against its base run.
@@ -22,7 +22,6 @@
 
 #include <string>
 
-#include "common/parallel.hh"
 #include "common/rng.hh"
 #include "noc/buffer.hh"
 #include "noc/mesh_network.hh"
@@ -300,13 +299,11 @@ soaBaseName(const ::testing::TestParamInfo<SoaBase> &info)
 }
 
 MeshNetworkParams
-soaParams(const SoaBase &base, bool idle_skip, bool validate,
-          unsigned threads)
+soaParams(const SoaBase &base, bool idle_skip, bool validate)
 {
     MeshNetworkParams p;
     p.seed = 11;
     p.idleSkip = idle_skip;
-    p.cycleThreads = threads;
     if (validate) {
         p.validate = true;
         p.validateInterval = 16;
@@ -327,26 +324,22 @@ class SoaToggleMatrix : public ::testing::TestWithParam<SoaBase>
 TEST_P(SoaToggleMatrix, SealedStatsIdenticalAcrossToggles)
 {
     const SoaBase base = GetParam();
-    // Reference cell: full-tick, unvalidated, serial.
+    // Reference cell: full-tick, unvalidated.
     const auto ref =
-        makeMeshNetwork(soaParams(base, false, false, 1), base.sliced);
+        makeMeshNetwork(soaParams(base, false, false), base.sliced);
     const Cycle ref_done = drive(*ref, 97, 1200);
 
     for (const bool idle_skip : {false, true}) {
         for (const bool validate : {false, true}) {
-            for (const unsigned threads : {1u, 2u}) {
-                if (!idle_skip && !validate && threads == 1)
-                    continue; // the reference itself
-                const auto net = makeMeshNetwork(
-                    soaParams(base, idle_skip, validate, threads),
-                    base.sliced);
-                const Cycle done = drive(*net, 97, 1200);
-                SCOPED_TRACE("idleSkip=" + std::to_string(idle_skip) +
-                             " validate=" + std::to_string(validate) +
-                             " threads=" + std::to_string(threads));
-                EXPECT_EQ(ref_done, done);
-                expectStatsEqual(ref->stats(), net->stats());
-            }
+            if (!idle_skip && !validate)
+                continue; // the reference itself
+            const auto net = makeMeshNetwork(
+                soaParams(base, idle_skip, validate), base.sliced);
+            const Cycle done = drive(*net, 97, 1200);
+            SCOPED_TRACE("idleSkip=" + std::to_string(idle_skip) +
+                         " validate=" + std::to_string(validate));
+            EXPECT_EQ(ref_done, done);
+            expectStatsEqual(ref->stats(), net->stats());
         }
     }
 }

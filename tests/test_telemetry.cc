@@ -3,7 +3,8 @@
  * Tests for the telemetry subsystem: JSON model round trips, metric
  * sinks versus StatGroup::dump, interval-sampler window semantics
  * (including cross-clock-domain driving), Chrome trace output, CLI
- * flag parsing, and an end-to-end mesh run through a TelemetryHub.
+ * flag parsing, an end-to-end mesh run through a TelemetryHub, and
+ * that an attached tracer moves no sealed stat.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,8 @@
 #include <vector>
 
 #include "common/clock.hh"
+#include "common/rng.hh"
+#include "common/snapshot.hh"
 #include "common/stats.hh"
 #include "noc/mesh_network.hh"
 #include "telemetry/interval_sampler.hh"
@@ -571,6 +574,90 @@ TEST(TelemetryHub, EndToEndMeshRun)
     std::remove(cfg.statsJsonPath.c_str());
     std::remove(cfg.intervalCsvPath.c_str());
     std::remove(cfg.tracePath.c_str());
+}
+
+/** Accepts everything, keeps nothing. */
+struct DropSink : PacketSink
+{
+    bool tryReserve(const Packet &) override { return true; }
+    void deliver(PacketPtr, Cycle) override {}
+};
+
+/**
+ * Drives `net` with seeded many-to-few requests and few-to-many
+ * replies for `cycles`, then drains.  @return the drain cycle.
+ */
+Cycle
+driveRequestsAndReplies(Network &net, std::uint64_t seed, Cycle cycles)
+{
+    DropSink sink;
+    const auto &topo = net.topology();
+    for (NodeId n = 0; n < topo.numNodes(); ++n)
+        net.setSink(n, &sink);
+    Rng rng(seed);
+    const auto send = [&](NodeId src, NodeId dst, MemOp op, int proto,
+                          Cycle now) {
+        auto pkt = makePacket();
+        pkt->src = src;
+        pkt->dst = dst;
+        pkt->op = op;
+        pkt->protoClass = proto;
+        pkt->sizeFlits = net.packetFlits(op);
+        pkt->sizeBytes = memOpBytes(op);
+        net.inject(std::move(pkt), now);
+    };
+    Cycle now = 0;
+    for (; now < cycles; ++now) {
+        for (NodeId core : topo.computeNodes()) {
+            if (rng.nextBool(0.04) && net.canInject(core, 0))
+                send(core, rng.pick(topo.mcNodes()),
+                     MemOp::READ_REQUEST, 0, now);
+        }
+        for (NodeId mc : topo.mcNodes()) {
+            if (rng.nextBool(0.10) && net.canInject(mc, 1))
+                send(mc, rng.pick(topo.computeNodes()),
+                     MemOp::READ_REPLY, 1, now);
+        }
+        net.cycle(now);
+    }
+    while (!net.drained() && now < cycles + 100000)
+        net.cycle(now++);
+    EXPECT_TRUE(net.drained());
+    return now;
+}
+
+TEST(TelemetryHub, TracerChangesNoStats)
+{
+    // Tracing is pure observation: attaching a Chrome tracer to every
+    // router and NI must not move a single sealed stat, on a single
+    // network or on the sliced double network, and must record events.
+    for (const bool sliced : {false, true}) {
+        SCOPED_TRACE(sliced ? "double" : "single");
+        MeshNetworkParams p;
+        p.seed = 11;
+        const auto plain = makeMeshNetwork(p, sliced);
+        const auto traced = makeMeshNetwork(p, sliced);
+        telemetry::TelemetryConfig cfg;
+        cfg.tracePath = "unused.json"; // enables the sink only
+        cfg.traceSampleEvery = 1;
+        telemetry::TelemetryHub hub(cfg);
+        traced->attachTelemetry(hub);
+        EXPECT_EQ(driveRequestsAndReplies(*plain, 97, 1500),
+                  driveRequestsAndReplies(*traced, 97, 1500));
+
+        // NetStats::save writes every sealed stat bit-exactly
+        // (counters, accumulator sums, histogram buckets).
+        SnapshotWriter a;
+        SnapshotWriter b;
+        plain->stats().save(a);
+        traced->stats().save(b);
+        EXPECT_EQ(a.data(), b.data());
+
+        const auto *sink = dynamic_cast<const telemetry::ChromeTraceSink *>(
+            hub.tracer());
+        ASSERT_NE(sink, nullptr);
+        EXPECT_GT(sink->numEvents(), 0u);
+    }
 }
 
 TEST(TelemetryHub, NoSinksMeansNullAccessors)
