@@ -5,6 +5,7 @@
 
 #include "accel/chip_config.hh"
 
+#include <cstdint>
 #include <set>
 
 #include "common/log.hh"
@@ -167,7 +168,6 @@ chipParamsFromConfig(const Config &cfg)
 {
     static const std::set<std::string> known = {
         "base", "noc.rows", "noc.cols", "noc.mcs", "noc.routing",
-        "noc.topology", "noc.concentration",
         "noc.placement", "noc.halfRouters", "noc.flitBytes",
         "noc.vcsPerClass", "noc.vcDepth", "noc.pipelineDepth",
         "noc.halfPipelineDepth", "noc.mcInjPorts", "noc.mcEjPorts",
@@ -190,27 +190,23 @@ chipParamsFromConfig(const Config &cfg)
         configIdFromName(cfg.getString("base", "baseline")),
         cfg.getUint("sim.seed", 1));
 
+    // Reads a 32-bit field; a plain cast would wrap a larger value into
+    // a small, valid-looking one (noc.rows=4294967302 would give 6).
+    const auto getU32 = [&cfg](const char *key, unsigned def) {
+        const std::uint64_t v = cfg.getUint(key, def);
+        if (v > UINT32_MAX) {
+            tenoc_fatal("config key '", key, "' value ", v,
+                        " exceeds the 32-bit maximum ", UINT32_MAX);
+        }
+        return static_cast<unsigned>(v);
+    };
+
     auto &m = p.mesh;
-    m.topo.rows = static_cast<unsigned>(
-        cfg.getUint("noc.rows", m.topo.rows));
-    m.topo.cols = static_cast<unsigned>(
-        cfg.getUint("noc.cols", m.topo.cols));
-    m.topo.numMcs = static_cast<unsigned>(
-        cfg.getUint("noc.mcs", m.topo.numMcs));
+    m.topo.rows = getU32("noc.rows", m.topo.rows);
+    m.topo.cols = getU32("noc.cols", m.topo.cols);
+    m.topo.numMcs = getU32("noc.mcs", m.topo.numMcs);
     p.mc.numChannels = m.topo.numMcs;
     m.routing = cfg.getString("noc.routing", m.routing);
-    if (cfg.has("noc.topology")) {
-        const std::string tk = cfg.getString("noc.topology");
-        if (tk == "mesh")
-            m.topo.kind = TopoKind::MESH;
-        else if (tk == "torus")
-            m.topo.kind = TopoKind::TORUS;
-        else
-            tenoc_fatal("unknown topology '", tk,
-                        "' (expected 'mesh' or 'torus')");
-    }
-    m.topo.concentration = static_cast<unsigned>(
-        cfg.getUint("noc.concentration", m.topo.concentration));
     if (cfg.has("noc.placement")) {
         const std::string pl = cfg.getString("noc.placement");
         if (pl == "top-bottom")
@@ -222,20 +218,14 @@ chipParamsFromConfig(const Config &cfg)
     }
     m.topo.checkerboardRouters =
         cfg.getBool("noc.halfRouters", m.topo.checkerboardRouters);
-    m.flitBytes = static_cast<unsigned>(
-        cfg.getUint("noc.flitBytes", m.flitBytes));
-    m.vcsPerClass = static_cast<unsigned>(
-        cfg.getUint("noc.vcsPerClass", m.vcsPerClass));
-    m.vcDepth = static_cast<unsigned>(
-        cfg.getUint("noc.vcDepth", m.vcDepth));
-    m.pipelineDepth = static_cast<unsigned>(
-        cfg.getUint("noc.pipelineDepth", m.pipelineDepth));
-    m.halfPipelineDepth = static_cast<unsigned>(
-        cfg.getUint("noc.halfPipelineDepth", m.halfPipelineDepth));
-    m.mcInjPorts = static_cast<unsigned>(
-        cfg.getUint("noc.mcInjPorts", m.mcInjPorts));
-    m.mcEjPorts = static_cast<unsigned>(
-        cfg.getUint("noc.mcEjPorts", m.mcEjPorts));
+    m.flitBytes = getU32("noc.flitBytes", m.flitBytes);
+    m.vcsPerClass = getU32("noc.vcsPerClass", m.vcsPerClass);
+    m.vcDepth = getU32("noc.vcDepth", m.vcDepth);
+    m.pipelineDepth = getU32("noc.pipelineDepth", m.pipelineDepth);
+    m.halfPipelineDepth =
+        getU32("noc.halfPipelineDepth", m.halfPipelineDepth);
+    m.mcInjPorts = getU32("noc.mcInjPorts", m.mcInjPorts);
+    m.mcEjPorts = getU32("noc.mcEjPorts", m.mcEjPorts);
     if (cfg.has("noc.sliced")) {
         p.netKind = cfg.getBool("noc.sliced", false)
             ? NetKind::DOUBLE : NetKind::MESH;
@@ -285,16 +275,14 @@ chipParamsFromConfig(const Config &cfg)
                     ")");
     }
 
-    p.mc.inputQueueCap = static_cast<unsigned>(
-        cfg.getUint("mc.inputQueueCap", p.mc.inputQueueCap));
-    p.mc.l2HitLatency = static_cast<unsigned>(
-        cfg.getUint("mc.l2HitLatency", p.mc.l2HitLatency));
-    p.mc.dram.queueCapacity = static_cast<unsigned>(
-        cfg.getUint("dram.queueCapacity", p.mc.dram.queueCapacity));
-    p.mc.dram.timing.numBanks = static_cast<unsigned>(
-        cfg.getUint("dram.banks", p.mc.dram.timing.numBanks));
-    p.mc.dram.timing.rowBytes = static_cast<unsigned>(
-        cfg.getUint("dram.rowBytes", p.mc.dram.timing.rowBytes));
+    p.mc.inputQueueCap = getU32("mc.inputQueueCap", p.mc.inputQueueCap);
+    p.mc.l2HitLatency = getU32("mc.l2HitLatency", p.mc.l2HitLatency);
+    p.mc.dram.queueCapacity =
+        getU32("dram.queueCapacity", p.mc.dram.queueCapacity);
+    p.mc.dram.timing.numBanks =
+        getU32("dram.banks", p.mc.dram.timing.numBanks);
+    p.mc.dram.timing.rowBytes =
+        getU32("dram.rowBytes", p.mc.dram.timing.rowBytes);
 
     p.maxIcntCycles = cfg.getUint("sim.maxIcntCycles",
                                   p.maxIcntCycles);

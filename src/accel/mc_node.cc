@@ -77,7 +77,7 @@ McNode::icntCycle(Cycle icnt_now)
         req.write = true;
         req.tag = next_dram_tag_++;
         dram_pending_[req.tag] =
-            PendingDram{INVALID_NODE, 0, l2_writebacks_.front(), true};
+            PendingDram{INVALID_NODE, l2_writebacks_.front(), true};
         dram_.push(std::move(req), mem_now_);
         l2_writebacks_.pop_front();
     }
@@ -92,7 +92,7 @@ McNode::icntCycle(Cycle icnt_now)
         req.write = (pkt->op == MemOp::WRITE_REQUEST);
         req.tag = next_dram_tag_++;
         dram_pending_[req.tag] =
-            PendingDram{pkt->src, pkt->tag, pkt->addr, req.write};
+            PendingDram{pkt->src, pkt->addr, req.write};
         dram_.push(std::move(req), mem_now_);
     }
 
@@ -113,7 +113,6 @@ McNode::icntCycle(Cycle icnt_now)
             reply->op = MemOp::READ_REPLY;
             reply->protoClass = 1;
             reply->addr = pkt->addr;
-            reply->tag = pkt->tag; // route back to the core slot
             reply->sizeFlits = net_.packetFlits(MemOp::READ_REPLY);
             reply->sizeBytes = memOpBytes(MemOp::READ_REPLY);
             l2_pipe_.push_back(
@@ -133,7 +132,7 @@ McNode::icntCycle(Cycle icnt_now)
         req.write = is_write;
         req.tag = next_dram_tag_++;
         dram_pending_[req.tag] =
-            PendingDram{pkt->src, pkt->tag, pkt->addr, is_write};
+            PendingDram{pkt->src, pkt->addr, is_write};
         dram_.push(std::move(req), mem_now_);
     } else {
         dram_wait_ = std::move(pkt); // head-of-line: MC input blocked
@@ -167,7 +166,6 @@ McNode::memCycle(Cycle mem_now)
         reply->op = MemOp::READ_REPLY;
         reply->protoClass = 1;
         reply->addr = meta.addr;
-        reply->tag = meta.requesterTag; // back to the core slot
         reply->sizeFlits = net_.packetFlits(MemOp::READ_REPLY);
         reply->sizeBytes = memOpBytes(MemOp::READ_REPLY);
         reply_queue_.push_back(std::move(reply));
@@ -231,7 +229,6 @@ McNode::save(SnapshotWriter &w) const
         const PendingDram &pending = dram_pending_.at(tag);
         w.u64(tag);
         w.u32(pending.requester);
-        w.u64(pending.requesterTag);
         w.u64(pending.addr);
         w.boolean(pending.write);
     }
@@ -276,7 +273,6 @@ McNode::restore(SnapshotReader &r)
         const std::uint64_t tag = r.u64();
         PendingDram pending;
         pending.requester = r.u32();
-        pending.requesterTag = r.u64();
         pending.addr = r.u64();
         pending.write = r.boolean();
         dram_pending_.emplace(tag, pending);

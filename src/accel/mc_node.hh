@@ -118,9 +118,6 @@ class McNode : public PacketSink
     struct PendingDram
     {
         NodeId requester;
-        /** Requester's packet tag, echoed on the reply (identifies the
-         *  core slot behind a concentrated node; 0 for writebacks). */
-        std::uint64_t requesterTag;
         Addr addr;
         bool write;
     };

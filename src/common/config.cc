@@ -136,6 +136,11 @@ Config::getUint(const std::string &key, std::uint64_t def) const
     auto it = values_.find(key);
     if (it == values_.end())
         return def;
+    // std::stoull accepts a leading '-' and wraps the value modulo 2^64.
+    if (it->second.find('-') != std::string::npos) {
+        tenoc_fatal("config key '", key, "' must be a non-negative"
+                    " integer (got '", it->second, "')");
+    }
     try {
         std::size_t pos = 0;
         std::uint64_t v = std::stoull(it->second, &pos, 0);

@@ -22,7 +22,7 @@ simulatorVersion()
     // Major.minor of the simulator's serialized-state contract; bumped
     // together with SNAPSHOT_FORMAT_VERSION or whenever a model change
     // alters simulation results for a fixed config.
-    return "tenoc-6.1";
+    return "tenoc-6.2";
 }
 
 void

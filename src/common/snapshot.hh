@@ -35,7 +35,7 @@ namespace tenoc
 const char *simulatorVersion();
 
 /** Bumped whenever the serialized layout of any component changes. */
-constexpr std::uint32_t SNAPSHOT_FORMAT_VERSION = 3;
+constexpr std::uint32_t SNAPSHOT_FORMAT_VERSION = 4;
 
 /** Appends primitives to a growing byte buffer (little-endian). */
 class SnapshotWriter

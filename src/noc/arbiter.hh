@@ -59,9 +59,10 @@ class RoundRobinArbiter
      * requests packed into bit (i % 64) of words[i / 64].  The scan is
      * O(words) via count-trailing-zeros: lowest set bit at or after
      * the pointer, else lowest set bit overall.  This is the wide
-     * companion of grantMask() for requestor counts above 64
-     * (concentrated / high-radix routers); callers must zero any bits
-     * at or above size().
+     * companion of grantMask() for requestor counts above 64 (routers
+     * with more than 64 input VCs, e.g. many VCs per class on a
+     * multi-port MC router); callers must zero any bits at or above
+     * size().
      *
      * @param words  request bits, `nwords` words covering size() bits
      * @param nwords word count; nwords * 64 must cover size()

@@ -27,9 +27,7 @@ enum class RouteMode : std::uint8_t
 {
     XY,       ///< dimension-order, X first
     YX,       ///< dimension-order, Y first (CR "header bit" set)
-    TWO_PHASE,///< CR: YX to an intermediate full router, then XY
-    TORUS_XY, ///< torus dimension-order, X first (dateline classes)
-    TORUS_YX  ///< torus dimension-order, Y first (dateline classes)
+    TWO_PHASE ///< CR: YX to an intermediate full router, then XY
 };
 
 /**
@@ -57,17 +55,6 @@ struct Packet
     RouteMode mode = RouteMode::XY;
     NodeId intermediate = INVALID_NODE; ///< TWO_PHASE waypoint
     bool phase2 = false;           ///< TWO_PHASE: reached waypoint
-    /** TORUS_*: the packet has crossed the dateline (wrap link) of its
-     *  current ring; switches it to route class 1 (see TorusRouting). */
-    bool dateline = false;
-    /** TORUS_*: dimension of the current leg (0 = X ring, 1 = Y ring);
-     *  the dateline flag resets when the leg changes dimension. */
-    std::uint8_t ringDim = 0;
-
-    /** Collective membership: all unicast copies forked from one
-     *  multicast (or contributing to one reduction) share this id;
-     *  0 = not part of a collective (see Network::injectMulticast). */
-    std::uint64_t collectiveId = 0;
 
     // --- timing (interconnect cycles) ---
     /** Creation time; stamped by the source (or, if unset, by the NI

@@ -15,7 +15,6 @@
 #include "common/log.hh"
 #include "noc/golden/golden.hh"
 #include "noc/routing.hh"
-#include "noc/traffic.hh"
 
 namespace tenoc
 {
@@ -216,10 +215,6 @@ struct GenPacket
     int protoClass;
     unsigned sizeFlits;
     Cycle created;
-    /** Nonzero when this packet is one fork of a collective (the whole
-     *  fork group shares the id; the network treats forks as ordinary
-     *  unicasts, so every oracle applies unchanged). */
-    std::uint64_t collectiveId = 0;
 };
 
 /**
@@ -232,8 +227,7 @@ class TrafficSchedule
 {
   public:
     TrafficSchedule(const DiffConfig &cfg, const Topology &topo)
-        : cfg_(cfg), topo_(topo),
-          collective_seqs_(topo.numNodes(), 0)
+        : cfg_(cfg), topo_(topo)
     {
         for (NodeId n = 0; n < topo.numNodes(); ++n)
             rngs_.emplace_back(deriveStreamSeed(cfg.seed, n));
@@ -264,36 +258,12 @@ class TrafficSchedule
                 }
                 out.push_back(g);
             }
-            // Collective draw (compute nodes only): one multicast
-            // expanded here into per-fork unicasts to a prefix of the
-            // MC list, all stamped with a shared collective id.  The
-            // extra draw only happens when the rate is nonzero, so
-            // legacy corpus configs keep their exact RNG sequences.
-            if (cfg_.collectiveRate > 0.0 && !topo_.isMc(n) &&
-                rng.nextBool(cfg_.collectiveRate)) {
-                const auto &mcs = topo_.mcNodes();
-                const unsigned fanout = 2 + static_cast<unsigned>(
-                    rng.nextRange(mcs.size() - 1));
-                const std::uint64_t id =
-                    collectiveIdFor(n, collective_seqs_[n]++);
-                for (unsigned k = 0; k < fanout; ++k) {
-                    GenPacket g;
-                    g.src = n;
-                    g.dst = mcs[k];
-                    g.protoClass = 0;
-                    g.sizeFlits = 1;
-                    g.created = now;
-                    g.collectiveId = id;
-                    out.push_back(g);
-                }
-            }
         }
     }
 
   private:
     const DiffConfig &cfg_;
     const Topology &topo_;
-    std::vector<std::uint64_t> collective_seqs_;
     std::vector<Rng> rngs_;
 };
 
@@ -519,7 +489,6 @@ shadowRun(const DiffConfig &cfg, const Toggles &toggles,
                 pkt->sizeFlits = g.sizeFlits;
                 pkt->sizeBytes = g.sizeFlits * net->flitBytes();
                 pkt->createdCycle = g.created;
-                pkt->collectiveId = g.collectiveId;
                 pending[g.src].push_back(std::move(pkt));
                 ++pending_total;
             }
@@ -684,7 +653,6 @@ slicedEquivalenceOracle(const DiffConfig &cfg,
                     pkt->sizeFlits = g.sizeFlits;
                     pkt->sizeBytes = g.sizeFlits * slice_flit_bytes;
                     pkt->createdCycle = g.created;
-                    pkt->collectiveId = g.collectiveId;
                     pending[g.src].push_back(std::move(pkt));
                     ++pending_total;
                 }
@@ -752,7 +720,6 @@ slicedEquivalenceOracle(const DiffConfig &cfg,
                 pkt->sizeFlits = g.sizeFlits;
                 pkt->sizeBytes = g.sizeFlits * slice_flit_bytes;
                 pkt->createdCycle = g.created;
-                pkt->collectiveId = g.collectiveId;
                 auto &q = g.protoClass == 0 ? pending_req[g.src]
                                             : pending_rep[g.src];
                 q.push_back(std::move(pkt));
@@ -813,9 +780,6 @@ DiffConfig::toNetParams() const
     np.topo.placement = checkerboard ? McPlacement::CHECKERBOARD
                                      : McPlacement::TOP_BOTTOM;
     np.topo.checkerboardRouters = checkerboard;
-    np.topo.kind =
-        topology == "torus" ? TopoKind::TORUS : TopoKind::MESH;
-    np.topo.concentration = concentration;
     np.routing = routing;
     np.flitBytes = flitBytes;
     np.protoClasses = protoClasses;
@@ -841,8 +805,6 @@ DiffConfig::serialize() const
        << "numMcs = " << numMcs << "\n"
        << "checkerboard = " << (checkerboard ? 1 : 0) << "\n"
        << "routing = " << routing << "\n"
-       << "topology = " << topology << "\n"
-       << "concentration = " << concentration << "\n"
        << "flitBytes = " << flitBytes << "\n"
        << "protoClasses = " << protoClasses << "\n"
        << "vcsPerClass = " << vcsPerClass << "\n"
@@ -855,7 +817,6 @@ DiffConfig::serialize() const
        << "agePriority = " << (agePriority ? 1 : 0) << "\n"
        << "sliced = " << (sliced ? 1 : 0) << "\n"
        << "rate = " << rate << "\n"
-       << "collectiveRate = " << collectiveRate << "\n"
        << "genCycles = " << genCycles << "\n"
        << "seed = " << seed << "\n";
     return os.str();
@@ -907,11 +868,6 @@ DiffConfig::parse(const std::string &text, DiffConfig &out,
                 cfg.checkerboard = std::stoul(val) != 0;
             else if (key == "routing")
                 cfg.routing = val;
-            else if (key == "topology")
-                cfg.topology = val;
-            else if (key == "concentration")
-                cfg.concentration =
-                    static_cast<unsigned>(std::stoul(val));
             else if (key == "flitBytes")
                 cfg.flitBytes = static_cast<unsigned>(std::stoul(val));
             else if (key == "protoClasses")
@@ -940,8 +896,6 @@ DiffConfig::parse(const std::string &text, DiffConfig &out,
                 cfg.sliced = std::stoul(val) != 0;
             else if (key == "rate")
                 cfg.rate = std::stod(val);
-            else if (key == "collectiveRate")
-                cfg.collectiveRate = std::stod(val);
             else if (key == "genCycles")
                 cfg.genCycles = std::stoull(val);
             else if (key == "seed")
@@ -965,24 +919,10 @@ legalDiffConfig(const DiffConfig &cfg)
         return false;
     if (cfg.numMcs < 1 || cfg.numMcs >= cfg.rows * cfg.cols)
         return false;
-    if (cfg.topology != "mesh" && cfg.topology != "torus")
-        return false;
-    if (cfg.topology == "torus") {
-        // Dateline VC classes exist only for dimension-order routing,
-        // and the checkerboard organization is mesh-only.
-        if (cfg.checkerboard)
-            return false;
-        if (cfg.routing != "xy" && cfg.routing != "yx")
-            return false;
-    }
-    if (cfg.concentration < 1 || cfg.concentration > 4)
-        return false;
     if (cfg.checkerboard) {
         if (cfg.routing != "cr")
             return false;
         if (cfg.numMcs > oddParityCells(cfg.rows, cfg.cols))
-            return false;
-        if (cfg.concentration != 1)
             return false;
     } else {
         if (cfg.routing == "cr" || cfg.routing == "checkerboard")
@@ -1010,11 +950,6 @@ legalDiffConfig(const DiffConfig &cfg)
     }
     if (cfg.rate < 0.0 || cfg.rate > 1.0)
         return false;
-    if (cfg.collectiveRate < 0.0 || cfg.collectiveRate > 1.0)
-        return false;
-    // Collective fanout is drawn from [2, numMcs].
-    if (cfg.collectiveRate > 0.0 && cfg.numMcs < 2)
-        return false;
     if (cfg.genCycles < 1)
         return false;
     return true;
@@ -1034,22 +969,11 @@ sampleDiffConfig(Rng &rng)
             std::min(oddParityCells(cfg.rows, cfg.cols), 8u);
         cfg.numMcs = 2 + static_cast<unsigned>(rng.nextRange(cap - 1));
     } else {
-        // A quarter of the non-checkerboard draws are tori, which
-        // restrict routing to the dateline dimension-order pair.
-        if (rng.nextBool(0.25)) {
-            cfg.topology = "torus";
-            cfg.routing = rng.nextBool(0.5) ? "xy" : "yx";
-        } else {
-            static const char *const kRoutings[] = {
-                "xy", "yx", "o1turn", "romm", "valiant"};
-            cfg.routing = kRoutings[rng.nextRange(5)];
-        }
+        static const char *const kRoutings[] = {
+            "xy", "yx", "o1turn", "romm", "valiant"};
+        cfg.routing = kRoutings[rng.nextRange(5)];
         const unsigned cap = std::min(2 * cfg.cols, 8u);
         cfg.numMcs = 2 + static_cast<unsigned>(rng.nextRange(cap - 1));
-        if (rng.nextBool(0.25))
-            cfg.concentration = rng.nextBool(0.5) ? 2 : 4;
-        if (rng.nextBool(0.3))
-            cfg.collectiveRate = 0.002 + 0.01 * rng.nextDouble();
     }
 
     cfg.flitBytes = rng.nextBool(0.5) ? 8 : 16;
@@ -1180,25 +1104,6 @@ minimizeConfig(const DiffConfig &bad, const DiffOptions &opts,
             if (!c.sliced)
                 return false;
             c.sliced = false;
-            return true;
-        },
-        [](DiffConfig &c) {
-            if (c.collectiveRate == 0.0)
-                return false;
-            c.collectiveRate = 0.0;
-            return true;
-        },
-        [](DiffConfig &c) {
-            if (c.concentration <= 1)
-                return false;
-            c.concentration = 1;
-            return true;
-        },
-        [](DiffConfig &c) {
-            // xy/yx stay legal when the wrap links come off.
-            if (c.topology != "torus")
-                return false;
-            c.topology = "mesh";
             return true;
         },
         [](DiffConfig &c) {

@@ -88,12 +88,6 @@ class GoldenModel
     void appendDorLeg(NodeId from, NodeId to, bool x_first,
                       std::vector<NodeId> &out) const;
 
-    /** Appends the torus dimension-order walk from `from` to `to`
-     *  (excluding `from`): per-dimension shortest way around the ring,
-     *  replicating TorusRouting's tie-break exactly. */
-    void appendTorusLeg(NodeId from, NodeId to, bool x_first,
-                        std::vector<NodeId> &out) const;
-
     const Topology &topo_;
     MeshNetworkParams params_;
 };

@@ -177,31 +177,6 @@ class Network
     {
         return flitsForBytes(memOpBytes(op), flitBytes());
     }
-
-    /**
-     * Source-forked multicast: clones `proto` once per destination and
-     * injects each copy, all sharing `proto`'s collectiveId so sinks
-     * can merge the membership (reduction / barrier traffic).  The NoC
-     * itself carries ordinary unicast worms — forking happens at the
-     * source NI boundary, which keeps every oracle (route legality,
-     * flit conservation, zero-load latency) valid per fork.
-     *
-     * All-or-nothing: returns false without injecting anything unless
-     * the source NI has queue space for all `dsts.size()` forks in
-     * `proto.protoClass` (atomicity keeps collective membership counts
-     * exact for the merge sinks).
-     *
-     * @param dsts   destination nodes, one fork each (deduplicated by
-     *               the caller; must be non-empty)
-     * @param proto  prototype carrying src/protoClass/size/collectiveId
-     * @param forked when non-null, receives a borrowed pointer to each
-     *               fork *after* injection (headers routed), in `dsts`
-     *               order — for shadow-model registration
-     * @return true if all forks were injected
-     */
-    bool injectMulticast(const std::vector<NodeId> &dsts,
-                         const Packet &proto, Cycle now,
-                         std::vector<const Packet *> *forked = nullptr);
 };
 
 } // namespace tenoc

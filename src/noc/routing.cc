@@ -167,9 +167,6 @@ CheckerboardRouting::route(NodeId cur, Packet &pkt) const
             x_first = false;
         }
         break;
-      case RouteMode::TORUS_XY:
-      case RouteMode::TORUS_YX:
-        tenoc_panic("torus route mode reached checkerboard routing");
     }
 
     unsigned port = dorStep(cur, target, x_first);
@@ -282,93 +279,9 @@ ValiantRouting::route(NodeId cur, Packet &pkt) const
     return port;
 }
 
-TorusRouting::TorusRouting(const Topology &topo, bool x_first)
-    : RoutingAlgorithm(topo), x_first_(x_first)
-{
-    tenoc_assert(topo.isTorus(),
-                 "torus routing requires a torus topology");
-}
-
-Direction
-TorusRouting::ringDirection(unsigned c, unsigned t, unsigned size,
-                            bool x_dim)
-{
-    tenoc_assert(c != t && c < size && t < size,
-                 "ringDirection needs distinct on-ring coordinates");
-    // Hops the positive way around (E / S) vs the negative way (W / N).
-    const unsigned fwd = (t + size - c) % size;
-    const unsigned bwd = size - fwd;
-    const bool positive = fwd <= bwd; // tie prefers EAST / SOUTH
-    if (x_dim)
-        return positive ? DIR_EAST : DIR_WEST;
-    return positive ? DIR_SOUTH : DIR_NORTH;
-}
-
-void
-TorusRouting::initPacket(Packet &pkt, Rng &rng) const
-{
-    (void)rng;
-    pkt.mode = x_first_ ? RouteMode::TORUS_XY : RouteMode::TORUS_YX;
-    pkt.intermediate = INVALID_NODE;
-    pkt.phase2 = false;
-    pkt.dateline = false;
-    pkt.ringDim = x_first_ ? 0 : 1;
-}
-
-unsigned
-TorusRouting::route(NodeId cur, Packet &pkt) const
-{
-    const unsigned cx = topo_.xOf(cur);
-    const unsigned cy = topo_.yOf(cur);
-    const unsigned tx = topo_.xOf(pkt.dst);
-    const unsigned ty = topo_.yOf(pkt.dst);
-    if (cx == tx && cy == ty)
-        return PORT_EJECT;
-
-    // Which ring does this hop travel?  0 = the row (X) ring, 1 = the
-    // column (Y) ring, in dimension order.
-    unsigned dim;
-    if (x_first_)
-        dim = cx != tx ? 0 : 1;
-    else
-        dim = cy != ty ? 1 : 0;
-    if (dim != pkt.ringDim) {
-        // New ring: the dateline discipline restarts in class 0.
-        pkt.ringDim = static_cast<std::uint8_t>(dim);
-        pkt.dateline = false;
-    }
-
-    const Direction d = dim == 0
-        ? ringDirection(cx, tx, topo_.cols(), true)
-        : ringDirection(cy, ty, topo_.rows(), false);
-
-    // Crossing the ring's wrap link: switch to the dateline class now,
-    // before RC derives the outgoing VC class, so the wrap link itself
-    // carries class 1 (see the class-level comment in routing.hh).
-    const bool wraps = (d == DIR_EAST && cx == topo_.cols() - 1) ||
-                       (d == DIR_WEST && cx == 0) ||
-                       (d == DIR_SOUTH && cy == topo_.rows() - 1) ||
-                       (d == DIR_NORTH && cy == 0);
-    if (wraps)
-        pkt.dateline = true;
-    return d;
-}
-
 std::unique_ptr<RoutingAlgorithm>
 makeRouting(const std::string &name, const Topology &topo)
 {
-    if (topo.isTorus()) {
-        // Dimension-order with dateline classes is the one supported
-        // torus scheme; the mesh algorithms assume edge-bounded DOR
-        // legs (CR additionally assumes checkerboard half-routers).
-        if (name == "xy" || name == "dor")
-            return std::make_unique<TorusRouting>(topo, true);
-        if (name == "yx")
-            return std::make_unique<TorusRouting>(topo, false);
-        tenoc_fatal("routing algorithm '", name, "' is mesh-only; a "
-                    "torus topology supports 'xy' or 'yx' (dateline "
-                    "dimension-order)");
-    }
     if (name == "xy" || name == "dor")
         return std::make_unique<DorRouting>(topo, true);
     if (name == "yx")

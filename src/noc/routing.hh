@@ -162,59 +162,8 @@ class ValiantRouting : public RoutingAlgorithm
 };
 
 /**
- * Dimension-order torus routing with dateline virtual-channel classes.
- *
- * Each hop travels the shortest way around the current ring (ties at
- * exactly half the ring prefer EAST / SOUTH so both copies of a
- * minimal route agree).  Deadlock freedom: a packet starts each ring
- * leg in route class 0 and switches to class 1 at the moment its next
- * hop uses the ring's wrap link (route() flips pkt.dateline *before*
- * returning, and RC derives the outgoing VC class after route(), so
- * the wrap link itself already carries class 1).  Class 0 therefore
- * never uses a wrap link, breaking the ring's channel cycle; a class-1
- * packet has at most floor(dim/2) - 1 hops left in its ring and can
- * never reach the wrap link again, so class 1 is acyclic too.
- * Dimension order (X then Y, or Y then X) rules out cross-dimension
- * cycles, and the dateline state resets when the leg changes
- * dimension (tracked in pkt.ringDim).
- */
-class TorusRouting : public RoutingAlgorithm
-{
-  public:
-    /**
-     * @param topo torus topology (fatal on a mesh)
-     * @param x_first true for X-then-Y order, false for Y-then-X
-     */
-    TorusRouting(const Topology &topo, bool x_first = true);
-
-    const char *
-    name() const override
-    {
-        return x_first_ ? "TORUS_XY" : "TORUS_YX";
-    }
-    unsigned numRouteClasses() const override { return 2; }
-    void initPacket(Packet &pkt, Rng &rng) const override;
-    unsigned route(NodeId cur, Packet &pkt) const override;
-
-    /**
-     * Direction of travel from ring coordinate `c` toward `t` on a
-     * ring of `size` nodes: the shorter way around, preferring the
-     * positive direction (EAST / SOUTH) on an exact tie.  `x_dim`
-     * selects E/W vs S/N naming.  Exposed so the golden model can
-     * replicate the tie-break exactly.
-     */
-    static Direction ringDirection(unsigned c, unsigned t, unsigned size,
-                                   bool x_dim);
-
-  private:
-    bool x_first_;
-};
-
-/**
  * Creates a routing algorithm by name: "xy", "yx", "cr"
- * (checkerboard), "o1turn", "romm", or "valiant".  On a torus topology
- * "xy"/"yx" resolve to TorusRouting (dateline dimension-order); the
- * mesh-only schemes (cr, o1turn, romm, valiant) are fatal there.
+ * (checkerboard), "o1turn", "romm", or "valiant".
  */
 std::unique_ptr<RoutingAlgorithm> makeRouting(const std::string &name,
                                               const Topology &topo);

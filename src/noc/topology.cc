@@ -5,7 +5,6 @@
 
 #include "noc/topology.hh"
 
-#include <algorithm>
 #include <cctype>
 #include <cmath>
 
@@ -47,12 +46,6 @@ outputPortName(unsigned out)
     return "EJ" + std::to_string(out - NUM_DIRS);
 }
 
-const char *
-topoKindName(TopoKind kind)
-{
-    return kind == TopoKind::TORUS ? "torus" : "mesh";
-}
-
 std::vector<std::pair<unsigned, unsigned>>
 defaultCheckerboardMcs6x6()
 {
@@ -74,15 +67,6 @@ Topology::Topology(const TopologyParams &params) : params_(params)
                     " must leave at least one compute node on a ",
                     params_.rows, "x", params_.cols, " mesh (", n,
                     " nodes total)");
-    }
-    if (params_.concentration < 1) {
-        tenoc_fatal("invalid topology: concentration must be >= 1"
-                    " (1 = one terminal per router)");
-    }
-    if (params_.kind == TopoKind::TORUS && params_.checkerboardRouters) {
-        tenoc_fatal("invalid topology: checkerboard half-routers are a"
-                    " mesh organization (Sec. IV-A); the torus uses"
-                    " full routers with dateline VC classes instead");
     }
     is_mc_.assign(n, false);
     is_half_.assign(n, false);
@@ -214,31 +198,20 @@ Topology::validate() const
     }
 }
 
-// neighbor() wraps coordinates modulo the dimension on a torus (the
-// wrapNoCCoord idiom): stepping west from x=0 lands at x=cols-1, etc.
 NodeId
 Topology::neighbor(NodeId n, Direction d) const
 {
     const unsigned x = xOf(n);
     const unsigned y = yOf(n);
-    const bool wrap = isTorus();
     switch (d) {
       case DIR_WEST:
-        if (x == 0)
-            return wrap ? nodeAt(params_.cols - 1, y) : INVALID_NODE;
-        return nodeAt(x - 1, y);
+        return x == 0 ? INVALID_NODE : nodeAt(x - 1, y);
       case DIR_EAST:
-        if (x == params_.cols - 1)
-            return wrap ? nodeAt(0, y) : INVALID_NODE;
-        return nodeAt(x + 1, y);
+        return x == params_.cols - 1 ? INVALID_NODE : nodeAt(x + 1, y);
       case DIR_NORTH:
-        if (y == 0)
-            return wrap ? nodeAt(x, params_.rows - 1) : INVALID_NODE;
-        return nodeAt(x, y - 1);
+        return y == 0 ? INVALID_NODE : nodeAt(x, y - 1);
       case DIR_SOUTH:
-        if (y == params_.rows - 1)
-            return wrap ? nodeAt(x, 0) : INVALID_NODE;
-        return nodeAt(x, y + 1);
+        return y == params_.rows - 1 ? INVALID_NODE : nodeAt(x, y + 1);
       default:
         return INVALID_NODE;
     }
@@ -278,11 +251,7 @@ Topology::hopDistance(NodeId a, NodeId b) const
         static_cast<int>(xOf(a)) - static_cast<int>(xOf(b))));
     const unsigned dy = static_cast<unsigned>(std::abs(
         static_cast<int>(yOf(a)) - static_cast<int>(yOf(b))));
-    if (!isTorus())
-        return dx + dy;
-    // Per-dimension shortest way around the ring.
-    return std::min(dx, params_.cols - dx) +
-           std::min(dy, params_.rows - dy);
+    return dx + dy;
 }
 
 } // namespace tenoc

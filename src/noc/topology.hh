@@ -1,8 +1,7 @@
 /**
  * @file
- * 2D grid topologies: node coordinates, router kinds (full/half),
- * memory-controller placements, optional wrap-around links (torus) and
- * concentration (multiple terminals per router).
+ * The 2D mesh topology: node coordinates, router kinds (full/half)
+ * and memory-controller placements.
  *
  * Two placements from the paper:
  *  - TOP_BOTTOM (Fig. 3): MCs on the top and bottom rows, adjacent,
@@ -12,16 +11,6 @@
  *
  * Router kinds: in a checkerboard organization routers at odd-parity
  * cells ((x + y) % 2 == 1) are half-routers (Sec. IV-A).
- *
- * Topology kinds (see docs/topologies.md):
- *  - MESH:  the paper's baseline; edge routers have no wrap links.
- *  - TORUS: every row and column closes into a ring; deadlock freedom
- *    comes from dateline VC classes (see TorusRouting in routing.hh).
- *
- * Concentration multiplies the terminals behind each router
- * (concentration cores per compute router, concentration MCs' worth of
- * injection/ejection bandwidth per MC router) without changing the
- * router grid — the concentrated-mesh organization.
  */
 
 #ifndef TENOC_NOC_TOPOLOGY_HH
@@ -87,16 +76,6 @@ std::string inputPortName(unsigned in);
 /** @return label of a router *output* port index ("W".."S", "EJ0"..). */
 std::string outputPortName(unsigned out);
 
-/** Link structure of the 2D grid. */
-enum class TopoKind
-{
-    MESH, ///< open grid; edge routers have no wrap links
-    TORUS ///< rows and columns close into rings (wrap links)
-};
-
-/** @return "mesh" / "torus". */
-const char *topoKindName(TopoKind kind);
-
 /** Memory controller placement schemes. */
 enum class McPlacement
 {
@@ -108,19 +87,9 @@ enum class McPlacement
 /** Topology construction parameters. */
 struct TopologyParams
 {
-    /** Link structure: open mesh (default) or wrap-around torus. */
-    TopoKind kind = TopoKind::MESH;
     unsigned rows = 6;
     unsigned cols = 6;
     unsigned numMcs = 8;
-    /**
-     * Terminals per router (concentrated mesh): each compute router
-     * hosts `concentration` cores, each MC router `concentration` MCs'
-     * worth of terminal bandwidth.  1 = the paper's unconcentrated
-     * baseline.  Routers gain concentration x the usual injection and
-     * ejection ports (see MeshNetwork); node ids still name routers.
-     */
-    unsigned concentration = 1;
     McPlacement placement = McPlacement::TOP_BOTTOM;
     /** When true, odd-parity cells hold half-routers (Sec. IV-A). */
     bool checkerboardRouters = false;
@@ -146,11 +115,11 @@ class Topology
     unsigned xOf(NodeId n) const { return n % params_.cols; }
     unsigned yOf(NodeId n) const { return n / params_.cols; }
 
-    /** @return true when rows/columns wrap into rings. */
-    bool isTorus() const { return params_.kind == TopoKind::TORUS; }
-
-    /** Terminals per router (1 = unconcentrated). */
-    unsigned concentration() const { return params_.concentration; }
+    /**
+     * Terminals per router: always 1, one core or MC behind each
+     * router.  Kept because the benchmark harness reads it.
+     */
+    unsigned concentration() const { return 1; }
 
     /** @return true if the node hosts a memory controller + L2 bank. */
     bool isMc(NodeId n) const { return is_mc_[n]; }
@@ -167,15 +136,11 @@ class Topology
         return compute_nodes_;
     }
 
-    /**
-     * @return the neighbour of `n` in direction `d`.  On a mesh,
-     * INVALID_NODE past an edge; on a torus the coordinate wraps, so
-     * every direction always has a neighbour (a wrap link where the
-     * step crosses the edge).
-     */
+    /** @return the neighbour of `n` in direction `d`, or INVALID_NODE
+     *  past an edge. */
     NodeId neighbor(NodeId n, Direction d) const;
 
-    /** Minimal hop count between two nodes (wrap-aware on a torus). */
+    /** Minimal (Manhattan) hop count between two nodes. */
     unsigned hopDistance(NodeId a, NodeId b) const;
 
     const TopologyParams &params() const { return params_; }

@@ -121,124 +121,4 @@ McEchoSink::cycle(Cycle now)
     }
 }
 
-CollectiveSource::CollectiveSource(NodeId node, double rate,
-                                   unsigned flits,
-                                   std::vector<NodeId> dsts,
-                                   Network &net, Rng &rng)
-    : node_(node), rate_(rate), flits_(flits), dsts_(std::move(dsts)),
-      net_(net), rng_(rng)
-{
-    tenoc_assert(rate_ >= 0.0 && rate_ <= 1.0,
-                 "collective rate must be in [0,1]");
-    tenoc_assert(!dsts_.empty(), "collective needs >= 1 destination");
-    for (NodeId d : dsts_) {
-        tenoc_assert(d != node_,
-                     "collective membership must exclude the root");
-    }
-}
-
-void
-CollectiveSource::cycle(Cycle now, bool measuring)
-{
-    if (rng_.nextBool(rate_))
-        queue_.push_back({now, measuring});
-    while (!queue_.empty()) {
-        Packet proto;
-        proto.src = node_;
-        proto.op = MemOp::READ_REQUEST;
-        proto.protoClass = 0;
-        proto.sizeFlits = flits_;
-        proto.sizeBytes = flits_ * net_.flitBytes();
-        proto.tag = queue_.front().measuring ? 1 : 0;
-        // Stamped at draw time: completion latency includes the time a
-        // collective waited for an atomic injection window.
-        proto.createdCycle = queue_.front().created;
-        proto.collectiveId = collectiveIdFor(node_, next_seq_);
-        if (!net_.injectMulticast(dsts_, proto, now))
-            break; // all-or-nothing: retry the same collective later
-        ++next_seq_;
-        ++issued_;
-        queue_.pop_front();
-    }
-}
-
-CollectiveEchoSink::CollectiveEchoSink(NodeId node, unsigned reply_flits,
-                                       Network &net)
-    : node_(node), reply_flits_(reply_flits), net_(net)
-{}
-
-bool
-CollectiveEchoSink::tryReserve(const Packet &pkt)
-{
-    (void)pkt;
-    return true;
-}
-
-void
-CollectiveEchoSink::deliver(PacketPtr pkt, Cycle now)
-{
-    (void)now;
-    tenoc_assert(pkt->collectiveId != 0,
-                 "collective echo sink received non-collective packet ",
-                 pkt->id);
-    auto c = makePacket();
-    c->src = node_;
-    c->dst = pkt->src;
-    c->op = MemOp::READ_REPLY;
-    c->protoClass = 1;
-    c->sizeFlits = reply_flits_;
-    c->sizeBytes = reply_flits_ * net_.flitBytes();
-    c->tag = pkt->tag;
-    c->collectiveId = pkt->collectiveId;
-    // Carry the collective's original creation cycle so the merge
-    // sink's sample spans the whole broadcast -> reduce round.
-    c->createdCycle = pkt->createdCycle;
-    contributions_.push_back(std::move(c));
-}
-
-void
-CollectiveEchoSink::cycle(Cycle now)
-{
-    while (!contributions_.empty() && net_.canInject(node_, 1)) {
-        net_.inject(std::move(contributions_.front()), now);
-        contributions_.pop_front();
-    }
-}
-
-ReductionSink::ReductionSink(unsigned fanout, Accumulator &latency,
-                             OpenLoopMeasure *measure)
-    : fanout_(fanout), latency_(latency), measure_(measure)
-{
-    tenoc_assert(fanout_ >= 1, "reduction fanout must be >= 1");
-}
-
-bool
-ReductionSink::tryReserve(const Packet &pkt)
-{
-    (void)pkt;
-    return true;
-}
-
-void
-ReductionSink::deliver(PacketPtr pkt, Cycle now)
-{
-    tenoc_assert(pkt->collectiveId != 0,
-                 "reduction sink received non-collective packet ",
-                 pkt->id);
-    if (measure_ && (pkt->tag & 1)) {
-        measure_->taggedFlitsDelivered += pkt->sizeFlits;
-        ++measure_->taggedPacketsDelivered;
-    }
-    unsigned &count = partial_[pkt->collectiveId];
-    tenoc_assert(count < fanout_, "collective ", pkt->collectiveId,
-                 " received more than ", fanout_, " contributions");
-    if (++count < fanout_)
-        return;
-    partial_.erase(pkt->collectiveId);
-    ++merged_;
-    if (pkt->tag & 1) {
-        latency_.sample(static_cast<double>(now - pkt->createdCycle));
-    }
-}
-
 } // namespace tenoc

@@ -12,8 +12,8 @@
  *    fired and will never fire again);
  *  - whole-network equivalence: with MeshNetworkParams::arrivalSleep
  *    on and off every statistic of a run must be identical, across
- *    idle-skip, channel slicing, torus wrap links and link-stall
- *    fault injection.
+ *    idle-skip, channel slicing, long links and link-stall fault
+ *    injection.
  */
 
 #include <gtest/gtest.h>
@@ -316,15 +316,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values<std::uint64_t>(3, 77),
                        ::testing::Bool(), ::testing::Bool()),
     arrivalCaseName);
-
-TEST(ArrivalSleepEquivalence, TorusWrapLinks)
-{
-    // Wrap channels give distant node pairs one-hop links; their
-    // arrival wakes must land on the right routers.
-    MeshNetworkParams p = baseParams(9);
-    p.topo.kind = TopoKind::TORUS;
-    expectArrivalSleepInvariant(p, false, 9);
-}
 
 TEST(ArrivalSleepEquivalence, LongChannelLatency)
 {

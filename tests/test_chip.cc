@@ -105,24 +105,6 @@ TEST(Chip, DoubleNetworkRunsCleanly)
     EXPECT_GT(r.ipc, 1.0);
 }
 
-TEST(Chip, TorusConfigRunsCleanly)
-{
-    auto p = makeConfig(ConfigId::BASELINE_TB_DOR);
-    p.mesh.topo.kind = TopoKind::TORUS;
-    const auto r = runWorkload(p, quick("KM", 0.12));
-    EXPECT_FALSE(r.timedOut);
-    EXPECT_GT(r.ipc, 1.0);
-}
-
-TEST(Chip, ConcentratedMeshRunsCleanly)
-{
-    auto p = makeConfig(ConfigId::BASELINE_TB_DOR);
-    p.mesh.topo.concentration = 2;
-    const auto r = runWorkload(p, quick("KM", 0.12));
-    EXPECT_FALSE(r.timedOut);
-    EXPECT_GT(r.ipc, 1.0);
-}
-
 TEST(Chip, McInjectionRatioIsManyToFewSkewed)
 {
     // Sec. III-D: MCs inject several times more bytes/cycle than

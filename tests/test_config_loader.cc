@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "accel/chip_config.hh"
 
 namespace tenoc
@@ -89,10 +92,36 @@ TEST(ConfigLoader, McCountPropagatesToInterleaving)
 
 TEST(ConfigLoaderDeath, UnknownKeyIsFatal)
 {
+    // A typo, and keys of retired non-mesh topologies, which must fail
+    // instead of running as a plain mesh.
+    const std::pair<const char *, const char *> unknown[] = {
+        {"noc.flitbytes", "32"}, // wrong capitalization
+        {"noc.topology", "torus"},
+        {"noc.concentration", "2"}};
+    for (const auto &[key, value] : unknown) {
+        Config cfg;
+        cfg.set(key, value);
+        EXPECT_EXIT(chipParamsFromConfig(cfg),
+                    ::testing::ExitedWithCode(1),
+                    std::string("unknown configuration key '") + key);
+    }
+}
+
+TEST(ConfigLoaderDeath, NegativeUnsignedIsFatal)
+{
     Config cfg;
-    cfg.set("noc.flitbytes", 32); // wrong capitalization
-    EXPECT_EXIT(chipParamsFromConfig(cfg),
-                ::testing::ExitedWithCode(1), "unknown configuration");
+    cfg.set("noc.vcDepth", "-1");
+    EXPECT_EXIT(chipParamsFromConfig(cfg), ::testing::ExitedWithCode(1),
+                "'noc.vcDepth' must be a non-negative integer");
+}
+
+TEST(ConfigLoaderDeath, UnsignedPast32BitsIsFatal)
+{
+    // 2^32 + 6: a plain cast to unsigned would run a 6-row mesh.
+    Config cfg;
+    cfg.set("noc.rows", "4294967302");
+    EXPECT_EXIT(chipParamsFromConfig(cfg), ::testing::ExitedWithCode(1),
+                "'noc.rows' value 4294967302 exceeds the 32-bit");
 }
 
 TEST(ConfigLoaderDeath, UnknownBaseIsFatal)

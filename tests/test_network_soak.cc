@@ -29,7 +29,9 @@ struct SoakConfig
     unsigned mcInjPorts;
     unsigned mcEjPorts;
     bool sliced;
-    unsigned concentration = 1;
+    /** Expect MC routers past 64 input VCs (the multi-word allocator)
+     *  and compute routers within them (the one-word allocator). */
+    bool wideAlloc = false;
 };
 
 // Print a config by its name.  Without this gtest dumps the raw bytes,
@@ -70,7 +72,6 @@ TEST_P(NetworkSoak, ConservationUnderRandomTraffic)
     p.vcsPerClass = cfg.vcsPerClass;
     p.mcInjPorts = cfg.mcInjPorts;
     p.mcEjPorts = cfg.mcEjPorts;
-    p.topo.concentration = cfg.concentration;
     p.seed = 31337;
     // Full hardening during the soak: audit every invariant on a tight
     // stride and keep the deadlock watchdog well inside the drain
@@ -84,6 +85,13 @@ TEST_P(NetworkSoak, ConservationUnderRandomTraffic)
     }
     auto net = makeMeshNetwork(p, cfg.sliced);
     const Topology &topo = net->topology();
+    if (cfg.wideAlloc) {
+        auto &mesh = dynamic_cast<MeshNetwork &>(*net);
+        const Router &mc = mesh.router(topo.mcNodes().front());
+        const Router &core = mesh.router(topo.computeNodes().front());
+        ASSERT_GT(mc.numInputs() * mc.numVcs(), 64u);
+        ASSERT_LE(core.numInputs() * core.numVcs(), 64u);
+    }
 
     std::vector<CountingSink> sinks(topo.numNodes());
     for (NodeId n = 0; n < topo.numNodes(); ++n)
@@ -174,10 +182,11 @@ INSTANTIATE_TEST_SUITE_P(
         SoakConfig{"o1turn", "o1turn", false, 16, 1, 1, 1, false},
         SoakConfig{"romm", "romm", false, 16, 1, 1, 1, false},
         SoakConfig{"valiant", "valiant", false, 16, 1, 1, 1, false},
-        // 4 terminals per router and 2 MC ports of each kind: an MC
-        // router has 4 + 4 * 2 inputs of 8 VCs, past the 64 input VCs
-        // of the single-word allocator.
-        SoakConfig{"cmesh2p", "xy", false, 16, 4, 2, 2, false, 4}),
+        // 2 protocol classes x 6 VCs and 2 MC ports of each kind: an MC
+        // router has 4 + 2 inputs of 12 VCs = 72, past the 64 input VCs
+        // of the single-word allocator; a compute router has 5 x 12 =
+        // 60, so both allocator instances run.
+        SoakConfig{"widevc2p", "xy", false, 16, 6, 2, 2, false, true}),
     [](const auto &info) { return std::string(info.param.name); });
 
 } // namespace
