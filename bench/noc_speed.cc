@@ -2,14 +2,9 @@
  * @file
  * Simulator speed microbenchmark: interconnect cycles per second and
  * flit-hops per second on the 6x6 baseline mesh, at low load and at
- * saturation, with the idle-skip scheduler against the reference
- * tick-everything scheduler.  Writes BENCH_noc_speed.json so the
- * simulator's performance trajectory is tracked across commits (see
+ * saturation.  Writes BENCH_noc_speed.json so the simulator's
+ * performance trajectory is tracked across commits (see
  * docs/performance.md).
- *
- * Both schedulers are driven with the identical seeded workload, so
- * the run doubles as a cheap equivalence check: the benchmark fails if
- * the two modes diverge on any network statistic it samples.
  */
 
 #include <algorithm>
@@ -36,7 +31,6 @@ using namespace tenoc;
 struct SpeedPoint
 {
     double load = 0.0;
-    bool idleSkip = false;
     std::uint64_t cycles = 0;
     std::uint64_t hops = 0;
     std::uint64_t packets = 0;
@@ -66,10 +60,9 @@ struct NullSink : PacketSink
  * mesh (the mesh sweep runs 8x8 and up).
  */
 SpeedPoint
-runPoint(bool idle_skip, double load, Cycle cycles, unsigned dim = 6)
+runPoint(double load, Cycle cycles, unsigned dim = 6)
 {
     MeshNetworkParams p; // defaults = 6x6 Table III baseline
-    p.idleSkip = idle_skip;
     if (dim != 6) {
         p.topo.rows = dim;
         p.topo.cols = dim;
@@ -103,7 +96,6 @@ runPoint(bool idle_skip, double load, Cycle cycles, unsigned dim = 6)
 
     SpeedPoint pt;
     pt.load = load;
-    pt.idleSkip = idle_skip;
     pt.cycles = cycles;
     for (NodeId n = 0; n < topo.numNodes(); ++n)
         pt.hops += net.router(n).flitsTraversed();
@@ -142,8 +134,6 @@ pointJson(const SpeedPoint &pt)
     using telemetry::JsonValue;
     JsonValue v = JsonValue::makeObject();
     v.set("load", JsonValue(pt.load));
-    v.set("scheduler", JsonValue(pt.idleSkip ? "idle_skip"
-                                             : "full_tick"));
     v.set("icnt_cycles", JsonValue(pt.cycles));
     v.set("flit_hops", JsonValue(pt.hops));
     v.set("packets_ejected", JsonValue(pt.packets));
@@ -167,8 +157,7 @@ pointJson(const SpeedPoint &pt)
 void
 printPoint(const SpeedPoint &pt)
 {
-    std::printf("  %-10s %12.3e cycles/s %12.3e hops/s (%.2fs wall)\n",
-                pt.idleSkip ? "idle-skip" : "full-tick",
+    std::printf("  %12.3e cycles/s %12.3e hops/s (%.2fs wall)\n",
                 pt.cyclesPerSec, pt.hopsPerSec, pt.wallSeconds);
     printProfile(pt.profile);
 }
@@ -189,13 +178,15 @@ runMeshSweep(bool huge, double scale, const std::string &compare_path);
 
 /**
  * Regression gate (`--compare baseline.json`): matches the measured
- * points against a previously written BENCH_noc_speed.json on
- * (load, scheduler) and fails if any point's cycles/second dropped
- * more than the tolerance (default 15%, override with
- * TENOC_SPEED_TOLERANCE).  Compare against a baseline captured on the
- * same machine — absolute simulation rates do not transfer between
- * hosts (bench/baselines/ holds a reference-shape example; CI
- * regenerates its own).
+ * points against a previously written BENCH_noc_speed.json on load
+ * and fails if any point's cycles/second dropped more than the
+ * tolerance (default 15%, override with TENOC_SPEED_TOLERANCE).
+ * Baselines written while a reference full-tick scheduler still
+ * existed also hold `"scheduler": "full_tick"` rows; those are
+ * skipped.  Compare against a baseline captured on the same machine —
+ * absolute simulation rates do not transfer between hosts
+ * (bench/baselines/ holds a reference-shape example; CI regenerates
+ * its own).
  */
 int
 compareBaseline(const std::string &path,
@@ -238,7 +229,6 @@ compareBaseline(const std::string &path,
     int failures = 0;
     unsigned matched = 0;
     for (const SpeedPoint &pt : current) {
-        const char *sched = pt.idleSkip ? "idle_skip" : "full_tick";
         const JsonValue *base = nullptr;
         for (const JsonValue &bp : points->asArray()) {
             if (!bp.isObject())
@@ -246,16 +236,16 @@ compareBaseline(const std::string &path,
             const JsonValue *load = bp.find("load");
             const JsonValue *scheduler = bp.find("scheduler");
             if (load && load->isNumber() &&
-                load->asNumber() == pt.load && scheduler &&
-                scheduler->isString() &&
-                scheduler->asString() == sched) {
+                load->asNumber() == pt.load &&
+                !(scheduler && scheduler->isString() &&
+                  scheduler->asString() == "full_tick")) {
                 base = &bp;
                 break;
             }
         }
         if (!base) {
-            std::printf("  load %.3f %-10s: no baseline point, "
-                        "skipped\n", pt.load, sched);
+            std::printf("  load %.3f: no baseline point, skipped\n",
+                        pt.load);
             continue;
         }
         const JsonValue *rate = base->find("icnt_cycles_per_second");
@@ -264,9 +254,8 @@ compareBaseline(const std::string &path,
         ++matched;
         const double ratio = pt.cyclesPerSec / rate->asNumber();
         const bool bad = ratio < 1.0 - tolerance;
-        std::printf("  load %.3f %-10s: %.3e vs %.3e cycles/s "
-                    "(%+.1f%%)%s\n",
-                    pt.load, sched, pt.cyclesPerSec, rate->asNumber(),
+        std::printf("  load %.3f: %.3e vs %.3e cycles/s (%+.1f%%)%s\n",
+                    pt.load, pt.cyclesPerSec, rate->asNumber(),
                     (ratio - 1.0) * 100.0, bad ? "  REGRESSION" : "");
         if (bad)
             ++failures;
@@ -414,7 +403,7 @@ runMeshSweep(bool huge, double scale, const std::string &compare_path)
 
     // Low-load scaling row at every dim, plus one saturated row
     // (0.4 flits/node/cycle) at the gate dim: low load exercises the
-    // sleep-until-arrival scheduler, saturation the allocator and NI
+    // active sets and arrival wheel, saturation the allocator and NI
     // hot paths — a regression in either shows up in its own row.
     const double LOAD = 0.1;
     const double HIGH_LOAD = 0.4;
@@ -445,7 +434,7 @@ runMeshSweep(bool huge, double scale, const std::string &compare_path)
                               (static_cast<double>(dim) * dim);
         const auto cycles =
             std::max<Cycle>(100, static_cast<Cycle>(budget));
-        const auto pt = runPoint(true, load, cycles, dim);
+        const auto pt = runPoint(load, cycles, dim);
         const auto routers = static_cast<double>(dim) * dim;
         const double per_router = pt.cyclesPerSec * routers;
         rates.push_back(MeshRate{dim, load, per_router});
@@ -511,41 +500,18 @@ main(int argc, char **argv)
     const auto sat_cycles =
         static_cast<Cycle>(50000 * scale);
 
-    std::printf("noc_speed: 6x6 baseline mesh, idle-skip vs "
-                "full-tick scheduler (scale %.2f)\n", scale);
+    std::printf("noc_speed: 6x6 baseline mesh (scale %.2f)\n", scale);
 
     const double LOW_LOAD = 0.005;
     const double SAT_LOAD = 0.20; // far past many-to-few saturation
-    const auto low_ref = runPoint(false, LOW_LOAD, low_cycles);
-    const auto low_skip = runPoint(true, LOW_LOAD, low_cycles);
-    const auto sat_ref = runPoint(false, SAT_LOAD, sat_cycles);
-    const auto sat_skip = runPoint(true, SAT_LOAD, sat_cycles);
-
-    // Both modes ran the identical seeded workload; any statistical
-    // divergence means the idle-skip scheduler is broken.
-    if (low_ref.hops != low_skip.hops ||
-        low_ref.packets != low_skip.packets ||
-        sat_ref.hops != sat_skip.hops ||
-        sat_ref.packets != sat_skip.packets) {
-        std::fprintf(stderr, "noc_speed: idle-skip diverged from the "
-                             "reference scheduler!\n");
-        return 1;
-    }
+    const auto low = runPoint(LOW_LOAD, low_cycles);
+    const auto sat = runPoint(SAT_LOAD, sat_cycles);
 
     std::printf("\nlow load (%.3f flits/node/cycle):\n", LOW_LOAD);
-    printPoint(low_ref);
-    printPoint(low_skip);
-    const double low_speedup = low_ref.cyclesPerSec > 0.0
-        ? low_skip.cyclesPerSec / low_ref.cyclesPerSec : 0.0;
-    std::printf("  idle-skip speedup: %.2fx\n", low_speedup);
-
+    printPoint(low);
     std::printf("\nsaturation (offered %.2f flits/node/cycle):\n",
                 SAT_LOAD);
-    printPoint(sat_ref);
-    printPoint(sat_skip);
-    const double sat_speedup = sat_ref.cyclesPerSec > 0.0
-        ? sat_skip.cyclesPerSec / sat_ref.cyclesPerSec : 0.0;
-    std::printf("  idle-skip speedup: %.2fx\n", sat_speedup);
+    printPoint(sat);
 
     using telemetry::JsonValue;
     JsonValue doc = JsonValue::makeObject();
@@ -553,17 +519,14 @@ main(int argc, char **argv)
     doc.set("topology", JsonValue("6x6"));
     doc.set("scale", JsonValue(scale));
     JsonValue points = JsonValue::makeArray();
-    for (const auto &pt : {low_ref, low_skip, sat_ref, sat_skip})
+    for (const auto &pt : {low, sat})
         points.push(pointJson(pt));
     doc.set("points", points);
-    doc.set("low_load_speedup", JsonValue(low_speedup));
-    doc.set("saturation_speedup", JsonValue(sat_speedup));
     std::ofstream os("BENCH_noc_speed.json");
     doc.write(os);
     os << "\n";
     std::printf("\nwrote BENCH_noc_speed.json\n");
     if (!compare_path.empty())
-        return compareBaseline(compare_path,
-                               {low_ref, low_skip, sat_ref, sat_skip});
+        return compareBaseline(compare_path, {low, sat});
     return 0;
 }

@@ -3,14 +3,14 @@
  * Activity tracking for idle-skip scheduling.
  *
  * An ActiveSet is a bitmask over component indices (routers or NIs of
- * one network).  Components mark themselves active when work arrives
- * (a flit buffered, a credit in flight, a packet enqueued); every phase
- * of MeshNetwork::cycle visits only the marked indices and the network
- * retires the components that ran out of work at the end of the cycle.
- * Visits are in ascending index order, so the tick order is identical
- * to the full tick-everything sweep and the simulation stays bit-exact
- * (see docs/performance.md).  A mark made by one phase is visited by
- * the later phases of the same cycle.
+ * one network).  Components are marked active when work arrives (a
+ * flit injected, a flit or credit reaching its arrival cycle, a packet
+ * enqueued); every phase of MeshNetwork::cycle visits only the marked
+ * indices and the network retires the components that ran out of work
+ * at the end of the cycle.  Visits are in ascending index order, so
+ * the tick order is identical to a tick-everything sweep and the
+ * simulation stays bit-exact (see docs/performance.md).  A mark made
+ * by one phase is visited by the later phases of the same cycle.
  */
 
 #ifndef TENOC_NOC_ACTIVITY_HH

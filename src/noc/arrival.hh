@@ -11,18 +11,17 @@
  * `now mod W`, which ORs each matured entry's port bit into its
  * receiver's pending word and marks the receiver in the active set.
  * Router::readInputs then drains exactly the ports whose front entry
- * has matured, and idle-skip retirement can put a router to sleep
+ * has matured, and active-set retirement can put a router to sleep
  * while items are still in flight toward it — the wheel wakes it on
- * the arrival cycle (see docs/performance.md, "Sleep-until-arrival").
+ * the arrival cycle (see docs/performance.md, "The NoC scheduler").
  *
- * Bit-exactness: deferring the active-set mark from send time to
- * arrival time cannot change results because every cycle a component
- * would have been ticked in between is a no-op — receive(now) returns
- * nothing before the arrival cycle, so all pipeline stages early-out
- * — and ticking an idle component never mutates state (the idle-skip
- * argument).  Pending words are pure schedule metadata: they select
- * which ports are scanned, and a port without a matured front entry
- * delivers nothing when scanned, so scanning fewer ports is invisible.
+ * Exactness: a router asleep between a send and its arrival cycle
+ * misses only no-op ticks — receive(now) returns nothing before the
+ * arrival cycle, so all pipeline stages early-out — and ticking an
+ * idle component never mutates state.  Pending words are pure
+ * schedule metadata: they select which ports are scanned, and a port
+ * without a matured front entry delivers nothing when scanned, so
+ * scanning fewer ports is invisible.
  */
 
 #ifndef TENOC_NOC_ARRIVAL_HH
@@ -66,9 +65,6 @@ class ArrivalScheduler
         primed_ = false;
         last_fire_ = 0;
     }
-
-    /** @return true once configure() has run. */
-    bool configured() const { return wake_ != nullptr; }
 
     /**
      * Posts a wake: at cycle `arrival`, OR `bit` into receiver `idx`'s

@@ -18,7 +18,6 @@
 #include "common/ring.hh"
 #include "common/snapshot.hh"
 #include "common/types.hh"
-#include "noc/activity.hh"
 #include "noc/arrival.hh"
 
 namespace tenoc
@@ -43,24 +42,11 @@ class Channel
     Cycle latency() const { return latency_; }
 
     /**
-     * Registers the receiving component in its network's active set so
-     * every send wakes it (idle-skip scheduling).  Optional: channels
-     * without a wake target behave as before.
-     */
-    void
-    setWakeTarget(ActiveSet *set, unsigned index)
-    {
-        wake_set_ = set;
-        wake_idx_ = index;
-    }
-
-    /**
      * Registers the receiver with its network's arrival scheduler:
      * each send posts a wake at the delivery cycle (setting `bit` in
-     * the receiver's pending-port word) instead of marking the
-     * receiver immediately, so an idle receiver sleeps until the item
-     * actually arrives.  Optional; without a scheduler the channel
-     * falls back to mark-on-send through the wake target.
+     * the receiver's pending-port word), so an idle receiver sleeps
+     * until the item actually arrives.  A channel without a scheduler
+     * (a bare channel in a unit test) wakes nobody.
      */
     void
     setArrivalTarget(ArrivalScheduler *sched, unsigned index,
@@ -81,8 +67,6 @@ class Channel
         queue_.emplace_back(Entry{now + latency_, std::move(item)});
         if (sched_)
             sched_->schedule(now + latency_, sched_idx_, sched_bit_);
-        else if (wake_set_)
-            wake_set_->mark(wake_idx_);
     }
 
     /** @return the next item if it has arrived by cycle `now`. */
@@ -99,23 +83,17 @@ class Channel
     /**
      * Fault hook: while stalled the channel delivers nothing (items
      * keep accumulating and arrive in a burst once the stall clears,
-     * like a repaired wire).  Clearing a stall re-marks the receiver
-     * so idle-skip scheduling picks the backlog up.
+     * like a repaired wire).  Clearing a stall wakes the receiver at
+     * once: the backlog may already be matured (its wheel wakes fired
+     * into the stalled channel and were consumed), and no wheel slot
+     * will fire for it again.
      */
     void
     setStalled(bool stalled)
     {
         stalled_ = stalled;
-        if (!stalled && !queue_.empty()) {
-            // The backlog may already be matured (its wheel wakes
-            // fired into a stalled channel and were consumed), so the
-            // scheduler path must set the pending bit now rather than
-            // wait for a wheel slot that will never fire again.
-            if (sched_)
-                sched_->wakeNow(sched_idx_, sched_bit_);
-            else if (wake_set_)
-                wake_set_->mark(wake_idx_);
-        }
+        if (!stalled && sched_ && !queue_.empty())
+            sched_->wakeNow(sched_idx_, sched_bit_);
     }
 
     /** @return true while a link-stall fault is active. */
@@ -147,20 +125,16 @@ class Channel
     /**
      * Restore-path helper: re-posts one scheduler wake per in-flight
      * item (the entries live in the wheel, which is not serialized —
-     * it is rebuilt from the channels' arrival cycles).  Without a
-     * scheduler, falls back to marking the receiver so wake-on-send
-     * networks pick the restored backlog up.
+     * it is rebuilt from the channels' arrival cycles).
      */
     void
     reschedulePending()
     {
-        if (sched_) {
-            queue_.forEach([&](const Entry &e) {
-                sched_->schedule(e.arrival, sched_idx_, sched_bit_);
-            });
-        } else if (wake_set_ && !queue_.empty()) {
-            wake_set_->mark(wake_idx_);
-        }
+        if (!sched_)
+            return;
+        queue_.forEach([&](const Entry &e) {
+            sched_->schedule(e.arrival, sched_idx_, sched_bit_);
+        });
     }
 
     /** Serializes dynamic state; `saveItem(w, item)` encodes one
@@ -205,8 +179,6 @@ class Channel
     Cycle last_send_ = INVALID_CYCLE;
     bool stalled_ = false;
     RingQueue<Entry> queue_;
-    ActiveSet *wake_set_ = nullptr;
-    unsigned wake_idx_ = 0;
     ArrivalScheduler *sched_ = nullptr;
     unsigned sched_idx_ = 0;
     std::uint32_t sched_bit_ = 0;

@@ -20,9 +20,9 @@
  *     conservation and final statistics,
  *  4. determinism — an identical rerun must reproduce the statistics
  *     bit for bit,
- *  5. toggle invariance — idle-skip scheduling, invariant validation,
- *     and packet-pool bypass are pure optimizations/diagnostics; any
- *     combination must be bit-identical to the baseline,
+ *  5. toggle invariance — invariant validation and packet-pool bypass
+ *     are pure diagnostics; any combination must be bit-identical to
+ *     the baseline,
  *  6. sliced equivalence — a DoubleNetwork must behave exactly like
  *     two independently simulated half-width slices fed the same
  *     traffic schedule.
@@ -107,9 +107,8 @@ struct DiffReport
 
 struct DiffOptions
 {
-    /** Run all 15 non-default idle-skip x validate x pool-bypass x
-     *  arrival-sleep combinations instead of four that set each toggle
-     *  both ways (slower, used by tests). */
+    /** Run all three non-default validate x pool-bypass combinations
+     *  instead of the one that flips both (slower, used by tests). */
     bool thorough = false;
     /** Zero-load single-packet probes per config. */
     unsigned zeroLoadProbes = 32;

@@ -435,14 +435,12 @@ InvariantChecker::checkActivity(Cycle now,
 {
     if (router_set_) {
         for (std::size_t n = 0; n < routers_.size(); ++n) {
-            // couldWork() is mode-appropriate: under arrival-scheduled
-            // channels it reports buffered flits or matured pending
+            // couldWork() reports buffered flits or matured pending
             // bits (a sleeping router with only future in-flight
-            // arrivals is legitimately retired — the wheel wakes it),
-            // under wake-on-send it scans every attached channel.  The
-            // deep matured-arrival scan backstops the wheel itself: a
-            // lost entry leaves a matured flit with no pending bit,
-            // which this check still flags.
+            // arrivals is legitimately retired — the wheel wakes it).
+            // The deep matured-arrival scan backstops the wheel
+            // itself: a lost entry leaves a matured flit with no
+            // pending bit, which this check still flags.
             if ((routers_[n]->couldWork() ||
                  routers_[n]->hasMaturedArrival(now)) &&
                 !router_set_->test(static_cast<unsigned>(n))) {

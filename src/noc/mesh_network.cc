@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
 
 #include "common/snapshot.hh"
@@ -19,17 +18,6 @@ namespace tenoc
 
 namespace
 {
-
-/** TENOC_ARRIVAL_SLEEP=0/1 overrides MeshNetworkParams::arrivalSleep
- *  everywhere (the equivalence tests cross both settings); -1 = unset. */
-int
-arrivalSleepEnvOverride()
-{
-    const char *env = std::getenv("TENOC_ARRIVAL_SLEEP");
-    if (!env || !*env)
-        return -1;
-    return std::string(env) == "0" ? 0 : 1;
-}
 
 /** Monotonic nanosecond stamp for the --profile phase breakdown. */
 std::uint64_t
@@ -154,8 +142,6 @@ MeshNetwork::MeshNetwork(const MeshNetworkParams &params,
     validateMeshNetworkParams(params_);
     if (validateForcedByEnv())
         params_.validate = true;
-    if (const int arr = arrivalSleepEnvOverride(); arr >= 0)
-        params_.arrivalSleep = arr != 0;
     if (params_.validate) {
         // Packets are pooled thread-locally; arm double-release
         // detection on this thread's pool (left on afterwards — purely
@@ -183,13 +169,11 @@ MeshNetwork::MeshNetwork(const MeshNetworkParams &params,
 
     router_active_.resize(topo_.numNodes());
     ni_active_.resize(topo_.numNodes());
-    if (params_.arrivalSleep) {
-        // All channels share one latency, so the wheel is sized once;
-        // configure before the routers so setArrival can hand each its
-        // scheduler slot ahead of channel wiring.
-        arrival_.configure(topo_.numNodes(), params_.channelLatency,
-                           &router_active_);
-    }
+    // All channels share one latency, so the wheel is sized once;
+    // configure before the routers so setArrival can hand each its
+    // scheduler slot ahead of channel wiring.
+    arrival_.configure(topo_.numNodes(), params_.channelLatency,
+                       &router_active_);
 
     // Routers.  Geometry pre-pass first: per-node parameters decide
     // how many input/output VCs each router contributes, the slab
@@ -229,8 +213,7 @@ MeshNetwork::MeshNetwork(const MeshNetworkParams &params,
         in_base += (NUM_DIRS + rp.numInjPorts) * vcs;
         out_base += (NUM_DIRS + rp.numEjPorts) * vcs;
         routers_[n]->setActivity(&router_active_, n);
-        if (params_.arrivalSleep)
-            routers_[n]->setArrival(&arrival_, n);
+        routers_[n]->setArrival(&arrival_, n);
         routers_[n]->setTraversalCounter(&flits_traversed_total_);
         checker_->addRouter(routers_[n].get());
         if (faults_)
@@ -252,10 +235,6 @@ MeshNetwork::MeshNetwork(const MeshNetworkParams &params,
                 credit_channels_.emplace_back(params_.channelLatency);
             routers_[n]->connectOutput(dir, &fc, &cc);
             routers_[nb]->connectInput(opposite(dir), &fc, &cc);
-            // A send wakes whichever router will eventually receive:
-            // flits travel n -> nb, credits return nb -> n.
-            fc.setWakeTarget(&router_active_, nb);
-            cc.setWakeTarget(&router_active_, n);
             checker_->addLink(routers_[n].get(), d, &fc, &cc,
                               routers_[nb].get(),
                               static_cast<unsigned>(opposite(dir)));
@@ -287,8 +266,7 @@ MeshNetwork::MeshNetwork(const MeshNetworkParams &params,
         nis_[n]->setNetFlitCounters(&net_flits_in_, &net_flits_out_);
         checker_->addNi(nis_[n].get());
     }
-    if (params_.idleSkip)
-        checker_->setActivity(&router_active_, &ni_active_);
+    checker_->setActivity(&router_active_, &ni_active_);
 }
 
 bool
@@ -339,36 +317,23 @@ MeshNetwork::cycle(Cycle now)
     // Deliver this cycle's channel arrivals first: matured wheel
     // entries set their receiver's pending-port bits and mark it
     // active before any phase reads the masks.
-    const bool arr = arrival_.configured();
-    if (arr)
-        arrival_.fire(now);
+    arrival_.fire(now);
     // Hoisted fault gate: routerFrozen() is consulted per router tick
     // only while a freeze is actually active; otherwise the fault hook
     // costs this single pointer test per cycle.
     const FaultEngine *fe =
         (faults_ && faults_->anyFrozen()) ? faults_.get() : nullptr;
-    // Idle-skip visits only the marked components, in ascending order,
-    // so the tick order is the full sweep's.  An idle component
-    // performs no state change when ticked (arbiters only advance on
-    // accept()), so skipping it is bit-exact.  The reference full tick
-    // (idleSkip off) is the every-bit-set case: every index is visited
-    // and nothing retires.  Masks are live: a mark made by one phase
-    // (NI injectFlit -> router, router ejectFlit -> NI) is seen by the
-    // later phases of the same cycle, and a fresh same-phase mark is
-    // always a no-op visit.
-    const unsigned nodes = topo_.numNodes();
-    const auto visit = [&](const ActiveSet &set, auto &&f) {
-        if (params_.idleSkip) {
-            set.forEach(f);
-        } else {
-            for (unsigned n = 0; n < nodes; ++n)
-                f(n);
-        }
-    };
+    // Each phase visits only the marked components, in ascending
+    // order.  An unmarked component has no buffered work and no
+    // matured arrival, and ticking it would change nothing (arbiters
+    // only advance on accept()), so skipping it is exact.  Masks are
+    // live: a mark made by one phase (NI injectFlit -> router, router
+    // ejectFlit -> NI) is seen by the later phases of the same cycle,
+    // and a fresh same-phase mark is always a no-op visit.
     // A frozen router (ROUTER_FREEZE fault) is skipped entirely: its
     // buffers, arbiters and attached channel endpoints hold still.
     const auto routerPass = [&](auto &&tick) {
-        visit(router_active_, [&](unsigned n) {
+        router_active_.forEach([&](unsigned n) {
             if (!fe || !fe->routerFrozen(n))
                 tick(*routers_[n]);
         });
@@ -381,7 +346,7 @@ MeshNetwork::cycle(Cycle now)
     // NI with nothing queued or mid-injection is a guaranteed no-op
     // (injectPhase early-outs on the same counter), so the sweep
     // touches one cache-resident word per idle NI.
-    visit(ni_active_, [&](unsigned n) {
+    ni_active_.forEach([&](unsigned n) {
         if (ni_slabs_.pendingInject[n] != 0)
             nis_[n]->injectPhase(now);
     });
@@ -391,33 +356,28 @@ MeshNetwork::cycle(Cycle now)
     // router's stage writes is visible to any other router until next
     // cycle's readInputs, and this order is bit-exact with running
     // each stage across all routers in turn.  Each stage's test
-    // of its own work mask subsumes a buffered-flits guard, and a
-    // router marked mid-pass by a channel send has its new flit still
-    // in flight, so its stages no-op if the pass reaches it.
+    // of its own work mask subsumes a buffered-flits guard.
     routerPass([&](Router &r) {
         r.routeCompute(now);
         r.vcAllocate(now);
         r.switchAllocate(now);
     });
     lap(&PhaseProfile::computeNs);
-    visit(ni_active_, [&](unsigned n) {
+    ni_active_.forEach([&](unsigned n) {
         if (ni_slabs_.ejOccupancy[n] != 0)
             nis_[n]->drainPhase(now);
     });
     lap(&PhaseProfile::drainNs);
 
-    if (params_.idleSkip) {
-        // Retire components that ran dry: a retired router/NI is
-        // re-marked by the event that next gives it work (channel
-        // send, injection, ejection — or, under arrivalSleep, the wheel
-        // at the arrival cycle), never silently forgotten.  A frozen
-        // router retires only if it truly has no work (couldWork covers
-        // its buffers and pending arrivals whether or not it is being
-        // ticked).
-        router_active_.retireIf(
-            [&](unsigned n) { return !routers_[n]->couldWork(); });
-        ni_active_.retireIf([&](unsigned n) { return nis_[n]->idle(); });
-    }
+    // Retire components that ran dry: a retired router/NI is re-marked
+    // by the event that next gives it work (the wheel at a flit's or
+    // credit's arrival cycle, injection, ejection), never silently
+    // forgotten.  A frozen router retires only if it truly has no work
+    // (couldWork covers its buffers and pending arrivals whether or not
+    // it is being ticked).
+    router_active_.retireIf(
+        [&](unsigned n) { return !routers_[n]->couldWork(); });
+    ni_active_.retireIf([&](unsigned n) { return nis_[n]->idle(); });
     postCycle(now);
     lap(&PhaseProfile::bookkeepingNs);
 }
@@ -918,12 +878,10 @@ MeshNetwork::save(SnapshotWriter &w) const
     // pending words are provably all-zero and the wheel holds only
     // future entries, rebuilt on restore from the channels' recorded
     // arrival cycles.
-    if (arrival_.configured()) {
-        for (NodeId n = 0; n < topo_.numNodes(); ++n) {
-            tenoc_assert(arrival_.pending(n) == 0,
-                         "arrival pending word nonzero at checkpoint"
-                         " (router ", n, ")");
-        }
+    for (NodeId n = 0; n < topo_.numNodes(); ++n) {
+        tenoc_assert(arrival_.pending(n) == 0,
+                     "arrival pending word nonzero at checkpoint"
+                     " (router ", n, ")");
     }
     saveU64Vector(w, router_active_.words());
     saveU64Vector(w, ni_active_.words());
@@ -1007,14 +965,9 @@ MeshNetwork::restore(SnapshotReader &r)
     // The arrival wheel is derived state: reset it and re-post one
     // wake per restored in-flight item.  The reset wheel is unprimed,
     // so its first fire() does a full sweep — arbitrary resume cycles
-    // are safe.  Without a scheduler the fallback marks the receiver
-    // of every non-empty channel, which also heals a snapshot taken
-    // under arrivalSleep into a wake-on-send network (the saving run's
-    // active words do not cover receivers asleep until an arrival).
-    if (arrival_.configured()) {
-        arrival_.configure(topo_.numNodes(), params_.channelLatency,
-                           &router_active_);
-    }
+    // are safe.
+    arrival_.configure(topo_.numNodes(), params_.channelLatency,
+                       &router_active_);
     for (auto &ch : flit_channels_)
         ch.reschedulePending();
     for (auto &ch : credit_channels_)

@@ -42,33 +42,12 @@ struct MeshNetworkParams
     /** Oldest-first switch allocation (global fairness; see
      *  Router::Params::agePriority). */
     bool agePriority = false;
-    /**
-     * Idle-skip scheduling: tick only routers/NIs that can make
-     * progress this cycle (tracked by ActiveSet) instead of sweeping
-     * every component.  Bit-exact with the full sweep — an idle router
-     * performs no state change when ticked — so this is on by default;
-     * turn off to get the reference full-tick scheduler (used by the
-     * equivalence regression and the noc_speed benchmark).
-     */
-    bool idleSkip = true;
-    /**
-     * Arrival-scheduled channel delivery: every Channel::send posts a
-     * wake at its exact delivery cycle into a per-network timing wheel
-     * (noc/arrival.hh) instead of marking the receiver immediately, so
-     * readInputs drains only ports with a matured front entry and a
-     * retired router sleeps until its earliest in-flight arrival.
-     * Bit-exact with mark-on-send — every tick it skips is a no-op
-     * (see docs/performance.md, "Sleep-until-arrival") — so this is on
-     * by default; TENOC_ARRIVAL_SLEEP=0/1 in the environment overrides
-     * it everywhere (equivalence tests cross both settings).
-     */
-    bool arrivalSleep = true;
     NiParams ni;
     std::uint64_t seed = 1;
     /**
      * Runtime invariant checking (see noc/invariants.hh): audits
      * credit/flit/packet conservation, VC state legality, occupancy
-     * bounds and idle-skip activity every `validateInterval` cycles
+     * bounds and active-set coverage every `validateInterval` cycles
      * and panics on the first inconsistency.  Pure observation — never
      * changes simulated behaviour.  Off by default for speed; the test
      * suite turns it on, and TENOC_VALIDATE=1 in the environment
@@ -190,7 +169,7 @@ class MeshNetwork : public Network
             static_cast<std::int64_t>(inflight_) + delta);
     }
     /** Test hook: retires router `n` from the active set as if it ran
-     *  dry (an idle-skip scheduling bug the checker must detect). */
+     *  dry (a scheduling bug the checker must detect). */
     void debugRetireRouter(NodeId n) { router_active_.clear(n); }
 
     /** Attaches (or detaches, with nullptr) a per-phase wall-time
@@ -243,12 +222,13 @@ class MeshNetwork : public Network
      *  counter so both slices draw from one id space. */
     std::uint64_t *pkt_ids_ = &own_pkt_ids_;
 
-    /** Routers that may have work this cycle (idle-skip). */
+    /** Routers that may have work this cycle: buffered flits or a
+     *  matured channel arrival. */
     ActiveSet router_active_;
     /** NIs with packets queued/in flight or ejection flits buffered. */
     ActiveSet ni_active_;
-    /** Arrival-cycle wake scheduler for all channels (arrivalSleep);
-     *  unconfigured when the feature is disabled. */
+    /** Wakes each router at the delivery cycle of every flit or credit
+     *  sent toward it (noc/arrival.hh). */
     ArrivalScheduler arrival_;
     /** Per-phase wall-time accumulator; null unless profiling. */
     PhaseProfile *profile_ = nullptr;

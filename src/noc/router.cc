@@ -108,21 +108,6 @@ Router::connectInput(Direction d, Channel<Flit> *flit_in,
                                   arrivalFlitBit(d));
 }
 
-void
-Router::setArrival(ArrivalScheduler *sched, unsigned idx)
-{
-    arrival_sched_ = sched;
-    arrival_idx_ = idx;
-    for (unsigned d = 0; d < NUM_DIRS; ++d) {
-        if (in_links_[d].flitIn)
-            in_links_[d].flitIn->setArrivalTarget(sched, idx,
-                                                  arrivalFlitBit(d));
-        if (outputs_[d].creditIn)
-            outputs_[d].creditIn->setArrivalTarget(sched, idx,
-                                                   arrivalCreditBit(d));
-    }
-}
-
 unsigned
 Router::injFreeSlots(unsigned inj, unsigned vc) const
 {
@@ -156,49 +141,34 @@ Router::connectivityAllows(unsigned in, unsigned out) const
 void
 Router::readInputs(Cycle now)
 {
-    if (arrival_sched_) {
-        // Event-driven drain: only ports whose pending bit fired have
-        // a matured front entry; everything else is guaranteed to
-        // deliver nothing, so skipping the receive() poll is exact.
-        std::uint32_t bits = arrival_sched_->pending(arrival_idx_);
-        if (bits == 0)
-            return;
-        std::uint32_t keep = 0;
-        while (bits) {
-            const auto b =
-                static_cast<unsigned>(std::countr_zero(bits));
-            bits &= bits - 1;
-            if (b < NUM_DIRS) {
-                Channel<Flit> *ch = in_links_[b].flitIn;
-                while (auto f = ch->receive(now))
-                    pushFlit(b, std::move(*f), now);
-                // A stalled link keeps its matured backlog; the bit
-                // stays pending so the router keeps polling (exactly
-                // the cycles mark-on-send would have kept it awake).
-                if (ch->earliestArrival() <= now)
-                    keep |= arrivalFlitBit(b);
-            } else {
-                const unsigned d = b - NUM_DIRS;
-                Channel<Credit> *ch = outputs_[d].creditIn;
-                while (auto c = ch->receive(now))
-                    ++slab_->outCredits[ov(d, c->vc)];
-                if (ch->earliestArrival() <= now)
-                    keep |= arrivalCreditBit(d);
-            }
-        }
-        arrival_sched_->setPending(arrival_idx_, keep);
+    // Event-driven drain: only ports whose pending bit fired have a
+    // matured front entry; everything else is guaranteed to deliver
+    // nothing, so skipping the receive() poll is exact.
+    std::uint32_t bits = arrival_sched_->pending(arrival_idx_);
+    if (bits == 0)
         return;
-    }
-    for (unsigned d = 0; d < NUM_DIRS; ++d) {
-        if (in_links_[d].flitIn) {
-            while (auto f = in_links_[d].flitIn->receive(now))
-                pushFlit(d, std::move(*f), now);
-        }
-        if (outputs_[d].creditIn) {
-            while (auto c = outputs_[d].creditIn->receive(now))
+    std::uint32_t keep = 0;
+    while (bits) {
+        const auto b = static_cast<unsigned>(std::countr_zero(bits));
+        bits &= bits - 1;
+        if (b < NUM_DIRS) {
+            Channel<Flit> *ch = in_links_[b].flitIn;
+            while (auto f = ch->receive(now))
+                pushFlit(b, std::move(*f), now);
+            // A stalled link keeps its matured backlog; the bit stays
+            // pending so the router keeps polling until it drains.
+            if (ch->earliestArrival() <= now)
+                keep |= arrivalFlitBit(b);
+        } else {
+            const unsigned d = b - NUM_DIRS;
+            Channel<Credit> *ch = outputs_[d].creditIn;
+            while (auto c = ch->receive(now))
                 ++slab_->outCredits[ov(d, c->vc)];
+            if (ch->earliestArrival() <= now)
+                keep |= arrivalCreditBit(d);
         }
     }
+    arrival_sched_->setPending(arrival_idx_, keep);
 }
 
 Cycle
@@ -639,21 +609,10 @@ Router::deriveStageMasks() const
 bool
 Router::couldWork() const
 {
-    if (arrival_sched_) {
-        // Items merely in flight no longer hold the router awake: the
-        // arrival scheduler wakes it on the delivery cycle, so only
-        // buffered flits or matured, undrained arrivals count.
-        return arrival_sched_->pending(arrival_idx_) != 0 || !empty();
-    }
-    if (!empty())
-        return true;
-    for (unsigned d = 0; d < NUM_DIRS; ++d) {
-        if (in_links_[d].flitIn && !in_links_[d].flitIn->empty())
-            return true;
-        if (outputs_[d].creditIn && !outputs_[d].creditIn->empty())
-            return true;
-    }
-    return false;
+    // Items merely in flight do not hold the router awake: the arrival
+    // scheduler wakes it on the delivery cycle, so only buffered flits
+    // or matured, undrained arrivals count.
+    return arrival_sched_->pending(arrival_idx_) != 0 || !empty();
 }
 
 bool
@@ -662,8 +621,7 @@ Router::hasMaturedArrival(Cycle now) const
     // Clamp to the wheel's delivered-through horizon: an arrival due
     // at a cycle fire() has not yet been asked for is legitimately
     // still asleep, not a lost wake.
-    if (arrival_sched_)
-        now = std::min(now, arrival_sched_->firedThrough());
+    now = std::min(now, arrival_sched_->firedThrough());
     for (unsigned d = 0; d < NUM_DIRS; ++d) {
         if (in_links_[d].flitIn &&
             in_links_[d].flitIn->earliestArrival() <= now)

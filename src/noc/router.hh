@@ -129,10 +129,10 @@ class Router
     void setEjectionSink(EjectionSink *sink) { sink_ = sink; }
 
     /**
-     * Registers this router in its network's active set (idle-skip
-     * scheduling).  The router marks itself whenever an NI injects a
-     * flit; its channels mark it on every send (see
-     * Channel::setWakeTarget).
+     * Registers this router in its network's active set.  The router
+     * marks itself whenever an NI injects a flit; the arrival
+     * scheduler (setArrival) marks it when a flit or credit sent
+     * toward it arrives.
      */
     void
     setActivity(ActiveSet *set, unsigned idx)
@@ -143,13 +143,19 @@ class Router
 
     /**
      * Registers this router with its network's arrival scheduler under
-     * receiver index `idx` and points every attached channel at it
-     * (channels attached later are pointed on connect).  readInputs
-     * then drains only ports whose pending bit is set — bit d for the
-     * flit link in direction d, bit NUM_DIRS+d for the returning
-     * credit link of output d — and couldWork becomes O(1).
+     * receiver index `idx`; call it before wiring any link, since
+     * connectInput/connectOutput point each incoming channel at it.
+     * readInputs drains only ports whose pending bit is set — bit d
+     * for the flit link in direction d, bit NUM_DIRS+d for the
+     * returning credit link of output d.  readInputs, couldWork and
+     * hasMaturedArrival require a scheduler.
      */
-    void setArrival(ArrivalScheduler *sched, unsigned idx);
+    void
+    setArrival(ArrivalScheduler *sched, unsigned idx)
+    {
+        arrival_sched_ = sched;
+        arrival_idx_ = idx;
+    }
 
     /** Pending-bit of the flit link arriving from direction `d`. */
     static constexpr std::uint32_t
@@ -171,10 +177,10 @@ class Router
 
     /**
      * @return true while this router may still have work: flits
-     * buffered, or items (flits or returning credits) in flight on its
-     * attached channels.  Used to retire routers from the active set;
-     * a router for which this is false performs no state change when
-     * ticked, so skipping it is bit-exact.
+     * buffered, or a matured flit or credit arrival not yet drained.
+     * Used to retire routers from the active set; a router for which
+     * this is false performs no state change when ticked until the
+     * arrival scheduler wakes it, so skipping it is bit-exact.
      */
     bool couldWork() const;
 

@@ -285,6 +285,7 @@ TEST(Chip, MemoryPathDigestsMatchRecorded)
     // scheduler's MSHR arming, the MSHR table and FR-FCFS all decide
     // the timing; the digests pin it to the recorded simulator.  The
     // real-cache TRA runs add store-dirtied refills and writebacks.
+    // CP_CR_DOUBLE puts the sliced checkerboard mesh in the loop.
     const auto recorded = recordedChipDigests();
     unsigned runs = 0;
     auto check = [&](const char *kernel, ConfigId id, const char *config,
@@ -300,12 +301,15 @@ TEST(Chip, MemoryPathDigestsMatchRecorded)
         EXPECT_FALSE(r.timedOut) << name;
         const auto it = recorded.find(name);
         ++runs;
-        ASSERT_NE(it, recorded.end()) << "no recorded digest for " << name;
+        ASSERT_NE(it, recorded.end()) << "no recorded digest for " << name
+                                      << " (got " << chipDigest(r, chip)
+                                      << ")";
         EXPECT_EQ(chipDigest(r, chip), it->second) << name;
     };
     const std::pair<ConfigId, const char *> configs[] = {
         {ConfigId::PERFECT, "PERFECT"},
-        {ConfigId::BASELINE_TB_DOR, "BASELINE_TB_DOR"}};
+        {ConfigId::BASELINE_TB_DOR, "BASELINE_TB_DOR"},
+        {ConfigId::CP_CR_DOUBLE, "CP_CR_DOUBLE"}};
     for (const auto &[id, config] : configs) {
         for (const char *kernel : {"BFS", "TRA", "RD"}) {
             for (const unsigned seed : {2u, 3u})

@@ -4,8 +4,8 @@
  * harness (src/noc/golden/): route reconstruction vs the real
  * algorithms, exact zero-load latency, shadow conservation, the config
  * space (serialize/parse/sample/legal), the full oracle battery on
- * directed configs — including all 8 idle-skip x validate x
- * pool-bypass combinations — and the minimizer.
+ * directed configs — including all 4 validate x pool-bypass
+ * combinations — and the minimizer.
  */
 
 #include <gtest/gtest.h>
@@ -293,8 +293,8 @@ TEST(DiffConfig, SampledConfigsAreLegal)
 
 TEST(DiffHarness, DefaultConfigPassesAllToggleCombinations)
 {
-    // Acceptance: golden-vs-optimized equivalence with idle-skip,
-    // pooling, and validation toggled in all 8 combinations.
+    // Acceptance: golden-vs-optimized equivalence with pooling and
+    // validation toggled in all 4 combinations.
     DiffConfig cfg;
     cfg.genCycles = 300;
     DiffOptions opts;

@@ -181,7 +181,7 @@ TEST(Invariants, CorruptedInflightCounterIsCaught)
 
 TEST(Invariants, RetiredActiveRouterIsCaught)
 {
-    MeshNetworkParams p; // idleSkip defaults on -> activity checked
+    MeshNetworkParams p; // the activity audit always runs
     MeshNetwork net(p);
     DropSink sink;
     attachDropSinks(net, sink);

@@ -73,6 +73,31 @@ TEST(MeshNetwork, DeliversSinglePacket)
     EXPECT_EQ(net.stats().packetsEjected, 1u);
 }
 
+TEST(MeshNetwork, DrainedIsExact)
+{
+    // drained() is an O(1) in-flight counter; check it flips exactly
+    // when the last packet leaves.
+    MeshNetwork net(baseNet());
+    Collector sink;
+    const auto &topo = net.topology();
+    for (NodeId n = 0; n < topo.numNodes(); ++n)
+        net.setSink(n, &sink);
+    EXPECT_TRUE(net.drained());
+    net.inject(makePkt(net, topo.nodeAt(0, 0), topo.nodeAt(5, 5),
+                       MemOp::READ_REQUEST, 0),
+               0);
+    EXPECT_FALSE(net.drained());
+    Cycle now = 0;
+    while (!net.drained() && now < 1000)
+        net.cycle(now++);
+    EXPECT_TRUE(net.drained());
+    EXPECT_EQ(net.stats().packetsEjected, 1u);
+    // Once drained, further cycles are cheap no-ops and stay drained.
+    for (Cycle t = 0; t < 10; ++t)
+        net.cycle(now++);
+    EXPECT_TRUE(net.drained());
+}
+
 TEST(MeshNetwork, ZeroLoadLatencyMatchesPipeline)
 {
     // 7 hops x (4-stage pipeline + 1-cycle channel) for a 1-flit

@@ -86,7 +86,9 @@ TEST(RouterConnectivity, HalfRouterRestrictsToStraightThrough)
     }
 }
 
-/** Two-router fixture: A --east--> B, NI sink at B. */
+/** Two-router fixture: A --east--> B, NI sink at B.  It owns the
+ *  arrival scheduler both routers read their channels through and
+ *  fires it at the start of each cycle, as MeshNetwork does. */
 class TwoRouterTest : public ::testing::Test, public EjectionSink
 {
   protected:
@@ -96,6 +98,9 @@ class TwoRouterTest : public ::testing::Test, public EjectionSink
           b_(topo_.nodeAt(1, 0), topo_, xy_, routerParams()),
           ab_flit_(1), ab_credit_(1)
     {
+        arrival_.configure(2, 1, &active_);
+        a_.setArrival(&arrival_, 0);
+        b_.setArrival(&arrival_, 1);
         a_.connectOutput(DIR_EAST, &ab_flit_, &ab_credit_);
         b_.connectInput(DIR_WEST, &ab_flit_, &ab_credit_);
         b_.setEjectionSink(this);
@@ -126,6 +131,7 @@ class TwoRouterTest : public ::testing::Test, public EjectionSink
         std::size_t next = 0;
         const Cycle end = now_ + cycles;
         for (; now_ < end; ++now_) {
+            arrival_.fire(now_);
             a_.readInputs(now_);
             b_.readInputs(now_);
             if (next < flits.size() &&
@@ -141,6 +147,8 @@ class TwoRouterTest : public ::testing::Test, public EjectionSink
 
     Cycle now_ = 0;
 
+    ActiveSet active_{2};
+    ArrivalScheduler arrival_;
     Topology topo_;
     DorRouting xy_;
     Router a_;
@@ -250,10 +258,8 @@ TEST(Router, MultiEjectionPortsRoundRobin)
         flits[0].vc = static_cast<unsigned>(i);
         r.injectFlit(0, std::move(flits[0]), 0);
     }
-    for (Cycle t = 0; t < 10; ++t) {
-        r.readInputs(t);
+    for (Cycle t = 0; t < 10; ++t)
         computeStages(r, t);
-    }
     ASSERT_EQ(sink.ports.size(), 2u);
     EXPECT_NE(sink.ports[0], sink.ports[1]);
 }

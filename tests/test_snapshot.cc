@@ -90,13 +90,6 @@ TEST(Snapshot, ResumeMatchesUninterruptedBaseline)
                              "MM", 0.05, 300);
 }
 
-TEST(Snapshot, ResumeMatchesWithoutIdleSkip)
-{
-    auto p = makeConfig(ConfigId::BASELINE_TB_DOR);
-    p.mesh.idleSkip = false;
-    expectResumeBitIdentical(p, "MM", 0.05, 300);
-}
-
 TEST(Snapshot, ResumeMatchesWithValidation)
 {
     auto p = makeConfig(ConfigId::BASELINE_TB_DOR);
