@@ -124,13 +124,6 @@ MshrTable::unlink(unsigned bucket)
     buckets_[hole] = 0;
 }
 
-std::size_t
-MshrTable::waiters(Addr line) const
-{
-    const unsigned b = find(line);
-    return b == NONE ? 0 : slots_[buckets_[b] - 1].count;
-}
-
 void
 MshrTable::save(SnapshotWriter &w) const
 {

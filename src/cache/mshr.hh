@@ -11,8 +11,8 @@
  * line to one of `entries` storage slots, and each slot has room for
  * `max_merged` waiters, so steady-state operation never allocates.  A
  * generation counter changes whenever the table does, which lets a
- * caller that failed a probe skip retrying it until the answer could
- * differ.
+ * caller skip re-judging refused accesses until some answer could
+ * differ (the SIMT core re-judges its MSHR-parked warps only then).
  */
 
 #ifndef TENOC_CACHE_MSHR_HH
@@ -41,6 +41,7 @@ class MshrTable
     explicit MshrTable(unsigned entries, unsigned max_merged = 32);
 
     unsigned capacity() const { return entries_; }
+    unsigned maxMerged() const { return max_merged_; }
     std::size_t size() const { return used_; }
     bool full() const { return used_ >= entries_; }
 
@@ -73,8 +74,13 @@ class MshrTable
     std::span<const std::uint64_t> release(Addr line,
                                            bool *store = nullptr);
 
-    /** Merged-access count for a pending line. */
-    std::size_t waiters(Addr line) const;
+    /** Merged-access count for a pending line (0 when not pending). */
+    std::size_t
+    waiters(Addr line) const
+    {
+        const unsigned b = find(line);
+        return b == NONE ? 0 : slots_[buckets_[b] - 1].count;
+    }
 
     /** Changes on every allocate, release and restore: while it holds
      *  still, canAllocate() answers every line as it did before. */

@@ -40,6 +40,13 @@ warnCount()
     return g_warn_count.load();
 }
 
+bool
+validateForcedByEnv()
+{
+    const char *env = std::getenv("TENOC_VALIDATE");
+    return env && *env && std::string(env) != "0";
+}
+
 namespace detail
 {
 

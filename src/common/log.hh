@@ -55,6 +55,11 @@ bool verbose();
 /** Number of warn() calls so far (useful for tests). */
 std::uint64_t warnCount();
 
+/** @return true when TENOC_VALIDATE is set to a non-zero value in the
+ *  environment (forces MeshNetworkParams::validate on and turns on
+ *  the SIMT cores' MSHR parking audit). */
+bool validateForcedByEnv();
+
 template <typename... Args>
 void
 warn(Args &&...args)

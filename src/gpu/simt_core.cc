@@ -34,6 +34,13 @@ l1Params(const KernelProfile &profile, unsigned line_bytes)
     return p;
 }
 
+/** @return the signature bit of `line` (Fibonacci hash to 0..63). */
+std::uint64_t
+lineSigBit(Addr line)
+{
+    return std::uint64_t{1} << ((line * 0x9e3779b97f4a7c15ull) >> 58);
+}
+
 } // namespace
 
 SimtCore::SimtCore(unsigned id, const SimtCoreParams &params,
@@ -43,7 +50,8 @@ SimtCore::SimtCore(unsigned id, const SimtCoreParams &params,
     : id_(id), params_(params), profile_(profile), port_(port),
       rng_(seed ^ (0x5851f42d4c957f2dULL * (id + 1))),
       l1_(l1Params(profile, params.lineBytes), seed + id),
-      mshrs_(params.mshrEntries), source_(std::move(source))
+      mshrs_(params.mshrEntries), source_(std::move(source)),
+      validate_(validateForcedByEnv())
 {
     unsigned want_warps;
     if (source_) {
@@ -60,6 +68,7 @@ SimtCore::SimtCore(unsigned id, const SimtCoreParams &params,
             params_.warpSize);
     }
     warps_.resize(warps);
+    mshr_park_.resize(warps);
     for (unsigned w = 0; w < warps; ++w) {
         warps_[w].id = w;
         warps_[w].instsRemaining = source_->warpLength(w);
@@ -105,6 +114,7 @@ SimtCore::restart()
     }
     issuable_ = issuableWarps();
     mshr_parked_ = 0;
+    mshr_stale_ = 0;
     port_parked_ = 0;
     port_need_ = ~0u;
 }
@@ -134,12 +144,12 @@ bool
 SimtCore::issueSlot(Cycle core_cycle)
 {
     (void)core_cycle;
-    // Parked warps were refused by an MSHR table that has not changed
-    // since; once it has (allocate, merge, release or restore), they
-    // rejoin the scan.
-    if (mshr_parked_ != 0 && mshrs_.generation() != parked_gen_) {
-        issuable_ |= mshr_parked_;
-        mshr_parked_ = 0;
+    // An MSHR-parked warp's verdict changes only with the table, so it
+    // is re-judged only at slots where the table has changed.
+    if (mshr_parked_ != 0 && mshrs_.generation() != mshr_judged_gen_) {
+        judgeMshrParked();
+        if (validate_)
+            auditMshrParking();
     }
     // Port-parked warps need at least port_need_ requests.  A refusal
     // has no side effects and refuses every larger count too, so they
@@ -180,12 +190,16 @@ SimtCore::tryIssue(unsigned w)
     }
     if (warp.next.isMem) {
         const MemIssue res = executeMemInst(warp);
+        mshr_parked_ &= ~bit;
+        mshr_stale_ &= ~bit;
         if (res == MemIssue::MSHR_FULL) {
-            // Same table, same lines, same refusal: park this warp
-            // until the table changes.
+            // Park this warp until the free entries cover its need
+            // (see judgeMshrParked()).
             issuable_ &= ~bit;
             mshr_parked_ |= bit;
-            parked_gen_ = mshrs_.generation();
+            mshr_park_[w].lines = 0;
+            for (Addr raw : warp.next.lines)
+                mshr_park_[w].lines |= lineSigBit(l1_.lineAddr(raw));
         } else if (res == MemIssue::PORT_FULL) {
             // Same request count, same refusal: park this warp until
             // the port takes port_need_ (see issueSlot()).
@@ -233,16 +247,11 @@ SimtCore::executeMemInst(Warp &warp)
         port_need_ = need;
         return MemIssue::PORT_FULL;
     }
-    unsigned new_entries = 0;
-    for (Addr raw : lines) {
-        const Addr line = l1_.lineAddr(raw);
-        if (!mshrs_.canAllocate(line))
-            return MemIssue::MSHR_FULL;
-        if (!mshrs_.pending(line))
-            ++new_entries;
-    }
-    if (mshrs_.size() + new_entries > mshrs_.capacity())
+    const unsigned mshr_need = mshrNeed(warp);
+    if (mshr_need > mshrs_.capacity() - mshrs_.size()) {
+        mshr_park_[warp.id].need = mshr_need;
         return MemIssue::MSHR_FULL;
+    }
 
     for (Addr raw : lines) {
         const Addr line = l1_.lineAddr(raw);
@@ -256,6 +265,7 @@ SimtCore::executeMemInst(Warp &warp)
         // Write-allocate: stores fetch the line too.
         const bool is_new = mshrs_.allocate(
             line, (static_cast<std::uint64_t>(warp.id)));
+        noteMshrLine(line);
         if (is_new) {
             port_.sendRead(line);
             ++reads_sent_;
@@ -269,11 +279,100 @@ SimtCore::executeMemInst(Warp &warp)
     return MemIssue::ISSUED;
 }
 
+unsigned
+SimtCore::mshrNeed(const Warp &warp) const
+{
+    const auto &lines = warp.next.lines;
+    unsigned need = 0;
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+        const Addr line = l1_.lineAddr(lines[i]);
+        const bool room = mshrs_.canAllocate(line);
+        const std::size_t held = mshrs_.waiters(line);
+        if (held == 0) {
+            // A full table refuses this line: need > 0 free entries.
+            ++need;
+            continue;
+        }
+        if (!room)
+            return ~0u;
+        // Every later occurrence of a pending line merges onto it too.
+        if (held + (lines.size() - i) > mshrs_.maxMerged()) {
+            std::size_t uses = 0;
+            for (std::size_t j = i; j < lines.size(); ++j)
+                uses += l1_.lineAddr(lines[j]) == line;
+            if (held + uses > mshrs_.maxMerged())
+                return ~0u;
+        }
+    }
+    return need;
+}
+
+void
+SimtCore::noteMshrLine(Addr line)
+{
+    const std::uint64_t sig = lineSigBit(line);
+    for (std::uint64_t m = mshr_parked_ & ~mshr_stale_; m != 0;
+         m &= m - 1) {
+        const auto w = static_cast<unsigned>(std::countr_zero(m));
+        if (mshr_park_[w].lines & sig)
+            mshr_stale_ |= std::uint64_t{1} << w;
+    }
+}
+
+void
+SimtCore::judgeMshrParked()
+{
+    // The verdict depends on the table's size and on the pending state
+    // and merge counts of the warp's own lines.  The latter change
+    // only through events on those lines, which marked the warp stale.
+    for (std::uint64_t m = mshr_stale_; m != 0; m &= m - 1) {
+        const auto w = static_cast<unsigned>(std::countr_zero(m));
+        mshr_park_[w].need = mshrNeed(warps_[w]);
+    }
+    mshr_stale_ = 0;
+    mshr_judged_gen_ = mshrs_.generation();
+    const std::size_t free = mshrs_.capacity() - mshrs_.size();
+    for (std::uint64_t m = mshr_parked_; m != 0; m &= m - 1) {
+        const auto w = static_cast<unsigned>(std::countr_zero(m));
+        const std::uint64_t bit = std::uint64_t{1} << w;
+        // Clearing matters too: an armed warp not yet tried parks
+        // again when another warp took its room.
+        if (mshr_park_[w].need <= free)
+            issuable_ |= bit;
+        else
+            issuable_ &= ~bit;
+    }
+}
+
+void
+SimtCore::auditMshrParking() const
+{
+    // Run right after judgeMshrParked(), so no warp is stale: a need
+    // that differs from a recount means a missed stale mark.
+    const std::size_t free = mshrs_.capacity() - mshrs_.size();
+    for (std::uint64_t m = mshr_parked_; m != 0; m &= m - 1) {
+        const auto w = static_cast<unsigned>(std::countr_zero(m));
+        const std::uint64_t bit = std::uint64_t{1} << w;
+        const unsigned need = mshr_park_[w].need;
+        const unsigned fresh = mshrNeed(warps_[w]);
+        if (need != fresh) {
+            tenoc_panic("core ", id_, " warp ", w, ": parked MSHR need ",
+                        need, " but a recount gives ", fresh);
+        }
+        if (((issuable_ & bit) != 0) != (need <= free)) {
+            tenoc_panic("core ", id_, " warp ", w, ": MSHR need ", need,
+                        " with ", free, " free entries but the warp is ",
+                        (issuable_ & bit) ? "armed" : "parked");
+        }
+    }
+}
+
 void
 SimtCore::onReadReply(Addr line)
 {
     bool dirty = false;
     const auto waiters = mshrs_.release(line, &dirty);
+    noteMshrLine(line);
 
     // Real-tag mode: install the line; a dirty victim becomes a write
     // request (queued if the injection port is momentarily full).
@@ -409,6 +508,7 @@ SimtCore::restore(SnapshotReader &r)
     finish_cycle_ = r.u64();
     issuable_ = issuableWarps();
     mshr_parked_ = 0;
+    mshr_stale_ = 0;
     port_parked_ = 0;
     port_need_ = ~0u;
 }

@@ -140,8 +140,31 @@ class SimtCore
      */
     bool tryIssue(unsigned w);
 
-    /** Executes a memory instruction for `warp`; see tryIssue(). */
+    /** Executes a memory instruction for `warp`; see tryIssue().  On
+     *  MSHR_FULL the warp's need is left in mshr_park_. */
     MemIssue executeMemInst(Warp &warp);
+
+    /**
+     * @return the new MSHR entries `warp`'s held memory instruction
+     * needs: its line occurrences that are not pending, or ~0u when a
+     * pending line has fewer merges left than the instruction's
+     * occurrences of it.  The MSHRs take the instruction exactly when
+     * the need is at most the free entry count.
+     */
+    unsigned mshrNeed(const Warp &warp) const;
+
+    /** An allocate, merge or release of `line`: marks stale the parked
+     *  warps whose signature holds the line's bit. */
+    void noteMshrLine(Addr line);
+
+    /** Recounts the stale needs, then arms exactly the MSHR-parked
+     *  warps whose need the free entries cover. */
+    void judgeMshrParked();
+
+    /** TENOC_VALIDATE audit after each judgeMshrParked(): every parked
+     *  warp's need matches a recount, and its issue bit matches its
+     *  need. */
+    void auditMshrParking() const;
 
     /** @return the warps whose state lets them issue. */
     std::uint64_t issuableWarps() const;
@@ -160,11 +183,25 @@ class SimtCore
     /** Bit w: warp w may issue and is not parked on the MSHRs or the
      *  port.  The scheduler tries exactly these warps. */
     std::uint64_t issuable_ = 0;
-    /** Warps whose held memory instruction failed the MSHR check while
-     *  the table was at generation `parked_gen_`; they cannot pass it
-     *  before the generation moves on. */
+    /** A warp parked on the MSHRs: the need of its held instruction
+     *  (see mshrNeed()) and a signature with one bit per line. */
+    struct MshrPark
+    {
+        unsigned need = 0;
+        std::uint64_t lines = 0;
+    };
+    std::vector<MshrPark> mshr_park_;
+    /** Warps whose held memory instruction the MSHRs refused.  Each is
+     *  in issuable_ exactly while the free entries cover its need, as
+     *  judged at the last issue slot where the table had changed. */
     std::uint64_t mshr_parked_ = 0;
-    std::uint64_t parked_gen_ = 0;
+    /** Parked warps an event on one of their lines may have given a
+     *  new need; judgeMshrParked() recounts them. */
+    std::uint64_t mshr_stale_ = 0;
+    /** The table generation of the last judgeMshrParked(). */
+    std::uint64_t mshr_judged_gen_ = 0;
+    /** TENOC_VALIDATE is set: audit the parking at every judgement. */
+    const bool validate_;
     /** Warps whose held memory instruction the port refused.  Each
      *  needs at least `port_need_` requests, the smallest count the
      *  port refused since they parked; they re-arm at the first issue

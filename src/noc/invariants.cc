@@ -6,7 +6,6 @@
 #include "noc/invariants.hh"
 
 #include <bit>
-#include <cstdlib>
 
 #include "common/log.hh"
 #include "noc/network_interface.hh"
@@ -88,13 +87,6 @@ violationKindName(Violation::Kind kind)
         return "stage_mask";
     }
     return "unknown";
-}
-
-bool
-validateForcedByEnv()
-{
-    const char *env = std::getenv("TENOC_VALIDATE");
-    return env && *env && std::string(env) != "0";
 }
 
 void

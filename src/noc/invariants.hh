@@ -75,10 +75,6 @@ struct Violation
 /** @return short name of a violation kind ("credit_conservation", ...). */
 const char *violationKindName(Violation::Kind kind);
 
-/** @return true when TENOC_VALIDATE is set to a non-zero value in the
- *  environment (forces MeshNetworkParams::validate on). */
-bool validateForcedByEnv();
-
 /**
  * Read-only auditor over one MeshNetwork's components.  The owning
  * network registers everything at construction time and calls

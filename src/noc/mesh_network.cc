@@ -9,6 +9,7 @@
 #include <chrono>
 #include <fstream>
 
+#include "common/log.hh"
 #include "common/snapshot.hh"
 #include "telemetry/json.hh"
 #include "telemetry/telemetry.hh"

@@ -282,23 +282,30 @@ recordedChipDigests()
 TEST(Chip, MemoryPathDigestsMatchRecorded)
 {
     // Eight MSHRs per core make MSHR stalls dominate, so the issue
-    // scheduler's MSHR arming, the MSHR table and FR-FCFS all decide
+    // scheduler's MSHR parking, the MSHR table and FR-FCFS all decide
     // the timing; the digests pin it to the recorded simulator.  The
     // real-cache TRA runs add store-dirtied refills and writebacks.
-    // CP_CR_DOUBLE puts the sliced checkerboard mesh in the loop.
+    // CP_CR_DOUBLE puts the sliced checkerboard mesh in the loop.  The
+    // /m64 runs keep the stock table, where MSHR stalls come and go;
+    // the /m2 runs keep warps parked on their need.  A BFS load touches
+    // 3 or 4 lines, more than 2 entries can ever hold, so under /m2
+    // every BFS warp parks on its first load for good and the run ends
+    // at the cycle cap; the digest pins that run too.
     const auto recorded = recordedChipDigests();
     unsigned runs = 0;
     auto check = [&](const char *kernel, ConfigId id, const char *config,
-                     unsigned seed, bool real) {
+                     unsigned seed, bool real, unsigned mshrs = 8) {
         const std::string name = std::string(kernel) + "/" + config +
-            "/s" + std::to_string(seed) + (real ? "/real" : "");
+            "/s" + std::to_string(seed) + (real ? "/real" : "") +
+            (mshrs == 8 ? "" : "/m" + std::to_string(mshrs));
         auto params = makeConfig(id, seed);
-        params.core.mshrEntries = 8;
+        params.core.mshrEntries = mshrs;
         auto profile = quick(kernel);
         profile.realCaches = real;
         Chip chip(params, profile);
         const ChipResult r = chip.run();
-        EXPECT_FALSE(r.timedOut) << name;
+        const bool stuck = mshrs == 2 && std::string(kernel) == "BFS";
+        EXPECT_EQ(r.timedOut, stuck) << name;
         const auto it = recorded.find(name);
         ++runs;
         ASSERT_NE(it, recorded.end()) << "no recorded digest for " << name
@@ -316,6 +323,14 @@ TEST(Chip, MemoryPathDigestsMatchRecorded)
                 check(kernel, id, config, seed, false);
         }
         check("TRA", id, config, 2, true);
+    }
+    for (const unsigned mshrs : {64u, 2u}) {
+        for (const char *kernel : {"BFS", "RD"}) {
+            for (const unsigned seed : {2u, 3u}) {
+                check(kernel, ConfigId::PERFECT, "PERFECT", seed, false,
+                      mshrs);
+            }
+        }
     }
     EXPECT_EQ(recorded.size(), runs) << "stale recorded digests";
 }

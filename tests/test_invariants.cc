@@ -13,6 +13,7 @@
 
 #include <cstdlib>
 
+#include "common/log.hh"
 #include "noc/invariants.hh"
 #include "noc/mesh_network.hh"
 

@@ -424,11 +424,146 @@ TEST(SimtCore, PortParkedWarpsIssueByNeed)
     EXPECT_EQ(port.reads, (std::vector<Addr>{0x3000, 0x1000, 0x2000}));
 }
 
+TEST(SimtCore, DuplicateLineAtMergeLimitStalls)
+{
+    // Warps 0-30 leave 31 waiters on line 0x1000; warp 31's load
+    // touches that line twice, so it needs two merges where one is
+    // left.  It must stall (not overflow the entry) until the refill
+    // returns, then allocate the line afresh.
+    std::string text;
+    for (unsigned w = 0; w < 31; ++w)
+        text += std::to_string(w) + " L 0x1000\n";
+    text += "31 L 0x1000 0x1004\n";
+    FakePort port;
+    SimtCoreParams params;
+    const auto prof = missingProfile();
+    SimtCore core(0, params, prof, port, 13,
+                  TraceInstSource::fromText(text));
+    Cycle t = 0;
+    for (; t < 100 * params.issueInterval(); ++t)
+        core.cycle(t);
+    EXPECT_EQ(core.warpInstsIssued(), 31u);
+    EXPECT_EQ(core.mshrs().waiters(0x1000), 31u);
+    port.replyOldest(core, 1);
+    for (unsigned c = 0; c < params.issueInterval(); ++c)
+        core.cycle(t++);
+    EXPECT_EQ(core.warpInstsIssued(), 32u);
+    EXPECT_EQ(core.mshrs().waiters(0x1000), 2u);
+    EXPECT_EQ(port.reads, 2u);
+    port.replyOldest(core, 1);
+    core.cycle(t++);
+    EXPECT_TRUE(core.done());
+}
+
+TEST(SimtCore, MshrParkedWarpWaitsForItsNeed)
+{
+    // Warps 0 and 1 fill a 2-entry table; warp 2 needs two entries.
+    // One release leaves it one short, so it is not tried (no port
+    // query); it issues in the slot after the second release.
+    SpacePort port;
+    port.space = 64;
+    SimtCoreParams params;
+    params.mshrEntries = 2;
+    const auto prof = missingProfile();
+    SimtCore core(0, params, prof, port, 14,
+                  TraceInstSource::fromText("0 L 0x1000\n"
+                                            "1 L 0x2000\n"
+                                            "2 L 0x3000 0x4000\n"));
+    Cycle t = 0;
+    for (unsigned slot = 0; slot < 3; ++slot)
+        runSlot(core, params, t);
+    EXPECT_EQ(core.warpInstsIssued(), 2u);
+    EXPECT_EQ(port.queries, 3u); // warp 2 passed the port, not the MSHRs
+
+    core.onReadReply(0x1000);
+    for (unsigned slot = 0; slot < 10; ++slot)
+        runSlot(core, params, t);
+    EXPECT_EQ(port.queries, 3u);
+    EXPECT_EQ(core.warpInstsIssued(), 2u);
+
+    core.onReadReply(0x2000);
+    runSlot(core, params, t);
+    EXPECT_EQ(port.queries, 4u);
+    EXPECT_EQ(core.warpInstsIssued(), 3u);
+    EXPECT_EQ(port.reads,
+              (std::vector<Addr>{0x1000, 0x2000, 0x3000, 0x4000}));
+}
+
+TEST(SimtCore, MshrSharedLineRecountsNeed)
+{
+    // Warp 1 needs {0x2000, 0x3000}: two entries where one is free.
+    // Warp 2 then allocates 0x2000, filling the table but cutting warp
+    // 1's need to one, so warp 1 must issue as soon as the unrelated
+    // line 0x1000 is released.
+    SpacePort port;
+    port.space = 64;
+    SimtCoreParams params;
+    params.mshrEntries = 2;
+    const auto prof = missingProfile();
+    SimtCore core(0, params, prof, port, 15,
+                  TraceInstSource::fromText("0 L 0x1000\n"
+                                            "1 L 0x2000 0x3000\n"
+                                            "2 L 0x2000\n"));
+    Cycle t = 0;
+    for (unsigned slot = 0; slot < 10; ++slot)
+        runSlot(core, params, t);
+    EXPECT_EQ(core.warpInstsIssued(), 2u); // warps 0 and 2
+    EXPECT_TRUE(core.mshrs().full());
+
+    core.onReadReply(0x1000);
+    runSlot(core, params, t);
+    EXPECT_EQ(core.warpInstsIssued(), 3u);
+    EXPECT_EQ(core.mshrs().waiters(0x2000), 2u);
+    EXPECT_EQ(port.reads,
+              (std::vector<Addr>{0x1000, 0x2000, 0x3000}));
+}
+
+TEST(SimtCore, MshrMergeFullWaitsForItsLine)
+{
+    // Warp 0's load touches line 0x1000 32 times (a need of 32 while
+    // the line is absent), which leaves its entry no merge.  Warp 1's
+    // load of it parks with free entries to spare and must stay parked
+    // (untried) through the releases of the unrelated lines of warps 2
+    // and 3, then issue once its own line is released.
+    std::string text = "0 L";
+    for (unsigned k = 0; k < 32; ++k)
+        text += " " + std::to_string(0x1000 + 2 * k);
+    text += "\n1 L 0x1000\n2 L 0x2000\n3 L 0x3000\n";
+    SpacePort port;
+    port.space = 1000;
+    SimtCoreParams params;
+    params.mshrEntries = 32;
+    const auto prof = missingProfile();
+    SimtCore core(0, params, prof, port, 16,
+                  TraceInstSource::fromText(text));
+    Cycle t = 0;
+    for (unsigned slot = 0; slot < 10; ++slot)
+        runSlot(core, params, t);
+    EXPECT_EQ(core.warpInstsIssued(), 3u); // warps 0, 2 and 3
+    EXPECT_EQ(core.mshrs().waiters(0x1000), 32u);
+    const unsigned queries = port.queries;
+
+    for (Addr line : {0x2000, 0x3000}) {
+        core.onReadReply(line);
+        for (unsigned slot = 0; slot < 5; ++slot)
+            runSlot(core, params, t);
+        EXPECT_EQ(port.queries, queries) << line;
+        EXPECT_EQ(core.warpInstsIssued(), 3u) << line;
+    }
+
+    core.onReadReply(0x1000);
+    runSlot(core, params, t);
+    EXPECT_EQ(core.warpInstsIssued(), 4u);
+    EXPECT_EQ(port.reads,
+              (std::vector<Addr>{0x1000, 0x2000, 0x3000, 0x1000}));
+}
+
 TEST(SimtCore, RestartAndRestoreClearPortParking)
 {
     // A core restored over parked warps, or restarted after a launch
     // that parked, must try every warp again in its first slot, like
-    // a fresh core: three queries, not the parked core's one.
+    // a fresh core: three queries, not the parked core's one.  The
+    // same holds for warps parked on the MSHRs.
     SimtCoreParams params;
     const auto prof = missingProfile();
     SpacePort port;
@@ -460,6 +595,42 @@ TEST(SimtCore, RestartAndRestoreClearPortParking)
     port.queries = 0;
     runSlot(core, params, t);
     EXPECT_EQ(port.queries, 3u);
+
+    // One MSHR: warp 0 takes it, warps 1 and 2 park on it.
+    SimtCoreParams one = params;
+    one.mshrEntries = 1;
+    SpacePort mport;
+    mport.space = 64;
+    SimtCore mcore(0, one, prof, mport, 17,
+                   TraceInstSource::fromText("0 L 0x1000\n"
+                                             "1 L 0x2000\n"
+                                             "2 L 0x3000\n"));
+    Cycle mt = 0;
+    runSlot(mcore, one, mt);
+    runSlot(mcore, one, mt);
+    ASSERT_EQ(mport.queries, 3u);
+    SnapshotWriter mw;
+    mcore.save(mw);
+    runSlot(mcore, one, mt);
+    ASSERT_EQ(mport.queries, 3u); // parked warps are not tried
+
+    SnapshotReader mr(mw.data());
+    mcore.restore(mr);
+    runSlot(mcore, one, mt);
+    EXPECT_EQ(mport.queries, 5u);
+
+    while (!mcore.done() && mt < 1000) {
+        for (Addr line : mport.reads)
+            mcore.onReadReply(line);
+        mport.reads.clear();
+        runSlot(mcore, one, mt);
+    }
+    ASSERT_TRUE(mcore.done());
+    mcore.restart();
+    mport.queries = 0;
+    runSlot(mcore, one, mt);
+    runSlot(mcore, one, mt);
+    EXPECT_EQ(mport.queries, 3u);
 }
 
 } // namespace
