@@ -283,6 +283,18 @@ chipParamsFromConfig(const Config &cfg)
         getU32("dram.banks", p.mc.dram.timing.numBanks);
     p.mc.dram.timing.rowBytes =
         getU32("dram.rowBytes", p.mc.dram.timing.rowBytes);
+    if (p.mc.dram.queueCapacity == 0) {
+        tenoc_fatal("invalid DRAM config: 'dram.queueCapacity' must be"
+                    " at least 1 (got 0)");
+    }
+    if (p.mc.dram.timing.numBanks < 1 || p.mc.dram.timing.numBanks > 32) {
+        tenoc_fatal("invalid DRAM config: 'dram.banks' must lie in"
+                    " [1, 32] (got ", p.mc.dram.timing.numBanks, ")");
+    }
+    if (p.mc.dram.timing.rowBytes == 0) {
+        tenoc_fatal("invalid DRAM config: 'dram.rowBytes' must be at"
+                    " least 1 (got 0)");
+    }
 
     p.maxIcntCycles = cfg.getUint("sim.maxIcntCycles",
                                   p.maxIcntCycles);

@@ -16,7 +16,7 @@ namespace tenoc
 McNode::McNode(NodeId node, unsigned index, const McNodeParams &params,
                Network &net, std::uint64_t seed)
     : node_(node), index_(index), params_(params), net_(net),
-      l2_(params.l2, seed ^ 0xabcd1234ULL), dram_(params.dram)
+      l2_(params.l2, seed ^ 0xabcd1234ULL), dram_(params.dram, index)
 {}
 
 bool
@@ -144,6 +144,8 @@ McNode::memCycle(Cycle mem_now)
 {
     mem_now_ = mem_now;
     dram_.cycle(mem_now);
+    if (!dram_.hasCompleted())
+        return;
 
     // Read out completed requests while the reply path has room.
     while (reply_queue_.size() + l2_pipe_.size() <

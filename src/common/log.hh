@@ -57,7 +57,8 @@ std::uint64_t warnCount();
 
 /** @return true when TENOC_VALIDATE is set to a non-zero value in the
  *  environment (forces MeshNetworkParams::validate on and turns on
- *  the SIMT cores' MSHR parking audit). */
+ *  the SIMT cores' MSHR parking audit and the DRAM channels' FR-FCFS
+ *  bank-state audit). */
 bool validateForcedByEnv();
 
 template <typename... Args>

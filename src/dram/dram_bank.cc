@@ -30,8 +30,7 @@ DramBank::activate(Cycle now, std::uint64_t row)
 void
 DramBank::cas(Cycle now)
 {
-    tenoc_assert(state_ == State::ACTIVE && now >= ready_at_,
-                 "illegal CAS");
+    tenoc_assert(casReady(now), "illegal CAS");
     // Back-to-back CAS spacing equals the data burst length.
     ready_at_ = now + timing_.burstCycles();
     last_cas_end_ =

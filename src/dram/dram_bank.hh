@@ -7,6 +7,7 @@
 #ifndef TENOC_DRAM_DRAM_BANK_HH
 #define TENOC_DRAM_DRAM_BANK_HH
 
+#include <algorithm>
 #include <cstdint>
 
 #include "common/types.hh"
@@ -29,23 +30,42 @@ class DramBank
     State state() const { return state_; }
     std::uint64_t activeRow() const { return active_row_; }
 
-    /** @return true if ACTIVATE may issue at `now` (tRC/tRP honored;
-     *  the cross-bank tRRD check belongs to the channel). */
-    bool
-    canActivate(Cycle now) const
+    /** Earliest cycle a CAS to the open row may issue;
+     *  INVALID_CYCLE while no row is open. */
+    Cycle
+    casAt() const
     {
-        // Bitwise ands: the channel evaluates this for every bank each
-        // cycle, where data-dependent branches mispredict.
-        return (state_ == State::IDLE) & (now >= ready_at_) &
-            (!ever_activated_ | (now >= last_activate_ + timing_.tRC));
+        return state_ == State::ACTIVE ? ready_at_ : INVALID_CYCLE;
     }
 
-    /** @return true if a CAS to the open row may issue at `now`. */
-    bool
-    casReady(Cycle now) const
+    /** Earliest cycle PRECHARGE may issue (tRAS, CAS data out);
+     *  INVALID_CYCLE while no row is open. */
+    Cycle
+    prechargeAt() const
     {
-        return (state_ == State::ACTIVE) & (now >= ready_at_);
+        return state_ == State::ACTIVE
+            ? std::max({ras_done_at_, last_cas_end_, ready_at_})
+            : INVALID_CYCLE;
     }
+
+    /** Earliest cycle ACTIVATE may issue (tRP, tRC; the cross-bank
+     *  tRRD check belongs to the channel); INVALID_CYCLE while a row
+     *  is open. */
+    Cycle
+    activateAt() const
+    {
+        if (state_ == State::ACTIVE)
+            return INVALID_CYCLE;
+        return ever_activated_
+            ? std::max<Cycle>(ready_at_, last_activate_ + timing_.tRC)
+            : ready_at_;
+    }
+
+    /** @return true if ACTIVATE may issue at `now`. */
+    bool canActivate(Cycle now) const { return now >= activateAt(); }
+
+    /** @return true if a CAS to the open row may issue at `now`. */
+    bool casReady(Cycle now) const { return now >= casAt(); }
 
     /** @return true if a CAS to `row` may issue at `now`. */
     bool
@@ -55,12 +75,7 @@ class DramBank
     }
 
     /** @return true if PRECHARGE may issue at `now`. */
-    bool
-    canPrecharge(Cycle now) const
-    {
-        return (state_ == State::ACTIVE) & (now >= ras_done_at_) &
-            (now >= last_cas_end_) & (now >= ready_at_);
-    }
+    bool canPrecharge(Cycle now) const { return now >= prechargeAt(); }
 
     /** Issues ACTIVATE for `row`. */
     void activate(Cycle now, std::uint64_t row);

@@ -13,15 +13,17 @@
 namespace tenoc
 {
 
-DramChannel::DramChannel(const DramChannelParams &params)
-    : params_(params)
+DramChannel::DramChannel(const DramChannelParams &params, unsigned id)
+    : params_(params), id_(id), validate_(validateForcedByEnv())
 {
     tenoc_assert(params_.queueCapacity >= 1, "queue too small");
     tenoc_assert(params_.timing.numBanks >= 1 &&
                  params_.timing.numBanks <= 32,
-                 "bank count must fit the scheduler's bank mask");
+                 "bank count must fit the scheduler's bank masks");
     banks_.assign(params_.timing.numBanks, DramBank(params_.timing));
-    bank_queued_.assign(params_.timing.numBanks, 0);
+    sched_.assign(params_.timing.numBanks, BankSched{});
+    for (unsigned b = 0; b < banks_.size(); ++b)
+        refreshTiming(b);
 }
 
 bool
@@ -37,14 +39,39 @@ DramChannel::push(DramRequest req, Cycle now)
     req.arrival = now;
     req.coord = mapAddress(params_.timing, req.localAddr);
     enqueue(std::move(req));
+    if (validate_)
+        audit();
 }
 
 void
 DramChannel::enqueue(DramRequest req)
 {
-    ++bank_queued_[req.coord.bank];
-    queued_banks_ |= 1u << req.coord.bank;
+    const unsigned b = req.coord.bank;
+    const std::uint32_t bit = 1u << b;
+    const DramBank &bank = banks_[b];
+    BankSched &s = sched_[b];
+    const auto pos = static_cast<unsigned>(queue_.size());
+    const bool hit = bank.state() == DramBank::State::ACTIVE &&
+        bank.activeRow() == req.coord.row;
+    if (s.queued++ == 0) {
+        s.head = pos;
+        if (!hit)
+            prep_banks_ |= bit;
+    }
+    if (hit && (hit_banks_ & bit) == 0) {
+        s.hit = pos;
+        hit_banks_ |= bit;
+    }
     queue_.emplace_back(std::move(req));
+}
+
+void
+DramChannel::refreshTiming(unsigned b)
+{
+    BankSched &s = sched_[b];
+    s.casAt = banks_[b].casAt();
+    s.prechargeAt = banks_[b].prechargeAt();
+    s.activateAt = banks_[b].activateAt();
 }
 
 void
@@ -66,47 +93,41 @@ DramChannel::cycle(Cycle now)
         return;
 
     const auto &t = params_.timing;
+    constexpr unsigned NONE = ~0u;
 
-    // One command per cycle.  First preference: a ready row hit whose
-    // data burst can be scheduled on the bus (FR-FCFS).  CAS is gated
-    // on read-out buffer space so a blocked reply path stalls the
-    // DRAM pipeline (Fig. 11).
+    // One command per cycle.  First preference: the oldest row hit at
+    // a bank ready for a CAS, if its data burst can be scheduled on
+    // the bus (FR-FCFS).  CAS is gated on read-out buffer space so a
+    // blocked reply path stalls the DRAM pipeline (Fig. 11).  The pick
+    // is counted whether or not the bus then takes it.
     const bool return_space =
         in_flight_.size() + completed_.size() < params_.returnBufferCap;
     if (!return_space)
         sched_stats_.blockedByReturnBuffer.inc();
-    const auto hit = return_space
-        ? FrFcfsScheduler::pickRowHit(queue_, *this, now,
-                                      &sched_stats_)
-        : std::optional<std::size_t>{};
-    if (hit) {
-        const std::size_t i = *hit;
-        DramRequest req = queue_[i];
-        auto &bank = banks_[req.coord.bank];
+    unsigned hit = NONE;
+    if (return_space) {
+        for (std::uint32_t m = hit_banks_; m != 0; m &= m - 1) {
+            const BankSched &s =
+                sched_[static_cast<unsigned>(std::countr_zero(m))];
+            if (now >= s.casAt && s.hit < hit)
+                hit = s.hit;
+        }
+    }
+    if (hit != NONE) {
+        sched_stats_.rowHitPicks.inc();
+        sched_stats_.reorderDepth.sample(static_cast<double>(hit));
+        const bool write = queue_[hit].write;
         // Switching the data bus between reads and writes costs a
         // turnaround bubble (tRTW / tWTR).
         Cycle bus_ready = bus_free_at_;
-        if (served_ > 0 && req.write != last_cas_was_write_) {
-            bus_ready += req.write ? t.tRTW : t.tWTR;
-        }
-        const Cycle data_start = std::max<Cycle>(now + t.tCL,
-                                                 bus_ready);
+        if (served_ > 0 && write != last_cas_was_write_)
+            bus_ready += write ? t.tRTW : t.tWTR;
         // Issue only if the data bus is free when the burst starts;
         // otherwise wait (bus contention).
-        if (data_start == now + t.tCL) {
-            bank.cas(now);
-            bus_free_at_ = data_start + t.burstCycles();
-            last_cas_was_write_ = req.write;
-            if (req.openedRow)
-                ++row_misses_;
-            else
-                ++row_hits_;
-            if (--bank_queued_[req.coord.bank] == 0)
-                queued_banks_ &= ~(1u << req.coord.bank);
-            in_flight_.emplace_back(
-                InFlight{std::move(req), data_start + t.burstCycles()});
-            queue_.erase(i);
-            ++served_;
+        if (bus_ready <= now + t.tCL) {
+            issueCas(hit, now);
+            if (validate_)
+                audit();
             return;
         }
     }
@@ -114,42 +135,155 @@ DramChannel::cycle(Cycle now)
     // Otherwise prepare a bank.  Banks are prepared in parallel: for
     // each bank, only its oldest queued request steers it (no row
     // thrashing), and the single command slot this cycle goes to the
-    // eligible preparation whose request is oldest (FCFS).  Only banks
-    // with queued requests that could take a PRECHARGE or ACTIVATE now
-    // can act, so the scan ends once each has met its oldest request.
+    // eligible preparation whose request is oldest (FCFS).
     const bool rrd_ok =
         !ever_activated_ || now >= last_activate_ + t.tRRD;
-    std::uint32_t can_act = 0;
-    for (std::uint32_t m = queued_banks_; m != 0; m &= m - 1) {
-        const unsigned b = static_cast<unsigned>(std::countr_zero(m));
-        const DramBank &bank = banks_[b];
-        const bool can = bank.canPrecharge(now) |
-            (rrd_ok & bank.canActivate(now));
-        can_act |= static_cast<std::uint32_t>(can) << b;
-    }
-    std::uint32_t seen_banks = 0;
-    for (std::size_t i = 0;
-         i < queue_.size() && (can_act & ~seen_banks) != 0; ++i) {
-        DramRequest &req = queue_[i];
-        const std::uint32_t bit = 1u << req.coord.bank;
-        if (seen_banks & bit)
-            continue;
-        seen_banks |= bit;
-        if ((can_act & bit) == 0)
-            continue;
-        auto &bank = banks_[req.coord.bank];
-        if (bank.state() == DramBank::State::ACTIVE) {
-            if (bank.activeRow() == req.coord.row)
-                continue; // ready or waiting on CAS/bus
-            bank.precharge(now);
-            return;
+    unsigned prep = NONE;
+    unsigned prep_bank = 0;
+    for (std::uint32_t m = prep_banks_; m != 0; m &= m - 1) {
+        const auto b = static_cast<unsigned>(std::countr_zero(m));
+        const BankSched &s = sched_[b];
+        const bool can =
+            (now >= s.prechargeAt) | (rrd_ok & (now >= s.activateAt));
+        if (can & (s.head < prep)) {
+            prep = s.head;
+            prep_bank = b;
         }
-        // Bank idle: activate (tRRD was checked with can_act).
+    }
+    if (prep == NONE)
+        return;
+    DramBank &bank = banks_[prep_bank];
+    BankSched &s = sched_[prep_bank];
+    const std::uint32_t bit = 1u << prep_bank;
+    if (bank.state() == DramBank::State::ACTIVE) {
+        // The oldest request wants another row: close this one.
+        bank.precharge(now);
+        hit_banks_ &= ~bit;
+        s.hit = 0;
+    } else {
+        // Bank idle: open the oldest request's row, which makes that
+        // request the bank's oldest hit.
+        DramRequest &req = queue_[prep];
         bank.activate(now, req.coord.row);
         req.openedRow = true;
         last_activate_ = now;
         ever_activated_ = true;
+        s.hit = s.head;
+        hit_banks_ |= bit;
+        prep_banks_ &= ~bit;
+    }
+    refreshTiming(prep_bank);
+    if (validate_)
+        audit();
+}
+
+void
+DramChannel::issueCas(std::size_t i, Cycle now)
+{
+    DramRequest req = std::move(queue_[i]);
+    queue_.erase(i);
+    const unsigned b = req.coord.bank;
+    const std::uint32_t bit = 1u << b;
+    DramBank &bank = banks_[b];
+    BankSched &s = sched_[b];
+    bank.cas(now);
+    refreshTiming(b);
+    bus_free_at_ = now + params_.timing.tCL + params_.timing.burstCycles();
+    last_cas_was_write_ = req.write;
+    if (req.openedRow)
+        ++row_misses_;
+    else
+        ++row_hits_;
+    ++served_;
+    in_flight_.emplace_back(InFlight{std::move(req), bus_free_at_});
+
+    // Every queued request behind the served one moved up a place.
+    const auto pos = static_cast<unsigned>(i);
+    for (std::uint32_t m = hit_banks_ | prep_banks_; m != 0; m &= m - 1) {
+        BankSched &o = sched_[static_cast<unsigned>(std::countr_zero(m))];
+        o.head -= o.head > pos;
+        o.hit -= o.hit > pos;
+    }
+    const bool was_head = s.head == pos;
+    if (--s.queued == 0) {
+        s.head = s.hit = 0;
+        hit_banks_ &= ~bit;
+        prep_banks_ &= ~bit;
         return;
+    }
+    // The served request was the bank's oldest hit, so its next hit,
+    // and its next oldest request if it was that too, now sit at or
+    // after its place.  The scan ends once it has met every request
+    // left at the bank.
+    bool found_hit = false;
+    bool need_head = was_head;
+    unsigned left = s.queued;
+    for (std::size_t k = i; k < queue_.size() && left != 0; ++k) {
+        const DramCoord &c = queue_[k].coord;
+        if (c.bank != b)
+            continue;
+        --left;
+        if (need_head) {
+            s.head = static_cast<unsigned>(k);
+            need_head = false;
+        }
+        if (c.row == bank.activeRow()) {
+            s.hit = static_cast<unsigned>(k);
+            found_hit = true;
+            break;
+        }
+    }
+    if (!found_hit) {
+        s.hit = 0;
+        hit_banks_ &= ~bit;
+    }
+    if (found_hit && s.hit == s.head)
+        prep_banks_ &= ~bit;
+    else
+        prep_banks_ |= bit;
+}
+
+DramChannel::BankSched
+DramChannel::derive(unsigned b, bool &hit_bit, bool &prep_bit) const
+{
+    const DramBank &bank = banks_[b];
+    BankSched s;
+    s.casAt = bank.casAt();
+    s.prechargeAt = bank.prechargeAt();
+    s.activateAt = bank.activateAt();
+    hit_bit = false;
+    for (std::size_t i = 0; i < queue_.size(); ++i) {
+        const DramCoord &c = queue_[i].coord;
+        if (c.bank != b)
+            continue;
+        if (s.queued++ == 0)
+            s.head = static_cast<unsigned>(i);
+        if (!hit_bit && bank.state() == DramBank::State::ACTIVE &&
+            c.row == bank.activeRow()) {
+            s.hit = static_cast<unsigned>(i);
+            hit_bit = true;
+        }
+    }
+    prep_bit = s.queued != 0 && !(hit_bit && s.hit == s.head);
+    return s;
+}
+
+void
+DramChannel::audit() const
+{
+    for (unsigned b = 0; b < banks_.size(); ++b) {
+        bool hit_bit = false;
+        bool prep_bit = false;
+        const BankSched want = derive(b, hit_bit, prep_bit);
+        if (!(sched_[b] == want) || hit_bit != ((hit_banks_ >> b & 1u) != 0) ||
+            prep_bit != ((prep_banks_ >> b & 1u) != 0)) {
+            tenoc_panic("DRAM channel ", id_, " bank ", b,
+                        ": kept FR-FCFS state (queued ", sched_[b].queued,
+                        ", head ", sched_[b].head, ", hit ", sched_[b].hit,
+                        ") differs from the queue and bank (queued ",
+                        want.queued, ", head ", want.head, ", hit ",
+                        want.hit, ")");
+        }
     }
 }
 
@@ -274,8 +408,11 @@ DramChannel::restore(SnapshotReader &r)
     for (DramBank &bank : banks_)
         bank.restore(r);
     queue_.clear();
-    bank_queued_.assign(banks_.size(), 0);
-    queued_banks_ = 0;
+    sched_.assign(banks_.size(), BankSched{});
+    hit_banks_ = 0;
+    prep_banks_ = 0;
+    for (unsigned b = 0; b < banks_.size(); ++b)
+        refreshTiming(b);
     const std::uint64_t nq = r.u64();
     for (std::uint64_t i = 0; i < nq; ++i)
         enqueue(loadRequest(r));
@@ -301,6 +438,8 @@ DramChannel::restore(SnapshotReader &r)
     restoreStat(r, sched_stats_.rowHitPicks);
     restoreStat(r, sched_stats_.reorderDepth);
     restoreStat(r, sched_stats_.blockedByReturnBuffer);
+    if (validate_)
+        audit();
 }
 
 } // namespace tenoc

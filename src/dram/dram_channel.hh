@@ -11,6 +11,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/ring.hh"
 #include "dram/dram_bank.hh"
 #include "dram/frfcfs.hh"
 
@@ -31,10 +32,21 @@ struct DramChannelParams
     unsigned returnBufferCap = 4;
 };
 
+/**
+ * FR-FCFS over the banks.  The channel keeps, per bank, the queue
+ * positions of its oldest request and of its oldest open-row hit and
+ * the earliest cycle each command could issue, plus masks of the banks
+ * with a queued hit and of those whose oldest request needs a
+ * PRECHARGE or ACTIVATE.  Enqueue, CAS, PRECHARGE and ACTIVATE update
+ * that state, so a cycle picks by comparing the masked banks and
+ * never scans the queue; only a CAS rescans, from the served position
+ * on, for its own bank's next requests.
+ */
 class DramChannel
 {
   public:
-    explicit DramChannel(const DramChannelParams &params);
+    /** @param id channel index, named by the TENOC_VALIDATE audit */
+    explicit DramChannel(const DramChannelParams &params, unsigned id = 0);
 
     /** @return true if one more request fits in the queue. */
     bool canAccept() const;
@@ -47,6 +59,9 @@ class DramChannel
 
     /** @return a completed request, if any (pop one per call). */
     std::optional<DramRequest> popCompleted();
+
+    /** @return true when popCompleted() has a request to return. */
+    bool hasCompleted() const { return !completed_.empty(); }
 
     /** @return true when queue and in-flight pipeline are empty. */
     bool idle() const;
@@ -80,19 +95,48 @@ class DramChannel
     /** Restores state written by save(); bank count must match. */
     void restore(SnapshotReader &r);
 
-    friend class FrFcfsScheduler;
-
   private:
-    /** Adds `req` to the queue, counting it against its bank. */
+    /** Per-bank scheduling state derived from the queue and the bank. */
+    struct BankSched
+    {
+        unsigned queued = 0; ///< requests queued for the bank
+        unsigned head = 0;   ///< queue position of its oldest request
+        unsigned hit = 0;    ///< ... of its oldest open-row hit
+        Cycle casAt = INVALID_CYCLE;       ///< DramBank::casAt()
+        Cycle prechargeAt = INVALID_CYCLE; ///< DramBank::prechargeAt()
+        Cycle activateAt = INVALID_CYCLE;  ///< DramBank::activateAt()
+
+        bool operator==(const BankSched &) const = default;
+    };
+
+    /** Adds `req` to the queue and to its bank's state. */
     void enqueue(DramRequest req);
 
+    /** Issues the CAS for the hit at queue position `i`, reserves the
+     *  data bus for its burst and moves it to the in-flight pipeline. */
+    void issueCas(std::size_t i, Cycle now);
+
+    /** Copies bank `b`'s command-ready cycles into its state. */
+    void refreshTiming(unsigned b);
+
+    /** @return bank `b`'s state recomputed from the queue and the
+     *  bank, with the two mask bits it should have. */
+    BankSched derive(unsigned b, bool &hit_bit, bool &prep_bit) const;
+
+    /** TENOC_VALIDATE: panics, naming the channel and the bank, when
+     *  the kept state differs from derive() for any bank. */
+    void audit() const;
+
     DramChannelParams params_;
+    const unsigned id_;
+    const bool validate_; ///< TENOC_VALIDATE is set: audit()
     std::vector<DramBank> banks_;
-    FrFcfsScheduler::Queue queue_;
-    /** Queued requests per bank, and the mask of banks with any: the
-     *  per-cycle bank scans visit only these banks. */
-    std::vector<unsigned> bank_queued_;
-    std::uint32_t queued_banks_ = 0;
+    /** The controller queue in arrival order; 32 entries (Table II)
+     *  stay inline. */
+    RingQueue<DramRequest, 32> queue_;
+    std::vector<BankSched> sched_;
+    std::uint32_t hit_banks_ = 0;  ///< banks with a queued open-row hit
+    std::uint32_t prep_banks_ = 0; ///< oldest request needs PRE or ACT
 
     struct InFlight
     {

@@ -1,19 +1,19 @@
 /**
  * @file
- * FR-FCFS (first-ready, first-come-first-served) scheduling policy
- * (Table II: out-of-order memory controller).
+ * The DRAM controller's request record and its FR-FCFS (first-ready,
+ * first-come-first-served) scheduling statistics (Table II:
+ * out-of-order memory controller).
  *
  * Row hits are serviced first (oldest hit wins); otherwise the oldest
- * request drives precharge/activate of its bank.
+ * request drives precharge/activate of its bank.  DramChannel::cycle
+ * makes the picks.
  */
 
 #ifndef TENOC_DRAM_FRFCFS_HH
 #define TENOC_DRAM_FRFCFS_HH
 
 #include <cstdint>
-#include <optional>
 
-#include "common/ring.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "dram/gddr3.hh"
@@ -35,38 +35,13 @@ struct DramRequest
 /** Scheduling-decision statistics (owned by the channel). */
 struct FrFcfsStats
 {
-    /** Row-hit selections that bypassed an older queued request. */
+    /** Cycles a ready row hit was picked; a pick the data bus refuses
+     *  counts again each cycle it is picked. */
     Counter rowHitPicks{"row_hit_picks"};
-    /** Queue depth skipped to reach the chosen row hit. */
+    /** Queue position of each pick: the older requests it passed. */
     Accumulator reorderDepth{"reorder_depth"};
     /** Cycles CAS issue was gated by a full read-out buffer. */
     Counter blockedByReturnBuffer{"blocked_by_return_buffer"};
-};
-
-/** FR-FCFS selection over a request queue. */
-class FrFcfsScheduler
-{
-  public:
-    /** The controller queue in arrival order; 32 entries (Table II)
-     *  stay inline. */
-    using Queue = RingQueue<DramRequest, 32>;
-
-    /**
-     * @return index into `queue` of the oldest row-hit request whose
-     * bank can issue a CAS at `now`, if any.  Only requests at a bank
-     * that is ready for a CAS are compared with its open row, and no
-     * request is looked at when no bank is.  When `stats` is given,
-     * records the pick and how far it reordered past the queue head.
-     */
-    static std::optional<std::size_t>
-    pickRowHit(const Queue &queue, const class DramChannel &ch,
-               Cycle now, FrFcfsStats *stats = nullptr);
-
-    /**
-     * @return index of the oldest request overall (FCFS order), used
-     * to steer precharge/activate when no row hit is ready.
-     */
-    static std::optional<std::size_t> pickOldest(const Queue &queue);
 };
 
 } // namespace tenoc

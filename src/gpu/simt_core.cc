@@ -249,7 +249,7 @@ SimtCore::executeMemInst(Warp &warp)
     }
     const unsigned mshr_need = mshrNeed(warp);
     if (mshr_need > mshrs_.capacity() - mshrs_.size()) {
-        mshr_park_[warp.id].need = mshr_need;
+        setMshrNeed(warp.id, mshr_need);
         return MemIssue::MSHR_FULL;
     }
 
@@ -308,6 +308,23 @@ SimtCore::mshrNeed(const Warp &warp) const
 }
 
 void
+SimtCore::setMshrNeed(unsigned w, unsigned need)
+{
+    mshr_park_[w].need = need;
+    // A merge-full need (~0u) waits for a reply; a need above the table
+    // size waits for other warps to make some of its lines pending,
+    // which may never happen.
+    if (need != ~0u && need > mshrs_.capacity() && !warned_mshr_need_) {
+        warned_mshr_need_ = true;
+        warn("core ", id_, " warp ", w, ": held memory instruction needs ",
+             need, " new MSHR entries but the table holds ",
+             mshrs_.capacity(), "; the warp stays parked until other"
+             " warps' misses make some of its lines pending (warned"
+             " once per core)");
+    }
+}
+
+void
 SimtCore::noteMshrLine(Addr line)
 {
     const std::uint64_t sig = lineSigBit(line);
@@ -327,7 +344,7 @@ SimtCore::judgeMshrParked()
     // only through events on those lines, which marked the warp stale.
     for (std::uint64_t m = mshr_stale_; m != 0; m &= m - 1) {
         const auto w = static_cast<unsigned>(std::countr_zero(m));
-        mshr_park_[w].need = mshrNeed(warps_[w]);
+        setMshrNeed(w, mshrNeed(warps_[w]));
     }
     mshr_stale_ = 0;
     mshr_judged_gen_ = mshrs_.generation();

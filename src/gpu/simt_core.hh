@@ -153,6 +153,10 @@ class SimtCore
      */
     unsigned mshrNeed(const Warp &warp) const;
 
+    /** Records parked warp `w`'s need; warns once per core when the
+     *  need exceeds the whole table. */
+    void setMshrNeed(unsigned w, unsigned need);
+
     /** An allocate, merge or release of `line`: marks stale the parked
      *  warps whose signature holds the line's bit. */
     void noteMshrLine(Addr line);
@@ -202,6 +206,8 @@ class SimtCore
     std::uint64_t mshr_judged_gen_ = 0;
     /** TENOC_VALIDATE is set: audit the parking at every judgement. */
     const bool validate_;
+    /** setMshrNeed() has warned of a need above the table size. */
+    bool warned_mshr_need_ = false;
     /** Warps whose held memory instruction the port refused.  Each
      *  needs at least `port_need_` requests, the smallest count the
      *  port refused since they parked; they re-arm at the first issue

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "accel/chip_config.hh"
 
 namespace tenoc
@@ -123,6 +126,41 @@ TEST(ChipConfig, SeedPropagates)
     const auto a = makeConfig(ConfigId::BASELINE_TB_DOR, 7);
     const auto b = makeConfig(ConfigId::BASELINE_TB_DOR, 8);
     EXPECT_NE(a.mesh.seed, b.mesh.seed);
+}
+
+TEST(ChipConfigDeath, BadDramGeometryIsFatal)
+{
+    // Each would otherwise die inside the simulator: a zero row size
+    // divides by zero in mapAddress, and the bank count and queue size
+    // trip the DRAM channel's constructor asserts.
+    const std::pair<const char *, const char *> cases[] = {
+        {"dram.rowBytes", "0"},
+        {"dram.banks", "0"},
+        {"dram.banks", "33"},
+        {"dram.queueCapacity", "0"},
+    };
+    for (const auto &[key, value] : cases) {
+        Config cfg;
+        cfg.set(key, value);
+        const std::string expect = std::string("'") + key + "' must";
+        EXPECT_EXIT(chipParamsFromConfig(cfg),
+                    ::testing::ExitedWithCode(1), expect)
+            << key << "=" << value;
+    }
+}
+
+TEST(ChipConfig, DramGeometryLimitsAreAccepted)
+{
+    Config cfg;
+    cfg.set("dram.banks", "32");
+    cfg.set("dram.rowBytes", "1");
+    cfg.set("dram.queueCapacity", "1");
+    const auto p = chipParamsFromConfig(cfg);
+    EXPECT_EQ(p.mc.dram.timing.numBanks, 32u);
+    EXPECT_EQ(p.mc.dram.timing.rowBytes, 1u);
+    EXPECT_EQ(p.mc.dram.queueCapacity, 1u);
+    cfg.set("dram.banks", "1");
+    EXPECT_EQ(chipParamsFromConfig(cfg).mc.dram.timing.numBanks, 1u);
 }
 
 } // namespace

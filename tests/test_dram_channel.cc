@@ -5,9 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
 #include <deque>
+#include <map>
+#include <memory>
+#include <string>
 
 #include "common/rng.hh"
+#include "common/snapshot.hh"
 #include "dram/dram_channel.hh"
 
 namespace tenoc
@@ -262,6 +268,189 @@ TEST(DramChannel, StreamingReachesHighBusUtilization)
     // 200 lines x 4-cycle bursts = 800 busy cycles minimum.
     const double lines_per_cycle = 200.0 / static_cast<double>(now);
     EXPECT_GT(lines_per_cycle, 0.15);
+}
+
+/** One seeded request stream for ScheduleDigestsMatchRecorded. */
+struct StreamCase
+{
+    unsigned banks;
+    unsigned queue;
+    unsigned returnCap;
+    bool local; ///< high row locality
+};
+
+std::string
+caseName(const StreamCase &c)
+{
+    return "b" + std::to_string(c.banks) + "/q" + std::to_string(c.queue) +
+        "/r" + std::to_string(c.returnCap) + (c.local ? "/high" : "/low");
+}
+
+/**
+ * Runs a seeded stream of 600 reads and writes through one channel and
+ * returns an FNV-1a digest of every completion (tag and cycle) and the
+ * channel's scheduling statistics.  Arrivals alternate between bursts
+ * that fill the queue and quiet spells that drain it; the read-out
+ * side pops at most one completion a cycle and closes for random
+ * spells, so the return buffer gates CAS.  High locality walks four
+ * sequential streams; low locality picks random lines.  When
+ * `restore_at` is reached the channel is saved and the run continues
+ * on a fresh channel restored from the snapshot.
+ */
+std::string
+scheduleDigest(const StreamCase &c, Cycle restore_at = ~Cycle{0})
+{
+    DramChannelParams p;
+    p.timing.numBanks = c.banks;
+    p.queueCapacity = c.queue;
+    p.returnBufferCap = c.returnCap;
+    auto ch = std::make_unique<DramChannel>(p);
+    Rng rng(c.banks * 1000 + c.queue * 10 + c.returnCap + (c.local ? 7 : 0));
+    SnapshotWriter out;
+    constexpr unsigned kRequests = 600;
+    Addr streams[4] = {0, 1u << 20, 2u << 20, 3u << 20};
+    unsigned pushed = 0;
+    unsigned done = 0;
+    bool reply_open = true;
+    Cycle now = 0;
+    for (; done < kRequests && now < 100000; ++now) {
+        if (now == restore_at) {
+            SnapshotWriter w;
+            ch->save(w);
+            auto fresh = std::make_unique<DramChannel>(p);
+            SnapshotReader r(w.data());
+            fresh->restore(r);
+            EXPECT_TRUE(r.exhausted());
+            ch = std::move(fresh);
+        }
+        const double arrival = (now / 500) % 2 == 0 ? 0.6 : 0.05;
+        for (int k = 0; k < 2 && pushed < kRequests && ch->canAccept() &&
+             rng.nextBool(arrival);
+             ++k) {
+            Addr addr;
+            if (c.local && rng.nextBool(0.9)) {
+                Addr &s = streams[rng.nextRange(4)];
+                addr = s;
+                s += 64;
+            } else {
+                addr = rng.nextRange(1u << 20) * 64;
+            }
+            DramRequest req = rng.nextBool(0.3) ? write(addr, pushed)
+                                                : read(addr, pushed);
+            ch->push(std::move(req), now);
+            ++pushed;
+        }
+        ch->cycle(now);
+        if (rng.nextBool(0.05))
+            reply_open = !reply_open;
+        if (reply_open) {
+            if (auto r = ch->popCompleted()) {
+                out.u64(r->tag);
+                out.u64(now);
+                ++done;
+            }
+        }
+    }
+    EXPECT_EQ(done, kRequests) << caseName(c);
+    const FrFcfsStats &st = ch->schedStats();
+    out.u64(now);
+    out.u64(ch->rowHits());
+    out.u64(ch->rowMisses());
+    out.u64(st.rowHitPicks.value());
+    out.u64(st.reorderDepth.count());
+    out.f64(st.reorderDepth.sum());
+    out.f64(st.reorderDepth.min());
+    out.f64(st.reorderDepth.max());
+    out.u64(st.blockedByReturnBuffer.value());
+    out.u64(ch->busBusyCycles());
+    out.u64(ch->pendingCycles());
+    std::uint64_t h = 1469598103934665603ull;
+    for (const std::uint8_t b : out.data()) {
+        h ^= b;
+        h *= 1099511628211ull;
+    }
+    char buf[17];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(h));
+    return buf;
+}
+
+TEST(DramChannel, ScheduleDigestsMatchRecorded)
+{
+    // Recorded from the channel whose FR-FCFS picks scanned the whole
+    // queue every cycle; a mismatch means the schedule changed.  48
+    // entries overflow the queue's 32-entry inline ring.  The channels
+    // run under the TENOC_VALIDATE audit of their kept bank state.
+    const char *saved = ::getenv("TENOC_VALIDATE");
+    const std::string restore = saved ? saved : "";
+    ::setenv("TENOC_VALIDATE", "1", 1);
+    const std::map<std::string, std::string> recorded = {
+        {"b1/q1/r1/low", "6f1670e32c260323"},
+        {"b1/q1/r1/high", "a1de6a9bd339d952"},
+        {"b1/q1/r4/low", "fc897920ff73e82a"},
+        {"b1/q1/r4/high", "af442d91c6ef63e5"},
+        {"b1/q32/r1/low", "5de699f3922691ae"},
+        {"b1/q32/r1/high", "a3d295e804e54135"},
+        {"b1/q32/r4/low", "7e8d64f0ed89623f"},
+        {"b1/q32/r4/high", "24bb50795213270b"},
+        {"b1/q48/r1/low", "0053f4e992d00d1a"},
+        {"b1/q48/r1/high", "87d03cab0271d2cb"},
+        {"b1/q48/r4/low", "5a7122090809db6d"},
+        {"b1/q48/r4/high", "ec96b0d68067e5d9"},
+        {"b8/q1/r1/low", "a5edaa011270639c"},
+        {"b8/q1/r1/high", "563d39368635682c"},
+        {"b8/q1/r4/low", "248f5ffcdf5a407b"},
+        {"b8/q1/r4/high", "aea639c082e830e1"},
+        {"b8/q32/r1/low", "e8b604db1302ac35"},
+        {"b8/q32/r1/high", "462fb61b6417a052"},
+        {"b8/q32/r4/low", "29cb080a295083b1"},
+        {"b8/q32/r4/high", "72e34a9f00c52190"},
+        {"b8/q48/r1/low", "00bea50c69d8cfb5"},
+        {"b8/q48/r1/high", "35bb084fdd87f6e5"},
+        {"b8/q48/r4/low", "b05ea6090c193793"},
+        {"b8/q48/r4/high", "9414df2a6f347054"},
+        {"b32/q1/r1/low", "5316d391d93cc81a"},
+        {"b32/q1/r1/high", "eb08a7c9597109c6"},
+        {"b32/q1/r4/low", "153fa627ef2ec919"},
+        {"b32/q1/r4/high", "b76bef1ecfb11203"},
+        {"b32/q32/r1/low", "64613f100eb66f4a"},
+        {"b32/q32/r1/high", "8412b0aa630e2ef5"},
+        {"b32/q32/r4/low", "e8f42f5b1d5d8eb2"},
+        {"b32/q32/r4/high", "eaf2983604d7ed06"},
+        {"b32/q48/r1/low", "ac993254932241ee"},
+        {"b32/q48/r1/high", "d0a4894eec6a76bb"},
+        {"b32/q48/r4/low", "fb35dd8de0a9ef4d"},
+        {"b32/q48/r4/high", "04f29230c49324f9"},
+    };
+    unsigned runs = 0;
+    for (const unsigned banks : {1u, 8u, 32u}) {
+        for (const unsigned queue : {1u, 32u, 48u}) {
+            for (const unsigned rcap : {1u, 4u}) {
+                for (const bool local : {false, true}) {
+                    const StreamCase c{banks, queue, rcap, local};
+                    const std::string name = caseName(c);
+                    const std::string got = scheduleDigest(c);
+                    ++runs;
+                    const auto it = recorded.find(name);
+                    if (it == recorded.end()) {
+                        ADD_FAILURE() << "no recorded digest for " << name
+                                      << " (got " << got << ")";
+                        continue;
+                    }
+                    EXPECT_EQ(got, it->second) << name;
+                }
+            }
+        }
+    }
+    EXPECT_EQ(recorded.size(), runs) << "stale recorded digests";
+    // Saving mid-burst (the 48-entry queue full and spilled past its
+    // inline ring) and restoring into a fresh channel changes nothing.
+    const StreamCase c{8, 48, 4, true};
+    EXPECT_EQ(scheduleDigest(c, 1200), recorded.at(caseName(c)));
+    if (saved)
+        ::setenv("TENOC_VALIDATE", restore.c_str(), 1);
+    else
+        ::unsetenv("TENOC_VALIDATE");
 }
 
 TEST(DramChannelDeath, OverflowPanics)

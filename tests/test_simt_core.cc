@@ -286,6 +286,30 @@ TEST(SimtCore, MshrStalledWarpIssuesAfterRelease)
     EXPECT_EQ(port.reads, 16u);
 }
 
+TEST(SimtCore, MshrNeedAboveTableSizeWarnsOncePerCore)
+{
+    // Three-line loads on a 2-entry table can never all allocate: the
+    // warps stay parked, and the core says so once.
+    const std::string text = "0 L 0x1000 0x2000 0x3000\n"
+                             "1 L 0x4000 0x5000 0x6000\n";
+    FakePort port;
+    SimtCoreParams params;
+    params.mshrEntries = 2;
+    const auto prof = missingProfile();
+    SimtCore core(3, params, prof, port, 9,
+                  TraceInstSource::fromText(text));
+    ::testing::internal::CaptureStderr();
+    for (Cycle t = 0; t < 100; ++t)
+        core.cycle(t);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(core.warpInstsIssued(), 0u);
+    EXPECT_NE(err.find("core 3 warp 0: held memory instruction needs 3 "
+                       "new MSHR entries but the table holds 2"),
+              std::string::npos)
+        << err;
+    EXPECT_EQ(err.find("warp 1"), std::string::npos) << err;
+}
+
 TEST(SimtCore, MshrMergeRearmsStalledWarp)
 {
     // Warp 1's load touches one line twice, so with one free MSHR it
