@@ -298,6 +298,10 @@ chipParamsFromConfig(const Config &cfg)
 
     p.maxIcntCycles = cfg.getUint("sim.maxIcntCycles",
                                   p.maxIcntCycles);
+    // Fail on a mesh the routers cannot build (over 64 input VCs, say)
+    // now, naming the keys, rather than when the network is built.
+    if (p.netKind == NetKind::MESH || p.netKind == NetKind::DOUBLE)
+        validateMeshNetworkParams(m);
     return p;
 }
 

@@ -106,7 +106,10 @@ double dramBandwidthFlitsPerIcntCycle(const ChipParams &p);
  *   dram.queueCapacity, dram.banks, dram.rowBytes
  *   sim.seed, sim.maxIcntCycles
  *
- * Unknown keys are fatal (catching typos in experiment scripts).
+ * Unknown keys are fatal (catching typos in experiment scripts), and
+ * so is a mesh router past the model's limits: 64 input VCs, that is
+ * (4 + noc.mcInjPorts) inputs x protocol x routing classes x
+ * noc.vcsPerClass, and 64 outputs, 4 + noc.mcEjPorts.
  */
 ChipParams chipParamsFromConfig(const Config &cfg);
 

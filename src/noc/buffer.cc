@@ -82,7 +82,11 @@ InputPort::restore(SnapshotReader &r)
     total_ = 0;
     for (unsigned vc = 0; vc < nvcs_; ++vc) {
         const std::size_t idx = base_ + vc;
-        slab_->inState[idx] = static_cast<VcState>(r.u8());
+        const std::uint8_t state = r.u8();
+        tenoc_assert(state <= static_cast<std::uint8_t>(VcState::ACTIVE),
+                     "restored VC state ", unsigned{state},
+                     " names no VcState");
+        slab_->inState[idx] = static_cast<VcState>(state);
         slab_->inOutPort[idx] = r.u32();
         slab_->inOutVc[idx] = r.u32();
         slab_->ringHead[idx] = 0;

@@ -933,6 +933,9 @@ legalDiffConfig(const DiffConfig &cfg)
         return false;
     if (cfg.mcInjPorts < 1 || cfg.mcEjPorts < 1)
         return false;
+    // The simulator's own router limits (64 input VCs, 64 outputs).
+    if (!routerGeometryError(cfg.toNetParams()).empty())
+        return false;
     if (cfg.sliced) {
         if (cfg.protoClasses != 2)
             return false;

@@ -28,37 +28,27 @@ addViolation(std::vector<Violation> &out, Violation::Kind kind,
 }
 
 /**
- * Reports the first bit where `kept`, one of a router's event-kept stage
- * masks, differs from `derived`, the same mask rebuilt from slab state.
- * `what` names the mask; `per_output` marks the per-output VA request
- * sets, one mask-width set per output.
+ * Reports the lowest bit where `kept`, one of a router's event-kept
+ * stage masks, differs from `derived`, the same mask rebuilt from slab
+ * state.  `what` names the mask.
  */
 void
-compareStageMask(const Router &r, const std::string &what, bool per_output,
-                 const std::vector<std::uint64_t> &kept,
-                 const std::vector<std::uint64_t> &derived,
+compareStageMask(const Router &r, const std::string &what,
+                 std::uint64_t kept, std::uint64_t derived,
                  std::vector<Violation> &out)
 {
-    const std::size_t words = r.stageMasks().rc.size();
-    for (std::size_t w = 0; w < kept.size(); ++w) {
-        const std::uint64_t diff = kept[w] ^ derived[w];
-        if (diff == 0)
-            continue;
-        const unsigned b = static_cast<unsigned>(std::countr_zero(diff));
-        const std::size_t bit = (w % words) * 64 + b;
-        const bool has = (kept[w] >> b) & 1;
-        const std::string name = per_output
-            ? what + " (output " + std::to_string(w / words) + ")"
-            : what;
-        addViolation(out, Violation::Kind::STAGE_MASK,
-                     formatMessage(
-                         "router ", r.id(), " ", name, " mask ",
-                         has ? "holds" : "lacks", " input ",
-                         bit / r.numVcs(), " vc ", bit % r.numVcs(),
-                         " but slab state ", has ? "excludes" : "includes",
-                         " it"));
+    const std::uint64_t diff = kept ^ derived;
+    if (diff == 0)
         return;
-    }
+    const auto bit = static_cast<unsigned>(std::countr_zero(diff));
+    const bool has = (kept >> bit) & 1;
+    addViolation(out, Violation::Kind::STAGE_MASK,
+                 formatMessage(
+                     "router ", r.id(), " ", what, " mask ",
+                     has ? "holds" : "lacks", " input ",
+                     bit / r.numVcs(), " vc ", bit % r.numVcs(),
+                     " but slab state ", has ? "excludes" : "includes",
+                     " it"));
 }
 
 } // namespace
@@ -163,13 +153,6 @@ InvariantChecker::checkRouter(const Router &r,
                                      front->seq, ")"));
                 }
                 break;
-              case VcState::ROUTING:
-                addViolation(out, Violation::Kind::VC_STATE,
-                             formatMessage(
-                                 "router ", r.id(), " input ", in, " vc ",
-                                 vc, ": ROUTING state is unreachable in"
-                                 " the single-phase RC implementation"));
-                break;
               case VcState::VC_ALLOC: {
                 const unsigned out_port = r.vcOutPort(in, vc);
                 if (!front) {
@@ -253,11 +236,18 @@ InvariantChecker::checkRouter(const Router &r,
     // they must match what the slab state says.
     const Router::StageMasks &kept = r.stageMasks();
     const Router::StageMasks derived = r.deriveStageMasks();
-    compareStageMask(r, "RC", false, kept.rc, derived.rc, out);
-    compareStageMask(r, "VA", false, kept.va, derived.va, out);
-    compareStageMask(r, "SA", false, kept.sa, derived.sa, out);
-    compareStageMask(r, "VA request", true, kept.vaReqs, derived.vaReqs,
-                     out);
+    compareStageMask(r, "RC", kept.rc, derived.rc, out);
+    compareStageMask(r, "VA", kept.va, derived.va, out);
+    compareStageMask(r, "SA", kept.sa, derived.sa, out);
+    for (unsigned o = 0; o < outputs; ++o) {
+        if (kept.vaReqs[o] != derived.vaReqs[o]) {
+            compareStageMask(r,
+                             "VA request (output " + std::to_string(o) +
+                                 ")",
+                             kept.vaReqs[o], derived.vaReqs[o], out);
+            break;
+        }
+    }
 
     for (unsigned o = 0; o < outputs; ++o) {
         const bool directional = o < NUM_DIRS;

@@ -32,6 +32,42 @@ profileNowNs()
 
 } // namespace
 
+std::string
+routerGeometryError(const MeshNetworkParams &params)
+{
+    const unsigned route_classes = routeClassesOf(params.routing);
+    if (route_classes == 0) {
+        return detail::formatMessage("unknown routing algorithm '",
+                                     params.routing, "'");
+    }
+    // MC routers have the most ports: NUM_DIRS + mcInjPorts inputs
+    // (a compute router has one injection port) and NUM_DIRS +
+    // mcEjPorts outputs.
+    const std::uint64_t inputs =
+        NUM_DIRS + std::max(params.mcInjPorts, 1u);
+    const std::uint64_t vcs = std::uint64_t{params.protoClasses} *
+        route_classes * params.vcsPerClass;
+    if (inputs * vcs > Router::MAX_INPUT_VCS) {
+        return detail::formatMessage(
+            "a router takes at most ", Router::MAX_INPUT_VCS,
+            " input VCs, but each MC router would have (", NUM_DIRS,
+            " + noc.mcInjPorts=", params.mcInjPorts, ") inputs x (",
+            params.protoClasses, " protocol x ", route_classes,
+            " routing classes of '", params.routing,
+            "' x noc.vcsPerClass=", params.vcsPerClass, ") VCs = ",
+            inputs * vcs, " input VCs");
+    }
+    const std::uint64_t outputs =
+        NUM_DIRS + std::uint64_t{params.mcEjPorts};
+    if (outputs > Router::MAX_OUTPUTS) {
+        return detail::formatMessage(
+            "a router takes at most ", Router::MAX_OUTPUTS,
+            " outputs, but each MC router would have ", NUM_DIRS,
+            " + noc.mcEjPorts=", params.mcEjPorts, " = ", outputs);
+    }
+    return {};
+}
+
 void
 validateMeshNetworkParams(const MeshNetworkParams &params)
 {
@@ -67,6 +103,8 @@ validateMeshNetworkParams(const MeshNetworkParams &params)
                     " one injection and one ejection port (got inj=",
                     params.mcInjPorts, " ej=", params.mcEjPorts, ")");
     }
+    if (const std::string why = routerGeometryError(params); !why.empty())
+        tenoc_fatal("invalid network config: ", why);
     if (params.ni.injQueueCap == 0 || params.ni.ejBufferFlits == 0) {
         tenoc_fatal("invalid network config: NI queue capacities must"
                     " be >= 1 (injQueueCap=", params.ni.injQueueCap,
@@ -490,8 +528,6 @@ vcStateName(VcState s)
     switch (s) {
       case VcState::IDLE:
         return "IDLE";
-      case VcState::ROUTING:
-        return "ROUTING";
       case VcState::VC_ALLOC:
         return "VC_ALLOC";
       case VcState::ACTIVE:

@@ -74,10 +74,19 @@ struct MeshNetworkParams
 };
 
 /**
+ * Checks the routers `params` builds against the router model's
+ * limits: at most Router::MAX_INPUT_VCS input VCs (inputs x VCs) and
+ * Router::MAX_OUTPUTS outputs per router, under a known routing
+ * algorithm.  @return an empty string if they fit, else why not.
+ */
+std::string routerGeometryError(const MeshNetworkParams &params);
+
+/**
  * Fatal-checks a MeshNetworkParams for configurations that cannot
- * simulate (0 VCs, 0-depth buffers, ...) with actionable messages.
- * Called by the MeshNetwork constructor; exposed for config frontends
- * that want to fail before constructing anything.
+ * simulate (0 VCs, 0-depth buffers, routers past the 64-input-VC
+ * limit, ...) with actionable messages.  Called by the MeshNetwork
+ * constructor and by chipParamsFromConfig, so a config fails when it
+ * is read rather than when the network is built.
  */
 void validateMeshNetworkParams(const MeshNetworkParams &params);
 

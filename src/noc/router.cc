@@ -57,20 +57,15 @@ Router::initPorts()
     }
     outputs_.resize(numOutputs());
     in_links_.resize(NUM_DIRS);
+    tenoc_assert(numInputs() * vcs <= MAX_INPUT_VCS &&
+                     numOutputs() <= MAX_OUTPUTS,
+                 "router ", id_, " has ", numInputs(), " inputs x ", vcs,
+                 " VCs and ", numOutputs(), " outputs; a router takes ",
+                 MAX_INPUT_VCS, " input VCs and ", MAX_OUTPUTS,
+                 " outputs");
     sa_input_arb_.assign(numInputs(), RoundRobinArbiter(vcs));
-    va_words_ = (numInputs() * vcs + 63) / 64;
-    vc_words_ = (vcs + 63) / 64;
-    in_words_ = (numInputs() + 63) / 64;
-    tenoc_assert(numOutputs() <= 64, "router ", id_, " has ",
-                 numOutputs(), " outputs; switch allocation takes 64");
-    masks_.rc.assign(va_words_, 0);
-    masks_.va.assign(va_words_, 0);
-    masks_.sa.assign(va_words_, 0);
-    masks_.vaReqs.assign(numOutputs() * va_words_, 0);
-    sa_out_reqs_.resize(numOutputs() * in_words_);
-    va_try_.resize(va_words_);
-    sa_req_.resize(vc_words_);
-    sa_elig_.resize(vc_words_);
+    masks_.vaReqs.assign(numOutputs(), 0);
+    sa_out_reqs_.assign(numOutputs(), 0);
     sa_nominee_.resize(numInputs());
     for (unsigned o = 0; o < numOutputs(); ++o) {
         outputs_[o].vaArb.resize(numInputs() * vcs);
@@ -189,119 +184,29 @@ Router::nextEjectionPort()
 namespace
 {
 
-// Word-array helpers for the allocators.  A request set is an array of
-// uint64 words, bit i = requestor i.  W is the word count when fixed at
-// compile time — 1 for every router with at most 64 input VCs — or 0
-// for the runtime count `nw`; the W = 1 forms reduce to plain
-// single-mask operations.
-
-template <unsigned W>
-constexpr unsigned
-wordsOf(unsigned nw)
+constexpr std::uint64_t
+bit(unsigned i)
 {
-    return W != 0 ? W : nw;
+    return std::uint64_t{1} << i;
 }
 
-template <unsigned W>
-void
-setBit(std::uint64_t *words, unsigned i)
-{
-    if constexpr (W == 1)
-        words[0] |= std::uint64_t{1} << i;
-    else
-        words[i >> 6] |= std::uint64_t{1} << (i & 63);
-}
-
-template <unsigned W>
-void
-clearBit(std::uint64_t *words, unsigned i)
-{
-    if constexpr (W == 1)
-        words[0] &= ~(std::uint64_t{1} << i);
-    else
-        words[i >> 6] &= ~(std::uint64_t{1} << (i & 63));
-}
-
-template <unsigned W>
-bool
-anyBit(const std::uint64_t *words, unsigned nw)
-{
-    std::uint64_t live = 0;
-    for (unsigned w = 0; w < wordsOf<W>(nw); ++w)
-        live |= words[w];
-    return live != 0;
-}
-
-/** Calls f(i) for every set bit i, ascending. */
-template <unsigned W, typename F>
-void
-forEachBit(const std::uint64_t *words, unsigned nw, F &&f)
-{
-    for (unsigned w = 0; w < wordsOf<W>(nw); ++w) {
-        for (std::uint64_t m = words[w]; m != 0; m &= m - 1)
-            f(w * 64 + static_cast<unsigned>(std::countr_zero(m)));
-    }
-}
-
-/** Round-robin winner among the set bits, or arb.size() if none. */
-template <unsigned W>
-unsigned
-grant(const RoundRobinArbiter &arb, const std::uint64_t *words,
-      unsigned nw)
-{
-    if constexpr (W == 1)
-        return arb.grantMask(words[0]);
-    else
-        return arb.grantWords(words, nw);
-}
-
-/** Set bit with the smallest age(i), first in ascending order on ties;
+/** Set bit of `m` with the smallest age(i), lowest first on ties;
  *  `none` if no bit is set. */
-template <unsigned W, typename Age>
+template <typename Age>
 unsigned
-oldest(const std::uint64_t *words, unsigned nw, unsigned none, Age &&age)
+oldest(std::uint64_t m, unsigned none, Age &&age)
 {
     unsigned win = none;
     Cycle best = INVALID_CYCLE;
-    forEachBit<W>(words, nw, [&](unsigned i) {
+    for (; m != 0; m &= m - 1) {
+        const auto i = static_cast<unsigned>(std::countr_zero(m));
         const Cycle a = age(i);
         if (win == none || a < best) {
             best = a;
             win = i;
         }
-    });
-    return win;
-}
-
-/**
- * Copies bits [pos, pos + len) of `src` (`src_words` words) into `dst`
- * (`nw` = ceil(len / 64) words), zero-filled above `len`.
- */
-template <unsigned W>
-void
-extractBits(const std::uint64_t *src, unsigned src_words, unsigned pos,
-            unsigned len, std::uint64_t *dst, unsigned nw)
-{
-    if constexpr (W == 1) {
-        (void)src_words;
-        (void)nw;
-        const std::uint64_t mask = len >= 64
-            ? ~std::uint64_t{0} : (std::uint64_t{1} << len) - 1;
-        dst[0] = (src[0] >> pos) & mask;
-    } else {
-        for (unsigned j = 0; j < nw; ++j) {
-            const unsigned b = pos + 64 * j;
-            const unsigned w = b >> 6;
-            const unsigned sh = b & 63;
-            std::uint64_t v = src[w] >> sh;
-            if (sh != 0 && w + 1 < src_words)
-                v |= src[w + 1] << (64 - sh);
-            const unsigned left = len - 64 * j;
-            if (left < 64)
-                v &= (std::uint64_t{1} << left) - 1;
-            dst[j] = v;
-        }
     }
+    return win;
 }
 
 } // namespace
@@ -315,20 +220,18 @@ Router::pushFlit(unsigned in, Flit &&flit, Cycle now)
     // switchable; a VC_ALLOC VC already holds its head.
     const VcState st = inputs_[in].state(vc);
     if (st == VcState::IDLE)
-        setBit<0>(masks_.rc.data(), in * nvcs_ + vc);
+        masks_.rc |= bit(in * nvcs_ + vc);
     else if (st == VcState::ACTIVE)
-        setBit<0>(masks_.sa.data(), in * nvcs_ + vc);
+        masks_.sa |= bit(in * nvcs_ + vc);
 }
 
 void
 Router::routeCompute(Cycle now)
 {
     (void)now;
-    std::uint64_t *rc = masks_.rc.data();
-    if (!anyBit<0>(rc, va_words_))
-        return;
     const unsigned vcs = nvcs_;
-    forEachBit<0>(rc, va_words_, [&](unsigned i) {
+    for (std::uint64_t m = masks_.rc; m != 0; m &= m - 1) {
+        const auto i = static_cast<unsigned>(std::countr_zero(m));
         const unsigned in = i / vcs;
         const unsigned vc = i - in * vcs;
         auto &port = inputs_[in];
@@ -358,59 +261,30 @@ Router::routeCompute(Cycle now)
         // spares VC allocation the pointer chase entirely.
         port.setBaseVc(vc, params_.vcMap.baseVc(pkt));
         port.setState(vc, VcState::VC_ALLOC);
-        setBit<0>(masks_.va.data(), i);
-        setBit<0>(masks_.vaReqs.data() + out * va_words_, i);
-    });
+        masks_.va |= bit(i);
+        masks_.vaReqs[out] |= bit(i);
+    }
     // Every VC in the mask has been routed.
-    std::fill_n(rc, va_words_, 0);
+    masks_.rc = 0;
 }
 
 void
 Router::vcAllocate(Cycle now)
 {
-    if (va_words_ == 1)
-        vcAllocateWords<1>(now);
-    else
-        vcAllocateWords<0>(now);
-}
-
-void
-Router::switchAllocate(Cycle now)
-{
-    if (va_words_ == 1)
-        switchAllocateWords<1>(now);
-    else
-        switchAllocateWords<0>(now);
-}
-
-template <unsigned W>
-void
-Router::vcAllocateWords(Cycle now)
-{
-    const unsigned vcs = nvcs_;
-    const unsigned n = numInputs() * vcs;
-    const unsigned nw = wordsOf<W>(va_words_);
-    std::uint64_t *va = masks_.va.data();
-    if (!anyBit<W>(va, nw))
+    if (masks_.va == 0)
         return;
-    std::uint64_t one_word = 0;
-    std::uint64_t *untried = W == 1 ? &one_word : va_try_.data();
+    const unsigned vcs = nvcs_;
     for (unsigned o = 0; o < numOutputs(); ++o) {
         // Bit i = input VC i waits for an output VC here.  Outputs with
         // no requestors grant nothing, which is bit-exact because an
         // arbiter only advances when a grant is accepted.
-        std::uint64_t *reqs = masks_.vaReqs.data() + o * nw;
-        if (!anyBit<W>(reqs, nw))
-            continue;
-        std::copy_n(reqs, nw, untried);
+        std::uint64_t &reqs = masks_.vaReqs[o];
         auto &out = outputs_[o];
         // Grant output VCs in round-robin requestor order until the
         // requestors run out.
-        for (;;) {
-            const unsigned idx = grant<W>(out.vaArb, untried, nw);
-            if (idx >= n)
-                break;
-            clearBit<W>(untried, idx);
+        for (std::uint64_t untried = reqs; untried != 0;) {
+            const unsigned idx = out.vaArb.grantMask(untried);
+            untried &= ~bit(idx);
             const unsigned in = idx / vcs;
             const unsigned vc = idx % vcs;
             const unsigned base = inputs_[in].baseVc(vc);
@@ -436,9 +310,9 @@ Router::vcAllocateWords(Cycle now)
             inputs_[in].setOutVc(vc, granted);
             inputs_[in].setState(vc, VcState::ACTIVE);
             // A VC_ALLOC VC always buffers its head flit.
-            clearBit<W>(reqs, idx);
-            clearBit<W>(va, idx);
-            setBit<W>(masks_.sa.data(), idx);
+            reqs &= ~bit(idx);
+            masks_.va &= ~bit(idx);
+            masks_.sa |= bit(idx);
             out.vaArb.accept(idx);
             if (tracer_) {
                 const Packet &pkt = *inputs_[in].front(vc).pkt;
@@ -449,76 +323,71 @@ Router::vcAllocateWords(Cycle now)
     }
 }
 
-template <unsigned W>
 void
-Router::switchAllocateWords(Cycle now)
+Router::switchAllocate(Cycle now)
 {
-    const unsigned vcs = nvcs_;
-    const unsigned cw = wordsOf<W>(va_words_); // all input VCs
-    const unsigned vw = wordsOf<W>(vc_words_); // one input's VCs
-    const unsigned iw = wordsOf<W>(in_words_); // input ports
     // Candidates: the ACTIVE VCs with a buffered flit.  The expensive
     // per-flit eligibility checks below only touch those bits.
-    std::uint64_t *cand = masks_.sa.data();
-    if (!anyBit<W>(cand, cw))
+    std::uint64_t &cand = masks_.sa;
+    if (cand == 0)
         return;
-    // Single-word sets live in registers; wider ones in scratch.
-    std::uint64_t one_word[2] = {};
-    std::uint64_t *req = W == 1 ? &one_word[0] : sa_req_.data();
-    std::uint64_t *elig = W == 1 ? &one_word[1] : sa_elig_.data();
+    const unsigned vcs = nvcs_;
+    // One input's VCs; with five or more inputs, vcs is at most 12.
+    const std::uint64_t port_vcs = bit(vcs) - 1;
 
     // Input stage: each input port nominates one ready VC.
     auto &nominee = sa_nominee_;
     std::uint64_t requested = 0; // bit o: output o has a nominee
     for (unsigned in = 0; in < numInputs(); ++in) {
-        extractBits<W>(cand, cw, in * vcs, vcs, req, vw);
-        if (!anyBit<W>(req, vw))
+        const std::uint64_t req = (cand >> (in * vcs)) & port_vcs;
+        if (req == 0)
             continue;
         auto &port = inputs_[in];
-        std::fill_n(elig, vw, 0);
-        forEachBit<W>(req, vw, [&](unsigned vc) {
+        std::uint64_t elig = 0;
+        for (std::uint64_t m = req; m != 0; m &= m - 1) {
+            const auto vc = static_cast<unsigned>(std::countr_zero(m));
             const Flit &f = port.front(vc);
             // A flit spends `pipelineDepth` cycles in the router (it
             // departs no earlier than arrival + depth), giving the
             // paper's 5-cycle hops for 4-stage routers + 1-cycle
             // channels (Sec. III-B).
             if (f.enqueueCycle + params_.pipelineDepth > now)
-                return; // still in the router pipeline
+                continue; // still in the router pipeline
             const unsigned o = port.outPort(vc);
             if (isEjection(o)) {
                 tenoc_assert(sink_, "no ejection sink attached");
                 if (!sink_->ejectReady(o - NUM_DIRS))
-                    return;
+                    continue;
             } else if (slab_->outCredits[ov(o, port.outVc(vc))] == 0) {
-                return;
+                continue;
             }
-            setBit<W>(elig, vc);
-        });
-        if (!anyBit<W>(elig, vw))
+            elig |= bit(vc);
+        }
+        if (elig == 0)
             continue;
         const unsigned win = params_.agePriority
-            ? oldest<W>(elig, vw, vcs,
-                        [&](unsigned vc) {
-                            return packetAge(port.front(vc));
-                        })
-            : grant<W>(sa_input_arb_[in], elig, vw);
+            ? oldest(elig, vcs,
+                     [&](unsigned vc) {
+                         return packetAge(port.front(vc));
+                     })
+            : sa_input_arb_[in].grantMask(elig);
         nominee[in] = win;
         const unsigned o = port.outPort(win);
-        setBit<W>(sa_out_reqs_.data() + o * iw, in);
-        requested |= std::uint64_t{1} << o;
+        sa_out_reqs_[o] |= bit(in);
+        requested |= bit(o);
     }
 
     // Output stage: one winner per requested output port, ascending.
     for (; requested != 0; requested &= requested - 1) {
         const auto o = static_cast<unsigned>(std::countr_zero(requested));
-        std::uint64_t *reqs = sa_out_reqs_.data() + o * iw;
+        std::uint64_t &reqs = sa_out_reqs_[o];
         const unsigned in = params_.agePriority
-            ? oldest<W>(reqs, iw, numInputs(),
-                        [&](unsigned c) {
-                            return packetAge(inputs_[c].front(nominee[c]));
-                        })
-            : grant<W>(outputs_[o].saArb, reqs, iw);
-        std::fill_n(reqs, iw, 0);
+            ? oldest(reqs, numInputs(),
+                     [&](unsigned c) {
+                         return packetAge(inputs_[c].front(nominee[c]));
+                     })
+            : outputs_[o].saArb.grantMask(reqs);
+        reqs = 0;
         const unsigned vc = nominee[in];
 
         // Switch traversal.
@@ -541,16 +410,16 @@ Router::switchAllocateWords(Cycle now)
             outputs_[o].flitOut->send(std::move(flit), now);
             ++link_flits_[o];
         }
-        const unsigned i = in * vcs + vc;
+        const std::uint64_t b = bit(in * vcs + vc);
         if (tail) {
             slab_->outOwned[ov(o, out_vc)] = 0;
             inputs_[in].setState(vc, VcState::IDLE);
-            clearBit<W>(cand, i);
+            cand &= ~b;
             // The next packet's head may already wait behind the tail.
             if (!inputs_[in].empty(vc))
-                setBit<W>(masks_.rc.data(), i);
+                masks_.rc |= b;
         } else if (inputs_[in].empty(vc)) {
-            clearBit<W>(cand, i);
+            cand &= ~b;
         }
         ++flits_traversed_;
         if (net_traversed_)
@@ -565,40 +434,31 @@ Router::empty() const
 {
     // Every buffered flit sits on an IDLE, VC_ALLOC or ACTIVE VC, so it
     // is in exactly one stage mask.
-    return !anyBit<0>(masks_.rc.data(), va_words_) &&
-        !anyBit<0>(masks_.va.data(), va_words_) &&
-        !anyBit<0>(masks_.sa.data(), va_words_);
+    return (masks_.rc | masks_.va | masks_.sa) == 0;
 }
 
 Router::StageMasks
 Router::deriveStageMasks() const
 {
     StageMasks m;
-    m.rc.assign(va_words_, 0);
-    m.va.assign(va_words_, 0);
-    m.sa.assign(va_words_, 0);
-    m.vaReqs.assign(numOutputs() * va_words_, 0);
+    m.vaReqs.assign(numOutputs(), 0);
     for (unsigned in = 0; in < numInputs(); ++in) {
         const InputPort &port = inputs_[in];
         for (unsigned vc = 0; vc < nvcs_; ++vc) {
-            const unsigned i = in * nvcs_ + vc;
+            const std::uint64_t b = bit(in * nvcs_ + vc);
             switch (port.state(vc)) {
               case VcState::IDLE:
                 if (!port.empty(vc))
-                    setBit<0>(m.rc.data(), i);
-                break;
-              case VcState::ROUTING:
+                    m.rc |= b;
                 break;
               case VcState::VC_ALLOC:
-                setBit<0>(m.va.data(), i);
-                if (port.outPort(vc) < numOutputs()) {
-                    setBit<0>(m.vaReqs.data() +
-                                  port.outPort(vc) * va_words_, i);
-                }
+                m.va |= b;
+                if (port.outPort(vc) < numOutputs())
+                    m.vaReqs[port.outPort(vc)] |= b;
                 break;
               case VcState::ACTIVE:
                 if (!port.empty(vc))
-                    setBit<0>(m.sa.data(), i);
+                    m.sa |= b;
                 break;
             }
         }

@@ -33,12 +33,13 @@
  * shared arena (see slab.hh); a standalone router owns a private one.
  * The pipeline stages (routeCompute/vcAllocate/switchAllocate) are
  * public so the network can run them in one pass over its active
- * routers.  Each stage walks its own work set, a bit mask over the
- * router's input
- * VCs kept up to date by the events that change VC state or ring
- * occupancy (see StageMasks), so a stage with no eligible VC returns
- * after one mask test — exactly the case where running it would have
- * been a no-op.
+ * routers.  Each stage walks its own work set, a 64-bit mask over the
+ * router's input VCs kept up to date by the events that change VC
+ * state or ring occupancy (see StageMasks), so a stage with no
+ * eligible VC returns after one mask test — exactly the case where
+ * running it would have been a no-op.  A router therefore takes at
+ * most MAX_INPUT_VCS input VCs and MAX_OUTPUTS outputs;
+ * validateMeshNetworkParams rejects larger geometries.
  */
 
 #ifndef TENOC_NOC_ROUTER_HH
@@ -99,6 +100,11 @@ class Router
          */
         bool agePriority = false;
     };
+
+    /** Input VCs (inputs x VCs) one router takes: one mask word. */
+    static constexpr unsigned MAX_INPUT_VCS = 64;
+    /** Outputs one router takes: one switch-allocation mask word. */
+    static constexpr unsigned MAX_OUTPUTS = 64;
 
     /** Standalone router owning its own slab storage (unit tests). */
     Router(NodeId id, const Topology &topo, RoutingAlgorithm &routing,
@@ -297,17 +303,17 @@ class Router
     }
 
     /**
-     * The stage work sets, va_words_ words per set, bit in * vcs + vc
-     * for input VC (`in`, `vc`).  They are derived from slab state and
-     * kept by the events that change it (a push, RC, a VA grant, an SA
-     * pop or tail), so the stages never rescan the state slab.
+     * The stage work sets, bit in * vcs + vc for input VC (`in`, `vc`).
+     * They are derived from slab state and kept by the events that
+     * change it (a push, RC, a VA grant, an SA pop or tail), so the
+     * stages never rescan the state slab.
      */
     struct StageMasks
     {
-        std::vector<std::uint64_t> rc; ///< IDLE with a buffered head
-        std::vector<std::uint64_t> va; ///< VC_ALLOC
-        std::vector<std::uint64_t> sa; ///< ACTIVE with a buffered flit
-        /** VC_ALLOC VCs by RC-assigned output: numOutputs sets. */
+        std::uint64_t rc = 0; ///< IDLE with a buffered head
+        std::uint64_t va = 0; ///< VC_ALLOC
+        std::uint64_t sa = 0; ///< ACTIVE with a buffered flit
+        /** VC_ALLOC VCs by RC-assigned output: one set per output. */
         std::vector<std::uint64_t> vaReqs;
 
         bool operator==(const StageMasks &) const = default;
@@ -351,15 +357,6 @@ class Router
     /** Buffers `flit` on input `in` and files its VC in the RC or SA
      *  mask when the push makes it eligible there. */
     void pushFlit(unsigned in, Flit &&flit, Cycle now);
-
-    // The allocators over word-array request sets, W words per set
-    // (W = 1: every router with at most 64 input VCs, single-mask code
-    // with O(1) RoundRobinArbiter::grantMask grants; W = 0: the runtime
-    // word counts below, O(words) grantWords grants).
-    template <unsigned W>
-    void vcAllocateWords(Cycle now);
-    template <unsigned W>
-    void switchAllocateWords(Cycle now);
 
     bool isInjection(unsigned in) const { return in >= NUM_DIRS; }
     bool isEjection(unsigned out) const { return out >= NUM_DIRS; }
@@ -421,20 +418,13 @@ class Router
     ArrivalScheduler *arrival_sched_ = nullptr;
     unsigned arrival_idx_ = 0;
 
-    unsigned va_words_ = 1; ///< words per input-VC set (inputs * vcs)
-    unsigned vc_words_ = 1; ///< words per one input's VC set
-    unsigned in_words_ = 1; ///< words per input-port set
     StageMasks masks_;
 
     // Allocation scratch, hoisted out of the per-cycle loops so the
     // hot path performs no heap allocation.
-    /** Per-output SA requestor sets: numOutputs * in_words_, all zero
-     *  between calls (the output stage clears each set it consumes). */
+    /** Per-output SA requestor sets, bit = input port: all zero between
+     *  calls (the output stage clears each set it consumes). */
     std::vector<std::uint64_t> sa_out_reqs_;
-    /** Multi-word allocator sets (W = 1 keeps them in registers): one
-     *  output's untried VA requestors (va_words_), one input's SA
-     *  requests and eligible VCs (vc_words_ each). */
-    std::vector<std::uint64_t> va_try_, sa_req_, sa_elig_;
     /** SA nominee per input port; only inputs with a request are read. */
     std::vector<unsigned> sa_nominee_;
 };

@@ -297,4 +297,15 @@ makeRouting(const std::string &name, const Topology &topo)
     tenoc_fatal("unknown routing algorithm '", name, "'");
 }
 
+unsigned
+routeClassesOf(const std::string &name)
+{
+    if (name == "xy" || name == "dor" || name == "yx")
+        return 1;
+    if (name == "cr" || name == "checkerboard" || name == "o1turn" ||
+        name == "romm" || name == "valiant")
+        return 2;
+    return 0;
+}
+
 } // namespace tenoc

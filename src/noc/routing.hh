@@ -168,6 +168,13 @@ class ValiantRouting : public RoutingAlgorithm
 std::unique_ptr<RoutingAlgorithm> makeRouting(const std::string &name,
                                               const Topology &topo);
 
+/**
+ * @return the routing VC classes of the algorithm makeRouting builds
+ * for `name` (its numRouteClasses()), or 0 if `name` names none.
+ * Lets config checks size routers without building a topology.
+ */
+unsigned routeClassesOf(const std::string &name);
+
 } // namespace tenoc
 
 #endif // TENOC_NOC_ROUTING_HH

@@ -42,7 +42,6 @@ namespace tenoc
 enum class VcState : std::uint8_t
 {
     IDLE,     ///< no packet being routed through this VC
-    ROUTING,  ///< head flit buffered, awaiting route computation
     VC_ALLOC, ///< route known, awaiting an output VC
     ACTIVE    ///< output VC held; flits may traverse the switch
 };

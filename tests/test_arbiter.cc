@@ -19,8 +19,8 @@ namespace
 
 /**
  * Reference scanning grant: walks the requestors one by one starting
- * at the arbiter's pointer.  The O(1) grantMask/grantWords paths the
- * router uses are proven against it below.
+ * at the arbiter's pointer.  The O(1) grantMask path the router uses
+ * is proven against it below.
  *
  * @param requests request flags, arb.size() entries
  * @return winning index, or arb.size() if no requests
@@ -104,68 +104,55 @@ TEST(Arbiter, ResizeResetsOutOfRangePointer)
     EXPECT_EQ(grant(arb, {true}), 0u);
 }
 
-TEST(Arbiter, GrantWordsFindsRequestorAbove64)
-{
-    // Regression: the single-word mask path silently dropped
-    // requestors 64 and above (concentrated / high-radix routers);
-    // the multi-word scan must see them.
-    RoundRobinArbiter arb(70);
-    std::vector<bool> requests(70, false);
-    requests[68] = true;
-    std::uint64_t words[2] = {0, std::uint64_t{1} << (68 - 64)};
-    EXPECT_EQ(grant(arb, requests), 68u);
-    EXPECT_EQ(arb.grantWords(words, 2), 68u);
-}
-
-TEST(Arbiter, GrantWordsWrapsAcrossWordBoundary)
-{
-    // Pointer past the only requestor: the scan must wrap from the
-    // tail words back through the head of the pointer's own word.
-    RoundRobinArbiter arb(130);
-    arb.setPointer(129);
-    std::uint64_t words[3] = {std::uint64_t{1} << 3, 0, 0};
-    EXPECT_EQ(arb.grantWords(words, 3), 3u);
-    // A requestor exactly at the pointer wins outright.
-    words[2] = std::uint64_t{1} << (129 - 128);
-    EXPECT_EQ(arb.grantWords(words, 3), 129u);
-}
-
-TEST(Arbiter, GrantWordsMatchesGrantExhaustively)
+TEST(Arbiter, GrantMaskMatchesGrantExhaustively)
 {
     // Identical-grants proof: every (random request set, pointer
     // position) pair must grant the same requestor via the reference
-    // vector<bool> scan and the word-mask scan — and, for arbiters of
-    // at most 64 requestors, the single-word mask grant.
+    // vector<bool> scan and the one-word mask grant, up to the full
+    // 64 requestors (bit 63 and the wrap from pointer 63).
     Rng rng(0xa6b17e5ULL);
-    for (const unsigned size :
-         {3u, 40u, 64u, 65u, 96u, 128u, 130u, 192u}) {
+    for (const unsigned size : {1u, 3u, 40u, 63u, 64u}) {
         RoundRobinArbiter arb(size);
-        const unsigned nwords = (size + 63) / 64;
         for (int trial = 0; trial < 200; ++trial) {
             std::vector<bool> requests(size, false);
-            std::vector<std::uint64_t> words(nwords, 0);
+            std::uint64_t mask = 0;
             const double density =
                 trial % 3 == 0 ? 0.02 : (trial % 3 == 1 ? 0.3 : 0.9);
             for (unsigned i = 0; i < size; ++i) {
                 if (rng.nextBool(density)) {
                     requests[i] = true;
-                    words[i / 64] |= std::uint64_t{1} << (i % 64);
+                    mask |= std::uint64_t{1} << i;
                 }
             }
             arb.setPointer(
                 static_cast<unsigned>(rng.nextRange(size)));
             const unsigned ref = grant(arb, requests);
-            const unsigned wide = arb.grantWords(words.data(), nwords);
-            ASSERT_EQ(ref, wide)
+            ASSERT_EQ(ref, arb.grantMask(mask))
                 << "size " << size << " pointer " << arb.pointer();
-            if (size <= 64) {
-                ASSERT_EQ(ref, arb.grantMask(words[0]))
-                    << "size " << size << " pointer " << arb.pointer();
-            }
             if (ref < size)
                 arb.accept(ref); // walk the pointer like iSLIP does
         }
+        // Every pointer position against the lone top requestor and
+        // against the lowest and highest together.
+        const std::uint64_t top = std::uint64_t{1} << (size - 1);
+        for (unsigned ptr = 0; ptr < size; ++ptr) {
+            arb.setPointer(ptr);
+            for (const std::uint64_t mask : {top, top | 1}) {
+                std::vector<bool> requests(size, false);
+                requests[0] = (mask & 1) != 0;
+                requests[size - 1] = true;
+                ASSERT_EQ(grant(arb, requests), arb.grantMask(mask))
+                    << "size " << size << " pointer " << ptr;
+            }
+        }
     }
+}
+
+TEST(ArbiterDeath, MoreThan64RequestorsIsFatal)
+{
+    EXPECT_DEATH(RoundRobinArbiter(65), "at most 64 requestors");
+    RoundRobinArbiter arb(64);
+    EXPECT_DEATH(arb.resize(65), "at most 64 requestors");
 }
 
 } // namespace

@@ -149,6 +149,55 @@ TEST(ChipConfigDeath, BadDramGeometryIsFatal)
     }
 }
 
+TEST(ChipConfigDeath, RouterPastItsLimitsIsFatal)
+{
+    // A router takes at most 64 input VCs and 64 outputs; larger
+    // geometries fail when the config is read, naming the keys.
+    Config vcs;
+    vcs.set("noc.vcsPerClass", "6");
+    vcs.set("noc.mcInjPorts", "2");
+    EXPECT_EXIT(chipParamsFromConfig(vcs), ::testing::ExitedWithCode(1),
+                "each MC router would have \\(4 \\+ noc.mcInjPorts=2\\)"
+                " inputs x \\(2 protocol x 1 routing classes of 'xy' x"
+                " noc.vcsPerClass=6\\) VCs = 72 input VCs");
+    // Two routing classes double the VCs: 5 inputs x 16 = 80.
+    Config cr;
+    cr.set("base", "cp-cr");
+    cr.set("noc.vcsPerClass", "4");
+    EXPECT_EXIT(chipParamsFromConfig(cr), ::testing::ExitedWithCode(1),
+                "2 routing classes of 'cr' .* = 80 input VCs");
+    // Sliced networks are checked too.
+    Config sliced;
+    sliced.set("base", "thr-eff");
+    sliced.set("noc.vcsPerClass", "8");
+    EXPECT_EXIT(chipParamsFromConfig(sliced),
+                ::testing::ExitedWithCode(1), "input VCs");
+    Config outs;
+    outs.set("noc.mcEjPorts", "70");
+    EXPECT_EXIT(chipParamsFromConfig(outs), ::testing::ExitedWithCode(1),
+                "at most 64 outputs, but each MC router would have 4 \\+"
+                " noc.mcEjPorts=70 = 74");
+}
+
+TEST(ChipConfig, RouterAtItsLimitsIsAccepted)
+{
+    // 4 + 4 inputs x 2 protocol x 4 lanes: exactly 64 input VCs.
+    Config cfg;
+    cfg.set("noc.vcsPerClass", "4");
+    cfg.set("noc.mcInjPorts", "4");
+    auto p = chipParamsFromConfig(cfg);
+    EXPECT_EQ(p.mesh.vcsPerClass, 4u);
+    EXPECT_EQ(p.mesh.mcInjPorts, 4u);
+    // 4 + 60 outputs: exactly 64.
+    cfg.set("noc.mcEjPorts", "60");
+    EXPECT_EQ(chipParamsFromConfig(cfg).mesh.mcEjPorts, 60u);
+    // The perfect network builds no routers.
+    Config perfect;
+    perfect.set("base", "perfect");
+    perfect.set("noc.vcsPerClass", "64");
+    EXPECT_EQ(chipParamsFromConfig(perfect).netKind, NetKind::PERFECT);
+}
+
 TEST(ChipConfig, DramGeometryLimitsAreAccepted)
 {
     Config cfg;

@@ -280,6 +280,18 @@ TEST(DiffConfig, ParseRejectsGarbage)
     }
     // Legal syntax, illegal config space.
     EXPECT_FALSE(DiffConfig::parse("routing = cr\n", out, &err));
+    EXPECT_FALSE(DiffConfig::parse("routing = bogus\n", out, &err));
+    // A router past 64 input VCs: 4 + 2 inputs x 2 protocol x 6 lanes.
+    EXPECT_FALSE(DiffConfig::parse(
+        "protoClasses = 2\nvcsPerClass = 6\nmcInjPorts = 2\n", out,
+        &err));
+    EXPECT_NE(err.find("config-space"), std::string::npos) << err;
+    // ...and past 64 outputs.
+    EXPECT_FALSE(DiffConfig::parse("mcEjPorts = 61\n", out, &err));
+    // Exactly 64 input VCs and 64 outputs are legal.
+    EXPECT_TRUE(DiffConfig::parse(
+        "protoClasses = 2\nvcsPerClass = 4\nmcInjPorts = 4\n"
+        "mcEjPorts = 60\n", out, &err)) << err;
     // Comments and defaults are fine.
     EXPECT_TRUE(DiffConfig::parse("# just a comment\n", out, &err));
 }

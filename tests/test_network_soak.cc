@@ -29,9 +29,8 @@ struct SoakConfig
     unsigned mcInjPorts;
     unsigned mcEjPorts;
     bool sliced;
-    /** Expect MC routers past 64 input VCs (the multi-word allocator)
-     *  and compute routers within them (the one-word allocator). */
-    bool wideAlloc = false;
+    /** Expect MC routers at exactly the 64-input-VC limit. */
+    bool fullMask = false;
 };
 
 // Print a config by its name.  Without this gtest dumps the raw bytes,
@@ -85,12 +84,10 @@ TEST_P(NetworkSoak, ConservationUnderRandomTraffic)
     }
     auto net = makeMeshNetwork(p, cfg.sliced);
     const Topology &topo = net->topology();
-    if (cfg.wideAlloc) {
+    if (cfg.fullMask) {
         auto &mesh = dynamic_cast<MeshNetwork &>(*net);
         const Router &mc = mesh.router(topo.mcNodes().front());
-        const Router &core = mesh.router(topo.computeNodes().front());
-        ASSERT_GT(mc.numInputs() * mc.numVcs(), 64u);
-        ASSERT_LE(core.numInputs() * core.numVcs(), 64u);
+        ASSERT_EQ(mc.numInputs() * mc.numVcs(), Router::MAX_INPUT_VCS);
     }
 
     std::vector<CountingSink> sinks(topo.numNodes());
@@ -182,11 +179,10 @@ INSTANTIATE_TEST_SUITE_P(
         SoakConfig{"o1turn", "o1turn", false, 16, 1, 1, 1, false},
         SoakConfig{"romm", "romm", false, 16, 1, 1, 1, false},
         SoakConfig{"valiant", "valiant", false, 16, 1, 1, 1, false},
-        // 2 protocol classes x 6 VCs and 2 MC ports of each kind: an MC
-        // router has 4 + 2 inputs of 12 VCs = 72, past the 64 input VCs
-        // of the single-word allocator; a compute router has 5 x 12 =
-        // 60, so both allocator instances run.
-        SoakConfig{"widevc2p", "xy", false, 16, 6, 2, 2, false, true}),
+        // 2 protocol classes x 4 VCs and 4 MC injection ports: an MC
+        // router has 4 + 4 inputs of 8 VCs, exactly the 64 input VCs a
+        // router takes, so its stage masks use every bit.
+        SoakConfig{"vc64mc4p", "xy", false, 16, 4, 4, 2, false, true}),
     [](const auto &info) { return std::string(info.param.name); });
 
 } // namespace

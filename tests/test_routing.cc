@@ -391,6 +391,20 @@ TEST(MakeRouting, FactoryNames)
     EXPECT_STREQ(makeRouting("valiant", full)->name(), "VALIANT");
 }
 
+TEST(MakeRouting, RouteClassesOfMatchesTheBuiltAlgorithm)
+{
+    const Topology cb = checkerboardTopo();
+    const Topology full{TopologyParams{}};
+    for (const char *name : {"xy", "dor", "yx", "cr", "checkerboard",
+                             "o1turn", "romm", "valiant"}) {
+        const std::string n = name;
+        const Topology &t = n == "cr" || n == "checkerboard" ? cb : full;
+        EXPECT_EQ(routeClassesOf(n), makeRouting(n, t)->numRouteClasses())
+            << n;
+    }
+    EXPECT_EQ(routeClassesOf("bogus"), 0u);
+}
+
 TEST(O1TurnRouting, MixesOrientationsAndStaysMinimal)
 {
     Topology t{TopologyParams{}};
