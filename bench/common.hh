@@ -171,9 +171,9 @@ chipAreaFor(ConfigId id)
 
 /**
  * Runs one instrumented workload and writes any telemetry outputs the
- * user requested (--stats-json / --stats-csv / --interval-csv /
- * --trace; parse them out of argv with parseTelemetryFlags *before*
- * reading positional arguments).  No-op when no flag was given, so
+ * user requested (--stats-json / --interval-csv / --trace; parse
+ * them out of argv with parseTelemetryFlags *before* reading
+ * positional arguments).  No-op when no flag was given, so
  * harnesses can call this unconditionally after their normal output.
  */
 inline void

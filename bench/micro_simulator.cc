@@ -7,7 +7,7 @@
  * Also the telemetry harness: every run times one instrumented
  * closed-loop chip and writes BENCH_telemetry.json (cycles simulated,
  * wall-clock seconds, simulated cycles per second).  The telemetry
- * flags (--stats-json / --stats-csv / --interval-csv / --trace, see
+ * flags (--stats-json / --interval-csv / --trace, see
  * docs/telemetry.md) attach sinks to that run; when any is given the
  * google-benchmark suite is skipped so the telemetry files are the
  * run's product.

@@ -177,9 +177,6 @@ chipParamsFromConfig(const Config &cfg)
         "dram.banks", "dram.rowBytes", "sim.seed", "sim.maxIcntCycles",
         "noc.validate", "noc.validateInterval", "noc.watchdogWindow",
         "noc.maxPacketAge", "noc.watchdogSnapshotPath",
-        "fault.linkStallRate", "fault.linkStallDuration",
-        "fault.routerFreezeRate", "fault.routerFreezeDuration",
-        "fault.creditDropRate", "fault.maxCreditDrops", "fault.seed",
     };
     for (const auto &key : cfg.keys()) {
         if (!known.count(key))
@@ -232,7 +229,7 @@ chipParamsFromConfig(const Config &cfg)
     }
     m.agePriority = cfg.getBool("noc.agePriority", m.agePriority);
 
-    // Hardening knobs (noc/invariants.hh, noc/faults.hh).
+    // Hardening knobs (noc/invariants.hh).
     m.validate = cfg.getBool("noc.validate", m.validate);
     m.validateInterval =
         cfg.getUint("noc.validateInterval", m.validateInterval);
@@ -241,28 +238,6 @@ chipParamsFromConfig(const Config &cfg)
     m.maxPacketAge = cfg.getUint("noc.maxPacketAge", m.maxPacketAge);
     m.watchdogSnapshotPath = cfg.getString("noc.watchdogSnapshotPath",
                                            m.watchdogSnapshotPath);
-    m.faults.linkStallRate =
-        cfg.getDouble("fault.linkStallRate", m.faults.linkStallRate);
-    m.faults.linkStallDuration = cfg.getUint(
-        "fault.linkStallDuration", m.faults.linkStallDuration);
-    m.faults.routerFreezeRate = cfg.getDouble(
-        "fault.routerFreezeRate", m.faults.routerFreezeRate);
-    m.faults.routerFreezeDuration = cfg.getUint(
-        "fault.routerFreezeDuration", m.faults.routerFreezeDuration);
-    m.faults.creditDropRate =
-        cfg.getDouble("fault.creditDropRate", m.faults.creditDropRate);
-    m.faults.maxCreditDrops =
-        cfg.getUint("fault.maxCreditDrops", m.faults.maxCreditDrops);
-    m.faults.seed = cfg.getUint("fault.seed", m.faults.seed);
-    for (double rate : {m.faults.linkStallRate,
-                        m.faults.routerFreezeRate,
-                        m.faults.creditDropRate}) {
-        if (rate < 0.0 || rate > 1.0) {
-            tenoc_fatal("invalid fault config: rates are per-component"
-                        " per-cycle probabilities and must lie in"
-                        " [0, 1] (got ", rate, ")");
-        }
-    }
 
     p.coreClockMhz = cfg.getDouble("clk.coreMhz", p.coreClockMhz);
     p.icntClockMhz = cfg.getDouble("clk.icntMhz", p.icntClockMhz);

@@ -7,9 +7,8 @@
  * small and bounded: the first INLINE items live inside the owning
  * object, so a steady-state channel performs no heap allocation at
  * all, and iteration touches one contiguous block in FIFO order.
- * Capacity grows geometrically (powers of two) when a queue backs up
- * (link-stall faults, frozen receivers), so behaviour is identical to
- * the unbounded deque it replaces.
+ * Capacity grows geometrically (powers of two) when a queue backs up,
+ * so behaviour is identical to the unbounded deque it replaces.
  */
 
 #ifndef TENOC_COMMON_RING_HH

@@ -78,17 +78,6 @@ class ArrivalScheduler
     }
 
     /**
-     * Immediate wake (stall-clear path): the receiver has a matured
-     * backlog right now, so set the pending bit and mark it live.
-     */
-    void
-    wakeNow(unsigned idx, std::uint32_t bit)
-    {
-        pending_[idx] |= bit;
-        wake_->mark(idx);
-    }
-
-    /**
      * Fires every entry that matures by cycle `now`: sets its pending
      * bit and marks its receiver.  Call once at the start of each
      * network cycle, before the active masks are iterated.

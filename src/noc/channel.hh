@@ -73,31 +73,12 @@ class Channel
     std::optional<T>
     receive(Cycle now)
     {
-        if (stalled_ || queue_.empty() || queue_.front().arrival > now)
+        if (queue_.empty() || queue_.front().arrival > now)
             return std::nullopt;
         T item = std::move(queue_.front().item);
         queue_.pop_front();
         return item;
     }
-
-    /**
-     * Fault hook: while stalled the channel delivers nothing (items
-     * keep accumulating and arrive in a burst once the stall clears,
-     * like a repaired wire).  Clearing a stall wakes the receiver at
-     * once: the backlog may already be matured (its wheel wakes fired
-     * into the stalled channel and were consumed), and no wheel slot
-     * will fire for it again.
-     */
-    void
-    setStalled(bool stalled)
-    {
-        stalled_ = stalled;
-        if (!stalled && sched_ && !queue_.empty())
-            sched_->wakeNow(sched_idx_, sched_bit_);
-    }
-
-    /** @return true while a link-stall fault is active. */
-    bool stalled() const { return stalled_; }
 
     /** Calls f(item) for every in-flight item, oldest first. */
     template <typename F>
@@ -144,7 +125,9 @@ class Channel
     save(SnapshotWriter &w, SaveItem &&saveItem) const
     {
         w.u64(last_send_);
-        w.boolean(stalled_);
+        // Reserved flag byte, always false: keeps the snapshot layout
+        // (and so existing checkpoints) unchanged.
+        w.boolean(false);
         w.u64(queue_.size());
         queue_.forEach([&](const Entry &e) {
             w.u64(e.arrival);
@@ -159,7 +142,7 @@ class Channel
     restore(SnapshotReader &r, LoadItem &&loadItem)
     {
         last_send_ = r.u64();
-        stalled_ = r.boolean();
+        r.boolean(); // reserved flag byte (see save)
         queue_.clear();
         const std::uint64_t n = r.u64();
         for (std::uint64_t i = 0; i < n; ++i) {
@@ -177,7 +160,6 @@ class Channel
 
     Cycle latency_;
     Cycle last_send_ = INVALID_CYCLE;
-    bool stalled_ = false;
     RingQueue<Entry> queue_;
     ArrivalScheduler *sched_ = nullptr;
     unsigned sched_idx_ = 0;

@@ -194,10 +194,6 @@ MeshNetwork::MeshNetwork(const MeshNetworkParams &params,
 
     checker_ = std::make_unique<InvariantChecker>(params_.vcDepth);
     checker_->setCounters(&inflight_, &net_flits_in_, &net_flits_out_);
-    if (params_.faults.any()) {
-        faults_ = std::make_unique<FaultEngine>(params_.faults,
-                                                topo_.numNodes());
-    }
 
     if (shared_stats) {
         stats_ = shared_stats;
@@ -255,8 +251,6 @@ MeshNetwork::MeshNetwork(const MeshNetworkParams &params,
         routers_[n]->setArrival(&arrival_, n);
         routers_[n]->setTraversalCounter(&flits_traversed_total_);
         checker_->addRouter(routers_[n].get());
-        if (faults_)
-            faults_->registerRouter(n, routers_[n].get());
     }
 
     // Channels between adjacent routers (one flit + one credit channel
@@ -277,8 +271,6 @@ MeshNetwork::MeshNetwork(const MeshNetworkParams &params,
             checker_->addLink(routers_[n].get(), d, &fc, &cc,
                               routers_[nb].get(),
                               static_cast<unsigned>(opposite(dir)));
-            if (faults_)
-                faults_->registerLink(n, d, &fc);
         }
     }
 
@@ -351,17 +343,10 @@ MeshNetwork::cycle(Cycle now)
     if (prof)
         ++prof->cycles;
     ++stats_->cycles;
-    if (faults_)
-        faults_->tick(now);
     // Deliver this cycle's channel arrivals first: matured wheel
     // entries set their receiver's pending-port bits and mark it
     // active before any phase reads the masks.
     arrival_.fire(now);
-    // Hoisted fault gate: routerFrozen() is consulted per router tick
-    // only while a freeze is actually active; otherwise the fault hook
-    // costs this single pointer test per cycle.
-    const FaultEngine *fe =
-        (faults_ && faults_->anyFrozen()) ? faults_.get() : nullptr;
     // Each phase visits only the marked components, in ascending
     // order.  An unmarked component has no buffered work and no
     // matured arrival, and ticking it would change nothing (arbiters
@@ -369,13 +354,8 @@ MeshNetwork::cycle(Cycle now)
     // live: a mark made by one phase (NI injectFlit -> router, router
     // ejectFlit -> NI) is seen by the later phases of the same cycle,
     // and a fresh same-phase mark is always a no-op visit.
-    // A frozen router (ROUTER_FREEZE fault) is skipped entirely: its
-    // buffers, arbiters and attached channel endpoints hold still.
     const auto routerPass = [&](auto &&tick) {
-        router_active_.forEach([&](unsigned n) {
-            if (!fe || !fe->routerFrozen(n))
-                tick(*routers_[n]);
-        });
+        router_active_.forEach([&](unsigned n) { tick(*routers_[n]); });
     };
     lap(&PhaseProfile::bookkeepingNs);
 
@@ -411,9 +391,7 @@ MeshNetwork::cycle(Cycle now)
     // Retire components that ran dry: a retired router/NI is re-marked
     // by the event that next gives it work (the wheel at a flit's or
     // credit's arrival cycle, injection, ejection), never silently
-    // forgotten.  A frozen router retires only if it truly has no work
-    // (couldWork covers its buffers and pending arrivals whether or not
-    // it is being ticked).
+    // forgotten.
     router_active_.retireIf(
         [&](unsigned n) { return !routers_[n]->couldWork(); });
     ni_active_.retireIf([&](unsigned n) { return nis_[n]->idle(); });
@@ -473,8 +451,10 @@ MeshNetwork::fireWatchdog(Cycle now, const char *reason)
         return;
     }
     std::ofstream out(params_.watchdogSnapshotPath);
+    // Flush now: tenoc_fatal exits without unwinding, so `out` is never
+    // destroyed and anything left in its buffer would be lost.
     if (out)
-        out << report.snapshotJson << "\n";
+        out << report.snapshotJson << "\n" << std::flush;
     tenoc_fatal("network watchdog: ", reason, " at cycle ", now, " — ",
                 report.inflight, " packet(s) in flight, oldest is ",
                 report.oldestAge, " cycles old; diagnostic snapshot ",
@@ -558,15 +538,6 @@ MeshNetwork::diagnosticSnapshot(Cycle now) const
     topo.set("cols", static_cast<std::uint64_t>(topo_.cols()));
     doc.set("topology", std::move(topo));
 
-    if (faults_) {
-        const FaultStats &fs = faults_->stats();
-        JsonValue faults = JsonValue::makeObject();
-        faults.set("link_stalls", fs.linkStalls);
-        faults.set("router_freezes", fs.routerFreezes);
-        faults.set("credit_drops", fs.creditDrops);
-        doc.set("faults", std::move(faults));
-    }
-
     // Live invariant audit: a deadlock caused by state corruption
     // (e.g. a leaked credit) names itself here.
     JsonValue violations = JsonValue::makeArray();
@@ -589,8 +560,6 @@ MeshNetwork::diagnosticSnapshot(Cycle now) const
             continue;
         JsonValue rj = JsonValue::makeObject();
         rj.set("id", static_cast<std::uint64_t>(r->id()));
-        if (faults_)
-            rj.set("frozen", faults_->routerFrozen(r->id()));
         rj.set("buffered_flits", r->bufferedFlits());
         JsonValue vcs = JsonValue::makeArray();
         for (unsigned in = 0; in < r->numInputs(); ++in) {
@@ -878,9 +847,6 @@ NetStats::restore(SnapshotReader &r)
 void
 MeshNetwork::save(SnapshotWriter &w) const
 {
-    if (faults_)
-        tenoc_fatal("cannot checkpoint a fault-injected network: the "
-                    "fault engine's schedule position is not serialized");
     w.tag("MESH");
     // Structural fingerprint: enough to reject a restore into a
     // differently shaped network with a clear message instead of a
@@ -911,10 +877,9 @@ MeshNetwork::save(SnapshotWriter &w) const
     // downstream runs bit-for-bit.  The arrival wheel is derived state
     // too: at a cycle boundary every matured arrival has been drained
     // (fire marks its receiver and readInputs consumes the backlog in
-    // the same cycle; stalling faults cannot be checkpointed), so the
-    // pending words are provably all-zero and the wheel holds only
-    // future entries, rebuilt on restore from the channels' recorded
-    // arrival cycles.
+    // the same cycle), so the pending words are provably all-zero and
+    // the wheel holds only future entries, rebuilt on restore from the
+    // channels' recorded arrival cycles.
     for (NodeId n = 0; n < topo_.numNodes(); ++n) {
         tenoc_assert(arrival_.pending(n) == 0,
                      "arrival pending word nonzero at checkpoint"
@@ -944,7 +909,6 @@ MeshNetwork::save(SnapshotWriter &w) const
 void
 MeshNetwork::restore(SnapshotReader &r)
 {
-    tenoc_assert(!faults_, "restore into a fault-injected network");
     r.tag("MESH");
     const auto expect = [](std::uint64_t got, std::uint64_t want,
                            const char *what) {

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "common/rng.hh"
-#include "noc/faults.hh"
 #include "noc/invariants.hh"
 #include "noc/network.hh"
 #include "noc/network_interface.hh"
@@ -69,8 +68,6 @@ struct MeshNetworkParams
      *  enqueue) trips the watchdog.  0 disables the age scan. */
     Cycle maxPacketAge = 0;
     std::string watchdogSnapshotPath = "tenoc_watchdog_snapshot.json";
-    /** Seeded fault injection (see noc/faults.hh); inert when empty. */
-    FaultConfig faults;
 };
 
 /**
@@ -94,7 +91,7 @@ void validateMeshNetworkParams(const MeshNetworkParams &params);
  * Per-phase wall-time breakdown of MeshNetwork::cycle, accumulated
  * while a profile is attached (noc_speed --profile).  "Bookkeeping"
  * covers everything outside the four component phases: arrival-wheel
- * firing, fault ticks, retirement and postCycle.
+ * firing, retirement and postCycle.
  */
 struct PhaseProfile
 {
@@ -152,11 +149,6 @@ class MeshNetwork : public Network
     /** The network's invariant auditor (always wired; only *runs*
      *  periodically when params().validate is set). */
     const InvariantChecker &checker() const { return *checker_; }
-    /** Fault stats when fault injection is configured, else nullptr. */
-    const FaultStats *faultStats() const
-    {
-        return faults_ ? &faults_->stats() : nullptr;
-    }
     /** Replaces the fail-fast watchdog action (snapshot file + exit)
      *  with `handler`; pass nullptr to restore the default. */
     void setWatchdogHandler(WatchdogHandler handler)
@@ -167,7 +159,7 @@ class MeshNetwork : public Network
     std::string diagnosticReport(Cycle now) const override;
     /** Same snapshot as a JSON document (schema "tenoc-watchdog-v1"):
      *  per-router VC states and credits, wait-for edges, oldest packet
-     *  ages, live invariant audit, fault summary. */
+     *  ages, live invariant audit. */
     telemetry::JsonValue diagnosticSnapshot(Cycle now) const;
 
     /** Test hook: corrupts the O(1) in-flight packet counter by
@@ -188,8 +180,7 @@ class MeshNetwork : public Network
     // --- checkpoint/restore ---
     /** Serializes all dynamic network state (routers, NIs, channels,
      *  activity masks, counters, RNG).  Must be called at a cycle
-     *  boundary; fatals when fault injection is configured (the fault
-     *  engine's schedule position is not serialized). */
+     *  boundary. */
     void save(SnapshotWriter &w) const override;
 
     /** Restores state written by save(); topology/VC structure must
@@ -255,7 +246,6 @@ class MeshNetwork : public Network
     std::uint64_t net_flits_out_ = 0;
 
     std::unique_ptr<InvariantChecker> checker_;
-    std::unique_ptr<FaultEngine> faults_;
     Cycle next_check_ = 0;
 
     WatchdogHandler wd_handler_;

@@ -20,7 +20,7 @@ runOpenLoop(const OpenLoopParams &params)
 {
     MeshNetworkParams net_params = params.net;
     net_params.seed = params.seed;
-    // A genuine deadlock (routing bug, injected fault) would otherwise
+    // A genuine deadlock (routing bug, leaked credit) would otherwise
     // sit silently until the bounded loop runs out; cap the watchdog
     // window at the drain budget so it fires — with a diagnostic
     // snapshot — before the run just peters out.

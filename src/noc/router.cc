@@ -142,7 +142,6 @@ Router::readInputs(Cycle now)
     std::uint32_t bits = arrival_sched_->pending(arrival_idx_);
     if (bits == 0)
         return;
-    std::uint32_t keep = 0;
     while (bits) {
         const auto b = static_cast<unsigned>(std::countr_zero(bits));
         bits &= bits - 1;
@@ -150,20 +149,16 @@ Router::readInputs(Cycle now)
             Channel<Flit> *ch = in_links_[b].flitIn;
             while (auto f = ch->receive(now))
                 pushFlit(b, std::move(*f), now);
-            // A stalled link keeps its matured backlog; the bit stays
-            // pending so the router keeps polling until it drains.
-            if (ch->earliestArrival() <= now)
-                keep |= arrivalFlitBit(b);
         } else {
             const unsigned d = b - NUM_DIRS;
             Channel<Credit> *ch = outputs_[d].creditIn;
             while (auto c = ch->receive(now))
                 ++slab_->outCredits[ov(d, c->vc)];
-            if (ch->earliestArrival() <= now)
-                keep |= arrivalCreditBit(d);
         }
     }
-    arrival_sched_->setPending(arrival_idx_, keep);
+    // Each visited port drained every matured entry: nothing stays
+    // pending.
+    arrival_sched_->setPending(arrival_idx_, 0);
 }
 
 Cycle

@@ -334,7 +334,7 @@ class Router
      *  match the saving router. */
     void restore(SnapshotReader &r);
 
-    // --- fault hooks (FaultEngine / mutation tests) ---
+    // --- mutation-test hook ---
     /**
      * Deliberately leaks one downstream credit on output VC
      * (`out`, `vc`): the buffer slot it represents is never usable

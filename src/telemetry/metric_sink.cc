@@ -1,6 +1,6 @@
 /**
  * @file
- * MetricSink implementations.
+ * JsonMetricSink implementation.
  */
 
 #include "telemetry/metric_sink.hh"
@@ -100,40 +100,13 @@ JsonMetricSink::write(const StatGroup &root, std::ostream &os)
     os << "\n";
 }
 
-void
-CsvMetricSink::write(const StatGroup &root, std::ostream &os)
-{
-    os << "name,value\n";
-    walk(
-        root, "",
-        [&](const std::string &name, double v) {
-            os << name << ",";
-            writeJsonNumber(os, v); // same compact number format
-            os << "\n";
-        },
-        [&](const std::string &name, const Histogram &h) {
-            const auto &buckets = h.buckets();
-            for (std::size_t i = 0; i < buckets.size(); ++i) {
-                os << name << ".bucket[" << i << "]," << buckets[i]
-                   << "\n";
-            }
-        });
-}
-
 bool
 writeMetricsFile(const StatGroup &root, const std::string &path)
 {
     std::ofstream os(path);
     if (!os)
         return false;
-    if (path.size() >= 4 &&
-        path.compare(path.size() - 4, 4, ".csv") == 0) {
-        CsvMetricSink sink;
-        sink.write(root, os);
-    } else {
-        JsonMetricSink sink;
-        sink.write(root, os);
-    }
+    JsonMetricSink().write(root, os);
     return static_cast<bool>(os);
 }
 

@@ -1,20 +1,17 @@
 /**
  * @file
- * Structured exporters for the StatGroup registry.
+ * Structured exporter for the StatGroup registry.
  *
- * A MetricSink serializes a StatGroup hierarchy (counters,
+ * JsonMetricSink serializes a StatGroup hierarchy (counters,
  * accumulators, histograms with full bucket data, and lazy values) to
- * a machine-readable format.  Two implementations:
- *
- *  - JsonMetricSink: a JSON document with a flat `metrics` map whose
- *    keys are exactly the dotted names StatGroup::dump prints (plus
- *    extra accumulator min/max/sum detail), and a `histograms` map
- *    carrying bucket edges and counts for heatmaps / CDF plots.
- *  - CsvMetricSink: two-column `name,value` CSV with the same flat
- *    names (histogram buckets as name.bucket[i] rows).
+ * the one final-metrics schema, `tenoc-metrics-v1`: a JSON document
+ * with a flat `metrics` map whose keys are exactly the dotted names
+ * StatGroup::dump prints (plus extra accumulator min/max/sum detail),
+ * and a `histograms` map carrying bucket edges and counts for
+ * heatmaps / CDF plots.
  *
  * Every bench binary gains `--stats-json <path>` on top of its text
- * output through these sinks (see telemetry.hh).
+ * output through this sink (see telemetry.hh).
  */
 
 #ifndef TENOC_TELEMETRY_METRIC_SINK_HH
@@ -29,42 +26,20 @@
 namespace tenoc::telemetry
 {
 
-/** Serializes a StatGroup hierarchy to a stream. */
-class MetricSink
-{
-  public:
-    virtual ~MetricSink() = default;
-
-    /** Writes the whole hierarchy rooted at `root`. */
-    virtual void write(const StatGroup &root, std::ostream &os) = 0;
-
-    /** @return the conventional file extension (without the dot). */
-    virtual const char *extension() const = 0;
-};
-
 /** JSON exporter (schema `tenoc-metrics-v1`). */
-class JsonMetricSink : public MetricSink
+class JsonMetricSink
 {
   public:
-    void write(const StatGroup &root, std::ostream &os) override;
-    const char *extension() const override { return "json"; }
+    /** Writes the whole hierarchy rooted at `root`. */
+    void write(const StatGroup &root, std::ostream &os);
 
     /** Builds the document without serializing (used by tests and by
      *  callers that embed metrics in a larger document). */
     static JsonValue toJson(const StatGroup &root);
 };
 
-/** Two-column CSV exporter (`name,value`). */
-class CsvMetricSink : public MetricSink
-{
-  public:
-    void write(const StatGroup &root, std::ostream &os) override;
-    const char *extension() const override { return "csv"; }
-};
-
 /**
- * Writes `root` to `path` choosing the sink by file extension
- * (".csv" -> CSV, anything else -> JSON).
+ * Writes `root` to `path` as a `tenoc-metrics-v1` JSON document.
  * @return true on success (false: could not open the file).
  */
 bool writeMetricsFile(const StatGroup &root, const std::string &path);

@@ -74,8 +74,6 @@ parseTelemetryFlags(int &argc, char **argv)
                 warn("ignoring invalid --interval '", value, "'");
         } else if (matchFlag(argc, argv, i, "stats-json", value)) {
             cfg.statsJsonPath = value;
-        } else if (matchFlag(argc, argv, i, "stats-csv", value)) {
-            cfg.statsCsvPath = value;
         } else if (matchFlag(argc, argv, i, "trace-sample", value)) {
             const long long n = std::atoll(value.c_str());
             if (n >= 1)
@@ -143,15 +141,6 @@ TelemetryHub::writeOutputs(const StatGroup *root)
         } else {
             warn("telemetry: --stats-json requested but no stats "
                  "registry was provided");
-            ok = false;
-        }
-    }
-    if (!config_.statsCsvPath.empty()) {
-        if (root) {
-            toFile(config_.statsCsvPath, [&](std::ostream &os) {
-                CsvMetricSink().write(*root, os);
-            });
-        } else {
             ok = false;
         }
     }

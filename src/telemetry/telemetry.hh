@@ -5,8 +5,8 @@
  *
  * A TelemetryHub bundles the three observability channels:
  *
- *  1. final-state metrics: a StatGroup hierarchy exported as JSON/CSV
- *     (`--stats-json` / `--stats-csv`),
+ *  1. final-state metrics: a StatGroup hierarchy exported as
+ *     `tenoc-metrics-v1` JSON (`--stats-json`),
  *  2. interval time-series: an IntervalSampler ticked by the
  *     interconnect clock (`--interval-csv`, window via `--interval`),
  *  3. flit-level event traces: a ChromeTraceSink behind a packet-id
@@ -37,7 +37,6 @@ namespace tenoc::telemetry
 struct TelemetryConfig
 {
     std::string statsJsonPath;   ///< final metrics as JSON ("" = off)
-    std::string statsCsvPath;    ///< final metrics as CSV ("" = off)
     std::string intervalCsvPath; ///< interval time-series ("" = off)
     std::string tracePath;       ///< Chrome trace JSON ("" = off)
     Cycle intervalCycles = 1000; ///< sampling window (icnt cycles)
@@ -51,8 +50,8 @@ struct TelemetryConfig
     bool
     any() const
     {
-        return !statsJsonPath.empty() || !statsCsvPath.empty() ||
-               !intervalCsvPath.empty() || !tracePath.empty();
+        return !statsJsonPath.empty() || !intervalCsvPath.empty() ||
+               !tracePath.empty();
     }
 };
 
@@ -62,7 +61,7 @@ struct TelemetryConfig
  * argc is updated), so harness-specific positional arguments keep
  * working.  Recognized flags (both `--flag value` and `--flag=value`):
  *
- *   --stats-json PATH    --stats-csv PATH
+ *   --stats-json PATH
  *   --interval-csv PATH  --interval CYCLES
  *   --trace PATH         --trace-sample N
  */
@@ -87,8 +86,7 @@ class TelemetryHub
     bool
     wantsStats() const
     {
-        return !config_.statsJsonPath.empty() ||
-               !config_.statsCsvPath.empty();
+        return !config_.statsJsonPath.empty();
     }
 
     /** Forwards the driving clock to the sampler (hot path). */

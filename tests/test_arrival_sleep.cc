@@ -7,11 +7,9 @@
  *    cycles, the unprimed post-restore full sweep, the firedThrough
  *    horizon;
  *  - Channel integration: send posts a wake at the delivery cycle,
- *    stalled channels keep their pending bit alive, and clearing a
- *    stall re-marks the receiver immediately (the wheel slot already
- *    fired and will never fire again);
+ *    and a restored channel reposts its in-flight arrivals;
  *  - whole-network regression: seeded runs across channel slicing,
- *    long links, link-stall fault injection and age priority must
+ *    long links and age priority must
  *    reproduce the statistics recorded when wake-on-send channels (a
  *    send marks its receiver at once) still existed and agreed with
  *    the wheel.
@@ -109,16 +107,6 @@ TEST(ArrivalScheduler, FirstFireAfterConfigureSweepsEverything)
     EXPECT_EQ(sched.firedThrough(), 9u);
 }
 
-TEST(ArrivalScheduler, WakeNowMarksImmediately)
-{
-    ActiveSet set(4);
-    ArrivalScheduler sched;
-    sched.configure(4, 2, &set);
-    sched.wakeNow(3, 0x10);
-    EXPECT_EQ(sched.pending(3), 0x10u);
-    EXPECT_TRUE(set.test(3));
-}
-
 // --- Channel integration ---
 
 TEST(ArrivalChannel, SendPostsWakeAtDeliveryCycle)
@@ -138,35 +126,6 @@ TEST(ArrivalChannel, SendPostsWakeAtDeliveryCycle)
     EXPECT_TRUE(set.test(0));
     EXPECT_EQ(sched.pending(0), 0x1u);
     EXPECT_EQ(*ch.receive(13), 7);
-}
-
-TEST(ArrivalChannel, StallClearRemarksMaturedBacklog)
-{
-    // The wheel wake fires into a stalled channel and is consumed;
-    // clearing the stall must set the pending bit immediately or the
-    // backlog would sleep forever.
-    ActiveSet set(2);
-    ArrivalScheduler sched;
-    sched.configure(2, 1, &set);
-    Channel<int> ch(1);
-    ch.setArrivalTarget(&sched, 0, 0x2);
-
-    ch.send(1, 0);
-    ch.setStalled(true);
-    sched.fire(1);
-    EXPECT_EQ(sched.pending(0), 0x2u);
-    EXPECT_FALSE(ch.receive(1).has_value()); // stalled: delivers nothing
-    // The receiver's drain loop clears the bit it saw nothing behind
-    // ... except that readInputs keeps it while a matured entry sits in
-    // the channel (earliestArrival() <= now).  Model the worst case
-    // here: the bit was fully cleared.
-    sched.setPending(0, 0);
-    set.clear(0);
-
-    ch.setStalled(false);
-    EXPECT_EQ(sched.pending(0), 0x2u);
-    EXPECT_TRUE(set.test(0));
-    EXPECT_EQ(*ch.receive(5), 1);
 }
 
 TEST(ArrivalChannel, ReschedulePendingRebuildsWheel)
@@ -262,7 +221,6 @@ const std::map<std::string, std::string> RECORDED = {
     {"skip_double_t1_3", "0b4f0e5c0c7110ba"},
     {"skip_double_t1_77", "74e8b534408295d0"},
     {"long_channel_latency", "b21a1de2d5b8c133"},
-    {"link_stall_faults", "73b89ab5b2eda247"},
     {"age_priority", "99b67047d9a591a1"},
 };
 
@@ -318,18 +276,6 @@ TEST(ArrivalSleepEquivalence, LongChannelLatency)
     MeshNetworkParams p = baseParams(4);
     p.channelLatency = 5;
     expectRecorded(p, false, 4, "long_channel_latency");
-}
-
-TEST(ArrivalSleepEquivalence, LinkStallFaults)
-{
-    // Transient link stalls consume wheel wakes while the channel
-    // delivers nothing; the stall-clear re-mark and the readInputs
-    // keep-bit must together never strand a flit.
-    MeshNetworkParams p = baseParams(6);
-    p.faults.linkStallRate = 2e-3;
-    p.faults.linkStallDuration = 12;
-    p.faults.seed = 99;
-    expectRecorded(p, false, 6, "link_stall_faults");
 }
 
 TEST(ArrivalSleepEquivalence, AgePriorityAllocator)

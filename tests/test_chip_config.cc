@@ -179,6 +179,16 @@ TEST(ChipConfigDeath, RouterPastItsLimitsIsFatal)
                 " noc.mcEjPorts=70 = 74");
 }
 
+TEST(ChipConfigDeath, RetiredFaultKeyIsFatal)
+{
+    // Fault injection is gone; a script still setting its keys must
+    // fail loudly rather than silently run fault-free.
+    Config cfg;
+    cfg.set("fault.linkStallRate", "0.001");
+    EXPECT_EXIT(chipParamsFromConfig(cfg), ::testing::ExitedWithCode(1),
+                "unknown configuration key 'fault.linkStallRate'");
+}
+
 TEST(ChipConfig, RouterAtItsLimitsIsAccepted)
 {
     // 4 + 4 inputs x 2 protocol x 4 lanes: exactly 64 input VCs.

@@ -156,7 +156,7 @@ TEST(Invariants, MutatedCreditIsCaught)
     ASSERT_FALSE(vs.empty());
     EXPECT_TRUE(hasViolation(vs, Violation::Kind::CREDIT_CONSERVATION))
         << describe(vs);
-    // The report pinpoints the faulted link, direction and VC.
+    // The report pinpoints the mutated link, direction and VC.
     bool precise = false;
     for (const auto &v : vs) {
         if (v.kind == Violation::Kind::CREDIT_CONSERVATION &&

@@ -10,10 +10,9 @@
  * requires the final statistics recorded when the reference
  * schedulers (full tick and wake-on-send channels) still existed and
  * agreed with the production one, across channel slicing
- * (DoubleNetwork), link-stall fault injection and multi-port MC
- * routers.  The slab-backed NI rings spend the whole run at their
- * capacity bounds, so any ring-arithmetic or early-out-counter bug
- * changes a digest here.
+ * (DoubleNetwork) and multi-port MC routers.  The slab-backed NI
+ * rings spend the whole run at their capacity bounds, so any
+ * ring-arithmetic or early-out-counter bug changes a digest here.
  */
 
 #include <gtest/gtest.h>
@@ -124,14 +123,14 @@ constexpr Cycle SAT_CYCLES = 1200;
  *  schedulers existed and agreed with the production one on it. */
 const std::map<std::string, std::string> RECORDED = {
     {"skip_single_t1_clean_11", "bff279e301bbe41c"},
-    {"skip_single_t1_faults_11", "9f4405daf7619b46"},
     {"skip_double_t1_clean_11", "ae25369b47802794"},
-    {"skip_double_t1_faults_11", "b32d044b5cd4df2d"},
     {"backpressure", "52b4396023c2ceb7"},
     {"mc_multi_port", "0b3e1c8ddc3ca197"},
 };
 
-/** (seed, sliced, faults) cross. */
+/** (seed, sliced, faults).  The fault-injection axis is retired and
+ *  always false; it stays in the tuple so the printed parameters, and
+ *  with them the instance names, are unchanged. */
 class NiSaturationEquivalence
     : public ::testing::TestWithParam<
           std::tuple<std::uint64_t, bool, bool>>
@@ -142,39 +141,35 @@ satCaseName(const ::testing::TestParamInfo<
             std::tuple<std::uint64_t, bool, bool>> &info)
 {
     const auto [seed, sliced, faults] = info.param;
-    // "skip" and "_t1" name the idle-skip, one-thread cycle every
-    // instance runs; they keep the instance names stable.
+    // "skip", "_t1" and "_clean" name the idle-skip, one-thread,
+    // fault-free cycle every instance runs; they keep the instance
+    // names stable.
     std::string s = "skip";
     s += sliced ? "_double_t1" : "_single_t1";
-    s += faults ? "_faults" : "_clean";
-    s += "_" + std::to_string(seed);
+    s += "_clean_" + std::to_string(seed);
     return s;
 }
 
 TEST_P(NiSaturationEquivalence, MatchesReferenceScheduler)
 {
     const auto [seed, sliced, faults] = GetParam();
-    MeshNetworkParams p = baseParams(seed);
-    if (faults) {
-        p.faults.linkStallRate = 1e-3;
-        p.faults.linkStallDuration = 8;
-        p.faults.seed = seed * 7 + 1;
-    }
+    ASSERT_FALSE(faults);
     expectRecordedDigest(RECORDED, satCaseName({GetParam(), 0}),
-                         saturate(p, sliced, seed, SAT_CYCLES));
+                         saturate(baseParams(seed), sliced, seed,
+                                  SAT_CYCLES));
 }
 
 INSTANTIATE_TEST_SUITE_P(
     ToggleCross, NiSaturationEquivalence,
     ::testing::Combine(::testing::Values<std::uint64_t>(11),
-                       ::testing::Bool(), ::testing::Bool()),
+                       ::testing::Bool(), ::testing::Values(false)),
     satCaseName);
 
 TEST(NiSaturation, ArrivalSleepInvariantUnderBackpressure)
 {
-    // Ejection backpressure keeps matured flits parked in channels for
-    // many cycles, exercising the readInputs keep-bit path far harder
-    // than free-flowing traffic.
+    // Ejection backpressure withholds credits upstream for many
+    // cycles, so routers sleep and are woken by credit arrivals far
+    // more often than under free-flowing traffic.
     expectRecordedDigest(RECORDED, "backpressure",
                          saturate(baseParams(13), false, 13, SAT_CYCLES));
 }

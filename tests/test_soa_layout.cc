@@ -4,7 +4,7 @@
  *
  * The VcSlabs arena is pure storage: every router/VC state machine
  * reads and writes through it, so a layout bug shows up as a stats
- * divergence somewhere in the scheduler/fault matrix.  Three
+ * divergence somewhere in the scheduler matrix.  Three
  * layers of coverage:
  *   1. arena mechanics — configure() growth and shrink-with-reuse,
  *      release of stale packet references, ring wraparound, and the
@@ -12,8 +12,8 @@
  *   2. view independence — InputPort views at different bases of one
  *      arena must not alias;
  *   3. sealed stats — the identical seeded workload run with and
- *      without invariant validation, crossed with the semantic axes
- *      (fault injection, single vs sliced double network); both runs
+ *      without invariant validation, crossed with the semantic axis
+ *      (single vs sliced double network); both runs
  *      must reproduce the digest recorded when the full-tick reference
  *      scheduler still existed and agreed with it.
  */
@@ -245,7 +245,9 @@ drive(Network &net, std::uint64_t seed, Cycle cycles)
 }
 
 /** The semantic axes: these change behavior, so each combination is
- *  its own equality base. */
+ *  its own equality base.  The fault-injection axis is retired and
+ *  always false; it stays in the struct so the printed parameters,
+ *  and with them the instance names, are unchanged. */
 struct SoaBase
 {
     bool faults;
@@ -255,26 +257,17 @@ struct SoaBase
 std::string
 soaBaseName(const ::testing::TestParamInfo<SoaBase> &info)
 {
-    std::string name = info.param.faults ? "faults" : "clean";
-    name += info.param.sliced ? "_double" : "_single";
-    return name;
+    return info.param.sliced ? "clean_double" : "clean_single";
 }
 
 MeshNetworkParams
-soaParams(const SoaBase &base, bool validate)
+soaParams(bool validate)
 {
     MeshNetworkParams p;
     p.seed = 11;
     if (validate) {
         p.validate = true;
         p.validateInterval = 16;
-    }
-    if (base.faults) {
-        p.faults.linkStallRate = 2e-4;
-        p.faults.linkStallDuration = 8;
-        p.faults.routerFreezeRate = 1e-4;
-        p.faults.routerFreezeDuration = 12;
-        p.faults.seed = 77;
     }
     return p;
 }
@@ -284,8 +277,6 @@ soaParams(const SoaBase &base, bool validate)
 const std::map<std::string, std::string> RECORDED = {
     {"clean_single", "9c25ad02c9127c73"},
     {"clean_double", "330d408508964a56"},
-    {"faults_single", "2da5f5debc4efb6f"},
-    {"faults_double", "a12960bfd19f2c20"},
 };
 
 class SoaToggleMatrix : public ::testing::TestWithParam<SoaBase>
@@ -294,10 +285,11 @@ class SoaToggleMatrix : public ::testing::TestWithParam<SoaBase>
 TEST_P(SoaToggleMatrix, SealedStatsIdenticalAcrossToggles)
 {
     const SoaBase base = GetParam();
+    ASSERT_FALSE(base.faults);
     for (const bool validate : {false, true}) {
         SCOPED_TRACE("validate=" + std::to_string(validate));
         const auto net =
-            makeMeshNetwork(soaParams(base, validate), base.sliced);
+            makeMeshNetwork(soaParams(validate), base.sliced);
         const Cycle done = drive(*net, 97, 1200);
         expectRecordedDigest(RECORDED, soaBaseName({base, 0}),
                              netStatsDigest(net->stats(), done));
@@ -306,8 +298,7 @@ TEST_P(SoaToggleMatrix, SealedStatsIdenticalAcrossToggles)
 
 INSTANTIATE_TEST_SUITE_P(
     SemanticAxes, SoaToggleMatrix,
-    ::testing::Values(SoaBase{false, false}, SoaBase{false, true},
-                      SoaBase{true, false}, SoaBase{true, true}),
+    ::testing::Values(SoaBase{false, false}, SoaBase{false, true}),
     soaBaseName);
 
 } // namespace

@@ -172,39 +172,20 @@ TEST(JsonMetricSink, ContainsEveryDumpLine)
     EXPECT_DOUBLE_EQ(counts[4].asNumber(), 1.0);
 }
 
-TEST(CsvMetricSink, EmitsNameValueRows)
+TEST(MetricSinks, WriteMetricsFileWritesJson)
 {
+    // One export format: any extension gets tenoc-metrics-v1 JSON.
     SampleStats s;
-    std::ostringstream os;
-    telemetry::CsvMetricSink().write(s.root, os);
-    const std::string out = os.str();
-    EXPECT_EQ(out.rfind("name,value\n", 0), 0u);
-    EXPECT_NE(out.find("core0.l1.hits,7\n"), std::string::npos);
-    EXPECT_NE(out.find("core0.lat.mean,3\n"), std::string::npos);
-    EXPECT_NE(out.find("core0.ipc,1.25\n"), std::string::npos);
-    EXPECT_NE(out.find("core0.hist.bucket[0],1\n"), std::string::npos);
-    EXPECT_NE(out.find("core0.hist.bucket[4],1\n"), std::string::npos);
-}
-
-TEST(MetricSinks, WriteMetricsFilePicksFormatByExtension)
-{
-    SampleStats s;
-    const std::string dir = testing::TempDir();
-    const std::string json_path = dir + "/tenoc_metrics.json";
-    const std::string csv_path = dir + "/tenoc_metrics.csv";
-    ASSERT_TRUE(telemetry::writeMetricsFile(s.root, json_path));
-    ASSERT_TRUE(telemetry::writeMetricsFile(s.root, csv_path));
+    const std::string path =
+        testing::TempDir() + "/tenoc_metrics.csv";
+    ASSERT_TRUE(telemetry::writeMetricsFile(s.root, path));
 
     std::stringstream js;
-    js << std::ifstream(json_path).rdbuf();
+    js << std::ifstream(path).rdbuf();
     JsonValue doc;
-    EXPECT_TRUE(JsonValue::parse(js.str(), doc, nullptr));
-
-    std::stringstream cs;
-    cs << std::ifstream(csv_path).rdbuf();
-    EXPECT_EQ(cs.str().rfind("name,value\n", 0), 0u);
-    std::remove(json_path.c_str());
-    std::remove(csv_path.c_str());
+    ASSERT_TRUE(JsonValue::parse(js.str(), doc, nullptr));
+    EXPECT_EQ(doc.find("schema")->asString(), "tenoc-metrics-v1");
+    std::remove(path.c_str());
 }
 
 // ------------------------------------------------------ interval sampler
