@@ -1,8 +1,8 @@
 /**
  * @file
- * Parallel sweep runner for the figure/table harnesses.
+ * Parallel sweep runner for the figure/table points.
  *
- * Every harness evaluates many independent (configuration, workload)
+ * Every figure evaluates many independent (configuration, workload)
  * or (configuration, injection-rate) points; each point is a complete,
  * self-contained simulation with its own seeded RNG, so the points can
  * run concurrently without changing any result.  sweepMap() fans the

@@ -67,12 +67,6 @@ runSuite(const ChipParams &params, double scale)
     return out;
 }
 
-std::vector<SuiteRun>
-runSuite(ConfigId config, double scale, std::uint64_t seed)
-{
-    return runSuite(makeConfig(config, seed), scale);
-}
-
 double
 envScale(double def)
 {

@@ -1,7 +1,7 @@
 /**
  * @file
  * Experiment drivers shared by the benchmark harnesses: run one
- * workload or the whole Table I suite under a named configuration.
+ * workload or the whole Table I suite on one chip configuration.
  */
 
 #ifndef TENOC_ACCEL_EXPERIMENTS_HH
@@ -57,10 +57,6 @@ ChipResult runWorkload(const ChipParams &params,
  */
 std::vector<SuiteRun> runSuite(const ChipParams &params,
                                double scale = 1.0);
-
-/** Convenience: run the suite under a named configuration. */
-std::vector<SuiteRun> runSuite(ConfigId config, double scale = 1.0,
-                               std::uint64_t seed = 1);
 
 /**
  * Reads the TENOC_SCALE environment variable (default `def`), used by
