@@ -17,7 +17,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 
@@ -112,44 +111,11 @@ BM_ClosedLoopChip(benchmark::State &state)
 }
 BENCHMARK(BM_ClosedLoopChip)->Unit(benchmark::kMillisecond);
 
-/**
- * Pulls `--name value` / `--name=value` out of argv (benchmark's
- * Initialize rejects unknown arguments, so ours must go first).
- * @return true and sets `value` if the flag was present.
- */
-bool
-extractFlag(int &argc, char **argv, const char *name,
-            std::string &value)
-{
-    const std::string eq = std::string("--") + name + "=";
-    const std::string bare = std::string("--") + name;
-    bool found = false;
-    int out = 1;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg.rfind(eq, 0) == 0) {
-            value = arg.substr(eq.size());
-            found = true;
-            continue;
-        }
-        if (arg == bare && i + 1 < argc) {
-            value = argv[++i];
-            found = true;
-            continue;
-        }
-        argv[out++] = argv[i];
-    }
-    argc = out;
-    argv[argc] = nullptr;
-    return found;
-}
-
 /** Times one instrumented chip run and writes BENCH_telemetry.json.
  *  @return false if the run hit its cycle cap (likely deadlock; the
  *  chip printed a diagnostic snapshot). */
 bool
-runTelemetryHarness(telemetry::TelemetryConfig cfg,
-                    const RunOptions &opts)
+runTelemetryHarness(telemetry::TelemetryConfig cfg)
 {
     const char *workload = "MM";
     const double scale = envScale(0.05);
@@ -168,7 +134,7 @@ runTelemetryHarness(telemetry::TelemetryConfig cfg,
 
     const auto t0 = std::chrono::steady_clock::now();
     const auto result = runWorkload(
-        makeConfig(ConfigId::BASELINE_TB_DOR), prof, &hub, opts);
+        makeConfig(ConfigId::BASELINE_TB_DOR), prof, &hub);
     const auto t1 = std::chrono::steady_clock::now();
     const double wall =
         std::chrono::duration<double>(t1 - t0).count();
@@ -210,38 +176,17 @@ int
 main(int argc, char **argv)
 {
     // Telemetry flags must come out of argv before google-benchmark
-    // sees them (it rejects unknown arguments).
+    // sees them; an argument neither knows is fatal before any run.
     const auto cfg = telemetry::parseTelemetryFlags(argc, argv);
-
-    // Checkpoint/restore flags (docs/robustness.md): --checkpoint-at N
-    // --checkpoint-out FILE snapshots the harness run mid-flight;
-    // --restore FILE resumes from a snapshot.
-    RunOptions opts;
-    std::string value;
-    bool ckpt_flags = false;
-    if (extractFlag(argc, argv, "checkpoint-at", value)) {
-        opts.checkpointAt =
-            static_cast<Cycle>(std::strtoull(value.c_str(), nullptr,
-                                             10));
-        ckpt_flags = true;
-    }
-    if (extractFlag(argc, argv, "checkpoint-out", value)) {
-        opts.checkpointOut = value;
-        ckpt_flags = true;
-    }
-    if (extractFlag(argc, argv, "restore", value)) {
-        opts.restoreFrom = value;
-        ckpt_flags = true;
-    }
-
-    if (!runTelemetryHarness(cfg, opts))
-        return 2; // cycle-cap timeout: fail fast instead of reporting
-    if (cfg.any() || ckpt_flags)
-        return 0; // harness-only run; skip the benchmark suite
-
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;
+
+    if (!runTelemetryHarness(cfg))
+        return 2; // cycle-cap timeout: fail fast instead of reporting
+    if (cfg.any())
+        return 0; // harness-only run; skip the benchmark suite
+
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
     return 0;

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/log.hh"
-#include "common/snapshot.hh"
 #include "dram/gddr3.hh"
 #include "telemetry/telemetry.hh"
 
@@ -319,139 +318,25 @@ Chip::run()
         return true;
     };
 
-    auto step = [&] {
-        if (!tick())
-            return false;
-        if (checkpoint_at_ != 0 && !checkpoint_written_ &&
-            icnt_now_ >= checkpoint_at_)
-            writeCheckpoint();
-        return true;
-    };
-
     const unsigned kernels = std::max(1u, profile_.numKernels);
-    while (kernel_ < kernels && !timed_out) {
-        if (phase_ == Phase::RUNNING) {
-            while (!allCoresDone() && step()) {
-            }
-            if (timed_out)
-                break;
-            if (kernel_ + 1 == kernels)
-                break; // the final launch needs no barrier
-            phase_ = Phase::DRAINING;
+    for (unsigned kernel = 0; kernel < kernels; ++kernel) {
+        while (!allCoresDone() && tick()) {
         }
+        if (timed_out || kernel + 1 == kernels)
+            break; // the final launch needs no barrier
         // Kernel-launch barrier: drain every in-flight packet and
         // DRAM operation before the next launch (Sec. II's software-
         // managed coherence flushes between kernels).
-        while (!quiescent() && step()) {
+        while (!quiescent() && tick()) {
         }
         if (timed_out)
             break;
         for (auto &c : cores_)
             c->restart();
-        phase_ = Phase::RUNNING;
-        ++kernel_;
     }
     if (hub_)
         hub_->finish(icnt_now_);
     return collect(timed_out);
-}
-
-void
-Chip::scheduleCheckpoint(Cycle icnt_cycle, std::string path)
-{
-    tenoc_assert(icnt_cycle > 0, "checkpoint cycle must be positive");
-    checkpoint_at_ = icnt_cycle;
-    checkpoint_path_ = std::move(path);
-    checkpoint_written_ = false;
-}
-
-void
-Chip::writeCheckpoint()
-{
-    std::string error;
-    if (!saveToFile(checkpoint_path_, &error))
-        tenoc_fatal("checkpoint write failed: ", error);
-    checkpoint_written_ = true;
-}
-
-void
-Chip::save(SnapshotWriter &w) const
-{
-    w.tag("CHIP");
-    w.u64(clocks_.size());
-    for (std::size_t d = 0; d < clocks_.size(); ++d) {
-        const ClockDomain &dom = clocks_.domain(d);
-        w.u64(dom.cycles());
-        w.u64(dom.nextEdgePs());
-    }
-    w.u64(clocks_.nowPs());
-    w.u64(icnt_now_);
-    w.u64(core_now_);
-    w.u64(mem_now_);
-    w.u32(kernel_);
-    w.u8(static_cast<std::uint8_t>(phase_));
-    net_->save(w);
-    w.u64(mcs_.size());
-    for (const auto &mc : mcs_)
-        mc->save(w);
-    w.u64(cores_.size());
-    for (const auto &core : cores_)
-        core->save(w);
-    w.tag("CEND");
-}
-
-void
-Chip::restore(SnapshotReader &r)
-{
-    r.tag("CHIP");
-    const std::uint64_t ndoms = r.u64();
-    tenoc_assert(ndoms == clocks_.size(),
-                 "clock-domain count mismatch in snapshot");
-    for (std::size_t d = 0; d < clocks_.size(); ++d) {
-        const Cycle cycles = r.u64();
-        const Picoseconds edge = r.u64();
-        clocks_.restoreDomain(d, cycles, edge);
-    }
-    clocks_.setNowPs(r.u64());
-    icnt_now_ = r.u64();
-    core_now_ = r.u64();
-    mem_now_ = r.u64();
-    kernel_ = r.u32();
-    phase_ = static_cast<Phase>(r.u8());
-    net_->restore(r);
-    const std::uint64_t nmcs = r.u64();
-    tenoc_assert(nmcs == mcs_.size(), "MC count mismatch in snapshot");
-    for (auto &mc : mcs_)
-        mc->restore(r);
-    const std::uint64_t ncores = r.u64();
-    tenoc_assert(ncores == cores_.size(),
-                 "core count mismatch in snapshot");
-    for (auto &core : cores_)
-        core->restore(r);
-    r.tag("CEND");
-}
-
-bool
-Chip::saveToFile(const std::string &path, std::string *error) const
-{
-    SnapshotWriter w;
-    save(w);
-    return saveSnapshotFile(path, w, error);
-}
-
-bool
-Chip::restoreFromFile(const std::string &path, std::string *error)
-{
-    SnapshotReader r;
-    if (!loadSnapshotFile(path, r, error))
-        return false;
-    restore(r);
-    if (!r.exhausted()) {
-        if (error)
-            *error = "snapshot has trailing bytes (chip/blob mismatch)";
-        return false;
-    }
-    return true;
 }
 
 ChipResult

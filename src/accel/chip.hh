@@ -69,35 +69,8 @@ class Chip
          InstSourceFactory factory = {});
     ~Chip();
 
-    /**
-     * Runs the kernel to completion (or the cycle cap).  Resumes from
-     * the kernel/phase position left by restore(); a fresh chip starts
-     * at kernel 0.
-     */
+    /** Runs the kernel's launches to completion (or the cycle cap). */
     ChipResult run();
-
-    /**
-     * Arms a one-shot checkpoint: once the interconnect clock reaches
-     * `icnt_cycle` during run(), the full simulator state is sealed
-     * into `path` and the run continues.  fatal() if the file cannot
-     * be written or the network kind cannot be checkpointed.
-     */
-    void scheduleCheckpoint(Cycle icnt_cycle, std::string path);
-
-    /** Serializes clocks, network, MCs, and cores. */
-    void save(SnapshotWriter &w) const;
-
-    /** Restores state written by save() into an identically
-     *  configured chip (same config file + overrides + workload). */
-    void restore(SnapshotReader &r);
-
-    /** save() sealed into `path`. @return false + error on I/O. */
-    bool saveToFile(const std::string &path, std::string *error) const;
-
-    /** Restores from a sealed snapshot file.  @return false + error
-     *  on I/O or a version/format mismatch; fatal() on a blob that
-     *  does not match this chip's structure. */
-    bool restoreFromFile(const std::string &path, std::string *error);
 
     Network &network() { return *net_; }
     const Topology &topology() const { return net_->topology(); }
@@ -119,7 +92,6 @@ class Chip
 
     void buildNetwork();
     void buildStatModel();
-    void writeCheckpoint();
     void icntTick();
     void coreTick();
     void memTick();
@@ -144,20 +116,6 @@ class Chip
     Cycle icnt_now_ = 0;
     Cycle core_now_ = 0;
     Cycle mem_now_ = 0;
-
-    /** Kernel-sequence position, serialized so a restored chip resumes
-     *  run() exactly where the checkpointed one stood. */
-    enum class Phase : std::uint8_t
-    {
-        RUNNING, ///< executing warps until every core retires
-        DRAINING ///< kernel-launch barrier: draining NoC/MC/DRAM
-    };
-    unsigned kernel_ = 0;
-    Phase phase_ = Phase::RUNNING;
-
-    Cycle checkpoint_at_ = 0; ///< 0 = no checkpoint armed
-    std::string checkpoint_path_;
-    bool checkpoint_written_ = false;
 
     // Statistics hierarchy (groups are registries of pointers into the
     // components above, so they must outlive nothing).

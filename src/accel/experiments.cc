@@ -5,6 +5,7 @@
 
 #include "accel/experiments.hh"
 
+#include <cmath>
 #include <cstdlib>
 
 #include "common/log.hh"
@@ -23,26 +24,7 @@ ChipResult
 runWorkload(const ChipParams &params, const KernelProfile &profile,
             telemetry::TelemetryHub *hub)
 {
-    return runWorkload(params, profile, hub, RunOptions{});
-}
-
-ChipResult
-runWorkload(const ChipParams &params, const KernelProfile &profile,
-            telemetry::TelemetryHub *hub, const RunOptions &opts)
-{
     Chip chip(params, profile);
-    if (!opts.restoreFrom.empty()) {
-        std::string error;
-        if (!chip.restoreFromFile(opts.restoreFrom, &error))
-            tenoc_fatal("cannot restore checkpoint '",
-                        opts.restoreFrom, "': ", error);
-    }
-    if (opts.checkpointAt != 0) {
-        if (opts.checkpointOut.empty())
-            tenoc_fatal("checkpoint cycle given without an output "
-                        "file");
-        chip.scheduleCheckpoint(opts.checkpointAt, opts.checkpointOut);
-    }
     if (hub)
         chip.attachTelemetry(*hub);
     ChipResult result = chip.run();
@@ -73,9 +55,11 @@ envScale(double def)
     const char *env = std::getenv("TENOC_SCALE");
     if (!env)
         return def;
-    const double v = std::atof(env);
-    if (v <= 0.0) {
-        warn("ignoring invalid TENOC_SCALE='", env, "'");
+    char *end = nullptr;
+    const double v = std::strtod(env, &end);
+    if (end == env || *end != '\0' || !(v > 0.0) || !std::isfinite(v)) {
+        warn("ignoring invalid TENOC_SCALE='", env,
+             "' (want a positive finite number)");
         return def;
     }
     return v;

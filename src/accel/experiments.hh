@@ -29,28 +29,6 @@ ChipResult runWorkload(const ChipParams &params,
                        const KernelProfile &profile,
                        telemetry::TelemetryHub *hub);
 
-/** Checkpoint/restore options for one run (docs/robustness.md). */
-struct RunOptions
-{
-    /** Interconnect cycle to checkpoint at during the run (0 = off). */
-    Cycle checkpointAt = 0;
-    /** Snapshot file written when checkpointAt triggers. */
-    std::string checkpointOut;
-    /** Snapshot file to resume from before running (empty = fresh). */
-    std::string restoreFrom;
-};
-
-/**
- * Runs one workload with checkpoint/restore: restores the chip from
- * `opts.restoreFrom` if given (fatal on mismatch), arms a one-shot
- * checkpoint if `opts.checkpointAt` is set, then runs to completion.
- * The chip must be configured identically to the checkpointing run.
- */
-ChipResult runWorkload(const ChipParams &params,
-                       const KernelProfile &profile,
-                       telemetry::TelemetryHub *hub,
-                       const RunOptions &opts);
-
 /**
  * Runs the full suite.  `scale` shrinks kernel lengths for quick runs
  * (1.0 = full length).
@@ -60,7 +38,8 @@ std::vector<SuiteRun> runSuite(const ChipParams &params,
 
 /**
  * Reads the TENOC_SCALE environment variable (default `def`), used by
- * benches so CI can run shortened experiments.
+ * benches so CI can run shortened experiments.  A value that is not
+ * wholly a positive finite number is ignored with a warning.
  */
 double envScale(double def = 1.0);
 

@@ -5,10 +5,9 @@
 
 #include "accel/mc_node.hh"
 
-#include <algorithm>
+#include <utility>
 
 #include "common/log.hh"
-#include "common/snapshot.hh"
 
 namespace tenoc
 {
@@ -202,99 +201,6 @@ McNode::registerStats(StatGroup &group) const
     });
     group.addValue("stall_fraction",
                    [this] { return stallFraction(); });
-}
-
-void
-McNode::save(SnapshotWriter &w) const
-{
-    w.tag("MCND");
-    l2_.save(w);
-    dram_.save(w);
-    w.u32(reserved_);
-    w.u64(input_queue_.size());
-    for (const PacketPtr &pkt : input_queue_)
-        savePacket(w, pkt);
-    w.u64(l2_pipe_.size());
-    for (const DelayedReply &dr : l2_pipe_) {
-        savePacket(w, dr.pkt);
-        w.u64(dr.readyAt);
-    }
-    // Sorted by tag so the blob is independent of hash-map iteration
-    // order (identical state must hash to identical bytes).
-    std::vector<std::uint64_t> tags;
-    tags.reserve(dram_pending_.size());
-    for (const auto &[tag, pending] : dram_pending_)
-        tags.push_back(tag);
-    std::sort(tags.begin(), tags.end());
-    w.u64(tags.size());
-    for (const std::uint64_t tag : tags) {
-        const PendingDram &pending = dram_pending_.at(tag);
-        w.u64(tag);
-        w.u32(pending.requester);
-        w.u64(pending.addr);
-        w.boolean(pending.write);
-    }
-    w.u64(next_dram_tag_);
-    w.boolean(dram_wait_ != nullptr);
-    if (dram_wait_)
-        savePacket(w, dram_wait_);
-    w.u64(reply_queue_.size());
-    for (const PacketPtr &pkt : reply_queue_)
-        savePacket(w, pkt);
-    w.u64(l2_writebacks_.size());
-    for (const Addr addr : l2_writebacks_)
-        w.u64(addr);
-    w.u64(stall_cycles_);
-    w.u64(icnt_cycles_);
-    w.u64(requests_served_);
-    w.u64(mem_now_);
-}
-
-void
-McNode::restore(SnapshotReader &r)
-{
-    r.tag("MCND");
-    l2_.restore(r);
-    dram_.restore(r);
-    reserved_ = r.u32();
-    input_queue_.clear();
-    const std::uint64_t nin = r.u64();
-    for (std::uint64_t i = 0; i < nin; ++i)
-        input_queue_.push_back(loadPacket(r));
-    l2_pipe_.clear();
-    const std::uint64_t npipe = r.u64();
-    for (std::uint64_t i = 0; i < npipe; ++i) {
-        DelayedReply dr;
-        dr.pkt = loadPacket(r);
-        dr.readyAt = r.u64();
-        l2_pipe_.push_back(std::move(dr));
-    }
-    dram_pending_.clear();
-    const std::uint64_t npend = r.u64();
-    for (std::uint64_t i = 0; i < npend; ++i) {
-        const std::uint64_t tag = r.u64();
-        PendingDram pending;
-        pending.requester = r.u32();
-        pending.addr = r.u64();
-        pending.write = r.boolean();
-        dram_pending_.emplace(tag, pending);
-    }
-    next_dram_tag_ = r.u64();
-    dram_wait_.reset();
-    if (r.boolean())
-        dram_wait_ = loadPacket(r);
-    reply_queue_.clear();
-    const std::uint64_t nreply = r.u64();
-    for (std::uint64_t i = 0; i < nreply; ++i)
-        reply_queue_.push_back(loadPacket(r));
-    l2_writebacks_.clear();
-    const std::uint64_t nwb = r.u64();
-    for (std::uint64_t i = 0; i < nwb; ++i)
-        l2_writebacks_.push_back(r.u64());
-    stall_cycles_ = r.u64();
-    icnt_cycles_ = r.u64();
-    requests_served_ = r.u64();
-    mem_now_ = r.u64();
 }
 
 } // namespace tenoc

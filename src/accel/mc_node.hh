@@ -87,12 +87,6 @@ class McNode : public PacketSink
      *  registers its own under a child group). */
     void registerStats(StatGroup &group) const;
 
-    /** Serializes queues, L2, DRAM, and pending-request maps. */
-    void save(SnapshotWriter &w) const;
-
-    /** Restores state written by save(). */
-    void restore(SnapshotReader &r);
-
   private:
     void injectReply(PacketPtr reply, Cycle icnt_now);
 

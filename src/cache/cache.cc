@@ -6,7 +6,6 @@
 #include "cache/cache.hh"
 
 #include "common/log.hh"
-#include "common/snapshot.hh"
 
 namespace tenoc
 {
@@ -159,46 +158,6 @@ Cache::flush()
 {
     for (auto &ln : lines_)
         ln = Line{};
-}
-
-void
-Cache::save(SnapshotWriter &w) const
-{
-    w.tag("CACH");
-    w.u64(lines_.size());
-    for (const Line &ln : lines_) {
-        w.boolean(ln.valid);
-        w.boolean(ln.dirty);
-        w.u64(ln.tag);
-        w.u64(ln.lruStamp);
-    }
-    w.u64(stamp_);
-    const auto st = rng_.state();
-    for (const std::uint64_t s : st)
-        w.u64(s);
-    w.u64(hits_);
-    w.u64(misses_);
-}
-
-void
-Cache::restore(SnapshotReader &r)
-{
-    r.tag("CACH");
-    const std::uint64_t n = r.u64();
-    tenoc_assert(n == lines_.size(), "cache geometry mismatch");
-    for (Line &ln : lines_) {
-        ln.valid = r.boolean();
-        ln.dirty = r.boolean();
-        ln.tag = r.u64();
-        ln.lruStamp = r.u64();
-    }
-    stamp_ = r.u64();
-    std::array<std::uint64_t, 4> st;
-    for (std::uint64_t &s : st)
-        s = r.u64();
-    rng_.setState(st);
-    hits_ = r.u64();
-    misses_ = r.u64();
 }
 
 } // namespace tenoc

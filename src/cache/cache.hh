@@ -25,9 +25,6 @@
 namespace tenoc
 {
 
-class SnapshotWriter;
-class SnapshotReader;
-
 /** Cache geometry and mode. */
 struct CacheParams
 {
@@ -80,12 +77,6 @@ class Cache
 
     /** Invalidates everything (e.g. between kernels). */
     void flush();
-
-    /** Serializes tag array, LRU clock, RNG and counters. */
-    void save(SnapshotWriter &w) const;
-
-    /** Restores state written by save(); geometry must match. */
-    void restore(SnapshotReader &r);
 
     // --- stats ---
     std::uint64_t hits() const { return hits_; }

@@ -5,12 +5,10 @@
 
 #include "cache/mshr.hh"
 
-#include <algorithm>
 #include <bit>
 #include <vector>
 
 #include "common/log.hh"
-#include "common/snapshot.hh"
 
 namespace tenoc
 {
@@ -24,15 +22,6 @@ MshrTable::MshrTable(unsigned entries, unsigned max_merged)
     bucket_mask_ = static_cast<unsigned>(buckets_.size()) - 1;
     hash_shift_ = 64 - static_cast<unsigned>(
         std::countr_zero(buckets_.size()));
-}
-
-void
-MshrTable::clear()
-{
-    std::fill(buckets_.begin(), buckets_.end(), std::uint16_t{0});
-    used_ = 0;
-    slots_.clear();
-    free_head_ = NONE;
 }
 
 bool
@@ -122,53 +111,6 @@ MshrTable::unlink(unsigned bucket)
         }
     }
     buckets_[hole] = 0;
-}
-
-void
-MshrTable::save(SnapshotWriter &w) const
-{
-    w.tag("MSHR");
-    std::vector<const Slot *> pending;
-    pending.reserve(used_);
-    for (unsigned b = 0; b <= bucket_mask_; ++b) {
-        if (buckets_[b] != 0)
-            pending.push_back(&slots_[buckets_[b] - 1]);
-    }
-    std::sort(pending.begin(), pending.end(),
-              [](const Slot *a, const Slot *b) {
-                  return a->line < b->line;
-              });
-    w.u64(pending.size());
-    for (const Slot *slot : pending) {
-        w.u64(slot->line);
-        w.boolean(slot->store);
-        w.u64(slot->count);
-        const auto s = static_cast<unsigned>(slot - slots_.data());
-        for (std::uint32_t k = 0; k < slot->count; ++k)
-            w.u64(waiters_[waiterAt(s, k)]);
-    }
-    w.u64(allocations_);
-    w.u64(merges_);
-}
-
-void
-MshrTable::restore(SnapshotReader &r)
-{
-    r.tag("MSHR");
-    clear();
-    const std::uint64_t n = r.u64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-        const Addr line = r.u64();
-        const bool store = r.boolean();
-        const std::uint64_t m = r.u64();
-        for (std::uint64_t k = 0; k < m; ++k)
-            allocate(line, r.u64());
-        if (store)
-            markStore(line);
-    }
-    allocations_ = r.u64();
-    merges_ = r.u64();
-    ++generation_;
 }
 
 } // namespace tenoc

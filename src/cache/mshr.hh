@@ -27,9 +27,6 @@
 namespace tenoc
 {
 
-class SnapshotWriter;
-class SnapshotReader;
-
 /** MSHR table keyed by line address. */
 class MshrTable
 {
@@ -69,7 +66,7 @@ class MshrTable
      * Completes the refill of `line`.
      * @param store if given, set to whether markStore() hit the entry
      * @return the merged waiters in allocation order; the view stays
-     * valid until the next release() or restore()
+     * valid until the next release()
      */
     std::span<const std::uint64_t> release(Addr line,
                                            bool *store = nullptr);
@@ -82,16 +79,9 @@ class MshrTable
         return b == NONE ? 0 : slots_[buckets_[b] - 1].count;
     }
 
-    /** Changes on every allocate, release and restore: while it holds
+    /** Changes on every allocate and release: while it holds
      *  still, canAllocate() answers every line as it did before. */
     std::uint64_t generation() const { return generation_; }
-
-    /** Serializes pending entries (sorted by line address so blobs
-     *  are independent of bucket and slot placement) and counters. */
-    void save(SnapshotWriter &w) const;
-
-    /** Restores state written by save(). */
-    void restore(SnapshotReader &r);
 
     // --- stats ---
     std::uint64_t allocations() const { return allocations_; }
@@ -129,9 +119,6 @@ class MshrTable
                 return b;
         }
     }
-
-    /** Empties the index and frees every slot. */
-    void clear();
 
     /** Takes `bucket` out of the index (backward-shift deletion). */
     void unlink(unsigned bucket);

@@ -50,14 +50,6 @@ class ClockDomain
     /** Resets the cycle counter and edge schedule. */
     void reset();
 
-    /** Overwrites counter and edge schedule (checkpoint/restore). */
-    void
-    restore(Cycle cycles, Picoseconds next_edge_ps)
-    {
-        cycles_ = cycles;
-        next_edge_ps_ = next_edge_ps;
-    }
-
   private:
     std::string name_;
     double freq_mhz_;
@@ -110,16 +102,6 @@ class ClockDomainSet
 
     /** Resets all domains and wall time. */
     void reset();
-
-    /** Overwrites one domain's state (checkpoint/restore). */
-    void
-    restoreDomain(DomainId id, Cycle cycles, Picoseconds next_edge_ps)
-    {
-        domains_[id].restore(cycles, next_edge_ps);
-    }
-
-    /** Overwrites wall time (checkpoint/restore). */
-    void setNowPs(Picoseconds now_ps) { now_ps_ = now_ps; }
 
   private:
     std::vector<ClockDomain> domains_;

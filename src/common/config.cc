@@ -6,7 +6,6 @@
 #include "common/config.hh"
 
 #include "common/log.hh"
-#include "common/snapshot.hh"
 
 #include <algorithm>
 #include <cctype>
@@ -225,6 +224,14 @@ Config::toText() const
     for (const auto &[k, v] : values_)
         os << k << " = " << v << "\n";
     return os.str();
+}
+
+const char *
+simulatorVersion()
+{
+    // Major.minor of the simulator's model behaviour; bumped whenever
+    // a model change alters simulation results for a fixed config.
+    return "tenoc-6.3";
 }
 
 std::string

@@ -20,6 +20,9 @@
 namespace tenoc
 {
 
+/** Simulator version string baked into config hashes. */
+const char *simulatorVersion();
+
 /** Dotted-key configuration dictionary with typed accessors. */
 class Config
 {

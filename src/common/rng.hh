@@ -11,7 +11,6 @@
 #ifndef TENOC_COMMON_RNG_HH
 #define TENOC_COMMON_RNG_HH
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -49,21 +48,6 @@ class Rng
 
     /** Re-seeds the generator deterministically. */
     void seed(std::uint64_t seed);
-
-    /** Raw xoshiro256** state (checkpoint/restore). */
-    std::array<std::uint64_t, 4>
-    state() const
-    {
-        return {s_[0], s_[1], s_[2], s_[3]};
-    }
-
-    /** Overwrites the generator state (checkpoint/restore). */
-    void
-    setState(const std::array<std::uint64_t, 4> &s)
-    {
-        for (int i = 0; i < 4; ++i)
-            s_[i] = s[i];
-    }
 
   private:
     std::uint64_t s_[4];

@@ -30,8 +30,6 @@ class Counter
 
     void inc(std::uint64_t n = 1) { value_ += n; }
     void reset() { value_ = 0; }
-    /** Overwrites the count (checkpoint/restore). */
-    void restore(std::uint64_t v) { value_ = v; }
     std::uint64_t value() const { return value_; }
     const std::string &name() const { return name_; }
 
@@ -50,16 +48,6 @@ class Accumulator
     /** Adds one sample. */
     void sample(double v);
     void reset();
-
-    /** Overwrites the aggregate state (checkpoint/restore). */
-    void
-    restore(std::uint64_t count, double sum, double min, double max)
-    {
-        count_ = count;
-        sum_ = sum;
-        min_ = min;
-        max_ = max;
-    }
 
     std::uint64_t count() const { return count_; }
     double sum() const { return sum_; }
@@ -96,17 +84,6 @@ class Histogram
 
     void sample(double v, std::uint64_t weight = 1);
     void reset();
-
-    /** Overwrites bucket contents (checkpoint/restore); the bucket
-     *  count must match this histogram's construction. */
-    void
-    restore(std::vector<std::uint64_t> buckets, std::uint64_t count,
-            double sum)
-    {
-        buckets_ = std::move(buckets);
-        count_ = count;
-        sum_ = sum;
-    }
 
     std::uint64_t count() const { return count_; }
     double sum() const { return sum_; }

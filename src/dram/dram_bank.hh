@@ -16,9 +16,6 @@
 namespace tenoc
 {
 
-class SnapshotWriter;
-class SnapshotReader;
-
 /** One DRAM bank. */
 class DramBank
 {
@@ -87,12 +84,6 @@ class DramBank
     void precharge(Cycle now);
 
     std::uint64_t activations() const { return activations_; }
-
-    /** Serializes the bank's dynamic timing state. */
-    void save(SnapshotWriter &w) const;
-
-    /** Restores state written by save(). */
-    void restore(SnapshotReader &r);
 
   private:
     Gddr3Timing timing_; ///< by value so banks stay assignable

@@ -8,7 +8,6 @@
 #include <bit>
 
 #include "common/log.hh"
-#include "common/snapshot.hh"
 
 namespace tenoc
 {
@@ -334,112 +333,6 @@ DramChannel::registerStats(StatGroup &group) const
     group.add(&sched_stats_.rowHitPicks);
     group.add(&sched_stats_.reorderDepth);
     group.add(&sched_stats_.blockedByReturnBuffer);
-}
-
-namespace
-{
-
-void
-saveRequest(SnapshotWriter &w, const DramRequest &req)
-{
-    w.u64(req.localAddr);
-    w.boolean(req.write);
-    w.u64(req.tag);
-    w.u64(req.arrival);
-    w.u32(req.coord.bank);
-    w.u64(req.coord.row);
-    w.boolean(req.openedRow);
-}
-
-DramRequest
-loadRequest(SnapshotReader &r)
-{
-    DramRequest req;
-    req.localAddr = r.u64();
-    req.write = r.boolean();
-    req.tag = r.u64();
-    req.arrival = r.u64();
-    req.coord.bank = r.u32();
-    req.coord.row = r.u64();
-    req.openedRow = r.boolean();
-    return req;
-}
-
-} // namespace
-
-void
-DramChannel::save(SnapshotWriter &w) const
-{
-    w.tag("DRAM");
-    w.u64(banks_.size());
-    for (const DramBank &bank : banks_)
-        bank.save(w);
-    w.u64(queue_.size());
-    queue_.forEach([&w](const DramRequest &req) { saveRequest(w, req); });
-    w.u64(in_flight_.size());
-    in_flight_.forEach([&w](const InFlight &inf) {
-        saveRequest(w, inf.req);
-        w.u64(inf.doneAt);
-    });
-    w.u64(completed_.size());
-    completed_.forEach(
-        [&w](const DramRequest &req) { saveRequest(w, req); });
-    w.u64(bus_free_at_);
-    w.u64(last_activate_);
-    w.boolean(ever_activated_);
-    w.boolean(last_cas_was_write_);
-    w.u64(row_hits_);
-    w.u64(row_misses_);
-    w.u64(served_);
-    w.u64(bus_busy_cycles_);
-    w.u64(pending_cycles_);
-    saveStat(w, sched_stats_.rowHitPicks);
-    saveStat(w, sched_stats_.reorderDepth);
-    saveStat(w, sched_stats_.blockedByReturnBuffer);
-}
-
-void
-DramChannel::restore(SnapshotReader &r)
-{
-    r.tag("DRAM");
-    const std::uint64_t nbanks = r.u64();
-    tenoc_assert(nbanks == banks_.size(),
-                 "DRAM bank count mismatch in snapshot");
-    for (DramBank &bank : banks_)
-        bank.restore(r);
-    queue_.clear();
-    sched_.assign(banks_.size(), BankSched{});
-    hit_banks_ = 0;
-    prep_banks_ = 0;
-    for (unsigned b = 0; b < banks_.size(); ++b)
-        refreshTiming(b);
-    const std::uint64_t nq = r.u64();
-    for (std::uint64_t i = 0; i < nq; ++i)
-        enqueue(loadRequest(r));
-    in_flight_.clear();
-    const std::uint64_t nf = r.u64();
-    for (std::uint64_t i = 0; i < nf; ++i) {
-        DramRequest req = loadRequest(r);
-        in_flight_.emplace_back(InFlight{std::move(req), r.u64()});
-    }
-    completed_.clear();
-    const std::uint64_t nc = r.u64();
-    for (std::uint64_t i = 0; i < nc; ++i)
-        completed_.emplace_back(loadRequest(r));
-    bus_free_at_ = r.u64();
-    last_activate_ = r.u64();
-    ever_activated_ = r.boolean();
-    last_cas_was_write_ = r.boolean();
-    row_hits_ = r.u64();
-    row_misses_ = r.u64();
-    served_ = r.u64();
-    bus_busy_cycles_ = r.u64();
-    pending_cycles_ = r.u64();
-    restoreStat(r, sched_stats_.rowHitPicks);
-    restoreStat(r, sched_stats_.reorderDepth);
-    restoreStat(r, sched_stats_.blockedByReturnBuffer);
-    if (validate_)
-        audit();
 }
 
 } // namespace tenoc

@@ -18,9 +18,6 @@
 namespace tenoc
 {
 
-class SnapshotWriter;
-class SnapshotReader;
-
 /** Channel configuration. */
 struct DramChannelParams
 {
@@ -87,13 +84,6 @@ class DramChannel
     /** Registers all channel statistics under `group` (lazy values for
      *  the plain scalar fields plus the scheduler's stat objects). */
     void registerStats(StatGroup &group) const;
-
-    /** Serializes queues, in-flight pipeline, bus/turnaround state,
-     *  banks, and counters. */
-    void save(SnapshotWriter &w) const;
-
-    /** Restores state written by save(); bank count must match. */
-    void restore(SnapshotReader &r);
 
   private:
     /** Per-bank scheduling state derived from the queue and the bank. */

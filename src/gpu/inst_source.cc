@@ -10,7 +10,6 @@
 #include <sstream>
 
 #include "common/log.hh"
-#include "common/snapshot.hh"
 
 namespace tenoc
 {
@@ -150,42 +149,6 @@ TraceInstSource::decode(unsigned warp, Warp::PendingInst &out,
     out.isMem = inst.isMem;
     out.isStore = inst.isStore;
     out.lines = inst.lines;
-}
-
-void
-ProfileInstSource::save(SnapshotWriter &w) const
-{
-    w.u64(streams_.size());
-    for (const AddressStream &stream : streams_)
-        w.u64(stream.step());
-}
-
-void
-ProfileInstSource::restore(SnapshotReader &r)
-{
-    const std::uint64_t n = r.u64();
-    tenoc_assert(n == streams_.size(),
-                 "address-stream count mismatch in snapshot");
-    for (AddressStream &stream : streams_)
-        stream.setStep(r.u64());
-}
-
-void
-TraceInstSource::save(SnapshotWriter &w) const
-{
-    w.u64(cursor_.size());
-    for (const std::size_t c : cursor_)
-        w.u64(c);
-}
-
-void
-TraceInstSource::restore(SnapshotReader &r)
-{
-    const std::uint64_t n = r.u64();
-    tenoc_assert(n == cursor_.size(),
-                 "trace cursor count mismatch in snapshot");
-    for (std::size_t &c : cursor_)
-        c = static_cast<std::size_t>(r.u64());
 }
 
 } // namespace tenoc

@@ -27,9 +27,6 @@
 namespace tenoc
 {
 
-class SnapshotWriter;
-class SnapshotReader;
-
 /** Produces decoded warp instructions. */
 class InstSource
 {
@@ -56,12 +53,6 @@ class InstSource
      * rewind and replay.
      */
     virtual void rewind() {}
-
-    /** Serializes the source's dynamic position (default: none). */
-    virtual void save(SnapshotWriter &w) const { (void)w; }
-
-    /** Restores state written by save(). */
-    virtual void restore(SnapshotReader &r) { (void)r; }
 };
 
 /** Statistical source driven by a KernelProfile. */
@@ -83,8 +74,6 @@ class ProfileInstSource : public InstSource
     std::uint64_t warpLength(unsigned warp) const override;
     void decode(unsigned warp, Warp::PendingInst &out,
                 Rng &rng) override;
-    void save(SnapshotWriter &w) const override;
-    void restore(SnapshotReader &r) override;
 
   private:
     const KernelProfile &profile_;
@@ -118,8 +107,6 @@ class TraceInstSource : public InstSource
     void decode(unsigned warp, Warp::PendingInst &out,
                 Rng &rng) override;
     void rewind() override;
-    void save(SnapshotWriter &w) const override;
-    void restore(SnapshotReader &r) override;
 
   private:
     std::vector<std::vector<Warp::PendingInst>> per_warp_;

@@ -112,10 +112,6 @@ class AddressStream
     /** @return the next line address. */
     Addr next(Rng &rng);
 
-    /** Stream position (the only dynamic state), for checkpoints. */
-    std::uint64_t step() const { return step_; }
-    void setStep(std::uint64_t step) { step_ = step; }
-
   private:
     Addr base_;          ///< core_base + warp offset
     Addr stride_;        ///< num_warps * line_bytes

@@ -8,7 +8,6 @@
 #include <bit>
 
 #include "common/log.hh"
-#include "common/snapshot.hh"
 
 namespace tenoc
 {
@@ -444,90 +443,6 @@ SimtCore::registerStats(StatGroup &group) const
     group.addValue("writes_sent", [this] {
         return static_cast<double>(writes_sent_);
     });
-}
-
-void
-SimtCore::save(SnapshotWriter &w) const
-{
-    w.tag("CORE");
-    const auto st = rng_.state();
-    for (const std::uint64_t s : st)
-        w.u64(s);
-    l1_.save(w);
-    mshrs_.save(w);
-    source_->save(w);
-    w.u64(warps_.size());
-    for (const Warp &warp : warps_) {
-        w.u8(static_cast<std::uint8_t>(warp.state));
-        w.u64(warp.instsRemaining);
-        w.u32(warp.pendingReplies);
-        w.boolean(warp.next.valid);
-        w.boolean(warp.next.isMem);
-        w.boolean(warp.next.isStore);
-        w.u64(warp.next.lines.size());
-        for (const Addr line : warp.next.lines)
-            w.u64(line);
-    }
-    w.u64(pending_writebacks_.size());
-    for (const Addr line : pending_writebacks_)
-        w.u64(line);
-    w.u32(rr_warp_);
-    w.u32(slot_countdown_);
-    w.u64(warps_done_);
-    w.u64(scalar_insts_);
-    w.u64(warp_insts_);
-    w.u64(stall_slots_);
-    w.u64(mem_insts_);
-    w.u64(reads_sent_);
-    w.u64(writes_sent_);
-    w.u64(finish_cycle_);
-}
-
-void
-SimtCore::restore(SnapshotReader &r)
-{
-    r.tag("CORE");
-    std::array<std::uint64_t, 4> st;
-    for (std::uint64_t &s : st)
-        s = r.u64();
-    rng_.setState(st);
-    l1_.restore(r);
-    mshrs_.restore(r);
-    source_->restore(r);
-    const std::uint64_t nwarps = r.u64();
-    tenoc_assert(nwarps == warps_.size(),
-                 "warp count mismatch in snapshot");
-    for (Warp &warp : warps_) {
-        warp.state = static_cast<Warp::State>(r.u8());
-        warp.instsRemaining = r.u64();
-        warp.pendingReplies = r.u32();
-        warp.next.valid = r.boolean();
-        warp.next.isMem = r.boolean();
-        warp.next.isStore = r.boolean();
-        warp.next.lines.clear();
-        const std::uint64_t nlines = r.u64();
-        for (std::uint64_t i = 0; i < nlines; ++i)
-            warp.next.lines.push_back(r.u64());
-    }
-    pending_writebacks_.clear();
-    const std::uint64_t nwb = r.u64();
-    for (std::uint64_t i = 0; i < nwb; ++i)
-        pending_writebacks_.push_back(r.u64());
-    rr_warp_ = r.u32();
-    slot_countdown_ = r.u32();
-    warps_done_ = static_cast<std::size_t>(r.u64());
-    scalar_insts_ = r.u64();
-    warp_insts_ = r.u64();
-    stall_slots_ = r.u64();
-    mem_insts_ = r.u64();
-    reads_sent_ = r.u64();
-    writes_sent_ = r.u64();
-    finish_cycle_ = r.u64();
-    issuable_ = issuableWarps();
-    mshr_parked_ = 0;
-    mshr_stale_ = 0;
-    port_parked_ = 0;
-    port_need_ = ~0u;
 }
 
 } // namespace tenoc

@@ -116,12 +116,6 @@ class SimtCore
     /** Registers the core's statistics under `group`. */
     void registerStats(StatGroup &group) const;
 
-    /** Serializes warps, caches, MSHRs, RNG, and the inst source. */
-    void save(SnapshotWriter &w) const;
-
-    /** Restores state written by save(); warp count must match. */
-    void restore(SnapshotReader &r);
-
   private:
     /** Outcome of one memory-instruction attempt. */
     enum class MemIssue : std::uint8_t

@@ -20,8 +20,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/log.hh"
-
 namespace tenoc
 {
 
@@ -46,19 +44,6 @@ class ActiveSet
     test(unsigned i) const
     {
         return (words_[i >> 6] >> (i & 63)) & 1;
-    }
-
-    /** Raw mask words (checkpoint/restore). */
-    const std::vector<std::uint64_t> &words() const { return words_; }
-
-    /** Overwrites the mask words (checkpoint/restore); the word count
-     *  must match this set's size. */
-    void
-    setWords(const std::vector<std::uint64_t> &words)
-    {
-        tenoc_assert(words.size() == words_.size(),
-                     "active-set word count mismatch");
-        words_ = words;
     }
 
     /**

@@ -62,10 +62,10 @@ class RoundRobinArbiter
         pointer_ = (winner + 1) % size_;
     }
 
-    /** Current priority pointer (checkpoint/restore). */
+    /** Current priority pointer. */
     unsigned pointer() const { return pointer_; }
 
-    /** Overwrites the priority pointer (checkpoint/restore). */
+    /** Overwrites the priority pointer (tests start from any pointer). */
     void
     setPointer(unsigned p)
     {

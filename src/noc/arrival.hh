@@ -83,8 +83,7 @@ class ArrivalScheduler
      * network cycle, before the active masks are iterated.
      * Handles drivers that skip cycles (every bucket in the gap is
      * visited; a gap spanning the whole wheel degrades to one full
-     * sweep) and a fresh post-restore wheel (full sweep on first
-     * fire).
+     * sweep) and a fresh wheel (full sweep on first fire).
      */
     void
     fire(Cycle now)

@@ -5,8 +5,6 @@
 
 #include "noc/buffer.hh"
 
-#include "common/snapshot.hh"
-
 namespace tenoc
 {
 
@@ -55,48 +53,6 @@ InputPort::pop(unsigned vc)
                  "pop() on empty VC");
     --total_;
     return slab_->popFlit(base_ + vc);
-}
-
-void
-InputPort::save(SnapshotWriter &w) const
-{
-    w.tag("INPT");
-    w.u64(nvcs_);
-    for (unsigned vc = 0; vc < nvcs_; ++vc) {
-        const std::size_t idx = base_ + vc;
-        w.u8(static_cast<std::uint8_t>(slab_->inState[idx]));
-        w.u32(slab_->inOutPort[idx]);
-        w.u32(slab_->inOutVc[idx]);
-        w.u64(slab_->ringCount[idx]);
-        slab_->forEachRingFlit(idx,
-                               [&](const Flit &flit) { saveFlit(w, flit); });
-    }
-}
-
-void
-InputPort::restore(SnapshotReader &r)
-{
-    r.tag("INPT");
-    const std::uint64_t vcs = r.u64();
-    tenoc_assert(vcs == nvcs_, "input-port VC count mismatch");
-    total_ = 0;
-    for (unsigned vc = 0; vc < nvcs_; ++vc) {
-        const std::size_t idx = base_ + vc;
-        const std::uint8_t state = r.u8();
-        tenoc_assert(state <= static_cast<std::uint8_t>(VcState::ACTIVE),
-                     "restored VC state ", unsigned{state},
-                     " names no VcState");
-        slab_->inState[idx] = static_cast<VcState>(state);
-        slab_->inOutPort[idx] = r.u32();
-        slab_->inOutVc[idx] = r.u32();
-        slab_->ringHead[idx] = 0;
-        slab_->ringCount[idx] = 0;
-        const std::uint64_t flits = r.u64();
-        tenoc_assert(flits <= depth_, "restored VC overflows buffer");
-        for (std::uint64_t i = 0; i < flits; ++i)
-            slab_->pushFlit(idx, loadFlit(r));
-        total_ += flits;
-    }
 }
 
 } // namespace tenoc

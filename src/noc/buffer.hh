@@ -123,12 +123,6 @@ class InputPort
                 base_ + vc, [&](const Flit &flit) { f(vc, flit); });
     }
 
-    /** Serializes buffered flits and per-VC pipeline state. */
-    void save(SnapshotWriter &w) const;
-
-    /** Restores state written by save() into this (empty) port. */
-    void restore(SnapshotReader &r);
-
   private:
     // When standalone, the port's private arena; null for views.
     // Declared before slab_ so the view pointer can target it.

@@ -16,7 +16,6 @@
 
 #include "common/log.hh"
 #include "common/ring.hh"
-#include "common/snapshot.hh"
 #include "common/types.hh"
 #include "noc/arrival.hh"
 
@@ -101,54 +100,6 @@ class Channel
     earliestArrival() const
     {
         return queue_.empty() ? INVALID_CYCLE : queue_.front().arrival;
-    }
-
-    /**
-     * Restore-path helper: re-posts one scheduler wake per in-flight
-     * item (the entries live in the wheel, which is not serialized —
-     * it is rebuilt from the channels' arrival cycles).
-     */
-    void
-    reschedulePending()
-    {
-        if (!sched_)
-            return;
-        queue_.forEach([&](const Entry &e) {
-            sched_->schedule(e.arrival, sched_idx_, sched_bit_);
-        });
-    }
-
-    /** Serializes dynamic state; `saveItem(w, item)` encodes one
-     *  in-flight item (checkpoint/restore). */
-    template <typename SaveItem>
-    void
-    save(SnapshotWriter &w, SaveItem &&saveItem) const
-    {
-        w.u64(last_send_);
-        // Reserved flag byte, always false: keeps the snapshot layout
-        // (and so existing checkpoints) unchanged.
-        w.boolean(false);
-        w.u64(queue_.size());
-        queue_.forEach([&](const Entry &e) {
-            w.u64(e.arrival);
-            saveItem(w, e.item);
-        });
-    }
-
-    /** Restores state written by save(); `loadItem(r)` decodes one
-     *  in-flight item. */
-    template <typename LoadItem>
-    void
-    restore(SnapshotReader &r, LoadItem &&loadItem)
-    {
-        last_send_ = r.u64();
-        r.boolean(); // reserved flag byte (see save)
-        queue_.clear();
-        const std::uint64_t n = r.u64();
-        for (std::uint64_t i = 0; i < n; ++i) {
-            const Cycle arrival = r.u64();
-            queue_.emplace_back(Entry{arrival, loadItem(r)});
-        }
     }
 
   private:

@@ -200,25 +200,6 @@ struct Flit
 /** Builds the flit sequence for a packet. */
 void makeFlits(const PacketPtr &pkt, std::vector<Flit> &out);
 
-class SnapshotWriter;
-class SnapshotReader;
-
-/**
- * Serializes a PacketPtr by identity: the first reference writes the
- * packet's contents inline, later references just its registry id, so
- * all flits of one packet resolve to one shared object on restore.
- */
-void savePacket(SnapshotWriter &w, const PacketPtr &pkt);
-
-/** Reads a packet reference written by savePacket(). */
-PacketPtr loadPacket(SnapshotReader &r);
-
-/** Serializes one flit (packet by reference, fields inline). */
-void saveFlit(SnapshotWriter &w, const Flit &flit);
-
-/** Reads a flit written by saveFlit(). */
-Flit loadFlit(SnapshotReader &r);
-
 } // namespace tenoc
 
 #endif // TENOC_NOC_FLIT_HH

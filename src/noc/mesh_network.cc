@@ -10,7 +10,6 @@
 #include <fstream>
 
 #include "common/log.hh"
-#include "common/snapshot.hh"
 #include "telemetry/json.hh"
 #include "telemetry/telemetry.hh"
 
@@ -782,220 +781,6 @@ makeMeshNetwork(const MeshNetworkParams &params, bool sliced)
     if (sliced)
         return std::make_unique<DoubleNetwork>(params);
     return std::make_unique<MeshNetwork>(params);
-}
-
-// --- checkpoint/restore ---
-
-void
-Network::save(SnapshotWriter &w) const
-{
-    (void)w;
-    tenoc_fatal("checkpointing is not supported for this network kind "
-                "(ideal networks model no restorable state)");
-}
-
-void
-Network::restore(SnapshotReader &r)
-{
-    (void)r;
-    tenoc_fatal("checkpoint restore is not supported for this network "
-                "kind");
-}
-
-void
-NetStats::save(SnapshotWriter &w) const
-{
-    w.tag("NSTA");
-    w.u64(cycles);
-    w.u64(packetsInjected);
-    w.u64(packetsEjected);
-    w.u64(flitsInjected);
-    w.u64(flitsEjected);
-    saveStat(w, totalLatency);
-    saveStat(w, netLatency);
-    saveStat(w, totalLatencyHist);
-    saveStat(w, queueLatencyHist);
-    saveStat(w, traversalLatencyHist);
-    saveStat(w, serializationLatencyHist);
-    saveU64Vector(w, nodeInjectedFlits);
-    saveU64Vector(w, nodeEjectedFlits);
-    saveU64Vector(w, nodeInjectedBytes);
-    saveU64Vector(w, nodeEjectedBytes);
-}
-
-void
-NetStats::restore(SnapshotReader &r)
-{
-    r.tag("NSTA");
-    cycles = r.u64();
-    packetsInjected = r.u64();
-    packetsEjected = r.u64();
-    flitsInjected = r.u64();
-    flitsEjected = r.u64();
-    restoreStat(r, totalLatency);
-    restoreStat(r, netLatency);
-    restoreStat(r, totalLatencyHist);
-    restoreStat(r, queueLatencyHist);
-    restoreStat(r, traversalLatencyHist);
-    restoreStat(r, serializationLatencyHist);
-    restoreU64Vector(r, nodeInjectedFlits);
-    restoreU64Vector(r, nodeEjectedFlits);
-    restoreU64Vector(r, nodeInjectedBytes);
-    restoreU64Vector(r, nodeEjectedBytes);
-}
-
-void
-MeshNetwork::save(SnapshotWriter &w) const
-{
-    w.tag("MESH");
-    // Structural fingerprint: enough to reject a restore into a
-    // differently shaped network with a clear message instead of a
-    // byte-offset panic deep inside a component.
-    w.u32(topo_.numNodes());
-    w.u32(params_.flitBytes);
-    w.u32(params_.protoClasses);
-    w.u32(params_.vcsPerClass);
-    w.u32(params_.vcDepth);
-    w.u32(params_.mcInjPorts);
-    w.u32(params_.mcEjPorts);
-    w.u64(flit_channels_.size());
-    w.u64(credit_channels_.size());
-
-    const auto st = rng_.state();
-    for (const std::uint64_t s : st)
-        w.u64(s);
-    w.u64(own_pkt_ids_);
-    w.u64(inflight_);
-    w.u64(flits_traversed_total_);
-    w.u64(net_flits_in_);
-    w.u64(net_flits_out_);
-    // Monitor bookkeeping (validation schedule, watchdog progress
-    // marks) is deliberately NOT serialized: it is derived scheduling
-    // state, and keeping it out of the blob makes snapshots identical
-    // across monitor configurations (validate on/off, watchdog
-    // window), so a warm-up checkpoint can feed differently-monitored
-    // downstream runs bit-for-bit.  The arrival wheel is derived state
-    // too: at a cycle boundary every matured arrival has been drained
-    // (fire marks its receiver and readInputs consumes the backlog in
-    // the same cycle), so the pending words are provably all-zero and
-    // the wheel holds only future entries, rebuilt on restore from the
-    // channels' recorded arrival cycles.
-    for (NodeId n = 0; n < topo_.numNodes(); ++n) {
-        tenoc_assert(arrival_.pending(n) == 0,
-                     "arrival pending word nonzero at checkpoint"
-                     " (router ", n, ")");
-    }
-    saveU64Vector(w, router_active_.words());
-    saveU64Vector(w, ni_active_.words());
-    for (const auto &router : routers_)
-        router->save(w);
-    for (const auto &ni : nis_)
-        ni->save(w);
-    for (const auto &ch : flit_channels_) {
-        ch.save(w, [](SnapshotWriter &sw, const Flit &f) {
-            saveFlit(sw, f);
-        });
-    }
-    for (const auto &ch : credit_channels_) {
-        ch.save(w, [](SnapshotWriter &sw, const Credit &c) {
-            sw.u32(c.vc);
-        });
-    }
-    if (stats_ == owned_stats_.get())
-        stats_->save(w);
-    w.tag("MEND");
-}
-
-void
-MeshNetwork::restore(SnapshotReader &r)
-{
-    r.tag("MESH");
-    const auto expect = [](std::uint64_t got, std::uint64_t want,
-                           const char *what) {
-        if (got != want)
-            tenoc_fatal("snapshot structural mismatch: ", what,
-                        " is ", got, " in the snapshot but ", want,
-                        " in this network");
-    };
-    expect(r.u32(), topo_.numNodes(), "node count");
-    expect(r.u32(), params_.flitBytes, "flit width");
-    expect(r.u32(), params_.protoClasses, "protocol classes");
-    expect(r.u32(), params_.vcsPerClass, "VCs per class");
-    expect(r.u32(), params_.vcDepth, "VC depth");
-    expect(r.u32(), params_.mcInjPorts, "MC injection ports");
-    expect(r.u32(), params_.mcEjPorts, "MC ejection ports");
-    expect(r.u64(), flit_channels_.size(), "flit channel count");
-    expect(r.u64(), credit_channels_.size(), "credit channel count");
-
-    std::array<std::uint64_t, 4> st;
-    for (std::uint64_t &s : st)
-        s = r.u64();
-    rng_.setState(st);
-    own_pkt_ids_ = r.u64();
-    inflight_ = r.u64();
-    flits_traversed_total_ = r.u64();
-    net_flits_in_ = r.u64();
-    net_flits_out_ = r.u64();
-    // Re-arm the monitors instead of restoring them: the next
-    // postCycle() validates (read-only) and re-baselines the watchdog
-    // (progress != 0 whenever flits are in flight, so it can never
-    // fire spuriously off the zeroed marks).
-    next_check_ = 0;
-    wd_last_progress_ = 0;
-    wd_last_change_ = 0;
-    std::vector<std::uint64_t> words(router_active_.words().size());
-    restoreU64Vector(r, words);
-    router_active_.setWords(words);
-    words.assign(ni_active_.words().size(), 0);
-    restoreU64Vector(r, words);
-    ni_active_.setWords(words);
-    for (const auto &router : routers_)
-        router->restore(r);
-    for (const auto &ni : nis_)
-        ni->restore(r);
-    for (auto &ch : flit_channels_) {
-        ch.restore(r, [](SnapshotReader &sr) { return loadFlit(sr); });
-    }
-    for (auto &ch : credit_channels_) {
-        ch.restore(r, [](SnapshotReader &sr) {
-            Credit c;
-            c.vc = sr.u32();
-            return c;
-        });
-    }
-    // The arrival wheel is derived state: reset it and re-post one
-    // wake per restored in-flight item.  The reset wheel is unprimed,
-    // so its first fire() does a full sweep — arbitrary resume cycles
-    // are safe.
-    arrival_.configure(topo_.numNodes(), params_.channelLatency,
-                       &router_active_);
-    for (auto &ch : flit_channels_)
-        ch.reschedulePending();
-    for (auto &ch : credit_channels_)
-        ch.reschedulePending();
-    if (stats_ == owned_stats_.get())
-        stats_->restore(r);
-    r.tag("MEND");
-}
-
-void
-DoubleNetwork::save(SnapshotWriter &w) const
-{
-    w.tag("DNET");
-    w.u64(next_pkt_id_);
-    stats_->save(w);
-    request_->save(w);
-    reply_->save(w);
-}
-
-void
-DoubleNetwork::restore(SnapshotReader &r)
-{
-    r.tag("DNET");
-    next_pkt_id_ = r.u64();
-    stats_->restore(r);
-    request_->restore(r);
-    reply_->restore(r);
 }
 
 } // namespace tenoc

@@ -177,16 +177,6 @@ class MeshNetwork : public Network
      *  profile accumulated by every subsequent cycle() call. */
     void setPhaseProfile(PhaseProfile *profile) { profile_ = profile; }
 
-    // --- checkpoint/restore ---
-    /** Serializes all dynamic network state (routers, NIs, channels,
-     *  activity masks, counters, RNG).  Must be called at a cycle
-     *  boundary. */
-    void save(SnapshotWriter &w) const override;
-
-    /** Restores state written by save(); topology/VC structure must
-     *  match the saving network. */
-    void restore(SnapshotReader &r) override;
-
   private:
     void postCycle(Cycle now);
     void fireWatchdog(Cycle now, const char *reason);
@@ -287,11 +277,6 @@ class DoubleNetwork : public Network
     /** Combined snapshot of both slices. */
     std::string diagnosticReport(Cycle now) const override;
 
-    /** Serializes shared state plus both slices (checkpoint). */
-    void save(SnapshotWriter &w) const override;
-
-    /** Restores state written by save(). */
-    void restore(SnapshotReader &r) override;
     /** Installs `handler` on both slices. */
     void
     setWatchdogHandler(WatchdogHandler handler)

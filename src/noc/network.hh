@@ -24,9 +24,6 @@ namespace telemetry
 class TelemetryHub;
 } // namespace telemetry
 
-class SnapshotWriter;
-class SnapshotReader;
-
 /**
  * Consumer of packets at a node (compute core or MC).
  *
@@ -97,12 +94,6 @@ struct NetStats
     /** Registers every field (scalars lazily, via StatGroup::addValue)
      *  under `group` for structured metrics export. */
     void registerStats(StatGroup &group);
-
-    /** Serializes every field (checkpoint/restore). */
-    void save(SnapshotWriter &w) const;
-
-    /** Restores state written by save(). */
-    void restore(SnapshotReader &r);
 };
 
 /** Abstract interconnect. */
@@ -159,17 +150,6 @@ class Network
         (void)now;
         return "";
     }
-
-    /**
-     * Serializes all dynamic network state at a cycle boundary
-     * (checkpoint/restore).  The default fatals: ideal networks model
-     * no restorable state and cannot be checkpointed.
-     */
-    virtual void save(SnapshotWriter &w) const;
-
-    /** Restores state written by save() into a structurally identical
-     *  network.  Default fatals (see save()). */
-    virtual void restore(SnapshotReader &r);
 
     /** Flits needed to carry a memory operation on this network. */
     unsigned

@@ -4,16 +4,13 @@
  *
  * All hot containers (class queues, active packet slots, ejection
  * buffers) live in a NiSlabs arena — see slab.hh — so the phase
- * methods stream flat arrays instead of chasing deque blocks.  The
- * serialization order of save()/restore() is unchanged from the
- * per-object layout, so the snapshot format is unaffected.
+ * methods stream flat arrays instead of chasing deque blocks.
  */
 
 #include "noc/network_interface.hh"
 
 #include <algorithm>
 
-#include "common/snapshot.hh"
 #include "telemetry/trace_sink.hh"
 
 namespace tenoc
@@ -303,102 +300,6 @@ NetworkInterface::audit() const
         });
     }
     return info;
-}
-
-void
-NetworkInterface::save(SnapshotWriter &w) const
-{
-    // Serialization order matches the original per-object layout
-    // exactly, so moving the containers into the arena did not bump
-    // the snapshot format.
-    const NiSlabs &s = *nslab_;
-    w.tag("NIFC");
-    w.u32(s.pendingInject[ni_]);
-    w.u32(s.ejOccupancy[ni_]);
-    w.u64(vc_map_.protoClasses);
-    for (unsigned c = 0; c < vc_map_.protoClasses; ++c) {
-        w.u64(s.qSize(qbase_ + c));
-        s.forEachQueued(qbase_ + c, [&](const PacketPtr &pkt) {
-            savePacket(w, pkt);
-        });
-    }
-    for (unsigned p = 0; p < ports_; ++p) {
-        for (unsigned vc = 0; vc < vcs_; ++vc) {
-            const std::size_t slot = sbase_ + p * vcs_ + vc;
-            w.boolean(s.actValid[slot] != 0);
-            if (!s.actValid[slot])
-                continue;
-            savePacket(w, s.actPkt[slot]);
-            w.u64(s.actFlits[slot].size());
-            for (const Flit &flit : s.actFlits[slot])
-                saveFlit(w, flit);
-            w.u32(s.actNext[slot]);
-        }
-    }
-    for (const unsigned rr : lane_rr_)
-        w.u32(rr);
-    for (const unsigned rr : vc_rr_)
-        w.u32(rr);
-    w.u32(class_rr_);
-    w.u32(port_rr_);
-    for (unsigned p = 0; p < ej_ports_; ++p) {
-        w.u64(s.ejSize(ebase_ + p));
-        s.forEachEjFlit(ebase_ + p,
-                        [&](const Flit &flit) { saveFlit(w, flit); });
-    }
-}
-
-void
-NetworkInterface::restore(SnapshotReader &r)
-{
-    NiSlabs &s = *nslab_;
-    r.tag("NIFC");
-    s.pendingInject[ni_] = r.u32();
-    s.ejOccupancy[ni_] = r.u32();
-    const std::uint64_t classes = r.u64();
-    tenoc_assert(classes == vc_map_.protoClasses,
-                 "NI class count mismatch");
-    for (unsigned c = 0; c < vc_map_.protoClasses; ++c) {
-        const std::size_t q = qbase_ + c;
-        while (s.qSize(q) != 0)
-            s.qPop(q);
-        const std::uint64_t n = r.u64();
-        for (std::uint64_t i = 0; i < n; ++i)
-            s.qPush(q, loadPacket(r));
-    }
-    for (unsigned p = 0; p < ports_; ++p) {
-        for (unsigned vc = 0; vc < vcs_; ++vc) {
-            const std::size_t slot = sbase_ + p * vcs_ + vc;
-            const bool valid = r.boolean();
-            s.actValid[slot] = valid ? 1 : 0;
-            if (!valid) {
-                s.actPkt[slot].reset();
-                s.actFlits[slot].clear();
-                s.actNext[slot] = 0;
-                continue;
-            }
-            s.actPkt[slot] = loadPacket(r);
-            s.actFlits[slot].clear();
-            const std::uint64_t n = r.u64();
-            for (std::uint64_t i = 0; i < n; ++i)
-                s.actFlits[slot].push_back(loadFlit(r));
-            s.actNext[slot] = r.u32();
-        }
-    }
-    for (unsigned &rr : lane_rr_)
-        rr = r.u32();
-    for (unsigned &rr : vc_rr_)
-        rr = r.u32();
-    class_rr_ = r.u32();
-    port_rr_ = r.u32();
-    for (unsigned p = 0; p < ej_ports_; ++p) {
-        const std::size_t ring = ebase_ + p;
-        while (s.ejSize(ring) != 0)
-            s.ejPop(ring);
-        const std::uint64_t n = r.u64();
-        for (std::uint64_t i = 0; i < n; ++i)
-            s.ejPush(ring, loadFlit(r));
-    }
 }
 
 } // namespace tenoc

@@ -132,14 +132,6 @@ class NetworkInterface : public EjectionSink
     /** @return true when all queues and buffers are empty. */
     bool idle() const;
 
-    // --- checkpoint/restore ---
-    /** Serializes all dynamic NI state.  Must be called at a cycle
-     *  boundary. */
-    void save(SnapshotWriter &w) const;
-
-    /** Restores state written by save(). */
-    void restore(SnapshotReader &r);
-
   private:
     /** Tries to assign one queued packet to a free (port, vc) slot. */
     bool refillOne(Cycle now);

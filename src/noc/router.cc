@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <bit>
 
-#include "common/snapshot.hh"
 #include "telemetry/trace_sink.hh"
 
 namespace tenoc
@@ -495,64 +494,6 @@ Router::bufferedFlits() const
     for (const auto &p : inputs_)
         n += p.totalOccupancy();
     return n;
-}
-
-void
-Router::save(SnapshotWriter &w) const
-{
-    w.tag("RTRS");
-    for (const InputPort &in : inputs_)
-        in.save(w);
-    for (unsigned o = 0; o < numOutputs(); ++o) {
-        for (unsigned vc = 0; vc < nvcs_; ++vc) {
-            const std::size_t i = ov(o, vc);
-            w.boolean(slab_->outOwned[i] != 0);
-            w.u32(slab_->outOwnerIn[i]);
-            w.u32(slab_->outOwnerVc[i]);
-            w.u32(slab_->outCredits[i]);
-        }
-        w.u32(outputs_[o].vaArb.pointer());
-        w.u32(outputs_[o].saArb.pointer());
-    }
-    for (const RoundRobinArbiter &arb : sa_input_arb_)
-        w.u32(arb.pointer());
-    w.u32(ej_rr_);
-    w.u64(flits_traversed_);
-    for (const std::uint64_t f : link_flits_)
-        w.u64(f);
-}
-
-void
-Router::restore(SnapshotReader &r)
-{
-    r.tag("RTRS");
-    for (InputPort &in : inputs_) {
-        in.restore(r);
-        // The VC-class base cached by RC is derived state outside the
-        // snapshot format; rebuild it for VCs awaiting allocation.
-        for (unsigned vc = 0; vc < nvcs_; ++vc) {
-            if (in.state(vc) == VcState::VC_ALLOC)
-                in.setBaseVc(vc, params_.vcMap.baseVc(*in.front(vc).pkt));
-        }
-    }
-    for (unsigned o = 0; o < numOutputs(); ++o) {
-        for (unsigned vc = 0; vc < nvcs_; ++vc) {
-            const std::size_t i = ov(o, vc);
-            slab_->outOwned[i] = r.boolean() ? 1 : 0;
-            slab_->outOwnerIn[i] = r.u32();
-            slab_->outOwnerVc[i] = r.u32();
-            slab_->outCredits[i] = r.u32();
-        }
-        outputs_[o].vaArb.setPointer(r.u32());
-        outputs_[o].saArb.setPointer(r.u32());
-    }
-    for (RoundRobinArbiter &arb : sa_input_arb_)
-        arb.setPointer(r.u32());
-    ej_rr_ = r.u32();
-    flits_traversed_ = r.u64();
-    for (std::uint64_t &f : link_flits_)
-        f = r.u64();
-    masks_ = deriveStageMasks();
 }
 
 } // namespace tenoc

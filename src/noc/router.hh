@@ -322,17 +322,8 @@ class Router
     /** The masks as kept by the pipeline events. */
     const StageMasks &stageMasks() const { return masks_; }
 
-    /** The masks recomputed from slab state (invariant audit, restore). */
+    /** The masks recomputed from slab state (invariant audit). */
     StageMasks deriveStageMasks() const;
-
-    // --- checkpoint/restore ---
-    /** Serializes all dynamic router state (buffers, VC ownership,
-     *  credits, arbiter pointers, counters). */
-    void save(SnapshotWriter &w) const;
-
-    /** Restores state written by save(); structural parameters must
-     *  match the saving router. */
-    void restore(SnapshotReader &r);
 
     // --- mutation-test hook ---
     /**

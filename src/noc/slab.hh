@@ -22,7 +22,7 @@
  *
  * The arena is pure storage: every state-machine transition still
  * happens in Router/InputPort code, so the refactor is invisible to
- * stats, snapshots and the invariant checker.
+ * stats and the invariant checker.
  */
 
 #ifndef TENOC_NOC_SLAB_HH
@@ -153,24 +153,12 @@ class VcSlabs
         }
     }
 
-    /** Overwrites ring slot `i` (0 = head) of `vc_idx` directly;
-     *  restore-path helper (checkpoint). */
-    void
-    setRingSlot(std::size_t vc_idx, std::uint32_t i, Flit &&flit)
-    {
-        std::size_t pos = ringHead[vc_idx] + i;
-        while (pos >= depth_)
-            pos -= depth_;
-        flits[vc_idx * depth_ + pos] = std::move(flit);
-    }
-
     // --- input-VC state machines ---
     std::vector<VcState> inState;
     std::vector<std::uint32_t> inOutPort; ///< RC-assigned output port
     std::vector<std::uint32_t> inOutVc;   ///< VA-granted output VC
     /// First eligible output VC of the head packet, cached by RC so VA
-    /// never dereferences the packet.  Derived state: reconstructed on
-    /// checkpoint restore, not part of the snapshot format.
+    /// never dereferences the packet.
     std::vector<std::uint32_t> inBaseVc;
 
     // --- output-VC bookkeeping ---

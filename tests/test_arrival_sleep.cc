@@ -4,10 +4,9 @@
  *
  *  - ArrivalScheduler wheel mechanics: exact-cycle firing, bucket
  *    aliasing one wheel turn apart, gap sweeps when the driver skips
- *    cycles, the unprimed post-restore full sweep, the firedThrough
+ *    cycles, the unprimed first-fire full sweep, the firedThrough
  *    horizon;
- *  - Channel integration: send posts a wake at the delivery cycle,
- *    and a restored channel reposts its in-flight arrivals;
+ *  - Channel integration: send posts a wake at the delivery cycle;
  *  - whole-network regression: seeded runs across channel slicing,
  *    long links and age priority must
  *    reproduce the statistics recorded when wake-on-send channels (a
@@ -92,8 +91,7 @@ TEST(ArrivalScheduler, GapLargerThanWheelSweepsEverything)
 
 TEST(ArrivalScheduler, FirstFireAfterConfigureSweepsEverything)
 {
-    // Post-restore path: the wheel is rebuilt by reschedulePending and
-    // the first fire has no last-fire history — it must behave as a
+    // The first fire has no last-fire history: it must behave as a
     // full sweep and deliver every matured entry.
     ActiveSet set(4);
     ArrivalScheduler sched;
@@ -126,29 +124,6 @@ TEST(ArrivalChannel, SendPostsWakeAtDeliveryCycle)
     EXPECT_TRUE(set.test(0));
     EXPECT_EQ(sched.pending(0), 0x1u);
     EXPECT_EQ(*ch.receive(13), 7);
-}
-
-TEST(ArrivalChannel, ReschedulePendingRebuildsWheel)
-{
-    // Restore path: channels carry their in-flight entries but the
-    // wheel starts empty; reschedulePending must repost each arrival.
-    ActiveSet set(2);
-    ArrivalScheduler sched;
-    sched.configure(2, 2, &set);
-    Channel<int> ch(2);
-    ch.setArrivalTarget(&sched, 1, 0x1);
-    ch.send(5, 0);
-    ch.send(6, 1);
-
-    sched.configure(2, 2, &set); // wipe, as restore does
-    EXPECT_EQ(sched.scheduled(), 0u);
-    ch.reschedulePending();
-    EXPECT_EQ(sched.scheduled(), 2u);
-    sched.fire(2);
-    EXPECT_EQ(sched.pending(1), 0x1u);
-    EXPECT_EQ(*ch.receive(2), 5);
-    sched.fire(3);
-    EXPECT_EQ(*ch.receive(3), 6);
 }
 
 // --- Whole-network regression ---

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/snapshot.hh"
 #include "noc/buffer.hh"
 
 namespace tenoc
@@ -81,22 +80,6 @@ TEST(InputPortDeath, PopEmptyPanics)
 {
     InputPort port(1, 2);
     EXPECT_DEATH(port.pop(0), "empty");
-}
-
-TEST(InputPortDeath, RestoreRejectsUnknownState)
-{
-    // One empty VC whose state byte is 3, past ACTIVE (the encoding of
-    // the retired ROUTING state shifted VC_ALLOC and ACTIVE down).
-    SnapshotWriter w;
-    w.tag("INPT");
-    w.u64(1);
-    w.u8(3);
-    w.u32(0);
-    w.u32(0);
-    w.u64(0);
-    InputPort port(1, 2);
-    SnapshotReader r(w.data());
-    EXPECT_DEATH(port.restore(r), "restored VC state 3 names no VcState");
 }
 
 } // namespace

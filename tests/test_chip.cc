@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -14,6 +13,7 @@
 
 #include "accel/chip.hh"
 #include "accel/experiments.hh"
+#include "net_digest.hh"
 
 namespace tenoc
 {
@@ -227,15 +227,19 @@ TEST(Chip, EnvScaleParsing)
 {
     ::setenv("TENOC_SCALE", "0.25", 1);
     EXPECT_DOUBLE_EQ(envScale(1.0), 0.25);
-    ::setenv("TENOC_SCALE", "junk", 1);
-    EXPECT_DOUBLE_EQ(envScale(1.0), 1.0);
+    // Anything but a whole positive finite number falls back to the
+    // default.
+    for (const char *bad : {"junk", "0.02x", "inf", "nan", "", "0", "-1"}) {
+        ::setenv("TENOC_SCALE", bad, 1);
+        EXPECT_DOUBLE_EQ(envScale(1.0), 1.0) << "'" << bad << "'";
+    }
     ::unsetenv("TENOC_SCALE");
     EXPECT_DOUBLE_EQ(envScale(0.5), 0.5);
 }
 
-/** FNV-1a digest of a chip's result and full stat dump. */
+/** A chip's result fields and full stat dump as text. */
 std::string
-chipDigest(const ChipResult &r, const Chip &chip)
+chipText(const ChipResult &r, const Chip &chip)
 {
     std::ostringstream os;
     os.precision(17);
@@ -247,15 +251,38 @@ chipDigest(const ChipResult &r, const Chip &chip)
        << r.mcToCoreInjectionRatio << ' ' << r.dramEfficiency << ' '
        << r.dramRowHitRate << ' ' << r.packetsEjected << '\n';
     chip.statGroup().dump(os);
-    std::uint64_t h = 1469598103934665603ull;
-    for (const unsigned char c : os.str()) {
-        h ^= c;
-        h *= 1099511628211ull;
+    return os.str();
+}
+
+/** FNV-1a digest of chipText(). */
+std::string
+chipDigest(const ChipResult &r, const Chip &chip)
+{
+    Fnv h;
+    h.bytes(chipText(r, chip));
+    return h.hex();
+}
+
+TEST(Chip, ValidationDoesNotChangeStats)
+{
+    // The invariant audit only reads network state, so a run with it
+    // on ends with the same results and stats as one with it off.
+    const std::pair<ConfigId, const char *> runs[] = {
+        {ConfigId::BASELINE_TB_DOR, "MM"},
+        {ConfigId::CP_CR_DOUBLE, "BFS"},
+        {ConfigId::THROUGHPUT_EFFECTIVE, "MM"}};
+    for (const auto &[id, kernel] : runs) {
+        SCOPED_TRACE(kernel);
+        const auto profile = quick(kernel, 0.05);
+        auto params = makeConfig(id);
+        params.mesh.validate = false;
+        Chip plain(params, profile);
+        const std::string want = chipText(plain.run(), plain);
+        params.mesh.validate = true;
+        params.mesh.validateInterval = 16;
+        Chip checked(params, profile);
+        EXPECT_EQ(chipText(checked.run(), checked), want);
     }
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(h));
-    return buf;
 }
 
 /**

@@ -5,16 +5,14 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstdlib>
 #include <deque>
 #include <map>
-#include <memory>
 #include <string>
 
 #include "common/rng.hh"
-#include "common/snapshot.hh"
 #include "dram/dram_channel.hh"
+#include "net_digest.hh"
 
 namespace tenoc
 {
@@ -293,20 +291,18 @@ caseName(const StreamCase &c)
  * that fill the queue and quiet spells that drain it; the read-out
  * side pops at most one completion a cycle and closes for random
  * spells, so the return buffer gates CAS.  High locality walks four
- * sequential streams; low locality picks random lines.  When
- * `restore_at` is reached the channel is saved and the run continues
- * on a fresh channel restored from the snapshot.
+ * sequential streams; low locality picks random lines.
  */
 std::string
-scheduleDigest(const StreamCase &c, Cycle restore_at = ~Cycle{0})
+scheduleDigest(const StreamCase &c)
 {
     DramChannelParams p;
     p.timing.numBanks = c.banks;
     p.queueCapacity = c.queue;
     p.returnBufferCap = c.returnCap;
-    auto ch = std::make_unique<DramChannel>(p);
+    DramChannel ch(p);
     Rng rng(c.banks * 1000 + c.queue * 10 + c.returnCap + (c.local ? 7 : 0));
-    SnapshotWriter out;
+    Fnv out;
     constexpr unsigned kRequests = 600;
     Addr streams[4] = {0, 1u << 20, 2u << 20, 3u << 20};
     unsigned pushed = 0;
@@ -314,17 +310,8 @@ scheduleDigest(const StreamCase &c, Cycle restore_at = ~Cycle{0})
     bool reply_open = true;
     Cycle now = 0;
     for (; done < kRequests && now < 100000; ++now) {
-        if (now == restore_at) {
-            SnapshotWriter w;
-            ch->save(w);
-            auto fresh = std::make_unique<DramChannel>(p);
-            SnapshotReader r(w.data());
-            fresh->restore(r);
-            EXPECT_TRUE(r.exhausted());
-            ch = std::move(fresh);
-        }
         const double arrival = (now / 500) % 2 == 0 ? 0.6 : 0.05;
-        for (int k = 0; k < 2 && pushed < kRequests && ch->canAccept() &&
+        for (int k = 0; k < 2 && pushed < kRequests && ch.canAccept() &&
              rng.nextBool(arrival);
              ++k) {
             Addr addr;
@@ -337,14 +324,14 @@ scheduleDigest(const StreamCase &c, Cycle restore_at = ~Cycle{0})
             }
             DramRequest req = rng.nextBool(0.3) ? write(addr, pushed)
                                                 : read(addr, pushed);
-            ch->push(std::move(req), now);
+            ch.push(std::move(req), now);
             ++pushed;
         }
-        ch->cycle(now);
+        ch.cycle(now);
         if (rng.nextBool(0.05))
             reply_open = !reply_open;
         if (reply_open) {
-            if (auto r = ch->popCompleted()) {
+            if (auto r = ch.popCompleted()) {
                 out.u64(r->tag);
                 out.u64(now);
                 ++done;
@@ -352,27 +339,19 @@ scheduleDigest(const StreamCase &c, Cycle restore_at = ~Cycle{0})
         }
     }
     EXPECT_EQ(done, kRequests) << caseName(c);
-    const FrFcfsStats &st = ch->schedStats();
+    const FrFcfsStats &st = ch.schedStats();
     out.u64(now);
-    out.u64(ch->rowHits());
-    out.u64(ch->rowMisses());
+    out.u64(ch.rowHits());
+    out.u64(ch.rowMisses());
     out.u64(st.rowHitPicks.value());
     out.u64(st.reorderDepth.count());
     out.f64(st.reorderDepth.sum());
     out.f64(st.reorderDepth.min());
     out.f64(st.reorderDepth.max());
     out.u64(st.blockedByReturnBuffer.value());
-    out.u64(ch->busBusyCycles());
-    out.u64(ch->pendingCycles());
-    std::uint64_t h = 1469598103934665603ull;
-    for (const std::uint8_t b : out.data()) {
-        h ^= b;
-        h *= 1099511628211ull;
-    }
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(h));
-    return buf;
+    out.u64(ch.busBusyCycles());
+    out.u64(ch.pendingCycles());
+    return out.hex();
 }
 
 TEST(DramChannel, ScheduleDigestsMatchRecorded)
@@ -443,10 +422,6 @@ TEST(DramChannel, ScheduleDigestsMatchRecorded)
         }
     }
     EXPECT_EQ(recorded.size(), runs) << "stale recorded digests";
-    // Saving mid-burst (the 48-entry queue full and spilled past its
-    // inline ring) and restoring into a fresh channel changes nothing.
-    const StreamCase c{8, 48, 4, true};
-    EXPECT_EQ(scheduleDigest(c, 1200), recorded.at(caseName(c)));
     if (saved)
         ::setenv("TENOC_VALIDATE", restore.c_str(), 1);
     else

@@ -10,7 +10,6 @@
 
 #include "cache/mshr.hh"
 #include "common/rng.hh"
-#include "common/snapshot.hh"
 
 namespace tenoc
 {
@@ -128,33 +127,6 @@ TEST(Mshr, FullMergeReleasesEveryWaiterInOrder)
     EXPECT_TRUE(m.canAllocate(0x100));
 }
 
-TEST(Mshr, SaveRestoreSaveIsByteIdentical)
-{
-    MshrTable m(8, 4);
-    for (Addr line = 0; line < 6; ++line) {
-        for (std::uint64_t w = 0; w <= line % 3; ++w)
-            m.allocate(line * 0x1000, line * 10 + w);
-    }
-    m.markStore(0x2000);
-    m.release(0x1000);
-    SnapshotWriter first;
-    m.save(first);
-
-    MshrTable copy(8, 4);
-    copy.allocate(0x7000, 99); // overwritten by restore
-    SnapshotReader r(first.data());
-    copy.restore(r);
-    SnapshotWriter second;
-    copy.save(second);
-    EXPECT_EQ(first.data(), second.data());
-    EXPECT_EQ(copy.size(), 5u);
-    EXPECT_FALSE(copy.pending(0x7000));
-    bool store = false;
-    EXPECT_EQ(released(copy, 0x2000, &store),
-              (std::vector<std::uint64_t>{20, 21, 22}));
-    EXPECT_TRUE(store);
-}
-
 TEST(Mshr, GenerationMovesOnEveryChange)
 {
     MshrTable m(4);
@@ -173,12 +145,6 @@ TEST(Mshr, GenerationMovesOnEveryChange)
     EXPECT_FALSE(moved()) << "queries";
     m.release(0x40);
     EXPECT_TRUE(moved()) << "release";
-    SnapshotWriter w;
-    m.save(w);
-    EXPECT_FALSE(moved()) << "save";
-    SnapshotReader r(w.data());
-    m.restore(r);
-    EXPECT_TRUE(moved()) << "restore";
 }
 
 TEST(Mshr, MatchesReferenceUnderChurn)

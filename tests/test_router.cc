@@ -9,7 +9,6 @@
 #include <tuple>
 #include <vector>
 
-#include "common/snapshot.hh"
 #include "noc/router.hh"
 
 namespace tenoc
@@ -446,45 +445,6 @@ TEST(RouterStageMasks, VaRefusedHeadGrantedWhenTailFreesVc)
     s.r.switchAllocate(7);
     ASSERT_EQ(s.sink.log.size(), 4u);
     EXPECT_EQ(s.sink.log[3], std::make_tuple(Cycle{7}, std::uint64_t{2}, 0u));
-}
-
-TEST(RouterStageMasks, RestoreMidVaWaitAndMidWormKeepsSchedule)
-{
-    // Saved after cycle 4's stages: packet 1 is mid-worm (head gone,
-    // two flits buffered) and packet 2 mid-VA-wait.  A fresh router
-    // restored from the snapshot must rebuild its masks and emit the
-    // uninterrupted router's flit schedule.
-    VaWaitScenario full;
-    VaWaitScenario saved;
-    for (Cycle t = 0; t <= 4; ++t) {
-        computeStages(full.r, t);
-        computeStages(saved.r, t);
-    }
-    SnapshotWriter w;
-    saved.r.save(w);
-
-    Topology topo{TopologyParams{}};
-    DorRouting xy(topo, true);
-    Router restored(topo.nodeAt(0, 0), topo, xy, routerParams(false, 2, 1));
-    RecordingSink sink;
-    restored.setEjectionSink(&sink);
-    SnapshotReader r(w.data());
-    restored.restore(r);
-    EXPECT_EQ(restored.vcState(NUM_DIRS, 0), VcState::ACTIVE);
-    EXPECT_EQ(restored.vcState(NUM_DIRS + 1, 0), VcState::VC_ALLOC);
-    EXPECT_EQ(restored.stageMasks(), full.r.stageMasks());
-
-    const std::size_t before = full.sink.log.size();
-    for (Cycle t = 5; t <= 12; ++t) {
-        computeStages(full.r, t);
-        computeStages(restored, t);
-    }
-    const std::vector<std::tuple<Cycle, std::uint64_t, unsigned>> after(
-        full.sink.log.begin() + static_cast<std::ptrdiff_t>(before),
-        full.sink.log.end());
-    EXPECT_EQ(after.size(), 3u);
-    EXPECT_EQ(sink.log, after);
-    EXPECT_TRUE(restored.empty());
 }
 
 } // namespace

@@ -18,8 +18,8 @@
 
 #include "common/clock.hh"
 #include "common/rng.hh"
-#include "common/snapshot.hh"
 #include "common/stats.hh"
+#include "net_digest.hh"
 #include "noc/mesh_network.hh"
 #include "telemetry/interval_sampler.hh"
 #include "telemetry/json.hh"
@@ -626,13 +626,13 @@ TEST(TelemetryHub, TracerChangesNoStats)
         EXPECT_EQ(driveRequestsAndReplies(*plain, 97, 1500),
                   driveRequestsAndReplies(*traced, 97, 1500));
 
-        // NetStats::save writes every sealed stat bit-exactly
-        // (counters, accumulator sums, histogram buckets).
-        SnapshotWriter a;
-        SnapshotWriter b;
-        plain->stats().save(a);
-        traced->stats().save(b);
-        EXPECT_EQ(a.data(), b.data());
+        // The digest covers every sealed stat bit-exactly (counters,
+        // accumulator sums, histogram buckets).
+        Fnv a;
+        Fnv b;
+        a.stats(plain->stats());
+        b.stats(traced->stats());
+        EXPECT_EQ(a.value(), b.value());
 
         const auto *sink = dynamic_cast<const telemetry::ChromeTraceSink *>(
             hub.tracer());
