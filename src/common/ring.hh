@@ -2,11 +2,11 @@
  * @file
  * Flat FIFO ring queue with inline small storage.
  *
- * Replaces std::deque in simulator hot paths (channel in-flight
- * queues, DRAM controller queues) where the common-case population is
- * small and bounded: the first INLINE items live inside the owning
- * object, so a steady-state channel performs no heap allocation at
- * all, and iteration touches one contiguous block in FIFO order.
+ * Replaces std::deque in simulator hot paths (DRAM controller queues)
+ * where the common-case population is small and bounded: the first
+ * INLINE items live inside the owning object, so a steady-state queue
+ * performs no heap allocation at all, and iteration touches one
+ * contiguous block in FIFO order.
  * Capacity grows geometrically (powers of two) when a queue backs up,
  * so behaviour is identical to the unbounded deque it replaces.
  */
@@ -28,7 +28,7 @@ namespace tenoc
  * Fixed-order FIFO over a circular buffer.  INLINE (a power of two)
  * items of inline storage; spills to a heap ring when exceeded.
  * Deliberately neither copyable nor movable: instances are embedded in
- * components with stable addresses (channels in a std::deque).
+ * components with stable addresses (a DRAM channel's queues).
  */
 template <typename T, unsigned INLINE = 4>
 class RingQueue

@@ -27,7 +27,7 @@ InputPort::InputPort(VcSlabs &slab, std::size_t base, unsigned vcs,
 }
 
 void
-InputPort::push(Flit &&flit, Cycle now)
+InputPort::push(Flit flit, Cycle now)
 {
     tenoc_assert(flit.vc < nvcs_, "push to out-of-range VC ", flit.vc);
     tenoc_assert(slab_->ringCount[base_ + flit.vc] < depth_,
@@ -40,9 +40,9 @@ InputPort::push(Flit &&flit, Cycle now)
     // later this cycle; its Packet lives at an arbitrary heap address,
     // so start pulling the line in now (no architectural effect).
     if (flit.head)
-        __builtin_prefetch(flit.pkt.get(), 0, 2);
+        __builtin_prefetch(flit.pkt, 0, 2);
 #endif
-    slab_->pushFlit(base_ + vc, std::move(flit));
+    slab_->pushFlit(base_ + vc, flit);
     ++total_;
 }
 

@@ -50,8 +50,9 @@ class InputPort
     unsigned numVcs() const { return nvcs_; }
     unsigned depth() const { return depth_; }
 
-    /** Buffers an arriving flit on its VC; panics on overflow. */
-    void push(Flit &&flit, Cycle now);
+    /** Buffers an arriving flit on its VC, stamping its enqueue cycle;
+     *  panics on overflow. */
+    void push(Flit flit, Cycle now);
 
     /** @return flits currently buffered on `vc`. */
     std::size_t

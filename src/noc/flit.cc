@@ -67,18 +67,20 @@ flitsForBytes(unsigned bytes, unsigned flit_bytes)
 }
 
 void
-makeFlits(const PacketPtr &pkt, std::vector<Flit> &out)
+makeFlits(const PacketPtr &pkt, std::vector<Flit> &out, unsigned vc)
 {
-    tenoc_assert(pkt && pkt->sizeFlits >= 1, "invalid packet");
+    tenoc_assert(pkt && pkt->sizeFlits >= 1 && pkt->sizeFlits <= 0xffff,
+                 "invalid packet");
     out.clear();
     out.reserve(pkt->sizeFlits);
     for (unsigned i = 0; i < pkt->sizeFlits; ++i) {
         Flit f;
-        f.pkt = pkt;
-        f.seq = i;
+        f.pkt = pkt.get();
+        f.vc = vc;
+        f.seq = static_cast<std::uint16_t>(i);
         f.head = (i == 0);
         f.tail = (i == pkt->sizeFlits - 1);
-        out.push_back(std::move(f));
+        out.push_back(f);
     }
 }
 

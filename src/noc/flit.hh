@@ -13,6 +13,7 @@
 #define TENOC_NOC_FLIT_HH
 
 #include <cstdint>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -32,7 +33,8 @@ enum class RouteMode : std::uint8_t
 
 /**
  * One network packet.  Owned via PacketPtr (an intrusive, non-atomic
- * refcount over a thread_local freelist pool); flits reference it.
+ * refcount over a thread_local freelist pool); flits point at it (see
+ * Flit for who holds the reference while it is in the network).
  * The refcount must therefore only ever be touched by one thread.  A
  * simulation's cycle runs serially, and each parallel sweep point
  * (bench/sweep.hh) runs its whole simulation on one worker thread, so
@@ -102,6 +104,16 @@ class PacketPtr
 
     PacketPtr(PacketPtr &&o) noexcept : p_(o.p_) { o.p_ = nullptr; }
 
+    /** Takes over one reference that `p` already carries (one that
+     *  detach() let go of) without adding a new one. */
+    static PacketPtr
+    adopt(Packet *p)
+    {
+        PacketPtr ptr;
+        ptr.p_ = p;
+        return ptr;
+    }
+
     PacketPtr &
     operator=(const PacketPtr &o)
     {
@@ -139,7 +151,17 @@ class PacketPtr
         p_ = nullptr;
     }
 
-    /** Number of PacketPtrs sharing the packet (0 for null). */
+    /** Lets go of the packet without dropping its reference: the
+     *  caller now carries that reference (see adopt()). */
+    Packet *
+    detach()
+    {
+        Packet *p = p_;
+        p_ = nullptr;
+        return p;
+    }
+
+    /** Number of references to the packet (0 for null). */
     std::uint32_t use_count() const { return p_ ? p_->refCount : 0; }
 
     friend bool
@@ -184,21 +206,33 @@ unsigned memOpBytes(MemOp op);
 unsigned flitsForBytes(unsigned bytes, unsigned flit_bytes);
 
 /**
- * One flit.  Flits move between routers over Channels; the VC field is
+ * One flit: a plain 24-byte value, copied as bytes between NI slots,
+ * router rings, the link wheel and ejection rings.  The VC field is
  * rewritten by each hop's switch allocation.
+ *
+ * Ownership: the packet's one network reference travels with its tail
+ * flit.  The NI detaches its PacketPtr when it injects the tail, the
+ * NI that drains the tail adopts it again, and a VC arena, link wheel
+ * or ejection ring destroyed (or re-configured) mid-run returns the
+ * references of the tails it still holds.  Head and body flits never
+ * outlive their tail in the network (a worm stays in order on its
+ * VCs), so their bare pointer stays valid.
  */
 struct Flit
 {
-    PacketPtr pkt;          ///< owning packet
-    unsigned seq = 0;       ///< flit index within packet
-    bool head = false;      ///< first flit (carries routing info)
-    bool tail = false;      ///< last flit (releases VCs)
-    unsigned vc = 0;        ///< virtual channel on the current link
-    Cycle enqueueCycle = 0; ///< arrival time at the current buffer
+    Packet *pkt = nullptr;     ///< the packet (see ownership above)
+    Cycle enqueueCycle = 0;    ///< arrival time at the current buffer
+    std::uint32_t vc = 0;      ///< virtual channel on the current link
+    std::uint16_t seq = 0;     ///< flit index within packet
+    bool head = false;         ///< first flit (carries routing info)
+    bool tail = false;         ///< last flit (releases VCs)
 };
+static_assert(sizeof(Flit) == 24 && std::is_trivially_copyable_v<Flit>);
 
-/** Builds the flit sequence for a packet. */
-void makeFlits(const PacketPtr &pkt, std::vector<Flit> &out);
+/** Builds the flit sequence for a packet on VC `vc`; the flits point
+ *  at the packet but hold no reference. */
+void makeFlits(const PacketPtr &pkt, std::vector<Flit> &out,
+               unsigned vc = 0);
 
 } // namespace tenoc
 

@@ -6,8 +6,10 @@
 #include "noc/invariants.hh"
 
 #include <bit>
+#include <unordered_map>
 
 #include "common/log.hh"
+#include "noc/link.hh"
 #include "noc/network_interface.hh"
 #include "noc/router.hh"
 
@@ -53,6 +55,21 @@ compareStageMask(const Router &r, const std::string &what,
 
 } // namespace
 
+/** What the link wheel holds, counted once per audit. */
+struct InvariantChecker::WheelCensus
+{
+    unsigned vcs = 0;
+    /// Flits per (link, VC), index link * vcs + vc.
+    std::vector<std::uint32_t> flits;
+    /// Credits per global output-VC index.
+    std::unordered_map<std::size_t, std::uint32_t> credits;
+    std::uint64_t totalFlits = 0;
+    std::uint64_t tails = 0;
+    /// Entries due at or before the wheel's last fire, which should
+    /// have delivered them.
+    std::uint64_t overdue = 0;
+};
+
 const char *
 violationKindName(Violation::Kind kind)
 {
@@ -89,15 +106,6 @@ void
 InvariantChecker::addNi(const NetworkInterface *ni)
 {
     nis_.push_back(ni);
-}
-
-void
-InvariantChecker::addLink(const Router *up, unsigned out_dir,
-                          const Channel<Flit> *flit_chan,
-                          const Channel<Credit> *credit_chan,
-                          const Router *down, unsigned down_in)
-{
-    links_.push_back({up, out_dir, flit_chan, credit_chan, down, down_in});
 }
 
 void
@@ -289,22 +297,19 @@ InvariantChecker::checkRouter(const Router &r,
 }
 
 void
-InvariantChecker::checkLink(const LinkRecord &link,
-                            std::vector<Violation> &out) const
+InvariantChecker::checkLinks(const WheelCensus &census,
+                             std::vector<Violation> &out) const
 {
-    const unsigned vcs = link.up->numVcs();
-    for (unsigned vc = 0; vc < vcs; ++vc) {
+    // One entry per (link, VC), link-major.
+    for (std::size_t i = 0; i < census.flits.size(); ++i) {
+        const LinkWheel::Link &link =
+            wheel_->link(static_cast<unsigned>(i / census.vcs));
+        const auto vc = static_cast<unsigned>(i % census.vcs);
         const unsigned up_credits = link.up->outputCredits(link.outDir, vc);
-        std::size_t flits_in_flight = 0;
-        link.flitChan->forEachInFlight([&](const Flit &f) {
-            if (f.vc == vc)
-                ++flits_in_flight;
-        });
-        std::size_t credits_in_flight = 0;
-        link.creditChan->forEachInFlight([&](const Credit &c) {
-            if (c.vc == vc)
-                ++credits_in_flight;
-        });
+        const std::size_t flits_in_flight = census.flits[i];
+        const auto credit = census.credits.find(link.creditBase + vc);
+        const std::size_t credits_in_flight =
+            credit == census.credits.end() ? 0 : credit->second;
         const std::size_t down_occ =
             link.down->vcOccupancy(link.downIn, vc);
         const std::size_t total = up_credits + flits_in_flight +
@@ -354,7 +359,8 @@ InvariantChecker::checkNis(std::vector<Violation> &out) const
 }
 
 void
-InvariantChecker::checkConservation(std::vector<Violation> &out) const
+InvariantChecker::checkConservation(const WheelCensus &census,
+                                    std::vector<Violation> &out) const
 {
     if (!flits_in_ || !flits_out_ || !inflight_)
         return;
@@ -368,15 +374,6 @@ InvariantChecker::checkConservation(std::vector<Violation> &out) const
                 ++buffered_tails;
         });
     }
-    std::uint64_t chan_flits = 0;
-    std::uint64_t chan_tails = 0;
-    for (const LinkRecord &link : links_) {
-        link.flitChan->forEachInFlight([&](const Flit &f) {
-            ++chan_flits;
-            if (f.tail)
-                ++chan_tails;
-        });
-    }
     std::uint64_t ej_flits = 0;
     std::uint64_t ej_tails = 0;
     std::uint64_t ni_pending = 0;
@@ -387,44 +384,49 @@ InvariantChecker::checkConservation(std::vector<Violation> &out) const
         ni_pending += info.queuedPackets + info.activeSlots;
     }
 
-    const std::uint64_t in_network = buffered + chan_flits + ej_flits;
+    const std::uint64_t in_network =
+        buffered + census.totalFlits + ej_flits;
     if (*flits_in_ - *flits_out_ != in_network) {
         addViolation(out, Violation::Kind::FLIT_CONSERVATION,
                      formatMessage(
                          "flits injected ", *flits_in_, " - drained ",
                          *flits_out_, " = ", *flits_in_ - *flits_out_,
                          " but the network holds ", in_network,
-                         " (routers=", buffered, " channels=", chan_flits,
+                         " (routers=", buffered,
+                         " links=", census.totalFlits,
                          " ejection=", ej_flits, ")"));
     }
 
     const std::uint64_t held =
-        ni_pending + buffered_tails + chan_tails + ej_tails;
+        ni_pending + buffered_tails + census.tails + ej_tails;
     if (*inflight_ != held) {
         addViolation(out, Violation::Kind::PACKET_CONSERVATION,
                      formatMessage(
                          "in-flight counter ", *inflight_,
                          " != held packets ", held, " (NI pending=",
                          ni_pending, " tails: routers=", buffered_tails,
-                         " channels=", chan_tails, " ejection=", ej_tails,
+                         " links=", census.tails, " ejection=", ej_tails,
                          ")"));
     }
 }
 
 void
-InvariantChecker::checkActivity(Cycle now,
+InvariantChecker::checkActivity(const WheelCensus &census,
                                 std::vector<Violation> &out) const
 {
+    // A router whose flits are all on links is legitimately retired:
+    // the wheel marks it when one lands.  So the wheel itself must
+    // never keep an entry past its due cycle.
+    if (census.overdue != 0) {
+        addViolation(out, Violation::Kind::ACTIVITY,
+                     formatMessage(
+                         census.overdue, " link wheel entries are due at"
+                         " or before cycle ", wheel_->firedThrough(),
+                         " but were never delivered"));
+    }
     if (router_set_) {
         for (std::size_t n = 0; n < routers_.size(); ++n) {
-            // couldWork() reports buffered flits or matured pending
-            // bits (a sleeping router with only future in-flight
-            // arrivals is legitimately retired — the wheel wakes it).
-            // The deep matured-arrival scan backstops the wheel
-            // itself: a lost entry leaves a matured flit with no
-            // pending bit, which this check still flags.
-            if ((routers_[n]->couldWork() ||
-                 routers_[n]->hasMaturedArrival(now)) &&
+            if (!routers_[n]->empty() &&
                 !router_set_->test(static_cast<unsigned>(n))) {
                 addViolation(out, Violation::Kind::ACTIVITY,
                              formatMessage(
@@ -450,23 +452,39 @@ InvariantChecker::checkActivity(Cycle now,
 }
 
 std::vector<Violation>
-InvariantChecker::audit(Cycle now) const
+InvariantChecker::audit() const
 {
+    WheelCensus census;
+    if (wheel_ && !routers_.empty()) {
+        census.vcs = routers_.front()->numVcs();
+        census.flits.assign(wheel_->numLinks() * census.vcs, 0);
+        const Cycle fired = wheel_->firedThrough();
+        wheel_->forEachFlit([&](Cycle due, unsigned link, const Flit &f) {
+            if (f.vc < census.vcs)
+                ++census.flits[link * census.vcs + f.vc];
+            ++census.totalFlits;
+            census.tails += f.tail;
+            census.overdue += due <= fired;
+        });
+        wheel_->forEachCredit([&](Cycle due, std::size_t out_vc) {
+            ++census.credits[out_vc];
+            census.overdue += due <= fired;
+        });
+    }
     std::vector<Violation> out;
     for (const Router *r : routers_)
         checkRouter(*r, out);
-    for (const LinkRecord &link : links_)
-        checkLink(link, out);
+    checkLinks(census, out);
     checkNis(out);
-    checkConservation(out);
-    checkActivity(now, out);
+    checkConservation(census, out);
+    checkActivity(census, out);
     return out;
 }
 
 void
 InvariantChecker::check(Cycle now) const
 {
-    const auto violations = audit(now);
+    const auto violations = audit();
     if (violations.empty())
         return;
     std::string msg = formatMessage("invariant check failed at cycle ",
@@ -496,9 +514,10 @@ InvariantChecker::oldestCreated() const
             track(f.pkt->createdCycle);
         });
     }
-    for (const LinkRecord &link : links_) {
-        link.flitChan->forEachInFlight(
-            [&](const Flit &f) { track(f.pkt->createdCycle); });
+    if (wheel_) {
+        wheel_->forEachFlit([&](Cycle, unsigned, const Flit &f) {
+            track(f.pkt->createdCycle);
+        });
     }
     return oldest;
 }

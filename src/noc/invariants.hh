@@ -2,17 +2,17 @@
  * @file
  * Runtime invariant checking for the mesh NoC.
  *
- * The InvariantChecker walks one MeshNetwork's routers, channels and
+ * The InvariantChecker walks one MeshNetwork's routers, link wheel and
  * network interfaces and verifies the structural invariants that
  * credit-based wormhole routing guarantees when the implementation is
  * correct:
  *
  *  - credit conservation: for every (link, VC), upstream credits +
- *    flits in flight + credits in flight + downstream occupancy equals
- *    the VC depth — a leaked or duplicated credit shows up here;
+ *    flits on the wheel + credits on the wheel + downstream occupancy
+ *    equals the VC depth — a leaked or duplicated credit shows up here;
  *  - flit conservation: flits that entered a router minus flits that
  *    left an ejection buffer equals the flits currently buffered in
- *    routers, channels and ejection buffers;
+ *    routers, on the wheel and in ejection buffers;
  *  - packet conservation: the O(1) in-flight counter behind
  *    Network::drained() equals the packets actually held by NIs plus
  *    tail flits in transit;
@@ -21,8 +21,9 @@
  *    requests) equal to the ones derived from slab state;
  *  - buffer occupancy bounds and half-router connectivity compliance;
  *  - idle-skip activity: any component that could make progress is
- *    marked in its active set (a violation here means idle-skip would
- *    silently strand traffic).
+ *    marked in its active set, and no wheel entry is left due at or
+ *    before the wheel's last fire (a violation here means idle-skip
+ *    would silently strand traffic).
  *
  * The checker is wired by MeshNetwork when MeshNetworkParams::validate
  * is set (tests enable it; TENOC_VALIDATE=1 forces it everywhere) and
@@ -42,13 +43,13 @@
 #include <string>
 #include <vector>
 
-#include "noc/channel.hh"
 #include "noc/flit.hh"
 
 namespace tenoc
 {
 
 class ActiveSet;
+class LinkWheel;
 class NetworkInterface;
 class Router;
 
@@ -88,15 +89,8 @@ class InvariantChecker
 
     void addRouter(const Router *router);
     void addNi(const NetworkInterface *ni);
-    /**
-     * Registers one inter-router link: `up`'s output `out_dir`, its
-     * flit and returning credit channel, and the downstream router's
-     * receiving input port `down_in`.
-     */
-    void addLink(const Router *up, unsigned out_dir,
-                 const Channel<Flit> *flit_chan,
-                 const Channel<Credit> *credit_chan, const Router *down,
-                 unsigned down_in);
+    /** Audits every link of `wheel` and the entries on it. */
+    void setLinks(const LinkWheel *wheel) { wheel_ = wheel; }
     /** Points the checker at the network-level conservation counters:
      *  packets in flight, flits injected into routers, flits drained
      *  from ejection buffers. */
@@ -111,14 +105,14 @@ class InvariantChecker
      * the network is consistent).  Reading only; never mutates
      * simulator state.  At most `maxViolations` are collected.
      */
-    std::vector<Violation> audit(Cycle now) const;
+    std::vector<Violation> audit() const;
 
     /** audit() + panic listing every violation when any is found. */
     void check(Cycle now) const;
 
     /**
      * Earliest createdCycle among all packets currently held anywhere
-     * in the network (NIs, router buffers, channels), or INVALID_CYCLE
+     * in the network (NIs, router buffers, links), or INVALID_CYCLE
      * when empty.  Used by the watchdog's over-age scan.
      */
     Cycle oldestCreated() const;
@@ -126,27 +120,21 @@ class InvariantChecker
     static constexpr std::size_t maxViolations = 64;
 
   private:
-    struct LinkRecord
-    {
-        const Router *up;
-        unsigned outDir;
-        const Channel<Flit> *flitChan;
-        const Channel<Credit> *creditChan;
-        const Router *down;
-        unsigned downIn;
-    };
+    struct WheelCensus;
 
     void checkRouter(const Router &r, std::vector<Violation> &out) const;
-    void checkLink(const LinkRecord &link,
-                   std::vector<Violation> &out) const;
+    void checkLinks(const WheelCensus &census,
+                    std::vector<Violation> &out) const;
     void checkNis(std::vector<Violation> &out) const;
-    void checkConservation(std::vector<Violation> &out) const;
-    void checkActivity(Cycle now, std::vector<Violation> &out) const;
+    void checkConservation(const WheelCensus &census,
+                           std::vector<Violation> &out) const;
+    void checkActivity(const WheelCensus &census,
+                       std::vector<Violation> &out) const;
 
     unsigned vc_depth_;
     std::vector<const Router *> routers_;
     std::vector<const NetworkInterface *> nis_;
-    std::vector<LinkRecord> links_;
+    const LinkWheel *wheel_ = nullptr;
     const std::uint64_t *inflight_ = nullptr;
     const std::uint64_t *flits_in_ = nullptr;
     const std::uint64_t *flits_out_ = nullptr;

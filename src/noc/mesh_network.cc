@@ -203,11 +203,6 @@ MeshNetwork::MeshNetwork(const MeshNetworkParams &params,
 
     router_active_.resize(topo_.numNodes());
     ni_active_.resize(topo_.numNodes());
-    // All channels share one latency, so the wheel is sized once;
-    // configure before the routers so setArrival can hand each its
-    // scheduler slot ahead of channel wiring.
-    arrival_.configure(topo_.numNodes(), params_.channelLatency,
-                       &router_active_);
 
     // Routers.  Geometry pre-pass first: per-node parameters decide
     // how many input/output VCs each router contributes, the slab
@@ -236,6 +231,7 @@ MeshNetwork::MeshNetwork(const MeshNetworkParams &params,
     }
     slabs_.configure(in_vcs, out_vcs, params_.vcDepth);
     slabs_.setValidate(params_.validate);
+    links_.configure(params_.channelLatency, &slabs_);
 
     routers_.reserve(topo_.numNodes());
     std::size_t in_base = 0;
@@ -247,31 +243,21 @@ MeshNetwork::MeshNetwork(const MeshNetworkParams &params,
         in_base += (NUM_DIRS + rp.numInjPorts) * vcs;
         out_base += (NUM_DIRS + rp.numEjPorts) * vcs;
         routers_[n]->setActivity(&router_active_, n);
-        routers_[n]->setArrival(&arrival_, n);
         routers_[n]->setTraversalCounter(&flits_traversed_total_);
         checker_->addRouter(routers_[n].get());
     }
 
-    // Channels between adjacent routers (one flit + one credit channel
-    // per direction per edge), by value in node-then-direction wiring
-    // order — the order MeshNetwork::cycle streams them.
+    // One link per direction per edge, carrying flits one way and
+    // their credits back.
     for (NodeId n = 0; n < topo_.numNodes(); ++n) {
         for (unsigned d = 0; d < NUM_DIRS; ++d) {
             const auto dir = static_cast<Direction>(d);
             const NodeId nb = topo_.neighbor(n, dir);
-            if (nb == INVALID_NODE)
-                continue;
-            Channel<Flit> &fc =
-                flit_channels_.emplace_back(params_.channelLatency);
-            Channel<Credit> &cc =
-                credit_channels_.emplace_back(params_.channelLatency);
-            routers_[n]->connectOutput(dir, &fc, &cc);
-            routers_[nb]->connectInput(opposite(dir), &fc, &cc);
-            checker_->addLink(routers_[n].get(), d, &fc, &cc,
-                              routers_[nb].get(),
-                              static_cast<unsigned>(opposite(dir)));
+            if (nb != INVALID_NODE)
+                routers_[n]->connect(dir, *routers_[nb], links_);
         }
     }
+    checker_->setLinks(&links_);
 
     // Network interfaces, viewing one shared SoA arena (class queues,
     // active-packet slots, ejection rings; see NiSlabs) sized from the
@@ -342,24 +328,19 @@ MeshNetwork::cycle(Cycle now)
     if (prof)
         ++prof->cycles;
     ++stats_->cycles;
-    // Deliver this cycle's channel arrivals first: matured wheel
-    // entries set their receiver's pending-port bits and mark it
-    // active before any phase reads the masks.
-    arrival_.fire(now);
-    // Each phase visits only the marked components, in ascending
-    // order.  An unmarked component has no buffered work and no
-    // matured arrival, and ticking it would change nothing (arbiters
-    // only advance on accept()), so skipping it is exact.  Masks are
-    // live: a mark made by one phase (NI injectFlit -> router, router
-    // ejectFlit -> NI) is seen by the later phases of the same cycle,
-    // and a fresh same-phase mark is always a no-op visit.
-    const auto routerPass = [&](auto &&tick) {
-        router_active_.forEach([&](unsigned n) { tick(*routers_[n]); });
-    };
     lap(&PhaseProfile::bookkeepingNs);
-
-    routerPass([&](Router &r) { r.readInputs(now); });
+    // Deposit this cycle's link arrivals first: each due flit lands in
+    // its receiver's VC ring and marks the receiver, each due credit
+    // lands in its output VC, before any phase reads the masks.
+    links_.fire(now);
     lap(&PhaseProfile::readInputsNs);
+    // Each phase visits only the marked components, in ascending
+    // order.  An unmarked component has no buffered work, and ticking
+    // it would change nothing (arbiters only advance on accept()), so
+    // skipping it is exact.  Masks are live: a mark made by one phase
+    // (NI injectFlit -> router, router ejectFlit -> NI) is seen by the
+    // later phases of the same cycle, and a fresh same-phase mark is
+    // always a no-op visit.
     // The arena's contiguous pending counters gate the phase call: an
     // NI with nothing queued or mid-injection is a guaranteed no-op
     // (injectPhase early-outs on the same counter), so the sweep
@@ -370,12 +351,13 @@ MeshNetwork::cycle(Cycle now)
     });
     lap(&PhaseProfile::injectNs);
     // One pass over the routers runs each router's RC, VA and SA.
-    // Routers only interact through >= 1-cycle channels, so nothing a
-    // router's stage writes is visible to any other router until next
-    // cycle's readInputs, and this order is bit-exact with running
-    // each stage across all routers in turn.  Each stage's test
-    // of its own work mask subsumes a buffered-flits guard.
-    routerPass([&](Router &r) {
+    // Routers only interact through >= 1-cycle links, so nothing a
+    // router's stage writes is visible to any other router until a
+    // later cycle's fire(), and this order is bit-exact with running
+    // each stage across all routers in turn.  Each stage's test of its
+    // own work mask subsumes a buffered-flits guard.
+    router_active_.forEach([&](unsigned n) {
+        Router &r = *routers_[n];
         r.routeCompute(now);
         r.vcAllocate(now);
         r.switchAllocate(now);
@@ -388,11 +370,10 @@ MeshNetwork::cycle(Cycle now)
     lap(&PhaseProfile::drainNs);
 
     // Retire components that ran dry: a retired router/NI is re-marked
-    // by the event that next gives it work (the wheel at a flit's or
-    // credit's arrival cycle, injection, ejection), never silently
-    // forgotten.
+    // by the event that next gives it work (the wheel at a flit's
+    // arrival cycle, injection, ejection), never silently forgotten.
     router_active_.retireIf(
-        [&](unsigned n) { return !routers_[n]->couldWork(); });
+        [&](unsigned n) { return routers_[n]->empty(); });
     ni_active_.retireIf([&](unsigned n) { return nis_[n]->idle(); });
     postCycle(now);
     lap(&PhaseProfile::bookkeepingNs);
@@ -540,7 +521,7 @@ MeshNetwork::diagnosticSnapshot(Cycle now) const
     // Live invariant audit: a deadlock caused by state corruption
     // (e.g. a leaked credit) names itself here.
     JsonValue violations = JsonValue::makeArray();
-    for (const Violation &v : checker_->audit(now)) {
+    for (const Violation &v : checker_->audit()) {
         JsonValue entry = JsonValue::makeObject();
         entry.set("kind", violationKindName(v.kind));
         entry.set("message", v.message);
@@ -555,7 +536,7 @@ MeshNetwork::diagnosticSnapshot(Cycle now) const
     JsonValue routers = JsonValue::makeArray();
     JsonValue wait_for = JsonValue::makeArray();
     for (const auto &r : routers_) {
-        if (!r->couldWork())
+        if (r->empty())
             continue;
         JsonValue rj = JsonValue::makeObject();
         rj.set("id", static_cast<std::uint64_t>(r->id()));
@@ -666,7 +647,7 @@ MeshNetwork::drained() const
 {
     // Every packet is counted in at NI::enqueue and out when its tail
     // flit leaves the ejection buffer, so one counter covers injection
-    // queues, router buffers, flit channels and ejection buffers.
+    // queues, router buffers, links and ejection buffers.
     return inflight_ == 0;
 }
 

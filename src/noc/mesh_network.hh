@@ -8,13 +8,13 @@
 #ifndef TENOC_NOC_MESH_NETWORK_HH
 #define TENOC_NOC_MESH_NETWORK_HH
 
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/rng.hh"
 #include "noc/invariants.hh"
+#include "noc/link.hh"
 #include "noc/network.hh"
 #include "noc/network_interface.hh"
 #include "noc/router.hh"
@@ -89,9 +89,9 @@ void validateMeshNetworkParams(const MeshNetworkParams &params);
 
 /**
  * Per-phase wall-time breakdown of MeshNetwork::cycle, accumulated
- * while a profile is attached (noc_speed --profile).  "Bookkeeping"
- * covers everything outside the four component phases: arrival-wheel
- * firing, retirement and postCycle.
+ * while a profile is attached (noc_speed --profile).  `readInputsNs`
+ * times LinkWheel::fire, which deposits the cycle's link arrivals;
+ * "bookkeeping" covers retirement and postCycle.
  */
 struct PhaseProfile
 {
@@ -120,7 +120,6 @@ class MeshNetwork : public Network
     explicit MeshNetwork(const MeshNetworkParams &params,
                          NetStats *shared_stats = nullptr,
                          std::uint64_t *shared_ids = nullptr);
-
     const Topology &topology() const override { return topo_; }
     unsigned flitBytes() const override { return params_.flitBytes; }
     bool canInject(NodeId n, int proto_class) const override;
@@ -143,6 +142,8 @@ class MeshNetwork : public Network
     const VcMap &vcMap() const { return vc_map_; }
     const RoutingAlgorithm &routing() const { return *routing_; }
     Router &router(NodeId n) { return *routers_[n]; }
+    /** The network's links (tests corrupt it to probe the checker). */
+    LinkWheel &links() { return links_; }
     const MeshNetworkParams &params() const { return params_; }
 
     // --- hardening layer ---
@@ -198,12 +199,11 @@ class MeshNetwork : public Network
      *  slots, ejection rings); declared before the NIs that view it. */
     NiSlabs ni_slabs_;
 
+    /** Every router-to-router link, with the flits and credits on
+     *  them (noc/link.hh). */
+    LinkWheel links_;
     std::vector<std::unique_ptr<Router>> routers_;
     std::vector<std::unique_ptr<NetworkInterface>> nis_;
-    /** Channels by value in wiring order (a deque constructs in place
-     *  and never relocates, so wired pointers stay stable). */
-    std::deque<Channel<Flit>> flit_channels_;
-    std::deque<Channel<Credit>> credit_channels_;
 
     std::unique_ptr<NetStats> owned_stats_;
     NetStats *stats_;
@@ -212,14 +212,10 @@ class MeshNetwork : public Network
      *  counter so both slices draw from one id space. */
     std::uint64_t *pkt_ids_ = &own_pkt_ids_;
 
-    /** Routers that may have work this cycle: buffered flits or a
-     *  matured channel arrival. */
+    /** Routers with buffered flits. */
     ActiveSet router_active_;
     /** NIs with packets queued/in flight or ejection flits buffered. */
     ActiveSet ni_active_;
-    /** Wakes each router at the delivery cycle of every flit or credit
-     *  sent toward it (noc/arrival.hh). */
-    ArrivalScheduler arrival_;
     /** Per-phase wall-time accumulator; null unless profiling. */
     PhaseProfile *profile_ = nullptr;
     /** Packets inside the network (enqueue .. tail ejection); makes

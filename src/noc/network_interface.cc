@@ -112,11 +112,9 @@ NetworkInterface::refillOne(Cycle now)
                 if (s.actValid[slot])
                     continue;
                 s.actPkt[slot] = s.qPop(q);
-                makeFlits(s.actPkt[slot], s.actFlits[slot]);
+                makeFlits(s.actPkt[slot], s.actFlits[slot], vc);
                 s.actNext[slot] = 0;
                 s.actValid[slot] = 1;
-                for (auto &f : s.actFlits[slot])
-                    f.vc = vc;
                 class_rr_ = (cls + 1) % classes;
                 lane_rr_[cls] = (lane + 1) % vc_map_.vcsPerClass;
                 port_rr_ = (p + 1) % ports_;
@@ -143,7 +141,7 @@ NetworkInterface::injectPhase(Cycle now)
             const std::size_t slot = sbase_ + p * vcs_ + vc;
             if (!s.actValid[slot] || router_.injFreeSlots(p, vc) == 0)
                 continue;
-            Flit flit = s.actFlits[slot][s.actNext[slot]];
+            const Flit flit = s.actFlits[slot][s.actNext[slot]];
             PacketPtr &pkt = s.actPkt[slot];
             if (flit.head && pkt->injectedCycle == INVALID_CYCLE) {
                 pkt->injectedCycle = now;
@@ -156,14 +154,15 @@ NetworkInterface::injectPhase(Cycle now)
             stats_.nodeInjectedFlits[node_] += 1;
             if (net_flits_in_)
                 ++*net_flits_in_;
-            router_.injectFlit(p, std::move(flit), now);
+            router_.injectFlit(p, flit, now);
             ++s.actNext[slot];
             if (s.actNext[slot] == s.actFlits[slot].size()) {
                 ++stats_.packetsInjected;
                 stats_.nodeInjectedBytes[node_] += pkt->sizeBytes;
-                // Reset in place: keep the flit vector's capacity so
-                // the next packet on this (port, VC) lane reuses it.
-                pkt.reset();
+                // The injected tail now carries the slot's reference
+                // (see Flit).  Keep the flit vector's capacity so the
+                // next packet on this (port, VC) lane reuses it.
+                pkt.detach();
                 s.actFlits[slot].clear();
                 s.actNext[slot] = 0;
                 s.actValid[slot] = 0;
@@ -182,12 +181,13 @@ NetworkInterface::ejectReady(unsigned ej_port) const
 }
 
 void
-NetworkInterface::ejectFlit(unsigned ej_port, Flit &&flit, Cycle now)
+NetworkInterface::ejectFlit(unsigned ej_port, const Flit &flit,
+                            Cycle now)
 {
     (void)now;
     tenoc_assert(nslab_->ejSize(ebase_ + ej_port) < params_.ejBufferFlits,
                  "ejection buffer overflow at node ", node_);
-    nslab_->ejPush(ebase_ + ej_port, std::move(flit));
+    nslab_->ejPush(ebase_ + ej_port, flit);
     ++nslab_->ejOccupancy[ni_];
     if (active_set_)
         active_set_->mark(active_idx_);
@@ -206,7 +206,7 @@ NetworkInterface::drainPhase(Cycle now)
         const Flit &f = s.ejFront(ring);
         if (f.head && sink_ && !sink_->tryReserve(*f.pkt))
             continue; // node backpressure (e.g. MC queue full)
-        Flit flit = s.ejPop(ring);
+        const Flit flit = s.ejPop(ring);
         --s.ejOccupancy[ni_];
         ++stats_.flitsEjected;
         stats_.nodeEjectedFlits[node_] += 1;
@@ -215,7 +215,8 @@ NetworkInterface::drainPhase(Cycle now)
         if (flit.head)
             flit.pkt->headEjectedCycle = now;
         if (flit.tail) {
-            PacketPtr pkt = flit.pkt;
+            // The tail hands its packet reference back (see Flit).
+            PacketPtr pkt = PacketPtr::adopt(flit.pkt);
             pkt->ejectedCycle = now;
             if (inflight_)
                 --*inflight_;

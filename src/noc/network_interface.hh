@@ -92,7 +92,7 @@ class NetworkInterface : public EjectionSink
     /**
      * Points per-flit router entry/exit at two monotone network-level
      * counters.  Their difference is the exact flit population of the
-     * network (router buffers + channels + ejection buffers), checked
+     * network (router buffers + links + ejection buffers), checked
      * by the invariant checker; their sum is a per-network progress
      * signal for the deadlock watchdog (NetStats totals are shared
      * between double-network slices and cannot serve either purpose).
@@ -127,7 +127,8 @@ class NetworkInterface : public EjectionSink
 
     // EjectionSink
     bool ejectReady(unsigned ej_port) const override;
-    void ejectFlit(unsigned ej_port, Flit &&flit, Cycle now) override;
+    void ejectFlit(unsigned ej_port, const Flit &flit,
+                   Cycle now) override;
 
     /** @return true when all queues and buffers are empty. */
     bool idle() const;

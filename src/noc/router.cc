@@ -5,9 +5,9 @@
 
 #include "noc/router.hh"
 
-#include <algorithm>
 #include <bit>
 
+#include "noc/link.hh"
 #include "telemetry/trace_sink.hh"
 
 namespace tenoc
@@ -55,7 +55,7 @@ Router::initPorts()
                              params_.vcDepth);
     }
     outputs_.resize(numOutputs());
-    in_links_.resize(NUM_DIRS);
+    in_links_.fill(NO_LINK);
     tenoc_assert(numInputs() * vcs <= MAX_INPUT_VCS &&
                      numOutputs() <= MAX_OUTPUTS,
                  "router ", id_, " has ", numInputs(), " inputs x ", vcs,
@@ -70,36 +70,27 @@ Router::initPorts()
         outputs_[o].vaArb.resize(numInputs() * vcs);
         outputs_[o].saArb.resize(numInputs());
         // Output VC credits start at zero (slab configure() default):
-        // mesh outputs gain vcDepth credits when wired via
-        // connectOutput(); ejection capacity is governed by the NI
-        // sink, not credits.
+        // mesh outputs gain vcDepth credits when wired via connect();
+        // ejection capacity is governed by the NI sink, not credits.
     }
 }
 
-void
-Router::connectOutput(Direction d, Channel<Flit> *flit_out,
-                      Channel<Credit> *credit_in)
+unsigned
+Router::connect(Direction d, Router &down, LinkWheel &wheel)
 {
-    tenoc_assert(d < NUM_DIRS, "invalid output direction");
-    outputs_[d].flitOut = flit_out;
-    outputs_[d].creditIn = credit_in;
-    if (arrival_sched_ && credit_in)
-        credit_in->setArrivalTarget(arrival_sched_, arrival_idx_,
-                                    arrivalCreditBit(d));
+    tenoc_assert(d < NUM_DIRS && down.slab_ == slab_ &&
+                     down.nvcs_ == nvcs_,
+                 "invalid link from router ", id_);
+    const unsigned in = opposite(d);
+    const unsigned link =
+        wheel.addLink({this, d, &down, in, ov(d, 0)});
+    outputs_[d].link = link;
+    down.in_links_[in] = link;
+    wheel_ = &wheel;
+    down.wheel_ = &wheel;
     for (unsigned vc = 0; vc < nvcs_; ++vc)
         slab_->outCredits[ov(d, vc)] = params_.vcDepth;
-}
-
-void
-Router::connectInput(Direction d, Channel<Flit> *flit_in,
-                     Channel<Credit> *credit_out)
-{
-    tenoc_assert(d < NUM_DIRS, "invalid input direction");
-    in_links_[d].flitIn = flit_in;
-    in_links_[d].creditOut = credit_out;
-    if (arrival_sched_ && flit_in)
-        flit_in->setArrivalTarget(arrival_sched_, arrival_idx_,
-                                  arrivalFlitBit(d));
+    return link;
 }
 
 unsigned
@@ -109,11 +100,9 @@ Router::injFreeSlots(unsigned inj, unsigned vc) const
 }
 
 void
-Router::injectFlit(unsigned inj, Flit &&flit, Cycle now)
+Router::injectFlit(unsigned inj, const Flit &flit, Cycle now)
 {
-    pushFlit(NUM_DIRS + inj, std::move(flit), now);
-    if (active_set_)
-        active_set_->mark(active_idx_);
+    pushFlit(NUM_DIRS + inj, flit, now);
 }
 
 bool
@@ -130,34 +119,6 @@ Router::connectivityAllows(unsigned in, unsigned out) const
     }
     // Half-router: through traffic must continue straight (Fig. 13).
     return out == opposite(static_cast<Direction>(in));
-}
-
-void
-Router::readInputs(Cycle now)
-{
-    // Event-driven drain: only ports whose pending bit fired have a
-    // matured front entry; everything else is guaranteed to deliver
-    // nothing, so skipping the receive() poll is exact.
-    std::uint32_t bits = arrival_sched_->pending(arrival_idx_);
-    if (bits == 0)
-        return;
-    while (bits) {
-        const auto b = static_cast<unsigned>(std::countr_zero(bits));
-        bits &= bits - 1;
-        if (b < NUM_DIRS) {
-            Channel<Flit> *ch = in_links_[b].flitIn;
-            while (auto f = ch->receive(now))
-                pushFlit(b, std::move(*f), now);
-        } else {
-            const unsigned d = b - NUM_DIRS;
-            Channel<Credit> *ch = outputs_[d].creditIn;
-            while (auto c = ch->receive(now))
-                ++slab_->outCredits[ov(d, c->vc)];
-        }
-    }
-    // Each visited port drained every matured entry: nothing stays
-    // pending.
-    arrival_sched_->setPending(arrival_idx_, 0);
 }
 
 Cycle
@@ -206,10 +167,10 @@ oldest(std::uint64_t m, unsigned none, Age &&age)
 } // namespace
 
 void
-Router::pushFlit(unsigned in, Flit &&flit, Cycle now)
+Router::pushFlit(unsigned in, const Flit &flit, Cycle now)
 {
     const unsigned vc = flit.vc;
-    inputs_[in].push(std::move(flit), now);
+    inputs_[in].push(flit, now);
     // The pushed flit makes an IDLE VC routable and an ACTIVE VC
     // switchable; a VC_ALLOC VC already holds its head.
     const VcState st = inputs_[in].state(vc);
@@ -217,6 +178,8 @@ Router::pushFlit(unsigned in, Flit &&flit, Cycle now)
         masks_.rc |= bit(in * nvcs_ + vc);
     else if (st == VcState::ACTIVE)
         masks_.sa |= bit(in * nvcs_ + vc);
+    if (active_set_)
+        active_set_->mark(active_idx_);
 }
 
 void
@@ -388,20 +351,20 @@ Router::switchAllocate(Cycle now)
         Flit flit = inputs_[in].pop(vc);
         const unsigned out_vc = inputs_[in].outVc(vc);
         const bool tail = flit.tail;
-        if (!isInjection(in) && in_links_[in].creditOut)
-            in_links_[in].creditOut->send(Credit{flit.vc}, now);
+        if (!isInjection(in) && in_links_[in] != NO_LINK)
+            wheel_->sendCredit(in_links_[in], flit.vc, now);
         if (tracer_ && flit.head && tracer_->wants(flit.pkt->id)) {
             tracer_->complete(isEjection(o) ? "eject_hop" : "hop", id_,
                               flit.pkt->id, flit.enqueueCycle, now);
         }
         flit.vc = out_vc;
         if (isEjection(o)) {
-            sink_->ejectFlit(o - NUM_DIRS, std::move(flit), now);
+            sink_->ejectFlit(o - NUM_DIRS, flit, now);
         } else {
             auto &credits = slab_->outCredits[ov(o, out_vc)];
             tenoc_assert(credits > 0, "SA granted without credit");
             --credits;
-            outputs_[o].flitOut->send(std::move(flit), now);
+            wheel_->sendFlit(outputs_[o].link, flit, now);
             ++link_flits_[o];
         }
         const std::uint64_t b = bit(in * vcs + vc);
@@ -458,33 +421,6 @@ Router::deriveStageMasks() const
         }
     }
     return m;
-}
-
-bool
-Router::couldWork() const
-{
-    // Items merely in flight do not hold the router awake: the arrival
-    // scheduler wakes it on the delivery cycle, so only buffered flits
-    // or matured, undrained arrivals count.
-    return arrival_sched_->pending(arrival_idx_) != 0 || !empty();
-}
-
-bool
-Router::hasMaturedArrival(Cycle now) const
-{
-    // Clamp to the wheel's delivered-through horizon: an arrival due
-    // at a cycle fire() has not yet been asked for is legitimately
-    // still asleep, not a lost wake.
-    now = std::min(now, arrival_sched_->firedThrough());
-    for (unsigned d = 0; d < NUM_DIRS; ++d) {
-        if (in_links_[d].flitIn &&
-            in_links_[d].flitIn->earliestArrival() <= now)
-            return true;
-        if (outputs_[d].creditIn &&
-            outputs_[d].creditIn->earliestArrival() <= now)
-            return true;
-    }
-    return false;
 }
 
 std::uint64_t

@@ -13,6 +13,11 @@
  *     cycle, credits decremented on departure and returned upstream
  *     when flits leave this router's input buffers.
  *
+ * Links are entries on the network's LinkWheel (link.hh): ST posts
+ * each departing flit, and each credit it returns, for the link's
+ * arrival cycle, and the wheel pushes the flit into the downstream
+ * router (or adds the credit upstream) on that cycle.
+ *
  * Pipeline depth is modeled as a minimum residency: a flit arriving at
  * cycle t departs no earlier than t + depth, so arrival-to-arrival hop
  * latency is depth + channelLatency (5 cycles for the baseline).  The
@@ -54,7 +59,6 @@
 #include "noc/activity.hh"
 #include "noc/arbiter.hh"
 #include "noc/buffer.hh"
-#include "noc/channel.hh"
 #include "noc/routing.hh"
 #include "noc/slab.hh"
 #include "noc/topology.hh"
@@ -68,6 +72,8 @@ namespace telemetry
 class TraceSink;
 } // namespace telemetry
 
+class LinkWheel;
+
 /** Destination of ejected flits (implemented by NetworkInterface). */
 class EjectionSink
 {
@@ -76,7 +82,8 @@ class EjectionSink
     /** @return true if one more flit fits in ejection buffer `port`. */
     virtual bool ejectReady(unsigned ej_port) const = 0;
     /** Delivers a flit to ejection buffer `port`. */
-    virtual void ejectFlit(unsigned ej_port, Flit &&flit, Cycle now) = 0;
+    virtual void ejectFlit(unsigned ej_port, const Flit &flit,
+                           Cycle now) = 0;
 };
 
 /** One mesh router. */
@@ -125,20 +132,20 @@ class Router
     unsigned numInputs() const { return NUM_DIRS + params_.numInjPorts; }
     unsigned numOutputs() const { return NUM_DIRS + params_.numEjPorts; }
 
-    /** Wires the output in direction `d` and its returning credits. */
-    void connectOutput(Direction d, Channel<Flit> *flit_out,
-                       Channel<Credit> *credit_in);
-    /** Wires the input in direction `d` and its outgoing credits. */
-    void connectInput(Direction d, Channel<Flit> *flit_in,
-                      Channel<Credit> *credit_out);
+    /**
+     * Wires output `d` to `down`'s opposite input over a new link of
+     * `wheel`, which carries the flits down and the credits back, and
+     * gives the output vcDepth credits per VC.  Both routers must view
+     * the slab the wheel's credits land in.  @return the link's index.
+     */
+    unsigned connect(Direction d, Router &down, LinkWheel &wheel);
     /** Attaches the local NI as the ejection sink. */
     void setEjectionSink(EjectionSink *sink) { sink_ = sink; }
 
     /**
      * Registers this router in its network's active set.  The router
-     * marks itself whenever an NI injects a flit; the arrival
-     * scheduler (setArrival) marks it when a flit or credit sent
-     * toward it arrives.
+     * marks itself whenever a flit is pushed into its buffers: by its
+     * NI, or by the link wheel on the flit's arrival cycle.
      */
     void
     setActivity(ActiveSet *set, unsigned idx)
@@ -147,70 +154,19 @@ class Router
         active_idx_ = idx;
     }
 
-    /**
-     * Registers this router with its network's arrival scheduler under
-     * receiver index `idx`; call it before wiring any link, since
-     * connectInput/connectOutput point each incoming channel at it.
-     * readInputs drains only ports whose pending bit is set — bit d
-     * for the flit link in direction d, bit NUM_DIRS+d for the
-     * returning credit link of output d.  readInputs, couldWork and
-     * hasMaturedArrival require a scheduler.
-     */
-    void
-    setArrival(ArrivalScheduler *sched, unsigned idx)
-    {
-        arrival_sched_ = sched;
-        arrival_idx_ = idx;
-    }
-
-    /** Pending-bit of the flit link arriving from direction `d`. */
-    static constexpr std::uint32_t
-    arrivalFlitBit(unsigned d)
-    {
-        return std::uint32_t{1} << d;
-    }
-
-    /** Pending-bit of the credit link returning on output `d`. */
-    static constexpr std::uint32_t
-    arrivalCreditBit(unsigned d)
-    {
-        return std::uint32_t{1} << (NUM_DIRS + d);
-    }
-
     /** Points router traversals at a network-level running counter so
      *  telemetry can sample total flit hops without re-summing. */
     void setTraversalCounter(std::uint64_t *c) { net_traversed_ = c; }
-
-    /**
-     * @return true while this router may still have work: flits
-     * buffered, or a matured flit or credit arrival not yet drained.
-     * Used to retire routers from the active set; a router for which
-     * this is false performs no state change when ticked until the
-     * arrival scheduler wakes it, so skipping it is bit-exact.
-     */
-    bool couldWork() const;
-
-    /**
-     * @return true if any attached channel holds an item that has
-     * matured (arrival <= now) but has not been drained.  Used by the
-     * invariant checker's activity audit: an unmarked router may have
-     * items in flight (the arrival scheduler wakes it on the arrival
-     * cycle), but never a matured, undrained one.
-     */
-    bool hasMaturedArrival(Cycle now) const;
 
     // --- NI injection access (same node, zero-latency handshake) ---
     /** Free slots in injection-port buffer `inj` (0-based), VC `vc`. */
     unsigned injFreeSlots(unsigned inj, unsigned vc) const;
     /** Pushes a flit into injection-port buffer `inj`. */
-    void injectFlit(unsigned inj, Flit &&flit, Cycle now);
+    void injectFlit(unsigned inj, const Flit &flit, Cycle now);
 
     // --- simulation phases (network drives these each icnt cycle) ---
-    /** Phase 1: drain arriving flits and credits from channels. */
-    void readInputs(Cycle now);
-
-    // Phase 2, one pipeline stage per call; MeshNetwork runs RC, VA
-    // and SA of each active router in turn.  Each walks the set bits
+    // One pipeline stage per call; MeshNetwork runs RC, VA and SA of
+    // each active router in turn.  Each walks the set bits
     // of its stage mask and early-outs when the mask is empty — a case
     // in which running it would not change any state, return any
     // grant, or emit any trace event, so skipping is bit-exact.
@@ -221,7 +177,11 @@ class Router
     /** SA + ST: separable switch allocation, then traversal. */
     void switchAllocate(Cycle now);
 
-    /** @return true if no flits are buffered here (a mask test). */
+    /**
+     * @return true if no flits are buffered here (a mask test).  An
+     * empty router is retired from the active set: ticking it changes
+     * nothing until a flit is pushed into it, which marks it again.
+     */
     bool empty() const;
 
     /** @return true if input `in` may be switched to output `out`. */
@@ -285,11 +245,11 @@ class Router
     {
         return slab_->outOwnerVc[ov(out, vc)];
     }
-    /** @return true if direction output `d` is wired to a channel. */
+    /** @return true if direction output `d` is wired to a link. */
     bool
     outputConnected(unsigned d) const
     {
-        return d < NUM_DIRS && outputs_[d].flitOut != nullptr;
+        return d < NUM_DIRS && outputs_[d].link != NO_LINK;
     }
     /** Calls f(in, vc, flit) for every buffered flit. */
     template <typename F>
@@ -343,11 +303,16 @@ class Router
     }
 
   private:
+    friend class LinkWheel;
+
+    static constexpr unsigned NO_LINK = ~0u;
+
     void initPorts();
 
-    /** Buffers `flit` on input `in` and files its VC in the RC or SA
-     *  mask when the push makes it eligible there. */
-    void pushFlit(unsigned in, Flit &&flit, Cycle now);
+    /** Buffers `flit` on input `in`, files its VC in the RC or SA mask
+     *  when the push makes it eligible there, and marks the router
+     *  active. */
+    void pushFlit(unsigned in, const Flit &flit, Cycle now);
 
     bool isInjection(unsigned in) const { return in >= NUM_DIRS; }
     bool isEjection(unsigned out) const { return out >= NUM_DIRS; }
@@ -382,19 +347,15 @@ class Router
 
     struct OutputPort
     {
-        Channel<Flit> *flitOut = nullptr;   ///< null for ejection ports
-        Channel<Credit> *creditIn = nullptr;
+        unsigned link = NO_LINK;  ///< wheel link; none for ejection
         RoundRobinArbiter vaArb;  ///< VC-allocation arbiter
         RoundRobinArbiter saArb;  ///< switch output arbiter
     };
     std::vector<OutputPort> outputs_;
 
-    struct InputLink
-    {
-        Channel<Flit> *flitIn = nullptr;
-        Channel<Credit> *creditOut = nullptr;
-    };
-    std::vector<InputLink> in_links_;
+    /** Per direction input, the wheel link its credits return on. */
+    std::array<unsigned, NUM_DIRS> in_links_;
+    LinkWheel *wheel_ = nullptr;
 
     std::vector<RoundRobinArbiter> sa_input_arb_; ///< per input port
     unsigned ej_rr_ = 0;
@@ -406,8 +367,6 @@ class Router
 
     ActiveSet *active_set_ = nullptr;
     unsigned active_idx_ = 0;
-    ArrivalScheduler *arrival_sched_ = nullptr;
-    unsigned arrival_idx_ = 0;
 
     StageMasks masks_;
 

@@ -51,6 +51,11 @@ class VcSlabs
 {
   public:
     VcSlabs() = default;
+    /// Movable (a moved-from arena holds no rings), never copied: two
+    /// copies would both return their tails' packet references.
+    VcSlabs(VcSlabs &&) = default;
+    VcSlabs &operator=(const VcSlabs &) = delete;
+    ~VcSlabs() { releaseTails(); }
 
     /**
      * Allocates (or re-initializes, reusing capacity) storage for
@@ -62,6 +67,9 @@ class VcSlabs
               unsigned depth)
     {
         tenoc_assert(depth >= 1, "slab ring depth must be >= 1");
+        // A re-used arena must not pin the packets its tails own; walk
+        // the rings while depth_ still describes them.
+        releaseTails();
         depth_ = depth;
         inState.assign(input_vcs, VcState::IDLE);
         inOutPort.assign(input_vcs, 0);
@@ -69,9 +77,6 @@ class VcSlabs
         inBaseVc.assign(input_vcs, 0);
         ringHead.assign(input_vcs, 0);
         ringCount.assign(input_vcs, 0);
-        // Rings of a re-used arena may still hold flits (and thus
-        // packet references) from the previous configuration; assign()
-        // on the vector releases them.
         flits.assign(input_vcs * depth, Flit{});
         outOwned.assign(output_vcs, 0);
         outOwnerIn.assign(output_vcs, 0);
@@ -96,7 +101,7 @@ class VcSlabs
     /** Appends a flit to ring `vc_idx`; panics on overflow (a credit
      *  protocol violation). */
     void
-    pushFlit(std::size_t vc_idx, Flit &&flit)
+    pushFlit(std::size_t vc_idx, const Flit &flit)
     {
         if (validate_) {
             tenoc_assert(vc_idx < ringCount.size(),
@@ -110,7 +115,7 @@ class VcSlabs
         std::size_t pos = ringHead[vc_idx] + count;
         if (pos >= depth_)
             pos -= depth_;
-        flits[vc_idx * depth_ + pos] = std::move(flit);
+        flits[vc_idx * depth_ + pos] = flit;
         ringCount[vc_idx] = count + 1;
     }
 
@@ -125,7 +130,7 @@ class VcSlabs
         }
         tenoc_assert(ringCount[vc_idx] != 0, "pop() on empty VC");
         const std::uint32_t head = ringHead[vc_idx];
-        Flit f = std::move(flits[vc_idx * depth_ + head]);
+        const Flit f = flits[vc_idx * depth_ + head];
         ringHead[vc_idx] = head + 1 == depth_ ? 0 : head + 1;
         --ringCount[vc_idx];
         return f;
@@ -150,6 +155,20 @@ class VcSlabs
             f(flits[base + pos]);
             if (++pos == depth_)
                 pos = 0;
+        }
+    }
+
+    /** Returns the packet references that buffered tail flits own (see
+     *  Flit) and empties every ring. */
+    void
+    releaseTails()
+    {
+        for (std::size_t i = 0; i < ringCount.size(); ++i) {
+            forEachRingFlit(i, [](const Flit &f) {
+                if (f.tail)
+                    PacketPtr::adopt(f.pkt).reset();
+            });
+            ringCount[i] = 0;
         }
     }
 
@@ -193,6 +212,9 @@ class NiSlabs
 {
   public:
     NiSlabs() = default;
+    NiSlabs(const NiSlabs &) = delete;
+    NiSlabs &operator=(const NiSlabs &) = delete;
+    ~NiSlabs() { releaseEjTails(); }
 
     /**
      * Allocates (or re-initializes) storage for one NI per entry of
@@ -209,6 +231,7 @@ class NiSlabs
                      "NI slab port-count vectors disagree");
         tenoc_assert(classes >= 1 && inj_cap >= 1 && ej_cap >= 1,
                      "NI slab capacities must be >= 1");
+        releaseEjTails(); // while ej_cap_ still describes the rings
         const std::size_t nis = inj_ports.size();
         classes_ = classes;
         inj_cap_ = inj_cap;
@@ -227,8 +250,8 @@ class NiSlabs
         const std::size_t queues = nis * classes;
         injQHead.assign(queues, 0);
         injQCount.assign(queues, 0);
-        // assign() releases packet references a re-used arena may
-        // still hold from its previous configuration.
+        // assign() releases the packet references a re-used arena's
+        // queues and active slots still hold.
         injQ.assign(queues * inj_cap, PacketPtr{});
         actValid.assign(slots, 0);
         actNext.assign(slots, 0);
@@ -296,14 +319,14 @@ class NiSlabs
     std::uint32_t ejSize(std::size_t p) const { return ejCount[p]; }
 
     void
-    ejPush(std::size_t p, Flit &&flit)
+    ejPush(std::size_t p, const Flit &flit)
     {
         const std::uint32_t count = ejCount[p];
         tenoc_assert(count < ej_cap_, "NI slab ejection-ring overflow");
         std::size_t pos = ejHead[p] + count;
         if (pos >= ej_cap_)
             pos -= ej_cap_;
-        ejFlits[p * ej_cap_ + pos] = std::move(flit);
+        ejFlits[p * ej_cap_ + pos] = flit;
         ejCount[p] = count + 1;
     }
 
@@ -319,7 +342,7 @@ class NiSlabs
     {
         tenoc_assert(ejCount[p] != 0, "pop() on empty ejection ring");
         const std::uint32_t head = ejHead[p];
-        Flit f = std::move(ejFlits[p * ej_cap_ + head]);
+        const Flit f = ejFlits[p * ej_cap_ + head];
         ejHead[p] = head + 1 == ej_cap_ ? 0 : head + 1;
         --ejCount[p];
         return f;
@@ -336,6 +359,20 @@ class NiSlabs
             f(ejFlits[base + pos]);
             if (++pos == ej_cap_)
                 pos = 0;
+        }
+    }
+
+    /** Returns the packet references that tail flits in the ejection
+     *  rings own (see Flit) and empties the rings. */
+    void
+    releaseEjTails()
+    {
+        for (std::size_t p = 0; p < ejCount.size(); ++p) {
+            forEachEjFlit(p, [](const Flit &f) {
+                if (f.tail)
+                    PacketPtr::adopt(f.pkt).reset();
+            });
+            ejCount[p] = 0;
         }
     }
 
@@ -356,6 +393,8 @@ class NiSlabs
     std::vector<std::uint32_t> actNext;
     std::vector<PacketPtr> actPkt;
     /// Flitized packet; cleared (capacity kept) when the slot frees.
+    /// These flits own nothing: actPkt holds the reference until the
+    /// tail is injected.
     std::vector<std::vector<Flit>> actFlits;
 
     // --- injection class-queue rings ---

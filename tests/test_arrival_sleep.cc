@@ -1,130 +1,22 @@
 /**
  * @file
- * Tests for arrival-scheduled channel delivery (noc/arrival.hh):
- *
- *  - ArrivalScheduler wheel mechanics: exact-cycle firing, bucket
- *    aliasing one wheel turn apart, gap sweeps when the driver skips
- *    cycles, the unprimed first-fire full sweep, the firedThrough
- *    horizon;
- *  - Channel integration: send posts a wake at the delivery cycle;
- *  - whole-network regression: seeded runs across channel slicing,
- *    long links and age priority must
- *    reproduce the statistics recorded when wake-on-send channels (a
- *    send marks its receiver at once) still existed and agreed with
- *    the wheel.
+ * Whole-network regression for sleeping routers: seeded runs across
+ * channel slicing, long links and age priority must reproduce the
+ * statistics recorded when wake-on-send channels (a send marks its
+ * receiver at once) still existed and agreed with the arrival wheel
+ * that the link wheel (noc/link.hh) replaced.
  */
 
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
 #include "net_digest.hh"
-#include "noc/arrival.hh"
-#include "noc/channel.hh"
 #include "noc/mesh_network.hh"
 
 namespace tenoc
 {
 namespace
 {
-
-// --- ArrivalScheduler unit tests ---
-
-TEST(ArrivalScheduler, FiresAtExactCycle)
-{
-    ActiveSet set(8);
-    ArrivalScheduler sched;
-    sched.configure(8, 4, &set);
-    sched.schedule(5, 2, 0x4);
-    EXPECT_EQ(sched.scheduled(), 1u);
-
-    sched.fire(4);
-    EXPECT_EQ(sched.pending(2), 0u);
-    EXPECT_FALSE(set.test(2));
-
-    sched.fire(5);
-    EXPECT_EQ(sched.pending(2), 0x4u);
-    EXPECT_TRUE(set.test(2));
-    EXPECT_EQ(sched.scheduled(), 0u);
-}
-
-TEST(ArrivalScheduler, AliasedBucketKeepsFutureEntry)
-{
-    // Two entries one full wheel turn apart land in the same bucket;
-    // firing the earlier cycle must deliver only the earlier entry.
-    ActiveSet set(4);
-    ArrivalScheduler sched;
-    sched.configure(4, 4, &set);
-    // configure(latency 4) sizes the wheel at the smallest power of
-    // two > latency + 1, i.e. 8 buckets.
-    sched.schedule(3, 0, 0x1);
-    sched.schedule(3 + 8, 1, 0x2);
-    sched.fire(3);
-    EXPECT_EQ(sched.pending(0), 0x1u);
-    EXPECT_EQ(sched.pending(1), 0u);
-    EXPECT_EQ(sched.scheduled(), 1u);
-    sched.setPending(0, 0);
-    set.clear(0);
-
-    // Walk the gap one fire at a time up to the aliased cycle.
-    for (Cycle c = 4; c <= 11; ++c)
-        sched.fire(c);
-    EXPECT_EQ(sched.pending(0), 0u);
-    EXPECT_EQ(sched.pending(1), 0x2u);
-    EXPECT_TRUE(set.test(1));
-    EXPECT_EQ(sched.scheduled(), 0u);
-}
-
-TEST(ArrivalScheduler, GapLargerThanWheelSweepsEverything)
-{
-    ActiveSet set(4);
-    ArrivalScheduler sched;
-    sched.configure(4, 2, &set);
-    sched.fire(1); // prime
-    sched.schedule(3, 1, 0x1);
-    sched.schedule(7, 2, 0x2);
-    // A driver that skips far ahead must still deliver both.
-    sched.fire(1000);
-    EXPECT_EQ(sched.pending(1), 0x1u);
-    EXPECT_EQ(sched.pending(2), 0x2u);
-    EXPECT_EQ(sched.scheduled(), 0u);
-}
-
-TEST(ArrivalScheduler, FirstFireAfterConfigureSweepsEverything)
-{
-    // The first fire has no last-fire history: it must behave as a
-    // full sweep and deliver every matured entry.
-    ActiveSet set(4);
-    ArrivalScheduler sched;
-    sched.configure(4, 2, &set);
-    sched.schedule(2, 0, 0x1);
-    sched.schedule(9, 1, 0x2);
-    EXPECT_EQ(sched.firedThrough(), 0u);
-    sched.fire(9);
-    EXPECT_EQ(sched.pending(0), 0x1u);
-    EXPECT_EQ(sched.pending(1), 0x2u);
-    EXPECT_EQ(sched.firedThrough(), 9u);
-}
-
-// --- Channel integration ---
-
-TEST(ArrivalChannel, SendPostsWakeAtDeliveryCycle)
-{
-    ActiveSet set(2);
-    ArrivalScheduler sched;
-    sched.configure(2, 3, &set);
-    Channel<int> ch(3);
-    ch.setArrivalTarget(&sched, 0, 0x1);
-
-    ch.send(7, 10);
-    // Mark-on-send would flag the receiver now; the wheel must not.
-    EXPECT_FALSE(set.test(0));
-    sched.fire(12);
-    EXPECT_FALSE(set.test(0));
-    sched.fire(13);
-    EXPECT_TRUE(set.test(0));
-    EXPECT_EQ(sched.pending(0), 0x1u);
-    EXPECT_EQ(*ch.receive(13), 7);
-}
 
 // --- Whole-network regression ---
 
@@ -247,7 +139,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ArrivalSleepEquivalence, LongChannelLatency)
 {
-    // Multi-cycle links park several entries per channel in the wheel.
+    // Multi-cycle links park several entries per link in the wheel.
     MeshNetworkParams p = baseParams(4);
     p.channelLatency = 5;
     expectRecorded(p, false, 4, "long_channel_latency");

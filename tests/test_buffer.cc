@@ -18,11 +18,22 @@ makeFlit(unsigned vc, bool head = true, bool tail = true)
     auto pkt = makePacket();
     pkt->sizeFlits = 1;
     Flit f;
-    f.pkt = std::move(pkt);
+    f.pkt = pkt.detach(); // the flit keeps the packet alive
     f.head = head;
     f.tail = tail;
     f.vc = vc;
     return f;
+}
+
+/** Pops VC `vc`'s front flit and @return its seq.  The popper owns the
+ *  reference a tail carries (see Flit) and returns it here. */
+unsigned
+popSeq(InputPort &port, unsigned vc)
+{
+    const Flit f = port.pop(vc);
+    if (f.tail)
+        PacketPtr::adopt(f.pkt).reset();
+    return f.seq;
 }
 
 TEST(InputPort, PushPopFifoOrder)
@@ -32,13 +43,13 @@ TEST(InputPort, PushPopFifoOrder)
     a.seq = 1;
     auto b = makeFlit(0);
     b.seq = 2;
-    port.push(std::move(a), 10);
-    port.push(std::move(b), 11);
+    port.push(a, 10);
+    port.push(b, 11);
     EXPECT_EQ(port.occupancy(0), 2u);
     EXPECT_EQ(port.front(0).seq, 1u);
     EXPECT_EQ(port.front(0).enqueueCycle, 10u);
-    EXPECT_EQ(port.pop(0).seq, 1u);
-    EXPECT_EQ(port.pop(0).seq, 2u);
+    EXPECT_EQ(popSeq(port, 0), 1u);
+    EXPECT_EQ(popSeq(port, 0), 2u);
     EXPECT_TRUE(port.empty(0));
 }
 

@@ -46,6 +46,17 @@ TEST(Chip, AllInstructionsExecute)
               profile.totalWarpInsts(28) * 32);
 }
 
+TEST(PacketOwnership, DrainedChipRunReturnsEveryPacket)
+{
+    const std::size_t live = packetPool().liveObjects();
+    for (const ConfigId id :
+         {ConfigId::BASELINE_TB_DOR, ConfigId::CP_CR_DOUBLE}) {
+        const auto r = runWorkload(makeConfig(id), quick("BFS"));
+        EXPECT_FALSE(r.timedOut);
+        EXPECT_EQ(packetPool().liveObjects(), live);
+    }
+}
+
 TEST(Chip, DeterministicForSameSeed)
 {
     const auto p = makeConfig(ConfigId::BASELINE_TB_DOR, 5);

@@ -67,7 +67,7 @@ TEST(MakeFlits, HeadTailAndSequence)
     EXPECT_FALSE(flits[3].head);
     for (unsigned i = 0; i < 4; ++i) {
         EXPECT_EQ(flits[i].seq, i);
-        EXPECT_EQ(flits[i].pkt.get(), pkt.get());
+        EXPECT_EQ(flits[i].pkt, pkt.get());
     }
 }
 

@@ -325,5 +325,99 @@ TEST(MakeMeshNetwork, FactorySelectsKind)
     EXPECT_EQ(dbl->flitBytes(), 8u);
 }
 
+/** Refuses every delivery: arriving tails stay in ejection rings. */
+struct RefusingSink : PacketSink
+{
+    bool tryReserve(const Packet &) override { return false; }
+    void deliver(PacketPtr, Cycle) override {}
+};
+
+/**
+ * Offers a request from every compute node and a reply from every MC
+ * each cycle for `cycles` cycles, with every sink refusing, keeping a
+ * reference to each packet in `sent`, and checks that packets now sit
+ * in NI queues, router buffers, on the link wheel and in ejection
+ * rings of `slices`.
+ */
+void
+fillMidRun(Network &net, const std::vector<MeshNetwork *> &slices,
+           RefusingSink &sink, Cycle cycles, std::vector<PacketPtr> &sent)
+{
+    const Topology &topo = net.topology();
+    for (NodeId n = 0; n < topo.numNodes(); ++n)
+        net.setSink(n, &sink);
+    Rng rng(11);
+    for (Cycle now = 0; now < cycles; ++now) {
+        for (NodeId src = 0; src < topo.numNodes(); ++src) {
+            const bool mc = topo.isMc(src);
+            const int proto = mc ? 1 : 0;
+            if (!net.canInject(src, proto))
+                continue;
+            const NodeId dst =
+                rng.pick(mc ? topo.computeNodes() : topo.mcNodes());
+            sent.push_back(makePkt(net, src, dst,
+                                   mc ? MemOp::READ_REPLY
+                                      : MemOp::READ_REQUEST,
+                                   proto));
+            net.inject(sent.back(), now);
+        }
+        net.cycle(now);
+    }
+    std::uint64_t buffered = 0;
+    std::uint64_t on_links = 0;
+    bool queued = false;
+    for (MeshNetwork *m : slices) {
+        for (NodeId n = 0; n < topo.numNodes(); ++n) {
+            buffered += m->router(n).bufferedFlits();
+            queued |= !m->canInject(n, topo.isMc(n) ? 1 : 0);
+        }
+        m->links().forEachFlit(
+            [&](Cycle, unsigned, const Flit &) { ++on_links; });
+    }
+    const NetStats &st = net.stats();
+    EXPECT_EQ(st.packetsEjected, 0u);
+    EXPECT_TRUE(queued);
+    EXPECT_GT(buffered, 0u);
+    EXPECT_GT(on_links, 0u);
+    // The rest of the injected flits wait in ejection rings.
+    EXPECT_GT(st.flitsInjected, buffered + on_links);
+}
+
+/** @return true if the test's reference is the only one left. */
+bool
+onlyTestHolds(const std::vector<PacketPtr> &sent)
+{
+    return std::all_of(sent.begin(), sent.end(),
+                       [](const PacketPtr &p) { return p.use_count() == 1; });
+}
+
+TEST(PacketOwnership, NetworksDestroyedMidRunReturnEveryPacket)
+{
+    // A tail flit carries its packet's one network reference, so a
+    // network torn down mid-run must hand back exactly the references
+    // of the tails it still holds: each packet the test kept a
+    // reference to is then held by the test alone.
+    const std::size_t live = packetPool().liveObjects();
+    RefusingSink sink;
+    std::vector<PacketPtr> sent;
+    {
+        MeshNetwork net(baseNet());
+        fillMidRun(net, {&net}, sink, 60, sent);
+        EXPECT_FALSE(onlyTestHolds(sent));
+    }
+    EXPECT_TRUE(onlyTestHolds(sent));
+    sent.clear();
+    EXPECT_EQ(packetPool().liveObjects(), live);
+    {
+        DoubleNetwork net(baseNet());
+        fillMidRun(net, {&net.requestNet(), &net.replyNet()}, sink, 60,
+                   sent);
+        EXPECT_FALSE(onlyTestHolds(sent));
+    }
+    EXPECT_TRUE(onlyTestHolds(sent));
+    sent.clear();
+    EXPECT_EQ(packetPool().liveObjects(), live);
+}
+
 } // namespace
 } // namespace tenoc

@@ -9,7 +9,7 @@
 #include <tuple>
 #include <vector>
 
-#include "noc/router.hh"
+#include "router_pair.hh"
 
 namespace tenoc
 {
@@ -85,23 +85,13 @@ TEST(RouterConnectivity, HalfRouterRestrictsToStraightThrough)
     }
 }
 
-/** Two-router fixture: A --east--> B, NI sink at B.  It owns the
- *  arrival scheduler both routers read their channels through and
- *  fires it at the start of each cycle, as MeshNetwork does. */
+/** Two-router fixture: A --east--> B, NI sink at B.  It fires the
+ *  pair's link wheel at the start of each cycle, as MeshNetwork does. */
 class TwoRouterTest : public ::testing::Test, public EjectionSink
 {
   protected:
-    TwoRouterTest()
-        : topo_(TopologyParams{}), xy_(topo_, true),
-          a_(topo_.nodeAt(0, 0), topo_, xy_, routerParams()),
-          b_(topo_.nodeAt(1, 0), topo_, xy_, routerParams()),
-          ab_flit_(1), ab_credit_(1)
+    TwoRouterTest() : pair_(routerParams())
     {
-        arrival_.configure(2, 1, &active_);
-        a_.setArrival(&arrival_, 0);
-        b_.setArrival(&arrival_, 1);
-        a_.connectOutput(DIR_EAST, &ab_flit_, &ab_credit_);
-        b_.connectInput(DIR_WEST, &ab_flit_, &ab_credit_);
         b_.setEjectionSink(this);
         a_.setEjectionSink(this);
     }
@@ -109,9 +99,11 @@ class TwoRouterTest : public ::testing::Test, public EjectionSink
     bool ejectReady(unsigned) const override { return true; }
 
     void
-    ejectFlit(unsigned, Flit &&flit, Cycle now) override
+    ejectFlit(unsigned, const Flit &flit, Cycle now) override
     {
-        ejected_.emplace_back(now, std::move(flit));
+        ejected_.emplace_back(now, flit);
+        if (flit.tail) // the sink owns the tail's reference (see Flit)
+            PacketPtr::adopt(flit.pkt).reset();
     }
 
     /** Injects a packet at A addressed to B and runs `cycles` more
@@ -127,18 +119,13 @@ class TwoRouterTest : public ::testing::Test, public EjectionSink
         pkt->mode = RouteMode::XY;
         std::vector<Flit> flits;
         makeFlits(pkt, flits);
+        pkt.detach(); // the tail carries the reference (see Flit)
         std::size_t next = 0;
         const Cycle end = now_ + cycles;
         for (; now_ < end; ++now_) {
-            arrival_.fire(now_);
-            a_.readInputs(now_);
-            b_.readInputs(now_);
-            if (next < flits.size() &&
-                a_.injFreeSlots(0, 0) > 0) {
-                Flit f = flits[next++];
-                f.vc = 0;
-                a_.injectFlit(0, std::move(f), now_);
-            }
+            pair_.wheel.fire(now_);
+            if (next < flits.size() && a_.injFreeSlots(0, 0) > 0)
+                a_.injectFlit(0, flits[next++], now_);
             computeStages(a_, now_);
             computeStages(b_, now_);
         }
@@ -146,14 +133,10 @@ class TwoRouterTest : public ::testing::Test, public EjectionSink
 
     Cycle now_ = 0;
 
-    ActiveSet active_{2};
-    ArrivalScheduler arrival_;
-    Topology topo_;
-    DorRouting xy_;
-    Router a_;
-    Router b_;
-    Channel<Flit> ab_flit_;
-    Channel<Credit> ab_credit_;
+    RouterPair pair_;
+    const Topology &topo_ = pair_.topo;
+    Router &a_ = pair_.a;
+    Router &b_ = pair_.b;
     std::vector<std::pair<Cycle, Flit>> ejected_;
 };
 
@@ -204,7 +187,7 @@ TEST(Router, AggressiveSingleCycleRouter)
     struct Sink : EjectionSink
     {
         bool ejectReady(unsigned) const override { return true; }
-        void ejectFlit(unsigned, Flit &&, Cycle now) override
+        void ejectFlit(unsigned, const Flit &, Cycle now) override
         {
             eject_time = now;
         }
@@ -220,7 +203,7 @@ TEST(Router, AggressiveSingleCycleRouter)
     std::vector<Flit> flits;
     makeFlits(pkt, flits);
     flits[0].vc = 0;
-    a.injectFlit(0, std::move(flits[0]), 5);
+    a.injectFlit(0, flits[0], 5);
     computeStages(a, 5);
     computeStages(a, 6);
     // 1-cycle router: one cycle of residency (2-cycle hops with the
@@ -236,9 +219,11 @@ TEST(Router, MultiEjectionPortsRoundRobin)
     struct Sink : EjectionSink
     {
         bool ejectReady(unsigned) const override { return true; }
-        void ejectFlit(unsigned port, Flit &&, Cycle) override
+        void ejectFlit(unsigned port, const Flit &flit, Cycle) override
         {
             ports.push_back(port);
+            if (flit.tail) // the sink owns the tail's reference
+                PacketPtr::adopt(flit.pkt).reset();
         }
         std::vector<unsigned> ports;
     } sink;
@@ -254,8 +239,9 @@ TEST(Router, MultiEjectionPortsRoundRobin)
         pkt->mode = RouteMode::XY;
         std::vector<Flit> flits;
         makeFlits(pkt, flits);
+        pkt.detach(); // the tail carries the reference
         flits[0].vc = static_cast<unsigned>(i);
-        r.injectFlit(0, std::move(flits[0]), 0);
+        r.injectFlit(0, flits[0], 0);
     }
     for (Cycle t = 0; t < 10; ++t)
         computeStages(r, t);
@@ -268,15 +254,12 @@ TEST(Router, AgePriorityGrantsOldestPacket)
     // Two packets on different VCs contend for the same output; with
     // age priority the one that entered the network earlier must win
     // switch allocation, regardless of round-robin state.
-    Topology topo{TopologyParams{}};
-    DorRouting xy(topo, true);
     auto rp = routerParams();
     rp.agePriority = true;
     rp.pipelineDepth = 1;
-    Router r(topo.nodeAt(0, 0), topo, xy, rp);
-    Channel<Flit> out(1);
-    Channel<Credit> credit(1);
-    r.connectOutput(DIR_EAST, &out, &credit);
+    RouterPair pair(rp);
+    const Topology &topo = pair.topo;
+    Router &r = pair.a;
 
     auto mk = [&](int proto, Cycle injected) {
         auto pkt = makePacket();
@@ -288,20 +271,24 @@ TEST(Router, AgePriorityGrantsOldestPacket)
         pkt->injectedCycle = injected;
         std::vector<Flit> flits;
         makeFlits(pkt, flits);
+        pkt.detach(); // the tail carries the reference
         flits[0].vc = static_cast<unsigned>(proto);
         return flits[0];
     };
     // Newer packet on VC0, older packet on VC1.
     r.injectFlit(0, mk(0, /*injected=*/50), 100);
-    Flit old_flit = mk(1, /*injected=*/10);
-    const auto old_pkt = old_flit.pkt;
-    r.injectFlit(0, std::move(old_flit), 100);
+    const Flit old_flit = mk(1, /*injected=*/10);
+    r.injectFlit(0, old_flit, 100);
 
     computeStages(r, 100); // RC + VA
     computeStages(r, 101); // SA + ST (1-cycle residency elapsed)
-    auto first = out.receive(102);
-    ASSERT_TRUE(first.has_value());
-    EXPECT_EQ(first->pkt.get(), old_pkt.get());
+    pair.wheel.fire(102);
+    ASSERT_EQ(pair.b.bufferedFlits(), 1u);
+    const Flit *first = pair.b.vcFront(DIR_WEST, 0);
+    if (!first)
+        first = pair.b.vcFront(DIR_WEST, 1);
+    ASSERT_NE(first, nullptr);
+    EXPECT_EQ(first->pkt, old_flit.pkt);
 }
 
 TEST(Router, InjFreeSlotsTracksOccupancy)
@@ -317,7 +304,7 @@ TEST(Router, InjFreeSlotsTracksOccupancy)
     std::vector<Flit> flits;
     makeFlits(pkt, flits);
     flits[0].vc = 0;
-    r.injectFlit(0, std::move(flits[0]), 0);
+    r.injectFlit(0, flits[0], 0);
     EXPECT_EQ(r.injFreeSlots(0, 0), 7u);
     EXPECT_EQ(r.bufferedFlits(), 1u);
     EXPECT_FALSE(r.empty());
@@ -329,9 +316,11 @@ struct RecordingSink : EjectionSink
     bool ejectReady(unsigned) const override { return true; }
 
     void
-    ejectFlit(unsigned, Flit &&flit, Cycle now) override
+    ejectFlit(unsigned, const Flit &flit, Cycle now) override
     {
         log.emplace_back(now, flit.pkt->id, flit.seq);
+        if (flit.tail) // the sink owns the tail's reference (see Flit)
+            PacketPtr::adopt(flit.pkt).reset();
     }
 
     std::vector<std::tuple<Cycle, std::uint64_t, unsigned>> log;
@@ -351,17 +340,17 @@ ejectingPacket(const Topology &topo, std::uint64_t id, unsigned size)
     pkt->mode = RouteMode::XY;
     std::vector<Flit> flits;
     makeFlits(pkt, flits);
-    for (Flit &f : flits)
-        f.vc = 0;
+    pkt.detach(); // the tail carries the reference (see Flit)
     return flits;
 }
 
 /** Injects every flit of `flits` into injection port `inj` at `now`. */
 void
-injectAll(Router &r, unsigned inj, std::vector<Flit> flits, Cycle now)
+injectAll(Router &r, unsigned inj, const std::vector<Flit> &flits,
+          Cycle now)
 {
-    for (Flit &f : flits)
-        r.injectFlit(inj, std::move(f), now);
+    for (const Flit &f : flits)
+        r.injectFlit(inj, f, now);
 }
 
 TEST(RouterStageMasks, HeadBehindDepartingTailIsRoutedNextCycle)

@@ -39,7 +39,7 @@ makeFlit(unsigned vc, bool head = true, bool tail = true)
     auto pkt = makePacket();
     pkt->sizeFlits = 1;
     Flit f;
-    f.pkt = std::move(pkt);
+    f.pkt = pkt.detach(); // the flit keeps the packet alive
     f.head = head;
     f.tail = tail;
     f.vc = vc;
@@ -76,10 +76,11 @@ TEST(VcSlabs, RingWrapsAroundThroughSteadyState)
     for (unsigned round = 0; round < 7; ++round) {
         auto f = makeFlit(1);
         f.seq = next_seq++;
-        slabs.pushFlit(1, std::move(f));
+        slabs.pushFlit(1, f);
         if (round >= 1) {
             const Flit popped = slabs.popFlit(1);
             EXPECT_EQ(popped.seq, next_seq - 2);
+            PacketPtr::adopt(popped.pkt).reset(); // the popper's
         }
     }
     EXPECT_EQ(slabs.ringCount[1], 1u);
@@ -127,9 +128,9 @@ TEST(VcSlabs, ReconfigureReleasesStalePacketReferences)
     auto pkt = makePacket();
     pkt->sizeFlits = 1;
     Flit f;
-    f.pkt = pkt; // second reference held by the ring slot
+    f.pkt = PacketPtr(pkt).detach(); // a second reference, the tail's
     f.head = f.tail = true;
-    slabs.pushFlit(0, std::move(f));
+    slabs.pushFlit(0, f);
     ASSERT_EQ(pkt.use_count(), 2u);
     // A reused arena must not pin packets from the previous
     // configuration alive.
@@ -169,10 +170,10 @@ TEST(VcSlabs, PortViewsAtDifferentBasesDoNotAlias)
 
     auto fa = makeFlit(1);
     fa.seq = 11;
-    a.push(std::move(fa), 5);
+    a.push(fa, 5);
     auto fb = makeFlit(1);
     fb.seq = 22;
-    b.push(std::move(fb), 6);
+    b.push(fb, 6);
     a.setState(1, VcState::ACTIVE);
     b.setState(1, VcState::VC_ALLOC);
     b.setBaseVc(1, 3);
