@@ -59,7 +59,7 @@ class RoundRobinArbiter
     accept(unsigned winner)
     {
         tenoc_assert(winner < size_, "accept of invalid winner");
-        pointer_ = (winner + 1) % size_;
+        pointer_ = winner + 1 == size_ ? 0 : winner + 1;
     }
 
     /** Current priority pointer. */

@@ -924,7 +924,8 @@ legalDiffConfig(const DiffConfig &cfg)
     }
     if (cfg.flitBytes < 1)
         return false;
-    if (cfg.protoClasses < 1 || cfg.vcsPerClass < 1 || cfg.vcDepth < 1)
+    if (cfg.protoClasses < 1 || cfg.vcsPerClass < 1 || cfg.vcDepth < 1 ||
+        cfg.vcDepth > VcSlabs::MAX_DEPTH)
         return false;
     if (cfg.pipelineDepth < 1 || cfg.halfPipelineDepth < 1 ||
         cfg.halfPipelineDepth > cfg.pipelineDepth)

@@ -92,6 +92,8 @@ violationKindName(Violation::Kind kind)
         return "activity";
       case Violation::Kind::STAGE_MASK:
         return "stage_mask";
+      case Violation::Kind::CACHED_FIELD:
+        return "cached_field";
     }
     return "unknown";
 }
@@ -146,6 +148,14 @@ InvariantChecker::checkRouter(const Router &r,
             }
             const VcState state = r.vcState(in, vc);
             const Flit *front = r.vcFront(in, vc);
+            if (front && r.vcHeadAt(in, vc) != front->enqueueCycle) {
+                addViolation(out, Violation::Kind::CACHED_FIELD,
+                             formatMessage(
+                                 "router ", r.id(), " input ", in, " vc ",
+                                 vc, ": headAt ", r.vcHeadAt(in, vc),
+                                 " but the head flit entered at ",
+                                 front->enqueueCycle));
+            }
             switch (state) {
               case VcState::IDLE:
                 // Between cycles an idle VC may already buffer the
@@ -256,6 +266,28 @@ InvariantChecker::checkRouter(const Router &r,
             break;
         }
     }
+    // VA visits only the outputs in vaOuts, so an output with requests
+    // missing from it would never grant.
+    std::uint64_t requested = 0;
+    for (unsigned o = 0; o < outputs; ++o)
+        requested |= std::uint64_t{kept.vaReqs[o] != 0} << o;
+    if (const std::uint64_t diff = kept.vaOuts ^ requested) {
+        const auto o = static_cast<unsigned>(std::countr_zero(diff));
+        if ((kept.vaOuts >> o) & 1) {
+            addViolation(out, Violation::Kind::STAGE_MASK,
+                         formatMessage("router ", r.id(),
+                                       " VA output mask holds output ", o,
+                                       " but no input VC requests it"));
+        } else {
+            const auto b = static_cast<unsigned>(
+                std::countr_zero(kept.vaReqs[o]));
+            addViolation(out, Violation::Kind::STAGE_MASK,
+                         formatMessage("router ", r.id(),
+                                       " VA output mask lacks output ", o,
+                                       " but input ", b / vcs, " vc ",
+                                       b % vcs, " requests it"));
+        }
+    }
 
     for (unsigned o = 0; o < outputs; ++o) {
         const bool directional = o < NUM_DIRS;
@@ -347,6 +379,15 @@ InvariantChecker::checkNis(std::vector<Violation> &out) const
                              "NI ", ni->node(), ": ejection counter ",
                              info.ejOccupancyCounter, " != buffered ",
                              info.ejFlits));
+        }
+        if (const auto &stale = info.staleBase) {
+            addViolation(out, Violation::Kind::CACHED_FIELD,
+                         formatMessage(
+                             "NI ", ni->node(), " class ", stale->cls,
+                             " queue entry ", stale->pos,
+                             ": cached base VC ", stale->cached,
+                             " but the packet's base VC is ",
+                             stale->actual));
         }
         if (info.maxEjPortOccupancy > info.ejCapacity) {
             addViolation(out, Violation::Kind::OCCUPANCY,

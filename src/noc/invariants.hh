@@ -17,8 +17,12 @@
  *    Network::drained() equals the packets actually held by NIs plus
  *    tail flits in transit;
  *  - VC state-machine legality and output-VC ownership consistency;
- *  - router stage masks (RC/VA/SA work sets and per-output VA
- *    requests) equal to the ones derived from slab state;
+ *  - router stage masks (RC/VA/SA work sets, per-output VA requests
+ *    and the mask of outputs with requests) equal to the ones derived
+ *    from slab state;
+ *  - cached fields equal to their sources: each non-empty ring's
+ *    headAt is its head flit's enqueue cycle, and each queued NI
+ *    packet's stored base VC is VcMap::baseVc of the packet;
  *  - buffer occupancy bounds and half-router connectivity compliance;
  *  - idle-skip activity: any component that could make progress is
  *    marked in its active set, and no wheel entry is left due at or
@@ -66,7 +70,8 @@ struct Violation
         OCCUPANCY,           ///< buffer over capacity / counter drift
         CONNECTIVITY,        ///< half-router mask / port-range breach
         ACTIVITY,            ///< workable component not in active set
-        STAGE_MASK           ///< router stage mask differs from slab state
+        STAGE_MASK,          ///< router stage mask differs from slab state
+        CACHED_FIELD         ///< cached copy differs from its source
     };
 
     Kind kind;

@@ -13,7 +13,7 @@
  *  - a flit goes through Router::pushFlit, which stamps
  *    enqueueCycle = now, files its VC in the RC or SA mask and marks
  *    the router active;
- *  - a credit is added to VcSlabs::outCredits and wakes nobody.  A
+ *  - a credit is added to its OutVc record and wakes nobody.  A
  *    router with no buffered flits has nothing a credit can unblock,
  *    and one with buffered flits is already active.
  *
@@ -237,7 +237,7 @@ class LinkWheel
         for (std::size_t i = 0; i < b.credits.size(); ++i) {
             const CreditEntry &e = b.credits[i];
             if (e.due <= now)
-                ++slab_->outCredits[e.outVc];
+                ++slab_->out[e.outVc].credits;
             else
                 b.credits[keep++] = e;
         }

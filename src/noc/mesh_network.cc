@@ -84,6 +84,12 @@ validateMeshNetworkParams(const MeshNetworkParams &params)
         tenoc_fatal("invalid network config: vcDepth must be >= 1 —"
                     " 0-depth VC buffers can never accept a flit");
     }
+    if (params.vcDepth > VcSlabs::MAX_DEPTH) {
+        tenoc_fatal("invalid network config: noc.vcDepth=",
+                    params.vcDepth, " exceeds ", VcSlabs::MAX_DEPTH,
+                    ", the deepest VC ring a router record's 16-bit"
+                    " head and count fields hold");
+    }
     if (params.flitBytes == 0) {
         tenoc_fatal("invalid network config: flitBytes must be >= 1"
                     " (channel width in bytes)");

@@ -144,6 +144,9 @@ class MeshNetwork : public Network
     Router &router(NodeId n) { return *routers_[n]; }
     /** The network's links (tests corrupt it to probe the checker). */
     LinkWheel &links() { return links_; }
+    /** The router and NI arenas (tests corrupt them likewise). */
+    VcSlabs &vcSlabs() { return slabs_; }
+    NiSlabs &niSlabs() { return ni_slabs_; }
     const MeshNetworkParams &params() const { return params_; }
 
     // --- hardening layer ---

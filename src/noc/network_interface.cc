@@ -16,6 +16,19 @@
 namespace tenoc
 {
 
+namespace
+{
+
+/** `x + 1` wrapped to 0 at `n`: every round-robin pointer stays below
+ *  its bound, so it wraps by compare. */
+constexpr unsigned
+wrapNext(unsigned x, unsigned n)
+{
+    return x + 1 == n ? 0 : x + 1;
+}
+
+} // namespace
+
 NetworkInterface::NetworkInterface(NodeId node, Router &router,
                                    const VcMap &vc_map,
                                    const NiParams &params,
@@ -79,7 +92,10 @@ NetworkInterface::enqueue(PacketPtr pkt, Cycle now)
                  "NI injection queue overflow at node ", node_);
     if (pkt->createdCycle == INVALID_CYCLE)
         pkt->createdCycle = now;
-    nslab_->qPush(qbase_ + cls, std::move(pkt));
+    // The packet's routing class is fixed until a router changes it,
+    // so its base VC can be read once here instead of at every refill.
+    const unsigned base = vc_map_.baseVc(*pkt);
+    nslab_->qPush(qbase_ + cls, std::move(pkt), base);
     ++nslab_->pendingInject[ni_];
     if (inflight_)
         ++*inflight_;
@@ -92,21 +108,21 @@ NetworkInterface::refillOne(Cycle now)
 {
     (void)now;
     const unsigned classes = vc_map_.protoClasses;
+    const unsigned lanes = vc_map_.vcsPerClass;
     NiSlabs &s = *nslab_;
-    for (unsigned i = 0; i < classes; ++i) {
-        const unsigned cls = (class_rr_ + i) % classes;
+    unsigned cls = class_rr_;
+    for (unsigned i = 0; i < classes; ++i, cls = wrapNext(cls, classes)) {
         const std::size_t q = qbase_ + cls;
         if (s.qSize(q) == 0)
             continue;
-        const Packet &pkt = *s.qFront(q);
-        const unsigned base = vc_map_.baseVc(pkt);
+        const unsigned base = s.qFrontBase(q);
         // Find a free (port, lane) slot for this packet's VC class,
         // round-robin over ports (Sec. IV-D) and lanes.
-        for (unsigned pi = 0; pi < ports_; ++pi) {
-            const unsigned p = (port_rr_ + pi) % ports_;
-            for (unsigned li = 0; li < vc_map_.vcsPerClass; ++li) {
-                const unsigned lane =
-                    (lane_rr_[cls] + li) % vc_map_.vcsPerClass;
+        unsigned p = port_rr_;
+        for (unsigned pi = 0; pi < ports_; ++pi, p = wrapNext(p, ports_)) {
+            unsigned lane = lane_rr_[cls];
+            for (unsigned li = 0; li < lanes;
+                 ++li, lane = wrapNext(lane, lanes)) {
                 const unsigned vc = base + lane;
                 const std::size_t slot = sbase_ + p * vcs_ + vc;
                 if (s.actValid[slot])
@@ -115,9 +131,9 @@ NetworkInterface::refillOne(Cycle now)
                 makeFlits(s.actPkt[slot], s.actFlits[slot], vc);
                 s.actNext[slot] = 0;
                 s.actValid[slot] = 1;
-                class_rr_ = (cls + 1) % classes;
-                lane_rr_[cls] = (lane + 1) % vc_map_.vcsPerClass;
-                port_rr_ = (p + 1) % ports_;
+                class_rr_ = wrapNext(cls, classes);
+                lane_rr_[cls] = wrapNext(lane, lanes);
+                port_rr_ = wrapNext(p, ports_);
                 return true;
             }
         }
@@ -136,8 +152,8 @@ NetworkInterface::injectPhase(Cycle now)
     for (unsigned p = 0; p < ports_; ++p) {
         // One flit per port per cycle (terminal bandwidth); pick the
         // next streamable VC round-robin.
-        for (unsigned vi = 0; vi < vcs_; ++vi) {
-            const unsigned vc = (vc_rr_[p] + vi) % vcs_;
+        unsigned vc = vc_rr_[p];
+        for (unsigned vi = 0; vi < vcs_; ++vi, vc = wrapNext(vc, vcs_)) {
             const std::size_t slot = sbase_ + p * vcs_ + vc;
             if (!s.actValid[slot] || router_.injFreeSlots(p, vc) == 0)
                 continue;
@@ -168,7 +184,7 @@ NetworkInterface::injectPhase(Cycle now)
                 s.actValid[slot] = 0;
                 --s.pendingInject[ni_];
             }
-            vc_rr_[p] = (vc + 1) % vcs_;
+            vc_rr_[p] = wrapNext(vc, vcs_);
             break;
         }
     }
@@ -277,8 +293,15 @@ NetworkInterface::audit() const
     };
     for (unsigned c = 0; c < vc_map_.protoClasses; ++c) {
         info.queuedPackets += s.qSize(qbase_ + c);
-        s.forEachQueued(qbase_ + c,
-                        [&](const PacketPtr &pkt) { track(*pkt); });
+        unsigned pos = 0;
+        s.forEachQueued(qbase_ + c, [&](const PacketPtr &pkt,
+                                        unsigned base) {
+            track(*pkt);
+            const unsigned actual = vc_map_.baseVc(*pkt);
+            if (base != actual && !info.staleBase)
+                info.staleBase = {c, pos, base, actual};
+            ++pos;
+        });
     }
     for (unsigned p = 0; p < ports_; ++p) {
         for (unsigned vc = 0; vc < vcs_; ++vc) {

@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -52,6 +53,17 @@ struct NiAuditInfo
     bool idle = false;
     /** Earliest createdCycle among held packets (INVALID_CYCLE if none). */
     Cycle oldestCreated = INVALID_CYCLE;
+
+    /** A queued packet whose cached base VC differs from its own. */
+    struct StaleBase
+    {
+        unsigned cls;    ///< protocol-class queue
+        unsigned pos;    ///< entry, 0 = front
+        unsigned cached; ///< base VC stored at enqueue
+        unsigned actual; ///< VcMap::baseVc of the packet now
+    };
+    /** The first such entry, if any. */
+    std::optional<StaleBase> staleBase;
 };
 
 class NetworkInterface : public EjectionSink

@@ -49,11 +49,8 @@ void
 Router::initPorts()
 {
     const unsigned vcs = nvcs_;
-    inputs_.reserve(numInputs());
-    for (unsigned in = 0; in < numInputs(); ++in) {
-        inputs_.emplace_back(*slab_, in_base_ + in * vcs, vcs,
-                             params_.vcDepth);
-    }
+    in_vcs_ = slab_->in.data() + in_base_;
+    out_vcs_ = slab_->out.data() + out_base_;
     outputs_.resize(numOutputs());
     in_links_.fill(NO_LINK);
     tenoc_assert(numInputs() * vcs <= MAX_INPUT_VCS &&
@@ -83,20 +80,14 @@ Router::connect(Direction d, Router &down, LinkWheel &wheel)
                  "invalid link from router ", id_);
     const unsigned in = opposite(d);
     const unsigned link =
-        wheel.addLink({this, d, &down, in, ov(d, 0)});
+        wheel.addLink({this, d, &down, in, out_base_ + d * nvcs_});
     outputs_[d].link = link;
     down.in_links_[in] = link;
     wheel_ = &wheel;
     down.wheel_ = &wheel;
     for (unsigned vc = 0; vc < nvcs_; ++vc)
-        slab_->outCredits[ov(d, vc)] = params_.vcDepth;
+        out_vcs_[d * nvcs_ + vc].credits = params_.vcDepth;
     return link;
-}
-
-unsigned
-Router::injFreeSlots(unsigned inj, unsigned vc) const
-{
-    return inputs_[NUM_DIRS + inj].freeSlots(vc);
 }
 
 void
@@ -131,8 +122,8 @@ Router::packetAge(const Flit &f)
 unsigned
 Router::nextEjectionPort()
 {
-    const unsigned p = ej_rr_ % params_.numEjPorts;
-    ++ej_rr_;
+    const unsigned p = ej_rr_;
+    ej_rr_ = p + 1 == params_.numEjPorts ? 0 : p + 1;
     return NUM_DIRS + p;
 }
 
@@ -169,15 +160,23 @@ oldest(std::uint64_t m, unsigned none, Age &&age)
 void
 Router::pushFlit(unsigned in, const Flit &flit, Cycle now)
 {
-    const unsigned vc = flit.vc;
-    inputs_[in].push(flit, now);
+    tenoc_assert(flit.vc < nvcs_, "push to out-of-range VC ", flit.vc);
+#if defined(__GNUC__) || defined(__clang__)
+    // An arriving head flit will be dereferenced by route computation
+    // later this cycle; its Packet lives at an arbitrary heap address,
+    // so start pulling the line in now (no architectural effect).
+    if (flit.head)
+        __builtin_prefetch(flit.pkt, 0, 2);
+#endif
+    const unsigned i = in * nvcs_ + flit.vc;
+    slab_->pushFlit(in_base_ + i, flit, now);
     // The pushed flit makes an IDLE VC routable and an ACTIVE VC
     // switchable; a VC_ALLOC VC already holds its head.
-    const VcState st = inputs_[in].state(vc);
+    const VcState st = in_vcs_[i].state;
     if (st == VcState::IDLE)
-        masks_.rc |= bit(in * nvcs_ + vc);
+        masks_.rc |= bit(i);
     else if (st == VcState::ACTIVE)
-        masks_.sa |= bit(in * nvcs_ + vc);
+        masks_.sa |= bit(i);
     if (active_set_)
         active_set_->mark(active_idx_);
 }
@@ -191,8 +190,8 @@ Router::routeCompute(Cycle now)
         const auto i = static_cast<unsigned>(std::countr_zero(m));
         const unsigned in = i / vcs;
         const unsigned vc = i - in * vcs;
-        auto &port = inputs_[in];
-        const Flit &head = port.front(vc);
+        InVc &v = in_vcs_[i];
+        const Flit &head = slab_->frontFlit(in_base_ + i);
         tenoc_assert(head.head,
                      "non-head flit at front of idle VC (router ",
                      id_, " in ", in, " vc ", vc, ")");
@@ -213,13 +212,14 @@ Router::routeCompute(Cycle now)
                      "illegal turn at ", params_.half ? "half" :
                      "full", "-router ", id_, ": in=",
                      inputPortName(in), " out=", outputPortName(out));
-        port.setOutPort(vc, out);
+        v.outPort = static_cast<std::uint8_t>(out);
         // The packet is already hot here; caching its VC-class base
         // spares VC allocation the pointer chase entirely.
-        port.setBaseVc(vc, params_.vcMap.baseVc(pkt));
-        port.setState(vc, VcState::VC_ALLOC);
+        v.baseVc = static_cast<std::uint8_t>(params_.vcMap.baseVc(pkt));
+        v.state = VcState::VC_ALLOC;
         masks_.va |= bit(i);
         masks_.vaReqs[out] |= bit(i);
+        masks_.vaOuts |= bit(out);
     }
     // Every VC in the mask has been routed.
     masks_.rc = 0;
@@ -228,28 +228,25 @@ Router::routeCompute(Cycle now)
 void
 Router::vcAllocate(Cycle now)
 {
-    if (masks_.va == 0)
-        return;
     const unsigned vcs = nvcs_;
-    for (unsigned o = 0; o < numOutputs(); ++o) {
-        // Bit i = input VC i waits for an output VC here.  Outputs with
-        // no requestors grant nothing, which is bit-exact because an
-        // arbiter only advances when a grant is accepted.
+    // Only outputs with requestors: one with none would grant nothing,
+    // and an arbiter only advances when a grant is accepted.
+    for (std::uint64_t outs = masks_.vaOuts; outs != 0; outs &= outs - 1) {
+        const auto o = static_cast<unsigned>(std::countr_zero(outs));
+        // Bit i = input VC i waits for an output VC here.
         std::uint64_t &reqs = masks_.vaReqs[o];
-        auto &out = outputs_[o];
+        RoundRobinArbiter &arb = outputs_[o].vaArb;
+        OutVc *const ovcs = out_vcs_ + o * vcs;
         // Grant output VCs in round-robin requestor order until the
         // requestors run out.
         for (std::uint64_t untried = reqs; untried != 0;) {
-            const unsigned idx = out.vaArb.grantMask(untried);
+            const unsigned idx = arb.grantMask(untried);
             untried &= ~bit(idx);
-            const unsigned in = idx / vcs;
-            const unsigned vc = idx % vcs;
-            const unsigned base = inputs_[in].baseVc(vc);
+            InVc &v = in_vcs_[idx];
             unsigned granted = vcs;
             for (unsigned l = 0; l < params_.vcMap.vcsPerClass; ++l) {
-                const unsigned cand = base + l;
-                if (!slab_->outOwned[ov(o, cand)]) {
-                    granted = cand;
+                if (!ovcs[v.baseVc + l].owned) {
+                    granted = v.baseVc + l;
                     break;
                 }
             }
@@ -260,23 +257,26 @@ Router::vcAllocate(Cycle now)
                 // (protocol/routing class) VCs.
                 continue;
             }
-            const std::size_t g = ov(o, granted);
-            slab_->outOwned[g] = 1;
-            slab_->outOwnerIn[g] = in;
-            slab_->outOwnerVc[g] = vc;
-            inputs_[in].setOutVc(vc, granted);
-            inputs_[in].setState(vc, VcState::ACTIVE);
+            const unsigned in = idx / vcs;
+            OutVc &g = ovcs[granted];
+            g.owned = 1;
+            g.ownerIn = static_cast<std::uint8_t>(in);
+            g.ownerVc = static_cast<std::uint8_t>(idx - in * vcs);
+            v.outVc = static_cast<std::uint8_t>(granted);
+            v.state = VcState::ACTIVE;
             // A VC_ALLOC VC always buffers its head flit.
             reqs &= ~bit(idx);
             masks_.va &= ~bit(idx);
             masks_.sa |= bit(idx);
-            out.vaArb.accept(idx);
+            arb.accept(idx);
             if (tracer_) {
-                const Packet &pkt = *inputs_[in].front(vc).pkt;
+                const Packet &pkt = *slab_->frontFlit(in_base_ + idx).pkt;
                 if (tracer_->wants(pkt.id))
                     tracer_->instant("va", id_, pkt.id, now);
             }
         }
+        if (reqs == 0)
+            masks_.vaOuts &= ~bit(o);
     }
 }
 
@@ -299,23 +299,23 @@ Router::switchAllocate(Cycle now)
         const std::uint64_t req = (cand >> (in * vcs)) & port_vcs;
         if (req == 0)
             continue;
-        auto &port = inputs_[in];
+        const InVc *const port = in_vcs_ + in * vcs;
         std::uint64_t elig = 0;
         for (std::uint64_t m = req; m != 0; m &= m - 1) {
             const auto vc = static_cast<unsigned>(std::countr_zero(m));
-            const Flit &f = port.front(vc);
+            const InVc &v = port[vc];
             // A flit spends `pipelineDepth` cycles in the router (it
             // departs no earlier than arrival + depth), giving the
             // paper's 5-cycle hops for 4-stage routers + 1-cycle
             // channels (Sec. III-B).
-            if (f.enqueueCycle + params_.pipelineDepth > now)
+            if (v.headAt + params_.pipelineDepth > now)
                 continue; // still in the router pipeline
-            const unsigned o = port.outPort(vc);
+            const unsigned o = v.outPort;
             if (isEjection(o)) {
                 tenoc_assert(sink_, "no ejection sink attached");
                 if (!sink_->ejectReady(o - NUM_DIRS))
                     continue;
-            } else if (slab_->outCredits[ov(o, port.outVc(vc))] == 0) {
+            } else if (out_vcs_[o * vcs + v.outVc].credits == 0) {
                 continue;
             }
             elig |= bit(vc);
@@ -325,11 +325,11 @@ Router::switchAllocate(Cycle now)
         const unsigned win = params_.agePriority
             ? oldest(elig, vcs,
                      [&](unsigned vc) {
-                         return packetAge(port.front(vc));
+                         return packetAge(*vcFront(in, vc));
                      })
             : sa_input_arb_[in].grantMask(elig);
         nominee[in] = win;
-        const unsigned o = port.outPort(win);
+        const unsigned o = port[win].outPort;
         sa_out_reqs_[o] |= bit(in);
         requested |= bit(o);
     }
@@ -341,15 +341,17 @@ Router::switchAllocate(Cycle now)
         const unsigned in = params_.agePriority
             ? oldest(reqs, numInputs(),
                      [&](unsigned c) {
-                         return packetAge(inputs_[c].front(nominee[c]));
+                         return packetAge(*vcFront(c, nominee[c]));
                      })
             : outputs_[o].saArb.grantMask(reqs);
         reqs = 0;
         const unsigned vc = nominee[in];
 
         // Switch traversal.
-        Flit flit = inputs_[in].pop(vc);
-        const unsigned out_vc = inputs_[in].outVc(vc);
+        const unsigned i = in * vcs + vc;
+        InVc &v = in_vcs_[i];
+        Flit flit = slab_->popFlit(in_base_ + i);
+        const unsigned out_vc = v.outVc;
         const bool tail = flit.tail;
         if (!isInjection(in) && in_links_[in] != NO_LINK)
             wheel_->sendCredit(in_links_[in], flit.vc, now);
@@ -361,21 +363,21 @@ Router::switchAllocate(Cycle now)
         if (isEjection(o)) {
             sink_->ejectFlit(o - NUM_DIRS, flit, now);
         } else {
-            auto &credits = slab_->outCredits[ov(o, out_vc)];
+            auto &credits = out_vcs_[o * vcs + out_vc].credits;
             tenoc_assert(credits > 0, "SA granted without credit");
             --credits;
             wheel_->sendFlit(outputs_[o].link, flit, now);
             ++link_flits_[o];
         }
-        const std::uint64_t b = bit(in * vcs + vc);
+        const std::uint64_t b = bit(i);
         if (tail) {
-            slab_->outOwned[ov(o, out_vc)] = 0;
-            inputs_[in].setState(vc, VcState::IDLE);
+            out_vcs_[o * vcs + out_vc].owned = 0;
+            v.state = VcState::IDLE;
             cand &= ~b;
             // The next packet's head may already wait behind the tail.
-            if (!inputs_[in].empty(vc))
+            if (v.ringCount != 0)
                 masks_.rc |= b;
-        } else if (inputs_[in].empty(vc)) {
+        } else if (v.ringCount == 0) {
             cand &= ~b;
         }
         ++flits_traversed_;
@@ -399,25 +401,24 @@ Router::deriveStageMasks() const
 {
     StageMasks m;
     m.vaReqs.assign(numOutputs(), 0);
-    for (unsigned in = 0; in < numInputs(); ++in) {
-        const InputPort &port = inputs_[in];
-        for (unsigned vc = 0; vc < nvcs_; ++vc) {
-            const std::uint64_t b = bit(in * nvcs_ + vc);
-            switch (port.state(vc)) {
-              case VcState::IDLE:
-                if (!port.empty(vc))
-                    m.rc |= b;
-                break;
-              case VcState::VC_ALLOC:
-                m.va |= b;
-                if (port.outPort(vc) < numOutputs())
-                    m.vaReqs[port.outPort(vc)] |= b;
-                break;
-              case VcState::ACTIVE:
-                if (!port.empty(vc))
-                    m.sa |= b;
-                break;
+    for (unsigned i = 0; i < numInputs() * nvcs_; ++i) {
+        const InVc &v = in_vcs_[i];
+        switch (v.state) {
+          case VcState::IDLE:
+            if (v.ringCount != 0)
+                m.rc |= bit(i);
+            break;
+          case VcState::VC_ALLOC:
+            m.va |= bit(i);
+            if (v.outPort < numOutputs()) {
+                m.vaReqs[v.outPort] |= bit(i);
+                m.vaOuts |= bit(v.outPort);
             }
+            break;
+          case VcState::ACTIVE:
+            if (v.ringCount != 0)
+                m.sa |= bit(i);
+            break;
         }
     }
     return m;
@@ -427,8 +428,8 @@ std::uint64_t
 Router::bufferedFlits() const
 {
     std::uint64_t n = 0;
-    for (const auto &p : inputs_)
-        n += p.totalOccupancy();
+    for (unsigned i = 0; i < numInputs() * nvcs_; ++i)
+        n += in_vcs_[i].ringCount;
     return n;
 }
 

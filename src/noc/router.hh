@@ -32,10 +32,11 @@
  * and/or ejection ports that raise terminal bandwidth without touching
  * link bandwidth.  Ejection-port choice is round-robin at RC time.
  *
- * Storage layout: all per-VC state (input state machines, flit rings,
- * output VC ownership/credits) lives in a VcSlabs arena.  A router
- * built by MeshNetwork views contiguous index ranges of the network's
- * shared arena (see slab.hh); a standalone router owns a private one.
+ * Storage layout: all per-VC state (one InVc record per input VC, the
+ * flit rings, one OutVc record per output VC) lives in a VcSlabs
+ * arena.  A router built by MeshNetwork views contiguous index ranges
+ * of the network's shared arena (see slab.hh); a standalone router
+ * owns a private one.
  * The pipeline stages (routeCompute/vcAllocate/switchAllocate) are
  * public so the network can run them in one pass over its active
  * routers.  Each stage walks its own work set, a 64-bit mask over the
@@ -58,7 +59,6 @@
 #include "common/stats.hh"
 #include "noc/activity.hh"
 #include "noc/arbiter.hh"
-#include "noc/buffer.hh"
 #include "noc/routing.hh"
 #include "noc/slab.hh"
 #include "noc/topology.hh"
@@ -112,6 +112,8 @@ class Router
     static constexpr unsigned MAX_INPUT_VCS = 64;
     /** Outputs one router takes: one switch-allocation mask word. */
     static constexpr unsigned MAX_OUTPUTS = 64;
+    static_assert(MAX_INPUT_VCS <= 256 && MAX_OUTPUTS <= 256,
+                  "InVc and OutVc hold ports and VCs in 8 bits");
 
     /** Standalone router owning its own slab storage (unit tests). */
     Router(NodeId id, const Topology &topo, RoutingAlgorithm &routing,
@@ -120,7 +122,9 @@ class Router
     /**
      * Router viewing a network-owned arena: input VCs
      * [in_vc_base, in_vc_base + numInputs*vcs) and output VCs
-     * [out_vc_base, out_vc_base + numOutputs*vcs) of `slab`.
+     * [out_vc_base, out_vc_base + numOutputs*vcs) of `slab`, which must
+     * already be configured and is not re-configured while the router
+     * views it.
      */
     Router(NodeId id, const Topology &topo, RoutingAlgorithm &routing,
            const Params &params, VcSlabs &slab, std::size_t in_vc_base,
@@ -160,7 +164,11 @@ class Router
 
     // --- NI injection access (same node, zero-latency handshake) ---
     /** Free slots in injection-port buffer `inj` (0-based), VC `vc`. */
-    unsigned injFreeSlots(unsigned inj, unsigned vc) const;
+    unsigned
+    injFreeSlots(unsigned inj, unsigned vc) const
+    {
+        return params_.vcDepth - inVc(NUM_DIRS + inj, vc).ringCount;
+    }
     /** Pushes a flit into injection-port buffer `inj`. */
     void injectFlit(unsigned inj, const Flit &flit, Cycle now);
 
@@ -202,48 +210,55 @@ class Router
     /** Pipeline state of input VC (`in`, `vc`). */
     VcState vcState(unsigned in, unsigned vc) const
     {
-        return inputs_[in].state(vc);
+        return inVc(in, vc).state;
     }
     /** Output port assigned to input VC (`in`, `vc`) by RC. */
     unsigned vcOutPort(unsigned in, unsigned vc) const
     {
-        return inputs_[in].outPort(vc);
+        return inVc(in, vc).outPort;
     }
     /** Output VC granted to input VC (`in`, `vc`) by VA. */
     unsigned vcOutVc(unsigned in, unsigned vc) const
     {
-        return inputs_[in].outVc(vc);
+        return inVc(in, vc).outVc;
     }
     /** Flits buffered on input VC (`in`, `vc`). */
     std::size_t vcOccupancy(unsigned in, unsigned vc) const
     {
-        return inputs_[in].occupancy(vc);
+        return inVc(in, vc).ringCount;
+    }
+    /** Enqueue cycle of input VC (`in`, `vc`)'s head flit as its record
+     *  keeps it (meaningful while the VC buffers a flit). */
+    Cycle vcHeadAt(unsigned in, unsigned vc) const
+    {
+        return inVc(in, vc).headAt;
     }
     /** Head flit of input VC (`in`, `vc`), or nullptr when empty. */
     const Flit *
     vcFront(unsigned in, unsigned vc) const
     {
-        return inputs_[in].empty(vc) ? nullptr : &inputs_[in].front(vc);
+        return inVc(in, vc).ringCount == 0
+            ? nullptr : &slab_->frontFlit(iv(in, vc));
     }
     /** Credits held for downstream VC (`out`, `vc`). */
     unsigned outputCredits(unsigned out, unsigned vc) const
     {
-        return slab_->outCredits[ov(out, vc)];
+        return outVc(out, vc).credits;
     }
     /** @return true if output VC (`out`, `vc`) is owned by a packet. */
     bool outputVcOwned(unsigned out, unsigned vc) const
     {
-        return slab_->outOwned[ov(out, vc)] != 0;
+        return outVc(out, vc).owned != 0;
     }
     /** Owning input port of output VC (`out`, `vc`) (owned only). */
     unsigned outputVcOwnerIn(unsigned out, unsigned vc) const
     {
-        return slab_->outOwnerIn[ov(out, vc)];
+        return outVc(out, vc).ownerIn;
     }
     /** Owning input VC of output VC (`out`, `vc`) (owned only). */
     unsigned outputVcOwnerVc(unsigned out, unsigned vc) const
     {
-        return slab_->outOwnerVc[ov(out, vc)];
+        return outVc(out, vc).ownerVc;
     }
     /** @return true if direction output `d` is wired to a link. */
     bool
@@ -257,8 +272,10 @@ class Router
     forEachBufferedFlit(F &&f) const
     {
         for (unsigned in = 0; in < numInputs(); ++in) {
-            inputs_[in].forEachFlit(
-                [&](unsigned vc, const Flit &flit) { f(in, vc, flit); });
+            for (unsigned vc = 0; vc < nvcs_; ++vc) {
+                slab_->forEachRingFlit(
+                    iv(in, vc), [&](const Flit &flit) { f(in, vc, flit); });
+            }
         }
     }
 
@@ -275,6 +292,8 @@ class Router
         std::uint64_t sa = 0; ///< ACTIVE with a buffered flit
         /** VC_ALLOC VCs by RC-assigned output: one set per output. */
         std::vector<std::uint64_t> vaReqs;
+        /** Bit o: vaReqs[o] is non-empty (the outputs VA visits). */
+        std::uint64_t vaOuts = 0;
 
         bool operator==(const StageMasks &) const = default;
     };
@@ -295,11 +314,19 @@ class Router
     bool
     dropCredit(unsigned out, unsigned vc)
     {
-        auto &credits = slab_->outCredits[ov(out, vc)];
+        auto &credits = out_vcs_[out * nvcs_ + vc].credits;
         if (credits == 0)
             return false;
         --credits;
         return true;
+    }
+
+    /** Deliberately flips output `out`'s bit of the VA output mask
+     *  (StageMasks::vaOuts) without touching its requests. */
+    void
+    debugFlipVaOutput(unsigned out)
+    {
+        masks_.vaOuts ^= std::uint64_t{1} << out;
     }
 
   private:
@@ -317,10 +344,21 @@ class Router
     bool isInjection(unsigned in) const { return in >= NUM_DIRS; }
     bool isEjection(unsigned out) const { return out >= NUM_DIRS; }
 
-    /** Global slab index of output VC (`out`, `vc`). */
-    std::size_t ov(unsigned out, unsigned vc) const
+    const InVc &
+    inVc(unsigned in, unsigned vc) const
     {
-        return out_base_ + out * nvcs_ + vc;
+        return in_vcs_[in * nvcs_ + vc];
+    }
+    const OutVc &
+    outVc(unsigned out, unsigned vc) const
+    {
+        return out_vcs_[out * nvcs_ + vc];
+    }
+
+    /** Global slab index of input VC (`in`, `vc`). */
+    std::size_t iv(unsigned in, unsigned vc) const
+    {
+        return in_base_ + in * nvcs_ + vc;
     }
 
     /** Chooses an ejection output port round-robin. */
@@ -342,8 +380,10 @@ class Router
     VcSlabs *slab_;
     std::size_t in_base_;  ///< first global input-VC index
     std::size_t out_base_; ///< first global output-VC index
-
-    std::vector<InputPort> inputs_;
+    /// This router's records: input VC (in, vc) is in_vcs_[in * vcs +
+    /// vc], output VC (out, vc) out_vcs_[out * vcs + vc].
+    InVc *in_vcs_ = nullptr;
+    OutVc *out_vcs_ = nullptr;
 
     struct OutputPort
     {

@@ -1,27 +1,31 @@
 /**
  * @file
- * Structure-of-arrays storage for the mesh hot state.
+ * Dense record storage for the mesh hot state.
  *
- * All per-(router, port, VC) state of one network lives in flat
- * parallel arrays owned by a single VcSlabs arena instead of
- * pointer-rich per-object storage:
+ * All per-(router, port, VC) state of one network lives in one
+ * VcSlabs arena instead of pointer-rich per-object storage:
  *
- *   - input-VC state machines: pipeline state, assigned output port,
- *     granted output VC — one contiguous array each, indexed by a
- *     global input-VC index (router's base + port * vcs + vc),
+ *   - one 16-byte InVc record per input VC: pipeline state, assigned
+ *     output port, granted output VC, cached base VC, the flit ring's
+ *     head and count, and the enqueue cycle of the ring's head flit,
+ *     indexed by a global input-VC index (router's base + port * vcs +
+ *     vc),
  *   - flit buffers: one ring of `vcDepth` slots per input VC, all
  *     rings packed back to back in one flit slab (ring i occupies
  *     slots [i*depth, (i+1)*depth)),
- *   - output-VC bookkeeping: owned flag, owning input (port, VC) and
- *     credit count, indexed by a global output-VC index.
+ *   - one 8-byte OutVc record per output VC: credit count, owned flag
+ *     and owning input (port, VC), indexed by a global output-VC index.
  *
- * Routers receive contiguous index ranges in node order at network
- * construction, so the ActiveSet's ascending-index iteration streams
- * the arrays front to back.  Standalone routers (unit tests) own a
- * private arena with the same layout.
+ * A router visit reads a VC's whole state from one record instead of
+ * one line of each of a dozen parallel arrays, and switch allocation
+ * decides a candidate from its InVc and OutVc records without loading
+ * the flit ring.  Routers receive contiguous index ranges in node
+ * order at network construction, so the ActiveSet's ascending-index
+ * iteration streams the records front to back.  Standalone routers
+ * (unit tests) own a private arena with the same layout.
  *
- * The arena is pure storage: every state-machine transition still
- * happens in Router/InputPort code, so the refactor is invisible to
+ * The arena is pure storage plus ring mechanics: every state-machine
+ * transition happens in Router code, so the layout is invisible to
  * stats and the invariant checker.
  */
 
@@ -46,10 +50,45 @@ enum class VcState : std::uint8_t
     ACTIVE    ///< output VC held; flits may traverse the switch
 };
 
-/** SoA arena for one network's router/VC/flit hot state. */
+/**
+ * One input VC.  Ports and VCs fit 8 bits because a router takes at
+ * most 64 input VCs and 64 outputs (Router::MAX_INPUT_VCS and
+ * MAX_OUTPUTS); the ring fields fit 16 bits because a ring holds at
+ * most VcSlabs::MAX_DEPTH flits.
+ */
+struct InVc
+{
+    /// Enqueue cycle of the ring's head flit, kept by push and pop
+    /// (meaningful while ringCount != 0).
+    Cycle headAt = 0;
+    std::uint16_t ringHead = 0;
+    std::uint16_t ringCount = 0;
+    VcState state = VcState::IDLE;
+    std::uint8_t outPort = 0; ///< RC-assigned output port
+    std::uint8_t outVc = 0;   ///< VA-granted output VC
+    /// First eligible output VC of the head packet, cached by RC so VA
+    /// never dereferences the packet.
+    std::uint8_t baseVc = 0;
+};
+static_assert(sizeof(InVc) == 16, "an input-VC record is 16 bytes");
+
+/** One output VC: downstream credits and the input VC that owns it. */
+struct OutVc
+{
+    std::uint32_t credits = 0;
+    std::uint8_t owned = 0;
+    std::uint8_t ownerIn = 0; ///< owning input port (owned only)
+    std::uint8_t ownerVc = 0; ///< owning input VC (owned only)
+};
+static_assert(sizeof(OutVc) == 8, "an output-VC record is 8 bytes");
+
+/** Record arena for one network's router/VC/flit hot state. */
 class VcSlabs
 {
   public:
+    /** Deepest ring InVc's 16-bit head and count fields can hold. */
+    static constexpr unsigned MAX_DEPTH = 0xffff;
+
     VcSlabs() = default;
     /// Movable (a moved-from arena holds no rings), never copied: two
     /// copies would both return their tails' packet references.
@@ -66,31 +105,25 @@ class VcSlabs
     configure(std::size_t input_vcs, std::size_t output_vcs,
               unsigned depth)
     {
-        tenoc_assert(depth >= 1, "slab ring depth must be >= 1");
+        tenoc_assert(depth >= 1 && depth <= MAX_DEPTH,
+                     "slab ring depth must be in [1, ", MAX_DEPTH,
+                     "], got ", depth);
         // A re-used arena must not pin the packets its tails own; walk
         // the rings while depth_ still describes them.
         releaseTails();
         depth_ = depth;
-        inState.assign(input_vcs, VcState::IDLE);
-        inOutPort.assign(input_vcs, 0);
-        inOutVc.assign(input_vcs, 0);
-        inBaseVc.assign(input_vcs, 0);
-        ringHead.assign(input_vcs, 0);
-        ringCount.assign(input_vcs, 0);
+        in.assign(input_vcs, InVc{});
+        out.assign(output_vcs, OutVc{});
         flits.assign(input_vcs * depth, Flit{});
-        outOwned.assign(output_vcs, 0);
-        outOwnerIn.assign(output_vcs, 0);
-        outOwnerVc.assign(output_vcs, 0);
-        outCredits.assign(output_vcs, 0);
     }
 
     unsigned depth() const { return depth_; }
-    std::size_t numInputVcs() const { return inState.size(); }
-    std::size_t numOutputVcs() const { return outOwned.size(); }
+    std::size_t numInputVcs() const { return in.size(); }
+    std::size_t numOutputVcs() const { return out.size(); }
 
     /**
      * Arms out-of-range index checking on the ring operations (the
-     * state arrays are accessed through already-checked ring indices).
+     * records are accessed through already-checked ring indices).
      * Wired to MeshNetworkParams::validate / TENOC_VALIDATE=1.
      */
     void setValidate(bool on) { validate_ = on; }
@@ -98,41 +131,40 @@ class VcSlabs
 
     // --- flit rings (index = global input-VC index) ---
 
-    /** Appends a flit to ring `vc_idx`; panics on overflow (a credit
-     *  protocol violation). */
+    /** Appends `flit` to ring `vc_idx`, stamping its enqueue cycle
+     *  `now`; panics on overflow (a credit protocol violation). */
     void
-    pushFlit(std::size_t vc_idx, const Flit &flit)
+    pushFlit(std::size_t vc_idx, Flit flit, Cycle now)
     {
-        if (validate_) {
-            tenoc_assert(vc_idx < ringCount.size(),
-                         "slab input-VC index ", vc_idx,
-                         " out of range ", ringCount.size());
-        }
-        const std::uint32_t count = ringCount[vc_idx];
+        checkIndex(vc_idx);
+        InVc &v = in[vc_idx];
+        const unsigned count = v.ringCount;
         tenoc_assert(count < depth_,
                      "VC buffer overflow (credit protocol violated),"
                      " slab vc index=", vc_idx);
-        std::size_t pos = ringHead[vc_idx] + count;
+        flit.enqueueCycle = now;
+        if (count == 0)
+            v.headAt = now;
+        std::size_t pos = v.ringHead + count;
         if (pos >= depth_)
             pos -= depth_;
         flits[vc_idx * depth_ + pos] = flit;
-        ringCount[vc_idx] = count + 1;
+        v.ringCount = static_cast<std::uint16_t>(count + 1);
     }
 
     /** Removes and returns the head flit of ring `vc_idx`. */
     Flit
     popFlit(std::size_t vc_idx)
     {
-        if (validate_) {
-            tenoc_assert(vc_idx < ringCount.size(),
-                         "slab input-VC index ", vc_idx,
-                         " out of range ", ringCount.size());
-        }
-        tenoc_assert(ringCount[vc_idx] != 0, "pop() on empty VC");
-        const std::uint32_t head = ringHead[vc_idx];
-        const Flit f = flits[vc_idx * depth_ + head];
-        ringHead[vc_idx] = head + 1 == depth_ ? 0 : head + 1;
-        --ringCount[vc_idx];
+        checkIndex(vc_idx);
+        InVc &v = in[vc_idx];
+        tenoc_assert(v.ringCount != 0, "pop() on empty VC");
+        const std::size_t base = vc_idx * depth_;
+        const Flit f = flits[base + v.ringHead];
+        v.ringHead = static_cast<std::uint16_t>(
+            v.ringHead + 1u == depth_ ? 0 : v.ringHead + 1u);
+        if (--v.ringCount != 0)
+            v.headAt = flits[base + v.ringHead].enqueueCycle;
         return f;
     }
 
@@ -140,8 +172,8 @@ class VcSlabs
     const Flit &
     frontFlit(std::size_t vc_idx) const
     {
-        tenoc_assert(ringCount[vc_idx] != 0, "front() on empty VC");
-        return flits[vc_idx * depth_ + ringHead[vc_idx]];
+        tenoc_assert(in[vc_idx].ringCount != 0, "front() on empty VC");
+        return flits[vc_idx * depth_ + in[vc_idx].ringHead];
     }
 
     /** Calls f(flit) for each flit of ring `vc_idx`, head first. */
@@ -150,8 +182,8 @@ class VcSlabs
     forEachRingFlit(std::size_t vc_idx, F &&f) const
     {
         const std::size_t base = vc_idx * depth_;
-        std::size_t pos = ringHead[vc_idx];
-        for (std::uint32_t i = 0; i < ringCount[vc_idx]; ++i) {
+        std::size_t pos = in[vc_idx].ringHead;
+        for (unsigned i = 0; i < in[vc_idx].ringCount; ++i) {
             f(flits[base + pos]);
             if (++pos == depth_)
                 pos = 0;
@@ -163,44 +195,38 @@ class VcSlabs
     void
     releaseTails()
     {
-        for (std::size_t i = 0; i < ringCount.size(); ++i) {
+        for (std::size_t i = 0; i < in.size(); ++i) {
             forEachRingFlit(i, [](const Flit &f) {
                 if (f.tail)
                     PacketPtr::adopt(f.pkt).reset();
             });
-            ringCount[i] = 0;
+            in[i].ringCount = 0;
         }
     }
 
-    // --- input-VC state machines ---
-    std::vector<VcState> inState;
-    std::vector<std::uint32_t> inOutPort; ///< RC-assigned output port
-    std::vector<std::uint32_t> inOutVc;   ///< VA-granted output VC
-    /// First eligible output VC of the head packet, cached by RC so VA
-    /// never dereferences the packet.
-    std::vector<std::uint32_t> inBaseVc;
-
-    // --- output-VC bookkeeping ---
-    std::vector<std::uint8_t> outOwned;
-    std::vector<std::uint32_t> outOwnerIn;
-    std::vector<std::uint32_t> outOwnerVc;
-    std::vector<std::uint32_t> outCredits;
-
-    // --- flit rings ---
-    std::vector<std::uint32_t> ringHead;
-    std::vector<std::uint32_t> ringCount;
-    std::vector<Flit> flits;
+    std::vector<InVc> in;   ///< input-VC records
+    std::vector<OutVc> out; ///< output-VC records
+    std::vector<Flit> flits; ///< the rings, back to back
 
   private:
+    void
+    checkIndex(std::size_t vc_idx) const
+    {
+        if (validate_) {
+            tenoc_assert(vc_idx < in.size(), "slab input-VC index ",
+                         vc_idx, " out of range ", in.size());
+        }
+    }
+
     unsigned depth_ = 1;
     bool validate_ = false;
 };
 
 /**
- * SoA arena for one network's NI hot state, mirroring VcSlabs: all
- * per-NI injection class queues, per-(port, VC) active-packet slots
- * and per-port ejection buffers live in flat parallel arrays indexed
- * in node order, replacing the per-object std::deque storage.  Every
+ * Arena for one network's NI hot state, mirroring VcSlabs: all per-NI
+ * injection class queues, per-(port, VC) active-packet slots and
+ * per-port ejection buffers live in flat parallel arrays indexed in
+ * node order, replacing the per-object std::deque storage.  Every
  * container is a fixed-capacity ring (the NI protocol already bounds
  * class queues by injQueueCap and ejection ports by ejBufferFlits),
  * so the steady state touches no heap.  Injection-port and
@@ -253,6 +279,7 @@ class NiSlabs
         // assign() releases the packet references a re-used arena's
         // queues and active slots still hold.
         injQ.assign(queues * inj_cap, PacketPtr{});
+        injQBase.assign(queues * inj_cap, 0);
         actValid.assign(slots, 0);
         actNext.assign(slots, 0);
         actPkt.assign(slots, PacketPtr{});
@@ -270,23 +297,27 @@ class NiSlabs
 
     std::uint32_t qSize(std::size_t q) const { return injQCount[q]; }
 
+    /** Appends `pkt` to queue `q` with its VcMap::baseVc, `base`. */
     void
-    qPush(std::size_t q, PacketPtr &&pkt)
+    qPush(std::size_t q, PacketPtr &&pkt, unsigned base)
     {
         const std::uint32_t count = injQCount[q];
         tenoc_assert(count < inj_cap_, "NI slab class-queue overflow");
         std::size_t pos = injQHead[q] + count;
         if (pos >= inj_cap_)
             pos -= inj_cap_;
-        injQ[q * inj_cap_ + pos] = std::move(pkt);
+        pos += q * inj_cap_;
+        injQ[pos] = std::move(pkt);
+        injQBase[pos] = static_cast<std::uint8_t>(base);
         injQCount[q] = count + 1;
     }
 
-    const PacketPtr &
-    qFront(std::size_t q) const
+    /** Cached base VC of queue `q`'s front packet (must be non-empty). */
+    unsigned
+    qFrontBase(std::size_t q) const
     {
         tenoc_assert(injQCount[q] != 0, "front() on empty class queue");
-        return injQ[q * inj_cap_ + injQHead[q]];
+        return injQBase[q * inj_cap_ + injQHead[q]];
     }
 
     PacketPtr
@@ -300,7 +331,8 @@ class NiSlabs
         return p;
     }
 
-    /** Calls f(pkt) for each queued packet of queue `q`, FIFO order. */
+    /** Calls f(pkt, cached base VC) for each queued packet of queue
+     *  `q`, FIFO order. */
     template <typename F>
     void
     forEachQueued(std::size_t q, F &&f) const
@@ -308,7 +340,7 @@ class NiSlabs
         const std::size_t base = q * inj_cap_;
         std::size_t pos = injQHead[q];
         for (std::uint32_t i = 0; i < injQCount[q]; ++i) {
-            f(injQ[base + pos]);
+            f(injQ[base + pos], injQBase[base + pos]);
             if (++pos == inj_cap_)
                 pos = 0;
         }
@@ -401,6 +433,9 @@ class NiSlabs
     std::vector<std::uint32_t> injQHead;
     std::vector<std::uint32_t> injQCount;
     std::vector<PacketPtr> injQ;
+    /// VcMap::baseVc of each queued packet, stored at enqueue so the
+    /// NI picks a slot without dereferencing the packet.
+    std::vector<std::uint8_t> injQBase;
 
     // --- ejection rings ---
     std::vector<std::uint32_t> ejHead;

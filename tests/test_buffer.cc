@@ -1,11 +1,12 @@
 /**
  * @file
- * Unit tests for input-port VC buffers.
+ * Unit tests for input VC buffers: the InVc records and flit rings of
+ * one router input port in a VcSlabs arena.
  */
 
 #include <gtest/gtest.h>
 
-#include "noc/buffer.hh"
+#include "noc/slab.hh"
 
 namespace tenoc
 {
@@ -25,12 +26,21 @@ makeFlit(unsigned vc, bool head = true, bool tail = true)
     return f;
 }
 
+/** An arena holding one input port: `vcs` rings of `depth` flits. */
+VcSlabs
+portSlab(unsigned vcs, unsigned depth)
+{
+    VcSlabs s;
+    s.configure(vcs, 0, depth);
+    return s;
+}
+
 /** Pops VC `vc`'s front flit and @return its seq.  The popper owns the
  *  reference a tail carries (see Flit) and returns it here. */
 unsigned
-popSeq(InputPort &port, unsigned vc)
+popSeq(VcSlabs &port, unsigned vc)
 {
-    const Flit f = port.pop(vc);
+    const Flit f = port.popFlit(vc);
     if (f.tail)
         PacketPtr::adopt(f.pkt).reset();
     return f.seq;
@@ -38,59 +48,64 @@ popSeq(InputPort &port, unsigned vc)
 
 TEST(InputPort, PushPopFifoOrder)
 {
-    InputPort port(2, 4);
+    VcSlabs port = portSlab(2, 4);
     auto a = makeFlit(0);
     a.seq = 1;
     auto b = makeFlit(0);
     b.seq = 2;
-    port.push(a, 10);
-    port.push(b, 11);
-    EXPECT_EQ(port.occupancy(0), 2u);
-    EXPECT_EQ(port.front(0).seq, 1u);
-    EXPECT_EQ(port.front(0).enqueueCycle, 10u);
+    port.pushFlit(0, a, 10);
+    port.pushFlit(0, b, 11);
+    EXPECT_EQ(port.in[0].ringCount, 2u);
+    EXPECT_EQ(port.frontFlit(0).seq, 1u);
+    EXPECT_EQ(port.frontFlit(0).enqueueCycle, 10u);
+    EXPECT_EQ(port.in[0].headAt, 10u);
     EXPECT_EQ(popSeq(port, 0), 1u);
+    EXPECT_EQ(port.in[0].headAt, 11u);
     EXPECT_EQ(popSeq(port, 0), 2u);
-    EXPECT_TRUE(port.empty(0));
+    EXPECT_EQ(port.in[0].ringCount, 0u);
 }
 
 TEST(InputPort, VcsAreIndependent)
 {
-    InputPort port(3, 2);
-    port.push(makeFlit(0), 0);
-    port.push(makeFlit(2), 0);
-    EXPECT_EQ(port.occupancy(0), 1u);
-    EXPECT_EQ(port.occupancy(1), 0u);
-    EXPECT_EQ(port.occupancy(2), 1u);
-    EXPECT_EQ(port.freeSlots(0), 1u);
-    EXPECT_EQ(port.freeSlots(1), 2u);
-    EXPECT_EQ(port.totalOccupancy(), 2u);
+    VcSlabs port = portSlab(3, 2);
+    port.pushFlit(0, makeFlit(0), 0);
+    port.pushFlit(2, makeFlit(2), 0);
+    EXPECT_EQ(port.in[0].ringCount, 1u);
+    EXPECT_EQ(port.in[1].ringCount, 0u);
+    EXPECT_EQ(port.in[2].ringCount, 1u);
+    EXPECT_EQ(port.depth() - port.in[0].ringCount, 1u);
+    EXPECT_EQ(port.depth() - port.in[1].ringCount, 2u);
+    unsigned total = 0;
+    for (const InVc &v : port.in)
+        total += v.ringCount;
+    EXPECT_EQ(total, 2u);
 }
 
 TEST(InputPort, StateMachineFields)
 {
-    InputPort port(2, 4);
-    EXPECT_EQ(port.state(0), VcState::IDLE);
-    port.setState(0, VcState::ACTIVE);
-    port.setOutPort(0, 3);
-    port.setOutVc(0, 1);
-    EXPECT_EQ(port.state(0), VcState::ACTIVE);
-    EXPECT_EQ(port.outPort(0), 3u);
-    EXPECT_EQ(port.outVc(0), 1u);
-    EXPECT_EQ(port.state(1), VcState::IDLE);
+    VcSlabs port = portSlab(2, 4);
+    EXPECT_EQ(port.in[0].state, VcState::IDLE);
+    port.in[0].state = VcState::ACTIVE;
+    port.in[0].outPort = 3;
+    port.in[0].outVc = 1;
+    EXPECT_EQ(port.in[0].state, VcState::ACTIVE);
+    EXPECT_EQ(port.in[0].outPort, 3u);
+    EXPECT_EQ(port.in[0].outVc, 1u);
+    EXPECT_EQ(port.in[1].state, VcState::IDLE);
 }
 
 TEST(InputPortDeath, OverflowPanics)
 {
-    InputPort port(1, 2);
-    port.push(makeFlit(0), 0);
-    port.push(makeFlit(0), 1);
-    EXPECT_DEATH(port.push(makeFlit(0), 2), "overflow");
+    VcSlabs port = portSlab(1, 2);
+    port.pushFlit(0, makeFlit(0), 0);
+    port.pushFlit(0, makeFlit(0), 1);
+    EXPECT_DEATH(port.pushFlit(0, makeFlit(0), 2), "overflow");
 }
 
 TEST(InputPortDeath, PopEmptyPanics)
 {
-    InputPort port(1, 2);
-    EXPECT_DEATH(port.pop(0), "empty");
+    VcSlabs port = portSlab(1, 2);
+    EXPECT_DEATH(port.popFlit(0), "empty");
 }
 
 } // namespace

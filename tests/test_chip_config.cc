@@ -179,6 +179,22 @@ TEST(ChipConfigDeath, RouterPastItsLimitsIsFatal)
                 " noc.mcEjPorts=70 = 74");
 }
 
+TEST(ChipConfigDeath, VcDepthAboveRingLimitIsFatal)
+{
+    // A router record keeps its ring's head and count in 16 bits.
+    Config cfg;
+    cfg.set("noc.vcDepth", "65536");
+    EXPECT_EXIT(chipParamsFromConfig(cfg), ::testing::ExitedWithCode(1),
+                "noc.vcDepth=65536 exceeds 65535");
+}
+
+TEST(ChipConfig, VcDepthAtRingLimitIsAccepted)
+{
+    Config cfg;
+    cfg.set("noc.vcDepth", "65535");
+    EXPECT_EQ(chipParamsFromConfig(cfg).mesh.vcDepth, 65535u);
+}
+
 TEST(ChipConfigDeath, RetiredFaultKeyIsFatal)
 {
     // Fault injection is gone; a script still setting its keys must

@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <deque>
 #include <map>
+#include <sstream>
 #include <string>
 
 #include "common/rng.hh"
@@ -280,8 +281,10 @@ struct StreamCase
 std::string
 caseName(const StreamCase &c)
 {
-    return "b" + std::to_string(c.banks) + "/q" + std::to_string(c.queue) +
-        "/r" + std::to_string(c.returnCap) + (c.local ? "/high" : "/low");
+    std::ostringstream name;
+    name << "b" << c.banks << "/q" << c.queue << "/r" << c.returnCap
+         << (c.local ? "/high" : "/low");
+    return name.str();
 }
 
 /**

@@ -288,6 +288,9 @@ TEST(DiffConfig, ParseRejectsGarbage)
     EXPECT_NE(err.find("config-space"), std::string::npos) << err;
     // ...and past 64 outputs.
     EXPECT_FALSE(DiffConfig::parse("mcEjPorts = 61\n", out, &err));
+    // ...and rings deeper than a VC record holds.
+    EXPECT_FALSE(DiffConfig::parse("vcDepth = 65536\n", out, &err));
+    EXPECT_TRUE(DiffConfig::parse("vcDepth = 65535\n", out, &err)) << err;
     // Exactly 64 input VCs and 64 outputs are legal.
     EXPECT_TRUE(DiffConfig::parse(
         "protoClasses = 2\nvcsPerClass = 4\nmcInjPorts = 4\n"

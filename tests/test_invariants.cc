@@ -4,15 +4,18 @@
  * executions, and mutation tests prove that each deliberately injected
  * inconsistency (leaked credit, credit lost on the link wheel, wheel
  * entry left past its due cycle, corrupted in-flight counter, router
- * retired from the active set while it still has work, pooled-packet
- * double release) is detected and reported precisely.  Also covers the
+ * retired from the active set while it still has work, a stale cached
+ * field — ring head cycle, VA output mask, NI queued base VC —,
+ * pooled-packet double release) is detected and reported precisely.  Also covers the
  * config-hardening fatal paths (0 VCs, off-mesh MCs, odd sliced flit
  * width, ...) as exit-code tests.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdlib>
+#include <string>
 
 #include "common/log.hh"
 #include "noc/invariants.hh"
@@ -270,6 +273,145 @@ TEST(Invariants, RetiredActiveRouterIsCaught)
     const auto vs = net.checker().audit();
     ASSERT_FALSE(vs.empty());
     EXPECT_TRUE(hasViolation(vs, Violation::Kind::ACTIVITY))
+        << describe(vs);
+}
+
+/** @return true if a violation of `kind` has a message holding `what`. */
+bool
+hasViolationSaying(const std::vector<Violation> &vs, Violation::Kind kind,
+                   const std::string &what)
+{
+    for (const auto &v : vs)
+        if (v.kind == kind && v.message.find(what) != std::string::npos)
+            return true;
+    return false;
+}
+
+TEST(Invariants, StaleRingHeadAtIsCaught)
+{
+    MeshNetworkParams p;
+    MeshNetwork net(p);
+    DropSink sink;
+    attachDropSinks(net, sink);
+    Rng rng(3);
+    Cycle now = 0;
+    // Run until some input VC buffers a flit; find its global record
+    // index (routers take contiguous ranges in node order).
+    const auto &topo = net.topology();
+    std::size_t idx = 0;
+    std::string where;
+    while (where.empty() && now < 2000) {
+        driveTraffic(net, rng, now, 1);
+        std::size_t base = 0;
+        for (NodeId n = 0; n < topo.numNodes() && where.empty(); ++n) {
+            const Router &r = net.router(n);
+            for (unsigned i = 0; i < r.numInputs() * r.numVcs(); ++i) {
+                const unsigned in = i / r.numVcs(), vc = i % r.numVcs();
+                if (r.vcOccupancy(in, vc) != 0) {
+                    idx = base + i;
+                    where = "router " + std::to_string(n) + " input " +
+                        std::to_string(in) + " vc " + std::to_string(vc);
+                    break;
+                }
+            }
+            base += std::size_t{r.numInputs()} * r.numVcs();
+        }
+    }
+    ASSERT_FALSE(where.empty());
+    ASSERT_TRUE(net.checker().audit().empty());
+
+    ++net.vcSlabs().in[idx].headAt;
+    const auto vs = net.checker().audit();
+    EXPECT_TRUE(hasViolationSaying(vs, Violation::Kind::CACHED_FIELD,
+                                   where + ": headAt"))
+        << where << "\n" << describe(vs);
+}
+
+TEST(Invariants, StaleVaOutputMaskIsCaught)
+{
+    MeshNetworkParams p;
+    MeshNetwork net(p);
+    DropSink sink;
+    attachDropSinks(net, sink);
+    Rng rng(3);
+    Cycle now = 0;
+    // Run until a head waits in VC allocation for a busy output VC.
+    Router *r = nullptr;
+    unsigned out = 0;
+    while (!r && now < 5000) {
+        driveTraffic(net, rng, now, 1);
+        for (NodeId n = 0; n < net.topology().numNodes() && !r; ++n) {
+            const auto &reqs = net.router(n).stageMasks().vaReqs;
+            for (unsigned o = 0; o < reqs.size() && !r; ++o) {
+                if (reqs[o] != 0) {
+                    r = &net.router(n);
+                    out = o;
+                }
+            }
+        }
+    }
+    ASSERT_TRUE(r) << "no VC allocation request outlived its cycle";
+    ASSERT_TRUE(net.checker().audit().empty());
+
+    // Dropping the output from the mask would leave its requestors
+    // unvisited forever.
+    r->debugFlipVaOutput(out);
+    const auto requestor = static_cast<unsigned>(
+        std::countr_zero(r->stageMasks().vaReqs[out]));
+    const std::string lacks = "router " + std::to_string(r->id()) +
+        " VA output mask lacks output " + std::to_string(out) +
+        " but input " + std::to_string(requestor / r->numVcs()) +
+        " vc " + std::to_string(requestor % r->numVcs());
+    auto vs = net.checker().audit();
+    EXPECT_TRUE(hasViolationSaying(vs, Violation::Kind::STAGE_MASK, lacks))
+        << lacks << "\n" << describe(vs);
+
+    // And an output with no requestors must not be in it.
+    r->debugFlipVaOutput(out);
+    ASSERT_TRUE(net.checker().audit().empty());
+    unsigned idle = 0;
+    while (r->stageMasks().vaReqs[idle] != 0)
+        ++idle;
+    r->debugFlipVaOutput(idle);
+    vs = net.checker().audit();
+    EXPECT_TRUE(hasViolationSaying(
+        vs, Violation::Kind::STAGE_MASK,
+        "VA output mask holds output " + std::to_string(idle)))
+        << describe(vs);
+}
+
+TEST(Invariants, StaleNiBaseVcIsCaught)
+{
+    MeshNetworkParams p;
+    MeshNetwork net(p);
+    const NodeId mc = net.topology().mcNodes().front();
+    // Two replies wait in the MC's class-1 queue until the next cycle.
+    for (int i = 0; i < 2; ++i) {
+        auto pkt = makePacket();
+        pkt->src = mc;
+        pkt->dst = net.topology().computeNodes().front();
+        pkt->op = MemOp::READ_REPLY;
+        pkt->protoClass = 1;
+        pkt->sizeFlits = net.packetFlits(MemOp::READ_REPLY);
+        pkt->sizeBytes = memOpBytes(MemOp::READ_REPLY);
+        net.inject(std::move(pkt), 0);
+    }
+    ASSERT_TRUE(net.checker().audit().empty());
+
+    // Corrupt the second entry's stored base VC (reply class: VC 1).
+    NiSlabs &s = net.niSlabs();
+    const std::size_t q = std::size_t{mc} * s.classes() + 1;
+    ASSERT_EQ(s.qSize(q), 2u);
+    const std::size_t pos =
+        q * s.injCap() + (s.injQHead[q] + 1) % s.injCap();
+    ASSERT_EQ(s.injQBase[pos], 1u);
+    s.injQBase[pos] = 0;
+    const auto vs = net.checker().audit();
+    EXPECT_TRUE(hasViolationSaying(
+        vs, Violation::Kind::CACHED_FIELD,
+        "NI " + std::to_string(mc) +
+            " class 1 queue entry 1: cached base VC 0 but the packet's"
+            " base VC is 1"))
         << describe(vs);
 }
 

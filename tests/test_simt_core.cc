@@ -549,8 +549,10 @@ TEST(SimtCore, MshrMergeFullWaitsForItsLine)
     // (untried) through the releases of the unrelated lines of warps 2
     // and 3, then issue once its own line is released.
     std::string text = "0 L";
-    for (unsigned k = 0; k < 32; ++k)
-        text += " " + std::to_string(0x1000 + 2 * k);
+    for (unsigned k = 0; k < 32; ++k) {
+        text += ' ';
+        text += std::to_string(0x1000 + 2 * k);
+    }
     text += "\n1 L 0x1000\n2 L 0x2000\n3 L 0x3000\n";
     SpacePort port;
     port.space = 1000;

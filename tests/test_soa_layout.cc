@@ -1,16 +1,17 @@
 /**
  * @file
- * Structure-of-arrays layout suite (noc/slab.hh and its consumers).
+ * Record layout suite (noc/slab.hh and its consumers).
  *
  * The VcSlabs arena is pure storage: every router/VC state machine
- * reads and writes through it, so a layout bug shows up as a stats
+ * reads and writes its records, so a layout bug shows up as a stats
  * divergence somewhere in the scheduler matrix.  Three
  * layers of coverage:
  *   1. arena mechanics — configure() growth and shrink-with-reuse,
- *      release of stale packet references, ring wraparound, and the
- *      out-of-range index assertions armed by TENOC_VALIDATE=1;
- *   2. view independence — InputPort views at different bases of one
- *      arena must not alias;
+ *      release of stale packet references, ring wraparound (with the
+ *      head's enqueue cycle kept in the record), and the out-of-range
+ *      index assertions armed by TENOC_VALIDATE=1;
+ *   2. port independence — the records of two ports at different
+ *      bases of one arena must not alias;
  *   3. sealed stats — the identical seeded workload run with and
  *      without invariant validation, crossed with the semantic axis
  *      (single vs sliced double network); both runs
@@ -24,7 +25,6 @@
 
 #include "common/rng.hh"
 #include "net_digest.hh"
-#include "noc/buffer.hh"
 #include "noc/mesh_network.hh"
 #include "noc/slab.hh"
 
@@ -58,12 +58,16 @@ TEST(VcSlabs, ConfigureSizesAllArrays)
     EXPECT_EQ(slabs.numOutputVcs(), 10u);
     EXPECT_EQ(slabs.depth(), 4u);
     EXPECT_EQ(slabs.flits.size(), 24u);
-    EXPECT_EQ(slabs.inState.size(), 6u);
-    EXPECT_EQ(slabs.inBaseVc.size(), 6u);
-    EXPECT_EQ(slabs.outCredits.size(), 10u);
+    EXPECT_EQ(slabs.in.size(), 6u);
+    EXPECT_EQ(slabs.out.size(), 10u);
     for (std::size_t i = 0; i < slabs.numInputVcs(); ++i) {
-        EXPECT_EQ(slabs.inState[i], VcState::IDLE);
-        EXPECT_EQ(slabs.ringCount[i], 0u);
+        EXPECT_EQ(slabs.in[i].state, VcState::IDLE);
+        EXPECT_EQ(slabs.in[i].ringCount, 0u);
+        EXPECT_EQ(slabs.in[i].baseVc, 0u);
+    }
+    for (std::size_t o = 0; o < slabs.numOutputVcs(); ++o) {
+        EXPECT_EQ(slabs.out[o].credits, 0u);
+        EXPECT_EQ(slabs.out[o].owned, 0u);
     }
 }
 
@@ -76,27 +80,56 @@ TEST(VcSlabs, RingWrapsAroundThroughSteadyState)
     for (unsigned round = 0; round < 7; ++round) {
         auto f = makeFlit(1);
         f.seq = next_seq++;
-        slabs.pushFlit(1, f);
+        slabs.pushFlit(1, f, round);
         if (round >= 1) {
             const Flit popped = slabs.popFlit(1);
             EXPECT_EQ(popped.seq, next_seq - 2);
             PacketPtr::adopt(popped.pkt).reset(); // the popper's
         }
     }
-    EXPECT_EQ(slabs.ringCount[1], 1u);
+    EXPECT_EQ(slabs.in[1].ringCount, 1u);
     EXPECT_EQ(slabs.frontFlit(1).seq, next_seq - 1);
     // Ring 0 was never touched.
-    EXPECT_EQ(slabs.ringCount[0], 0u);
+    EXPECT_EQ(slabs.in[0].ringCount, 0u);
+}
+
+TEST(VcSlabs, HeadAtFollowsHeadThroughRingWrap)
+{
+    VcSlabs slabs;
+    slabs.configure(1, 0, 3);
+    // Keep two or three flits buffered while the head index wraps
+    // several times; headAt must always be the front flit's enqueue
+    // cycle, which here is its seq.
+    std::uint32_t pushed = 0;
+    auto push = [&] {
+        auto f = makeFlit(0);
+        f.seq = ++pushed;
+        slabs.pushFlit(0, f, pushed);
+    };
+    push();
+    push();
+    for (unsigned round = 0; round < 10; ++round) {
+        if (round % 2 == 0)
+            push();
+        const Flit popped = slabs.popFlit(0);
+        PacketPtr::adopt(popped.pkt).reset(); // the popper's
+        ASSERT_NE(slabs.in[0].ringCount, 0u);
+        EXPECT_EQ(slabs.in[0].headAt, slabs.frontFlit(0).enqueueCycle);
+        EXPECT_EQ(slabs.in[0].headAt, popped.seq + 1u);
+        if (slabs.in[0].ringCount == 1)
+            push();
+    }
+    EXPECT_GT(pushed, 3u * slabs.depth()); // the head wrapped
 }
 
 TEST(VcSlabs, ReconfigureGrowsAndShrinksWithStateReset)
 {
     VcSlabs slabs;
     slabs.configure(4, 4, 2);
-    slabs.inState[3] = VcState::ACTIVE;
-    slabs.outOwned[2] = 1;
-    slabs.outCredits[1] = 7;
-    slabs.pushFlit(0, makeFlit(0));
+    slabs.in[3].state = VcState::ACTIVE;
+    slabs.out[2].owned = 1;
+    slabs.out[1].credits = 7;
+    slabs.pushFlit(0, makeFlit(0), 0);
 
     // Grow: more VCs, deeper rings.
     slabs.configure(16, 8, 5);
@@ -104,12 +137,12 @@ TEST(VcSlabs, ReconfigureGrowsAndShrinksWithStateReset)
     EXPECT_EQ(slabs.depth(), 5u);
     EXPECT_EQ(slabs.flits.size(), 80u);
     for (std::size_t i = 0; i < 16; ++i) {
-        EXPECT_EQ(slabs.inState[i], VcState::IDLE);
-        EXPECT_EQ(slabs.ringCount[i], 0u);
+        EXPECT_EQ(slabs.in[i].state, VcState::IDLE);
+        EXPECT_EQ(slabs.in[i].ringCount, 0u);
     }
     for (std::size_t o = 0; o < 8; ++o) {
-        EXPECT_EQ(slabs.outOwned[o], 0u);
-        EXPECT_EQ(slabs.outCredits[o], 0u);
+        EXPECT_EQ(slabs.out[o].owned, 0u);
+        EXPECT_EQ(slabs.out[o].credits, 0u);
     }
 
     // Shrink back below the original size: capacity is reused, state
@@ -117,8 +150,8 @@ TEST(VcSlabs, ReconfigureGrowsAndShrinksWithStateReset)
     slabs.configure(2, 2, 1);
     EXPECT_EQ(slabs.numInputVcs(), 2u);
     EXPECT_EQ(slabs.flits.size(), 2u);
-    EXPECT_EQ(slabs.inState[0], VcState::IDLE);
-    EXPECT_EQ(slabs.ringCount[1], 0u);
+    EXPECT_EQ(slabs.in[0].state, VcState::IDLE);
+    EXPECT_EQ(slabs.in[1].ringCount, 0u);
 }
 
 TEST(VcSlabs, ReconfigureReleasesStalePacketReferences)
@@ -130,7 +163,7 @@ TEST(VcSlabs, ReconfigureReleasesStalePacketReferences)
     Flit f;
     f.pkt = PacketPtr(pkt).detach(); // a second reference, the tail's
     f.head = f.tail = true;
-    slabs.pushFlit(0, f);
+    slabs.pushFlit(0, f, 0);
     ASSERT_EQ(pkt.use_count(), 2u);
     // A reused arena must not pin packets from the previous
     // configuration alive.
@@ -143,7 +176,7 @@ TEST(VcSlabsDeathTest, ValidateArmsOutOfRangeChecks)
     VcSlabs slabs;
     slabs.configure(2, 2, 2);
     slabs.setValidate(true);
-    EXPECT_DEATH(slabs.pushFlit(5, makeFlit(0)), "out of range");
+    EXPECT_DEATH(slabs.pushFlit(5, makeFlit(0), 0), "out of range");
     EXPECT_DEATH(slabs.popFlit(9), "out of range");
 }
 
@@ -151,44 +184,53 @@ TEST(VcSlabsDeathTest, OverflowPanicsEvenWithoutValidate)
 {
     VcSlabs slabs;
     slabs.configure(1, 0, 1);
-    slabs.pushFlit(0, makeFlit(0));
+    slabs.pushFlit(0, makeFlit(0), 0);
     // The credit protocol assert stays on in every build: overflow is
     // memory corruption in ring storage.
-    EXPECT_DEATH(slabs.pushFlit(0, makeFlit(0)), "overflow");
+    EXPECT_DEATH(slabs.pushFlit(0, makeFlit(0), 1), "overflow");
 }
 
 // --------------------------------------------------------------------
-// 2. View independence
+// 2. Port independence
 // --------------------------------------------------------------------
 
 TEST(VcSlabs, PortViewsAtDifferentBasesDoNotAlias)
 {
     VcSlabs slabs;
     slabs.configure(6, 0, 3);
-    InputPort a(slabs, 0, 2, 3); // VCs [0, 2)
-    InputPort b(slabs, 2, 4, 3); // VCs [2, 6)
+    // Port a holds VCs [0, 2), port b VCs [2, 6); VC 1 of each is at
+    // global index 1 and 3.
+    const std::size_t a1 = 0 + 1, b1 = 2 + 1;
+    auto occupancy = [&](std::size_t first, std::size_t end) {
+        unsigned n = 0;
+        for (std::size_t i = first; i < end; ++i)
+            n += slabs.in[i].ringCount;
+        return n;
+    };
 
     auto fa = makeFlit(1);
     fa.seq = 11;
-    a.push(fa, 5);
+    slabs.pushFlit(a1, fa, 5);
     auto fb = makeFlit(1);
     fb.seq = 22;
-    b.push(fb, 6);
-    a.setState(1, VcState::ACTIVE);
-    b.setState(1, VcState::VC_ALLOC);
-    b.setBaseVc(1, 3);
+    slabs.pushFlit(b1, fb, 6);
+    slabs.in[a1].state = VcState::ACTIVE;
+    slabs.in[b1].state = VcState::VC_ALLOC;
+    slabs.in[b1].baseVc = 3;
 
-    EXPECT_EQ(a.front(1).seq, 11u);
-    EXPECT_EQ(b.front(1).seq, 22u);
-    EXPECT_EQ(a.state(1), VcState::ACTIVE);
-    EXPECT_EQ(b.state(1), VcState::VC_ALLOC);
-    EXPECT_EQ(b.baseVc(1), 3u);
-    EXPECT_EQ(a.totalOccupancy(), 1u);
-    EXPECT_EQ(b.totalOccupancy(), 1u);
-    // The underlying slots are the global indices 1 and 3.
-    EXPECT_EQ(slabs.ringCount[1], 1u);
-    EXPECT_EQ(slabs.ringCount[3], 1u);
-    EXPECT_EQ(slabs.ringCount[0], 0u);
+    EXPECT_EQ(slabs.frontFlit(a1).seq, 11u);
+    EXPECT_EQ(slabs.frontFlit(b1).seq, 22u);
+    EXPECT_EQ(slabs.in[a1].headAt, 5u);
+    EXPECT_EQ(slabs.in[b1].headAt, 6u);
+    EXPECT_EQ(slabs.in[a1].state, VcState::ACTIVE);
+    EXPECT_EQ(slabs.in[b1].state, VcState::VC_ALLOC);
+    EXPECT_EQ(slabs.in[b1].baseVc, 3u);
+    EXPECT_EQ(slabs.in[a1].baseVc, 0u);
+    EXPECT_EQ(occupancy(0, 2), 1u);
+    EXPECT_EQ(occupancy(2, 6), 1u);
+    EXPECT_EQ(slabs.in[1].ringCount, 1u);
+    EXPECT_EQ(slabs.in[3].ringCount, 1u);
+    EXPECT_EQ(slabs.in[0].ringCount, 0u);
 }
 
 // --------------------------------------------------------------------
