@@ -5,20 +5,22 @@
  * saturation.  Writes BENCH_noc_speed.json so the simulator's
  * performance trajectory is tracked across commits (see
  * docs/performance.md).
+ *
+ * Usage: noc_speed [scale] [--profile] [--compare FILE]
  */
 
-#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "accel/experiments.hh"
+#include "common/log.hh"
 #include "common/rng.hh"
 #include "noc/mesh_network.hh"
 #include "telemetry/json.hh"
@@ -56,18 +58,12 @@ struct NullSink : PacketSink
 /**
  * Runs `cycles` interconnect cycles of many-to-few request traffic
  * (each compute node injects a 1-flit packet to a random MC with
- * probability `load` per cycle) and times the loop.  `dim` scales the
- * mesh (the mesh sweep runs 8x8 and up).
+ * probability `load` per cycle) and times the loop.
  */
 SpeedPoint
-runPoint(double load, Cycle cycles, unsigned dim = 6)
+runPoint(double load, Cycle cycles)
 {
     MeshNetworkParams p; // defaults = 6x6 Table III baseline
-    if (dim != 6) {
-        p.topo.rows = dim;
-        p.topo.cols = dim;
-        p.topo.numMcs = dim;
-    }
     MeshNetwork net(p);
     PhaseProfile profile;
     if (g_profile)
@@ -163,27 +159,12 @@ printPoint(const SpeedPoint &pt)
 }
 
 /**
- * Huge-mesh scaling sweep (`--mesh-sweep`): runs the identical
- * many-to-few workload at a fixed 0.1 flits/node/cycle injection rate
- * on 8x8 through 64x64 meshes (128x128 with `--huge`; it takes a
- * while) and reports the size-normalized simulation throughput
- * `cycles_per_sec_per_router` — aggregate router-cycles simulated per
- * wall second (icnt cycles/sec x routers).  The structure-of-arrays
- * hot path keeps this roughly flat as the mesh grows; a drop at large
- * dims means the per-router cost regressed.  Cycle counts shrink with
- * the router count so every point does comparable total work.
- */
-int
-runMeshSweep(bool huge, double scale, const std::string &compare_path);
-
-/**
  * Regression gate (`--compare baseline.json`): matches the measured
  * points against a previously written BENCH_noc_speed.json on load
  * and fails if any point's cycles/second dropped more than the
- * tolerance (default 15%, override with TENOC_SPEED_TOLERANCE).
- * Baselines written while a reference full-tick scheduler still
- * existed also hold `"scheduler": "full_tick"` rows; those are
- * skipped.  Compare against a baseline captured on the same machine —
+ * tolerance (default 15%, override with TENOC_SPEED_TOLERANCE, a
+ * fraction in (0, 1)).  Compare against a baseline captured on the
+ * same machine —
  * absolute simulation rates do not transfer between hosts
  * (bench/baselines/ holds a reference-shape example; CI regenerates
  * its own).
@@ -219,9 +200,13 @@ compareBaseline(const std::string &path,
 
     double tolerance = 0.15;
     if (const char *env = std::getenv("TENOC_SPEED_TOLERANCE")) {
-        const double v = std::atof(env);
-        if (v > 0.0 && v < 1.0)
+        char *end = nullptr;
+        const double v = std::strtod(env, &end);
+        if (end != env && *end == '\0' && v > 0.0 && v < 1.0)
             tolerance = v;
+        else
+            warn("ignoring invalid TENOC_SPEED_TOLERANCE='", env,
+                 "' (want a fraction in (0, 1))");
     }
 
     std::printf("\ncomparing against %s (tolerance -%.0f%%):\n",
@@ -234,11 +219,8 @@ compareBaseline(const std::string &path,
             if (!bp.isObject())
                 continue;
             const JsonValue *load = bp.find("load");
-            const JsonValue *scheduler = bp.find("scheduler");
             if (load && load->isNumber() &&
-                load->asNumber() == pt.load &&
-                !(scheduler && scheduler->isString() &&
-                  scheduler->asString() == "full_tick")) {
+                load->asNumber() == pt.load) {
                 base = &bp;
                 break;
             }
@@ -276,192 +258,6 @@ compareBaseline(const std::string &path,
     return 0;
 }
 
-/** One measured mesh-sweep row: (dim, load) keys a baseline point. */
-struct MeshRate
-{
-    unsigned dim;
-    double load;
-    double perRouter;
-};
-
-/**
- * Mesh-sweep regression gate: matches baseline points on (dim, load)
- * and fails when `cycles_per_sec_per_router` dropped more than the
- * tolerance (TENOC_SPEED_TOLERANCE, default 15%).  Small meshes are
- * noisy in shared-runner CI, so only dims at or above the gate dim
- * (TENOC_MESH_GATE_DIM, default 32) fail the run; smaller points are
- * reported informationally.  Baselines written before the high-load
- * row existed carry no `load` field; those legacy points only match
- * the default low-load rows.
- */
-int
-compareMeshBaseline(const std::string &path,
-                    const std::vector<MeshRate> &current)
-{
-    using telemetry::JsonValue;
-
-    std::ifstream is(path);
-    if (!is) {
-        std::fprintf(stderr, "noc_speed: cannot open baseline '%s'\n",
-                     path.c_str());
-        return 1;
-    }
-    std::string text((std::istreambuf_iterator<char>(is)),
-                     std::istreambuf_iterator<char>());
-    JsonValue doc;
-    std::string err;
-    if (!JsonValue::parse(text, doc, &err) || !doc.isObject()) {
-        std::fprintf(stderr, "noc_speed: bad baseline '%s': %s\n",
-                     path.c_str(), err.c_str());
-        return 1;
-    }
-    const JsonValue *points = doc.find("points");
-    if (!points || !points->isArray()) {
-        std::fprintf(stderr,
-                     "noc_speed: baseline '%s' has no points array\n",
-                     path.c_str());
-        return 1;
-    }
-
-    double tolerance = 0.15;
-    if (const char *env = std::getenv("TENOC_SPEED_TOLERANCE")) {
-        const double v = std::atof(env);
-        if (v > 0.0 && v < 1.0)
-            tolerance = v;
-    }
-    unsigned gate_dim = 32;
-    if (const char *env = std::getenv("TENOC_MESH_GATE_DIM")) {
-        const long v = std::atol(env);
-        if (v >= 0)
-            gate_dim = static_cast<unsigned>(v);
-    }
-
-    std::printf("\ncomparing against %s (tolerance -%.0f%%, gating "
-                "dims >= %u):\n",
-                path.c_str(), tolerance * 100.0, gate_dim);
-    int failures = 0;
-    unsigned matched = 0;
-    for (const auto &[dim, load, rate] : current) {
-        const JsonValue *base = nullptr;
-        for (const JsonValue &bp : points->asArray()) {
-            if (!bp.isObject())
-                continue;
-            const JsonValue *bdim = bp.find("dim");
-            if (!bdim || !bdim->isNumber() ||
-                static_cast<unsigned>(bdim->asNumber()) != dim)
-                continue;
-            const JsonValue *bload = bp.find("load");
-            if (!bload || !bload->isNumber() ||
-                bload->asNumber() != load)
-                continue;
-            base = &bp;
-            break;
-        }
-        if (!base) {
-            std::printf("  %3ux%-3u @%.2f: no baseline point, "
-                        "skipped\n",
-                        dim, dim, load);
-            continue;
-        }
-        const JsonValue *brate = base->find("cycles_per_sec_per_router");
-        if (!brate || !brate->isNumber() || brate->asNumber() <= 0.0)
-            continue;
-        ++matched;
-        const double ratio = rate / brate->asNumber();
-        const bool gated = dim >= gate_dim;
-        const bool bad = gated && ratio < 1.0 - tolerance;
-        std::printf("  %3ux%-3u @%.2f: %.3e vs %.3e router-cycles/s "
-                    "(%+.1f%%)%s%s\n",
-                    dim, dim, load, rate, brate->asNumber(),
-                    (ratio - 1.0) * 100.0,
-                    gated ? "" : "  [informational]",
-                    bad ? "  REGRESSION" : "");
-        if (bad)
-            ++failures;
-    }
-    if (matched == 0) {
-        std::fprintf(stderr, "noc_speed: no baseline points matched — "
-                             "stale baseline file?\n");
-        return 1;
-    }
-    if (failures != 0) {
-        std::fprintf(stderr, "noc_speed: %d mesh point(s) regressed "
-                             "more than %.0f%% in router-cycles/"
-                             "second\n",
-                     failures, tolerance * 100.0);
-        return 1;
-    }
-    std::printf("  all %u matched point(s) within tolerance\n",
-                matched);
-    return 0;
-}
-
-int
-runMeshSweep(bool huge, double scale, const std::string &compare_path)
-{
-    using telemetry::JsonValue;
-
-    // Low-load scaling row at every dim, plus one saturated row
-    // (0.4 flits/node/cycle) at the gate dim: low load exercises the
-    // active sets and arrival wheel, saturation the allocator and NI
-    // hot paths — a regression in either shows up in its own row.
-    const double LOAD = 0.1;
-    const double HIGH_LOAD = 0.4;
-    std::vector<unsigned> dims = {8, 16, 32, 64};
-    if (huge)
-        dims.push_back(128);
-
-    std::printf("noc_speed --mesh-sweep: %.2f flits/node/cycle, "
-                "8x8..%ux%u mesh (scale %.2f), plus %.2f at 64x64\n",
-                LOAD, dims.back(), dims.back(), scale, HIGH_LOAD);
-
-    JsonValue doc = JsonValue::makeObject();
-    doc.set("benchmark", JsonValue("noc_speed"));
-    doc.set("mode", JsonValue("mesh_sweep"));
-    doc.set("topology", JsonValue("mesh"));
-    doc.set("load", JsonValue(LOAD));
-    doc.set("scale", JsonValue(scale));
-    JsonValue points = JsonValue::makeArray();
-    std::vector<MeshRate> rates;
-    std::vector<std::pair<unsigned, double>> rows;
-    for (const unsigned dim : dims)
-        rows.emplace_back(dim, LOAD);
-    rows.emplace_back(64, HIGH_LOAD);
-    for (const auto &[dim, load] : rows) {
-        // Constant total router-cycles per point: the 64x64 budget of
-        // 2000 cycles scales up as the mesh shrinks.
-        const double budget = 2000.0 * scale * (64.0 * 64.0) /
-                              (static_cast<double>(dim) * dim);
-        const auto cycles =
-            std::max<Cycle>(100, static_cast<Cycle>(budget));
-        const auto pt = runPoint(load, cycles, dim);
-        const auto routers = static_cast<double>(dim) * dim;
-        const double per_router = pt.cyclesPerSec * routers;
-        rates.push_back(MeshRate{dim, load, per_router});
-        std::printf("  %3ux%-3u @%.2f %8llu cycles %12.3e cycles/s "
-                    "%12.3e router-cycles/s (%.2fs wall)\n",
-                    dim, dim, load,
-                    static_cast<unsigned long long>(pt.cycles),
-                    pt.cyclesPerSec, per_router, pt.wallSeconds);
-        printProfile(pt.profile);
-
-        JsonValue v = pointJson(pt);
-        v.set("dim", JsonValue(std::uint64_t{dim}));
-        v.set("routers",
-              JsonValue(static_cast<std::uint64_t>(routers)));
-        v.set("cycles_per_sec_per_router", JsonValue(per_router));
-        points.push(v);
-    }
-    doc.set("points", points);
-    std::ofstream os("BENCH_noc_speed.json");
-    doc.write(os);
-    os << "\n";
-    std::printf("\nwrote BENCH_noc_speed.json\n");
-    if (!compare_path.empty())
-        return compareMeshBaseline(compare_path, rates);
-    return 0;
-}
-
 } // namespace
 
 int
@@ -470,31 +266,32 @@ main(int argc, char **argv)
     using namespace tenoc;
 
     // TENOC_SCALE (or a positional number) shortens the run for CI
-    // smoke tests; --mesh-sweep [--huge] switches to the 8x8..64x64
-    // (..128x128) scaling sweep; --compare FILE gates on a prior
-    // BENCH_noc_speed.json of the same mode.
+    // smoke tests; --compare FILE gates on a prior
+    // BENCH_noc_speed.json.  Anything else is fatal.
     double scale = envScale(1.0);
-    bool mesh_sweep = false;
-    bool mesh_huge = false;
     std::string compare_path;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--mesh-sweep") {
-            mesh_sweep = true;
-        } else if (arg == "--profile") {
+        if (arg == "--profile") {
             g_profile = true;
-        } else if (arg == "--huge") {
-            mesh_huge = true;
-        } else if (arg == "--compare" && i + 1 < argc) {
-            compare_path = argv[++i];
-        } else {
-            const double v = std::atof(arg.c_str());
-            if (v > 0.0)
-                scale = v;
+            continue;
         }
+        if (arg == "--compare" && i + 1 < argc) {
+            compare_path = argv[++i];
+            continue;
+        }
+        char *end = nullptr;
+        const double v = std::strtod(argv[i], &end);
+        if (end == argv[i] || *end != '\0' || !(v > 0.0) ||
+            !std::isfinite(v)) {
+            const std::string why = arg == "--compare"
+                ? "--compare needs a path"
+                : "unknown argument '" + arg + "'";
+            tenoc_fatal(why, "; usage: noc_speed [scale] [--profile] "
+                             "[--compare FILE]");
+        }
+        scale = v;
     }
-    if (mesh_sweep)
-        return runMeshSweep(mesh_huge, scale, compare_path);
     const auto low_cycles =
         static_cast<Cycle>(200000 * scale);
     const auto sat_cycles =

@@ -1,39 +1,64 @@
 /**
  * @file
- * Config-file-driven simulator front end.
+ * Config-file-driven simulator front end, and the telemetry front end.
  *
  * Reads a dotted-key configuration (file and/or key=value command-line
  * overrides), runs one workload or the whole Table I suite closed-
  * loop, and prints results plus (optionally) a full statistics dump.
  *
  * Usage:
- *   tenoc_sim [config-file] [key=value ...]
+ *   tenoc_sim [config-file | -] [key=value ...] [telemetry flags]
  *
  * Extra keys on top of chipParamsFromConfig():
  *   workload = BFS | ... | suite   (default "suite")
  *   scale    = kernel-length scale (default 1.0)
  *   stats    = true to dump detailed statistics
  *
- * Exits 2 when any run hits the icnt cycle cap (sim.maxIcntCycles),
- * like micro_simulator, so scripts can fail on a timed-out run.
+ * Telemetry flags (docs/telemetry.md) instrument a one-workload run:
+ *   --stats-json PATH  --interval-csv PATH  --interval CYCLES
+ *   --trace PATH       --trace-sample N
+ * The output files carry the canonical hash of the run's whole
+ * configuration (config_hash).  Any other `--` argument, a telemetry
+ * flag with workload=suite, or an output file that cannot be written
+ * fails the run with exit 1.
  *
- * Example:
+ * Exits 2 when any run hits the icnt cycle cap (sim.maxIcntCycles),
+ * so scripts can fail on a timed-out run.
+ *
+ * Examples:
  *   tenoc_sim - workload=BFS base=thr-eff noc.mcInjPorts=2 scale=0.5
+ *   tenoc_sim - workload=MM scale=0.02 --stats-json m.json \
+ *       --interval-csv m.csv --trace t.json
  */
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 
 #include "accel/experiments.hh"
+#include "telemetry/telemetry.hh"
 
 using namespace tenoc;
 
 int
 main(int argc, char **argv)
 {
+    // Telemetry flags come out of argv first; what is left is the
+    // config file and the key=value overrides.
+    telemetry::TelemetryConfig tcfg =
+        telemetry::parseTelemetryFlags(argc, argv);
+    for (int i = 1; i < argc; ++i) {
+        if (std::strncmp(argv[i], "--", 2) == 0)
+            tenoc_fatal("unknown flag '", argv[i], "'; usage: tenoc_sim "
+                        "[config-file | -] [key=value ...] "
+                        "[--stats-json PATH] [--interval-csv PATH] "
+                        "[--interval CYCLES] [--trace PATH] "
+                        "[--trace-sample N]");
+    }
+
     Config cfg;
     int first_kv = 1;
     if (argc > 1 && std::string(argv[1]).find('=') == std::string::npos
@@ -54,6 +79,9 @@ main(int argc, char **argv)
     const std::string workload = cfg.getString("workload", "suite");
     const double scale = cfg.getDouble("scale", 1.0);
     const bool dump_stats = cfg.getBool("stats", false);
+    if (tcfg.any() && workload == "suite")
+        tenoc_fatal("telemetry flags need one workload=, not the suite");
+    tcfg.configHash = cfg.canonicalHashHex();
 
     // Strip front-end keys before handing off to the chip builder.
     Config chip_cfg;
@@ -84,6 +112,7 @@ main(int argc, char **argv)
     };
 
     bool timed_out = false;
+    bool wrote = true;
     if (workload == "suite") {
         const auto runs = runSuite(params, scale);
         for (const auto &r : runs) {
@@ -98,7 +127,12 @@ main(int argc, char **argv)
         SuiteRun r;
         r.abbr = profile.abbr;
         r.cls = profile.expectedClass;
-        r.result = runWorkload(params, profile);
+        Chip chip(params, profile);
+        telemetry::TelemetryHub hub(tcfg);
+        if (tcfg.any())
+            chip.attachTelemetry(hub);
+        r.result = chip.run();
+        wrote = hub.writeOutputs(&chip.statGroup());
         report(r);
         timed_out = r.result.timedOut;
         if (dump_stats) {
@@ -125,5 +159,7 @@ main(int argc, char **argv)
                         r.result.dramRowHitRate);
         }
     }
+    if (!wrote)
+        return 1;
     return timed_out ? 2 : 0;
 }

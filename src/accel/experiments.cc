@@ -9,7 +9,6 @@
 #include <cstdlib>
 
 #include "common/log.hh"
-#include "telemetry/telemetry.hh"
 
 namespace tenoc
 {
@@ -17,20 +16,8 @@ namespace tenoc
 ChipResult
 runWorkload(const ChipParams &params, const KernelProfile &profile)
 {
-    return runWorkload(params, profile, nullptr);
-}
-
-ChipResult
-runWorkload(const ChipParams &params, const KernelProfile &profile,
-            telemetry::TelemetryHub *hub)
-{
     Chip chip(params, profile);
-    if (hub)
-        chip.attachTelemetry(*hub);
-    ChipResult result = chip.run();
-    if (hub)
-        hub->writeOutputs(&chip.statGroup());
-    return result;
+    return chip.run();
 }
 
 std::vector<SuiteRun>

@@ -20,16 +20,6 @@ ChipResult runWorkload(const ChipParams &params,
                        const KernelProfile &profile);
 
 /**
- * Runs one workload with telemetry: attaches `hub` to the chip before
- * the run and writes every requested output file afterwards (the
- * metrics export uses the chip's full StatGroup hierarchy).  A null
- * hub behaves exactly like the plain overload.
- */
-ChipResult runWorkload(const ChipParams &params,
-                       const KernelProfile &profile,
-                       telemetry::TelemetryHub *hub);
-
-/**
  * Runs the full suite.  `scale` shrinks kernel lengths for quick runs
  * (1.0 = full length).
  */

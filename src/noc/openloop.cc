@@ -10,7 +10,6 @@
 
 #include "common/log.hh"
 #include "noc/traffic.hh"
-#include "telemetry/telemetry.hh"
 
 namespace tenoc
 {
@@ -33,14 +32,6 @@ runOpenLoop(const OpenLoopParams &params)
     // configured.
     MeshNetwork net(net_params);
     const Topology &topo = net.topology();
-
-    if (params.telemetry) {
-        net.attachTelemetry(*params.telemetry);
-        // Warmup cycles land in a dedicated leading interval row so no
-        // measurement window mixes warmup and measured traffic.
-        if (auto *sampler = params.telemetry->sampler())
-            sampler->alignTo(params.warmupCycles);
-    }
 
     // One independent stream per source: a node's Bernoulli draws and
     // destination picks depend only on (seed, node), never on how many
@@ -90,8 +81,6 @@ runOpenLoop(const OpenLoopParams &params)
         for (auto &m : mcs)
             m->cycle(now);
         net.cycle(now);
-        if (params.telemetry)
-            params.telemetry->tick(now);
 
         if (now == measure_end) {
             for (auto &s : sources) {
@@ -100,9 +89,6 @@ runOpenLoop(const OpenLoopParams &params)
             }
         }
     }
-    if (params.telemetry)
-        params.telemetry->finish(now);
-
     // If tagged traffic never fully drained we are far past saturation.
     for (auto &s : sources)
         if (s->queueDepth() > 0)

@@ -33,12 +33,6 @@ struct OpenLoopParams
      *  queueing). */
     double saturationLatency = 300.0;
     std::uint64_t seed = 12345;
-    /**
-     * Optional telemetry hub: attached to the network, aligned so the
-     * interval CSV's warmup cycles land in a dedicated leading row, and
-     * ticked/finished by the harness.  Not owned.
-     */
-    telemetry::TelemetryHub *telemetry = nullptr;
 };
 
 /** Results of one open-loop run. */

@@ -70,24 +70,8 @@ IntervalSampler::emitRow(Cycle start, Cycle end)
 }
 
 void
-IntervalSampler::alignTo(Cycle origin)
-{
-    tenoc_assert(rows_.empty() && window_start_ == 0,
-                 "alignTo must precede the first recorded row");
-    origin_ = origin;
-}
-
-void
 IntervalSampler::advanceTo(Cycle now)
 {
-    if (window_start_ < origin_) {
-        if (now < origin_)
-            return;
-        // Close out warmup as its own row so measurement windows start
-        // exactly at the origin boundary.
-        emitRow(window_start_, origin_);
-        window_start_ = origin_;
-    }
     while (now - window_start_ >= window_) {
         emitRow(window_start_, window_start_ + window_);
         window_start_ += window_;

@@ -60,17 +60,6 @@ class IntervalSampler
                         VectorProbe fn);
 
     /**
-     * Anchors window boundaries to `origin` instead of cycle 0, so a
-     * harness with a warmup phase can make its measurement window start
-     * coincide with a row boundary.  Cycles [0, origin) are emitted as
-     * one dedicated warmup row (keeping counter deltas exhaustive: the
-     * column sums still equal the final totals), and regular windows
-     * run [origin, origin+window), ...  Must be called before any row
-     * has been recorded.
-     */
-    void alignTo(Cycle origin);
-
-    /**
      * Advances to `now` (driving-domain cycles); emits one row per
      * window boundary crossed since the last call.  Cheap when no
      * boundary is crossed (one comparison).
@@ -78,8 +67,7 @@ class IntervalSampler
     void
     tick(Cycle now)
     {
-        if (window_start_ < origin_ ? now >= origin_
-                                    : now - window_start_ >= window_)
+        if (now - window_start_ >= window_)
             advanceTo(now);
     }
 
@@ -122,8 +110,6 @@ class IntervalSampler
 
     Cycle window_;
     Cycle window_start_ = 0;
-    /** First aligned window boundary; [0, origin_) is the warmup row. */
-    Cycle origin_ = 0;
     std::vector<std::string> columns_;
     std::vector<ProbeEntry> probes_;
     std::vector<Row> rows_;

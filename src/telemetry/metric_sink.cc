@@ -1,11 +1,10 @@
 /**
  * @file
- * JsonMetricSink implementation.
+ * tenoc-metrics-v1 export.
  */
 
 #include "telemetry/metric_sink.hh"
 
-#include <fstream>
 #include <functional>
 
 namespace tenoc::telemetry
@@ -60,7 +59,7 @@ walk(const StatGroup &g, const std::string &prefix,
 } // namespace
 
 JsonValue
-JsonMetricSink::toJson(const StatGroup &root)
+metricsToJson(const StatGroup &root)
 {
     JsonValue doc = JsonValue::makeObject();
     doc.set("schema", "tenoc-metrics-v1");
@@ -91,23 +90,6 @@ JsonMetricSink::toJson(const StatGroup &root)
     doc.set("metrics", std::move(metrics));
     doc.set("histograms", std::move(histograms));
     return doc;
-}
-
-void
-JsonMetricSink::write(const StatGroup &root, std::ostream &os)
-{
-    toJson(root).write(os, 2);
-    os << "\n";
-}
-
-bool
-writeMetricsFile(const StatGroup &root, const std::string &path)
-{
-    std::ofstream os(path);
-    if (!os)
-        return false;
-    JsonMetricSink().write(root, os);
-    return static_cast<bool>(os);
 }
 
 } // namespace tenoc::telemetry

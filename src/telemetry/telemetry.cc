@@ -20,7 +20,8 @@ namespace
 /**
  * Matches `--name value` / `--name=value` at argv[i].
  * @return true and sets `value` (advancing `i` past a separate value
- *         argument) on a match.
+ *         argument) on a match.  A matched flag with no value is
+ *         fatal.
  */
 bool
 matchFlag(int argc, char **argv, int &i, const char *name,
@@ -35,21 +36,31 @@ matchFlag(int argc, char **argv, int &i, const char *name,
     const char *rest = arg + 2 + name_len;
     if (*rest == '=') {
         value = rest + 1;
-        return true;
-    }
-    if (*rest == '\0') {
+    } else if (*rest == '\0') {
         // A following "--..." argument is another flag, not a value:
         // --stats-json --trace t.json must not eat --trace.
-        if (i + 1 >= argc ||
-            std::strncmp(argv[i + 1], "--", 2) == 0) {
-            warn("telemetry flag --", name, " needs a value; ignored");
-            value.clear();
-            return true;
-        }
-        value = argv[++i];
-        return true;
+        if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
+            value = argv[++i];
+    } else {
+        return false; // prefix of a longer flag (e.g. --interval-csv)
     }
-    return false; // prefix of a longer flag (e.g. --interval-csv)
+    if (value.empty())
+        tenoc_fatal("telemetry flag --", name, " needs a value");
+    return true;
+}
+
+/** Parses the value of a count flag: a whole number >= 1, or fatal. */
+std::uint64_t
+countValue(const char *name, const std::string &value)
+{
+    char *end = nullptr;
+    const unsigned long long n =
+        std::strtoull(value.c_str(), &end, 10);
+    if (end == value.c_str() || *end != '\0' || value[0] == '-' ||
+        n < 1)
+        tenoc_fatal("telemetry flag --", name, " wants a whole number "
+                    ">= 1, got '", value, "'");
+    return n;
 }
 
 } // namespace
@@ -67,19 +78,11 @@ parseTelemetryFlags(int &argc, char **argv)
         if (matchFlag(argc, argv, i, "interval-csv", value)) {
             cfg.intervalCsvPath = value;
         } else if (matchFlag(argc, argv, i, "interval", value)) {
-            const long long n = std::atoll(value.c_str());
-            if (n >= 1)
-                cfg.intervalCycles = static_cast<Cycle>(n);
-            else
-                warn("ignoring invalid --interval '", value, "'");
+            cfg.intervalCycles = countValue("interval", value);
         } else if (matchFlag(argc, argv, i, "stats-json", value)) {
             cfg.statsJsonPath = value;
         } else if (matchFlag(argc, argv, i, "trace-sample", value)) {
-            const long long n = std::atoll(value.c_str());
-            if (n >= 1)
-                cfg.traceSampleEvery = static_cast<std::uint64_t>(n);
-            else
-                warn("ignoring invalid --trace-sample '", value, "'");
+            cfg.traceSampleEvery = countValue("trace-sample", value);
         } else if (matchFlag(argc, argv, i, "trace", value)) {
             cfg.tracePath = value;
         } else {
@@ -131,7 +134,7 @@ TelemetryHub::writeOutputs(const StatGroup *root)
     if (!config_.statsJsonPath.empty()) {
         if (root) {
             toFile(config_.statsJsonPath, [&](std::ostream &os) {
-                JsonValue doc = JsonMetricSink::toJson(*root);
+                JsonValue doc = metricsToJson(*root);
                 if (!config_.configHash.empty())
                     doc.set("config_hash",
                             JsonValue(config_.configHash));

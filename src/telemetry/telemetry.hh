@@ -58,12 +58,15 @@ struct TelemetryConfig
 /**
  * Strips the telemetry flags from an argv vector and returns the
  * parsed configuration; unrecognized arguments are left in place (and
- * argc is updated), so harness-specific positional arguments keep
- * working.  Recognized flags (both `--flag value` and `--flag=value`):
+ * argc is updated) for the front end to read or reject.  Recognized
+ * flags (both `--flag value` and `--flag=value`):
  *
  *   --stats-json PATH
  *   --interval-csv PATH  --interval CYCLES
  *   --trace PATH         --trace-sample N
+ *
+ * A flag with no value, or a CYCLES / N that is not a whole number
+ * >= 1, is fatal (exit 1).
  */
 TelemetryConfig parseTelemetryFlags(int &argc, char **argv);
 
@@ -81,13 +84,6 @@ class TelemetryHub
 
     /** @return the flit tracer, or nullptr when not requested. */
     TraceSink *tracer() { return tracer_.get(); }
-
-    /** @return true if a final-metrics export was requested. */
-    bool
-    wantsStats() const
-    {
-        return !config_.statsJsonPath.empty();
-    }
 
     /** Forwards the driving clock to the sampler (hot path). */
     void

@@ -7,7 +7,6 @@
 
 #include "noc/openloop.hh"
 #include "noc/traffic.hh"
-#include "telemetry/telemetry.hh"
 
 namespace tenoc
 {
@@ -90,27 +89,6 @@ TEST(OpenLoop, PerSourceStreamsAreDeterministic)
     auto r2 = runOpenLoop(quickParams(0.03));
     EXPECT_DOUBLE_EQ(r1.avgLatency, r2.avgLatency);
     EXPECT_DOUBLE_EQ(r1.acceptedLoad, r2.acceptedLoad);
-}
-
-TEST(OpenLoop, TelemetryWarmupLandsInDedicatedIntervalRow)
-{
-    OpenLoopParams p = quickParams(0.02);
-    telemetry::TelemetryConfig cfg;
-    cfg.intervalCsvPath = "-"; // any non-empty value enables sampling
-    cfg.intervalCycles = 1000;
-    telemetry::TelemetryHub hub(cfg);
-    p.telemetry = &hub;
-    runOpenLoop(p);
-
-    auto *s = hub.sampler();
-    ASSERT_NE(s, nullptr);
-    ASSERT_GE(s->numRows(), 2u);
-    // Row 0 is exactly the warmup; measurement windows start at its
-    // boundary, so warmup-injected traffic never leaks into them.
-    EXPECT_EQ(s->rowStart(0), 0u);
-    EXPECT_EQ(s->rowEnd(0), p.warmupCycles);
-    EXPECT_EQ(s->rowStart(1), p.warmupCycles);
-    EXPECT_EQ(s->rowEnd(1), p.warmupCycles + cfg.intervalCycles);
 }
 
 TEST(OpenLoop, LowLoadLatencyNearZeroLoad)

@@ -1,10 +1,11 @@
 /**
  * @file
- * Tests for the telemetry subsystem: JSON model round trips, metric
- * sinks versus StatGroup::dump, interval-sampler window semantics
- * (including cross-clock-domain driving), Chrome trace output, CLI
- * flag parsing, an end-to-end mesh run through a TelemetryHub, and
- * that an attached tracer moves no sealed stat.
+ * Tests for the telemetry subsystem: JSON model round trips, the
+ * metrics export versus StatGroup::dump, interval-sampler window
+ * semantics (including cross-clock-domain driving), Chrome trace
+ * output, CLI flag parsing and its fatal faults, an end-to-end mesh
+ * run through a TelemetryHub, and that an attached tracer moves no
+ * sealed stat.
  */
 
 #include <gtest/gtest.h>
@@ -140,12 +141,11 @@ dumpLines(const StatGroup &g)
 TEST(JsonMetricSink, ContainsEveryDumpLine)
 {
     SampleStats s;
-    std::ostringstream os;
-    telemetry::JsonMetricSink().write(s.root, os);
-
     JsonValue doc;
     std::string err;
-    ASSERT_TRUE(JsonValue::parse(os.str(), doc, &err)) << err;
+    ASSERT_TRUE(JsonValue::parse(
+        telemetry::metricsToJson(s.root).toString(2), doc, &err))
+        << err;
     EXPECT_EQ(doc.find("schema")->asString(), "tenoc-metrics-v1");
     const JsonValue *metrics = doc.find("metrics");
     ASSERT_NE(metrics, nullptr);
@@ -170,22 +170,6 @@ TEST(JsonMetricSink, ContainsEveryDumpLine)
     ASSERT_EQ(counts.size(), 5u);
     EXPECT_DOUBLE_EQ(counts[0].asNumber(), 1.0);
     EXPECT_DOUBLE_EQ(counts[4].asNumber(), 1.0);
-}
-
-TEST(MetricSinks, WriteMetricsFileWritesJson)
-{
-    // One export format: any extension gets tenoc-metrics-v1 JSON.
-    SampleStats s;
-    const std::string path =
-        testing::TempDir() + "/tenoc_metrics.csv";
-    ASSERT_TRUE(telemetry::writeMetricsFile(s.root, path));
-
-    std::stringstream js;
-    js << std::ifstream(path).rdbuf();
-    JsonValue doc;
-    ASSERT_TRUE(JsonValue::parse(js.str(), doc, nullptr));
-    EXPECT_EQ(doc.find("schema")->asString(), "tenoc-metrics-v1");
-    std::remove(path.c_str());
 }
 
 // ------------------------------------------------------ interval sampler
@@ -259,50 +243,6 @@ TEST(IntervalSampler, VectorProbesExpandToColumns)
     s.tick(10);
     ASSERT_EQ(s.numRows(), 1u);
     EXPECT_DOUBLE_EQ(s.row(0)[2], 4.0);
-}
-
-TEST(IntervalSampler, AlignToEmitsWarmupRowThenAlignedWindows)
-{
-    telemetry::IntervalSampler s(100);
-    double total = 0.0;
-    s.addCounter("flits", [&] { return total; });
-    s.alignTo(250); // warmup cycles [0, 250)
-
-    total = 5.0;
-    s.tick(100); // inside warmup: no row yet
-    EXPECT_EQ(s.numRows(), 0u);
-    total = 9.0;
-    s.tick(250); // warmup boundary: dedicated warmup row
-    ASSERT_EQ(s.numRows(), 1u);
-    EXPECT_EQ(s.rowStart(0), 0u);
-    EXPECT_EQ(s.rowEnd(0), 250u);
-    EXPECT_DOUBLE_EQ(s.row(0)[0], 9.0); // warmup deltas kept
-
-    total = 21.0;
-    s.tick(350); // first measurement window [250, 350)
-    ASSERT_EQ(s.numRows(), 2u);
-    EXPECT_EQ(s.rowStart(1), 250u);
-    EXPECT_EQ(s.rowEnd(1), 350u);
-    EXPECT_DOUBLE_EQ(s.row(1)[0], 12.0);
-
-    // Column sums stay exhaustive: warmup + windows == final total.
-    total = 30.0;
-    s.finish(400);
-    ASSERT_EQ(s.numRows(), 3u);
-    EXPECT_DOUBLE_EQ(s.row(0)[0] + s.row(1)[0] + s.row(2)[0], 30.0);
-}
-
-TEST(IntervalSampler, AlignToZeroIsPlainWindowing)
-{
-    telemetry::IntervalSampler s(10);
-    double total = 0.0;
-    s.addCounter("c", [&] { return total; });
-    s.alignTo(0);
-    total = 4.0;
-    s.tick(10);
-    ASSERT_EQ(s.numRows(), 1u);
-    EXPECT_EQ(s.rowStart(0), 0u);
-    EXPECT_EQ(s.rowEnd(0), 10u);
 }
 
 TEST(IntervalSampler, CsvFormat)
@@ -445,6 +385,43 @@ TEST(TelemetryFlags, EmptyWhenNoFlags)
     EXPECT_EQ(argc, 2);
     EXPECT_EQ(cfg.intervalCycles, 1000u); // defaults intact
     EXPECT_EQ(cfg.traceSampleEvery, 64u);
+}
+
+/** Runs parseTelemetryFlags over `prog args...`. */
+telemetry::TelemetryConfig
+parseArgs(std::vector<const char *> args)
+{
+    std::vector<char *> argv{const_cast<char *>("prog")};
+    for (const char *a : args)
+        argv.push_back(const_cast<char *>(a));
+    argv.push_back(nullptr);
+    int argc = static_cast<int>(argv.size()) - 1;
+    return telemetry::parseTelemetryFlags(argc, argv.data());
+}
+
+TEST(TelemetryFlagsDeath, FlagWithoutValueIsFatal)
+{
+    EXPECT_EXIT(parseArgs({"--stats-json"}),
+                ::testing::ExitedWithCode(1), "--stats-json needs a value");
+    // A following flag is not a value.
+    EXPECT_EXIT(parseArgs({"--interval-csv", "--trace", "t.json"}),
+                ::testing::ExitedWithCode(1),
+                "--interval-csv needs a value");
+    EXPECT_EXIT(parseArgs({"--trace="}), ::testing::ExitedWithCode(1),
+                "--trace needs a value");
+}
+
+TEST(TelemetryFlagsDeath, CountBelowOneIsFatal)
+{
+    EXPECT_EXIT(parseArgs({"--interval", "0"}),
+                ::testing::ExitedWithCode(1),
+                "--interval wants a whole number >= 1, got '0'");
+    EXPECT_EXIT(parseArgs({"--trace-sample=0"}),
+                ::testing::ExitedWithCode(1), "--trace-sample wants");
+    EXPECT_EXIT(parseArgs({"--interval", "-5"}),
+                ::testing::ExitedWithCode(1), "--interval wants");
+    EXPECT_EXIT(parseArgs({"--trace-sample", "8x"}),
+                ::testing::ExitedWithCode(1), "--trace-sample wants");
 }
 
 // ------------------------------------------------------------ end to end
@@ -648,7 +625,6 @@ TEST(TelemetryHub, NoSinksMeansNullAccessors)
     telemetry::TelemetryHub hub(cfg);
     EXPECT_EQ(hub.sampler(), nullptr);
     EXPECT_EQ(hub.tracer(), nullptr);
-    EXPECT_FALSE(hub.wantsStats());
     hub.tick(123);   // null-sink fast path: no-op
     hub.finish(456);
     EXPECT_TRUE(hub.writeOutputs(nullptr)); // nothing requested
