@@ -876,106 +876,6 @@ ablPlacement(const Suites &, double scale)
 }
 
 /**
- * Ablation: oblivious routing algorithms under the accelerator's
- * many-to-few-to-many traffic (open loop; scale is ignored).  The
- * paper relates checkerboard routing to O1Turn (VC usage) and ROMM
- * (two-phase randomization, Sec. VI); this compares them head to
- * head, plus Valiant's non-minimal scheme.
- */
-void
-ablRoutingAlgos(const Suites &, double)
-{
-    struct Algo
-    {
-        const char *name;
-        const char *routing;
-        bool checkerboard;
-    };
-    const Algo algos[] = {
-        {"XY DOR", "xy", false},
-        {"YX DOR", "yx", false},
-        {"O1Turn", "o1turn", false},
-        {"ROMM", "romm", false},
-        {"Valiant", "valiant", false},
-        {"Checkerboard (half routers)", "cr", true},
-    };
-
-    struct Point
-    {
-        double lat3 = 0.0;
-        double lat6 = 0.0;
-        double sat = 0.0;
-    };
-    const auto points = sweepMap(std::size(algos), [&](std::size_t i) {
-        const Algo &a = algos[i];
-        OpenLoopParams p;
-        p.seed = 99;
-        p.net.routing = a.routing;
-        p.net.topo.placement = McPlacement::CHECKERBOARD;
-        p.net.topo.checkerboardRouters = a.checkerboard;
-        Point pt;
-        p.injectionRate = 0.03;
-        pt.lat3 = runOpenLoop(p).avgLatency;
-        p.injectionRate = 0.06;
-        pt.lat6 = runOpenLoop(p).avgLatency;
-        const auto sweep = sweepOpenLoop(p, 0.02, 0.01, 0.15);
-        pt.sat = 0.15;
-        if (!sweep.empty() && sweep.back().saturated)
-            pt.sat = sweep.back().offeredLoad;
-        return pt;
-    });
-
-    std::printf("\n%-30s %14s %14s %16s\n", "algorithm", "lat @0.03",
-                "lat @0.06", "saturation rate");
-    for (std::size_t i = 0; i < std::size(algos); ++i) {
-        std::printf("%-30s %14.1f %14.1f %16.3f\n", algos[i].name,
-                    points[i].lat3, points[i].lat6, points[i].sat);
-    }
-    std::printf("\nexpected: the minimal schemes saturate together "
-                "(terminal-bandwidth-bound many-to-few traffic); "
-                "Valiant pays extra hops for no benefit here; "
-                "checkerboard matches the full-router schemes while "
-                "using half the router area.\n");
-}
-
-/**
- * Ablation: age-based (oldest-first) switch allocation.
- *
- * Sec. V-B attributes WP's slowdown under checkerboard placement to
- * global fairness and points at globally-synchronized-frames work as
- * the orthogonal fix.  This compares round-robin iSLIP against
- * oldest-first allocation on the placement-sensitive benchmarks.
- */
-void
-ablFairness(const Suites &, double scale)
-{
-    const char *benches[] = {"WP", "TRA", "BFS", "MUM", "SS", "MM"};
-    const std::size_t per = std::size(benches);
-    // Flatten (bench, allocator) pairs: even index = round-robin,
-    // odd = oldest-first.
-    const auto ipcs = sweepMap(per * 2, [&](std::size_t i) {
-        const auto prof =
-            scaleWorkload(findWorkload(benches[i / 2]), scale);
-        ChipParams p = makeConfig(ConfigId::CP_DOR_2VC);
-        if (i % 2 == 1)
-            p.mesh.agePriority = true;
-        return runWorkload(p, prof).ipc;
-    });
-
-    std::printf("\n%-6s %12s %12s %10s\n", "bench", "RR iSLIP",
-                "oldest-first", "delta");
-    for (std::size_t b = 0; b < per; ++b) {
-        const double rr = ipcs[b * 2];
-        const double age = ipcs[b * 2 + 1];
-        std::printf("%-6s %12.1f %12.1f %9s\n", benches[b], rr, age,
-                    pct(age / rr).c_str());
-    }
-    std::printf("\nexpected: small deltas; oldest-first evens out "
-                "per-core progress on placement-sensitive benchmarks "
-                "at some cost in switch utilization.\n");
-}
-
-/**
  * Calibration matrix: the whole Table I suite across every major
  * configuration, with per-benchmark speedups, classification checks,
  * and the paper's headline harmonic means.  This is the tool used to
@@ -1124,16 +1024,6 @@ figureTable()
          "Sec. V-B: several valid checkerboard placements; the "
          "staggered one wins",
          0.5, {}, ablPlacement},
-        {"abl_routing_algos",
-         "Ablation - oblivious routing algorithms (open loop)",
-         "CR = ROMM restricted to full-router waypoints; O1Turn "
-         "motivates its VC usage (Sec. VI)",
-         1.0, {}, ablRoutingAlgos},
-        {"abl_fairness",
-         "Ablation - age-based switch allocation (global fairness)",
-         "Sec. V-B: fairness issues slow a few compute cores; "
-         "age-based allocation is the classic mitigation",
-         0.5, {}, ablFairness},
         {"calibration_matrix",
          "Calibration matrix - all benchmarks x all designs",
          "targets: perfect +36%, 2x +27%, CP +13.2%, CR -1.1%, "

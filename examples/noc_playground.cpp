@@ -65,7 +65,7 @@ main()
         net.setSink(n, &sink);
 
     // Demonstrate the three checkerboard routing modes.
-    const CheckerboardRouting cr_probe(topo);
+    const Routing cr_probe(topo, "cr");
     Rng rng(3);
     struct Pair { unsigned sx, sy, dx, dy; };
     const Pair pairs[] = {

@@ -171,8 +171,7 @@ chipParamsFromConfig(const Config &cfg)
         "noc.placement", "noc.halfRouters", "noc.flitBytes",
         "noc.vcsPerClass", "noc.vcDepth", "noc.pipelineDepth",
         "noc.halfPipelineDepth", "noc.mcInjPorts", "noc.mcEjPorts",
-        "noc.sliced", "noc.agePriority", "clk.coreMhz", "clk.icntMhz",
-        "clk.memMhz",
+        "noc.sliced", "clk.coreMhz", "clk.icntMhz", "clk.memMhz",
         "mc.inputQueueCap", "mc.l2HitLatency", "dram.queueCapacity",
         "dram.banks", "dram.rowBytes", "sim.seed", "sim.maxIcntCycles",
         "noc.validate", "noc.validateInterval", "noc.watchdogWindow",
@@ -227,7 +226,6 @@ chipParamsFromConfig(const Config &cfg)
         p.netKind = cfg.getBool("noc.sliced", false)
             ? NetKind::DOUBLE : NetKind::MESH;
     }
-    m.agePriority = cfg.getBool("noc.agePriority", m.agePriority);
 
     // Hardening knobs (noc/invariants.hh).
     m.validate = cfg.getBool("noc.validate", m.validate);

@@ -53,7 +53,7 @@ struct Packet
     Addr addr = 0;                 ///< memory address (closed loop)
     std::uint64_t tag = 0;         ///< opaque payload handle
 
-    // --- routing state (set by RoutingAlgorithm::initPacket) ---
+    // --- routing state (set by Routing::initPacket) ---
     RouteMode mode = RouteMode::XY;
     NodeId intermediate = INVALID_NODE; ///< TWO_PHASE waypoint
     bool phase2 = false;           ///< TWO_PHASE: reached waypoint

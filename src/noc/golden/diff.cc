@@ -79,7 +79,7 @@ routingSweepOracle(const DiffConfig &cfg,
 {
     const MeshNetworkParams np = cfg.toNetParams();
     Topology topo(np.topo);
-    auto algo = makeRouting(np.routing, topo);
+    const Routing algo(topo, np.routing);
     GoldenModel golden(topo, np);
     Rng rng(deriveStreamSeed(cfg.seed, 0x5eedULL));
 
@@ -92,9 +92,7 @@ routingSweepOracle(const DiffConfig &cfg,
                 // The implementation must agree these are impossible:
                 // an empty waypoint set (initPacket would panic, which
                 // the death tests cover; here we introspect instead).
-                auto &cr =
-                    static_cast<const CheckerboardRouting &>(*algo);
-                if (!cr.twoPhaseCandidates(src, dst).empty()) {
+                if (!algo.twoPhaseCandidates(src, dst).empty()) {
                     violations.push_back(
                         "routing sweep: CR offers waypoints for the "
                         "unroutable full-full odd/odd pair " +
@@ -107,7 +105,7 @@ routingSweepOracle(const DiffConfig &cfg,
             Packet pkt;
             pkt.src = src;
             pkt.dst = dst;
-            algo->initPacket(pkt, rng);
+            algo.initPacket(pkt, rng);
 
             // Walk the real per-hop routing function.
             actual.clear();
@@ -123,7 +121,7 @@ routingSweepOracle(const DiffConfig &cfg,
                     walk_ok = false;
                     break;
                 }
-                const unsigned port = algo->route(cur, pkt);
+                const unsigned port = algo.route(cur, pkt);
                 if (port == PORT_EJECT)
                     break;
                 const NodeId nxt =
@@ -781,7 +779,6 @@ DiffConfig::toNetParams() const
     np.channelLatency = channelLatency;
     np.mcInjPorts = mcInjPorts;
     np.mcEjPorts = mcEjPorts;
-    np.agePriority = agePriority;
     np.seed = seed;
     return np;
 }
@@ -805,7 +802,6 @@ DiffConfig::serialize() const
        << "channelLatency = " << channelLatency << "\n"
        << "mcInjPorts = " << mcInjPorts << "\n"
        << "mcEjPorts = " << mcEjPorts << "\n"
-       << "agePriority = " << (agePriority ? 1 : 0) << "\n"
        << "sliced = " << (sliced ? 1 : 0) << "\n"
        << "rate = " << rate << "\n"
        << "genCycles = " << genCycles << "\n"
@@ -881,8 +877,6 @@ DiffConfig::parse(const std::string &text, DiffConfig &out,
                 cfg.mcInjPorts = static_cast<unsigned>(std::stoul(val));
             else if (key == "mcEjPorts")
                 cfg.mcEjPorts = static_cast<unsigned>(std::stoul(val));
-            else if (key == "agePriority")
-                cfg.agePriority = std::stoul(val) != 0;
             else if (key == "sliced")
                 cfg.sliced = std::stoul(val) != 0;
             else if (key == "rate")
@@ -916,7 +910,7 @@ legalDiffConfig(const DiffConfig &cfg)
         if (cfg.numMcs > oddParityCells(cfg.rows, cfg.cols))
             return false;
     } else {
-        if (cfg.routing == "cr" || cfg.routing == "checkerboard")
+        if (cfg.routing == "cr")
             return false;
         // TOP_BOTTOM packs ceil(numMcs/2) MCs into the top row.
         if ((cfg.numMcs + 1) / 2 > cfg.cols)
@@ -964,9 +958,7 @@ sampleDiffConfig(Rng &rng)
             std::min(oddParityCells(cfg.rows, cfg.cols), 8u);
         cfg.numMcs = 2 + static_cast<unsigned>(rng.nextRange(cap - 1));
     } else {
-        static const char *const kRoutings[] = {
-            "xy", "yx", "o1turn", "romm", "valiant"};
-        cfg.routing = kRoutings[rng.nextRange(5)];
+        cfg.routing = rng.nextBool(0.5) ? "xy" : "yx";
         const unsigned cap = std::min(2 * cfg.cols, 8u);
         cfg.numMcs = 2 + static_cast<unsigned>(rng.nextRange(cap - 1));
     }
@@ -981,7 +973,6 @@ sampleDiffConfig(Rng &rng)
     cfg.channelLatency = 1 + rng.nextRange(2);
     cfg.mcInjPorts = 1 + static_cast<unsigned>(rng.nextRange(2));
     cfg.mcEjPorts = 1 + static_cast<unsigned>(rng.nextRange(2));
-    cfg.agePriority = rng.nextBool(0.3);
     cfg.sliced = cfg.protoClasses == 2 && rng.nextBool(0.3);
     cfg.rate = 0.01 + 0.05 * rng.nextDouble();
     cfg.genCycles = 300 + rng.nextRange(500);
@@ -1109,12 +1100,6 @@ minimizeConfig(const DiffConfig &bad, const DiffOptions &opts,
             if (c.mcInjPorts == 1 && c.mcEjPorts == 1)
                 return false;
             c.mcInjPorts = c.mcEjPorts = 1;
-            return true;
-        },
-        [](DiffConfig &c) {
-            if (!c.agePriority)
-                return false;
-            c.agePriority = false;
             return true;
         },
         [](DiffConfig &c) {

@@ -9,7 +9,7 @@
  * each point, runDiff() executes:
  *
  *  1. routing sweep — every (src, dst) pair's realized route is walked
- *     step by step through the real RoutingAlgorithm and compared with
+ *     step by step through the real Routing::route and compared with
  *     the golden model's independent reconstruction, plus legality
  *     (half-router turn rules) and minimality checks; unroutable
  *     checkerboard pairs must be exactly the full-to-full odd/odd
@@ -63,7 +63,6 @@ struct DiffConfig
     Cycle channelLatency = 1;
     unsigned mcInjPorts = 1;
     unsigned mcEjPorts = 1;
-    bool agePriority = false;
     bool sliced = false;
 
     double rate = 0.02;     ///< per-node packet generation probability

@@ -61,15 +61,12 @@ GoldenModel::reconstructRoute(const Packet &pkt,
       case RouteMode::YX:
         appendDorLeg(pkt.src, pkt.dst, false, out);
         break;
-      case RouteMode::TWO_PHASE: {
+      case RouteMode::TWO_PHASE:
         // Checkerboard routing runs YX to the waypoint so the first
-        // turn lands on a full router; ROMM and Valiant are XY-XY.
-        const bool cr_leg = params_.routing == "cr" ||
-                            params_.routing == "checkerboard";
-        appendDorLeg(pkt.src, pkt.intermediate, !cr_leg, out);
+        // turn lands on a full router, then XY.
+        appendDorLeg(pkt.src, pkt.intermediate, false, out);
         appendDorLeg(pkt.intermediate, pkt.dst, true, out);
         break;
-      }
     }
 }
 

@@ -51,9 +51,8 @@ class GoldenModel
     /**
      * Independently rebuilds the node sequence (src .. dst inclusive)
      * a packet must traverse, from its post-initPacket header state
-     * alone.  Two-phase legs follow the algorithm's documented
-     * orientation: checkerboard routing runs YX to the waypoint then
-     * XY; ROMM/Valiant run XY on both legs.
+     * alone.  A two-phase (checkerboard) route runs YX to the waypoint
+     * then XY.
      */
     void reconstructRoute(const Packet &pkt,
                           std::vector<NodeId> &out) const;
@@ -75,7 +74,7 @@ class GoldenModel
      * Appends one violation string per defect found in `route` for
      * `pkt`: non-adjacent hops, wrong endpoints, a direction change at
      * a half-router, or a non-minimal leg (every algorithm here is
-     * minimal per leg; Valiant is only non-minimal end to end).
+     * minimal per leg).
      */
     void checkRoute(const Packet &pkt,
                     const std::vector<NodeId> &route,

@@ -37,7 +37,9 @@ routerGeometryError(const MeshNetworkParams &params)
     const unsigned route_classes = routeClassesOf(params.routing);
     if (route_classes == 0) {
         return detail::formatMessage("unknown routing algorithm '",
-                                     params.routing, "'");
+                                     params.routing,
+                                     "'; noc.routing takes ",
+                                     ROUTING_NAMES);
     }
     // MC routers have the most ports: NUM_DIRS + mcInjPorts inputs
     // (a compute router has one injection port) and NUM_DIRS +
@@ -178,7 +180,7 @@ NetStats::registerStats(StatGroup &group)
 MeshNetwork::MeshNetwork(const MeshNetworkParams &params,
                          NetStats *shared_stats, std::uint64_t *shared_ids)
     : params_(params), topo_(params.topo),
-      routing_(makeRouting(params.routing, topo_)),
+      routing_(topo_, params.routing),
       rng_(params.seed)
 {
     if (shared_ids)
@@ -194,7 +196,7 @@ MeshNetwork::MeshNetwork(const MeshNetworkParams &params,
     }
 
     vc_map_.protoClasses = params_.protoClasses;
-    vc_map_.routeClasses = routing_->numRouteClasses();
+    vc_map_.routeClasses = routing_.numRouteClasses();
     vc_map_.vcsPerClass = params_.vcsPerClass;
 
     checker_ = std::make_unique<InvariantChecker>(params_.vcDepth);
@@ -223,7 +225,6 @@ MeshNetwork::MeshNetwork(const MeshNetworkParams &params,
         Router::Params rp;
         rp.vcMap = vc_map_;
         rp.vcDepth = params_.vcDepth;
-        rp.agePriority = params_.agePriority;
         rp.half = topo_.isHalfRouter(n);
         rp.pipelineDepth =
             rp.half ? params_.halfPipelineDepth : params_.pipelineDepth;
@@ -245,7 +246,7 @@ MeshNetwork::MeshNetwork(const MeshNetworkParams &params,
     for (NodeId n = 0; n < topo_.numNodes(); ++n) {
         const Router::Params &rp = node_params[n];
         routers_.push_back(std::make_unique<Router>(
-            n, topo_, *routing_, rp, slabs_, in_base, out_base));
+            n, topo_, routing_, rp, slabs_, in_base, out_base));
         in_base += (NUM_DIRS + rp.numInjPorts) * vcs;
         out_base += (NUM_DIRS + rp.numEjPorts) * vcs;
         routers_[n]->setActivity(&router_active_, n);
@@ -309,7 +310,7 @@ MeshNetwork::inject(PacketPtr pkt, Cycle now)
     tenoc_assert(pkt->src < topo_.numNodes() &&
                  pkt->dst < topo_.numNodes(), "invalid endpoints");
     pkt->id = (*pkt_ids_)++;
-    routing_->initPacket(*pkt, rng_);
+    routing_.initPacket(*pkt, rng_);
     nis_[pkt->src]->enqueue(std::move(pkt), now);
 }
 

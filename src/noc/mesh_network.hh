@@ -38,9 +38,6 @@ struct MeshNetworkParams
     Cycle channelLatency = 1;
     unsigned mcInjPorts = 1;        ///< injection ports at MC routers
     unsigned mcEjPorts = 1;         ///< ejection ports at MC routers
-    /** Oldest-first switch allocation (global fairness; see
-     *  Router::Params::agePriority). */
-    bool agePriority = false;
     NiParams ni;
     std::uint64_t seed = 1;
     /**
@@ -140,7 +137,6 @@ class MeshNetwork : public Network
                                  const std::string &prefix);
 
     const VcMap &vcMap() const { return vc_map_; }
-    const RoutingAlgorithm &routing() const { return *routing_; }
     Router &router(NodeId n) { return *routers_[n]; }
     /** The network's links (tests corrupt it to probe the checker). */
     LinkWheel &links() { return links_; }
@@ -187,7 +183,7 @@ class MeshNetwork : public Network
 
     MeshNetworkParams params_;
     Topology topo_;
-    std::unique_ptr<RoutingAlgorithm> routing_;
+    Routing routing_;
     VcMap vc_map_;
     Rng rng_;
 

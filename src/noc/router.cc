@@ -14,7 +14,7 @@ namespace tenoc
 {
 
 Router::Router(NodeId id, const Topology &topo,
-               RoutingAlgorithm &routing, const Params &params)
+               const Routing &routing, const Params &params)
     : id_(id), topo_(topo), routing_(routing), params_(params),
       nvcs_(params.vcMap.numVcs()),
       owned_slab_(std::make_unique<VcSlabs>()),
@@ -28,7 +28,7 @@ Router::Router(NodeId id, const Topology &topo,
 }
 
 Router::Router(NodeId id, const Topology &topo,
-               RoutingAlgorithm &routing, const Params &params,
+               const Routing &routing, const Params &params,
                VcSlabs &slab, std::size_t in_vc_base,
                std::size_t out_vc_base)
     : id_(id), topo_(topo), routing_(routing), params_(params),
@@ -104,19 +104,12 @@ Router::connectivityAllows(unsigned in, unsigned out) const
     if (isEjection(out))
         return true;             // every input reaches ejection
     if (!params_.half) {
-        // Full crossbar; U-turns are legal (non-minimal schemes such
-        // as Valiant may reverse direction at their waypoint).
+        // Full crossbar.  Minimal routing never asks for a U-turn,
+        // so the model does not forbid one.
         return true;
     }
     // Half-router: through traffic must continue straight (Fig. 13).
     return out == opposite(static_cast<Direction>(in));
-}
-
-Cycle
-Router::packetAge(const Flit &f)
-{
-    return f.pkt->injectedCycle != INVALID_CYCLE
-        ? f.pkt->injectedCycle : f.pkt->createdCycle;
 }
 
 unsigned
@@ -134,25 +127,6 @@ constexpr std::uint64_t
 bit(unsigned i)
 {
     return std::uint64_t{1} << i;
-}
-
-/** Set bit of `m` with the smallest age(i), lowest first on ties;
- *  `none` if no bit is set. */
-template <typename Age>
-unsigned
-oldest(std::uint64_t m, unsigned none, Age &&age)
-{
-    unsigned win = none;
-    Cycle best = INVALID_CYCLE;
-    for (; m != 0; m &= m - 1) {
-        const auto i = static_cast<unsigned>(std::countr_zero(m));
-        const Cycle a = age(i);
-        if (win == none || a < best) {
-            best = a;
-            win = i;
-        }
-    }
-    return win;
 }
 
 } // namespace
@@ -322,12 +296,7 @@ Router::switchAllocate(Cycle now)
         }
         if (elig == 0)
             continue;
-        const unsigned win = params_.agePriority
-            ? oldest(elig, vcs,
-                     [&](unsigned vc) {
-                         return packetAge(*vcFront(in, vc));
-                     })
-            : sa_input_arb_[in].grantMask(elig);
+        const unsigned win = sa_input_arb_[in].grantMask(elig);
         nominee[in] = win;
         const unsigned o = port[win].outPort;
         sa_out_reqs_[o] |= bit(in);
@@ -338,12 +307,7 @@ Router::switchAllocate(Cycle now)
     for (; requested != 0; requested &= requested - 1) {
         const auto o = static_cast<unsigned>(std::countr_zero(requested));
         std::uint64_t &reqs = sa_out_reqs_[o];
-        const unsigned in = params_.agePriority
-            ? oldest(reqs, numInputs(),
-                     [&](unsigned c) {
-                         return packetAge(*vcFront(c, nominee[c]));
-                     })
-            : outputs_[o].saArb.grantMask(reqs);
+        const unsigned in = outputs_[o].saArb.grantMask(reqs);
         reqs = 0;
         const unsigned vc = nominee[in];
 

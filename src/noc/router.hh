@@ -98,14 +98,6 @@ class Router
         bool half = false;             ///< half-router connectivity
         unsigned numInjPorts = 1;
         unsigned numEjPorts = 1;
-        /**
-         * Age-based switch allocation: grant the contender whose
-         * packet entered the network earliest instead of round-robin.
-         * A global-fairness mechanism in the spirit of the work the
-         * paper cites for WP's slowdown (Sec. V-B / [29]); off by
-         * default (Table III uses iSLIP).
-         */
-        bool agePriority = false;
     };
 
     /** Input VCs (inputs x VCs) one router takes: one mask word. */
@@ -116,7 +108,7 @@ class Router
                   "InVc and OutVc hold ports and VCs in 8 bits");
 
     /** Standalone router owning its own slab storage (unit tests). */
-    Router(NodeId id, const Topology &topo, RoutingAlgorithm &routing,
+    Router(NodeId id, const Topology &topo, const Routing &routing,
            const Params &params);
 
     /**
@@ -126,7 +118,7 @@ class Router
      * already be configured and is not re-configured while the router
      * views it.
      */
-    Router(NodeId id, const Topology &topo, RoutingAlgorithm &routing,
+    Router(NodeId id, const Topology &topo, const Routing &routing,
            const Params &params, VcSlabs &slab, std::size_t in_vc_base,
            std::size_t out_vc_base);
 
@@ -364,12 +356,9 @@ class Router
     /** Chooses an ejection output port round-robin. */
     unsigned nextEjectionPort();
 
-    /** Network entry time of a flit's packet (for age priority). */
-    static Cycle packetAge(const Flit &f);
-
     NodeId id_;
     const Topology &topo_;
-    RoutingAlgorithm &routing_;
+    Routing routing_;
     Params params_;
     unsigned nvcs_;
     EjectionSink *sink_ = nullptr;

@@ -1,6 +1,6 @@
 /**
  * @file
- * Routing algorithm implementations.
+ * Routing implementation: the injection-time mode choice.
  */
 
 #include "noc/routing.hh"
@@ -12,56 +12,48 @@
 namespace tenoc
 {
 
-unsigned
-RoutingAlgorithm::dorStep(NodeId cur, NodeId target, bool x_first) const
+Routing::Routing(const Topology &topo, const std::string &name)
+    : topo_(&topo)
 {
-    const unsigned cx = topo_.xOf(cur);
-    const unsigned cy = topo_.yOf(cur);
-    const unsigned tx = topo_.xOf(target);
-    const unsigned ty = topo_.yOf(target);
-
-    if (cx == tx && cy == ty)
-        return PORT_EJECT;
-
-    if (x_first) {
-        if (cx != tx)
-            return cx < tx ? DIR_EAST : DIR_WEST;
-        return cy < ty ? DIR_SOUTH : DIR_NORTH;
-    }
-    if (cy != ty)
-        return cy < ty ? DIR_SOUTH : DIR_NORTH;
-    return cx < tx ? DIR_EAST : DIR_WEST;
-}
-
-void
-DorRouting::initPacket(Packet &pkt, Rng &rng) const
-{
-    (void)rng;
-    pkt.mode = x_first_ ? RouteMode::XY : RouteMode::YX;
-    pkt.intermediate = INVALID_NODE;
-    pkt.phase2 = false;
-}
-
-unsigned
-DorRouting::route(NodeId cur, Packet &pkt) const
-{
-    return dorStep(cur, pkt.dst, x_first_);
-}
-
-CheckerboardRouting::CheckerboardRouting(const Topology &topo)
-    : RoutingAlgorithm(topo)
-{
-    tenoc_assert(topo.params().checkerboardRouters,
+    if (name == "xy")
+        algo_ = Algo::XY;
+    else if (name == "yx")
+        algo_ = Algo::YX;
+    else if (name == "cr")
+        algo_ = Algo::CR;
+    else
+        tenoc_fatal("unknown routing algorithm '", name,
+                    "'; noc.routing takes ", ROUTING_NAMES);
+    tenoc_assert(algo_ != Algo::CR || topo.params().checkerboardRouters,
                  "checkerboard routing requires a checkerboard mesh");
 }
 
-std::vector<NodeId>
-CheckerboardRouting::twoPhaseCandidates(NodeId src, NodeId dst) const
+void
+Routing::initPacket(Packet &pkt, Rng &rng) const
 {
-    const unsigned sx = topo_.xOf(src);
-    const unsigned sy = topo_.yOf(src);
-    const unsigned dx = topo_.xOf(dst);
-    const unsigned dy = topo_.yOf(dst);
+    pkt.intermediate = INVALID_NODE;
+    pkt.phase2 = false;
+    switch (algo_) {
+      case Algo::XY:
+        pkt.mode = RouteMode::XY;
+        break;
+      case Algo::YX:
+        pkt.mode = RouteMode::YX;
+        break;
+      case Algo::CR:
+        initCheckerboard(pkt, rng);
+        break;
+    }
+}
+
+std::vector<NodeId>
+Routing::twoPhaseCandidates(NodeId src, NodeId dst) const
+{
+    const Topology &topo = *topo_;
+    const unsigned sx = topo.xOf(src);
+    const unsigned sy = topo.yOf(src);
+    const unsigned dx = topo.xOf(dst);
+    const unsigned dy = topo.yOf(dst);
 
     const unsigned x_lo = std::min(sx, dx);
     const unsigned x_hi = std::max(sx, dx);
@@ -78,8 +70,8 @@ CheckerboardRouting::twoPhaseCandidates(NodeId src, NodeId dst) const
             // at (sx, iy) on a full router.
             if ((ix > sx ? ix - sx : sx - ix) % 2 != 0)
                 continue;
-            const NodeId cand = topo_.nodeAt(ix, iy);
-            if (topo_.isHalfRouter(cand))
+            const NodeId cand = topo.nodeAt(ix, iy);
+            if (topo.isHalfRouter(cand))
                 continue;
             // The XY leg turns at (dx, iy) whenever both of its
             // dimensions are non-degenerate; that node must be a full
@@ -89,7 +81,7 @@ CheckerboardRouting::twoPhaseCandidates(NodeId src, NodeId dst) const
             // hugging a mesh edge) would otherwise be handed a
             // waypoint whose second leg turns illegally.
             if (ix != dx && iy != dy &&
-                topo_.isHalfRouter(topo_.nodeAt(dx, iy)))
+                topo.isHalfRouter(topo.nodeAt(dx, iy)))
                 continue;
             out.push_back(cand);
         }
@@ -98,28 +90,21 @@ CheckerboardRouting::twoPhaseCandidates(NodeId src, NodeId dst) const
 }
 
 void
-CheckerboardRouting::initPacket(Packet &pkt, Rng &rng) const
+Routing::initCheckerboard(Packet &pkt, Rng &rng) const
 {
-    pkt.intermediate = INVALID_NODE;
-    pkt.phase2 = false;
+    const Topology &topo = *topo_;
+    const unsigned sx = topo.xOf(pkt.src);
+    const unsigned sy = topo.yOf(pkt.src);
+    const unsigned dx = topo.xOf(pkt.dst);
+    const unsigned dy = topo.yOf(pkt.dst);
 
-    const unsigned sx = topo_.xOf(pkt.src);
-    const unsigned sy = topo_.yOf(pkt.src);
-    const unsigned dx = topo_.xOf(pkt.dst);
-    const unsigned dy = topo_.yOf(pkt.dst);
-
-    // Straight routes never turn; XY covers both.
-    if (sx == dx || sy == dy) {
+    // Straight routes never turn; XY covers both.  Otherwise XY turns
+    // at (dx, sy) and YX at (sx, dy); a turn needs a full router.
+    if (sx == dx || sy == dy || !topo.isHalfRouter(topo.nodeAt(dx, sy))) {
         pkt.mode = RouteMode::XY;
         return;
     }
-
-    // XY turns at (dx, sy); YX turns at (sx, dy).
-    if (canTurnAt(topo_.nodeAt(dx, sy))) {
-        pkt.mode = RouteMode::XY;
-        return;
-    }
-    if (canTurnAt(topo_.nodeAt(sx, dy))) {
+    if (!topo.isHalfRouter(topo.nodeAt(sx, dy))) {
         // Case 1: the single header bit selects YX (Sec. IV-B).
         pkt.mode = RouteMode::YX;
         return;
@@ -140,170 +125,11 @@ CheckerboardRouting::initPacket(Packet &pkt, Rng &rng) const
 }
 
 unsigned
-CheckerboardRouting::route(NodeId cur, Packet &pkt) const
-{
-    if (pkt.mode == RouteMode::TWO_PHASE && !pkt.phase2 &&
-        cur == pkt.intermediate) {
-        // Waypoint reached: switch to the XY leg.  Unlike Valiant
-        // routing the packet is not ejected here; it turns in place at
-        // a full router (Sec. IV-B, footnote 5).
-        pkt.phase2 = true;
-    }
-
-    NodeId target = pkt.dst;
-    bool x_first = true;
-    switch (pkt.mode) {
-      case RouteMode::XY:
-        x_first = true;
-        break;
-      case RouteMode::YX:
-        x_first = false;
-        break;
-      case RouteMode::TWO_PHASE:
-        if (pkt.phase2) {
-            x_first = true;
-        } else {
-            target = pkt.intermediate;
-            x_first = false;
-        }
-        break;
-    }
-
-    unsigned port = dorStep(cur, target, x_first);
-    tenoc_assert(!(port == PORT_EJECT && target != pkt.dst),
-                 "two-phase packet ejected at waypoint");
-    return port;
-}
-
-namespace
-{
-
-/** Full-router-only algorithms cannot run on checkerboard meshes. */
-void
-requireFullRouters(const Topology &topo, const char *algo)
-{
-    if (topo.params().checkerboardRouters) {
-        tenoc_fatal(algo, " routing may turn at any router and "
-                    "cannot run on a checkerboard (half-router) mesh; "
-                    "use checkerboard routing instead");
-    }
-}
-
-} // namespace
-
-O1TurnRouting::O1TurnRouting(const Topology &topo)
-    : RoutingAlgorithm(topo)
-{
-    requireFullRouters(topo, "O1TURN");
-}
-
-void
-O1TurnRouting::initPacket(Packet &pkt, Rng &rng) const
-{
-    pkt.intermediate = INVALID_NODE;
-    pkt.phase2 = false;
-    pkt.mode = rng.nextBool(0.5) ? RouteMode::XY : RouteMode::YX;
-}
-
-unsigned
-O1TurnRouting::route(NodeId cur, Packet &pkt) const
-{
-    return dorStep(cur, pkt.dst, pkt.mode == RouteMode::XY);
-}
-
-RommRouting::RommRouting(const Topology &topo) : RoutingAlgorithm(topo)
-{
-    requireFullRouters(topo, "ROMM");
-}
-
-void
-RommRouting::initPacket(Packet &pkt, Rng &rng) const
-{
-    pkt.mode = RouteMode::TWO_PHASE;
-    pkt.phase2 = false;
-    const unsigned sx = topo_.xOf(pkt.src);
-    const unsigned sy = topo_.yOf(pkt.src);
-    const unsigned dx = topo_.xOf(pkt.dst);
-    const unsigned dy = topo_.yOf(pkt.dst);
-    const unsigned x_lo = std::min(sx, dx);
-    const unsigned x_hi = std::max(sx, dx);
-    const unsigned y_lo = std::min(sy, dy);
-    const unsigned y_hi = std::max(sy, dy);
-    const unsigned ix = x_lo +
-        static_cast<unsigned>(rng.nextRange(x_hi - x_lo + 1));
-    const unsigned iy = y_lo +
-        static_cast<unsigned>(rng.nextRange(y_hi - y_lo + 1));
-    pkt.intermediate = topo_.nodeAt(ix, iy);
-    if (pkt.intermediate == pkt.src)
-        pkt.phase2 = true; // degenerate: straight to phase 2
-}
-
-unsigned
-RommRouting::route(NodeId cur, Packet &pkt) const
-{
-    if (!pkt.phase2 && cur == pkt.intermediate)
-        pkt.phase2 = true;
-    const NodeId target = pkt.phase2 ? pkt.dst : pkt.intermediate;
-    const unsigned port = dorStep(cur, target, true);
-    tenoc_assert(!(port == PORT_EJECT && target != pkt.dst),
-                 "ROMM packet ejected at waypoint");
-    return port;
-}
-
-ValiantRouting::ValiantRouting(const Topology &topo)
-    : RoutingAlgorithm(topo)
-{
-    requireFullRouters(topo, "VALIANT");
-}
-
-void
-ValiantRouting::initPacket(Packet &pkt, Rng &rng) const
-{
-    pkt.mode = RouteMode::TWO_PHASE;
-    pkt.phase2 = false;
-    pkt.intermediate =
-        static_cast<NodeId>(rng.nextRange(topo_.numNodes()));
-    if (pkt.intermediate == pkt.src)
-        pkt.phase2 = true;
-}
-
-unsigned
-ValiantRouting::route(NodeId cur, Packet &pkt) const
-{
-    if (!pkt.phase2 && cur == pkt.intermediate)
-        pkt.phase2 = true;
-    const NodeId target = pkt.phase2 ? pkt.dst : pkt.intermediate;
-    const unsigned port = dorStep(cur, target, true);
-    tenoc_assert(!(port == PORT_EJECT && target != pkt.dst),
-                 "Valiant packet ejected at waypoint");
-    return port;
-}
-
-std::unique_ptr<RoutingAlgorithm>
-makeRouting(const std::string &name, const Topology &topo)
-{
-    if (name == "xy" || name == "dor")
-        return std::make_unique<DorRouting>(topo, true);
-    if (name == "yx")
-        return std::make_unique<DorRouting>(topo, false);
-    if (name == "cr" || name == "checkerboard")
-        return std::make_unique<CheckerboardRouting>(topo);
-    if (name == "o1turn")
-        return std::make_unique<O1TurnRouting>(topo);
-    if (name == "romm")
-        return std::make_unique<RommRouting>(topo);
-    if (name == "valiant")
-        return std::make_unique<ValiantRouting>(topo);
-    tenoc_fatal("unknown routing algorithm '", name, "'");
-}
-
-unsigned
 routeClassesOf(const std::string &name)
 {
-    if (name == "xy" || name == "dor" || name == "yx")
+    if (name == "xy" || name == "yx")
         return 1;
-    if (name == "cr" || name == "checkerboard" || name == "o1turn" ||
-        name == "romm" || name == "valiant")
+    if (name == "cr")
         return 2;
     return 0;
 }

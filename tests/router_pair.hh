@@ -18,7 +18,7 @@ struct RouterPair
 {
     /** Both routers take `rp`; the link takes `latency` cycles. */
     explicit RouterPair(const Router::Params &rp, Cycle latency = 1)
-        : topo(TopologyParams{}), xy(topo, true),
+        : topo(TopologyParams{}), xy(topo, "xy"),
           slab(pairSlab(rp)),
           a(topo.nodeAt(0, 0), topo, xy, rp, slab, 0, 0),
           b(topo.nodeAt(1, 0), topo, xy, rp, slab, vcsPerRouter(rp, true),
@@ -49,7 +49,7 @@ struct RouterPair
     }
 
     Topology topo;
-    DorRouting xy;
+    Routing xy;
     VcSlabs slab;
     Router a;
     Router b;

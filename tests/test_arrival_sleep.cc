@@ -88,7 +88,6 @@ const std::map<std::string, std::string> RECORDED = {
     {"skip_double_t1_3", "0b4f0e5c0c7110ba"},
     {"skip_double_t1_77", "74e8b534408295d0"},
     {"long_channel_latency", "b21a1de2d5b8c133"},
-    {"age_priority", "99b67047d9a591a1"},
 };
 
 /** Runs `p` under the seeded driver and checks it against RECORDED. */
@@ -143,13 +142,6 @@ TEST(ArrivalSleepEquivalence, LongChannelLatency)
     MeshNetworkParams p = baseParams(4);
     p.channelLatency = 5;
     expectRecorded(p, false, 4, "long_channel_latency");
-}
-
-TEST(ArrivalSleepEquivalence, AgePriorityAllocator)
-{
-    MeshNetworkParams p = baseParams(5);
-    p.agePriority = true;
-    expectRecorded(p, false, 5, "age_priority");
 }
 
 } // namespace

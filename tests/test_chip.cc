@@ -193,15 +193,6 @@ TEST(Chip, SeedChangesResultsOnlySlightly)
     EXPECT_NEAR(a.ipc / b.ipc, 1.0, 0.10); // ...same physics
 }
 
-TEST(Chip, AgePriorityRunsCleanly)
-{
-    auto params = makeConfig(ConfigId::CP_DOR_2VC);
-    params.mesh.agePriority = true;
-    const auto r = runWorkload(params, quick("SS", 0.1));
-    EXPECT_FALSE(r.timedOut);
-    EXPECT_GT(r.ipc, 1.0);
-}
-
 TEST(Chip, MultiKernelLaunchesExecuteEverything)
 {
     auto prof = quick("MM", 0.05);

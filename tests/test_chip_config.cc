@@ -205,6 +205,32 @@ TEST(ChipConfigDeath, RetiredFaultKeyIsFatal)
                 "unknown configuration key 'fault.linkStallRate'");
 }
 
+TEST(ChipConfigDeath, RetiredRoutingIsFatal)
+{
+    // O1Turn, ROMM and Valiant are gone, and so are the aliases; the
+    // message names the value and lists the ones noc.routing takes.
+    for (const char *routing : {"o1turn", "romm", "valiant", "dor",
+                                "checkerboard"}) {
+        Config cfg;
+        cfg.set("noc.routing", routing);
+        EXPECT_EXIT(chipParamsFromConfig(cfg),
+                    ::testing::ExitedWithCode(1),
+                    std::string("unknown routing algorithm '") +
+                        routing + "'; noc.routing takes xy, yx or cr")
+            << routing;
+    }
+}
+
+TEST(ChipConfigDeath, RetiredAgePriorityKeyIsFatal)
+{
+    // Oldest-first switch allocation is gone; a script still setting
+    // its key must fail loudly rather than run round-robin silently.
+    Config cfg;
+    cfg.set("noc.agePriority", "0");
+    EXPECT_EXIT(chipParamsFromConfig(cfg), ::testing::ExitedWithCode(1),
+                "unknown configuration key 'noc.agePriority'");
+}
+
 TEST(ChipConfig, RouterAtItsLimitsIsAccepted)
 {
     // 4 + 4 inputs x 2 protocol x 4 lanes: exactly 64 input VCs.

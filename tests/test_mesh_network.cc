@@ -282,37 +282,6 @@ TEST(NetStats, PerNodeRatesAndAcceptedBytes)
     EXPECT_DOUBLE_EQ(empty.injectionRate({}), 0.0);
 }
 
-TEST(MeshNetwork, AgePriorityIsDeterministicAndDelivers)
-{
-    MeshNetworkParams p = baseNet();
-    p.agePriority = true;
-    auto run_once = [&] {
-        MeshNetwork net(p);
-        const auto &topo = net.topology();
-        Collector sink;
-        for (NodeId mc : topo.mcNodes())
-            net.setSink(mc, &sink);
-        Rng rng(4);
-        Cycle t = 0;
-        unsigned sent = 0;
-        while (sent < 60) {
-            const NodeId core = rng.pick(topo.computeNodes());
-            if (net.canInject(core, 0)) {
-                net.inject(makePkt(net, core, rng.pick(topo.mcNodes()),
-                                   MemOp::READ_REQUEST, 0), t);
-                ++sent;
-            }
-            net.cycle(t++);
-        }
-        for (Cycle e = t + 1000; t < e && !net.drained(); ++t)
-            net.cycle(t);
-        EXPECT_TRUE(net.drained());
-        EXPECT_EQ(sink.delivered.size(), 60u);
-        return net.stats().netLatency.mean();
-    };
-    EXPECT_DOUBLE_EQ(run_once(), run_once());
-}
-
 TEST(MakeMeshNetwork, FactorySelectsKind)
 {
     MeshNetworkParams p = baseNet();

@@ -176,9 +176,6 @@ INSTANTIATE_TEST_SUITE_P(
         SoakConfig{"cpcr2ej", "cr", true, 16, 1, 1, 2, false},
         SoakConfig{"double", "cr", true, 16, 1, 1, 1, true},
         SoakConfig{"double2p", "cr", true, 16, 1, 2, 1, true},
-        SoakConfig{"o1turn", "o1turn", false, 16, 1, 1, 1, false},
-        SoakConfig{"romm", "romm", false, 16, 1, 1, 1, false},
-        SoakConfig{"valiant", "valiant", false, 16, 1, 1, 1, false},
         // 2 protocol classes x 4 VCs and 4 MC injection ports: an MC
         // router has 4 + 4 inputs of 8 VCs, exactly the 64 input VCs a
         // router takes, so its stage masks use every bit.

@@ -50,10 +50,10 @@ computeStages(Router &r, Cycle now)
 TEST(RouterConnectivity, FullRouterConnectsEverything)
 {
     Topology topo(TopologyParams{});
-    DorRouting xy(topo, true);
+    Routing xy(topo, "xy");
     Router r(topo.nodeAt(2, 2), topo, xy, routerParams(false));
     for (unsigned in = 0; in < NUM_DIRS; ++in) {
-        // Full crossbar, including U-turns (used by Valiant waypoints).
+        // Full crossbar, U-turns included.
         for (unsigned out = 0; out < NUM_DIRS; ++out) {
             EXPECT_TRUE(r.connectivityAllows(in, out));
         }
@@ -67,7 +67,7 @@ TEST(RouterConnectivity, FullRouterConnectsEverything)
 TEST(RouterConnectivity, HalfRouterRestrictsToStraightThrough)
 {
     Topology topo(cbParams());
-    CheckerboardRouting cr(topo);
+    Routing cr(topo, "cr");
     Router r(topo.nodeAt(1, 0), topo, cr, routerParams(true));
     // Fig. 13: E<->W and N<->S only.
     EXPECT_TRUE(r.connectivityAllows(DIR_WEST, DIR_EAST));
@@ -180,7 +180,7 @@ TEST_F(TwoRouterTest, CreditsRecoverAfterDrain)
 TEST(Router, AggressiveSingleCycleRouter)
 {
     Topology topo{TopologyParams{}};
-    DorRouting xy(topo, true);
+    Routing xy(topo, "xy");
     auto rp = routerParams();
     rp.pipelineDepth = 1;
     Router a(topo.nodeAt(0, 0), topo, xy, rp);
@@ -214,7 +214,7 @@ TEST(Router, AggressiveSingleCycleRouter)
 TEST(Router, MultiEjectionPortsRoundRobin)
 {
     Topology topo{TopologyParams{}};
-    DorRouting xy(topo, true);
+    Routing xy(topo, "xy");
     Router r(topo.nodeAt(0, 0), topo, xy, routerParams(false, 1, 2));
     struct Sink : EjectionSink
     {
@@ -249,52 +249,10 @@ TEST(Router, MultiEjectionPortsRoundRobin)
     EXPECT_NE(sink.ports[0], sink.ports[1]);
 }
 
-TEST(Router, AgePriorityGrantsOldestPacket)
-{
-    // Two packets on different VCs contend for the same output; with
-    // age priority the one that entered the network earlier must win
-    // switch allocation, regardless of round-robin state.
-    auto rp = routerParams();
-    rp.agePriority = true;
-    rp.pipelineDepth = 1;
-    RouterPair pair(rp);
-    const Topology &topo = pair.topo;
-    Router &r = pair.a;
-
-    auto mk = [&](int proto, Cycle injected) {
-        auto pkt = makePacket();
-        pkt->src = topo.nodeAt(0, 0);
-        pkt->dst = topo.nodeAt(3, 0); // east
-        pkt->sizeFlits = 1;
-        pkt->protoClass = proto;
-        pkt->mode = RouteMode::XY;
-        pkt->injectedCycle = injected;
-        std::vector<Flit> flits;
-        makeFlits(pkt, flits);
-        pkt.detach(); // the tail carries the reference
-        flits[0].vc = static_cast<unsigned>(proto);
-        return flits[0];
-    };
-    // Newer packet on VC0, older packet on VC1.
-    r.injectFlit(0, mk(0, /*injected=*/50), 100);
-    const Flit old_flit = mk(1, /*injected=*/10);
-    r.injectFlit(0, old_flit, 100);
-
-    computeStages(r, 100); // RC + VA
-    computeStages(r, 101); // SA + ST (1-cycle residency elapsed)
-    pair.wheel.fire(102);
-    ASSERT_EQ(pair.b.bufferedFlits(), 1u);
-    const Flit *first = pair.b.vcFront(DIR_WEST, 0);
-    if (!first)
-        first = pair.b.vcFront(DIR_WEST, 1);
-    ASSERT_NE(first, nullptr);
-    EXPECT_EQ(first->pkt, old_flit.pkt);
-}
-
 TEST(Router, InjFreeSlotsTracksOccupancy)
 {
     Topology topo{TopologyParams{}};
-    DorRouting xy(topo, true);
+    Routing xy(topo, "xy");
     Router r(topo.nodeAt(0, 0), topo, xy, routerParams());
     EXPECT_EQ(r.injFreeSlots(0, 0), 8u);
     auto pkt = makePacket();
@@ -359,7 +317,7 @@ TEST(RouterStageMasks, HeadBehindDepartingTailIsRoutedNextCycle)
     // the tail leaves, the VC turns IDLE with a head already buffered:
     // that head must be routed by the very next RC.
     Topology topo{TopologyParams{}};
-    DorRouting xy(topo, true);
+    Routing xy(topo, "xy");
     Router r(topo.nodeAt(0, 0), topo, xy, routerParams());
     RecordingSink sink;
     r.setEjectionSink(&sink);
@@ -397,7 +355,7 @@ TEST(RouterStageMasks, HeadBehindDepartingTailIsRoutedNextCycle)
 struct VaWaitScenario
 {
     VaWaitScenario()
-        : topo(TopologyParams{}), xy(topo, true),
+        : topo(TopologyParams{}), xy(topo, "xy"),
           r(topo.nodeAt(0, 0), topo, xy, routerParams(false, 2, 1))
     {
         r.setEjectionSink(&sink);
@@ -406,7 +364,7 @@ struct VaWaitScenario
     }
 
     Topology topo;
-    DorRouting xy;
+    Routing xy;
     Router r;
     RecordingSink sink;
 };

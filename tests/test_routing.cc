@@ -32,7 +32,7 @@ struct WalkResult
 
 /** Walks a packet hop by hop through the topology. */
 WalkResult
-walk(const Topology &topo, RoutingAlgorithm &algo, NodeId src,
+walk(const Topology &topo, const Routing &algo, NodeId src,
      NodeId dst, Rng &rng)
 {
     Packet pkt;
@@ -84,7 +84,7 @@ TEST(DorRouting, XyGoesXThenY)
 {
     TopologyParams tp;
     Topology t(tp);
-    DorRouting xy(t, true);
+    Routing xy(t, "xy");
     Rng rng(1);
     Packet pkt;
     pkt.src = t.nodeAt(0, 0);
@@ -100,7 +100,7 @@ TEST(DorRouting, YxGoesYThenX)
 {
     TopologyParams tp;
     Topology t(tp);
-    DorRouting yx(t, false);
+    Routing yx(t, "yx");
     Rng rng(1);
     Packet pkt;
     pkt.src = t.nodeAt(0, 0);
@@ -114,7 +114,7 @@ TEST(DorRouting, AllPairsMinimal)
 {
     TopologyParams tp;
     Topology t(tp);
-    DorRouting xy(t, true);
+    Routing xy(t, "xy");
     Rng rng(2);
     for (NodeId s = 0; s < t.numNodes(); ++s) {
         for (NodeId d = 0; d < t.numNodes(); ++d) {
@@ -131,14 +131,14 @@ TEST(CheckerboardRouting, RequiresCheckerboardMesh)
 {
     TopologyParams tp; // full routers only
     Topology t(tp);
-    EXPECT_DEATH({ CheckerboardRouting cr(t); },
+    EXPECT_DEATH({ Routing cr(t, "cr"); },
                  "requires a checkerboard mesh");
 }
 
 TEST(CheckerboardRouting, XyWhenTurnNodeIsFull)
 {
     Topology t = checkerboardTopo();
-    CheckerboardRouting cr(t);
+    Routing cr(t, "cr");
     Rng rng(3);
     // (0,0) full -> (3,0)? parity(3,0)=1 half. dst (3,2): turn node
     // (3,0) is half => XY infeasible; YX turn (0,2) parity 0 full.
@@ -157,7 +157,7 @@ TEST(CheckerboardRouting, XyWhenTurnNodeIsFull)
 TEST(CheckerboardRouting, StraightRoutesAreXy)
 {
     Topology t = checkerboardTopo();
-    CheckerboardRouting cr(t);
+    Routing cr(t, "cr");
     Rng rng(4);
     Packet pkt;
     pkt.src = t.nodeAt(1, 0);
@@ -172,7 +172,7 @@ TEST(CheckerboardRouting, StraightRoutesAreXy)
 TEST(CheckerboardRouting, Case2NeedsTwoPhase)
 {
     Topology t = checkerboardTopo();
-    CheckerboardRouting cr(t);
+    Routing cr(t, "cr");
     Rng rng(5);
     // Half (1,0) -> half (3,2): even columns apart, different rows:
     // XY turn (3,0) half, YX turn (1,2) half -> two-phase (Fig 12(c)).
@@ -197,7 +197,7 @@ TEST(CheckerboardRouting, Case2NeedsTwoPhase)
 TEST(CheckerboardRouting, TwoPhaseCandidatesAllValid)
 {
     Topology t = checkerboardTopo();
-    CheckerboardRouting cr(t);
+    Routing cr(t, "cr");
     const NodeId src = t.nodeAt(1, 0);
     const NodeId dst = t.nodeAt(3, 2);
     const auto cands = cr.twoPhaseCandidates(src, dst);
@@ -211,7 +211,7 @@ TEST(CheckerboardRouting, TwoPhaseCandidatesAllValid)
 TEST(CheckerboardRouting, FullToFullOddDistanceIsImpossible)
 {
     Topology t = checkerboardTopo();
-    CheckerboardRouting cr(t);
+    Routing cr(t, "cr");
     Rng rng(6);
     // Fig. 12(a): full (0,0) to full (1,1): odd columns and rows away;
     // not routable on a checkerboard mesh.  Our traffic never needs
@@ -233,7 +233,7 @@ TEST(CheckerboardRouting, FullToFullOddDistanceIsImpossible)
 TEST(CheckerboardRouting, TopEdgeOddPairHasNoWaypoint)
 {
     Topology t = checkerboardTopo();
-    CheckerboardRouting cr(t);
+    Routing cr(t, "cr");
     Rng rng(8);
     const NodeId src = t.nodeAt(0, 0), dst = t.nodeAt(1, 3);
     EXPECT_TRUE(cr.twoPhaseCandidates(src, dst).empty());
@@ -246,7 +246,7 @@ TEST(CheckerboardRouting, TopEdgeOddPairHasNoWaypoint)
 TEST(CheckerboardRouting, BottomEdgeOddPairHasNoWaypoint)
 {
     Topology t = checkerboardTopo();
-    CheckerboardRouting cr(t);
+    Routing cr(t, "cr");
     Rng rng(8);
     const NodeId src = t.nodeAt(1, 5), dst = t.nodeAt(2, 2);
     EXPECT_TRUE(cr.twoPhaseCandidates(src, dst).empty());
@@ -259,7 +259,7 @@ TEST(CheckerboardRouting, BottomEdgeOddPairHasNoWaypoint)
 TEST(CheckerboardRouting, LeftEdgeOddPairHasNoWaypoint)
 {
     Topology t = checkerboardTopo();
-    CheckerboardRouting cr(t);
+    Routing cr(t, "cr");
     Rng rng(8);
     const NodeId src = t.nodeAt(0, 2), dst = t.nodeAt(3, 5);
     EXPECT_TRUE(cr.twoPhaseCandidates(src, dst).empty());
@@ -272,7 +272,7 @@ TEST(CheckerboardRouting, LeftEdgeOddPairHasNoWaypoint)
 TEST(CheckerboardRouting, RightEdgeOddPairHasNoWaypoint)
 {
     Topology t = checkerboardTopo();
-    CheckerboardRouting cr(t);
+    Routing cr(t, "cr");
     Rng rng(8);
     const NodeId src = t.nodeAt(5, 1), dst = t.nodeAt(2, 4);
     EXPECT_TRUE(cr.twoPhaseCandidates(src, dst).empty());
@@ -289,7 +289,7 @@ TEST(CheckerboardRouting, EveryWaypointTurnsOnlyAtFullRouters)
     // must be full routers, and the realized walk never turns at a
     // half-router.
     Topology t = checkerboardTopo();
-    CheckerboardRouting cr(t);
+    Routing cr(t, "cr");
     Rng rng(9);
     for (NodeId s = 0; s < t.numNodes(); ++s) {
         for (NodeId d = 0; d < t.numNodes(); ++d) {
@@ -324,7 +324,7 @@ TEST_P(CrPropertyTest, AllMemoryTrafficRoutesAreMinimalAndLegal)
 {
     auto [rows, cols, mcs] = GetParam();
     Topology t = checkerboardTopo(rows, cols, mcs);
-    CheckerboardRouting cr(t);
+    Routing cr(t, "cr");
     Rng rng(7);
 
     for (NodeId core : t.computeNodes()) {
@@ -363,7 +363,7 @@ TEST(CheckerboardRouting, McToMcRoutable)
 {
     // L2 miss traffic between half-routers must work (Sec. IV-A).
     Topology t = checkerboardTopo();
-    CheckerboardRouting cr(t);
+    Routing cr(t, "cr");
     Rng rng(8);
     for (NodeId a : t.mcNodes()) {
         for (NodeId b : t.mcNodes()) {
@@ -379,125 +379,52 @@ TEST(CheckerboardRouting, McToMcRoutable)
 
 TEST(MakeRouting, FactoryNames)
 {
-    Topology t = checkerboardTopo();
-    EXPECT_STREQ(makeRouting("xy", t)->name(), "XY");
-    EXPECT_STREQ(makeRouting("yx", t)->name(), "YX");
-    EXPECT_STREQ(makeRouting("cr", t)->name(), "CR");
-    EXPECT_EQ(makeRouting("cr", t)->numRouteClasses(), 2u);
-    EXPECT_EQ(makeRouting("xy", t)->numRouteClasses(), 1u);
-    Topology full{TopologyParams{}};
-    EXPECT_STREQ(makeRouting("o1turn", full)->name(), "O1TURN");
-    EXPECT_STREQ(makeRouting("romm", full)->name(), "ROMM");
-    EXPECT_STREQ(makeRouting("valiant", full)->name(), "VALIANT");
+    // Each name fixes the mode initPacket gives a turning packet.
+    const Topology cb = checkerboardTopo();
+    const Topology full{TopologyParams{}};
+    Rng rng(10);
+    Packet pkt;
+    pkt.src = full.nodeAt(0, 0);
+    pkt.dst = full.nodeAt(3, 2);
+    Routing(full, "xy").initPacket(pkt, rng);
+    EXPECT_EQ(pkt.mode, RouteMode::XY);
+    Routing(full, "yx").initPacket(pkt, rng);
+    EXPECT_EQ(pkt.mode, RouteMode::YX);
+    // (0,0) -> (3,2) on the checkerboard: the XY turn (3,0) is a
+    // half-router, so CR picks YX.
+    Routing(cb, "cr").initPacket(pkt, rng);
+    EXPECT_EQ(pkt.mode, RouteMode::YX);
+    EXPECT_EQ(Routing(cb, "cr").numRouteClasses(), 2u);
+    EXPECT_EQ(Routing(full, "xy").numRouteClasses(), 1u);
+    EXPECT_EQ(Routing(full, "yx").numRouteClasses(), 1u);
 }
 
 TEST(MakeRouting, RouteClassesOfMatchesTheBuiltAlgorithm)
 {
     const Topology cb = checkerboardTopo();
     const Topology full{TopologyParams{}};
-    for (const char *name : {"xy", "dor", "yx", "cr", "checkerboard",
-                             "o1turn", "romm", "valiant"}) {
+    for (const char *name : {"xy", "yx", "cr"}) {
         const std::string n = name;
-        const Topology &t = n == "cr" || n == "checkerboard" ? cb : full;
-        EXPECT_EQ(routeClassesOf(n), makeRouting(n, t)->numRouteClasses())
+        const Topology &t = n == "cr" ? cb : full;
+        EXPECT_EQ(routeClassesOf(n), Routing(t, n).numRouteClasses())
             << n;
     }
-    EXPECT_EQ(routeClassesOf("bogus"), 0u);
-}
-
-TEST(O1TurnRouting, MixesOrientationsAndStaysMinimal)
-{
-    Topology t{TopologyParams{}};
-    O1TurnRouting o1(t);
-    Rng rng(11);
-    unsigned xy = 0;
-    unsigned yx = 0;
-    for (int i = 0; i < 400; ++i) {
-        const NodeId s = static_cast<NodeId>(rng.nextRange(36));
-        NodeId d = s;
-        while (d == s)
-            d = static_cast<NodeId>(rng.nextRange(36));
-        const auto res = walk(t, o1, s, d, rng);
-        EXPECT_TRUE(res.arrived);
-        EXPECT_EQ(res.hops, t.hopDistance(s, d));
-    }
-    // Orientation choice is per packet, roughly 50/50.
-    Packet pkt;
-    pkt.src = t.nodeAt(0, 0);
-    pkt.dst = t.nodeAt(3, 3);
-    for (int i = 0; i < 1000; ++i) {
-        o1.initPacket(pkt, rng);
-        (pkt.mode == RouteMode::XY ? xy : yx) += 1;
-    }
-    EXPECT_NEAR(static_cast<double>(xy), 500.0, 80.0);
-    EXPECT_NEAR(static_cast<double>(yx), 500.0, 80.0);
-}
-
-TEST(RommRouting, MinimalViaQuadrantWaypoint)
-{
-    Topology t{TopologyParams{}};
-    RommRouting romm(t);
-    Rng rng(12);
-    for (int i = 0; i < 400; ++i) {
-        const NodeId s = static_cast<NodeId>(rng.nextRange(36));
-        NodeId d = s;
-        while (d == s)
-            d = static_cast<NodeId>(rng.nextRange(36));
-        Packet pkt;
-        pkt.src = s;
-        pkt.dst = d;
-        romm.initPacket(pkt, rng);
-        // Waypoint lies inside the minimal quadrant.
-        if (pkt.intermediate != INVALID_NODE) {
-            const unsigned ix = t.xOf(pkt.intermediate);
-            const unsigned iy = t.yOf(pkt.intermediate);
-            EXPECT_GE(ix, std::min(t.xOf(s), t.xOf(d)));
-            EXPECT_LE(ix, std::max(t.xOf(s), t.xOf(d)));
-            EXPECT_GE(iy, std::min(t.yOf(s), t.yOf(d)));
-            EXPECT_LE(iy, std::max(t.yOf(s), t.yOf(d)));
-        }
-        const auto res = walk(t, romm, s, d, rng);
-        EXPECT_TRUE(res.arrived);
-        EXPECT_EQ(res.hops, t.hopDistance(s, d)); // ROMM is minimal
-    }
-}
-
-TEST(ValiantRouting, NonMinimalButAlwaysArrives)
-{
-    Topology t{TopologyParams{}};
-    ValiantRouting val(t);
-    Rng rng(13);
-    bool saw_nonminimal = false;
-    for (int i = 0; i < 400; ++i) {
-        const NodeId s = static_cast<NodeId>(rng.nextRange(36));
-        NodeId d = s;
-        while (d == s)
-            d = static_cast<NodeId>(rng.nextRange(36));
-        const auto res = walk(t, val, s, d, rng);
-        EXPECT_TRUE(res.arrived);
-        EXPECT_GE(res.hops, t.hopDistance(s, d));
-        saw_nonminimal |= (res.hops > t.hopDistance(s, d));
-    }
-    EXPECT_TRUE(saw_nonminimal);
-}
-
-TEST(RoutingDeath, FullRouterAlgorithmsRejectCheckerboard)
-{
-    Topology t = checkerboardTopo();
-    EXPECT_EXIT(makeRouting("o1turn", t), ::testing::ExitedWithCode(1),
-                "cannot run on a checkerboard");
-    EXPECT_EXIT(makeRouting("romm", t), ::testing::ExitedWithCode(1),
-                "cannot run on a checkerboard");
-    EXPECT_EXIT(makeRouting("valiant", t),
-                ::testing::ExitedWithCode(1),
-                "cannot run on a checkerboard");
+    // One name per algorithm: no aliases, and the retired algorithms
+    // are unknown.
+    for (const char *name : {"bogus", "dor", "checkerboard", "o1turn",
+                             "romm", "valiant"})
+        EXPECT_EQ(routeClassesOf(name), 0u) << name;
 }
 
 TEST(MakeRoutingDeath, UnknownNameIsFatal)
 {
     Topology t = checkerboardTopo();
-    EXPECT_EXIT(makeRouting("bogus", t), ::testing::ExitedWithCode(1),
-                "unknown routing");
+    for (const char *name : {"bogus", "dor", "checkerboard", "valiant"}) {
+        EXPECT_EXIT({ Routing r(t, name); }, ::testing::ExitedWithCode(1),
+                    std::string("unknown routing algorithm '") + name +
+                        "'; noc.routing takes xy, yx or cr")
+            << name;
+    }
 }
 
 } // namespace
