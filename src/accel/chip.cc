@@ -88,8 +88,7 @@ class Chip::CoreSink : public PacketSink
     SimtCore &core_;
 };
 
-Chip::Chip(const ChipParams &params, const KernelProfile &profile,
-           InstSourceFactory factory)
+Chip::Chip(const ChipParams &params, const KernelProfile &profile)
     : params_(params), profile_(profile)
 {
     buildNetwork();
@@ -102,12 +101,7 @@ Chip::Chip(const ChipParams &params, const KernelProfile &profile,
     // MC nodes.
     McNodeParams mc_params = params_.mc;
     mc_params.niQueueCap = params_.mesh.ni.injQueueCap;
-    if (profile_.realCaches) {
-        mc_params.l2.mode = CacheParams::Mode::REAL;
-    } else {
-        mc_params.l2.mode = CacheParams::Mode::PROFILE;
-        mc_params.l2.profileHitRate = profile_.l2HitRate;
-    }
+    mc_params.l2.profileHitRate = profile_.l2HitRate;
     mc_params.l2.sizeBytes = 128 * 1024; // Table II
     mc_params.l2.ways = 8;
     unsigned mc_index = 0;
@@ -124,8 +118,8 @@ Chip::Chip(const ChipParams &params, const KernelProfile &profile,
         const NodeId n = core_nodes_[core_id];
         ports_.push_back(std::make_unique<CorePort>(*this, n));
         cores_.push_back(std::make_unique<SimtCore>(
-            core_id, params_.core, profile_, *ports_.back(), params_.seed,
-            factory ? factory(core_id) : nullptr));
+            core_id, params_.core, profile_, *ports_.back(),
+            params_.seed));
         sinks_.push_back(std::make_unique<CoreSink>(*cores_.back()));
         net_->setSink(n, sinks_.back().get());
     }
@@ -311,9 +305,6 @@ Chip::run()
             return false;
         for (const auto &mc : mcs_)
             if (!mc->idle())
-                return false;
-        for (const auto &c : cores_)
-            if (!c->flushed())
                 return false;
         return true;
     };

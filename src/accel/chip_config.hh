@@ -96,7 +96,7 @@ double dramBandwidthFlitsPerIcntCycle(const ChipParams &p);
  *                     baseline | 2x | 1cyc | perfect | cp |
  *                     cp-dor-4vc | cp-cr | double | thr-eff | cp-cr-2p
  *   noc.rows, noc.cols, noc.mcs
- *   noc.routing     = xy | yx | cr
+ *   noc.routing     = xy | yx | cr (cr exactly when noc.halfRouters)
  *   noc.placement   = top-bottom | checkerboard
  *   noc.halfRouters = bool
  *   noc.flitBytes, noc.vcsPerClass, noc.vcDepth, noc.pipelineDepth,

@@ -66,21 +66,6 @@ McNode::icntCycle(Cycle icnt_now)
         l2_pipe_.pop_front();
     }
 
-    // 2b. Dirty L2 victims (real-tag mode) become DRAM writes.
-    while (!l2_writebacks_.empty() && dram_.canAccept()) {
-        DramRequest req;
-        req.localAddr =
-            compactAddress(l2_writebacks_.front(),
-                           params_.numChannels,
-                           params_.interleaveBytes);
-        req.write = true;
-        req.tag = next_dram_tag_++;
-        dram_pending_[req.tag] =
-            PendingDram{INVALID_NODE, l2_writebacks_.front(), true};
-        dram_.push(std::move(req), mem_now_);
-        l2_writebacks_.pop_front();
-    }
-
     // 3. Retry a request stalled on the DRAM queue.
     if (dram_wait_ && dram_.canAccept()) {
         PacketPtr pkt = std::move(dram_wait_);
@@ -103,8 +88,7 @@ McNode::icntCycle(Cycle icnt_now)
     ++requests_served_;
 
     const bool is_write = (pkt->op == MemOp::WRITE_REQUEST);
-    const auto res = l2_.access(pkt->addr, is_write);
-    if (res.hit) {
+    if (l2_.access(pkt->addr).hit) {
         if (!is_write) {
             auto reply = makePacket();
             reply->src = node_;
@@ -122,8 +106,7 @@ McNode::icntCycle(Cycle icnt_now)
         return;
     }
 
-    // L2 miss: go to DRAM (writes are no-allocate at the L2 and go
-    // straight to memory; reads allocate on return).
+    // L2 miss: go to DRAM (a write goes straight to memory).
     if (dram_.canAccept()) {
         DramRequest req;
         req.localAddr = compactAddress(pkt->addr, params_.numChannels,
@@ -159,8 +142,6 @@ McNode::memCycle(Cycle mem_now)
         dram_pending_.erase(it);
         if (meta.write)
             continue; // writes are fire-and-forget
-        if (const auto victim = l2_.fill(meta.addr, false))
-            l2_writebacks_.push_back(*victim);
         auto reply = makePacket();
         reply->src = node_;
         reply->dst = meta.requester;
@@ -184,7 +165,7 @@ McNode::idle() const
 {
     return input_queue_.empty() && l2_pipe_.empty() &&
         reply_queue_.empty() && dram_pending_.empty() && !dram_wait_ &&
-        l2_writebacks_.empty() && dram_.idle();
+        dram_.idle();
 }
 
 void

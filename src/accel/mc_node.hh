@@ -124,9 +124,6 @@ class McNode : public PacketSink
     /** Replies ready to enter the NoC. */
     std::deque<PacketPtr> reply_queue_;
 
-    /** Dirty L2 victims waiting for DRAM queue space (real-tag L2). */
-    std::deque<Addr> l2_writebacks_;
-
     std::uint64_t stall_cycles_ = 0;
     std::uint64_t icnt_cycles_ = 0;
     std::uint64_t requests_served_ = 0;

@@ -1,15 +1,12 @@
 /**
  * @file
- * Set-associative cache model (L1 data caches per core, shared L2
+ * Profile-locality cache model (L1 data caches per core, shared L2
  * banks at the MC nodes; Table II).
  *
- * Two operating modes:
- *  - REAL: tag array with LRU replacement, writeback / write-allocate
- *    (the paper's L1 policy, Sec. II).
- *  - PROFILE: hit/miss outcomes drawn from a calibrated hit rate while
- *    the structural path (MSHRs, request/reply packets, DRAM row
- *    stream) is still fully simulated.  Used by the synthetic workload
- *    suite; see DESIGN.md "Substitutions".
+ * Hit/miss outcomes are drawn from a calibrated hit rate while the
+ * structural path (MSHRs, request/reply packets, DRAM row stream) is
+ * still fully simulated; see DESIGN.md "Substitutions".  The geometry
+ * only places the synthesized dirty victim of a miss.
  */
 
 #ifndef TENOC_CACHE_CACHE_HH
@@ -17,7 +14,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "common/rng.hh"
 #include "common/types.hh"
@@ -25,17 +21,16 @@
 namespace tenoc
 {
 
-/** Cache geometry and mode. */
+/** Cache geometry and locality. */
 struct CacheParams
 {
     std::uint64_t sizeBytes = 16 * 1024;
     unsigned lineBytes = 64;
     unsigned ways = 4;
 
-    enum class Mode { REAL, PROFILE } mode = Mode::REAL;
-    /** PROFILE mode: probability an access hits. */
+    /** Probability an access hits. */
     double profileHitRate = 0.0;
-    /** PROFILE mode: probability a miss evicts a dirty line. */
+    /** Probability a miss evicts a dirty line. */
     double profileWritebackRate = 0.0;
 };
 
@@ -43,7 +38,7 @@ struct CacheParams
 struct CacheAccessResult
 {
     bool hit = false;
-    /** Dirty eviction to perform (REAL: on fill; PROFILE: on miss). */
+    /** Dirty eviction to perform (misses only). */
     std::optional<Addr> writeback;
 };
 
@@ -59,24 +54,8 @@ class Cache
     Addr lineAddr(Addr a) const { return a & ~static_cast<Addr>(
         params_.lineBytes - 1); }
 
-    /**
-     * Performs a load/store lookup.  REAL mode: on hit, updates LRU
-     * (and dirty bit for stores).  On miss the line is NOT filled;
-     * call fill() when the refill returns.
-     */
-    CacheAccessResult access(Addr addr, bool write);
-
-    /**
-     * Installs a line after a refill (REAL mode); returns a dirty
-     * victim address if one was evicted.  PROFILE mode: no-op.
-     */
-    std::optional<Addr> fill(Addr addr, bool dirty);
-
-    /** @return true if the line is present (REAL mode only). */
-    bool probe(Addr addr) const;
-
-    /** Invalidates everything (e.g. between kernels). */
-    void flush();
+    /** Draws the outcome of one load or store of `addr`. */
+    CacheAccessResult access(Addr addr);
 
     // --- stats ---
     std::uint64_t hits() const { return hits_; }
@@ -89,21 +68,8 @@ class Cache
     }
 
   private:
-    struct Line
-    {
-        bool valid = false;
-        bool dirty = false;
-        Addr tag = 0;
-        std::uint64_t lruStamp = 0;
-    };
-
-    unsigned setOf(Addr addr) const;
-    Addr tagOf(Addr addr) const;
-
     CacheParams params_;
     unsigned num_sets_;
-    std::vector<Line> lines_; ///< num_sets_ * ways, row-major
-    std::uint64_t stamp_ = 0;
     Rng rng_;
 
     std::uint64_t hits_ = 0;

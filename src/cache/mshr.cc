@@ -70,16 +70,8 @@ MshrTable::allocate(Addr line, std::uint64_t waiter)
     return fresh;
 }
 
-void
-MshrTable::markStore(Addr line)
-{
-    const unsigned b = find(line);
-    tenoc_assert(b != NONE, "store mark on unknown MSHR line");
-    slots_[buckets_[b] - 1].store = true;
-}
-
 std::span<const std::uint64_t>
-MshrTable::release(Addr line, bool *store)
+MshrTable::release(Addr line)
 {
     const unsigned b = find(line);
     tenoc_assert(b != NONE, "release of unknown MSHR line");
@@ -89,8 +81,6 @@ MshrTable::release(Addr line, bool *store)
     slots_[s].nextFree = free_head_;
     free_head_ = s;
     --used_;
-    if (store)
-        *store = slots_[s].store;
     for (std::uint32_t k = 0; k < slots_[s].count; ++k)
         released_[k] = waiters_[waiterAt(s, k)];
     return {released_.data(), slots_[s].count};

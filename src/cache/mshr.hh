@@ -58,18 +58,12 @@ class MshrTable
      */
     bool allocate(Addr line, std::uint64_t waiter);
 
-    /** Marks the pending refill of `line` as wanted by a store
-     *  (write-allocate dirtiness); release() reports the mark. */
-    void markStore(Addr line);
-
     /**
      * Completes the refill of `line`.
-     * @param store if given, set to whether markStore() hit the entry
      * @return the merged waiters in allocation order; the view stays
      * valid until the next release()
      */
-    std::span<const std::uint64_t> release(Addr line,
-                                           bool *store = nullptr);
+    std::span<const std::uint64_t> release(Addr line);
 
     /** Merged-access count for a pending line (0 when not pending). */
     std::size_t
@@ -96,7 +90,6 @@ class MshrTable
         Addr line = 0;
         std::uint32_t count = 0;       ///< waiters held
         std::uint32_t nextFree = NONE; ///< free-list link while unused
-        bool store = false;            ///< markStore() hit this refill
     };
 
     /** @return the home bucket of `line` (Fibonacci hashing). */

@@ -2,21 +2,16 @@
  * @file
  * Instruction sources for the SIMT core.
  *
- * A core consumes decoded warp instructions from an InstSource.  Two
- * implementations ship with tenoc:
- *  - ProfileInstSource: draws instructions from a statistical
- *    KernelProfile (the Table I synthetic suite; DESIGN.md
- *    "Substitutions"),
- *  - TraceInstSource: replays a per-warp instruction trace, enabling
- *    fully structural simulation (real-tag caches) from user-provided
- *    traces.
+ * A core consumes decoded warp instructions from an InstSource.  The
+ * simulator's one implementation, ProfileInstSource, draws them from a
+ * statistical KernelProfile (the Table I synthetic suite; DESIGN.md
+ * "Substitutions"); the interface lets a test script exact
+ * instructions instead.
  */
 
 #ifndef TENOC_GPU_INST_SOURCE_HH
 #define TENOC_GPU_INST_SOURCE_HH
 
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "common/rng.hh"
@@ -48,9 +43,9 @@ class InstSource
                         Rng &rng) = 0;
 
     /**
-     * Prepares the source for the next kernel launch.  Statistical
-     * sources keep streaming (fresh data per launch); trace sources
-     * rewind and replay.
+     * Prepares the source for the next kernel launch.  The statistical
+     * source keeps streaming (fresh data per launch); a scripted one
+     * may replay from the start.
      */
     virtual void rewind() {}
 };
@@ -79,38 +74,6 @@ class ProfileInstSource : public InstSource
     const KernelProfile &profile_;
     Coalescer coalescer_;
     std::vector<AddressStream> streams_;
-};
-
-/**
- * Trace replay source.
- *
- * Trace format (text; '#' comments):
- *   <warp> A                  one ALU instruction
- *   <warp> L <addr> [...]     load touching the given line addresses
- *   <warp> S <addr> [...]     store touching the given line addresses
- * Addresses may be decimal or 0x-prefixed hex; they are line-aligned
- * by the core's L1.  Warps are dense indices starting at 0.
- */
-class TraceInstSource : public InstSource
-{
-  public:
-    /** Parses a trace from text; fatal() on malformed input. */
-    static std::unique_ptr<TraceInstSource>
-    fromText(const std::string &text);
-
-    /** Loads a trace file; fatal() if unreadable. */
-    static std::unique_ptr<TraceInstSource>
-    fromFile(const std::string &path);
-
-    unsigned numWarps() const override;
-    std::uint64_t warpLength(unsigned warp) const override;
-    void decode(unsigned warp, Warp::PendingInst &out,
-                Rng &rng) override;
-    void rewind() override;
-
-  private:
-    std::vector<std::vector<Warp::PendingInst>> per_warp_;
-    std::vector<std::size_t> cursor_;
 };
 
 } // namespace tenoc

@@ -42,7 +42,9 @@ struct KernelProfile
 
     /** Fraction of warp instructions that access global memory. */
     double memFraction = 0.10;
-    /** Of memory instructions, fraction that are loads. */
+    /** Of memory instructions, fraction that are loads.  Loads and
+     *  stores are timed alike (DESIGN.md substitution 2), so this
+     *  only advances the decode RNG. */
     double loadFraction = 0.85;
     /** Mean distinct cache lines touched per warp memory instruction
      *  after coalescing (1 = perfectly coalesced, up to 32). */
@@ -66,14 +68,6 @@ struct KernelProfile
     double rowLocality = 0.8;
     /** Random-jump footprint per warp, in bytes. */
     std::uint64_t footprintBytes = 4ull << 20;
-
-    /**
-     * Use real tag-array caches (L1 and L2) instead of the profile
-     * locality mode.  The statistical hit rates are then ignored;
-     * locality is whatever the address stream produces.  Primarily
-     * for trace replay (TraceInstSource).
-     */
-    bool realCaches = false;
 
     /** Total warp instructions across the whole chip. */
     std::uint64_t

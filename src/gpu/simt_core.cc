@@ -23,13 +23,8 @@ l1Params(const KernelProfile &profile, unsigned line_bytes)
     p.sizeBytes = 16 * 1024; // Table II
     p.lineBytes = line_bytes;
     p.ways = 4;
-    if (profile.realCaches) {
-        p.mode = CacheParams::Mode::REAL;
-    } else {
-        p.mode = CacheParams::Mode::PROFILE;
-        p.profileHitRate = profile.l1HitRate;
-        p.profileWritebackRate = profile.writebackRate;
-    }
+    p.profileHitRate = profile.l1HitRate;
+    p.profileWritebackRate = profile.writebackRate;
     return p;
 }
 
@@ -95,7 +90,7 @@ void
 SimtCore::restart()
 {
     tenoc_assert(done(), "restart before the previous kernel retired");
-    tenoc_assert(mshrs_.size() == 0 && pending_writebacks_.empty(),
+    tenoc_assert(mshrs_.size() == 0,
                  "restart with memory traffic in flight");
     source_->rewind();
     warps_done_ = 0;
@@ -121,13 +116,6 @@ SimtCore::restart()
 void
 SimtCore::cycle(Cycle core_cycle)
 {
-    // Retry dirty-victim writebacks that found the port full (these
-    // may outlive the warps that caused them).
-    while (!pending_writebacks_.empty() && port_.canSendRequests(1)) {
-        port_.sendWrite(pending_writebacks_.front());
-        pending_writebacks_.pop_front();
-        ++writes_sent_;
-    }
     if (done())
         return;
     if (--slot_countdown_ > 0)
@@ -233,7 +221,6 @@ SimtCore::tryIssue(unsigned w)
 SimtCore::MemIssue
 SimtCore::executeMemInst(Warp &warp)
 {
-    const bool is_store = warp.next.isStore;
     const auto &lines = warp.next.lines;
 
     // Conservative resource check: every line might miss and every
@@ -254,7 +241,7 @@ SimtCore::executeMemInst(Warp &warp)
 
     for (Addr raw : lines) {
         const Addr line = l1_.lineAddr(raw);
-        const auto res = l1_.access(line, is_store);
+        const auto res = l1_.access(line);
         if (res.hit)
             continue;
         if (res.writeback) {
@@ -269,8 +256,6 @@ SimtCore::executeMemInst(Warp &warp)
             port_.sendRead(line);
             ++reads_sent_;
         }
-        if (is_store)
-            mshrs_.markStore(line);
         ++warp.pendingReplies;
     }
     if (warp.pendingReplies >= profile_.maxPendingLines)
@@ -386,22 +371,8 @@ SimtCore::auditMshrParking() const
 void
 SimtCore::onReadReply(Addr line)
 {
-    bool dirty = false;
-    const auto waiters = mshrs_.release(line, &dirty);
+    const auto waiters = mshrs_.release(line);
     noteMshrLine(line);
-
-    // Real-tag mode: install the line; a dirty victim becomes a write
-    // request (queued if the injection port is momentarily full).
-    if (l1_.params().mode == CacheParams::Mode::REAL) {
-        if (const auto wb = l1_.fill(line, dirty)) {
-            if (port_.canSendRequests(1)) {
-                port_.sendWrite(*wb);
-                ++writes_sent_;
-            } else {
-                pending_writebacks_.push_back(*wb);
-            }
-        }
-    }
 
     for (std::uint64_t waiter : waiters) {
         auto &warp = warps_[static_cast<std::size_t>(waiter)];

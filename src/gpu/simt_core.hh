@@ -4,9 +4,9 @@
  *
  * 8-wide SIMD pipeline executing 32-thread warps over four core
  * cycles; a dispatch queue of up to 32 ready warps; memory divergence
- * detection / coalescing; an L1 data cache (profile-locality mode for
- * the synthetic workloads) with a 64-entry MSHR table.  Global loads
- * that miss L1 send read requests into the NoC and block their warp
+ * detection / coalescing; a profile-locality L1 data cache with a
+ * 64-entry MSHR table.  Global loads and stores that miss L1 send read
+ * requests into the NoC (stores write-allocate) and block their warp
  * until the read reply returns; dirty evictions send write requests
  * (the paper's core->MC traffic is read requests plus less-frequent
  * writes, and MC->core traffic is read replies only).
@@ -16,7 +16,6 @@
 #define TENOC_GPU_SIMT_CORE_HH
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -45,7 +44,7 @@ class CoreMemPort
     virtual bool canSendRequests(unsigned n) const = 0;
     /** Sends a read request for one line. */
     virtual void sendRead(Addr line) = 0;
-    /** Sends a 64-byte write (dirty eviction / store flush). */
+    /** Sends a 64-byte write (dirty eviction). */
     virtual void sendWrite(Addr line) = 0;
 };
 
@@ -75,7 +74,7 @@ class SimtCore
      *        instruction statistics when no explicit source is given)
      * @param port memory system access
      * @param seed deterministic RNG seed
-     * @param source optional instruction source (e.g. a trace);
+     * @param source optional instruction source (tests script one);
      *        defaults to a ProfileInstSource over `profile`
      */
     SimtCore(unsigned id, const SimtCoreParams &params,
@@ -98,9 +97,6 @@ class SimtCore
 
     /** @return true when every warp has retired. */
     bool done() const { return warps_done_ == warps_.size(); }
-
-    /** @return true when no queued writebacks remain to be sent. */
-    bool flushed() const { return pending_writebacks_.empty(); }
 
     // --- stats ---
     std::uint64_t scalarInsts() const { return scalar_insts_; }
@@ -209,8 +205,6 @@ class SimtCore
      *  attempt in the slot may treat that count as refused. */
     std::uint64_t port_parked_ = 0;
     unsigned port_need_ = ~0u;
-    /** Dirty victims waiting for injection-queue space. */
-    std::deque<Addr> pending_writebacks_;
     unsigned rr_warp_ = 0;
     unsigned slot_countdown_ = 0;
     std::size_t warps_done_ = 0;

@@ -905,13 +905,9 @@ legalDiffConfig(const DiffConfig &cfg)
     if (cfg.numMcs < 1 || cfg.numMcs >= cfg.rows * cfg.cols)
         return false;
     if (cfg.checkerboard) {
-        if (cfg.routing != "cr")
-            return false;
         if (cfg.numMcs > oddParityCells(cfg.rows, cfg.cols))
             return false;
     } else {
-        if (cfg.routing == "cr")
-            return false;
         // TOP_BOTTOM packs ceil(numMcs/2) MCs into the top row.
         if ((cfg.numMcs + 1) / 2 > cfg.cols)
             return false;
@@ -928,7 +924,8 @@ legalDiffConfig(const DiffConfig &cfg)
         return false;
     if (cfg.mcInjPorts < 1 || cfg.mcEjPorts < 1)
         return false;
-    // The simulator's own router limits (64 input VCs, 64 outputs).
+    // The simulator's own router rules: routing matches the router
+    // kind, at most 64 input VCs and 64 outputs.
     if (!routerGeometryError(cfg.toNetParams()).empty())
         return false;
     if (cfg.sliced) {

@@ -41,6 +41,16 @@ routerGeometryError(const MeshNetworkParams &params)
                                      "'; noc.routing takes ",
                                      ROUTING_NAMES);
     }
+    // Half-routers omit the turns DOR takes; only CR avoids them, and
+    // CR needs the checkerboard of full and half routers.
+    const bool cr = params.routing == "cr";
+    if (cr != params.topo.checkerboardRouters) {
+        return detail::formatMessage(
+            "noc.routing=", params.routing, " with noc.halfRouters=",
+            params.topo.checkerboardRouters ? 1 : 0, ": ",
+            cr ? "cr routes only on a half-router checkerboard"
+               : "xy and yx route only on full routers");
+    }
     // MC routers have the most ports: NUM_DIRS + mcInjPorts inputs
     // (a compute router has one injection port) and NUM_DIRS +
     // mcEjPorts outputs.

@@ -69,9 +69,11 @@ struct MeshNetworkParams
 
 /**
  * Checks the routers `params` builds against the router model's
- * limits: at most Router::MAX_INPUT_VCS input VCs (inputs x VCs) and
- * Router::MAX_OUTPUTS outputs per router, under a known routing
- * algorithm.  @return an empty string if they fit, else why not.
+ * rules: a known routing algorithm that matches the router kind (cr
+ * exactly on half-router checkerboards), at most
+ * Router::MAX_INPUT_VCS input VCs (inputs x VCs) and
+ * Router::MAX_OUTPUTS outputs per router.  @return an empty string
+ * if they fit, else why not.
  */
 std::string routerGeometryError(const MeshNetworkParams &params);
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the set-associative cache (real and profile modes).
+ * Tests for the profile-locality cache.
  */
 
 #include <gtest/gtest.h>
@@ -29,85 +29,9 @@ TEST(Cache, GeometryComputed)
     EXPECT_EQ(c.lineAddr(0x12345), 0x12340ull & ~0x3full);
 }
 
-TEST(Cache, MissThenFillThenHit)
-{
-    Cache c(smallCache());
-    EXPECT_FALSE(c.access(0x1000, false).hit);
-    EXPECT_FALSE(c.probe(0x1000));
-    c.fill(0x1000, false);
-    EXPECT_TRUE(c.probe(0x1000));
-    EXPECT_TRUE(c.access(0x1000, false).hit);
-    EXPECT_EQ(c.hits(), 1u);
-    EXPECT_EQ(c.misses(), 1u);
-}
-
-TEST(Cache, LruEviction)
-{
-    Cache c(smallCache());
-    // Fill all 4 ways of set 0 (stride = sets * line = 256).
-    for (Addr i = 0; i < 4; ++i)
-        c.fill(i * 256, false);
-    // Touch line 0 so line 256 becomes LRU.
-    EXPECT_TRUE(c.access(0, false).hit);
-    c.fill(4 * 256, false);
-    EXPECT_TRUE(c.probe(0));
-    EXPECT_FALSE(c.probe(256)); // evicted
-    EXPECT_TRUE(c.probe(4 * 256));
-}
-
-TEST(Cache, DirtyEvictionReturnsVictimAddress)
-{
-    Cache c(smallCache());
-    for (Addr i = 0; i < 4; ++i)
-        c.fill(i * 256, false);
-    EXPECT_TRUE(c.access(0, true).hit); // dirty line 0
-    for (Addr i = 1; i < 4; ++i)
-        c.access(i * 256, false); // freshen others; 0 becomes LRU
-    const auto wb = c.fill(4 * 256, false);
-    ASSERT_TRUE(wb.has_value());
-    EXPECT_EQ(*wb, 0u);
-}
-
-TEST(Cache, CleanEvictionHasNoWriteback)
-{
-    Cache c(smallCache());
-    for (Addr i = 0; i < 5; ++i) {
-        const auto wb = c.fill(i * 256, false);
-        EXPECT_FALSE(wb.has_value());
-    }
-}
-
-TEST(Cache, FillDirtyMarksLine)
-{
-    Cache c(smallCache());
-    c.fill(0x40, true);
-    for (Addr i = 1; i < 5; ++i)
-        c.fill(0x40 + i * 256, false);
-    // 0x40 was LRU and dirty -> the last fill must have written back.
-    EXPECT_FALSE(c.probe(0x40));
-}
-
-TEST(Cache, DuplicateFillRefreshes)
-{
-    Cache c(smallCache());
-    c.fill(0x80, false);
-    const auto wb = c.fill(0x80, true);
-    EXPECT_FALSE(wb.has_value());
-    EXPECT_TRUE(c.probe(0x80));
-}
-
-TEST(Cache, FlushInvalidatesEverything)
-{
-    Cache c(smallCache());
-    c.fill(0x100, true);
-    c.flush();
-    EXPECT_FALSE(c.probe(0x100));
-}
-
 TEST(Cache, ProfileModeMatchesHitRate)
 {
     CacheParams p = smallCache();
-    p.mode = CacheParams::Mode::PROFILE;
     p.profileHitRate = 0.7;
     p.profileWritebackRate = 0.5;
     Cache c(p, 42);
@@ -115,7 +39,7 @@ TEST(Cache, ProfileModeMatchesHitRate)
     unsigned wbs = 0;
     const int n = 20000;
     for (int i = 0; i < n; ++i) {
-        const auto r = c.access(static_cast<Addr>(i) * 64, false);
+        const auto r = c.access(static_cast<Addr>(i) * 64);
         hits += r.hit;
         wbs += r.writeback.has_value();
     }
@@ -125,16 +49,6 @@ TEST(Cache, ProfileModeMatchesHitRate)
     EXPECT_NEAR(c.hitRate(), 0.7, 0.02);
 }
 
-TEST(Cache, ProfileModeFillIsNoop)
-{
-    CacheParams p = smallCache();
-    p.mode = CacheParams::Mode::PROFILE;
-    p.profileHitRate = 0.0;
-    Cache c(p);
-    EXPECT_FALSE(c.fill(0x40, true).has_value());
-    EXPECT_FALSE(c.probe(0x40));
-}
-
 TEST(CacheDeath, BadGeometryPanics)
 {
     CacheParams p;
@@ -142,35 +56,6 @@ TEST(CacheDeath, BadGeometryPanics)
     p.lineBytes = 48;
     EXPECT_DEATH({ Cache c(p); }, "pow2");
 }
-
-/** Parameterized sweep over Table II geometries. */
-class CacheGeometry
-    : public ::testing::TestWithParam<std::tuple<std::uint64_t,
-                                                 unsigned, unsigned>>
-{};
-
-TEST_P(CacheGeometry, FillsAndHitsWholeCapacity)
-{
-    auto [size, line, ways] = GetParam();
-    CacheParams p;
-    p.sizeBytes = size;
-    p.lineBytes = line;
-    p.ways = ways;
-    Cache c(p);
-    const std::uint64_t lines = size / line;
-    for (std::uint64_t i = 0; i < lines; ++i)
-        c.fill(i * line, false);
-    for (std::uint64_t i = 0; i < lines; ++i)
-        EXPECT_TRUE(c.access(i * line, false).hit);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Geometries, CacheGeometry,
-    ::testing::Values(std::tuple{16ull * 1024, 64u, 4u},   // L1
-                      std::tuple{128ull * 1024, 64u, 8u},  // L2 bank
-                      std::tuple{8ull * 1024, 64u, 2u},
-                      std::tuple{4ull * 1024, 128u, 4u},
-                      std::tuple{1ull * 1024, 64u, 16u})); // fully assoc
 
 } // namespace
 } // namespace tenoc

@@ -312,8 +312,7 @@ TEST(Chip, MemoryPathDigestsMatchRecorded)
 {
     // Eight MSHRs per core make MSHR stalls dominate, so the issue
     // scheduler's MSHR parking, the MSHR table and FR-FCFS all decide
-    // the timing; the digests pin it to the recorded simulator.  The
-    // real-cache TRA runs add store-dirtied refills and writebacks.
+    // the timing; the digests pin it to the recorded simulator.
     // CP_CR_DOUBLE puts the sliced checkerboard mesh in the loop.  The
     // /m64 runs keep the stock table, where MSHR stalls come and go;
     // the /m2 runs keep warps parked on their need.  A BFS load touches
@@ -323,15 +322,13 @@ TEST(Chip, MemoryPathDigestsMatchRecorded)
     const auto recorded = recordedChipDigests();
     unsigned runs = 0;
     auto check = [&](const char *kernel, ConfigId id, const char *config,
-                     unsigned seed, bool real, unsigned mshrs = 8) {
+                     unsigned seed, unsigned mshrs = 8) {
         const std::string name = std::string(kernel) + "/" + config +
-            "/s" + std::to_string(seed) + (real ? "/real" : "") +
+            "/s" + std::to_string(seed) +
             (mshrs == 8 ? "" : "/m" + std::to_string(mshrs));
         auto params = makeConfig(id, seed);
         params.core.mshrEntries = mshrs;
-        auto profile = quick(kernel);
-        profile.realCaches = real;
-        Chip chip(params, profile);
+        Chip chip(params, quick(kernel));
         const ChipResult r = chip.run();
         const bool stuck = mshrs == 2 && std::string(kernel) == "BFS";
         EXPECT_EQ(r.timedOut, stuck) << name;
@@ -349,15 +346,13 @@ TEST(Chip, MemoryPathDigestsMatchRecorded)
     for (const auto &[id, config] : configs) {
         for (const char *kernel : {"BFS", "TRA", "RD"}) {
             for (const unsigned seed : {2u, 3u})
-                check(kernel, id, config, seed, false);
+                check(kernel, id, config, seed);
         }
-        check("TRA", id, config, 2, true);
     }
     for (const unsigned mshrs : {64u, 2u}) {
         for (const char *kernel : {"BFS", "RD"}) {
             for (const unsigned seed : {2u, 3u}) {
-                check(kernel, ConfigId::PERFECT, "PERFECT", seed, false,
-                      mshrs);
+                check(kernel, ConfigId::PERFECT, "PERFECT", seed, mshrs);
             }
         }
     }

@@ -221,6 +221,35 @@ TEST(ChipConfigDeath, RetiredRoutingIsFatal)
     }
 }
 
+TEST(ChipConfigDeath, DorOnHalfRoutersIsFatal)
+{
+    // Half-routers lack turns DOR takes; the run would otherwise
+    // panic on the first illegal turn.
+    for (const char *routing : {"xy", "yx"}) {
+        Config cfg;
+        cfg.set("noc.halfRouters", "1");
+        cfg.set("noc.placement", "checkerboard");
+        cfg.set("noc.routing", routing);
+        EXPECT_EXIT(chipParamsFromConfig(cfg),
+                    ::testing::ExitedWithCode(1),
+                    std::string("noc.routing=") + routing +
+                        " with noc.halfRouters=1: xy and yx route only"
+                        " on full routers")
+            << routing;
+    }
+}
+
+TEST(ChipConfigDeath, CrOnFullRoutersIsFatal)
+{
+    // CR picks its waypoints on the half-router checkerboard; on full
+    // routers the run would otherwise panic building the routing.
+    Config cfg;
+    cfg.set("noc.routing", "cr");
+    EXPECT_EXIT(chipParamsFromConfig(cfg), ::testing::ExitedWithCode(1),
+                "noc.routing=cr with noc.halfRouters=0: cr routes only"
+                " on a half-router checkerboard");
+}
+
 TEST(ChipConfigDeath, RetiredAgePriorityKeyIsFatal)
 {
     // Oldest-first switch allocation is gone; a script still setting

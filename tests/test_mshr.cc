@@ -80,9 +80,9 @@ TEST(Mshr, CapacityMatchesTableII)
 
 /** Copies a release() view before the table is touched again. */
 std::vector<std::uint64_t>
-released(MshrTable &m, Addr line, bool *store = nullptr)
+released(MshrTable &m, Addr line)
 {
-    const auto view = m.release(line, store);
+    const auto view = m.release(line);
     return {view.begin(), view.end()};
 }
 
@@ -92,21 +92,14 @@ TEST(Mshr, ReusedSlotKeepsWaiterOrder)
     m.allocate(0x40, 1);
     m.allocate(0x40, 2);
     m.allocate(0x80, 3);
-    m.markStore(0x40);
-    bool store = false;
-    EXPECT_EQ(released(m, 0x40, &store),
-              (std::vector<std::uint64_t>{1, 2}));
-    EXPECT_TRUE(store);
-    // The freed slot takes a new line; its waiters and store mark
-    // start over.
+    EXPECT_EQ(released(m, 0x40), (std::vector<std::uint64_t>{1, 2}));
+    // The freed slot takes a new line; its waiters start over.
     m.allocate(0xc0, 4);
     m.allocate(0xc0, 5);
     m.allocate(0x80, 6);
     m.allocate(0xc0, 7);
     EXPECT_TRUE(m.full());
-    EXPECT_EQ(released(m, 0xc0, &store),
-              (std::vector<std::uint64_t>{4, 5, 7}));
-    EXPECT_FALSE(store);
+    EXPECT_EQ(released(m, 0xc0), (std::vector<std::uint64_t>{4, 5, 7}));
     EXPECT_EQ(released(m, 0x80), (std::vector<std::uint64_t>{3, 6}));
     EXPECT_EQ(m.size(), 0u);
 }

@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
+#include <memory>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gpu/simt_core.hh"
@@ -15,6 +19,68 @@ namespace tenoc
 {
 namespace
 {
+
+/**
+ * Scripted instructions, one per text line: `<warp> A` is an ALU
+ * instruction and `<warp> L <addr> ...` a load of those addresses
+ * (decimal or 0x hex).  rewind() replays the script.
+ */
+class ScriptedInstSource : public InstSource
+{
+  public:
+    static std::unique_ptr<ScriptedInstSource>
+    fromText(const std::string &text)
+    {
+        auto src = std::make_unique<ScriptedInstSource>();
+        std::istringstream lines(text);
+        std::string line;
+        while (std::getline(lines, line)) {
+            std::istringstream fields(line);
+            unsigned warp = 0;
+            std::string op;
+            if (!(fields >> warp >> op))
+                continue;
+            if (warp >= src->insts_.size())
+                src->insts_.resize(warp + 1);
+            Warp::PendingInst inst;
+            inst.isMem = op == "L";
+            std::string addr;
+            while (fields >> addr)
+                inst.lines.push_back(std::stoull(addr, nullptr, 0));
+            src->insts_[warp].push_back(std::move(inst));
+        }
+        src->cursor_.assign(src->insts_.size(), 0);
+        return src;
+    }
+
+    unsigned
+    numWarps() const override
+    {
+        return static_cast<unsigned>(insts_.size());
+    }
+
+    std::uint64_t
+    warpLength(unsigned warp) const override
+    {
+        return insts_[warp].size();
+    }
+
+    void
+    decode(unsigned warp, Warp::PendingInst &out, Rng &) override
+    {
+        out = insts_[warp][cursor_[warp]++];
+    }
+
+    void
+    rewind() override
+    {
+        std::fill(cursor_.begin(), cursor_.end(), 0);
+    }
+
+  private:
+    std::vector<std::vector<Warp::PendingInst>> insts_;
+    std::vector<std::size_t> cursor_;
+};
 
 /** Memory port that answers reads after a fixed delay. */
 class FakePort : public CoreMemPort
@@ -31,13 +97,14 @@ class FakePort : public CoreMemPort
     {
         ++reads;
         pending.push_back(line);
+        sent.emplace_back('R', line);
     }
 
     void
     sendWrite(Addr line) override
     {
-        (void)line;
         ++writes;
+        sent.emplace_back('W', line);
     }
 
     /** Delivers up to `n` oldest replies to `core`. */
@@ -54,6 +121,8 @@ class FakePort : public CoreMemPort
     unsigned reads = 0;
     unsigned writes = 0;
     std::deque<Addr> pending;
+    /** Every request in send order: 'R' or 'W' and its line. */
+    std::vector<std::pair<char, Addr>> sent;
 };
 
 KernelProfile
@@ -131,6 +200,44 @@ TEST(SimtCore, WritebacksEmitWrites)
     }
     ASSERT_TRUE(core.done());
     EXPECT_EQ(port.writes, port.reads);
+}
+
+TEST(SimtCore, LoadsAndStoresAreTimedAlike)
+{
+    // A store is a write-allocate read, so an all-store kernel sends
+    // the reads and writes of an all-load kernel, in the same cycles.
+    // Load fractions of 0 and 1 draw nothing from the core's RNG; any
+    // other fraction draws, which shifts the instruction stream.
+    struct Run
+    {
+        std::vector<std::pair<char, Addr>> sent;
+        std::vector<std::size_t> sentByCycle;
+        bool operator==(const Run &) const = default;
+    };
+    auto run = [](double load_fraction) {
+        FakePort port;
+        SimtCoreParams params;
+        auto prof = computeProfile();
+        prof.memFraction = 0.4;
+        prof.loadFraction = load_fraction;
+        prof.l1HitRate = 0.5;
+        prof.writebackRate = 0.3;
+        SimtCore core(0, params, prof, port, 21);
+        Run r;
+        for (Cycle t = 0; !core.done() && t < 1000000; ++t) {
+            core.cycle(t);
+            if (t % 8 == 0)
+                port.replyOldest(core, 1);
+            r.sentByCycle.push_back(port.sent.size());
+        }
+        EXPECT_TRUE(core.done()) << load_fraction;
+        EXPECT_GT(port.writes, 0u) << load_fraction;
+        r.sent = port.sent;
+        return r;
+    };
+    const Run loads = run(1.0);
+    EXPECT_TRUE(run(0.0) == loads);
+    EXPECT_FALSE(run(0.5) == loads);
 }
 
 TEST(SimtCore, MlpLimitsOutstandingLines)
@@ -264,7 +371,7 @@ TEST(SimtCore, MshrStalledWarpIssuesAfterRelease)
     params.mshrEntries = 2;
     const auto prof = missingProfile();
     SimtCore core(0, params, prof, port, 8,
-                  TraceInstSource::fromText(text));
+                  ScriptedInstSource::fromText(text));
     Cycle t = 0;
     for (; t < 400; ++t)
         core.cycle(t);
@@ -296,7 +403,7 @@ TEST(SimtCore, MshrNeedAboveTableSizeWarnsOncePerCore)
     params.mshrEntries = 2;
     const auto prof = missingProfile();
     SimtCore core(3, params, prof, port, 9,
-                  TraceInstSource::fromText(text));
+                  ScriptedInstSource::fromText(text));
     ::testing::internal::CaptureStderr();
     for (Cycle t = 0; t < 100; ++t)
         core.cycle(t);
@@ -323,7 +430,7 @@ TEST(SimtCore, MshrMergeRearmsStalledWarp)
     params.mshrEntries = 2;
     const auto prof = missingProfile();
     SimtCore core(0, params, prof, port, 9,
-                  TraceInstSource::fromText(text));
+                  ScriptedInstSource::fromText(text));
     for (Cycle t = 0; t < 2 * params.issueInterval(); ++t)
         core.cycle(t);
     EXPECT_EQ(core.warpInstsIssued(), 2u); // warps 0 and 2
@@ -400,7 +507,7 @@ TEST(SimtCore, PortParkedSlotAsksPortAtMostOnce)
     SimtCoreParams params;
     const auto prof = missingProfile();
     SimtCore core(0, params, prof, port, 10,
-                  TraceInstSource::fromText(kNeeds842));
+                  ScriptedInstSource::fromText(kNeeds842));
     Cycle t = 0;
     runSlot(core, params, t);
     EXPECT_EQ(port.queries, 3u);
@@ -427,7 +534,7 @@ TEST(SimtCore, PortParkedWarpsIssueByNeed)
     SimtCoreParams params;
     const auto prof = missingProfile();
     SimtCore core(0, params, prof, port, 11,
-                  TraceInstSource::fromText("0 L 0x1000 0x2000\n"
+                  ScriptedInstSource::fromText("0 L 0x1000 0x2000\n"
                                             "1 L 0x3000\n"));
     Cycle t = 0;
     runSlot(core, params, t); // both refused and parked
@@ -461,7 +568,7 @@ TEST(SimtCore, DuplicateLineAtMergeLimitStalls)
     SimtCoreParams params;
     const auto prof = missingProfile();
     SimtCore core(0, params, prof, port, 13,
-                  TraceInstSource::fromText(text));
+                  ScriptedInstSource::fromText(text));
     Cycle t = 0;
     for (; t < 100 * params.issueInterval(); ++t)
         core.cycle(t);
@@ -489,7 +596,7 @@ TEST(SimtCore, MshrParkedWarpWaitsForItsNeed)
     params.mshrEntries = 2;
     const auto prof = missingProfile();
     SimtCore core(0, params, prof, port, 14,
-                  TraceInstSource::fromText("0 L 0x1000\n"
+                  ScriptedInstSource::fromText("0 L 0x1000\n"
                                             "1 L 0x2000\n"
                                             "2 L 0x3000 0x4000\n"));
     Cycle t = 0;
@@ -524,7 +631,7 @@ TEST(SimtCore, MshrSharedLineRecountsNeed)
     params.mshrEntries = 2;
     const auto prof = missingProfile();
     SimtCore core(0, params, prof, port, 15,
-                  TraceInstSource::fromText("0 L 0x1000\n"
+                  ScriptedInstSource::fromText("0 L 0x1000\n"
                                             "1 L 0x2000 0x3000\n"
                                             "2 L 0x2000\n"));
     Cycle t = 0;
@@ -560,7 +667,7 @@ TEST(SimtCore, MshrMergeFullWaitsForItsLine)
     params.mshrEntries = 32;
     const auto prof = missingProfile();
     SimtCore core(0, params, prof, port, 16,
-                  TraceInstSource::fromText(text));
+                  ScriptedInstSource::fromText(text));
     Cycle t = 0;
     for (unsigned slot = 0; slot < 10; ++slot)
         runSlot(core, params, t);
@@ -593,7 +700,7 @@ TEST(SimtCore, RestartClearsPortParking)
     const auto prof = missingProfile();
     SpacePort port;
     SimtCore core(0, params, prof, port, 12,
-                  TraceInstSource::fromText(kNeeds842));
+                  ScriptedInstSource::fromText(kNeeds842));
     Cycle t = 0;
     runSlot(core, params, t);
     runSlot(core, params, t);
@@ -619,7 +726,7 @@ TEST(SimtCore, RestartClearsPortParking)
     SpacePort mport;
     mport.space = 64;
     SimtCore mcore(0, one, prof, mport, 17,
-                   TraceInstSource::fromText("0 L 0x1000\n"
+                   ScriptedInstSource::fromText("0 L 0x1000\n"
                                              "1 L 0x2000\n"
                                              "2 L 0x3000\n"));
     Cycle mt = 0;
