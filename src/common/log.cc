@@ -17,22 +17,9 @@ namespace tenoc
 namespace
 {
 
-std::atomic<bool> g_verbose{false};
 std::atomic<std::uint64_t> g_warn_count{0};
 
 } // namespace
-
-void
-setVerbose(bool verbose)
-{
-    g_verbose.store(verbose);
-}
-
-bool
-verbose()
-{
-    return g_verbose.load();
-}
 
 std::uint64_t
 warnCount()
@@ -71,13 +58,6 @@ warnImpl(const std::string &msg)
 {
     g_warn_count.fetch_add(1);
     std::fprintf(stderr, "warn: %s\n", msg.c_str());
-}
-
-void
-informImpl(const std::string &msg)
-{
-    if (g_verbose.load())
-        std::fprintf(stderr, "info: %s\n", msg.c_str());
 }
 
 } // namespace detail

@@ -4,7 +4,7 @@
  *
  * panic():  a condition that indicates a simulator bug; aborts.
  * fatal():  a condition caused by the user (bad configuration); exits.
- * warn()/inform(): non-terminating status messages.
+ * warn():   a non-terminating warning.
  */
 
 #ifndef TENOC_COMMON_LOG_HH
@@ -41,16 +41,7 @@ formatMessage(Args &&...args)
 /** Emits a warning line on stderr. */
 void warnImpl(const std::string &msg);
 
-/** Emits an informational line on stderr. */
-void informImpl(const std::string &msg);
-
 } // namespace detail
-
-/** Global verbosity switch; when false, inform() is suppressed. */
-void setVerbose(bool verbose);
-
-/** @return current verbosity. */
-bool verbose();
 
 /** Number of warn() calls so far (useful for tests). */
 std::uint64_t warnCount();
@@ -66,13 +57,6 @@ void
 warn(Args &&...args)
 {
     detail::warnImpl(detail::formatMessage(std::forward<Args>(args)...));
-}
-
-template <typename... Args>
-void
-inform(Args &&...args)
-{
-    detail::informImpl(detail::formatMessage(std::forward<Args>(args)...));
 }
 
 } // namespace tenoc

@@ -5,12 +5,11 @@
  * FreeListPool hands out raw objects from chunked storage and recycles
  * them through a freelist, so steady-state simulation performs no heap
  * allocation per object.  It is deliberately NOT thread-safe: pools
- * are accessed through thread_local instances and an object's
- * refcount is only ever touched by one thread.  A simulation runs
+ * are accessed through thread_local instances.  A simulation runs
  * serially on the thread that built it, and each parallel-sweep worker
- * (bench/sweep.hh) owns its simulations end to end, so the non-atomic
- * refcount stays correct under sweep workers.  An object allocated
- * from one thread's pool must never be *freed* on another.
+ * (bench/sweep.hh) owns its simulations end to end, so every object is
+ * allocated and released on one thread.  An object allocated from one
+ * thread's pool must never be *freed* on another.
  */
 
 #ifndef TENOC_COMMON_POOL_HH

@@ -45,12 +45,12 @@ ProfileInstSource::decode(unsigned warp, Warp::PendingInst &out,
     out.isMem = rng.nextBool(profile_.memFraction);
     if (out.isMem) {
         // Loads and stores are timed alike (a store is a write-allocate
-        // read); the draw stays because it advances the core's RNG.
-        out.isStore = !rng.nextBool(profile_.loadFraction);
+        // read), so the load/store draw's result is unused; the draw
+        // stays because it advances the core's RNG.
+        (void)rng.nextBool(profile_.loadFraction);
         out.lines =
             coalescer_.coalesce(profile_, streams_[warp], rng);
     } else {
-        out.isStore = false;
         out.lines.clear();
     }
 }

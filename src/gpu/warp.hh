@@ -47,7 +47,6 @@ struct Warp
     {
         bool valid = false;
         bool isMem = false;
-        bool isStore = false;
         std::vector<Addr> lines; ///< coalesced line addresses
     };
     PendingInst next;

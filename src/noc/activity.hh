@@ -1,6 +1,7 @@
 /**
  * @file
- * Activity tracking for idle-skip scheduling.
+ * Activity tracking for idle-skip scheduling, and the running counters
+ * a network's routers and NIs keep for it.
  *
  * An ActiveSet is a bitmask over component indices (routers or NIs of
  * one network).  Components are marked active when work arrives (a
@@ -27,14 +28,8 @@ namespace tenoc
 class ActiveSet
 {
   public:
-    explicit ActiveSet(unsigned n = 0) { resize(n); }
-
-    /** Clears the set and sizes it for indices [0, n). */
-    void
-    resize(unsigned n)
-    {
-        words_.assign((n + 63) / 64, 0);
-    }
+    /** An empty set of indices [0, n). */
+    explicit ActiveSet(unsigned n) : words_((n + 63) / 64, 0) {}
 
     void mark(unsigned i) { words_[i >> 6] |= WORD_ONE << (i & 63); }
 
@@ -82,6 +77,36 @@ class ActiveSet
     static constexpr std::uint64_t WORD_ONE = 1;
 
     std::vector<std::uint64_t> words_;
+};
+
+/**
+ * One network's running counters.  Its routers and NIs get them at
+ * construction and bump them on the hot path; the network's watchdog
+ * and telemetry and its invariant checker read them.  They count this
+ * network only: NetStats totals are shared between double-network
+ * slices and cannot serve these purposes.
+ */
+struct NetCounters
+{
+    /** Packets inside the network (NI enqueue .. tail drained from an
+     *  ejection buffer); makes Network::drained() O(1). */
+    std::uint64_t inflight = 0;
+    /** Flits injected into routers and drained from ejection buffers.
+     *  Their difference is the exact flit population of the network
+     *  (router buffers + links + ejection buffers). */
+    std::uint64_t flitsIn = 0;
+    std::uint64_t flitsOut = 0;
+    /** Router switch traversals, so telemetry samples total flit hops
+     *  without re-summing every router. */
+    std::uint64_t traversed = 0;
+
+    /** Grows with every flit movement: injection into a router, a
+     *  switch traversal or an ejection-buffer drain (watchdog). */
+    std::uint64_t
+    progress() const
+    {
+        return flitsIn + flitsOut + traversed;
+    }
 };
 
 } // namespace tenoc

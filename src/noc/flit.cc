@@ -5,8 +5,6 @@
 
 #include "noc/flit.hh"
 
-#include <vector>
-
 #include "common/log.hh"
 
 namespace tenoc
@@ -24,7 +22,7 @@ makePacket()
 {
     Packet *p = packetPool().allocate();
     *p = Packet{}; // recycled objects carry their previous state
-    return PacketPtr(p);
+    return PacketPtr::adopt(p);
 }
 
 int
@@ -64,24 +62,6 @@ flitsForBytes(unsigned bytes, unsigned flit_bytes)
 {
     tenoc_assert(flit_bytes > 0, "flit size must be positive");
     return (bytes + flit_bytes - 1) / flit_bytes;
-}
-
-void
-makeFlits(const PacketPtr &pkt, std::vector<Flit> &out, unsigned vc)
-{
-    tenoc_assert(pkt && pkt->sizeFlits >= 1 && pkt->sizeFlits <= 0xffff,
-                 "invalid packet");
-    out.clear();
-    out.reserve(pkt->sizeFlits);
-    for (unsigned i = 0; i < pkt->sizeFlits; ++i) {
-        Flit f;
-        f.pkt = pkt.get();
-        f.vc = vc;
-        f.seq = static_cast<std::uint16_t>(i);
-        f.head = (i == 0);
-        f.tail = (i == pkt->sizeFlits - 1);
-        out.push_back(f);
-    }
 }
 
 } // namespace tenoc

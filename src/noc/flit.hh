@@ -6,16 +6,17 @@
  * into one or more 16-byte (or 8-byte, for channel-sliced networks)
  * Flits for transmission.  The traffic mix follows Sec. III-D of the
  * paper: small read-request / write-ack packets and large write-request
- * / read-reply packets carrying a 64-byte cache line.
+ * / read-reply packets carrying a 64-byte cache line.  A network
+ * interface builds each flit (makeFlit) only when it streams it into
+ * the router.
  */
 
 #ifndef TENOC_NOC_FLIT_HH
 #define TENOC_NOC_FLIT_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <type_traits>
-#include <utility>
-#include <vector>
 
 #include "common/pool.hh"
 #include "common/types.hh"
@@ -32,14 +33,13 @@ enum class RouteMode : std::uint8_t
 };
 
 /**
- * One network packet.  Owned via PacketPtr (an intrusive, non-atomic
- * refcount over a thread_local freelist pool); flits point at it (see
- * Flit for who holds the reference while it is in the network).
- * The refcount must therefore only ever be touched by one thread.  A
- * simulation's cycle runs serially, and each parallel sweep point
- * (bench/sweep.hh) runs its whole simulation on one worker thread, so
- * every packet is allocated and released on the thread whose pool
- * owns it.
+ * One network packet.  Owned by exactly one PacketPtr at a time (a
+ * move-only handle over a thread_local freelist pool); flits point at
+ * it (see Flit for which flit carries that ownership while the packet
+ * is in the network).  A simulation's cycle runs serially, and each
+ * parallel sweep point (bench/sweep.hh) runs its whole simulation on
+ * one worker thread, so every packet is allocated and released on the
+ * thread whose pool owns it.
  */
 struct Packet
 {
@@ -68,62 +68,33 @@ struct Packet
 
     /** Current routing class: 0 for an XY leg, 1 for a YX leg. */
     int routeClass() const;
-
-    /** Intrusive reference count (managed by PacketPtr; not atomic —
-     *  see the struct comment on thread confinement). */
-    std::uint32_t refCount = 0;
 };
 
 /** The thread-local packet pool backing makePacket(). */
 FreeListPool<Packet> &packetPool();
 
 /**
- * Intrusive smart pointer for pooled packets.  Copying bumps a plain
- * (non-atomic) counter; the last owner returns the packet to the
- * thread-local pool.  API mirrors the shared_ptr subset the simulator
- * uses (get/reset/bool/deref/compare).
+ * Move-only owner of a pooled packet: destroying or resetting a
+ * non-null pointer returns the packet to the thread-local pool.  The
+ * API is the unique_ptr subset the simulator uses (get/reset/bool/
+ * deref/compare), plus adopt()/detach() for handing the ownership to
+ * a tail flit and back.
  */
 class PacketPtr
 {
   public:
     PacketPtr() = default;
     PacketPtr(std::nullptr_t) {}
-
-    /** Adopts a pooled packet; the pointer holds one new reference. */
-    explicit PacketPtr(Packet *p) : p_(p)
-    {
-        if (p_)
-            ++p_->refCount;
-    }
-
-    PacketPtr(const PacketPtr &o) : p_(o.p_)
-    {
-        if (p_)
-            ++p_->refCount;
-    }
-
     PacketPtr(PacketPtr &&o) noexcept : p_(o.p_) { o.p_ = nullptr; }
 
-    /** Takes over one reference that `p` already carries (one that
-     *  detach() let go of) without adding a new one. */
+    /** Takes over the ownership of pooled packet `p` (one that
+     *  detach() let go of, or a fresh one from the pool). */
     static PacketPtr
     adopt(Packet *p)
     {
         PacketPtr ptr;
         ptr.p_ = p;
         return ptr;
-    }
-
-    PacketPtr &
-    operator=(const PacketPtr &o)
-    {
-        if (this != &o) {
-            drop();
-            p_ = o.p_;
-            if (p_)
-                ++p_->refCount;
-        }
-        return *this;
     }
 
     PacketPtr &
@@ -151,8 +122,8 @@ class PacketPtr
         p_ = nullptr;
     }
 
-    /** Lets go of the packet without dropping its reference: the
-     *  caller now carries that reference (see adopt()). */
+    /** Lets go of the packet without returning it to the pool: the
+     *  caller now owns it (see adopt()). */
     Packet *
     detach()
     {
@@ -160,9 +131,6 @@ class PacketPtr
         p_ = nullptr;
         return p;
     }
-
-    /** Number of references to the packet (0 for null). */
-    std::uint32_t use_count() const { return p_ ? p_->refCount : 0; }
 
     friend bool
     operator==(const PacketPtr &a, const PacketPtr &b)
@@ -189,7 +157,7 @@ class PacketPtr
     void
     drop()
     {
-        if (p_ && --p_->refCount == 0)
+        if (p_)
             packetPool().release(p_);
     }
 
@@ -206,15 +174,15 @@ unsigned memOpBytes(MemOp op);
 unsigned flitsForBytes(unsigned bytes, unsigned flit_bytes);
 
 /**
- * One flit: a plain 24-byte value, copied as bytes between NI slots,
- * router rings, the link wheel and ejection rings.  The VC field is
+ * One flit: a plain 24-byte value, copied as bytes between router
+ * rings, the link wheel and ejection rings.  The VC field is
  * rewritten by each hop's switch allocation.
  *
- * Ownership: the packet's one network reference travels with its tail
- * flit.  The NI detaches its PacketPtr when it injects the tail, the
- * NI that drains the tail adopts it again, and a VC arena, link wheel
- * or ejection ring destroyed (or re-configured) mid-run returns the
- * references of the tails it still holds.  Head and body flits never
+ * Ownership: the packet travels with its tail flit.  The NI detaches
+ * its PacketPtr when it injects the tail, the NI that drains the tail
+ * adopts it again, and a VC arena, link wheel or ejection ring
+ * destroyed (or re-configured) mid-run returns the packets of the
+ * tails it still holds to the pool.  Head and body flits never
  * outlive their tail in the network (a worm stays in order on its
  * VCs), so their bare pointer stays valid.
  */
@@ -229,10 +197,19 @@ struct Flit
 };
 static_assert(sizeof(Flit) == 24 && std::is_trivially_copyable_v<Flit>);
 
-/** Builds the flit sequence for a packet on VC `vc`; the flits point
- *  at the packet but hold no reference. */
-void makeFlits(const PacketPtr &pkt, std::vector<Flit> &out,
-               unsigned vc = 0);
+/** Flit `seq` of `pkt` on VC `vc`; it points at the packet but does
+ *  not own it. */
+inline Flit
+makeFlit(Packet &pkt, unsigned seq, unsigned vc)
+{
+    Flit f;
+    f.pkt = &pkt;
+    f.vc = vc;
+    f.seq = static_cast<std::uint16_t>(seq);
+    f.head = seq == 0;
+    f.tail = seq + 1 == pkt.sizeFlits;
+    return f;
+}
 
 } // namespace tenoc
 

@@ -486,7 +486,9 @@ shadowRun(const DiffConfig &cfg, const Toggles &toggles,
             auto &q = pending[n];
             while (!q.empty() &&
                    net->canInject(n, q.front()->protoClass)) {
-                PacketPtr held = q.front(); // keep a ref for the shadow
+                // The network owns the packet now; it stays queued in
+                // the NI, so the shadow reads its id and route after.
+                const Packet *held = q.front().get();
                 net->inject(std::move(q.front()), now);
                 q.pop_front();
                 --pending_total;
@@ -563,11 +565,10 @@ zeroLoadOracle(const DiffConfig &cfg, const DiffOptions &opts,
             std::min<std::uint64_t>(4, cfg.vcDepth)));
         pkt->sizeBytes = pkt->sizeFlits * net.flitBytes();
         pkt->createdCycle = now;
-        PacketPtr held = pkt;
+        const Packet *held = pkt.get();
         tenoc_assert(net.canInject(src, 0), "idle NI rejected a probe");
         net.inject(std::move(pkt), now);
         shadow.onInject(*held, now);
-        held.reset();
 
         const Cycle probe_cap = now + 100000;
         while (!net.drained() && now < probe_cap) {

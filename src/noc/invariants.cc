@@ -111,24 +111,6 @@ InvariantChecker::addNi(const NetworkInterface *ni)
 }
 
 void
-InvariantChecker::setCounters(const std::uint64_t *inflight,
-                              const std::uint64_t *flits_in,
-                              const std::uint64_t *flits_out)
-{
-    inflight_ = inflight;
-    flits_in_ = flits_in;
-    flits_out_ = flits_out;
-}
-
-void
-InvariantChecker::setActivity(const ActiveSet *router_set,
-                              const ActiveSet *ni_set)
-{
-    router_set_ = router_set;
-    ni_set_ = ni_set;
-}
-
-void
 InvariantChecker::checkRouter(const Router &r,
                               std::vector<Violation> &out) const
 {
@@ -403,9 +385,6 @@ void
 InvariantChecker::checkConservation(const WheelCensus &census,
                                     std::vector<Violation> &out) const
 {
-    if (!flits_in_ || !flits_out_ || !inflight_)
-        return;
-
     std::uint64_t buffered = 0;
     std::uint64_t buffered_tails = 0;
     for (const Router *r : routers_) {
@@ -427,11 +406,12 @@ InvariantChecker::checkConservation(const WheelCensus &census,
 
     const std::uint64_t in_network =
         buffered + census.totalFlits + ej_flits;
-    if (*flits_in_ - *flits_out_ != in_network) {
+    const NetCounters &c = counters_;
+    if (c.flitsIn - c.flitsOut != in_network) {
         addViolation(out, Violation::Kind::FLIT_CONSERVATION,
                      formatMessage(
-                         "flits injected ", *flits_in_, " - drained ",
-                         *flits_out_, " = ", *flits_in_ - *flits_out_,
+                         "flits injected ", c.flitsIn, " - drained ",
+                         c.flitsOut, " = ", c.flitsIn - c.flitsOut,
                          " but the network holds ", in_network,
                          " (routers=", buffered,
                          " links=", census.totalFlits,
@@ -440,10 +420,10 @@ InvariantChecker::checkConservation(const WheelCensus &census,
 
     const std::uint64_t held =
         ni_pending + buffered_tails + census.tails + ej_tails;
-    if (*inflight_ != held) {
+    if (c.inflight != held) {
         addViolation(out, Violation::Kind::PACKET_CONSERVATION,
                      formatMessage(
-                         "in-flight counter ", *inflight_,
+                         "in-flight counter ", c.inflight,
                          " != held packets ", held, " (NI pending=",
                          ni_pending, " tails: routers=", buffered_tails,
                          " links=", census.tails, " ejection=", ej_tails,
@@ -465,29 +445,24 @@ InvariantChecker::checkActivity(const WheelCensus &census,
                          " or before cycle ", wheel_->firedThrough(),
                          " but were never delivered"));
     }
-    if (router_set_) {
-        for (std::size_t n = 0; n < routers_.size(); ++n) {
-            if (!routers_[n]->empty() &&
-                !router_set_->test(static_cast<unsigned>(n))) {
-                addViolation(out, Violation::Kind::ACTIVITY,
-                             formatMessage(
-                                 "router ", routers_[n]->id(),
-                                 " could work but is retired from the"
-                                 " active set (idle-skip would strand"
-                                 " its traffic)"));
-            }
+    for (std::size_t n = 0; n < routers_.size(); ++n) {
+        if (!routers_[n]->empty() &&
+            !router_set_.test(static_cast<unsigned>(n))) {
+            addViolation(out, Violation::Kind::ACTIVITY,
+                         formatMessage(
+                             "router ", routers_[n]->id(),
+                             " could work but is retired from the"
+                             " active set (idle-skip would strand"
+                             " its traffic)"));
         }
     }
-    if (ni_set_) {
-        for (std::size_t n = 0; n < nis_.size(); ++n) {
-            if (!nis_[n]->idle() &&
-                !ni_set_->test(static_cast<unsigned>(n))) {
-                addViolation(out, Violation::Kind::ACTIVITY,
-                             formatMessage(
-                                 "NI ", nis_[n]->node(),
-                                 " holds work but is retired from the"
-                                 " active set"));
-            }
+    for (std::size_t n = 0; n < nis_.size(); ++n) {
+        if (!nis_[n]->idle() && !ni_set_.test(static_cast<unsigned>(n))) {
+            addViolation(out, Violation::Kind::ACTIVITY,
+                         formatMessage(
+                             "NI ", nis_[n]->node(),
+                             " holds work but is retired from the"
+                             " active set"));
         }
     }
 }

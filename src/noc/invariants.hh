@@ -54,6 +54,7 @@ namespace tenoc
 
 class ActiveSet;
 class LinkWheel;
+struct NetCounters;
 class NetworkInterface;
 class Router;
 
@@ -89,21 +90,23 @@ const char *violationKindName(Violation::Kind kind);
 class InvariantChecker
 {
   public:
-    /** @param vc_depth flit slots per VC (credit conservation bound) */
-    explicit InvariantChecker(unsigned vc_depth) : vc_depth_(vc_depth) {}
+    /**
+     * @param vc_depth flit slots per VC (credit conservation bound)
+     * @param counters the network's conservation counters: packets in
+     *        flight, flits injected into routers, flits drained from
+     *        ejection buffers
+     * @param router_set, ni_set the network's idle-skip active sets
+     */
+    InvariantChecker(unsigned vc_depth, const NetCounters &counters,
+                     const ActiveSet &router_set, const ActiveSet &ni_set)
+        : vc_depth_(vc_depth), counters_(counters),
+          router_set_(router_set), ni_set_(ni_set)
+    {}
 
     void addRouter(const Router *router);
     void addNi(const NetworkInterface *ni);
     /** Audits every link of `wheel` and the entries on it. */
     void setLinks(const LinkWheel *wheel) { wheel_ = wheel; }
-    /** Points the checker at the network-level conservation counters:
-     *  packets in flight, flits injected into routers, flits drained
-     *  from ejection buffers. */
-    void setCounters(const std::uint64_t *inflight,
-                     const std::uint64_t *flits_in,
-                     const std::uint64_t *flits_out);
-    /** Enables activity checking against the idle-skip sets. */
-    void setActivity(const ActiveSet *router_set, const ActiveSet *ni_set);
 
     /**
      * Runs every check and returns the violations found (empty when
@@ -140,11 +143,9 @@ class InvariantChecker
     std::vector<const Router *> routers_;
     std::vector<const NetworkInterface *> nis_;
     const LinkWheel *wheel_ = nullptr;
-    const std::uint64_t *inflight_ = nullptr;
-    const std::uint64_t *flits_in_ = nullptr;
-    const std::uint64_t *flits_out_ = nullptr;
-    const ActiveSet *router_set_ = nullptr;
-    const ActiveSet *ni_set_ = nullptr;
+    const NetCounters &counters_;
+    const ActiveSet &router_set_;
+    const ActiveSet &ni_set_;
 };
 
 /**

@@ -44,7 +44,7 @@ class LinkWheel
     LinkWheel() = default;
     LinkWheel(const LinkWheel &) = delete;
     LinkWheel &operator=(const LinkWheel &) = delete;
-    /** Returns the packet references that tails in flight own. */
+    /** Returns the packets that tails in flight own to the pool. */
     ~LinkWheel() { releaseTails(); }
 
     /** One link: `up`'s output `outDir` into `down`'s input `downIn`. */
@@ -195,8 +195,8 @@ class LinkWheel
     }
 
   private:
-    /** Drops every flit on the wheel, returning the packet references
-     *  its tails own (see Flit). */
+    /** Drops every flit on the wheel, returning the packets its tails
+     *  own (see Flit) to the pool. */
     void
     releaseTails()
     {

@@ -191,7 +191,9 @@ MeshNetwork::MeshNetwork(const MeshNetworkParams &params,
                          NetStats *shared_stats, std::uint64_t *shared_ids)
     : params_(params), topo_(params.topo),
       routing_(topo_, params.routing),
-      rng_(params.seed)
+      rng_(params.seed), router_active_(topo_.numNodes()),
+      ni_active_(topo_.numNodes()),
+      checker_(params.vcDepth, counters_, router_active_, ni_active_)
 {
     if (shared_ids)
         pkt_ids_ = shared_ids;
@@ -209,18 +211,12 @@ MeshNetwork::MeshNetwork(const MeshNetworkParams &params,
     vc_map_.routeClasses = routing_.numRouteClasses();
     vc_map_.vcsPerClass = params_.vcsPerClass;
 
-    checker_ = std::make_unique<InvariantChecker>(params_.vcDepth);
-    checker_->setCounters(&inflight_, &net_flits_in_, &net_flits_out_);
-
     if (shared_stats) {
         stats_ = shared_stats;
     } else {
         owned_stats_ = std::make_unique<NetStats>(topo_.numNodes());
         stats_ = owned_stats_.get();
     }
-
-    router_active_.resize(topo_.numNodes());
-    ni_active_.resize(topo_.numNodes());
 
     // Routers.  Geometry pre-pass first: per-node parameters decide
     // how many input/output VCs each router contributes, the slab
@@ -256,12 +252,11 @@ MeshNetwork::MeshNetwork(const MeshNetworkParams &params,
     for (NodeId n = 0; n < topo_.numNodes(); ++n) {
         const Router::Params &rp = node_params[n];
         routers_.push_back(std::make_unique<Router>(
-            n, topo_, routing_, rp, slabs_, in_base, out_base));
+            n, topo_, routing_, rp, slabs_, in_base, out_base,
+            router_active_, counters_));
         in_base += (NUM_DIRS + rp.numInjPorts) * vcs;
         out_base += (NUM_DIRS + rp.numEjPorts) * vcs;
-        routers_[n]->setActivity(&router_active_, n);
-        routers_[n]->setTraversalCounter(&flits_traversed_total_);
-        checker_->addRouter(routers_[n].get());
+        checker_.addRouter(routers_[n].get());
     }
 
     // One link per direction per edge, carrying flits one way and
@@ -274,7 +269,7 @@ MeshNetwork::MeshNetwork(const MeshNetworkParams &params,
                 routers_[n]->connect(dir, *routers_[nb], links_);
         }
     }
-    checker_->setLinks(&links_);
+    checker_.setLinks(&links_);
 
     // Network interfaces, viewing one shared SoA arena (class queues,
     // active-packet slots, ejection rings; see NiSlabs) sized from the
@@ -291,15 +286,11 @@ MeshNetwork::MeshNetwork(const MeshNetworkParams &params,
     nis_.reserve(topo_.numNodes());
     for (NodeId n = 0; n < topo_.numNodes(); ++n) {
         nis_.push_back(std::make_unique<NetworkInterface>(
-            n, *routers_[n], vc_map_, params_.ni, *stats_,
-            &ni_slabs_, n));
+            n, *routers_[n], vc_map_, params_.ni, *stats_, ni_slabs_,
+            ni_active_, counters_));
         routers_[n]->setEjectionSink(nis_[n].get());
-        nis_[n]->setActivity(&ni_active_, n);
-        nis_[n]->setInFlightCounter(&inflight_);
-        nis_[n]->setNetFlitCounters(&net_flits_in_, &net_flits_out_);
-        checker_->addNi(nis_[n].get());
+        checker_.addNi(nis_[n].get());
     }
-    checker_->setActivity(&router_active_, &ni_active_);
 }
 
 bool
@@ -400,15 +391,14 @@ void
 MeshNetwork::postCycle(Cycle now)
 {
     if (params_.validate && now >= next_check_) {
-        checker_->check(now);
+        checker_.check(now);
         next_check_ = now + params_.validateInterval;
     }
     if (params_.watchdogWindow != 0) {
         // O(1) per cycle: any flit movement — injection into a router,
         // a switch traversal, or ejection-buffer drain — is progress.
-        const std::uint64_t progress =
-            net_flits_in_ + net_flits_out_ + flits_traversed_total_;
-        if (inflight_ == 0 || progress != wd_last_progress_ ||
+        const std::uint64_t progress = counters_.progress();
+        if (counters_.inflight == 0 || progress != wd_last_progress_ ||
             now < wd_last_change_) {
             wd_last_progress_ = progress;
             wd_last_change_ = now;
@@ -416,10 +406,10 @@ MeshNetwork::postCycle(Cycle now)
             fireWatchdog(now, "no_progress");
         }
     }
-    if (params_.maxPacketAge != 0 && inflight_ != 0 &&
+    if (params_.maxPacketAge != 0 && counters_.inflight != 0 &&
         (now & 1023) == 0) {
         // Livelock scan: cheap enough on a 1024-cycle stride.
-        const Cycle oldest = checker_->oldestCreated();
+        const Cycle oldest = checker_.oldestCreated();
         if (oldest != INVALID_CYCLE &&
             now - oldest > params_.maxPacketAge) {
             fireWatchdog(now, "packet_age");
@@ -433,8 +423,8 @@ MeshNetwork::fireWatchdog(Cycle now, const char *reason)
     WatchdogReport report;
     report.now = now;
     report.window = params_.watchdogWindow;
-    report.inflight = inflight_;
-    const Cycle oldest = checker_->oldestCreated();
+    report.inflight = counters_.inflight;
+    const Cycle oldest = checker_.oldestCreated();
     report.oldestAge = oldest == INVALID_CYCLE ? 0 : now - oldest;
     report.reason = reason;
     report.snapshotJson = diagnosticReport(now);
@@ -443,8 +433,7 @@ MeshNetwork::fireWatchdog(Cycle now, const char *reason)
         // Re-arm so an observing handler sees one report per stuck
         // window instead of one per cycle.
         wd_last_change_ = now;
-        wd_last_progress_ =
-            net_flits_in_ + net_flits_out_ + flits_traversed_total_;
+        wd_last_progress_ = counters_.progress();
         return;
     }
     std::ofstream out(params_.watchdogSnapshotPath);
@@ -482,10 +471,10 @@ MeshNetwork::attachTelemetryPrefixed(telemetry::TelemetryHub &hub,
                     routers_[i / NUM_DIRS]->linkFlits(i % NUM_DIRS));
             });
         // Network-level running counter kept by the routers themselves
-        // (Router::setTraversalCounter): sampling is O(1) instead of
+        // (NetCounters::traversed): sampling is O(1) instead of
         // re-summing every router per interval.
         sampler->addCounter(prefix + "flits_traversed", [this] {
-            return static_cast<double>(flits_traversed_total_);
+            return static_cast<double>(counters_.traversed);
         });
     }
     if (auto *tracer = hub.tracer()) {
@@ -522,9 +511,9 @@ MeshNetwork::diagnosticSnapshot(Cycle now) const
     JsonValue doc = JsonValue::makeObject();
     doc.set("schema", "tenoc-watchdog-v1");
     doc.set("cycle", static_cast<std::uint64_t>(now));
-    doc.set("packets_in_flight", inflight_);
-    doc.set("flits_in_network", net_flits_in_ - net_flits_out_);
-    const Cycle oldest = checker_->oldestCreated();
+    doc.set("packets_in_flight", counters_.inflight);
+    doc.set("flits_in_network", counters_.flitsIn - counters_.flitsOut);
+    const Cycle oldest = checker_.oldestCreated();
     doc.set("oldest_packet_age",
             oldest == INVALID_CYCLE
                 ? JsonValue()
@@ -538,7 +527,7 @@ MeshNetwork::diagnosticSnapshot(Cycle now) const
     // Live invariant audit: a deadlock caused by state corruption
     // (e.g. a leaked credit) names itself here.
     JsonValue violations = JsonValue::makeArray();
-    for (const Violation &v : checker_->audit()) {
+    for (const Violation &v : checker_.audit()) {
         JsonValue entry = JsonValue::makeObject();
         entry.set("kind", violationKindName(v.kind));
         entry.set("message", v.message);
@@ -665,7 +654,7 @@ MeshNetwork::drained() const
     // Every packet is counted in at NI::enqueue and out when its tail
     // flit leaves the ejection buffer, so one counter covers injection
     // queues, router buffers, links and ejection buffers.
-    return inflight_ == 0;
+    return counters_.inflight == 0;
 }
 
 DoubleNetwork::DoubleNetwork(const MeshNetworkParams &base)

@@ -150,7 +150,7 @@ class MeshNetwork : public Network
     // --- hardening layer ---
     /** The network's invariant auditor (always wired; only *runs*
      *  periodically when params().validate is set). */
-    const InvariantChecker &checker() const { return *checker_; }
+    const InvariantChecker &checker() const { return checker_; }
     /** Replaces the fail-fast watchdog action (snapshot file + exit)
      *  with `handler`; pass nullptr to restore the default. */
     void setWatchdogHandler(WatchdogHandler handler)
@@ -168,8 +168,8 @@ class MeshNetwork : public Network
      *  `delta` so mutation tests can prove the checker catches it. */
     void debugAdjustInflight(std::int64_t delta)
     {
-        inflight_ = static_cast<std::uint64_t>(
-            static_cast<std::int64_t>(inflight_) + delta);
+        counters_.inflight = static_cast<std::uint64_t>(
+            static_cast<std::int64_t>(counters_.inflight) + delta);
     }
     /** Test hook: retires router `n` from the active set as if it ran
      *  dry (a scheduling bug the checker must detect). */
@@ -188,6 +188,18 @@ class MeshNetwork : public Network
     Routing routing_;
     VcMap vc_map_;
     Rng rng_;
+
+    // The state every router and NI is given at construction, declared
+    // before them so it outlives them.
+    /** Routers with buffered flits. */
+    ActiveSet router_active_;
+    /** NIs with packets queued/in flight or ejection flits buffered. */
+    ActiveSet ni_active_;
+    /** In-flight packets, flit entry/exit and traversals, kept by the
+     *  routers and NIs (see NetCounters). */
+    NetCounters counters_;
+
+    InvariantChecker checker_;
 
     /**
      * Structure-of-arrays arena holding every router's VC state
@@ -213,26 +225,8 @@ class MeshNetwork : public Network
      *  counter so both slices draw from one id space. */
     std::uint64_t *pkt_ids_ = &own_pkt_ids_;
 
-    /** Routers with buffered flits. */
-    ActiveSet router_active_;
-    /** NIs with packets queued/in flight or ejection flits buffered. */
-    ActiveSet ni_active_;
     /** Per-phase wall-time accumulator; null unless profiling. */
     PhaseProfile *profile_ = nullptr;
-    /** Packets inside the network (enqueue .. tail ejection); makes
-     *  drained() O(1). */
-    std::uint64_t inflight_ = 0;
-    /** Running sum of router switch traversals (telemetry). */
-    std::uint64_t flits_traversed_total_ = 0;
-
-    /** Monotone flit entry/exit counters for THIS network (NetStats
-     *  totals are shared between double-network slices); their
-     *  difference is the exact in-network flit population and their
-     *  sum a progress signal for the watchdog. */
-    std::uint64_t net_flits_in_ = 0;
-    std::uint64_t net_flits_out_ = 0;
-
-    std::unique_ptr<InvariantChecker> checker_;
     Cycle next_check_ = 0;
 
     WatchdogHandler wd_handler_;

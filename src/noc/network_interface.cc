@@ -32,33 +32,23 @@ wrapNext(unsigned x, unsigned n)
 NetworkInterface::NetworkInterface(NodeId node, Router &router,
                                    const VcMap &vc_map,
                                    const NiParams &params,
-                                   NetStats &stats, NiSlabs *slab,
-                                   unsigned slab_index)
+                                   NetStats &stats, NiSlabs &slab,
+                                   ActiveSet &active,
+                                   NetCounters &counters)
     : node_(node), router_(router), vc_map_(vc_map), params_(params),
-      stats_(stats)
+      stats_(stats), active_(active), counters_(counters), nslab_(slab)
 {
     ports_ = router_.params().numInjPorts;
     ej_ports_ = router_.params().numEjPorts;
     vcs_ = vc_map_.numVcs();
-    if (slab) {
-        nslab_ = slab;
-        ni_ = slab_index;
-        tenoc_assert(nslab_->classes() == vc_map_.protoClasses &&
-                         nslab_->injCap() == params_.injQueueCap &&
-                         nslab_->ejCap() == params_.ejBufferFlits,
-                     "NI slab layout mismatch at node ", node_);
-    } else {
-        owned_nslab_ = std::make_unique<NiSlabs>();
-        owned_nslab_->configure(
-            std::vector<unsigned>{ports_}, vcs_, vc_map_.protoClasses,
-            params_.injQueueCap, std::vector<unsigned>{ej_ports_},
-            params_.ejBufferFlits);
-        nslab_ = owned_nslab_.get();
-        ni_ = 0;
-    }
-    qbase_ = std::size_t{ni_} * vc_map_.protoClasses;
-    sbase_ = nslab_->slotBase[ni_];
-    ebase_ = nslab_->ejPortBase[ni_];
+    tenoc_assert(node_ < nslab_.slotBase.size() &&
+                     nslab_.classes() == vc_map_.protoClasses &&
+                     nslab_.injCap() == params_.injQueueCap &&
+                     nslab_.ejCap() == params_.ejBufferFlits,
+                 "NI slab layout mismatch at node ", node_);
+    qbase_ = std::size_t{node_} * vc_map_.protoClasses;
+    sbase_ = nslab_.slotBase[node_];
+    ebase_ = nslab_.ejPortBase[node_];
     lane_rr_.assign(vc_map_.protoClasses, 0);
     vc_rr_.assign(ports_, 0);
 }
@@ -68,7 +58,7 @@ NetworkInterface::canInject(int proto_class) const
 {
     const auto cls =
         static_cast<unsigned>(proto_class) % vc_map_.protoClasses;
-    return nslab_->qSize(qbase_ + cls) < params_.injQueueCap;
+    return nslab_.qSize(qbase_ + cls) < params_.injQueueCap;
 }
 
 unsigned
@@ -76,7 +66,7 @@ NetworkInterface::injectSpace(int proto_class) const
 {
     const auto cls =
         static_cast<unsigned>(proto_class) % vc_map_.protoClasses;
-    const auto used = nslab_->qSize(qbase_ + cls);
+    const auto used = nslab_.qSize(qbase_ + cls);
     return used >= params_.injQueueCap
         ? 0 : static_cast<unsigned>(params_.injQueueCap - used);
 }
@@ -86,21 +76,21 @@ NetworkInterface::enqueue(PacketPtr pkt, Cycle now)
 {
     tenoc_assert(pkt->src == node_, "packet enqueued at wrong NI");
     tenoc_assert(pkt->dst != node_, "self-addressed packet");
+    tenoc_assert(pkt->sizeFlits >= 1 && pkt->sizeFlits <= 0xffff,
+                 "packet of ", pkt->sizeFlits, " flits at node ", node_);
     const auto cls =
         static_cast<unsigned>(pkt->protoClass) % vc_map_.protoClasses;
-    tenoc_assert(nslab_->qSize(qbase_ + cls) < params_.injQueueCap,
+    tenoc_assert(nslab_.qSize(qbase_ + cls) < params_.injQueueCap,
                  "NI injection queue overflow at node ", node_);
     if (pkt->createdCycle == INVALID_CYCLE)
         pkt->createdCycle = now;
     // The packet's routing class is fixed until a router changes it,
     // so its base VC can be read once here instead of at every refill.
     const unsigned base = vc_map_.baseVc(*pkt);
-    nslab_->qPush(qbase_ + cls, std::move(pkt), base);
-    ++nslab_->pendingInject[ni_];
-    if (inflight_)
-        ++*inflight_;
-    if (active_set_)
-        active_set_->mark(active_idx_);
+    nslab_.qPush(qbase_ + cls, std::move(pkt), base);
+    ++nslab_.pendingInject[node_];
+    ++counters_.inflight;
+    active_.mark(node_);
 }
 
 bool
@@ -109,7 +99,7 @@ NetworkInterface::refillOne(Cycle now)
     (void)now;
     const unsigned classes = vc_map_.protoClasses;
     const unsigned lanes = vc_map_.vcsPerClass;
-    NiSlabs &s = *nslab_;
+    NiSlabs &s = nslab_;
     unsigned cls = class_rr_;
     for (unsigned i = 0; i < classes; ++i, cls = wrapNext(cls, classes)) {
         const std::size_t q = qbase_ + cls;
@@ -125,12 +115,10 @@ NetworkInterface::refillOne(Cycle now)
                  ++li, lane = wrapNext(lane, lanes)) {
                 const unsigned vc = base + lane;
                 const std::size_t slot = sbase_ + p * vcs_ + vc;
-                if (s.actValid[slot])
+                if (s.actPkt[slot])
                     continue;
                 s.actPkt[slot] = s.qPop(q);
-                makeFlits(s.actPkt[slot], s.actFlits[slot], vc);
                 s.actNext[slot] = 0;
-                s.actValid[slot] = 1;
                 class_rr_ = wrapNext(cls, classes);
                 lane_rr_[cls] = wrapNext(lane, lanes);
                 port_rr_ = wrapNext(p, ports_);
@@ -144,8 +132,8 @@ NetworkInterface::refillOne(Cycle now)
 void
 NetworkInterface::injectPhase(Cycle now)
 {
-    NiSlabs &s = *nslab_;
-    if (s.pendingInject[ni_] == 0)
+    NiSlabs &s = nslab_;
+    if (s.pendingInject[node_] == 0)
         return; // nothing queued and no packet mid-injection
     while (refillOne(now)) {
     }
@@ -155,10 +143,10 @@ NetworkInterface::injectPhase(Cycle now)
         unsigned vc = vc_rr_[p];
         for (unsigned vi = 0; vi < vcs_; ++vi, vc = wrapNext(vc, vcs_)) {
             const std::size_t slot = sbase_ + p * vcs_ + vc;
-            if (!s.actValid[slot] || router_.injFreeSlots(p, vc) == 0)
-                continue;
-            const Flit flit = s.actFlits[slot][s.actNext[slot]];
             PacketPtr &pkt = s.actPkt[slot];
+            if (!pkt || router_.injFreeSlots(p, vc) == 0)
+                continue;
+            const Flit flit = makeFlit(*pkt, s.actNext[slot], vc);
             if (flit.head && pkt->injectedCycle == INVALID_CYCLE) {
                 pkt->injectedCycle = now;
                 if (tracer_ && tracer_->wants(pkt->id)) {
@@ -168,21 +156,16 @@ NetworkInterface::injectPhase(Cycle now)
             }
             ++stats_.flitsInjected;
             stats_.nodeInjectedFlits[node_] += 1;
-            if (net_flits_in_)
-                ++*net_flits_in_;
+            ++counters_.flitsIn;
             router_.injectFlit(p, flit, now);
             ++s.actNext[slot];
-            if (s.actNext[slot] == s.actFlits[slot].size()) {
+            if (flit.tail) {
                 ++stats_.packetsInjected;
                 stats_.nodeInjectedBytes[node_] += pkt->sizeBytes;
-                // The injected tail now carries the slot's reference
-                // (see Flit).  Keep the flit vector's capacity so the
-                // next packet on this (port, VC) lane reuses it.
+                // The injected tail now owns the packet (see Flit),
+                // which frees the slot.
                 pkt.detach();
-                s.actFlits[slot].clear();
-                s.actNext[slot] = 0;
-                s.actValid[slot] = 0;
-                --s.pendingInject[ni_];
+                --s.pendingInject[node_];
             }
             vc_rr_[p] = wrapNext(vc, vcs_);
             break;
@@ -193,7 +176,7 @@ NetworkInterface::injectPhase(Cycle now)
 bool
 NetworkInterface::ejectReady(unsigned ej_port) const
 {
-    return nslab_->ejSize(ebase_ + ej_port) < params_.ejBufferFlits;
+    return nslab_.ejSize(ebase_ + ej_port) < params_.ejBufferFlits;
 }
 
 void
@@ -201,19 +184,18 @@ NetworkInterface::ejectFlit(unsigned ej_port, const Flit &flit,
                             Cycle now)
 {
     (void)now;
-    tenoc_assert(nslab_->ejSize(ebase_ + ej_port) < params_.ejBufferFlits,
+    tenoc_assert(nslab_.ejSize(ebase_ + ej_port) < params_.ejBufferFlits,
                  "ejection buffer overflow at node ", node_);
-    nslab_->ejPush(ebase_ + ej_port, flit);
-    ++nslab_->ejOccupancy[ni_];
-    if (active_set_)
-        active_set_->mark(active_idx_);
+    nslab_.ejPush(ebase_ + ej_port, flit);
+    ++nslab_.ejOccupancy[node_];
+    active_.mark(node_);
 }
 
 void
 NetworkInterface::drainPhase(Cycle now)
 {
-    NiSlabs &s = *nslab_;
-    if (s.ejOccupancy[ni_] == 0)
+    NiSlabs &s = nslab_;
+    if (s.ejOccupancy[node_] == 0)
         return;
     for (unsigned p = 0; p < ej_ports_; ++p) {
         const std::size_t ring = ebase_ + p;
@@ -223,19 +205,17 @@ NetworkInterface::drainPhase(Cycle now)
         if (f.head && sink_ && !sink_->tryReserve(*f.pkt))
             continue; // node backpressure (e.g. MC queue full)
         const Flit flit = s.ejPop(ring);
-        --s.ejOccupancy[ni_];
+        --s.ejOccupancy[node_];
         ++stats_.flitsEjected;
         stats_.nodeEjectedFlits[node_] += 1;
-        if (net_flits_out_)
-            ++*net_flits_out_;
+        ++counters_.flitsOut;
         if (flit.head)
             flit.pkt->headEjectedCycle = now;
         if (flit.tail) {
-            // The tail hands its packet reference back (see Flit).
+            // The tail hands its packet back (see Flit).
             PacketPtr pkt = PacketPtr::adopt(flit.pkt);
             pkt->ejectedCycle = now;
-            if (inflight_)
-                --*inflight_;
+            --counters_.inflight;
             ++stats_.packetsEjected;
             stats_.nodeEjectedBytes[node_] += pkt->sizeBytes;
             stats_.totalLatency.sample(
@@ -271,17 +251,17 @@ NetworkInterface::drainPhase(Cycle now)
 bool
 NetworkInterface::idle() const
 {
-    return nslab_->pendingInject[ni_] == 0 &&
-           nslab_->ejOccupancy[ni_] == 0;
+    return nslab_.pendingInject[node_] == 0 &&
+           nslab_.ejOccupancy[node_] == 0;
 }
 
 NiAuditInfo
 NetworkInterface::audit() const
 {
-    const NiSlabs &s = *nslab_;
+    const NiSlabs &s = nslab_;
     NiAuditInfo info;
-    info.pendingInject = s.pendingInject[ni_];
-    info.ejOccupancyCounter = s.ejOccupancy[ni_];
+    info.pendingInject = s.pendingInject[node_];
+    info.ejOccupancyCounter = s.ejOccupancy[node_];
     info.ejCapacity = params_.ejBufferFlits;
     info.idle = idle();
     auto track = [&info](const Packet &pkt) {
@@ -306,7 +286,7 @@ NetworkInterface::audit() const
     for (unsigned p = 0; p < ports_; ++p) {
         for (unsigned vc = 0; vc < vcs_; ++vc) {
             const std::size_t slot = sbase_ + p * vcs_ + vc;
-            if (!s.actValid[slot])
+            if (!s.actPkt[slot])
                 continue;
             ++info.activeSlots;
             track(*s.actPkt[slot]);

@@ -18,9 +18,7 @@
 #define TENOC_NOC_NETWORK_INTERFACE_HH
 
 #include <cstdint>
-#include <memory>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "noc/network.hh"
@@ -70,51 +68,27 @@ class NetworkInterface : public EjectionSink
 {
   public:
     /**
-     * @param node node id
+     * @param node node id; also this NI's index into `slab`'s per-NI
+     *        arrays and its bit in `active`
      * @param router local router (already constructed)
      * @param vc_map network VC organization
      * @param params NI configuration
      * @param stats shared network statistics block
-     * @param slab optional network-owned SoA arena (see NiSlabs);
-     *        must already be configured.  When null the NI owns a
-     *        private single-NI arena with the same layout (standalone
-     *        / unit-test use).
-     * @param slab_index this NI's index into `slab`'s per-NI arrays
+     * @param slab the network's NI arena (see NiSlabs), already
+     *        configured
+     * @param active the network's NI active set: the NI marks itself
+     *        when a packet is enqueued or a flit ejected into it
+     * @param counters the network's running counters: packets in
+     *        flight, flits into routers and out of ejection buffers
      */
     NetworkInterface(NodeId node, Router &router, const VcMap &vc_map,
                      const NiParams &params, NetStats &stats,
-                     NiSlabs *slab = nullptr, unsigned slab_index = 0);
+                     NiSlabs &slab, ActiveSet &active,
+                     NetCounters &counters);
 
     NodeId node() const { return node_; }
 
     void setSink(PacketSink *sink) { sink_ = sink; }
-
-    /** Registers this NI in its network's active set (idle-skip). */
-    void
-    setActivity(ActiveSet *set, unsigned idx)
-    {
-        active_set_ = set;
-        active_idx_ = idx;
-    }
-
-    /** Points packet arrivals/departures at the owning network's
-     *  in-flight counter, making Network::drained() O(1). */
-    void setInFlightCounter(std::uint64_t *c) { inflight_ = c; }
-
-    /**
-     * Points per-flit router entry/exit at two monotone network-level
-     * counters.  Their difference is the exact flit population of the
-     * network (router buffers + links + ejection buffers), checked
-     * by the invariant checker; their sum is a per-network progress
-     * signal for the deadlock watchdog (NetStats totals are shared
-     * between double-network slices and cannot serve either purpose).
-     */
-    void
-    setNetFlitCounters(std::uint64_t *injected, std::uint64_t *ejected)
-    {
-        net_flits_in_ = injected;
-        net_flits_out_ = ejected;
-    }
 
     /** Snapshot of queue/buffer bookkeeping for the checker. */
     NiAuditInfo audit() const;
@@ -149,32 +123,26 @@ class NetworkInterface : public EjectionSink
     /** Tries to assign one queued packet to a free (port, vc) slot. */
     bool refillOne(Cycle now);
 
-    NodeId node_;
+    NodeId node_; ///< also the index into the arena's per-NI arrays
     Router &router_;
     VcMap vc_map_;
     NiParams params_;
     NetStats &stats_;
     PacketSink *sink_ = nullptr;
     telemetry::TraceSink *tracer_ = nullptr;
-    ActiveSet *active_set_ = nullptr;
-    unsigned active_idx_ = 0;
-    std::uint64_t *inflight_ = nullptr;
-    std::uint64_t *net_flits_in_ = nullptr;
-    std::uint64_t *net_flits_out_ = nullptr;
+    ActiveSet &active_;
+    NetCounters &counters_;
 
     /**
      * SoA hot state: injection class queues, one in-flight packet per
      * (injection port, VC) — which removes NI head-of-line blocking
      * while keeping the 1 flit/cycle/port terminal bandwidth that
      * multi-port MC routers raise — and per-port ejection rings, all
-     * stored in a NiSlabs arena (network-owned, or the private
-     * `owned_nslab_` for standalone NIs).  The pending-inject and
+     * stored in the network's NiSlabs arena.  The pending-inject and
      * ejection-occupancy counters live there too, so the network's
      * phase loops early-out with one contiguous array read per NI.
      */
-    std::unique_ptr<NiSlabs> owned_nslab_;
-    NiSlabs *nslab_ = nullptr;
-    unsigned ni_ = 0;       ///< index into the arena's per-NI arrays
+    NiSlabs &nslab_;
     std::size_t qbase_ = 0; ///< first class-queue index (ni * classes)
     std::size_t sbase_ = 0; ///< first active-slot index
     std::size_t ebase_ = 0; ///< first ejection-ring index

@@ -14,26 +14,13 @@ namespace tenoc
 {
 
 Router::Router(NodeId id, const Topology &topo,
-               const Routing &routing, const Params &params)
-    : id_(id), topo_(topo), routing_(routing), params_(params),
-      nvcs_(params.vcMap.numVcs()),
-      owned_slab_(std::make_unique<VcSlabs>()),
-      slab_(owned_slab_.get()), in_base_(0), out_base_(0)
-{
-    tenoc_assert(params_.numInjPorts >= 1 && params_.numEjPorts >= 1,
-                 "router needs at least one injection/ejection port");
-    owned_slab_->configure(numInputs() * nvcs_, numOutputs() * nvcs_,
-                           params_.vcDepth);
-    initPorts();
-}
-
-Router::Router(NodeId id, const Topology &topo,
                const Routing &routing, const Params &params,
                VcSlabs &slab, std::size_t in_vc_base,
-               std::size_t out_vc_base)
+               std::size_t out_vc_base, ActiveSet &active,
+               NetCounters &counters)
     : id_(id), topo_(topo), routing_(routing), params_(params),
-      nvcs_(params.vcMap.numVcs()), slab_(&slab), in_base_(in_vc_base),
-      out_base_(out_vc_base)
+      nvcs_(params.vcMap.numVcs()), slab_(slab), in_base_(in_vc_base),
+      out_base_(out_vc_base), active_(active), counters_(counters)
 {
     tenoc_assert(params_.numInjPorts >= 1 && params_.numEjPorts >= 1,
                  "router needs at least one injection/ejection port");
@@ -42,15 +29,9 @@ Router::Router(NodeId id, const Topology &topo,
                          slab.numOutputVcs() &&
                      slab.depth() == params_.vcDepth,
                  "router view exceeds slab at node ", id_);
-    initPorts();
-}
-
-void
-Router::initPorts()
-{
     const unsigned vcs = nvcs_;
-    in_vcs_ = slab_->in.data() + in_base_;
-    out_vcs_ = slab_->out.data() + out_base_;
+    in_vcs_ = slab_.in.data() + in_base_;
+    out_vcs_ = slab_.out.data() + out_base_;
     outputs_.resize(numOutputs());
     in_links_.fill(NO_LINK);
     tenoc_assert(numInputs() * vcs <= MAX_INPUT_VCS &&
@@ -75,7 +56,7 @@ Router::initPorts()
 unsigned
 Router::connect(Direction d, Router &down, LinkWheel &wheel)
 {
-    tenoc_assert(d < NUM_DIRS && down.slab_ == slab_ &&
+    tenoc_assert(d < NUM_DIRS && &down.slab_ == &slab_ &&
                      down.nvcs_ == nvcs_,
                  "invalid link from router ", id_);
     const unsigned in = opposite(d);
@@ -143,7 +124,7 @@ Router::pushFlit(unsigned in, const Flit &flit, Cycle now)
         __builtin_prefetch(flit.pkt, 0, 2);
 #endif
     const unsigned i = in * nvcs_ + flit.vc;
-    slab_->pushFlit(in_base_ + i, flit, now);
+    slab_.pushFlit(in_base_ + i, flit, now);
     // The pushed flit makes an IDLE VC routable and an ACTIVE VC
     // switchable; a VC_ALLOC VC already holds its head.
     const VcState st = in_vcs_[i].state;
@@ -151,8 +132,7 @@ Router::pushFlit(unsigned in, const Flit &flit, Cycle now)
         masks_.rc |= bit(i);
     else if (st == VcState::ACTIVE)
         masks_.sa |= bit(i);
-    if (active_set_)
-        active_set_->mark(active_idx_);
+    active_.mark(id_);
 }
 
 void
@@ -165,7 +145,7 @@ Router::routeCompute(Cycle now)
         const unsigned in = i / vcs;
         const unsigned vc = i - in * vcs;
         InVc &v = in_vcs_[i];
-        const Flit &head = slab_->frontFlit(in_base_ + i);
+        const Flit &head = slab_.frontFlit(in_base_ + i);
         tenoc_assert(head.head,
                      "non-head flit at front of idle VC (router ",
                      id_, " in ", in, " vc ", vc, ")");
@@ -244,7 +224,7 @@ Router::vcAllocate(Cycle now)
             masks_.sa |= bit(idx);
             arb.accept(idx);
             if (tracer_) {
-                const Packet &pkt = *slab_->frontFlit(in_base_ + idx).pkt;
+                const Packet &pkt = *slab_.frontFlit(in_base_ + idx).pkt;
                 if (tracer_->wants(pkt.id))
                     tracer_->instant("va", id_, pkt.id, now);
             }
@@ -314,7 +294,7 @@ Router::switchAllocate(Cycle now)
         // Switch traversal.
         const unsigned i = in * vcs + vc;
         InVc &v = in_vcs_[i];
-        Flit flit = slab_->popFlit(in_base_ + i);
+        Flit flit = slab_.popFlit(in_base_ + i);
         const unsigned out_vc = v.outVc;
         const bool tail = flit.tail;
         if (!isInjection(in) && in_links_[in] != NO_LINK)
@@ -345,8 +325,7 @@ Router::switchAllocate(Cycle now)
             cand &= ~b;
         }
         ++flits_traversed_;
-        if (net_traversed_)
-            ++*net_traversed_;
+        ++counters_.traversed;
         sa_input_arb_[in].accept(vc);
         outputs_[o].saArb.accept(in);
     }

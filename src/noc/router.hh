@@ -34,9 +34,8 @@
  *
  * Storage layout: all per-VC state (one InVc record per input VC, the
  * flit rings, one OutVc record per output VC) lives in a VcSlabs
- * arena.  A router built by MeshNetwork views contiguous index ranges
- * of the network's shared arena (see slab.hh); a standalone router
- * owns a private one.
+ * arena that the network owns; each router views contiguous index
+ * ranges of it (see slab.hh).
  * The pipeline stages (routeCompute/vcAllocate/switchAllocate) are
  * public so the network can run them in one pass over its active
  * routers.  Each stage walks its own work set, a 64-bit mask over the
@@ -52,7 +51,6 @@
 #define TENOC_NOC_ROUTER_HH
 
 #include <array>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -107,20 +105,20 @@ class Router
     static_assert(MAX_INPUT_VCS <= 256 && MAX_OUTPUTS <= 256,
                   "InVc and OutVc hold ports and VCs in 8 bits");
 
-    /** Standalone router owning its own slab storage (unit tests). */
-    Router(NodeId id, const Topology &topo, const Routing &routing,
-           const Params &params);
-
     /**
-     * Router viewing a network-owned arena: input VCs
+     * Router viewing its network's arena: input VCs
      * [in_vc_base, in_vc_base + numInputs*vcs) and output VCs
      * [out_vc_base, out_vc_base + numOutputs*vcs) of `slab`, which must
      * already be configured and is not re-configured while the router
-     * views it.
+     * views it.  The router marks bit `id` of `active` whenever a flit
+     * is pushed into its buffers (by its NI, or by the link wheel on
+     * the flit's arrival cycle), and counts each switch traversal in
+     * `counters.traversed`.
      */
     Router(NodeId id, const Topology &topo, const Routing &routing,
            const Params &params, VcSlabs &slab, std::size_t in_vc_base,
-           std::size_t out_vc_base);
+           std::size_t out_vc_base, ActiveSet &active,
+           NetCounters &counters);
 
     NodeId id() const { return id_; }
     const Params &params() const { return params_; }
@@ -137,22 +135,6 @@ class Router
     unsigned connect(Direction d, Router &down, LinkWheel &wheel);
     /** Attaches the local NI as the ejection sink. */
     void setEjectionSink(EjectionSink *sink) { sink_ = sink; }
-
-    /**
-     * Registers this router in its network's active set.  The router
-     * marks itself whenever a flit is pushed into its buffers: by its
-     * NI, or by the link wheel on the flit's arrival cycle.
-     */
-    void
-    setActivity(ActiveSet *set, unsigned idx)
-    {
-        active_set_ = set;
-        active_idx_ = idx;
-    }
-
-    /** Points router traversals at a network-level running counter so
-     *  telemetry can sample total flit hops without re-summing. */
-    void setTraversalCounter(std::uint64_t *c) { net_traversed_ = c; }
 
     // --- NI injection access (same node, zero-latency handshake) ---
     /** Free slots in injection-port buffer `inj` (0-based), VC `vc`. */
@@ -230,7 +212,7 @@ class Router
     vcFront(unsigned in, unsigned vc) const
     {
         return inVc(in, vc).ringCount == 0
-            ? nullptr : &slab_->frontFlit(iv(in, vc));
+            ? nullptr : &slab_.frontFlit(iv(in, vc));
     }
     /** Credits held for downstream VC (`out`, `vc`). */
     unsigned outputCredits(unsigned out, unsigned vc) const
@@ -265,7 +247,7 @@ class Router
     {
         for (unsigned in = 0; in < numInputs(); ++in) {
             for (unsigned vc = 0; vc < nvcs_; ++vc) {
-                slab_->forEachRingFlit(
+                slab_.forEachRingFlit(
                     iv(in, vc), [&](const Flit &flit) { f(in, vc, flit); });
             }
         }
@@ -326,8 +308,6 @@ class Router
 
     static constexpr unsigned NO_LINK = ~0u;
 
-    void initPorts();
-
     /** Buffers `flit` on input `in`, files its VC in the RC or SA mask
      *  when the push makes it eligible there, and marks the router
      *  active. */
@@ -363,10 +343,7 @@ class Router
     unsigned nvcs_;
     EjectionSink *sink_ = nullptr;
 
-    // Private arena for standalone routers; null when viewing the
-    // network's shared slab.  Declared before the views into it.
-    std::unique_ptr<VcSlabs> owned_slab_;
-    VcSlabs *slab_;
+    VcSlabs &slab_;
     std::size_t in_base_;  ///< first global input-VC index
     std::size_t out_base_; ///< first global output-VC index
     /// This router's records: input VC (in, vc) is in_vcs_[in * vcs +
@@ -390,12 +367,11 @@ class Router
     unsigned ej_rr_ = 0;
 
     std::uint64_t flits_traversed_ = 0;
-    std::uint64_t *net_traversed_ = nullptr;
     std::array<std::uint64_t, NUM_DIRS> link_flits_{};
     telemetry::TraceSink *tracer_ = nullptr;
 
-    ActiveSet *active_set_ = nullptr;
-    unsigned active_idx_ = 0;
+    ActiveSet &active_;
+    NetCounters &counters_;
 
     StageMasks masks_;
 

@@ -21,8 +21,14 @@
  * decides a candidate from its InVc and OutVc records without loading
  * the flit ring.  Routers receive contiguous index ranges in node
  * order at network construction, so the ActiveSet's ascending-index
- * iteration streams the records front to back.  Standalone routers
- * (unit tests) own a private arena with the same layout.
+ * iteration streams the records front to back.  The network owns its
+ * two arenas (VcSlabs here, NiSlabs below); every router and NI only
+ * views its range of them.
+ *
+ * Packets: a queued or mid-injection packet is owned by its NiSlabs
+ * slot (a PacketPtr); once its tail is injected, the tail flit owns it
+ * (see Flit), so an arena destroyed or re-configured mid-run returns
+ * the packets of the tails it still buffers to the pool.
  *
  * The arena is pure storage plus ring mechanics: every state-machine
  * transition happens in Router code, so the layout is invisible to
@@ -91,7 +97,7 @@ class VcSlabs
 
     VcSlabs() = default;
     /// Movable (a moved-from arena holds no rings), never copied: two
-    /// copies would both return their tails' packet references.
+    /// copies would both return their tails' packets to the pool.
     VcSlabs(VcSlabs &&) = default;
     VcSlabs &operator=(const VcSlabs &) = delete;
     ~VcSlabs() { releaseTails(); }
@@ -190,8 +196,8 @@ class VcSlabs
         }
     }
 
-    /** Returns the packet references that buffered tail flits own (see
-     *  Flit) and empties every ring. */
+    /** Returns the packets that buffered tail flits own (see Flit) to
+     *  the pool and empties every ring. */
     void
     releaseTails()
     {
@@ -231,8 +237,9 @@ class VcSlabs
  * class queues by injQueueCap and ejection ports by ejBufferFlits),
  * so the steady state touches no heap.  Injection-port and
  * ejection-port counts vary per node (multi-port MC routers), hence
- * the per-NI base offsets.  Standalone NIs (unit tests) own a private
- * arena with the same layout.
+ * the per-NI base offsets.  An active slot holds only its packet and
+ * the index of the next flit to inject; the NI builds that flit when
+ * it streams it (makeFlit).
  */
 class NiSlabs
 {
@@ -276,14 +283,14 @@ class NiSlabs
         const std::size_t queues = nis * classes;
         injQHead.assign(queues, 0);
         injQCount.assign(queues, 0);
-        // assign() releases the packet references a re-used arena's
-        // queues and active slots still hold.
-        injQ.assign(queues * inj_cap, PacketPtr{});
+        // clear() returns the packets a re-used arena's queues and
+        // active slots still own.
+        injQ.clear();
+        injQ.resize(queues * inj_cap);
         injQBase.assign(queues * inj_cap, 0);
-        actValid.assign(slots, 0);
         actNext.assign(slots, 0);
-        actPkt.assign(slots, PacketPtr{});
-        actFlits.assign(slots, std::vector<Flit>{});
+        actPkt.clear();
+        actPkt.resize(slots);
         ejHead.assign(eports, 0);
         ejCount.assign(eports, 0);
         ejFlits.assign(eports * ej_cap, Flit{});
@@ -394,8 +401,8 @@ class NiSlabs
         }
     }
 
-    /** Returns the packet references that tail flits in the ejection
-     *  rings own (see Flit) and empties the rings. */
+    /** Returns the packets that tail flits in the ejection rings own
+     *  (see Flit) to the pool and empties the rings. */
     void
     releaseEjTails()
     {
@@ -421,13 +428,11 @@ class NiSlabs
     std::vector<std::size_t> ejPortBase;
 
     // --- active packet slots (index = slotBase[ni] + port*vcs + vc) ---
-    std::vector<std::uint8_t> actValid;
+    /// Index of the next flit the slot injects.
     std::vector<std::uint32_t> actNext;
+    /// The slot's packet; null when the slot is free.  Injecting the
+    /// tail detaches it, handing the packet to the tail flit.
     std::vector<PacketPtr> actPkt;
-    /// Flitized packet; cleared (capacity kept) when the slot frees.
-    /// These flits own nothing: actPkt holds the reference until the
-    /// tail is injected.
-    std::vector<std::vector<Flit>> actFlits;
 
     // --- injection class-queue rings ---
     std::vector<std::uint32_t> injQHead;

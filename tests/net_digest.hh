@@ -2,7 +2,8 @@
  * @file
  * Recorded-digest helpers for the regression tests: a small FNV-1a
  * feeder, one digest over a run's drain cycle and every sealed
- * NetStats field, and the check against a table of recorded values.
+ * NetStats field, the check against a table of recorded values, and
+ * the seeded request/reply driver most recorded runs use.
  */
 
 #ifndef TENOC_TESTS_NET_DIGEST_HH
@@ -18,6 +19,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/rng.hh"
 #include "noc/network.hh"
 
 namespace tenoc
@@ -154,6 +156,61 @@ expectRecordedDigest(const std::map<std::string, std::string> &recorded,
         return;
     }
     EXPECT_EQ(digest, it->second) << name;
+}
+
+/** Accepts everything, keeps nothing. */
+struct DropSink : PacketSink
+{
+    bool tryReserve(const Packet &) override { return true; }
+    void deliver(PacketPtr, Cycle) override {}
+};
+
+/**
+ * Drives `net` for `cycles` cycles with seeded many-to-few requests
+ * (class 0; each compute node offers one with probability
+ * `request_rate` per cycle) and few-to-many replies (class 1; each MC
+ * with probability `reply_rate`), every sink dropping what it
+ * receives, then lets it drain.  Offers the NI refuses are lost, not
+ * retried.  @return the cycle at which drained() first became true.
+ */
+inline Cycle
+driveRequestsAndReplies(Network &net, std::uint64_t seed, Cycle cycles,
+                        double request_rate, double reply_rate)
+{
+    DropSink sink;
+    const auto &topo = net.topology();
+    for (NodeId n = 0; n < topo.numNodes(); ++n)
+        net.setSink(n, &sink);
+    Rng rng(seed);
+    const auto send = [&](NodeId src, NodeId dst, MemOp op, int proto,
+                          Cycle now) {
+        auto pkt = makePacket();
+        pkt->src = src;
+        pkt->dst = dst;
+        pkt->op = op;
+        pkt->protoClass = proto;
+        pkt->sizeFlits = net.packetFlits(op);
+        pkt->sizeBytes = memOpBytes(op);
+        net.inject(std::move(pkt), now);
+    };
+    Cycle now = 0;
+    for (; now < cycles; ++now) {
+        for (NodeId core : topo.computeNodes()) {
+            if (rng.nextBool(request_rate) && net.canInject(core, 0))
+                send(core, rng.pick(topo.mcNodes()),
+                     MemOp::READ_REQUEST, 0, now);
+        }
+        for (NodeId mc : topo.mcNodes()) {
+            if (rng.nextBool(reply_rate) && net.canInject(mc, 1))
+                send(mc, rng.pick(topo.computeNodes()),
+                     MemOp::READ_REPLY, 1, now);
+        }
+        net.cycle(now);
+    }
+    while (!net.drained() && now < cycles + 100000)
+        net.cycle(now++);
+    EXPECT_TRUE(net.drained());
+    return now;
 }
 
 } // namespace tenoc

@@ -1,12 +1,21 @@
 /**
  * @file
- * Two standalone routers joined by one link, for router and link unit
- * tests: A at (0, 0) and B at (1, 0) view one slab, and A's east
- * output feeds B's west input through a link wheel the test fires.
+ * Routers built outside a MeshNetwork, for router and link unit tests.
+ * Each fixture owns what a network gives its routers: the VC arena
+ * they view, the active set they mark and the running counters they
+ * keep.
+ *
+ *   - OneRouter: one router on its own arena; the test injects flits
+ *     and runs its stages.
+ *   - RouterPair: A at (0, 0) and B at (1, 0) view one arena, and A's
+ *     east output feeds B's west input through a link wheel the test
+ *     fires.
  */
 
 #ifndef TENOC_TESTS_ROUTER_PAIR_HH
 #define TENOC_TESTS_ROUTER_PAIR_HH
+
+#include <string>
 
 #include "noc/link.hh"
 #include "noc/router.hh"
@@ -14,46 +23,68 @@
 namespace tenoc
 {
 
+/** Input (or output) VCs one router with `rp` takes. */
+inline std::size_t
+routerVcs(const Router::Params &rp, bool inputs)
+{
+    const unsigned ports =
+        NUM_DIRS + (inputs ? rp.numInjPorts : rp.numEjPorts);
+    return std::size_t{ports} * rp.vcMap.numVcs();
+}
+
+/** An arena for `routers` routers that each take `rp`. */
+inline VcSlabs
+routerSlab(const Router::Params &rp, unsigned routers)
+{
+    VcSlabs s;
+    s.configure(routers * routerVcs(rp, true),
+                routers * routerVcs(rp, false), rp.vcDepth);
+    return s;
+}
+
+struct OneRouter
+{
+    /** The router at (`x`, `y`) of the `tp` mesh takes `rp` and routes
+     *  with `routing`. */
+    OneRouter(const Router::Params &rp, unsigned x, unsigned y,
+              const TopologyParams &tp = {},
+              const std::string &routing = "xy")
+        : topo(tp), route(topo, routing), slab(routerSlab(rp, 1)),
+          active(topo.numNodes()),
+          r(topo.nodeAt(x, y), topo, route, rp, slab, 0, 0, active,
+            counters)
+    {}
+
+    Topology topo;
+    Routing route;
+    VcSlabs slab;
+    ActiveSet active;
+    NetCounters counters;
+    Router r;
+};
+
 struct RouterPair
 {
     /** Both routers take `rp`; the link takes `latency` cycles. */
     explicit RouterPair(const Router::Params &rp, Cycle latency = 1)
         : topo(TopologyParams{}), xy(topo, "xy"),
-          slab(pairSlab(rp)),
-          a(topo.nodeAt(0, 0), topo, xy, rp, slab, 0, 0),
-          b(topo.nodeAt(1, 0), topo, xy, rp, slab, vcsPerRouter(rp, true),
-            vcsPerRouter(rp, false))
+          slab(routerSlab(rp, 2)), active(topo.numNodes()),
+          a(topo.nodeAt(0, 0), topo, xy, rp, slab, 0, 0, active,
+            counters),
+          b(topo.nodeAt(1, 0), topo, xy, rp, slab, routerVcs(rp, true),
+            routerVcs(rp, false), active, counters)
     {
-        a.setActivity(&active, 0);
-        b.setActivity(&active, 1);
         wheel.configure(latency, &slab);
         link = a.connect(DIR_EAST, b, wheel);
-    }
-
-    /** Input (or output) VCs one router with `rp` takes. */
-    static std::size_t
-    vcsPerRouter(const Router::Params &rp, bool inputs)
-    {
-        const unsigned ports =
-            NUM_DIRS + (inputs ? rp.numInjPorts : rp.numEjPorts);
-        return std::size_t{ports} * rp.vcMap.numVcs();
-    }
-
-    static VcSlabs
-    pairSlab(const Router::Params &rp)
-    {
-        VcSlabs s;
-        s.configure(2 * vcsPerRouter(rp, true),
-                    2 * vcsPerRouter(rp, false), rp.vcDepth);
-        return s;
     }
 
     Topology topo;
     Routing xy;
     VcSlabs slab;
+    ActiveSet active;
+    NetCounters counters;
     Router a;
     Router b;
-    ActiveSet active{2};
     LinkWheel wheel;
     unsigned link = 0;
 };

@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/rng.hh"
 #include "net_digest.hh"
 #include "noc/mesh_network.hh"
 
@@ -19,56 +18,6 @@ namespace
 {
 
 // --- Whole-network regression ---
-
-/** Accepts everything, keeps nothing. */
-struct DropSink : PacketSink
-{
-    bool tryReserve(const Packet &) override { return true; }
-    void deliver(PacketPtr, Cycle) override {}
-};
-
-/** Seeded request/reply driver; @return the cycle drained() turned. */
-Cycle
-drive(Network &net, std::uint64_t seed, Cycle cycles)
-{
-    DropSink sink;
-    const auto &topo = net.topology();
-    for (NodeId n = 0; n < topo.numNodes(); ++n)
-        net.setSink(n, &sink);
-    Rng rng(seed);
-    Cycle now = 0;
-    for (; now < cycles; ++now) {
-        for (NodeId core : topo.computeNodes()) {
-            if (rng.nextBool(0.05) && net.canInject(core, 0)) {
-                auto pkt = makePacket();
-                pkt->src = core;
-                pkt->dst = rng.pick(topo.mcNodes());
-                pkt->op = MemOp::READ_REQUEST;
-                pkt->protoClass = 0;
-                pkt->sizeFlits = net.packetFlits(MemOp::READ_REQUEST);
-                pkt->sizeBytes = memOpBytes(MemOp::READ_REQUEST);
-                net.inject(std::move(pkt), now);
-            }
-        }
-        for (NodeId mc : topo.mcNodes()) {
-            if (rng.nextBool(0.12) && net.canInject(mc, 1)) {
-                auto pkt = makePacket();
-                pkt->src = mc;
-                pkt->dst = rng.pick(topo.computeNodes());
-                pkt->op = MemOp::READ_REPLY;
-                pkt->protoClass = 1;
-                pkt->sizeFlits = net.packetFlits(MemOp::READ_REPLY);
-                pkt->sizeBytes = memOpBytes(MemOp::READ_REPLY);
-                net.inject(std::move(pkt), now);
-            }
-        }
-        net.cycle(now);
-    }
-    while (!net.drained() && now < cycles + 100000)
-        net.cycle(now++);
-    EXPECT_TRUE(net.drained());
-    return now;
-}
 
 MeshNetworkParams
 baseParams(std::uint64_t seed)
@@ -96,7 +45,8 @@ expectRecorded(const MeshNetworkParams &p, bool sliced,
                std::uint64_t seed, const std::string &name)
 {
     const auto net = makeMeshNetwork(p, sliced);
-    const Cycle done = drive(*net, seed * 17 + 3, 2000);
+    const Cycle done =
+        driveRequestsAndReplies(*net, seed * 17 + 3, 2000, 0.05, 0.12);
     expectRecordedDigest(RECORDED, name,
                          netStatsDigest(net->stats(), done));
 }

@@ -36,7 +36,7 @@ portSlab(unsigned vcs, unsigned depth)
 }
 
 /** Pops VC `vc`'s front flit and @return its seq.  The popper owns the
- *  reference a tail carries (see Flit) and returns it here. */
+ *  packet a tail carries (see Flit) and returns it to the pool here. */
 unsigned
 popSeq(VcSlabs &port, unsigned vc)
 {

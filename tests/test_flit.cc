@@ -58,16 +58,15 @@ TEST(MakeFlits, HeadTailAndSequence)
 {
     auto pkt = makePacket();
     pkt->sizeFlits = 4;
-    std::vector<Flit> flits;
-    makeFlits(pkt, flits);
-    ASSERT_EQ(flits.size(), 4u);
-    EXPECT_TRUE(flits[0].head);
-    EXPECT_FALSE(flits[0].tail);
-    EXPECT_TRUE(flits[3].tail);
-    EXPECT_FALSE(flits[3].head);
     for (unsigned i = 0; i < 4; ++i) {
-        EXPECT_EQ(flits[i].seq, i);
-        EXPECT_EQ(flits[i].pkt, pkt.get());
+        const Flit f = makeFlit(*pkt, i, 3);
+        EXPECT_EQ(f.pkt, pkt.get());
+        EXPECT_EQ(f.vc, 3u);
+        EXPECT_EQ(f.seq, i);
+        EXPECT_EQ(f.enqueueCycle, 0u);
+        // Head first, tail last, body flits neither.
+        EXPECT_EQ(f.head, i == 0) << i;
+        EXPECT_EQ(f.tail, i == 3) << i;
     }
 }
 
@@ -75,11 +74,11 @@ TEST(MakeFlits, SingleFlitIsHeadAndTail)
 {
     auto pkt = makePacket();
     pkt->sizeFlits = 1;
-    std::vector<Flit> flits;
-    makeFlits(pkt, flits);
-    ASSERT_EQ(flits.size(), 1u);
-    EXPECT_TRUE(flits[0].head);
-    EXPECT_TRUE(flits[0].tail);
+    const Flit f = makeFlit(*pkt, 0, 1);
+    EXPECT_TRUE(f.head);
+    EXPECT_TRUE(f.tail);
+    EXPECT_EQ(f.seq, 0u);
+    EXPECT_EQ(f.vc, 1u);
 }
 
 TEST(MemOp, RequestClassification)

@@ -156,14 +156,17 @@ TEST(GoldenModel, ZeroLoadMatchesSimulatedProbe)
     np.topo.numMcs = 2;
     np.protoClasses = 1;
 
+    /** Keeps the delivered packet, whose route the model rebuilds. */
     struct Cap : PacketSink
     {
         Cycle got = 0;
+        PacketPtr delivered;
         bool tryReserve(const Packet &) override { return true; }
         void
         deliver(PacketPtr pkt, Cycle now) override
         {
             got = now - pkt->createdCycle;
+            delivered = std::move(pkt);
         }
     };
 
@@ -179,7 +182,6 @@ TEST(GoldenModel, ZeroLoadMatchesSimulatedProbe)
         pkt->sizeFlits = size;
         pkt->sizeBytes = size * np.flitBytes;
         pkt->createdCycle = 0;
-        PacketPtr held = pkt;
         net.inject(std::move(pkt), 0);
         Cycle now = 0;
         while (!net.drained() && now < 10000) {
@@ -187,10 +189,11 @@ TEST(GoldenModel, ZeroLoadMatchesSimulatedProbe)
             ++now;
         }
         ASSERT_TRUE(net.drained());
+        ASSERT_TRUE(cap.delivered);
 
         GoldenModel golden(net.topology(), np);
         std::vector<NodeId> route;
-        golden.reconstructRoute(*held, route);
+        golden.reconstructRoute(*cap.delivered, route);
         EXPECT_EQ(cap.got, golden.zeroLoadLatency(route, size))
             << "size " << size;
     }

@@ -11,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/rng.hh"
 #include "net_digest.hh"
 #include "noc/mesh_network.hh"
 
@@ -19,60 +18,6 @@ namespace tenoc
 {
 namespace
 {
-
-/** Accepts everything, keeps nothing. */
-struct DropSink : PacketSink
-{
-    bool tryReserve(const Packet &) override { return true; }
-    void deliver(PacketPtr, Cycle) override {}
-};
-
-/**
- * Drives `net` with seeded many-to-few requests (class 0) and
- * few-to-many replies (class 1) for `cycles`, then lets it drain.
- * @return the cycle at which drained() first became true.
- */
-Cycle
-drive(Network &net, std::uint64_t seed, Cycle cycles)
-{
-    DropSink sink;
-    const auto &topo = net.topology();
-    for (NodeId n = 0; n < topo.numNodes(); ++n)
-        net.setSink(n, &sink);
-    Rng rng(seed);
-    Cycle now = 0;
-    for (; now < cycles; ++now) {
-        for (NodeId core : topo.computeNodes()) {
-            if (rng.nextBool(0.04) && net.canInject(core, 0)) {
-                auto pkt = makePacket();
-                pkt->src = core;
-                pkt->dst = rng.pick(topo.mcNodes());
-                pkt->op = MemOp::READ_REQUEST;
-                pkt->protoClass = 0;
-                pkt->sizeFlits = net.packetFlits(MemOp::READ_REQUEST);
-                pkt->sizeBytes = memOpBytes(MemOp::READ_REQUEST);
-                net.inject(std::move(pkt), now);
-            }
-        }
-        for (NodeId mc : topo.mcNodes()) {
-            if (rng.nextBool(0.10) && net.canInject(mc, 1)) {
-                auto pkt = makePacket();
-                pkt->src = mc;
-                pkt->dst = rng.pick(topo.computeNodes());
-                pkt->op = MemOp::READ_REPLY;
-                pkt->protoClass = 1;
-                pkt->sizeFlits = net.packetFlits(MemOp::READ_REPLY);
-                pkt->sizeBytes = memOpBytes(MemOp::READ_REPLY);
-                net.inject(std::move(pkt), now);
-            }
-        }
-        net.cycle(now);
-    }
-    while (!net.drained() && now < cycles + 100000)
-        net.cycle(now++);
-    EXPECT_TRUE(net.drained());
-    return now;
-}
 
 MeshNetworkParams
 netParams(const std::string &routing, std::uint64_t seed)
@@ -134,7 +79,8 @@ TEST_P(IdleSkipEquivalence, MatchesFullTick)
 {
     const auto [seed, routing, sliced] = GetParam();
     const auto net = makeMeshNetwork(netParams(routing, seed), sliced);
-    const Cycle done = drive(*net, seed * 31 + 7, 3000);
+    const Cycle done =
+        driveRequestsAndReplies(*net, seed * 31 + 7, 3000, 0.04, 0.10);
     expectRecordedDigest(RECORDED, caseName({GetParam(), 0}),
                          netStatsDigest(net->stats(), done));
 }

@@ -49,9 +49,8 @@ computeStages(Router &r, Cycle now)
 
 TEST(RouterConnectivity, FullRouterConnectsEverything)
 {
-    Topology topo(TopologyParams{});
-    Routing xy(topo, "xy");
-    Router r(topo.nodeAt(2, 2), topo, xy, routerParams(false));
+    OneRouter one(routerParams(false), 2, 2);
+    const Router &r = one.r;
     for (unsigned in = 0; in < NUM_DIRS; ++in) {
         // Full crossbar, U-turns included.
         for (unsigned out = 0; out < NUM_DIRS; ++out) {
@@ -66,9 +65,8 @@ TEST(RouterConnectivity, FullRouterConnectsEverything)
 
 TEST(RouterConnectivity, HalfRouterRestrictsToStraightThrough)
 {
-    Topology topo(cbParams());
-    Routing cr(topo, "cr");
-    Router r(topo.nodeAt(1, 0), topo, cr, routerParams(true));
+    OneRouter one(routerParams(true), 1, 0, cbParams(), "cr");
+    const Router &r = one.r;
     // Fig. 13: E<->W and N<->S only.
     EXPECT_TRUE(r.connectivityAllows(DIR_WEST, DIR_EAST));
     EXPECT_TRUE(r.connectivityAllows(DIR_EAST, DIR_WEST));
@@ -102,7 +100,7 @@ class TwoRouterTest : public ::testing::Test, public EjectionSink
     ejectFlit(unsigned, const Flit &flit, Cycle now) override
     {
         ejected_.emplace_back(now, flit);
-        if (flit.tail) // the sink owns the tail's reference (see Flit)
+        if (flit.tail) // the sink owns the tail's packet (see Flit)
             PacketPtr::adopt(flit.pkt).reset();
     }
 
@@ -117,15 +115,14 @@ class TwoRouterTest : public ::testing::Test, public EjectionSink
         pkt->sizeFlits = size_flits;
         pkt->protoClass = 0;
         pkt->mode = RouteMode::XY;
-        std::vector<Flit> flits;
-        makeFlits(pkt, flits);
-        pkt.detach(); // the tail carries the reference (see Flit)
-        std::size_t next = 0;
+        Packet &p = *pkt;
+        pkt.detach(); // the tail owns the packet (see Flit)
+        unsigned next = 0;
         const Cycle end = now_ + cycles;
         for (; now_ < end; ++now_) {
             pair_.wheel.fire(now_);
-            if (next < flits.size() && a_.injFreeSlots(0, 0) > 0)
-                a_.injectFlit(0, flits[next++], now_);
+            if (next < size_flits && a_.injFreeSlots(0, 0) > 0)
+                a_.injectFlit(0, makeFlit(p, next++, 0), now_);
             computeStages(a_, now_);
             computeStages(b_, now_);
         }
@@ -179,11 +176,11 @@ TEST_F(TwoRouterTest, CreditsRecoverAfterDrain)
 
 TEST(Router, AggressiveSingleCycleRouter)
 {
-    Topology topo{TopologyParams{}};
-    Routing xy(topo, "xy");
     auto rp = routerParams();
     rp.pipelineDepth = 1;
-    Router a(topo.nodeAt(0, 0), topo, xy, rp);
+    OneRouter one(rp, 0, 0);
+    const Topology &topo = one.topo;
+    Router &a = one.r;
     struct Sink : EjectionSink
     {
         bool ejectReady(unsigned) const override { return true; }
@@ -200,10 +197,7 @@ TEST(Router, AggressiveSingleCycleRouter)
     pkt->dst = topo.nodeAt(0, 0);
     pkt->sizeFlits = 1;
     pkt->mode = RouteMode::XY;
-    std::vector<Flit> flits;
-    makeFlits(pkt, flits);
-    flits[0].vc = 0;
-    a.injectFlit(0, flits[0], 5);
+    a.injectFlit(0, makeFlit(*pkt, 0, 0), 5);
     computeStages(a, 5);
     computeStages(a, 6);
     // 1-cycle router: one cycle of residency (2-cycle hops with the
@@ -213,16 +207,16 @@ TEST(Router, AggressiveSingleCycleRouter)
 
 TEST(Router, MultiEjectionPortsRoundRobin)
 {
-    Topology topo{TopologyParams{}};
-    Routing xy(topo, "xy");
-    Router r(topo.nodeAt(0, 0), topo, xy, routerParams(false, 1, 2));
+    OneRouter one(routerParams(false, 1, 2), 0, 0);
+    const Topology &topo = one.topo;
+    Router &r = one.r;
     struct Sink : EjectionSink
     {
         bool ejectReady(unsigned) const override { return true; }
         void ejectFlit(unsigned port, const Flit &flit, Cycle) override
         {
             ports.push_back(port);
-            if (flit.tail) // the sink owns the tail's reference
+            if (flit.tail) // the sink owns the tail's packet
                 PacketPtr::adopt(flit.pkt).reset();
         }
         std::vector<unsigned> ports;
@@ -237,11 +231,9 @@ TEST(Router, MultiEjectionPortsRoundRobin)
         pkt->sizeFlits = 1;
         pkt->protoClass = i; // distinct VCs
         pkt->mode = RouteMode::XY;
-        std::vector<Flit> flits;
-        makeFlits(pkt, flits);
-        pkt.detach(); // the tail carries the reference
-        flits[0].vc = static_cast<unsigned>(i);
-        r.injectFlit(0, flits[0], 0);
+        const Flit f = makeFlit(*pkt, 0, static_cast<unsigned>(i));
+        pkt.detach(); // the tail owns the packet
+        r.injectFlit(0, f, 0);
     }
     for (Cycle t = 0; t < 10; ++t)
         computeStages(r, t);
@@ -251,18 +243,15 @@ TEST(Router, MultiEjectionPortsRoundRobin)
 
 TEST(Router, InjFreeSlotsTracksOccupancy)
 {
-    Topology topo{TopologyParams{}};
-    Routing xy(topo, "xy");
-    Router r(topo.nodeAt(0, 0), topo, xy, routerParams());
+    OneRouter one(routerParams(), 0, 0);
+    const Topology &topo = one.topo;
+    Router &r = one.r;
     EXPECT_EQ(r.injFreeSlots(0, 0), 8u);
     auto pkt = makePacket();
     pkt->src = topo.nodeAt(1, 0);
     pkt->dst = topo.nodeAt(0, 0);
     pkt->sizeFlits = 2;
-    std::vector<Flit> flits;
-    makeFlits(pkt, flits);
-    flits[0].vc = 0;
-    r.injectFlit(0, flits[0], 0);
+    r.injectFlit(0, makeFlit(*pkt, 0, 0), 0);
     EXPECT_EQ(r.injFreeSlots(0, 0), 7u);
     EXPECT_EQ(r.bufferedFlits(), 1u);
     EXPECT_FALSE(r.empty());
@@ -277,7 +266,7 @@ struct RecordingSink : EjectionSink
     ejectFlit(unsigned, const Flit &flit, Cycle now) override
     {
         log.emplace_back(now, flit.pkt->id, flit.seq);
-        if (flit.tail) // the sink owns the tail's reference (see Flit)
+        if (flit.tail) // the sink owns the tail's packet (see Flit)
             PacketPtr::adopt(flit.pkt).reset();
     }
 
@@ -297,8 +286,9 @@ ejectingPacket(const Topology &topo, std::uint64_t id, unsigned size)
     pkt->protoClass = 0;
     pkt->mode = RouteMode::XY;
     std::vector<Flit> flits;
-    makeFlits(pkt, flits);
-    pkt.detach(); // the tail carries the reference (see Flit)
+    for (unsigned i = 0; i < size; ++i)
+        flits.push_back(makeFlit(*pkt, i, 0));
+    pkt.detach(); // the tail owns the packet (see Flit)
     return flits;
 }
 
@@ -316,9 +306,9 @@ TEST(RouterStageMasks, HeadBehindDepartingTailIsRoutedNextCycle)
     // Packet 1's tail and packet 2's head share injection VC 0.  When
     // the tail leaves, the VC turns IDLE with a head already buffered:
     // that head must be routed by the very next RC.
-    Topology topo{TopologyParams{}};
-    Routing xy(topo, "xy");
-    Router r(topo.nodeAt(0, 0), topo, xy, routerParams());
+    OneRouter one(routerParams(), 0, 0);
+    const Topology &topo = one.topo;
+    Router &r = one.r;
     RecordingSink sink;
     r.setEjectionSink(&sink);
     injectAll(r, 0, ejectingPacket(topo, 1, 2), 0);
@@ -354,18 +344,15 @@ TEST(RouterStageMasks, HeadBehindDepartingTailIsRoutedNextCycle)
  */
 struct VaWaitScenario
 {
-    VaWaitScenario()
-        : topo(TopologyParams{}), xy(topo, "xy"),
-          r(topo.nodeAt(0, 0), topo, xy, routerParams(false, 2, 1))
+    VaWaitScenario() : one(routerParams(false, 2, 1), 0, 0)
     {
         r.setEjectionSink(&sink);
-        injectAll(r, 0, ejectingPacket(topo, 1, 3), 0);
-        injectAll(r, 1, ejectingPacket(topo, 2, 1), 0);
+        injectAll(r, 0, ejectingPacket(one.topo, 1, 3), 0);
+        injectAll(r, 1, ejectingPacket(one.topo, 2, 1), 0);
     }
 
-    Topology topo;
-    Routing xy;
-    Router r;
+    OneRouter one;
+    Router &r = one.r;
     RecordingSink sink;
 };
 

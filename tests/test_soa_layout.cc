@@ -7,7 +7,7 @@
  * divergence somewhere in the scheduler matrix.  Three
  * layers of coverage:
  *   1. arena mechanics — configure() growth and shrink-with-reuse,
- *      release of stale packet references, ring wraparound (with the
+ *      release of stale tails' packets, ring wraparound (with the
  *      head's enqueue cycle kept in the record), and the out-of-range
  *      index assertions armed by TENOC_VALIDATE=1;
  *   2. port independence — the records of two ports at different
@@ -23,7 +23,6 @@
 
 #include <string>
 
-#include "common/rng.hh"
 #include "net_digest.hh"
 #include "noc/mesh_network.hh"
 #include "noc/slab.hh"
@@ -156,19 +155,20 @@ TEST(VcSlabs, ReconfigureGrowsAndShrinksWithStateReset)
 
 TEST(VcSlabs, ReconfigureReleasesStalePacketReferences)
 {
+    const std::size_t live = packetPool().liveObjects();
     VcSlabs slabs;
     slabs.configure(1, 0, 2);
     auto pkt = makePacket();
     pkt->sizeFlits = 1;
     Flit f;
-    f.pkt = PacketPtr(pkt).detach(); // a second reference, the tail's
+    f.pkt = pkt.detach(); // the buffered tail owns the packet
     f.head = f.tail = true;
     slabs.pushFlit(0, f, 0);
-    ASSERT_EQ(pkt.use_count(), 2u);
+    ASSERT_EQ(packetPool().liveObjects(), live + 1);
     // A reused arena must not pin packets from the previous
     // configuration alive.
     slabs.configure(1, 0, 2);
-    EXPECT_EQ(pkt.use_count(), 1u);
+    EXPECT_EQ(packetPool().liveObjects(), live);
 }
 
 TEST(VcSlabsDeathTest, ValidateArmsOutOfRangeChecks)
@@ -237,56 +237,6 @@ TEST(VcSlabs, PortViewsAtDifferentBasesDoNotAlias)
 // 3. Sealed-stats equality across the toggle cube
 // --------------------------------------------------------------------
 
-/** Accepts everything, keeps nothing. */
-struct DropSink : PacketSink
-{
-    bool tryReserve(const Packet &) override { return true; }
-    void deliver(PacketPtr, Cycle) override {}
-};
-
-/** Drives `net` with seeded request/reply traffic, then drains. */
-Cycle
-drive(Network &net, std::uint64_t seed, Cycle cycles)
-{
-    DropSink sink;
-    const auto &topo = net.topology();
-    for (NodeId n = 0; n < topo.numNodes(); ++n)
-        net.setSink(n, &sink);
-    Rng rng(seed);
-    Cycle now = 0;
-    for (; now < cycles; ++now) {
-        for (NodeId core : topo.computeNodes()) {
-            if (rng.nextBool(0.04) && net.canInject(core, 0)) {
-                auto pkt = makePacket();
-                pkt->src = core;
-                pkt->dst = rng.pick(topo.mcNodes());
-                pkt->op = MemOp::READ_REQUEST;
-                pkt->protoClass = 0;
-                pkt->sizeFlits = net.packetFlits(MemOp::READ_REQUEST);
-                pkt->sizeBytes = memOpBytes(MemOp::READ_REQUEST);
-                net.inject(std::move(pkt), now);
-            }
-        }
-        for (NodeId mc : topo.mcNodes()) {
-            if (rng.nextBool(0.10) && net.canInject(mc, 1)) {
-                auto pkt = makePacket();
-                pkt->src = mc;
-                pkt->dst = rng.pick(topo.computeNodes());
-                pkt->op = MemOp::READ_REPLY;
-                pkt->protoClass = 1;
-                pkt->sizeFlits = net.packetFlits(MemOp::READ_REPLY);
-                pkt->sizeBytes = memOpBytes(MemOp::READ_REPLY);
-                net.inject(std::move(pkt), now);
-            }
-        }
-        net.cycle(now);
-    }
-    while (!net.drained() && now < cycles + 100000)
-        net.cycle(now++);
-    EXPECT_TRUE(net.drained());
-    return now;
-}
-
 /** The semantic axes: these change behavior, so each combination is
  *  its own equality base.  The fault-injection axis is retired and
  *  always false; it stays in the struct so the printed parameters,
@@ -333,7 +283,8 @@ TEST_P(SoaToggleMatrix, SealedStatsIdenticalAcrossToggles)
         SCOPED_TRACE("validate=" + std::to_string(validate));
         const auto net =
             makeMeshNetwork(soaParams(validate), base.sliced);
-        const Cycle done = drive(*net, 97, 1200);
+        const Cycle done =
+            driveRequestsAndReplies(*net, 97, 1200, 0.04, 0.10);
         expectRecordedDigest(RECORDED, soaBaseName({base, 0}),
                              netStatsDigest(net->stats(), done));
     }

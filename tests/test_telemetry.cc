@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "common/clock.hh"
-#include "common/rng.hh"
 #include "common/stats.hh"
 #include "net_digest.hh"
 #include "noc/mesh_network.hh"
@@ -534,56 +533,6 @@ TEST(TelemetryHub, EndToEndMeshRun)
     std::remove(cfg.tracePath.c_str());
 }
 
-/** Accepts everything, keeps nothing. */
-struct DropSink : PacketSink
-{
-    bool tryReserve(const Packet &) override { return true; }
-    void deliver(PacketPtr, Cycle) override {}
-};
-
-/**
- * Drives `net` with seeded many-to-few requests and few-to-many
- * replies for `cycles`, then drains.  @return the drain cycle.
- */
-Cycle
-driveRequestsAndReplies(Network &net, std::uint64_t seed, Cycle cycles)
-{
-    DropSink sink;
-    const auto &topo = net.topology();
-    for (NodeId n = 0; n < topo.numNodes(); ++n)
-        net.setSink(n, &sink);
-    Rng rng(seed);
-    const auto send = [&](NodeId src, NodeId dst, MemOp op, int proto,
-                          Cycle now) {
-        auto pkt = makePacket();
-        pkt->src = src;
-        pkt->dst = dst;
-        pkt->op = op;
-        pkt->protoClass = proto;
-        pkt->sizeFlits = net.packetFlits(op);
-        pkt->sizeBytes = memOpBytes(op);
-        net.inject(std::move(pkt), now);
-    };
-    Cycle now = 0;
-    for (; now < cycles; ++now) {
-        for (NodeId core : topo.computeNodes()) {
-            if (rng.nextBool(0.04) && net.canInject(core, 0))
-                send(core, rng.pick(topo.mcNodes()),
-                     MemOp::READ_REQUEST, 0, now);
-        }
-        for (NodeId mc : topo.mcNodes()) {
-            if (rng.nextBool(0.10) && net.canInject(mc, 1))
-                send(mc, rng.pick(topo.computeNodes()),
-                     MemOp::READ_REPLY, 1, now);
-        }
-        net.cycle(now);
-    }
-    while (!net.drained() && now < cycles + 100000)
-        net.cycle(now++);
-    EXPECT_TRUE(net.drained());
-    return now;
-}
-
 TEST(TelemetryHub, TracerChangesNoStats)
 {
     // Tracing is pure observation: attaching a Chrome tracer to every
@@ -600,8 +549,8 @@ TEST(TelemetryHub, TracerChangesNoStats)
         cfg.traceSampleEvery = 1;
         telemetry::TelemetryHub hub(cfg);
         traced->attachTelemetry(hub);
-        EXPECT_EQ(driveRequestsAndReplies(*plain, 97, 1500),
-                  driveRequestsAndReplies(*traced, 97, 1500));
+        EXPECT_EQ(driveRequestsAndReplies(*plain, 97, 1500, 0.04, 0.10),
+                  driveRequestsAndReplies(*traced, 97, 1500, 0.04, 0.10));
 
         // The digest covers every sealed stat bit-exactly (counters,
         // accumulator sums, histogram buckets).
