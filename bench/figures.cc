@@ -140,7 +140,7 @@ double
 chipAreaFor(ConfigId id)
 {
     const AreaModel model;
-    return model.chipArea(model.meshArea(areaSpecFor(id)));
+    return model.chipArea(model.meshArea(areaSpecOf(makeConfig(id))));
 }
 
 /**

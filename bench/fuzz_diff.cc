@@ -7,7 +7,7 @@
  * the test suite forever.
  *
  * Usage:
- *   fuzz_diff [--configs N] [--seed S] [--out DIR] [--thorough]
+ *   fuzz_diff [--configs N] [--seed S] [--out DIR]
  *             [--replay FILE]... [FILE]...
  *
  * Bare FILE operands are replay files as well, so find/xargs can batch
@@ -37,7 +37,7 @@ void
 usage(const char *argv0)
 {
     std::cerr << "usage: " << argv0
-              << " [--configs N] [--seed S] [--out DIR] [--thorough]"
+              << " [--configs N] [--seed S] [--out DIR]"
                  " [--replay FILE]... [FILE]...\n";
 }
 
@@ -68,7 +68,6 @@ main(int argc, char **argv)
     unsigned configs = 100;
     std::uint64_t seed = 1;
     std::string out_dir = "tests/corpus";
-    tenoc::DiffOptions opts;
     std::vector<std::string> replays;
 
     for (int i = 1; i < argc; ++i) {
@@ -86,8 +85,6 @@ main(int argc, char **argv)
             seed = std::strtoull(next(), nullptr, 0);
         } else if (arg == "--out") {
             out_dir = next();
-        } else if (arg == "--thorough") {
-            opts.thorough = true;
         } else if (arg == "--replay") {
             replays.emplace_back(next());
         } else if (!arg.empty() && arg[0] != '-') {
@@ -115,7 +112,7 @@ main(int argc, char **argv)
             std::cerr << "fuzz_diff: " << path << ": " << err << "\n";
             return 1;
         }
-        const tenoc::DiffReport rep = tenoc::runDiff(cfg, opts);
+        const tenoc::DiffReport rep = tenoc::runDiff(cfg);
         if (rep.ok()) {
             std::cout << "replay PASS " << path << " digest "
                       << std::hex << std::setw(16) << std::setfill('0')
@@ -134,7 +131,7 @@ main(int argc, char **argv)
     tenoc::Rng sampler(tenoc::deriveStreamSeed(seed, 0xd1ffULL));
     for (unsigned i = 0; i < configs; ++i) {
         const tenoc::DiffConfig cfg = tenoc::sampleDiffConfig(sampler);
-        const tenoc::DiffReport rep = tenoc::runDiff(cfg, opts);
+        const tenoc::DiffReport rep = tenoc::runDiff(cfg);
         if (rep.ok()) {
             std::cout << "config " << (i + 1) << "/" << configs
                       << " ok\n";
@@ -149,7 +146,7 @@ main(int argc, char **argv)
 
         // Shrink and persist a repro for the corpus.
         const tenoc::DiffConfig minimal =
-            tenoc::minimizeConfig(cfg, opts);
+            tenoc::minimizeConfig(cfg);
         std::error_code ec;
         std::filesystem::create_directories(out_dir, ec);
         std::ostringstream name;
@@ -160,7 +157,7 @@ main(int argc, char **argv)
         out << "# fuzz_diff repro: --seed " << seed << ", config #"
             << i << ", minimized\n";
         const tenoc::DiffReport minimal_rep =
-            tenoc::runDiff(minimal, opts);
+            tenoc::runDiff(minimal);
         for (const std::string &v : minimal_rep.violations)
             out << "# violation: " << v << "\n";
         out << minimal.serialize();

@@ -13,8 +13,9 @@
  * Thread-safety notes (why concurrent points are safe):
  *   - every simulation object (Chip, MeshNetwork, Rng) is built inside
  *     the worker that runs it; nothing is shared between points,
- *   - the packet pool is thread_local (see src/common/pool.hh), and a
- *     point runs start-to-finish on one worker thread,
+ *   - packets are plain heap objects, and a point runs start-to-finish
+ *     on one worker thread, so the thread-local livePackets() count of
+ *     src/noc/flit.hh stays per simulation,
  *   - the only shared statics in the simulator are C++ magic statics
  *     (workload tables, config tables), which are initialization-safe.
  *

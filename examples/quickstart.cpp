@@ -36,7 +36,7 @@ main(int argc, char **argv)
                         ConfigId::CP_CR_2INJ_SINGLE}) {
         const ChipParams params = makeConfig(id);
         const ChipResult r = runWorkload(params, profile);
-        const auto noc = area.meshArea(areaSpecFor(id));
+        const auto noc = area.meshArea(areaSpecOf(params));
         const double chip_mm2 = area.chipArea(noc);
         std::printf(
             "%-28s IPC %7.2f  mc-stall %5.1f%%  net-lat %6.1f  "

@@ -9,6 +9,7 @@
 #include <set>
 
 #include "common/log.hh"
+#include "noc/routing.hh"
 
 namespace tenoc
 {
@@ -279,67 +280,23 @@ chipParamsFromConfig(const Config &cfg)
 }
 
 MeshAreaSpec
-areaSpecFor(ConfigId id)
+areaSpecOf(const ChipParams &p)
 {
+    // The area of the mesh the chip builds; a perfect or BW-limited
+    // chip is costed as its (unused) baseline mesh.
+    const bool sliced = p.netKind == NetKind::DOUBLE;
+    const MeshNetworkParams m = sliced ? slicedParams(p.mesh) : p.mesh;
     MeshAreaSpec s;
-    s.rows = 6;
-    s.cols = 6;
-    s.numMcs = 8;
-    s.vcs = 2;
-    s.buffersPerVc = 8;
-    s.channelBytes = 16.0;
-    switch (id) {
-      case ConfigId::BASELINE_TB_DOR:
-      case ConfigId::TB_DOR_1CYC:
-      case ConfigId::PERFECT:
-      case ConfigId::CP_DOR_2VC:
-        break;
-      case ConfigId::TB_DOR_2X:
-        s.channelBytes = 32.0;
-        break;
-      case ConfigId::CP_DOR_4VC:
-        s.vcs = 4;
-        break;
-      case ConfigId::CP_CR_4VC:
-      case ConfigId::CP_CR_SINGLE_16B_4VC:
-        s.vcs = 4;
-        s.checkerboard = true;
-        break;
-      case ConfigId::CP_CR_2INJ_SINGLE:
-        s.vcs = 4;
-        s.checkerboard = true;
-        s.mcInjPorts = 2;
-        break;
-      case ConfigId::CP_CR_DOUBLE:
-        s.subnetworks = 2;
-        s.channelBytes = 8.0;
-        s.vcs = 4; // 2 lanes per routing class (see DoubleNetwork)
-        s.checkerboard = true;
-        break;
-      case ConfigId::CP_CR_DOUBLE_2INJ:
-      case ConfigId::THROUGHPUT_EFFECTIVE:
-        s.subnetworks = 2;
-        s.channelBytes = 8.0;
-        s.vcs = 4;
-        s.checkerboard = true;
-        s.mcInjPorts = 2;
-        break;
-      case ConfigId::CP_CR_DOUBLE_2EJ:
-        s.subnetworks = 2;
-        s.channelBytes = 8.0;
-        s.vcs = 4;
-        s.checkerboard = true;
-        s.mcEjPorts = 2;
-        break;
-      case ConfigId::CP_CR_DOUBLE_2INJ2EJ:
-        s.subnetworks = 2;
-        s.channelBytes = 8.0;
-        s.vcs = 4;
-        s.checkerboard = true;
-        s.mcInjPorts = 2;
-        s.mcEjPorts = 2;
-        break;
-    }
+    s.rows = m.topo.rows;
+    s.cols = m.topo.cols;
+    s.numMcs = m.topo.numMcs;
+    s.subnetworks = sliced ? 2 : 1;
+    s.channelBytes = m.flitBytes;
+    s.vcs = m.protoClasses * routeClassesOf(m.routing) * m.vcsPerClass;
+    s.buffersPerVc = m.vcDepth;
+    s.checkerboard = m.topo.checkerboardRouters;
+    s.mcInjPorts = m.mcInjPorts;
+    s.mcEjPorts = m.mcEjPorts;
     return s;
 }
 

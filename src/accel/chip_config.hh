@@ -82,8 +82,8 @@ ChipParams makeConfig(ConfigId id, std::uint64_t seed = 1);
 ChipParams makeBwLimitedConfig(double dram_bw_fraction,
                                std::uint64_t seed = 1);
 
-/** Area-model spec matching a named configuration (Table VI rows). */
-MeshAreaSpec areaSpecFor(ConfigId id);
+/** Area-model spec of the mesh `p` builds (Table VI rows). */
+MeshAreaSpec areaSpecOf(const ChipParams &p);
 
 /** Aggregate flits/icnt-cycle equal to the full DRAM bandwidth. */
 double dramBandwidthFlitsPerIcntCycle(const ChipParams &p);

@@ -10,19 +10,29 @@
 namespace tenoc
 {
 
-FreeListPool<Packet> &
-packetPool()
+namespace
 {
-    thread_local FreeListPool<Packet> pool;
-    return pool;
+thread_local std::size_t live_packets = 0;
+} // namespace
+
+std::size_t
+livePackets()
+{
+    return live_packets;
+}
+
+void
+PacketDeleter::operator()(Packet *p) const
+{
+    --live_packets;
+    delete p;
 }
 
 PacketPtr
 makePacket()
 {
-    Packet *p = packetPool().allocate();
-    *p = Packet{}; // recycled objects carry their previous state
-    return PacketPtr::adopt(p);
+    ++live_packets;
+    return PacketPtr(new Packet{});
 }
 
 int

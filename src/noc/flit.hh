@@ -16,9 +16,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <type_traits>
 
-#include "common/pool.hh"
 #include "common/types.hh"
 
 namespace tenoc
@@ -33,13 +33,9 @@ enum class RouteMode : std::uint8_t
 };
 
 /**
- * One network packet.  Owned by exactly one PacketPtr at a time (a
- * move-only handle over a thread_local freelist pool); flits point at
- * it (see Flit for which flit carries that ownership while the packet
- * is in the network).  A simulation's cycle runs serially, and each
- * parallel sweep point (bench/sweep.hh) runs its whole simulation on
- * one worker thread, so every packet is allocated and released on the
- * thread whose pool owns it.
+ * One network packet.  Owned by exactly one PacketPtr at a time; flits
+ * point at it (see Flit for which flit carries that ownership while the
+ * packet is in the network).
  */
 struct Packet
 {
@@ -70,101 +66,22 @@ struct Packet
     int routeClass() const;
 };
 
-/** The thread-local packet pool backing makePacket(). */
-FreeListPool<Packet> &packetPool();
+/** Packets made by makePacket() on this thread and not yet deleted
+ *  (a simulation makes and deletes its packets on one thread). */
+std::size_t livePackets();
 
-/**
- * Move-only owner of a pooled packet: destroying or resetting a
- * non-null pointer returns the packet to the thread-local pool.  The
- * API is the unique_ptr subset the simulator uses (get/reset/bool/
- * deref/compare), plus adopt()/detach() for handing the ownership to
- * a tail flit and back.
- */
-class PacketPtr
+/** Deletes a packet made by makePacket() and uncounts it. */
+struct PacketDeleter
 {
-  public:
-    PacketPtr() = default;
-    PacketPtr(std::nullptr_t) {}
-    PacketPtr(PacketPtr &&o) noexcept : p_(o.p_) { o.p_ = nullptr; }
-
-    /** Takes over the ownership of pooled packet `p` (one that
-     *  detach() let go of, or a fresh one from the pool). */
-    static PacketPtr
-    adopt(Packet *p)
-    {
-        PacketPtr ptr;
-        ptr.p_ = p;
-        return ptr;
-    }
-
-    PacketPtr &
-    operator=(PacketPtr &&o) noexcept
-    {
-        if (this != &o) {
-            drop();
-            p_ = o.p_;
-            o.p_ = nullptr;
-        }
-        return *this;
-    }
-
-    ~PacketPtr() { drop(); }
-
-    Packet *get() const { return p_; }
-    Packet &operator*() const { return *p_; }
-    Packet *operator->() const { return p_; }
-    explicit operator bool() const { return p_ != nullptr; }
-
-    void
-    reset()
-    {
-        drop();
-        p_ = nullptr;
-    }
-
-    /** Lets go of the packet without returning it to the pool: the
-     *  caller now owns it (see adopt()). */
-    Packet *
-    detach()
-    {
-        Packet *p = p_;
-        p_ = nullptr;
-        return p;
-    }
-
-    friend bool
-    operator==(const PacketPtr &a, const PacketPtr &b)
-    {
-        return a.p_ == b.p_;
-    }
-    friend bool
-    operator!=(const PacketPtr &a, const PacketPtr &b)
-    {
-        return a.p_ != b.p_;
-    }
-    friend bool
-    operator==(const PacketPtr &a, std::nullptr_t)
-    {
-        return a.p_ == nullptr;
-    }
-    friend bool
-    operator!=(const PacketPtr &a, std::nullptr_t)
-    {
-        return a.p_ != nullptr;
-    }
-
-  private:
-    void
-    drop()
-    {
-        if (p_)
-            packetPool().release(p_);
-    }
-
-    Packet *p_ = nullptr;
+    void operator()(Packet *p) const;
 };
 
-/** Allocates a default-initialized packet from the thread-local pool. */
+/** The one owner of a packet.  The tail-flit hand-off is release()
+ *  when the NI injects the tail and PacketPtr(p) when it is drained
+ *  (see Flit). */
+using PacketPtr = std::unique_ptr<Packet, PacketDeleter>;
+
+/** Allocates a default-initialized packet; the one allocation point. */
 PacketPtr makePacket();
 
 /** Returns the semantic byte size for a MemOp (8 B header convention). */
@@ -178,11 +95,11 @@ unsigned flitsForBytes(unsigned bytes, unsigned flit_bytes);
  * rings, the link wheel and ejection rings.  The VC field is
  * rewritten by each hop's switch allocation.
  *
- * Ownership: the packet travels with its tail flit.  The NI detaches
+ * Ownership: the packet travels with its tail flit.  The NI releases
  * its PacketPtr when it injects the tail, the NI that drains the tail
- * adopts it again, and a VC arena, link wheel or ejection ring
- * destroyed (or re-configured) mid-run returns the packets of the
- * tails it still holds to the pool.  Head and body flits never
+ * wraps it in a PacketPtr again, and a VC arena, link wheel or
+ * ejection ring destroyed (or re-configured) mid-run deletes the
+ * packets of the tails it still holds.  Head and body flits never
  * outlive their tail in the network (a worm stays in order on its
  * VCs), so their bare pointer stays valid.
  */

@@ -184,27 +184,6 @@ class NullSink : public PacketSink
     void deliver(PacketPtr, Cycle) override {}
 };
 
-/** RAII heap-bypass window for the thread-local packet pool. */
-class PoolBypassGuard
-{
-  public:
-    explicit PoolBypassGuard(bool on) : on_(on)
-    {
-        if (on_)
-            packetPool().setBypass(true);
-    }
-    ~PoolBypassGuard()
-    {
-        if (on_)
-            packetPool().setBypass(false);
-    }
-    PoolBypassGuard(const PoolBypassGuard &) = delete;
-    PoolBypassGuard &operator=(const PoolBypassGuard &) = delete;
-
-  private:
-    bool on_;
-};
-
 /** One generated packet of the deterministic traffic schedule. */
 struct GenPacket
 {
@@ -398,39 +377,23 @@ compareSignatures(const RunSignature &a, const RunSignature &b,
         fail("latency histogram");
 }
 
-/** Diagnostic toggles that must never change results. */
-struct Toggles
-{
-    bool validate = false;
-    bool poolBypass = false;
-
-    std::string
-    describe() const
-    {
-        std::string s = "validate=";
-        s += validate ? "1" : "0";
-        s += " poolBypass=";
-        s += poolBypass ? "1" : "0";
-        return s;
-    }
-};
-
 /** Hard cap on post-generation drain time before declaring deadlock. */
 constexpr Cycle DRAIN_CAP = 200000;
 
 /**
  * Oracles 3-5 share this: run the deterministic schedule on a network
- * built from (cfg, toggles), audited by a GoldenShadow, and return the
- * final-statistics signature.
+ * built from `cfg` (with invariant validation on or off), audited by a
+ * GoldenShadow, and return the final-statistics signature.
  */
 RunSignature
-shadowRun(const DiffConfig &cfg, const Toggles &toggles,
+shadowRun(const DiffConfig &cfg, bool validate,
           std::vector<std::string> &violations)
 {
-    PoolBypassGuard bypass(toggles.poolBypass);
+    const std::string run =
+        std::string("shadow run (validate=") + (validate ? "1" : "0") + ")";
 
     MeshNetworkParams np = cfg.toNetParams();
-    np.validate = toggles.validate;
+    np.validate = validate;
     np.watchdogWindow = DRAIN_CAP / 2;
 
     bool watchdog_fired = false;
@@ -506,19 +469,16 @@ shadowRun(const DiffConfig &cfg, const Toggles &toggles,
 
     const bool drained = pending_total == 0 && net->drained();
     if (watchdog_fired) {
-        violations.push_back("shadow run (" + toggles.describe() +
-                             "): deadlock watchdog fired");
+        violations.push_back(run + ": deadlock watchdog fired");
     } else if (!drained) {
-        violations.push_back("shadow run (" + toggles.describe() +
-                             "): traffic failed to drain within " +
+        violations.push_back(run + ": traffic failed to drain within " +
                              std::to_string(hard_end) + " cycles");
     }
     shadow.finalCheck(net->stats(), drained);
     for (const std::string &v : shadow.violations()) {
         if (full(violations))
             break;
-        violations.push_back("shadow run (" + toggles.describe() +
-                             "): " + v);
+        violations.push_back(run + ": " + v);
     }
     return captureSignature(net->stats(), now);
 }
@@ -997,38 +957,28 @@ runDiff(const DiffConfig &cfg, const DiffOptions &opts)
     routingSweepOracle(cfg, rep.violations);
     zeroLoadOracle(cfg, opts, rep.violations);
 
-    const RunSignature base =
-        shadowRun(cfg, Toggles{}, rep.violations);
+    const RunSignature base = shadowRun(cfg, false, rep.violations);
     rep.signatureDigest = signatureDigest(base);
 
     // Oracle 4: determinism — bit-identical rerun.
     {
         std::vector<std::string> rerun_violations;
         const RunSignature rerun =
-            shadowRun(cfg, Toggles{}, rerun_violations);
+            shadowRun(cfg, false, rerun_violations);
         compareSignatures(base, rerun, "determinism rerun", true,
                           rep.violations);
     }
 
-    // Oracle 5: validate / pool-bypass invariance.  Thorough mode runs
-    // all three non-default combos; fast mode runs the one that flips
-    // both toggles.
-    std::vector<Toggles> combos{Toggles{true, true}};
-    if (opts.thorough) {
-        combos.push_back(Toggles{true, false});
-        combos.push_back(Toggles{false, true});
-    }
-    for (const Toggles &t : combos) {
-        if (full(rep.violations))
-            break;
-        std::vector<std::string> toggled_violations;
-        const RunSignature sig = shadowRun(cfg, t, toggled_violations);
-        for (std::string &v : toggled_violations) {
+    // Oracle 5: validation on vs off must be bit-identical.
+    if (!full(rep.violations)) {
+        std::vector<std::string> validated_violations;
+        const RunSignature sig =
+            shadowRun(cfg, true, validated_violations);
+        for (std::string &v : validated_violations) {
             if (!full(rep.violations))
                 rep.violations.push_back(std::move(v));
         }
-        compareSignatures(base, sig,
-                          "toggle invariance (" + t.describe() + ")",
+        compareSignatures(base, sig, "toggle invariance (validate=1)",
                           true, rep.violations);
     }
 

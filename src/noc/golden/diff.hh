@@ -20,9 +20,8 @@
  *     conservation and final statistics,
  *  4. determinism — an identical rerun must reproduce the statistics
  *     bit for bit,
- *  5. toggle invariance — invariant validation and packet-pool bypass
- *     are pure diagnostics; any combination must be bit-identical to
- *     the baseline,
+ *  5. toggle invariance — invariant validation is a pure diagnostic;
+ *     a validated run must be bit-identical to the baseline,
  *  6. sliced equivalence — a DoubleNetwork must behave exactly like
  *     two independently simulated half-width slices fed the same
  *     traffic schedule.
@@ -106,9 +105,6 @@ struct DiffReport
 
 struct DiffOptions
 {
-    /** Run all three non-default validate x pool-bypass combinations
-     *  instead of the one that flips both (slower, used by tests). */
-    bool thorough = false;
     /** Zero-load single-packet probes per config. */
     unsigned zeroLoadProbes = 32;
 };

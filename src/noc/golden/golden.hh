@@ -3,8 +3,9 @@
  * Golden reference models for differential testing of the mesh NoC.
  *
  * The optimized simulator (4-stage pipelines, credit flow control,
- * idle-skip scheduling, pooled packets) is checked against two
- * deliberately simple references that share none of its machinery:
+ * idle-skip scheduling, the tail-flit packet hand-off) is checked
+ * against two deliberately simple references that share none of its
+ * machinery:
  *
  *  - GoldenModel: a global-knowledge route/timing oracle.  Given a
  *    packet whose header state was fixed at injection (mode,

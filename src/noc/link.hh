@@ -44,7 +44,7 @@ class LinkWheel
     LinkWheel() = default;
     LinkWheel(const LinkWheel &) = delete;
     LinkWheel &operator=(const LinkWheel &) = delete;
-    /** Returns the packets that tails in flight own to the pool. */
+    /** Deletes the packets that tails in flight own. */
     ~LinkWheel() { releaseTails(); }
 
     /** One link: `up`'s output `outDir` into `down`'s input `downIn`. */
@@ -195,15 +195,15 @@ class LinkWheel
     }
 
   private:
-    /** Drops every flit on the wheel, returning the packets its tails
-     *  own (see Flit) to the pool. */
+    /** Drops every flit on the wheel, deleting the packets its tails
+     *  own (see Flit). */
     void
     releaseTails()
     {
         for (Bucket &b : buckets_) {
             for (const FlitEntry &e : b.flits)
                 if (e.flit.tail)
-                    PacketPtr::adopt(e.flit.pkt).reset();
+                    PacketDeleter{}(e.flit.pkt);
             population_ -= b.flits.size();
             b.flits.clear();
         }

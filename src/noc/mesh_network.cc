@@ -200,12 +200,6 @@ MeshNetwork::MeshNetwork(const MeshNetworkParams &params,
     validateMeshNetworkParams(params_);
     if (validateForcedByEnv())
         params_.validate = true;
-    if (params_.validate) {
-        // Packets are pooled thread-locally; arm double-release
-        // detection on this thread's pool (left on afterwards — purely
-        // additional checking, never behavioural).
-        packetPool().setValidate(true);
-    }
 
     vc_map_.protoClasses = params_.protoClasses;
     vc_map_.routeClasses = routing_.numRouteClasses();
@@ -657,7 +651,8 @@ MeshNetwork::drained() const
     return counters_.inflight == 0;
 }
 
-DoubleNetwork::DoubleNetwork(const MeshNetworkParams &base)
+MeshNetworkParams
+slicedParams(const MeshNetworkParams &base)
 {
     MeshNetworkParams slice = base;
     if (base.flitBytes < 2 || base.flitBytes % 2 != 0) {
@@ -673,6 +668,12 @@ DoubleNetwork::DoubleNetwork(const MeshNetworkParams &base)
     // See DESIGN.md: our flit-level wormhole router needs the extra
     // lanes to reach BookSim-like utilization on half-width worms.
     slice.vcsPerClass = base.vcsPerClass * 2;
+    return slice;
+}
+
+DoubleNetwork::DoubleNetwork(const MeshNetworkParams &base)
+{
+    const MeshNetworkParams slice = slicedParams(base);
 
     stats_ = std::make_unique<NetStats>(
         base.topo.rows * base.topo.cols);

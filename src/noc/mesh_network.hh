@@ -235,17 +235,22 @@ class MeshNetwork : public Network
 };
 
 /**
+ * The parameters of each slice of a DoubleNetwork built from `base`:
+ * half-width flits, one protocol class and twice the lanes per class,
+ * so a slice keeps the unsliced network's buffer storage.  Fatal when
+ * `base.flitBytes` cannot be halved.
+ */
+MeshNetworkParams slicedParams(const MeshNetworkParams &base);
+
+/**
  * Dedicated double network (Sec. IV-C): one physical network carries
- * request packets, the other replies; each slice has half-width
- * channels and needs no protocol VCs.
+ * request packets, the other replies; each slice (slicedParams) has
+ * half-width channels and needs no protocol VCs.
  */
 class DoubleNetwork : public Network
 {
   public:
-    /**
-     * Builds two slices from `base`: channel width halved, protocol
-     * classes dropped to 1 per slice.
-     */
+    /** Builds two slices from `base` (see slicedParams). */
     explicit DoubleNetwork(const MeshNetworkParams &base);
 
     const Topology &topology() const override

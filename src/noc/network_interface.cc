@@ -164,7 +164,7 @@ NetworkInterface::injectPhase(Cycle now)
                 stats_.nodeInjectedBytes[node_] += pkt->sizeBytes;
                 // The injected tail now owns the packet (see Flit),
                 // which frees the slot.
-                pkt.detach();
+                pkt.release();
                 --s.pendingInject[node_];
             }
             vc_rr_[p] = wrapNext(vc, vcs_);
@@ -213,7 +213,7 @@ NetworkInterface::drainPhase(Cycle now)
             flit.pkt->headEjectedCycle = now;
         if (flit.tail) {
             // The tail hands its packet back (see Flit).
-            PacketPtr pkt = PacketPtr::adopt(flit.pkt);
+            PacketPtr pkt(flit.pkt);
             pkt->ejectedCycle = now;
             --counters_.inflight;
             ++stats_.packetsEjected;

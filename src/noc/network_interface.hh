@@ -94,7 +94,7 @@ class NetworkInterface : public EjectionSink
     NiAuditInfo audit() const;
 
     /** Attaches (or detaches, with nullptr) a flit-event tracer. */
-    void setTracer(telemetry::TraceSink *tracer) { tracer_ = tracer; }
+    void setTracer(telemetry::ChromeTraceSink *tracer) { tracer_ = tracer; }
 
     /** @return true if one more packet fits in the class queue. */
     bool canInject(int proto_class) const;
@@ -129,7 +129,7 @@ class NetworkInterface : public EjectionSink
     NiParams params_;
     NetStats &stats_;
     PacketSink *sink_ = nullptr;
-    telemetry::TraceSink *tracer_ = nullptr;
+    telemetry::ChromeTraceSink *tracer_ = nullptr;
     ActiveSet &active_;
     NetCounters &counters_;
 

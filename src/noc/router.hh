@@ -67,7 +67,7 @@ namespace tenoc
 
 namespace telemetry
 {
-class TraceSink;
+class ChromeTraceSink;
 } // namespace telemetry
 
 class LinkWheel;
@@ -178,7 +178,7 @@ class Router
     std::uint64_t linkFlits(unsigned d) const { return link_flits_[d]; }
 
     /** Attaches (or detaches, with nullptr) a flit-event tracer. */
-    void setTracer(telemetry::TraceSink *tracer) { tracer_ = tracer; }
+    void setTracer(telemetry::ChromeTraceSink *tracer) { tracer_ = tracer; }
 
     // --- introspection (invariant checker / watchdog / tests) ---
     /** Pipeline state of input VC (`in`, `vc`). */
@@ -368,7 +368,7 @@ class Router
 
     std::uint64_t flits_traversed_ = 0;
     std::array<std::uint64_t, NUM_DIRS> link_flits_{};
-    telemetry::TraceSink *tracer_ = nullptr;
+    telemetry::ChromeTraceSink *tracer_ = nullptr;
 
     ActiveSet &active_;
     NetCounters &counters_;

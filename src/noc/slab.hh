@@ -27,8 +27,8 @@
  *
  * Packets: a queued or mid-injection packet is owned by its NiSlabs
  * slot (a PacketPtr); once its tail is injected, the tail flit owns it
- * (see Flit), so an arena destroyed or re-configured mid-run returns
- * the packets of the tails it still buffers to the pool.
+ * (see Flit), so an arena destroyed or re-configured mid-run deletes
+ * the packets of the tails it still buffers.
  *
  * The arena is pure storage plus ring mechanics: every state-machine
  * transition happens in Router code, so the layout is invisible to
@@ -97,7 +97,7 @@ class VcSlabs
 
     VcSlabs() = default;
     /// Movable (a moved-from arena holds no rings), never copied: two
-    /// copies would both return their tails' packets to the pool.
+    /// copies would both delete their tails' packets.
     VcSlabs(VcSlabs &&) = default;
     VcSlabs &operator=(const VcSlabs &) = delete;
     ~VcSlabs() { releaseTails(); }
@@ -196,15 +196,15 @@ class VcSlabs
         }
     }
 
-    /** Returns the packets that buffered tail flits own (see Flit) to
-     *  the pool and empties every ring. */
+    /** Deletes the packets that buffered tail flits own (see Flit)
+     *  and empties every ring. */
     void
     releaseTails()
     {
         for (std::size_t i = 0; i < in.size(); ++i) {
             forEachRingFlit(i, [](const Flit &f) {
                 if (f.tail)
-                    PacketPtr::adopt(f.pkt).reset();
+                    PacketDeleter{}(f.pkt);
             });
             in[i].ringCount = 0;
         }
@@ -401,15 +401,15 @@ class NiSlabs
         }
     }
 
-    /** Returns the packets that tail flits in the ejection rings own
-     *  (see Flit) to the pool and empties the rings. */
+    /** Deletes the packets that tail flits in the ejection rings own
+     *  (see Flit) and empties the rings. */
     void
     releaseEjTails()
     {
         for (std::size_t p = 0; p < ejCount.size(); ++p) {
             forEachEjFlit(p, [](const Flit &f) {
                 if (f.tail)
-                    PacketPtr::adopt(f.pkt).reset();
+                    PacketDeleter{}(f.pkt);
             });
             ejCount[p] = 0;
         }

@@ -83,7 +83,7 @@ class TelemetryHub
     IntervalSampler *sampler() { return sampler_.get(); }
 
     /** @return the flit tracer, or nullptr when not requested. */
-    TraceSink *tracer() { return tracer_.get(); }
+    ChromeTraceSink *tracer() { return tracer_.get(); }
 
     /** Forwards the driving clock to the sampler (hot path). */
     void

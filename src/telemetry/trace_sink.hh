@@ -2,7 +2,7 @@
  * @file
  * Flit-level event tracing in Chrome trace-event format.
  *
- * A TraceSink receives lifecycle events for *sampled* packets:
+ * A ChromeTraceSink receives lifecycle events for *sampled* packets:
  * injection queueing at the source NI, per-hop VC allocation and
  * switch traversal at every router, and ejection at the destination
  * NI.  Sampling is by packet id (`id % sampleEvery == 0`) so soak
@@ -10,8 +10,8 @@
  * loadable; hooks compile down to a null-pointer check when no sink
  * is attached.
  *
- * ChromeTraceSink buffers events in memory and writes a JSON array of
- * Chrome trace-event objects ({name, ph, ts, pid, tid, ...}) loadable
+ * It buffers events in memory and writes a JSON array of Chrome
+ * trace-event objects ({name, ph, ts, pid, tid, ...}) loadable
  * in chrome://tracing / Perfetto:
  *
  *  - pid = the router/node where the event happened,
@@ -33,19 +33,19 @@
 namespace tenoc::telemetry
 {
 
-/** Receiver of sampled flit lifecycle events. */
-class TraceSink
+/** In-memory Chrome trace-event recorder of sampled flit lifecycle
+ *  events. */
+class ChromeTraceSink
 {
   public:
     /** @param sample_every trace packets whose id is a multiple of
      *         this (1 = every packet; must be >= 1) */
-    explicit TraceSink(std::uint64_t sample_every = 1)
+    explicit ChromeTraceSink(std::uint64_t sample_every = 1)
         : sample_every_(sample_every ? sample_every : 1)
     {}
-    virtual ~TraceSink() = default;
 
     /** @return true if events for this packet should be recorded.
-     *  Non-virtual and inline: this is the hot-path gate. */
+     *  Inline: this is the hot-path gate. */
     bool
     wants(std::uint64_t pkt_id) const
     {
@@ -55,30 +55,12 @@ class TraceSink
     std::uint64_t sampleEvery() const { return sample_every_; }
 
     /** Records a duration ("X") event spanning [start, end]. */
-    virtual void complete(const char *name, std::uint64_t pid,
-                          std::uint64_t tid, Cycle start,
-                          Cycle end) = 0;
+    void complete(const char *name, std::uint64_t pid, std::uint64_t tid,
+                  Cycle start, Cycle end);
 
     /** Records an instant ("i") event at `ts`. */
-    virtual void instant(const char *name, std::uint64_t pid,
-                         std::uint64_t tid, Cycle ts) = 0;
-
-  private:
-    std::uint64_t sample_every_;
-};
-
-/** In-memory Chrome trace-event recorder. */
-class ChromeTraceSink : public TraceSink
-{
-  public:
-    explicit ChromeTraceSink(std::uint64_t sample_every = 1)
-        : TraceSink(sample_every)
-    {}
-
-    void complete(const char *name, std::uint64_t pid,
-                  std::uint64_t tid, Cycle start, Cycle end) override;
-    void instant(const char *name, std::uint64_t pid,
-                 std::uint64_t tid, Cycle ts) override;
+    void instant(const char *name, std::uint64_t pid, std::uint64_t tid,
+                 Cycle ts);
 
     std::size_t numEvents() const { return events_.size(); }
 
@@ -95,6 +77,7 @@ class ChromeTraceSink : public TraceSink
         Cycle ts;
         Cycle dur;          ///< 'X' only
     };
+    std::uint64_t sample_every_;
     std::vector<Event> events_;
 };
 

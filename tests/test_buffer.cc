@@ -7,24 +7,12 @@
 #include <gtest/gtest.h>
 
 #include "noc/slab.hh"
+#include "ring_flit.hh"
 
 namespace tenoc
 {
 namespace
 {
-
-Flit
-makeFlit(unsigned vc, bool head = true, bool tail = true)
-{
-    auto pkt = makePacket();
-    pkt->sizeFlits = 1;
-    Flit f;
-    f.pkt = pkt.detach(); // the flit keeps the packet alive
-    f.head = head;
-    f.tail = tail;
-    f.vc = vc;
-    return f;
-}
 
 /** An arena holding one input port: `vcs` rings of `depth` flits. */
 VcSlabs
@@ -36,22 +24,22 @@ portSlab(unsigned vcs, unsigned depth)
 }
 
 /** Pops VC `vc`'s front flit and @return its seq.  The popper owns the
- *  packet a tail carries (see Flit) and returns it to the pool here. */
+ *  packet a tail carries (see Flit) and deletes it here. */
 unsigned
 popSeq(VcSlabs &port, unsigned vc)
 {
     const Flit f = port.popFlit(vc);
     if (f.tail)
-        PacketPtr::adopt(f.pkt).reset();
+        PacketDeleter{}(f.pkt);
     return f.seq;
 }
 
 TEST(InputPort, PushPopFifoOrder)
 {
     VcSlabs port = portSlab(2, 4);
-    auto a = makeFlit(0);
+    auto a = ringFlit(0);
     a.seq = 1;
-    auto b = makeFlit(0);
+    auto b = ringFlit(0);
     b.seq = 2;
     port.pushFlit(0, a, 10);
     port.pushFlit(0, b, 11);
@@ -68,8 +56,8 @@ TEST(InputPort, PushPopFifoOrder)
 TEST(InputPort, VcsAreIndependent)
 {
     VcSlabs port = portSlab(3, 2);
-    port.pushFlit(0, makeFlit(0), 0);
-    port.pushFlit(2, makeFlit(2), 0);
+    port.pushFlit(0, ringFlit(0), 0);
+    port.pushFlit(2, ringFlit(2), 0);
     EXPECT_EQ(port.in[0].ringCount, 1u);
     EXPECT_EQ(port.in[1].ringCount, 0u);
     EXPECT_EQ(port.in[2].ringCount, 1u);
@@ -97,9 +85,9 @@ TEST(InputPort, StateMachineFields)
 TEST(InputPortDeath, OverflowPanics)
 {
     VcSlabs port = portSlab(1, 2);
-    port.pushFlit(0, makeFlit(0), 0);
-    port.pushFlit(0, makeFlit(0), 1);
-    EXPECT_DEATH(port.pushFlit(0, makeFlit(0), 2), "overflow");
+    port.pushFlit(0, ringFlit(0), 0);
+    port.pushFlit(0, ringFlit(0), 1);
+    EXPECT_DEATH(port.pushFlit(0, ringFlit(0), 2), "overflow");
 }
 
 TEST(InputPortDeath, PopEmptyPanics)

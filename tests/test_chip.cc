@@ -48,12 +48,12 @@ TEST(Chip, AllInstructionsExecute)
 
 TEST(PacketOwnership, DrainedChipRunReturnsEveryPacket)
 {
-    const std::size_t live = packetPool().liveObjects();
+    const std::size_t live = livePackets();
     for (const ConfigId id :
          {ConfigId::BASELINE_TB_DOR, ConfigId::CP_CR_DOUBLE}) {
         const auto r = runWorkload(makeConfig(id), quick("BFS"));
         EXPECT_FALSE(r.timedOut);
-        EXPECT_EQ(packetPool().liveObjects(), live);
+        EXPECT_EQ(livePackets(), live);
     }
 }
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <string>
 #include <utility>
 
@@ -101,23 +102,48 @@ TEST(ChipConfig, DramBandwidthFootnote3)
 
 TEST(ChipConfig, AreaSpecsMatchSimulatedConfigs)
 {
-    for (ConfigId id : kAll) {
-        const auto p = makeConfig(id);
-        const auto s = areaSpecFor(id);
-        if (p.netKind == NetKind::MESH) {
-            EXPECT_EQ(s.channelBytes,
-                      static_cast<double>(p.mesh.flitBytes))
-                << configName(id);
-            EXPECT_EQ(s.subnetworks, 1u);
-        }
-        if (p.netKind == NetKind::DOUBLE) {
-            EXPECT_EQ(s.subnetworks, 2u) << configName(id);
-            EXPECT_EQ(s.channelBytes,
-                      static_cast<double>(p.mesh.flitBytes) / 2.0);
-        }
-        EXPECT_EQ(s.checkerboard, p.mesh.topo.checkerboardRouters);
-        EXPECT_EQ(s.mcInjPorts, p.mesh.mcInjPorts) << configName(id);
-        EXPECT_EQ(s.mcEjPorts, p.mesh.mcEjPorts) << configName(id);
+    // The Table VI spec of each named configuration's mesh, as literal
+    // values: a sliced network is two 8-byte subnetworks, and every
+    // mesh is 6x6 with 8 MCs and 8-flit VC buffers.
+    struct Row
+    {
+        ConfigId id;
+        unsigned subnetworks;
+        double channelBytes;
+        unsigned vcs;
+        bool checkerboard;
+        unsigned mcInjPorts, mcEjPorts;
+    };
+    const Row rows[] = {
+        {ConfigId::BASELINE_TB_DOR, 1, 16.0, 2, false, 1, 1},
+        {ConfigId::TB_DOR_2X, 1, 32.0, 2, false, 1, 1},
+        {ConfigId::TB_DOR_1CYC, 1, 16.0, 2, false, 1, 1},
+        {ConfigId::PERFECT, 1, 16.0, 2, false, 1, 1},
+        {ConfigId::CP_DOR_2VC, 1, 16.0, 2, false, 1, 1},
+        {ConfigId::CP_DOR_4VC, 1, 16.0, 4, false, 1, 1},
+        {ConfigId::CP_CR_4VC, 1, 16.0, 4, true, 1, 1},
+        {ConfigId::CP_CR_SINGLE_16B_4VC, 1, 16.0, 4, true, 1, 1},
+        {ConfigId::CP_CR_DOUBLE, 2, 8.0, 4, true, 1, 1},
+        {ConfigId::CP_CR_DOUBLE_2INJ, 2, 8.0, 4, true, 2, 1},
+        {ConfigId::CP_CR_DOUBLE_2EJ, 2, 8.0, 4, true, 1, 2},
+        {ConfigId::CP_CR_DOUBLE_2INJ2EJ, 2, 8.0, 4, true, 2, 2},
+        {ConfigId::THROUGHPUT_EFFECTIVE, 2, 8.0, 4, true, 2, 1},
+        {ConfigId::CP_CR_2INJ_SINGLE, 1, 16.0, 4, true, 2, 1},
+    };
+    ASSERT_EQ(std::size(rows), std::size(kAll));
+    for (const Row &r : rows) {
+        const MeshAreaSpec s = areaSpecOf(makeConfig(r.id));
+        SCOPED_TRACE(configName(r.id));
+        EXPECT_EQ(s.rows, 6u);
+        EXPECT_EQ(s.cols, 6u);
+        EXPECT_EQ(s.numMcs, 8u);
+        EXPECT_EQ(s.buffersPerVc, 8u);
+        EXPECT_EQ(s.subnetworks, r.subnetworks);
+        EXPECT_EQ(s.channelBytes, r.channelBytes);
+        EXPECT_EQ(s.vcs, r.vcs);
+        EXPECT_EQ(s.checkerboard, r.checkerboard);
+        EXPECT_EQ(s.mcInjPorts, r.mcInjPorts);
+        EXPECT_EQ(s.mcEjPorts, r.mcEjPorts);
     }
 }
 

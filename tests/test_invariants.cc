@@ -5,10 +5,10 @@
  * inconsistency (leaked credit, credit lost on the link wheel, wheel
  * entry left past its due cycle, corrupted in-flight counter, router
  * retired from the active set while it still has work, a stale cached
- * field — ring head cycle, VA output mask, NI queued base VC —,
- * pooled-packet double release) is detected and reported precisely.  Also covers the
- * config-hardening fatal paths (0 VCs, off-mesh MCs, odd sliced flit
- * width, ...) as exit-code tests.
+ * field — ring head cycle, VA output mask, NI queued base VC —) is
+ * detected and reported precisely.  Also covers the config-hardening
+ * fatal paths (0 VCs, off-mesh MCs, odd sliced flit width, ...) as
+ * exit-code tests.
  */
 
 #include <gtest/gtest.h>
@@ -448,16 +448,6 @@ TEST(InvariantsDeathTest, PeriodicCheckFiresUnderValidate)
     MeshNetwork net(p);
     net.debugAdjustInflight(+1);
     EXPECT_DEATH(net.cycle(0), "packet_conservation");
-}
-
-TEST(InvariantsDeathTest, PoolDoubleReleaseIsHardError)
-{
-    auto &pool = packetPool();
-    pool.setValidate(true);
-    Packet *raw = pool.allocate();
-    pool.release(raw);
-    EXPECT_DEATH(pool.release(raw), "double-release");
-    pool.setValidate(false);
 }
 
 using ConfigHardeningDeathTest = ::testing::Test;

@@ -358,24 +358,24 @@ TEST(PacketOwnership, NetworksDestroyedMidRunReturnEveryPacket)
     // The network owns each packet it is given (a tail flit owns its
     // packet once injected), and no packet is delivered here, so every
     // one is live until the network is torn down mid-run, which must
-    // return each to the pool exactly once.
-    const std::size_t live = packetPool().liveObjects();
+    // delete each exactly once.
+    const std::size_t live = livePackets();
     RefusingSink sink;
     {
         MeshNetwork net(baseNet());
         const std::size_t sent = fillMidRun(net, {&net}, sink, 60);
         EXPECT_GT(sent, 0u);
-        EXPECT_EQ(packetPool().liveObjects(), live + sent);
+        EXPECT_EQ(livePackets(), live + sent);
     }
-    EXPECT_EQ(packetPool().liveObjects(), live);
+    EXPECT_EQ(livePackets(), live);
     {
         DoubleNetwork net(baseNet());
         const std::size_t sent = fillMidRun(
             net, {&net.requestNet(), &net.replyNet()}, sink, 60);
         EXPECT_GT(sent, 0u);
-        EXPECT_EQ(packetPool().liveObjects(), live + sent);
+        EXPECT_EQ(livePackets(), live + sent);
     }
-    EXPECT_EQ(packetPool().liveObjects(), live);
+    EXPECT_EQ(livePackets(), live);
 }
 
 } // namespace

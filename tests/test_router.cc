@@ -101,7 +101,7 @@ class TwoRouterTest : public ::testing::Test, public EjectionSink
     {
         ejected_.emplace_back(now, flit);
         if (flit.tail) // the sink owns the tail's packet (see Flit)
-            PacketPtr::adopt(flit.pkt).reset();
+            PacketDeleter{}(flit.pkt);
     }
 
     /** Injects a packet at A addressed to B and runs `cycles` more
@@ -116,7 +116,7 @@ class TwoRouterTest : public ::testing::Test, public EjectionSink
         pkt->protoClass = 0;
         pkt->mode = RouteMode::XY;
         Packet &p = *pkt;
-        pkt.detach(); // the tail owns the packet (see Flit)
+        pkt.release(); // the tail owns the packet (see Flit)
         unsigned next = 0;
         const Cycle end = now_ + cycles;
         for (; now_ < end; ++now_) {
@@ -217,7 +217,7 @@ TEST(Router, MultiEjectionPortsRoundRobin)
         {
             ports.push_back(port);
             if (flit.tail) // the sink owns the tail's packet
-                PacketPtr::adopt(flit.pkt).reset();
+                PacketDeleter{}(flit.pkt);
         }
         std::vector<unsigned> ports;
     } sink;
@@ -232,7 +232,7 @@ TEST(Router, MultiEjectionPortsRoundRobin)
         pkt->protoClass = i; // distinct VCs
         pkt->mode = RouteMode::XY;
         const Flit f = makeFlit(*pkt, 0, static_cast<unsigned>(i));
-        pkt.detach(); // the tail owns the packet
+        pkt.release(); // the tail owns the packet
         r.injectFlit(0, f, 0);
     }
     for (Cycle t = 0; t < 10; ++t)
@@ -267,7 +267,7 @@ struct RecordingSink : EjectionSink
     {
         log.emplace_back(now, flit.pkt->id, flit.seq);
         if (flit.tail) // the sink owns the tail's packet (see Flit)
-            PacketPtr::adopt(flit.pkt).reset();
+            PacketDeleter{}(flit.pkt);
     }
 
     std::vector<std::tuple<Cycle, std::uint64_t, unsigned>> log;
@@ -288,7 +288,7 @@ ejectingPacket(const Topology &topo, std::uint64_t id, unsigned size)
     std::vector<Flit> flits;
     for (unsigned i = 0; i < size; ++i)
         flits.push_back(makeFlit(*pkt, i, 0));
-    pkt.detach(); // the tail owns the packet (see Flit)
+    pkt.release(); // the tail owns the packet (see Flit)
     return flits;
 }
 

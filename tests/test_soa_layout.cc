@@ -26,24 +26,12 @@
 #include "net_digest.hh"
 #include "noc/mesh_network.hh"
 #include "noc/slab.hh"
+#include "ring_flit.hh"
 
 namespace tenoc
 {
 namespace
 {
-
-Flit
-makeFlit(unsigned vc, bool head = true, bool tail = true)
-{
-    auto pkt = makePacket();
-    pkt->sizeFlits = 1;
-    Flit f;
-    f.pkt = pkt.detach(); // the flit keeps the packet alive
-    f.head = head;
-    f.tail = tail;
-    f.vc = vc;
-    return f;
-}
 
 // --------------------------------------------------------------------
 // 1. Arena mechanics
@@ -77,13 +65,13 @@ TEST(VcSlabs, RingWrapsAroundThroughSteadyState)
     // Push/pop more flits than the depth so head wraps repeatedly.
     std::uint32_t next_seq = 1;
     for (unsigned round = 0; round < 7; ++round) {
-        auto f = makeFlit(1);
+        auto f = ringFlit(1);
         f.seq = next_seq++;
         slabs.pushFlit(1, f, round);
         if (round >= 1) {
             const Flit popped = slabs.popFlit(1);
             EXPECT_EQ(popped.seq, next_seq - 2);
-            PacketPtr::adopt(popped.pkt).reset(); // the popper's
+            PacketDeleter{}(popped.pkt); // the popper's
         }
     }
     EXPECT_EQ(slabs.in[1].ringCount, 1u);
@@ -101,7 +89,7 @@ TEST(VcSlabs, HeadAtFollowsHeadThroughRingWrap)
     // cycle, which here is its seq.
     std::uint32_t pushed = 0;
     auto push = [&] {
-        auto f = makeFlit(0);
+        auto f = ringFlit(0);
         f.seq = ++pushed;
         slabs.pushFlit(0, f, pushed);
     };
@@ -111,7 +99,7 @@ TEST(VcSlabs, HeadAtFollowsHeadThroughRingWrap)
         if (round % 2 == 0)
             push();
         const Flit popped = slabs.popFlit(0);
-        PacketPtr::adopt(popped.pkt).reset(); // the popper's
+        PacketDeleter{}(popped.pkt); // the popper's
         ASSERT_NE(slabs.in[0].ringCount, 0u);
         EXPECT_EQ(slabs.in[0].headAt, slabs.frontFlit(0).enqueueCycle);
         EXPECT_EQ(slabs.in[0].headAt, popped.seq + 1u);
@@ -128,7 +116,7 @@ TEST(VcSlabs, ReconfigureGrowsAndShrinksWithStateReset)
     slabs.in[3].state = VcState::ACTIVE;
     slabs.out[2].owned = 1;
     slabs.out[1].credits = 7;
-    slabs.pushFlit(0, makeFlit(0), 0);
+    slabs.pushFlit(0, ringFlit(0), 0);
 
     // Grow: more VCs, deeper rings.
     slabs.configure(16, 8, 5);
@@ -155,20 +143,20 @@ TEST(VcSlabs, ReconfigureGrowsAndShrinksWithStateReset)
 
 TEST(VcSlabs, ReconfigureReleasesStalePacketReferences)
 {
-    const std::size_t live = packetPool().liveObjects();
+    const std::size_t live = livePackets();
     VcSlabs slabs;
     slabs.configure(1, 0, 2);
     auto pkt = makePacket();
     pkt->sizeFlits = 1;
     Flit f;
-    f.pkt = pkt.detach(); // the buffered tail owns the packet
+    f.pkt = pkt.release(); // the buffered tail owns the packet
     f.head = f.tail = true;
     slabs.pushFlit(0, f, 0);
-    ASSERT_EQ(packetPool().liveObjects(), live + 1);
+    ASSERT_EQ(livePackets(), live + 1);
     // A reused arena must not pin packets from the previous
     // configuration alive.
     slabs.configure(1, 0, 2);
-    EXPECT_EQ(packetPool().liveObjects(), live);
+    EXPECT_EQ(livePackets(), live);
 }
 
 TEST(VcSlabsDeathTest, ValidateArmsOutOfRangeChecks)
@@ -176,7 +164,7 @@ TEST(VcSlabsDeathTest, ValidateArmsOutOfRangeChecks)
     VcSlabs slabs;
     slabs.configure(2, 2, 2);
     slabs.setValidate(true);
-    EXPECT_DEATH(slabs.pushFlit(5, makeFlit(0), 0), "out of range");
+    EXPECT_DEATH(slabs.pushFlit(5, ringFlit(0), 0), "out of range");
     EXPECT_DEATH(slabs.popFlit(9), "out of range");
 }
 
@@ -184,10 +172,10 @@ TEST(VcSlabsDeathTest, OverflowPanicsEvenWithoutValidate)
 {
     VcSlabs slabs;
     slabs.configure(1, 0, 1);
-    slabs.pushFlit(0, makeFlit(0), 0);
+    slabs.pushFlit(0, ringFlit(0), 0);
     // The credit protocol assert stays on in every build: overflow is
     // memory corruption in ring storage.
-    EXPECT_DEATH(slabs.pushFlit(0, makeFlit(0), 1), "overflow");
+    EXPECT_DEATH(slabs.pushFlit(0, ringFlit(0), 1), "overflow");
 }
 
 // --------------------------------------------------------------------
@@ -208,10 +196,10 @@ TEST(VcSlabs, PortViewsAtDifferentBasesDoNotAlias)
         return n;
     };
 
-    auto fa = makeFlit(1);
+    auto fa = ringFlit(1);
     fa.seq = 11;
     slabs.pushFlit(a1, fa, 5);
-    auto fb = makeFlit(1);
+    auto fb = ringFlit(1);
     fb.seq = 22;
     slabs.pushFlit(b1, fb, 6);
     slabs.in[a1].state = VcState::ACTIVE;

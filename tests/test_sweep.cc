@@ -5,7 +5,7 @@
  * exception propagation only after every worker has joined,
  * TENOC_THREADS validation, and closed-loop chip runs that must come
  * out identical through sweep workers and serially — each worker
- * allocates and frees its packets on its own thread-local pool.
+ * makes and deletes its packets on its own thread.
  */
 
 #include <gtest/gtest.h>

@@ -560,8 +560,7 @@ TEST(TelemetryHub, TracerChangesNoStats)
         b.stats(traced->stats());
         EXPECT_EQ(a.value(), b.value());
 
-        const auto *sink = dynamic_cast<const telemetry::ChromeTraceSink *>(
-            hub.tracer());
+        const telemetry::ChromeTraceSink *sink = hub.tracer();
         ASSERT_NE(sink, nullptr);
         EXPECT_GT(sink->numEvents(), 0u);
     }
