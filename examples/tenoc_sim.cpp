@@ -94,7 +94,8 @@ main(int argc, char **argv)
     std::printf("tenoc_sim: base=%s routing=%s flit=%uB "
                 "mcInj=%u sliced=%s workload=%s scale=%.2f\n\n",
                 chip_cfg.getString("base", "baseline").c_str(),
-                params.mesh.routing.c_str(), params.mesh.flitBytes,
+                params.mesh.topo.checkerboardRouters ? "cr" : "xy",
+                params.mesh.flitBytes,
                 params.mesh.mcInjPorts,
                 params.netKind == NetKind::DOUBLE ? "yes" : "no",
                 workload.c_str(), scale);

@@ -74,40 +74,34 @@ makeConfig(ConfigId id, std::uint64_t seed)
       case ConfigId::CP_CR_SINGLE_16B_4VC:
         p.mesh.topo.placement = McPlacement::CHECKERBOARD;
         p.mesh.topo.checkerboardRouters = true;
-        p.mesh.routing = "cr";
         break;
       case ConfigId::CP_CR_2INJ_SINGLE:
         p.mesh.topo.placement = McPlacement::CHECKERBOARD;
         p.mesh.topo.checkerboardRouters = true;
-        p.mesh.routing = "cr";
         p.mesh.mcInjPorts = 2;
         break;
       case ConfigId::CP_CR_DOUBLE:
         p.netKind = NetKind::DOUBLE;
         p.mesh.topo.placement = McPlacement::CHECKERBOARD;
         p.mesh.topo.checkerboardRouters = true;
-        p.mesh.routing = "cr";
         break;
       case ConfigId::CP_CR_DOUBLE_2INJ:
       case ConfigId::THROUGHPUT_EFFECTIVE:
         p.netKind = NetKind::DOUBLE;
         p.mesh.topo.placement = McPlacement::CHECKERBOARD;
         p.mesh.topo.checkerboardRouters = true;
-        p.mesh.routing = "cr";
         p.mesh.mcInjPorts = 2;
         break;
       case ConfigId::CP_CR_DOUBLE_2EJ:
         p.netKind = NetKind::DOUBLE;
         p.mesh.topo.placement = McPlacement::CHECKERBOARD;
         p.mesh.topo.checkerboardRouters = true;
-        p.mesh.routing = "cr";
         p.mesh.mcEjPorts = 2;
         break;
       case ConfigId::CP_CR_DOUBLE_2INJ2EJ:
         p.netKind = NetKind::DOUBLE;
         p.mesh.topo.placement = McPlacement::CHECKERBOARD;
         p.mesh.topo.checkerboardRouters = true;
-        p.mesh.routing = "cr";
         p.mesh.mcInjPorts = 2;
         p.mesh.mcEjPorts = 2;
         break;
@@ -168,15 +162,15 @@ ChipParams
 chipParamsFromConfig(const Config &cfg)
 {
     static const std::set<std::string> known = {
-        "base", "noc.rows", "noc.cols", "noc.mcs", "noc.routing",
-        "noc.placement", "noc.halfRouters", "noc.flitBytes",
-        "noc.vcsPerClass", "noc.vcDepth", "noc.pipelineDepth",
-        "noc.halfPipelineDepth", "noc.mcInjPorts", "noc.mcEjPorts",
-        "noc.sliced", "clk.coreMhz", "clk.icntMhz", "clk.memMhz",
-        "mc.inputQueueCap", "mc.l2HitLatency", "dram.queueCapacity",
-        "dram.banks", "dram.rowBytes", "sim.seed", "sim.maxIcntCycles",
-        "noc.validate", "noc.validateInterval", "noc.watchdogWindow",
-        "noc.maxPacketAge", "noc.watchdogSnapshotPath",
+        "base", "noc.rows", "noc.cols", "noc.mcs", "noc.placement",
+        "noc.halfRouters", "noc.flitBytes", "noc.vcsPerClass",
+        "noc.vcDepth", "noc.pipelineDepth", "noc.halfPipelineDepth",
+        "noc.mcInjPorts", "noc.mcEjPorts", "noc.sliced", "clk.coreMhz",
+        "clk.icntMhz", "clk.memMhz", "mc.inputQueueCap", "mc.l2HitLatency",
+        "dram.queueCapacity", "dram.banks", "dram.rowBytes", "sim.seed",
+        "sim.maxIcntCycles", "noc.validate", "noc.validateInterval",
+        "noc.watchdogWindow", "noc.maxPacketAge",
+        "noc.watchdogSnapshotPath",
     };
     for (const auto &key : cfg.keys()) {
         if (!known.count(key))
@@ -203,7 +197,6 @@ chipParamsFromConfig(const Config &cfg)
     m.topo.cols = getU32("noc.cols", m.topo.cols);
     m.topo.numMcs = getU32("noc.mcs", m.topo.numMcs);
     p.mc.numChannels = m.topo.numMcs;
-    m.routing = cfg.getString("noc.routing", m.routing);
     if (cfg.has("noc.placement")) {
         const std::string pl = cfg.getString("noc.placement");
         if (pl == "top-bottom")
@@ -292,7 +285,7 @@ areaSpecOf(const ChipParams &p)
     s.numMcs = m.topo.numMcs;
     s.subnetworks = sliced ? 2 : 1;
     s.channelBytes = m.flitBytes;
-    s.vcs = m.protoClasses * routeClassesOf(m.routing) * m.vcsPerClass;
+    s.vcs = m.protoClasses * routeClassesOf(m.topo) * m.vcsPerClass;
     s.buffersPerVc = m.vcDepth;
     s.checkerboard = m.topo.checkerboardRouters;
     s.mcInjPorts = m.mcInjPorts;

@@ -96,9 +96,8 @@ double dramBandwidthFlitsPerIcntCycle(const ChipParams &p);
  *                     baseline | 2x | 1cyc | perfect | cp |
  *                     cp-dor-4vc | cp-cr | double | thr-eff | cp-cr-2p
  *   noc.rows, noc.cols, noc.mcs
- *   noc.routing     = xy | yx | cr (cr exactly when noc.halfRouters)
  *   noc.placement   = top-bottom | checkerboard
- *   noc.halfRouters = bool
+ *   noc.halfRouters = bool (half-routers route CR, full routers XY)
  *   noc.flitBytes, noc.vcsPerClass, noc.vcDepth, noc.pipelineDepth,
  *   noc.halfPipelineDepth, noc.mcInjPorts, noc.mcEjPorts, noc.sliced
  *   clk.coreMhz, clk.icntMhz, clk.memMhz

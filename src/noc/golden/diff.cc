@@ -7,10 +7,12 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 
 #include "common/log.hh"
 #include "noc/golden/golden.hh"
@@ -79,7 +81,7 @@ routingSweepOracle(const DiffConfig &cfg,
 {
     const MeshNetworkParams np = cfg.toNetParams();
     Topology topo(np.topo);
-    const Routing algo(topo, np.routing);
+    const Routing algo(topo);
     GoldenModel golden(topo, np);
     Rng rng(deriveStreamSeed(cfg.seed, 0x5eedULL));
 
@@ -730,14 +732,12 @@ DiffConfig::toNetParams() const
     np.topo.placement = checkerboard ? McPlacement::CHECKERBOARD
                                      : McPlacement::TOP_BOTTOM;
     np.topo.checkerboardRouters = checkerboard;
-    np.routing = routing;
     np.flitBytes = flitBytes;
     np.protoClasses = protoClasses;
     np.vcsPerClass = vcsPerClass;
     np.vcDepth = vcDepth;
     np.pipelineDepth = pipelineDepth;
     np.halfPipelineDepth = halfPipelineDepth;
-    np.channelLatency = channelLatency;
     np.mcInjPorts = mcInjPorts;
     np.mcEjPorts = mcEjPorts;
     np.seed = seed;
@@ -753,14 +753,12 @@ DiffConfig::serialize() const
        << "cols = " << cols << "\n"
        << "numMcs = " << numMcs << "\n"
        << "checkerboard = " << (checkerboard ? 1 : 0) << "\n"
-       << "routing = " << routing << "\n"
        << "flitBytes = " << flitBytes << "\n"
        << "protoClasses = " << protoClasses << "\n"
        << "vcsPerClass = " << vcsPerClass << "\n"
        << "vcDepth = " << vcDepth << "\n"
        << "pipelineDepth = " << pipelineDepth << "\n"
        << "halfPipelineDepth = " << halfPipelineDepth << "\n"
-       << "channelLatency = " << channelLatency << "\n"
        << "mcInjPorts = " << mcInjPorts << "\n"
        << "mcEjPorts = " << mcEjPorts << "\n"
        << "sliced = " << (sliced ? 1 : 0) << "\n"
@@ -778,6 +776,29 @@ DiffConfig::parse(const std::string &text, DiffConfig &out,
         if (err)
             *err = why;
         return false;
+    };
+
+    // Whole-value numbers only: std::stoull alone would wrap a leading
+    // '-' modulo 2^64 and stop at trailing junk ("8abc" -> 8), and a
+    // plain cast would wrap a value past its field's width.
+    const auto uintOf = [](const std::string &val, std::uint64_t max) {
+        if (val.find('-') != std::string::npos)
+            throw std::invalid_argument(val);
+        std::size_t pos = 0;
+        const std::uint64_t v = std::stoull(val, &pos);
+        if (pos != val.size() || v > max)
+            throw std::out_of_range(val);
+        return v;
+    };
+    const auto u32 = [&](const std::string &val) {
+        return static_cast<unsigned>(uintOf(val, UINT32_MAX));
+    };
+    const auto doubleOf = [](const std::string &val) {
+        std::size_t pos = 0;
+        const double v = std::stod(val, &pos);
+        if (pos != val.size())
+            throw std::invalid_argument(val);
+        return v;
     };
 
     DiffConfig cfg;
@@ -807,45 +828,37 @@ DiffConfig::parse(const std::string &text, DiffConfig &out,
 
         try {
             if (key == "rows")
-                cfg.rows = static_cast<unsigned>(std::stoul(val));
+                cfg.rows = u32(val);
             else if (key == "cols")
-                cfg.cols = static_cast<unsigned>(std::stoul(val));
+                cfg.cols = u32(val);
             else if (key == "numMcs")
-                cfg.numMcs = static_cast<unsigned>(std::stoul(val));
+                cfg.numMcs = u32(val);
             else if (key == "checkerboard")
-                cfg.checkerboard = std::stoul(val) != 0;
-            else if (key == "routing")
-                cfg.routing = val;
+                cfg.checkerboard = uintOf(val, 1) != 0;
             else if (key == "flitBytes")
-                cfg.flitBytes = static_cast<unsigned>(std::stoul(val));
+                cfg.flitBytes = u32(val);
             else if (key == "protoClasses")
-                cfg.protoClasses =
-                    static_cast<unsigned>(std::stoul(val));
+                cfg.protoClasses = u32(val);
             else if (key == "vcsPerClass")
-                cfg.vcsPerClass =
-                    static_cast<unsigned>(std::stoul(val));
+                cfg.vcsPerClass = u32(val);
             else if (key == "vcDepth")
-                cfg.vcDepth = static_cast<unsigned>(std::stoul(val));
+                cfg.vcDepth = u32(val);
             else if (key == "pipelineDepth")
-                cfg.pipelineDepth =
-                    static_cast<unsigned>(std::stoul(val));
+                cfg.pipelineDepth = u32(val);
             else if (key == "halfPipelineDepth")
-                cfg.halfPipelineDepth =
-                    static_cast<unsigned>(std::stoul(val));
-            else if (key == "channelLatency")
-                cfg.channelLatency = std::stoull(val);
+                cfg.halfPipelineDepth = u32(val);
             else if (key == "mcInjPorts")
-                cfg.mcInjPorts = static_cast<unsigned>(std::stoul(val));
+                cfg.mcInjPorts = u32(val);
             else if (key == "mcEjPorts")
-                cfg.mcEjPorts = static_cast<unsigned>(std::stoul(val));
+                cfg.mcEjPorts = u32(val);
             else if (key == "sliced")
-                cfg.sliced = std::stoul(val) != 0;
+                cfg.sliced = uintOf(val, 1) != 0;
             else if (key == "rate")
-                cfg.rate = std::stod(val);
+                cfg.rate = doubleOf(val);
             else if (key == "genCycles")
-                cfg.genCycles = std::stoull(val);
+                cfg.genCycles = uintOf(val, UINT64_MAX);
             else if (key == "seed")
-                cfg.seed = std::stoull(val);
+                cfg.seed = uintOf(val, UINT64_MAX);
             else
                 return fail("unknown key: " + key);
         } catch (const std::exception &) {
@@ -863,7 +876,9 @@ legalDiffConfig(const DiffConfig &cfg)
 {
     if (cfg.rows < 2 || cfg.cols < 2)
         return false;
-    if (cfg.numMcs < 1 || cfg.numMcs >= cfg.rows * cfg.cols)
+    // A 64-bit product: 32-bit rows x cols wraps.
+    const std::uint64_t nodes = std::uint64_t{cfg.rows} * cfg.cols;
+    if (nodes > UINT32_MAX || cfg.numMcs < 1 || cfg.numMcs >= nodes)
         return false;
     if (cfg.checkerboard) {
         if (cfg.numMcs > oddParityCells(cfg.rows, cfg.cols))
@@ -881,12 +896,10 @@ legalDiffConfig(const DiffConfig &cfg)
     if (cfg.pipelineDepth < 1 || cfg.halfPipelineDepth < 1 ||
         cfg.halfPipelineDepth > cfg.pipelineDepth)
         return false;
-    if (cfg.channelLatency < 1)
-        return false;
     if (cfg.mcInjPorts < 1 || cfg.mcEjPorts < 1)
         return false;
-    // The simulator's own router rules: routing matches the router
-    // kind, at most 64 input VCs and 64 outputs.
+    // The simulator's own router limits: at most 64 input VCs and 64
+    // outputs.
     if (!routerGeometryError(cfg.toNetParams()).empty())
         return false;
     if (cfg.sliced) {
@@ -911,12 +924,10 @@ sampleDiffConfig(Rng &rng)
 
     cfg.checkerboard = rng.nextBool(0.4);
     if (cfg.checkerboard) {
-        cfg.routing = "cr";
         const unsigned cap =
             std::min(oddParityCells(cfg.rows, cfg.cols), 8u);
         cfg.numMcs = 2 + static_cast<unsigned>(rng.nextRange(cap - 1));
     } else {
-        cfg.routing = rng.nextBool(0.5) ? "xy" : "yx";
         const unsigned cap = std::min(2 * cfg.cols, 8u);
         cfg.numMcs = 2 + static_cast<unsigned>(rng.nextRange(cap - 1));
     }
@@ -928,7 +939,6 @@ sampleDiffConfig(Rng &rng)
     cfg.pipelineDepth = 2 + static_cast<unsigned>(rng.nextRange(4));
     cfg.halfPipelineDepth =
         2 + static_cast<unsigned>(rng.nextRange(cfg.pipelineDepth - 1));
-    cfg.channelLatency = 1 + rng.nextRange(2);
     cfg.mcInjPorts = 1 + static_cast<unsigned>(rng.nextRange(2));
     cfg.mcEjPorts = 1 + static_cast<unsigned>(rng.nextRange(2));
     cfg.sliced = cfg.protoClasses == 2 && rng.nextBool(0.3);
@@ -1061,12 +1071,6 @@ minimizeConfig(const DiffConfig &bad, const DiffOptions &opts,
                 return false;
             c.pipelineDepth = 4;
             c.halfPipelineDepth = 3;
-            return true;
-        },
-        [](DiffConfig &c) {
-            if (c.channelLatency <= 1)
-                return false;
-            c.channelLatency = 1;
             return true;
         },
     };

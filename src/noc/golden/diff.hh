@@ -48,10 +48,10 @@ struct DiffConfig
     unsigned rows = 6;
     unsigned cols = 6;
     unsigned numMcs = 8;
-    /** Checkerboard organization: half-routers + MCs at half-router
-     *  cells + CR routing (the three are only legal together). */
+    /** Checkerboard organization: half-routers, MCs at half-router
+     *  cells, and with them CR routing; otherwise full routers, MCs
+     *  top and bottom, and XY routing. */
     bool checkerboard = false;
-    std::string routing = "xy";
 
     unsigned flitBytes = 16;
     unsigned protoClasses = 2;
@@ -59,7 +59,6 @@ struct DiffConfig
     unsigned vcDepth = 8;
     unsigned pipelineDepth = 4;
     unsigned halfPipelineDepth = 3;
-    Cycle channelLatency = 1;
     unsigned mcInjPorts = 1;
     unsigned mcEjPorts = 1;
     bool sliced = false;
@@ -75,8 +74,9 @@ struct DiffConfig
     std::string serialize() const;
 
     /**
-     * Parses serialize() output (unknown keys and malformed lines are
-     * errors; missing keys keep their defaults).
+     * Parses serialize() output (unknown keys, malformed lines and
+     * numbers that are negative, carry trailing junk or overflow
+     * their field are errors; missing keys keep their defaults).
      * @return true on success; on failure `err` explains why.
      */
     static bool parse(const std::string &text, DiffConfig &out,

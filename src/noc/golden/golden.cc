@@ -81,7 +81,7 @@ GoldenModel::zeroLoadLatency(const std::vector<NodeId> &route,
         lat += topo_.isHalfRouter(n) ? params_.halfPipelineDepth
                                      : params_.pipelineDepth;
     }
-    lat += static_cast<Cycle>(route.size() - 1) * params_.channelLatency;
+    lat += route.size() - 1; // one cycle per link
     lat += size_flits - 1; // tail serialization behind the head
     return lat;
 }

@@ -61,7 +61,7 @@ class GoldenModel
     /**
      * Exact latency of `route` on an otherwise idle network:
      * the sum of per-hop router pipeline depths (half-routers use the
-     * shorter pipeline) plus per-hop channel latency plus tail
+     * shorter pipeline) plus one cycle per link plus tail
      * serialization, measured NI-enqueue to tail-ejection.
      *
      * Exact only while the whole packet fits in one VC buffer

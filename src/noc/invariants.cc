@@ -55,7 +55,7 @@ compareStageMask(const Router &r, const std::string &what,
 
 } // namespace
 
-/** What the link wheel holds, counted once per audit. */
+/** What the link stage holds, counted once per audit. */
 struct InvariantChecker::WheelCensus
 {
     unsigned vcs = 0;
@@ -65,9 +65,6 @@ struct InvariantChecker::WheelCensus
     std::unordered_map<std::size_t, std::uint32_t> credits;
     std::uint64_t totalFlits = 0;
     std::uint64_t tails = 0;
-    /// Entries due at or before the wheel's last fire, which should
-    /// have delivered them.
-    std::uint64_t overdue = 0;
 };
 
 const char *
@@ -432,18 +429,19 @@ InvariantChecker::checkConservation(const WheelCensus &census,
 }
 
 void
-InvariantChecker::checkActivity(const WheelCensus &census,
-                                std::vector<Violation> &out) const
+InvariantChecker::checkActivity(std::vector<Violation> &out) const
 {
     // A router whose flits are all on links is legitimately retired:
-    // the wheel marks it when one lands.  So the wheel itself must
-    // never keep an entry past its due cycle.
-    if (census.overdue != 0) {
+    // the stage marks it when one lands.  So no entry may outlive the
+    // fire that follows its post.
+    if (wheel_ && wheel_->oldestPost() < wheel_->firedThrough()) {
         addViolation(out, Violation::Kind::ACTIVITY,
                      formatMessage(
-                         census.overdue, " link wheel entries are due at"
-                         " or before cycle ", wheel_->firedThrough(),
-                         " but were never delivered"));
+                         "link stage holds ", wheel_->scheduled(),
+                         " entries, the oldest posted at cycle ",
+                         wheel_->oldestPost(), ", but its fire at cycle ",
+                         wheel_->firedThrough(),
+                         " never delivered it"));
     }
     for (std::size_t n = 0; n < routers_.size(); ++n) {
         if (!routers_[n]->empty() &&
@@ -474,18 +472,14 @@ InvariantChecker::audit() const
     if (wheel_ && !routers_.empty()) {
         census.vcs = routers_.front()->numVcs();
         census.flits.assign(wheel_->numLinks() * census.vcs, 0);
-        const Cycle fired = wheel_->firedThrough();
-        wheel_->forEachFlit([&](Cycle due, unsigned link, const Flit &f) {
+        wheel_->forEachFlit([&](unsigned link, const Flit &f) {
             if (f.vc < census.vcs)
                 ++census.flits[link * census.vcs + f.vc];
             ++census.totalFlits;
             census.tails += f.tail;
-            census.overdue += due <= fired;
         });
-        wheel_->forEachCredit([&](Cycle due, std::size_t out_vc) {
-            ++census.credits[out_vc];
-            census.overdue += due <= fired;
-        });
+        wheel_->forEachCredit(
+            [&](std::size_t out_vc) { ++census.credits[out_vc]; });
     }
     std::vector<Violation> out;
     for (const Router *r : routers_)
@@ -493,7 +487,7 @@ InvariantChecker::audit() const
     checkLinks(census, out);
     checkNis(out);
     checkConservation(census, out);
-    checkActivity(census, out);
+    checkActivity(out);
     return out;
 }
 
@@ -531,7 +525,7 @@ InvariantChecker::oldestCreated() const
         });
     }
     if (wheel_) {
-        wheel_->forEachFlit([&](Cycle, unsigned, const Flit &f) {
+        wheel_->forEachFlit([&](unsigned, const Flit &f) {
             track(f.pkt->createdCycle);
         });
     }

@@ -2,17 +2,17 @@
  * @file
  * Runtime invariant checking for the mesh NoC.
  *
- * The InvariantChecker walks one MeshNetwork's routers, link wheel and
+ * The InvariantChecker walks one MeshNetwork's routers, link stage and
  * network interfaces and verifies the structural invariants that
  * credit-based wormhole routing guarantees when the implementation is
  * correct:
  *
  *  - credit conservation: for every (link, VC), upstream credits +
- *    flits on the wheel + credits on the wheel + downstream occupancy
+ *    flits on the links + credits on the links + downstream occupancy
  *    equals the VC depth — a leaked or duplicated credit shows up here;
  *  - flit conservation: flits that entered a router minus flits that
  *    left an ejection buffer equals the flits currently buffered in
- *    routers, on the wheel and in ejection buffers;
+ *    routers, on the links and in ejection buffers;
  *  - packet conservation: the O(1) in-flight counter behind
  *    Network::drained() equals the packets actually held by NIs plus
  *    tail flits in transit;
@@ -25,9 +25,9 @@
  *    packet's stored base VC is VcMap::baseVc of the packet;
  *  - buffer occupancy bounds and half-router connectivity compliance;
  *  - idle-skip activity: any component that could make progress is
- *    marked in its active set, and no wheel entry is left due at or
- *    before the wheel's last fire (a violation here means idle-skip
- *    would silently strand traffic).
+ *    marked in its active set, and no link entry outlives the fire
+ *    after its post (a violation here means idle-skip would silently
+ *    strand traffic).
  *
  * The checker is wired by MeshNetwork when MeshNetworkParams::validate
  * is set (tests enable it; TENOC_VALIDATE=1 forces it everywhere) and
@@ -136,8 +136,7 @@ class InvariantChecker
     void checkNis(std::vector<Violation> &out) const;
     void checkConservation(const WheelCensus &census,
                            std::vector<Violation> &out) const;
-    void checkActivity(const WheelCensus &census,
-                       std::vector<Violation> &out) const;
+    void checkActivity(std::vector<Violation> &out) const;
 
     unsigned vc_depth_;
     std::vector<const Router *> routers_;

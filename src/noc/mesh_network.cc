@@ -34,23 +34,7 @@ profileNowNs()
 std::string
 routerGeometryError(const MeshNetworkParams &params)
 {
-    const unsigned route_classes = routeClassesOf(params.routing);
-    if (route_classes == 0) {
-        return detail::formatMessage("unknown routing algorithm '",
-                                     params.routing,
-                                     "'; noc.routing takes ",
-                                     ROUTING_NAMES);
-    }
-    // Half-routers omit the turns DOR takes; only CR avoids them, and
-    // CR needs the checkerboard of full and half routers.
-    const bool cr = params.routing == "cr";
-    if (cr != params.topo.checkerboardRouters) {
-        return detail::formatMessage(
-            "noc.routing=", params.routing, " with noc.halfRouters=",
-            params.topo.checkerboardRouters ? 1 : 0, ": ",
-            cr ? "cr routes only on a half-router checkerboard"
-               : "xy and yx route only on full routers");
-    }
+    const unsigned route_classes = routeClassesOf(params.topo);
     // MC routers have the most ports: NUM_DIRS + mcInjPorts inputs
     // (a compute router has one injection port) and NUM_DIRS +
     // mcEjPorts outputs.
@@ -64,8 +48,8 @@ routerGeometryError(const MeshNetworkParams &params)
             " input VCs, but each MC router would have (", NUM_DIRS,
             " + noc.mcInjPorts=", params.mcInjPorts, ") inputs x (",
             params.protoClasses, " protocol x ", route_classes,
-            " routing classes of '", params.routing,
-            "' x noc.vcsPerClass=", params.vcsPerClass, ") VCs = ",
+            " routing classes x noc.vcsPerClass=", params.vcsPerClass,
+            ") VCs = ",
             inputs * vcs, " input VCs");
     }
     const std::uint64_t outputs =
@@ -110,10 +94,6 @@ validateMeshNetworkParams(const MeshNetworkParams &params)
         tenoc_fatal("invalid network config: pipelineDepth and"
                     " halfPipelineDepth must be >= 1 (a flit spends at"
                     " least one cycle in a router)");
-    }
-    if (params.channelLatency == 0) {
-        tenoc_fatal("invalid network config: channelLatency must be"
-                    " >= 1 cycle");
     }
     if (params.mcInjPorts == 0 || params.mcEjPorts == 0) {
         tenoc_fatal("invalid network config: MC routers need at least"
@@ -190,7 +170,7 @@ NetStats::registerStats(StatGroup &group)
 MeshNetwork::MeshNetwork(const MeshNetworkParams &params,
                          NetStats *shared_stats, std::uint64_t *shared_ids)
     : params_(params), topo_(params.topo),
-      routing_(topo_, params.routing),
+      routing_(topo_),
       rng_(params.seed), router_active_(topo_.numNodes()),
       ni_active_(topo_.numNodes()),
       checker_(params.vcDepth, counters_, router_active_, ni_active_)
@@ -238,7 +218,7 @@ MeshNetwork::MeshNetwork(const MeshNetworkParams &params,
     }
     slabs_.configure(in_vcs, out_vcs, params_.vcDepth);
     slabs_.setValidate(params_.validate);
-    links_.configure(params_.channelLatency, &slabs_);
+    links_.configure(&slabs_);
 
     routers_.reserve(topo_.numNodes());
     std::size_t in_base = 0;
@@ -353,7 +333,7 @@ MeshNetwork::cycle(Cycle now)
     });
     lap(&PhaseProfile::injectNs);
     // One pass over the routers runs each router's RC, VA and SA.
-    // Routers only interact through >= 1-cycle links, so nothing a
+    // Routers only interact through 1-cycle links, so nothing a
     // router's stage writes is visible to any other router until a
     // later cycle's fire(), and this order is bit-exact with running
     // each stage across all routers in turn.  Each stage's test of its

@@ -24,18 +24,20 @@
 namespace tenoc
 {
 
-/** Mesh network configuration (defaults follow Table III). */
+/**
+ * Mesh network configuration (defaults follow Table III).  The router
+ * kind decides the routing (XY on full routers, CR on the half-router
+ * checkerboard; see Routing), and every link takes one cycle.
+ */
 struct MeshNetworkParams
 {
     TopologyParams topo;
-    std::string routing = "xy";     ///< "xy", "yx", or "cr"
     unsigned flitBytes = 16;        ///< channel width
     unsigned protoClasses = 2;      ///< VC protocol classes
     unsigned vcsPerClass = 1;       ///< lanes per (proto, route) class
     unsigned vcDepth = 8;           ///< buffers per VC
     unsigned pipelineDepth = 4;     ///< full-router pipeline stages
     unsigned halfPipelineDepth = 3; ///< half-router pipeline stages
-    Cycle channelLatency = 1;
     unsigned mcInjPorts = 1;        ///< injection ports at MC routers
     unsigned mcEjPorts = 1;         ///< ejection ports at MC routers
     NiParams ni;
@@ -69,9 +71,7 @@ struct MeshNetworkParams
 
 /**
  * Checks the routers `params` builds against the router model's
- * rules: a known routing algorithm that matches the router kind (cr
- * exactly on half-router checkerboards), at most
- * Router::MAX_INPUT_VCS input VCs (inputs x VCs) and
+ * limits: at most Router::MAX_INPUT_VCS input VCs (inputs x VCs) and
  * Router::MAX_OUTPUTS outputs per router.  @return an empty string
  * if they fit, else why not.
  */

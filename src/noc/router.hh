@@ -14,15 +14,15 @@
  *     when flits leave this router's input buffers.
  *
  * Links are entries on the network's LinkWheel (link.hh): ST posts
- * each departing flit, and each credit it returns, for the link's
- * arrival cycle, and the wheel pushes the flit into the downstream
- * router (or adds the credit upstream) on that cycle.
+ * each departing flit, and each credit it returns, and the next
+ * cycle's fire pushes the flit into the downstream router (or adds
+ * the credit upstream).
  *
  * Pipeline depth is modeled as a minimum residency: a flit arriving at
  * cycle t departs no earlier than t + depth, so arrival-to-arrival hop
- * latency is depth + channelLatency (5 cycles for the baseline).  The
- * baseline full router uses depth 4, half-routers depth 3 (Sec. V-A),
- * the aggressive router of Sec. III-C depth 1.
+ * latency is depth + 1 for the one-cycle link (5 cycles for the
+ * baseline).  The baseline full router uses depth 4, half-routers
+ * depth 3 (Sec. V-A), the aggressive router of Sec. III-C depth 1.
  *
  * Half-routers (Fig. 13) restrict connectivity: through traffic may
  * only continue straight (E<->W, N<->S), while injection reaches all

@@ -12,38 +12,15 @@
 namespace tenoc
 {
 
-Routing::Routing(const Topology &topo, const std::string &name)
-    : topo_(&topo)
-{
-    if (name == "xy")
-        algo_ = Algo::XY;
-    else if (name == "yx")
-        algo_ = Algo::YX;
-    else if (name == "cr")
-        algo_ = Algo::CR;
-    else
-        tenoc_fatal("unknown routing algorithm '", name,
-                    "'; noc.routing takes ", ROUTING_NAMES);
-    tenoc_assert(algo_ != Algo::CR || topo.params().checkerboardRouters,
-                 "checkerboard routing requires a checkerboard mesh");
-}
-
 void
 Routing::initPacket(Packet &pkt, Rng &rng) const
 {
     pkt.intermediate = INVALID_NODE;
     pkt.phase2 = false;
-    switch (algo_) {
-      case Algo::XY:
-        pkt.mode = RouteMode::XY;
-        break;
-      case Algo::YX:
-        pkt.mode = RouteMode::YX;
-        break;
-      case Algo::CR:
+    if (topo_->params().checkerboardRouters)
         initCheckerboard(pkt, rng);
-        break;
-    }
+    else
+        pkt.mode = RouteMode::XY;
 }
 
 std::vector<NodeId>
@@ -122,16 +99,6 @@ Routing::initCheckerboard(Packet &pkt, Rng &rng) const
     }
     pkt.mode = RouteMode::TWO_PHASE;
     pkt.intermediate = candidates[rng.nextRange(candidates.size())];
-}
-
-unsigned
-routeClassesOf(const std::string &name)
-{
-    if (name == "xy" || name == "yx")
-        return 1;
-    if (name == "cr")
-        return 2;
-    return 0;
 }
 
 } // namespace tenoc

@@ -1,7 +1,9 @@
 /**
  * @file
- * Oblivious routing: dimension-order (XY / YX, the Table III baseline)
- * and the paper's checkerboard routing (CR, Sec. IV-B).
+ * Oblivious routing, decided by the router kind: dimension-order XY
+ * on a mesh of full routers (the Table III baseline), and the paper's
+ * checkerboard routing (CR, Sec. IV-B) on a checkerboard of full and
+ * half routers, the two setups the paper evaluates.
  *
  * CR selects, per packet at injection time:
  *  - XY when the XY turn node is a full router,
@@ -17,14 +19,12 @@
  *
  * The algorithm only decides the packet header at injection; the
  * per-hop step reads nothing but that header, so one route() serves
- * every algorithm.
+ * XY packets, CR's YX packets and both legs of a two-phase route.
  */
 
 #ifndef TENOC_NOC_ROUTING_HH
 #define TENOC_NOC_ROUTING_HH
 
-#include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/rng.hh"
@@ -34,19 +34,32 @@
 namespace tenoc
 {
 
-/** The routing algorithm a network runs: "xy", "yx" or "cr". */
+/**
+ * @return the routing VC classes a mesh with `topo` needs: 1 for XY
+ * on full routers, 2 for CR on a half-router checkerboard (one per
+ * leg class).  Lets config checks size routers without building a
+ * topology.
+ */
+inline unsigned
+routeClassesOf(const TopologyParams &topo)
+{
+    return topo.checkerboardRouters ? 2 : 1;
+}
+
+/** The routing a network runs: XY, or CR on a checkerboard mesh. */
 class Routing
 {
   public:
-    /**
-     * @param topo topology (must outlive the routing)
-     * @param name "xy", "yx" or "cr"; any other name is fatal, and
-     *        "cr" requires a checkerboard (half-router) mesh
-     */
-    Routing(const Topology &topo, const std::string &name);
+    /** @param topo topology (must outlive the routing); CR exactly
+     *  when it has half-routers */
+    explicit Routing(const Topology &topo) : topo_(&topo) {}
 
-    /** Number of routing VC classes required (1 for DOR, 2 for CR). */
-    unsigned numRouteClasses() const { return algo_ == Algo::CR ? 2 : 1; }
+    /** Number of routing VC classes required (1 for XY, 2 for CR). */
+    unsigned
+    numRouteClasses() const
+    {
+        return routeClassesOf(topo_->params());
+    }
 
     /**
      * Chooses the packet's route mode (and waypoint, for CR) at
@@ -69,13 +82,10 @@ class Routing
     std::vector<NodeId> twoPhaseCandidates(NodeId src, NodeId dst) const;
 
   private:
-    enum class Algo : std::uint8_t { XY, YX, CR };
-
     /** CR's choice of mode and waypoint. */
     void initCheckerboard(Packet &pkt, Rng &rng) const;
 
     const Topology *topo_;
-    Algo algo_;
 };
 
 inline unsigned
@@ -107,16 +117,6 @@ Routing::route(NodeId cur, Packet &pkt) const
         return cx < tx ? DIR_EAST : DIR_WEST;
     return cy < ty ? DIR_SOUTH : DIR_NORTH;
 }
-
-/**
- * @return the routing VC classes of the algorithm `name` names (the
- * numRouteClasses() of Routing(topo, name)), or 0 if `name` names
- * none.  Lets config checks size routers without building a topology.
- */
-unsigned routeClassesOf(const std::string &name);
-
-/** The routing names Routing accepts, for error messages. */
-inline constexpr const char *ROUTING_NAMES = "xy, yx or cr";
 
 } // namespace tenoc
 

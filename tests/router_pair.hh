@@ -8,14 +8,12 @@
  *   - OneRouter: one router on its own arena; the test injects flits
  *     and runs its stages.
  *   - RouterPair: A at (0, 0) and B at (1, 0) view one arena, and A's
- *     east output feeds B's west input through a link wheel the test
+ *     east output feeds B's west input through a link stage the test
  *     fires.
  */
 
 #ifndef TENOC_TESTS_ROUTER_PAIR_HH
 #define TENOC_TESTS_ROUTER_PAIR_HH
-
-#include <string>
 
 #include "noc/link.hh"
 #include "noc/router.hh"
@@ -44,12 +42,10 @@ routerSlab(const Router::Params &rp, unsigned routers)
 
 struct OneRouter
 {
-    /** The router at (`x`, `y`) of the `tp` mesh takes `rp` and routes
-     *  with `routing`. */
+    /** The router at (`x`, `y`) of the `tp` mesh takes `rp`. */
     OneRouter(const Router::Params &rp, unsigned x, unsigned y,
-              const TopologyParams &tp = {},
-              const std::string &routing = "xy")
-        : topo(tp), route(topo, routing), slab(routerSlab(rp, 1)),
+              const TopologyParams &tp = {})
+        : topo(tp), route(topo), slab(routerSlab(rp, 1)),
           active(topo.numNodes()),
           r(topo.nodeAt(x, y), topo, route, rp, slab, 0, 0, active,
             counters)
@@ -65,16 +61,16 @@ struct OneRouter
 
 struct RouterPair
 {
-    /** Both routers take `rp`; the link takes `latency` cycles. */
-    explicit RouterPair(const Router::Params &rp, Cycle latency = 1)
-        : topo(TopologyParams{}), xy(topo, "xy"),
+    /** Both routers take `rp`. */
+    explicit RouterPair(const Router::Params &rp)
+        : topo(TopologyParams{}), xy(topo),
           slab(routerSlab(rp, 2)), active(topo.numNodes()),
           a(topo.nodeAt(0, 0), topo, xy, rp, slab, 0, 0, active,
             counters),
           b(topo.nodeAt(1, 0), topo, xy, rp, slab, routerVcs(rp, true),
             routerVcs(rp, false), active, counters)
     {
-        wheel.configure(latency, &slab);
+        wheel.configure(&slab);
         link = a.connect(DIR_EAST, b, wheel);
     }
 

@@ -36,7 +36,7 @@ TEST(ChipConfig, BaselineMatchesTables)
     EXPECT_EQ(p.mesh.pipelineDepth, 4u);        // 4-stage routers
     EXPECT_EQ(p.mesh.vcDepth, 8u);              // 8 buffers per VC
     EXPECT_EQ(p.mesh.protoClasses * p.mesh.vcsPerClass, 2u); // 2 VCs
-    EXPECT_EQ(p.mesh.routing, "xy");
+    EXPECT_FALSE(p.mesh.topo.checkerboardRouters); // so XY DOR
     EXPECT_EQ(p.mesh.topo.placement, McPlacement::TOP_BOTTOM);
     EXPECT_EQ(p.core.warpSize, 32u);            // Table II
     EXPECT_EQ(p.core.maxWarps, 32u);
@@ -63,8 +63,7 @@ TEST(ChipConfig, OneCycleRouters)
 TEST(ChipConfig, CheckerboardConfigs)
 {
     const auto cr = makeConfig(ConfigId::CP_CR_4VC);
-    EXPECT_TRUE(cr.mesh.topo.checkerboardRouters);
-    EXPECT_EQ(cr.mesh.routing, "cr");
+    EXPECT_TRUE(cr.mesh.topo.checkerboardRouters); // so CR
     EXPECT_EQ(cr.mesh.topo.placement, McPlacement::CHECKERBOARD);
 
     const auto dor4 = makeConfig(ConfigId::CP_DOR_4VC);
@@ -76,8 +75,7 @@ TEST(ChipConfig, ThroughputEffectiveCombinesEverything)
 {
     const auto p = makeConfig(ConfigId::THROUGHPUT_EFFECTIVE);
     EXPECT_EQ(p.netKind, NetKind::DOUBLE);
-    EXPECT_TRUE(p.mesh.topo.checkerboardRouters);
-    EXPECT_EQ(p.mesh.routing, "cr");
+    EXPECT_TRUE(p.mesh.topo.checkerboardRouters); // so CR
     EXPECT_EQ(p.mesh.mcInjPorts, 2u);
     EXPECT_EQ(p.mesh.mcEjPorts, 1u); // ejection ports dropped (Sec. V-E)
 }
@@ -184,14 +182,14 @@ TEST(ChipConfigDeath, RouterPastItsLimitsIsFatal)
     vcs.set("noc.mcInjPorts", "2");
     EXPECT_EXIT(chipParamsFromConfig(vcs), ::testing::ExitedWithCode(1),
                 "each MC router would have \\(4 \\+ noc.mcInjPorts=2\\)"
-                " inputs x \\(2 protocol x 1 routing classes of 'xy' x"
+                " inputs x \\(2 protocol x 1 routing classes x"
                 " noc.vcsPerClass=6\\) VCs = 72 input VCs");
-    // Two routing classes double the VCs: 5 inputs x 16 = 80.
+    // CR's two routing classes double the VCs: 5 inputs x 16 = 80.
     Config cr;
     cr.set("base", "cp-cr");
     cr.set("noc.vcsPerClass", "4");
     EXPECT_EXIT(chipParamsFromConfig(cr), ::testing::ExitedWithCode(1),
-                "2 routing classes of 'cr' .* = 80 input VCs");
+                "2 routing classes .* = 80 input VCs");
     // Sliced networks are checked too.
     Config sliced;
     sliced.set("base", "thr-eff");
@@ -231,49 +229,42 @@ TEST(ChipConfigDeath, RetiredFaultKeyIsFatal)
                 "unknown configuration key 'fault.linkStallRate'");
 }
 
+/** Expects `cfg` with noc.routing=`routing` to be refused as an
+ *  unknown key: the router kind decides the routing (XY on full
+ *  routers, CR on half-routers), and a script still setting the
+ *  retired key must fail loudly rather than silently run a routing it
+ *  did not ask for. */
+void
+expectRoutingKeyFatal(Config cfg, const char *routing)
+{
+    cfg.set("noc.routing", routing);
+    EXPECT_EXIT(chipParamsFromConfig(cfg), ::testing::ExitedWithCode(1),
+                "unknown configuration key 'noc.routing'")
+        << routing;
+}
+
 TEST(ChipConfigDeath, RetiredRoutingIsFatal)
 {
-    // O1Turn, ROMM and Valiant are gone, and so are the aliases; the
-    // message names the value and lists the ones noc.routing takes.
     for (const char *routing : {"o1turn", "romm", "valiant", "dor",
-                                "checkerboard"}) {
-        Config cfg;
-        cfg.set("noc.routing", routing);
-        EXPECT_EXIT(chipParamsFromConfig(cfg),
-                    ::testing::ExitedWithCode(1),
-                    std::string("unknown routing algorithm '") +
-                        routing + "'; noc.routing takes xy, yx or cr")
-            << routing;
-    }
+                                "checkerboard"})
+        expectRoutingKeyFatal(Config{}, routing);
 }
 
 TEST(ChipConfigDeath, DorOnHalfRoutersIsFatal)
 {
-    // Half-routers lack turns DOR takes; the run would otherwise
-    // panic on the first illegal turn.
-    for (const char *routing : {"xy", "yx"}) {
-        Config cfg;
-        cfg.set("noc.halfRouters", "1");
-        cfg.set("noc.placement", "checkerboard");
-        cfg.set("noc.routing", routing);
-        EXPECT_EXIT(chipParamsFromConfig(cfg),
-                    ::testing::ExitedWithCode(1),
-                    std::string("noc.routing=") + routing +
-                        " with noc.halfRouters=1: xy and yx route only"
-                        " on full routers")
-            << routing;
-    }
+    // Half-routers lack turns DOR takes, so they always route CR.
+    Config cfg;
+    cfg.set("noc.halfRouters", "1");
+    cfg.set("noc.placement", "checkerboard");
+    for (const char *routing : {"xy", "yx"})
+        expectRoutingKeyFatal(cfg, routing);
 }
 
 TEST(ChipConfigDeath, CrOnFullRoutersIsFatal)
 {
-    // CR picks its waypoints on the half-router checkerboard; on full
-    // routers the run would otherwise panic building the routing.
-    Config cfg;
-    cfg.set("noc.routing", "cr");
-    EXPECT_EXIT(chipParamsFromConfig(cfg), ::testing::ExitedWithCode(1),
-                "noc.routing=cr with noc.halfRouters=0: cr routes only"
-                " on a half-router checkerboard");
+    // CR picks its waypoints on the half-router checkerboard, so full
+    // routers always route XY.
+    expectRoutingKeyFatal(Config{}, "cr");
 }
 
 TEST(ChipConfigDeath, RetiredAgePriorityKeyIsFatal)

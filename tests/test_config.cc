@@ -55,11 +55,11 @@ TEST(Config, ParseText)
         "# a comment\n"
         "noc.vcs = 4\n"
         "\n"
-        "noc.routing = cr   # trailing comment\n"
+        "noc.placement = checkerboard   # trailing comment\n"
         "dram.queue = 32\n");
     EXPECT_EQ(n, 3u);
     EXPECT_EQ(c.getInt("noc.vcs", 0), 4);
-    EXPECT_EQ(c.getString("noc.routing"), "cr");
+    EXPECT_EQ(c.getString("noc.placement"), "checkerboard");
     EXPECT_EQ(c.getUint("dram.queue", 0), 32u);
 }
 

@@ -43,20 +43,21 @@ walkRealRoute(const Topology &topo, const Routing &algo,
 
 TEST(GoldenModel, ReconstructsEveryAlgorithmsRoutes)
 {
-    for (const char *name : {"xy", "yx"}) {
-        TopologyParams tp;
-        tp.rows = 5;
-        tp.cols = 4;
-        tp.numMcs = 4;
-        Topology topo(tp);
-        const Routing algo(topo, name);
-        MeshNetworkParams np;
-        np.topo = tp;
-        np.routing = name;
-        GoldenModel golden(topo, np);
-        Rng rng(7);
+    // XY, and YX as CR's one-bit choice: route() follows the header
+    // alone, so both dimension orders are checked on a full mesh.
+    TopologyParams tp;
+    tp.rows = 5;
+    tp.cols = 4;
+    tp.numMcs = 4;
+    Topology topo(tp);
+    const Routing algo(topo);
+    MeshNetworkParams np;
+    np.topo = tp;
+    GoldenModel golden(topo, np);
+    Rng rng(7);
 
-        std::vector<NodeId> expect;
+    std::vector<NodeId> expect;
+    for (const RouteMode mode : {RouteMode::XY, RouteMode::YX}) {
         for (NodeId s = 0; s < topo.numNodes(); ++s) {
             for (NodeId d = 0; d < topo.numNodes(); ++d) {
                 if (s == d)
@@ -65,9 +66,11 @@ TEST(GoldenModel, ReconstructsEveryAlgorithmsRoutes)
                 pkt.src = s;
                 pkt.dst = d;
                 algo.initPacket(pkt, rng);
+                pkt.mode = mode;
                 golden.reconstructRoute(pkt, expect);
                 EXPECT_EQ(walkRealRoute(topo, algo, pkt), expect)
-                    << name << " " << s << " -> " << d;
+                    << static_cast<int>(mode) << " " << s << " -> "
+                    << d;
             }
         }
     }
@@ -82,10 +85,9 @@ TEST(GoldenModel, ReconstructsCheckerboardRoutes)
     tp.placement = McPlacement::CHECKERBOARD;
     tp.checkerboardRouters = true;
     Topology topo(tp);
-    const Routing algo(topo, "cr");
+    const Routing algo(topo);
     MeshNetworkParams np;
     np.topo = tp;
-    np.routing = "cr";
     GoldenModel golden(topo, np);
     Rng rng(7);
 
@@ -281,16 +283,25 @@ TEST(DiffConfig, ParseRejectsGarbage)
         EXPECT_FALSE(DiffConfig::parse(retired, out, &err)) << retired;
         EXPECT_NE(err.find("unknown key"), std::string::npos) << err;
     }
-    // Legal syntax, illegal config space.
-    EXPECT_FALSE(DiffConfig::parse("routing = cr\n", out, &err));
-    EXPECT_FALSE(DiffConfig::parse("routing = bogus\n", out, &err));
-    // Retired routing algorithms and the aliases are unknown names.
-    for (const char *retired :
-         {"routing = valiant\n", "routing = o1turn\n", "routing = romm\n",
-          "routing = dor\n", "checkerboard = 1\nrouting = checkerboard\n"}) {
+    // Retired keys: the router kind decides the routing, and every
+    // link takes one cycle.
+    for (const char *retired : {"routing = xy\n", "channelLatency = 1\n"}) {
         EXPECT_FALSE(DiffConfig::parse(retired, out, &err)) << retired;
-        EXPECT_NE(err.find("config-space"), std::string::npos) << err;
+        EXPECT_NE(err.find("unknown key"), std::string::npos) << err;
     }
+    // Numbers must be whole, non-negative and fit their field: these
+    // used to wrap (-1 -> 4294967295, 4294967302 -> 6) or drop the
+    // junk (8abc -> 8).
+    for (const char *bad :
+         {"rows = -1\n", "vcDepth = 8abc\n", "cols = 4294967302\n",
+          "rate = 0.02x\n", "sliced = 2\n"}) {
+        EXPECT_FALSE(DiffConfig::parse(bad, out, &err)) << bad;
+        EXPECT_NE(err.find("bad value"), std::string::npos) << err;
+    }
+    // Legal syntax, illegal config space: rows x cols wraps 32 bits.
+    EXPECT_FALSE(DiffConfig::parse("rows = 65536\ncols = 65536\n", out,
+                                   &err));
+    EXPECT_NE(err.find("config-space"), std::string::npos) << err;
     // A router past 64 input VCs: 4 + 2 inputs x 2 protocol x 6 lanes.
     EXPECT_FALSE(DiffConfig::parse(
         "protoClasses = 2\nvcsPerClass = 6\nmcInjPorts = 2\n", out,
@@ -332,7 +343,6 @@ TEST(DiffHarness, CheckerboardConfigPasses)
 {
     DiffConfig cfg;
     cfg.checkerboard = true;
-    cfg.routing = "cr";
     cfg.genCycles = 300;
     const DiffReport rep = runDiff(cfg);
     EXPECT_TRUE(rep.ok()) << rep.violations.size()

@@ -184,7 +184,7 @@ TEST(Invariants, CreditLostOnTheWheelIsCaught)
     while (!credit_on_wheel && now < 2000) {
         driveTraffic(net, rng, now, 1);
         net.links().forEachCredit(
-            [&](Cycle, std::size_t) { credit_on_wheel = true; });
+            [&](std::size_t) { credit_on_wheel = true; });
     }
     ASSERT_TRUE(credit_on_wheel);
     ASSERT_TRUE(net.checker().audit().empty());
@@ -197,9 +197,9 @@ TEST(Invariants, CreditLostOnTheWheelIsCaught)
 
 TEST(Invariants, OverdueWheelEntryIsCaught)
 {
-    // A wheel that skipped a due entry would strand its flit while the
-    // receiver sleeps: the activity audit flags any entry due at or
-    // before the wheel's last fire.
+    // A stage that skipped an entry would strand its flit while the
+    // receiver sleeps: the activity audit flags any entry posted before
+    // the stage's last fire.
     MeshNetworkParams p;
     MeshNetwork net(p);
     DropSink sink;
@@ -213,8 +213,8 @@ TEST(Invariants, OverdueWheelEntryIsCaught)
     }
     ASSERT_GT(on_wheel, 0u);
     ASSERT_TRUE(net.checker().audit().empty());
-    // Post one more credit that is already due, as a lost wake would
-    // leave it.
+    // Post one more credit before the last fire, as a fire that left
+    // it behind would.
     net.links().sendCredit(0, 0, now - 2);
     const auto vs = net.checker().audit();
     EXPECT_TRUE(hasViolation(vs, Violation::Kind::ACTIVITY))

@@ -1,15 +1,14 @@
 /**
  * @file
- * Unit tests for the link wheel (noc/link.hh): a flit lands in the
- * receiver's VC ring on its due cycle and marks the receiver, a
- * credit lands in the upstream output VC and wakes nobody, aliased
- * buckets keep future entries, gap and first-fire sweeps deliver
- * everything due in send order, and a link carries one flit and one
- * credit per cycle.
+ * Unit tests for the link stage (noc/link.hh): a flit lands in the
+ * receiver's VC ring at the next fire and marks the receiver, a
+ * credit lands in the upstream output VC and wakes nobody, a late or
+ * first fire delivers everything posted in send order, and a link
+ * carries one flit and one credit per cycle.
  *
- * The wheel is both the pipelined channel and the arrival scheduler:
+ * The stage is both the one-cycle channel and the arrival scheduler:
  * the Channel tests check a link's delivery timing, the
- * ArrivalScheduler tests the wheel's firing, and the ArrivalChannel
+ * ArrivalScheduler tests the stage's firing, and the ArrivalChannel
  * test when a send wakes the receiver.
  */
 
@@ -42,19 +41,16 @@ flit(std::uint16_t seq = 0)
 
 TEST(Channel, DeliversAfterLatency)
 {
-    for (const Cycle latency : {Cycle{1}, Cycle{3}, Cycle{5}}) {
-        RouterPair pair(pairParams(), latency);
-        pair.wheel.fire(10);
-        pair.wheel.sendFlit(pair.link, flit(), 10);
-        for (Cycle c = 11; c < 10 + latency; ++c) {
-            pair.wheel.fire(c);
-            EXPECT_EQ(pair.b.vcOccupancy(DIR_WEST, 0), 0u) << c;
-        }
-        pair.wheel.fire(10 + latency);
-        ASSERT_EQ(pair.b.vcOccupancy(DIR_WEST, 0), 1u) << latency;
-        EXPECT_EQ(pair.b.vcFront(DIR_WEST, 0)->enqueueCycle, 10 + latency);
-        EXPECT_EQ(pair.b.stageMasks(), pair.b.deriveStageMasks());
-    }
+    RouterPair pair(pairParams());
+    pair.wheel.fire(10);
+    pair.wheel.sendFlit(pair.link, flit(), 10);
+    // A second fire in the sending cycle delivers nothing.
+    pair.wheel.fire(10);
+    EXPECT_EQ(pair.b.vcOccupancy(DIR_WEST, 0), 0u);
+    pair.wheel.fire(11);
+    ASSERT_EQ(pair.b.vcOccupancy(DIR_WEST, 0), 1u);
+    EXPECT_EQ(pair.b.vcFront(DIR_WEST, 0)->enqueueCycle, 11u);
+    EXPECT_EQ(pair.b.stageMasks(), pair.b.deriveStageMasks());
 }
 
 TEST(LinkWheel, FlitsOnOneLinkKeepOrder)
@@ -74,9 +70,8 @@ TEST(LinkWheel, FlitsOnOneLinkKeepOrder)
 
 TEST(Channel, LateReceiverStillGetsItems)
 {
-    // Latency 4 sizes the wheel at 8 buckets; a fire that skips the
-    // due cycle by less than a turn walks the skipped buckets.
-    RouterPair pair(pairParams(), 4);
+    // A fire that skips cycles delivers what was posted before the gap.
+    RouterPair pair(pairParams());
     pair.wheel.fire(0);
     pair.wheel.sendFlit(pair.link, flit(9), 0);
     pair.wheel.fire(6);
@@ -88,45 +83,26 @@ TEST(Channel, LateReceiverStillGetsItems)
 
 TEST(ArrivalScheduler, FiresAtExactCycle)
 {
-    RouterPair pair(pairParams(), 3);
+    RouterPair pair(pairParams());
     pair.wheel.fire(4);
     pair.wheel.sendFlit(pair.link, flit(), 4);
     EXPECT_EQ(pair.wheel.scheduled(), 1u);
-    pair.wheel.fire(6);
+    EXPECT_EQ(pair.wheel.oldestPost(), 4u);
+    pair.wheel.fire(4);
     EXPECT_EQ(pair.wheel.scheduled(), 1u);
-    EXPECT_EQ(pair.wheel.firedThrough(), 6u);
-    pair.wheel.fire(7);
+    EXPECT_EQ(pair.wheel.firedThrough(), 4u);
+    pair.wheel.fire(5);
     EXPECT_EQ(pair.wheel.scheduled(), 0u);
-    EXPECT_EQ(pair.wheel.firedThrough(), 7u);
+    EXPECT_EQ(pair.wheel.oldestPost(), INVALID_CYCLE);
+    EXPECT_EQ(pair.wheel.firedThrough(), 5u);
     EXPECT_EQ(pair.b.vcOccupancy(DIR_WEST, 0), 1u);
-}
-
-TEST(LinkWheel, AliasedBucketKeepsFutureEntry)
-{
-    // Latency 4 sizes the wheel at 8 buckets, so flits due at 4 and 12
-    // share one.  Firing cycle 4 must deliver only the earlier.
-    RouterPair pair(pairParams(), 4);
-    pair.wheel.fire(0);
-    pair.wheel.sendFlit(pair.link, flit(1), 0);
-    pair.wheel.sendFlit(pair.link, flit(2), 8);
-    for (Cycle c = 1; c <= 4; ++c)
-        pair.wheel.fire(c);
-    EXPECT_EQ(pair.b.vcOccupancy(DIR_WEST, 0), 1u);
-    EXPECT_EQ(pair.wheel.scheduled(), 1u);
-    for (Cycle c = 5; c <= 11; ++c)
-        pair.wheel.fire(c);
-    EXPECT_EQ(pair.b.vcOccupancy(DIR_WEST, 0), 1u);
-    pair.wheel.fire(12);
-    EXPECT_EQ(pair.b.vcOccupancy(DIR_WEST, 0), 2u);
-    EXPECT_EQ(pair.b.vcFront(DIR_WEST, 0)->seq, 1u);
-    EXPECT_EQ(pair.wheel.scheduled(), 0u);
 }
 
 TEST(LinkWheel, FirstFireSweepsEverything)
 {
-    // A fresh wheel has no last-fire history: its first fire sweeps
-    // every bucket.
-    RouterPair pair(pairParams(), 2);
+    // A fresh stage has no last fire: its first fire delivers every
+    // entry, oldest first.
+    RouterPair pair(pairParams());
     pair.wheel.sendFlit(pair.link, flit(1), 0);
     pair.wheel.sendFlit(pair.link, flit(2), 7);
     EXPECT_EQ(pair.wheel.firedThrough(), 0u);
@@ -138,7 +114,7 @@ TEST(LinkWheel, FirstFireSweepsEverything)
 
 TEST(ArrivalScheduler, GapLargerThanWheelSweepsEverything)
 {
-    RouterPair pair(pairParams(), 2);
+    RouterPair pair(pairParams());
     pair.wheel.fire(1);
     ASSERT_TRUE(pair.a.dropCredit(DIR_EAST, 0)); // as if a flit had left
     pair.wheel.sendFlit(pair.link, flit(1), 1);
@@ -156,27 +132,25 @@ TEST(ArrivalScheduler, GapLargerThanWheelSweepsEverything)
 
 TEST(ArrivalChannel, SendPostsWakeAtDeliveryCycle)
 {
-    RouterPair pair(pairParams(), 3);
+    RouterPair pair(pairParams());
     pair.wheel.fire(10);
     pair.wheel.sendFlit(pair.link, flit(), 10);
-    // Mark-on-send would flag the receiver now; the wheel must not.
+    // Mark-on-send would flag the receiver now; the stage must not.
     EXPECT_FALSE(pair.active.test(1));
-    pair.wheel.fire(12);
-    EXPECT_FALSE(pair.active.test(1));
-    pair.wheel.fire(13);
+    pair.wheel.fire(11);
     EXPECT_TRUE(pair.active.test(1));
     EXPECT_FALSE(pair.active.test(0));
 }
 
 TEST(LinkWheel, CreditLandsWithoutMarkingIdleRouter)
 {
-    RouterPair pair(pairParams(), 3);
+    RouterPair pair(pairParams());
     pair.wheel.fire(10);
     ASSERT_TRUE(pair.a.dropCredit(DIR_EAST, 1)); // as if a flit had left
     pair.wheel.sendCredit(pair.link, 1, 10);
-    pair.wheel.fire(12);
+    pair.wheel.fire(10);
     EXPECT_EQ(pair.a.outputCredits(DIR_EAST, 1), 7u);
-    pair.wheel.fire(13);
+    pair.wheel.fire(11);
     EXPECT_EQ(pair.a.outputCredits(DIR_EAST, 1), 8u);
     EXPECT_EQ(pair.a.outputCredits(DIR_EAST, 0), 8u);
     // A has no buffered flit a credit could unblock: it stays asleep.

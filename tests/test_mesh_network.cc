@@ -164,7 +164,6 @@ TEST(MeshNetwork, ManyToFewStressAllDelivered)
     MeshNetworkParams p = baseNet();
     p.topo.placement = McPlacement::CHECKERBOARD;
     p.topo.checkerboardRouters = true;
-    p.routing = "cr";
     MeshNetwork net(p);
     const auto &topo = net.topology();
     std::map<NodeId, Collector> sinks;
@@ -229,7 +228,6 @@ TEST(DoubleNetwork, SlicesByProtocolClass)
     MeshNetworkParams p = baseNet();
     p.topo.placement = McPlacement::CHECKERBOARD;
     p.topo.checkerboardRouters = true;
-    p.routing = "cr";
     DoubleNetwork net(p);
     EXPECT_EQ(net.flitBytes(), 8u); // half-width slices
     EXPECT_EQ(net.packetFlits(MemOp::READ_REPLY), 8u);
@@ -259,7 +257,6 @@ TEST(DoubleNetwork, InjectSpaceIsPerSlice)
     MeshNetworkParams p = baseNet();
     p.topo.placement = McPlacement::CHECKERBOARD;
     p.topo.checkerboardRouters = true;
-    p.routing = "cr";
     DoubleNetwork net(p);
     const NodeId n = net.topology().computeNodes()[0];
     EXPECT_EQ(net.injectSpace(n, 0), p.ni.injQueueCap);
@@ -288,7 +285,6 @@ TEST(MakeMeshNetwork, FactorySelectsKind)
     EXPECT_EQ(single->flitBytes(), 16u);
     p.topo.placement = McPlacement::CHECKERBOARD;
     p.topo.checkerboardRouters = true;
-    p.routing = "cr";
     auto dbl = makeMeshNetwork(p, true);
     EXPECT_EQ(dbl->flitBytes(), 8u);
 }
@@ -341,7 +337,7 @@ fillMidRun(Network &net, const std::vector<MeshNetwork *> &slices,
             queued |= !m->canInject(n, topo.isMc(n) ? 1 : 0);
         }
         m->links().forEachFlit(
-            [&](Cycle, unsigned, const Flit &) { ++on_links; });
+            [&](unsigned, const Flit &) { ++on_links; });
     }
     const NetStats &st = net.stats();
     EXPECT_EQ(st.packetsEjected, 0u);

@@ -22,8 +22,7 @@ namespace
 struct SoakConfig
 {
     const char *name;
-    std::string routing;
-    bool checkerboard; // placement + half routers
+    bool checkerboard; // placement + half routers, so CR routing
     unsigned flitBytes;
     unsigned vcsPerClass;
     unsigned mcInjPorts;
@@ -66,7 +65,6 @@ TEST_P(NetworkSoak, ConservationUnderRandomTraffic)
 {
     const auto &cfg = GetParam();
     MeshNetworkParams p;
-    p.routing = cfg.routing;
     p.flitBytes = cfg.flitBytes;
     p.vcsPerClass = cfg.vcsPerClass;
     p.mcInjPorts = cfg.mcInjPorts;
@@ -167,19 +165,18 @@ TEST_P(NetworkSoak, ConservationUnderRandomTraffic)
 INSTANTIATE_TEST_SUITE_P(
     Organizations, NetworkSoak,
     ::testing::Values(
-        SoakConfig{"baseline", "xy", false, 16, 1, 1, 1, false},
-        SoakConfig{"yx", "yx", false, 16, 1, 1, 1, false},
-        SoakConfig{"wide", "xy", false, 32, 1, 1, 1, false},
-        SoakConfig{"dor4vc", "xy", false, 16, 2, 1, 1, false},
-        SoakConfig{"cpcr", "cr", true, 16, 1, 1, 1, false},
-        SoakConfig{"cpcr2p", "cr", true, 16, 1, 2, 1, false},
-        SoakConfig{"cpcr2ej", "cr", true, 16, 1, 1, 2, false},
-        SoakConfig{"double", "cr", true, 16, 1, 1, 1, true},
-        SoakConfig{"double2p", "cr", true, 16, 1, 2, 1, true},
+        SoakConfig{"baseline", false, 16, 1, 1, 1, false},
+        SoakConfig{"wide", false, 32, 1, 1, 1, false},
+        SoakConfig{"dor4vc", false, 16, 2, 1, 1, false},
+        SoakConfig{"cpcr", true, 16, 1, 1, 1, false},
+        SoakConfig{"cpcr2p", true, 16, 1, 2, 1, false},
+        SoakConfig{"cpcr2ej", true, 16, 1, 1, 2, false},
+        SoakConfig{"double", true, 16, 1, 1, 1, true},
+        SoakConfig{"double2p", true, 16, 1, 2, 1, true},
         // 2 protocol classes x 4 VCs and 4 MC injection ports: an MC
         // router has 4 + 4 inputs of 8 VCs, exactly the 64 input VCs a
         // router takes, so its stage masks use every bit.
-        SoakConfig{"vc64mc4p", "xy", false, 16, 4, 4, 2, false, true}),
+        SoakConfig{"vc64mc4p", false, 16, 4, 4, 2, false, true}),
     [](const auto &info) { return std::string(info.param.name); });
 
 } // namespace

@@ -122,47 +122,37 @@ constexpr Cycle SAT_CYCLES = 1200;
 /** saturate() digest of each case, recorded while the reference
  *  schedulers existed and agreed with the production one on it. */
 const std::map<std::string, std::string> RECORDED = {
-    {"skip_single_t1_clean_11", "bff279e301bbe41c"},
-    {"skip_double_t1_clean_11", "ae25369b47802794"},
+    {"single_11", "bff279e301bbe41c"},
+    {"double_11", "ae25369b47802794"},
     {"backpressure", "52b4396023c2ceb7"},
     {"mc_multi_port", "0b3e1c8ddc3ca197"},
 };
 
-/** (seed, sliced, faults).  The fault-injection axis is retired and
- *  always false; it stays in the tuple so the printed parameters, and
- *  with them the instance names, are unchanged. */
+/** (seed, sliced). */
 class NiSaturationEquivalence
-    : public ::testing::TestWithParam<
-          std::tuple<std::uint64_t, bool, bool>>
+    : public ::testing::TestWithParam<std::tuple<std::uint64_t, bool>>
 {};
 
 std::string
-satCaseName(const ::testing::TestParamInfo<
-            std::tuple<std::uint64_t, bool, bool>> &info)
+satCaseName(
+    const ::testing::TestParamInfo<std::tuple<std::uint64_t, bool>> &info)
 {
-    const auto [seed, sliced, faults] = info.param;
-    // "skip", "_t1" and "_clean" name the idle-skip, one-thread,
-    // fault-free cycle every instance runs; they keep the instance
-    // names stable.
-    std::string s = "skip";
-    s += sliced ? "_double_t1" : "_single_t1";
-    s += "_clean_" + std::to_string(seed);
-    return s;
+    const auto [seed, sliced] = info.param;
+    return (sliced ? "double_" : "single_") + std::to_string(seed);
 }
 
 TEST_P(NiSaturationEquivalence, MatchesReferenceScheduler)
 {
-    const auto [seed, sliced, faults] = GetParam();
-    ASSERT_FALSE(faults);
+    const auto [seed, sliced] = GetParam();
     expectRecordedDigest(RECORDED, satCaseName({GetParam(), 0}),
                          saturate(baseParams(seed), sliced, seed,
                                   SAT_CYCLES));
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    ToggleCross, NiSaturationEquivalence,
+    SeedsAndSlicing, NiSaturationEquivalence,
     ::testing::Combine(::testing::Values<std::uint64_t>(11),
-                       ::testing::Bool(), ::testing::Values(false)),
+                       ::testing::Bool()),
     satCaseName);
 
 TEST(NiSaturation, ArrivalSleepInvariantUnderBackpressure)

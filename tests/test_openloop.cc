@@ -144,7 +144,6 @@ TEST(OpenLoop, MultiPortMcRaisesSaturationThroughput)
     OpenLoopParams base = quickParams(0.085);
     base.net.topo.placement = McPlacement::CHECKERBOARD;
     base.net.topo.checkerboardRouters = true;
-    base.net.routing = "cr";
     auto r1 = runOpenLoop(base);
     OpenLoopParams twop = base;
     twop.net.mcInjPorts = 2;

@@ -65,7 +65,7 @@ TEST(RouterConnectivity, FullRouterConnectsEverything)
 
 TEST(RouterConnectivity, HalfRouterRestrictsToStraightThrough)
 {
-    OneRouter one(routerParams(true), 1, 0, cbParams(), "cr");
+    OneRouter one(routerParams(true), 1, 0, cbParams());
     const Router &r = one.r;
     // Fig. 13: E<->W and N<->S only.
     EXPECT_TRUE(r.connectivityAllows(DIR_WEST, DIR_EAST));

@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit and property tests for the routing algorithms — in particular
- * the checkerboard routing invariants of Sec. IV-B:
+ * Unit and property tests for XY and checkerboard routing, in
+ * particular the checkerboard routing invariants of Sec. IV-B:
  *   (1) every core<->MC (and core<->core involving a half-router pair)
  *       route is feasible,
  *   (2) packets never turn at a half-router,
@@ -84,7 +84,7 @@ TEST(DorRouting, XyGoesXThenY)
 {
     TopologyParams tp;
     Topology t(tp);
-    Routing xy(t, "xy");
+    Routing xy(t);
     Rng rng(1);
     Packet pkt;
     pkt.src = t.nodeAt(0, 0);
@@ -98,23 +98,25 @@ TEST(DorRouting, XyGoesXThenY)
 
 TEST(DorRouting, YxGoesYThenX)
 {
+    // YX is CR's one-bit choice; route() follows the header alone, so
+    // a YX header routes YX on any mesh.
     TopologyParams tp;
     Topology t(tp);
-    Routing yx(t, "yx");
-    Rng rng(1);
+    Routing routing(t);
     Packet pkt;
     pkt.src = t.nodeAt(0, 0);
     pkt.dst = t.nodeAt(3, 2);
-    yx.initPacket(pkt, rng);
-    EXPECT_EQ(yx.route(t.nodeAt(0, 0), pkt), DIR_SOUTH);
-    EXPECT_EQ(yx.route(t.nodeAt(0, 2), pkt), DIR_EAST);
+    pkt.mode = RouteMode::YX;
+    EXPECT_EQ(routing.route(t.nodeAt(0, 0), pkt), DIR_SOUTH);
+    EXPECT_EQ(routing.route(t.nodeAt(0, 2), pkt), DIR_EAST);
+    EXPECT_EQ(routing.route(t.nodeAt(3, 2), pkt), PORT_EJECT);
 }
 
 TEST(DorRouting, AllPairsMinimal)
 {
     TopologyParams tp;
     Topology t(tp);
-    Routing xy(t, "xy");
+    Routing xy(t);
     Rng rng(2);
     for (NodeId s = 0; s < t.numNodes(); ++s) {
         for (NodeId d = 0; d < t.numNodes(); ++d) {
@@ -129,16 +131,28 @@ TEST(DorRouting, AllPairsMinimal)
 
 TEST(CheckerboardRouting, RequiresCheckerboardMesh)
 {
-    TopologyParams tp; // full routers only
+    // Full routers take every turn, so their mesh routes XY alone: no
+    // packet gets a CR mode and one routing class suffices.
+    TopologyParams tp;
     Topology t(tp);
-    EXPECT_DEATH({ Routing cr(t, "cr"); },
-                 "requires a checkerboard mesh");
+    Routing routing(t);
+    EXPECT_EQ(routing.numRouteClasses(), 1u);
+    Rng rng(4);
+    for (NodeId s = 0; s < t.numNodes(); ++s) {
+        for (NodeId d = 0; d < t.numNodes(); ++d) {
+            Packet pkt;
+            pkt.src = s;
+            pkt.dst = d;
+            routing.initPacket(pkt, rng);
+            EXPECT_EQ(pkt.mode, RouteMode::XY) << s << " -> " << d;
+        }
+    }
 }
 
 TEST(CheckerboardRouting, XyWhenTurnNodeIsFull)
 {
     Topology t = checkerboardTopo();
-    Routing cr(t, "cr");
+    Routing cr(t);
     Rng rng(3);
     // (0,0) full -> (3,0)? parity(3,0)=1 half. dst (3,2): turn node
     // (3,0) is half => XY infeasible; YX turn (0,2) parity 0 full.
@@ -157,7 +171,7 @@ TEST(CheckerboardRouting, XyWhenTurnNodeIsFull)
 TEST(CheckerboardRouting, StraightRoutesAreXy)
 {
     Topology t = checkerboardTopo();
-    Routing cr(t, "cr");
+    Routing cr(t);
     Rng rng(4);
     Packet pkt;
     pkt.src = t.nodeAt(1, 0);
@@ -172,7 +186,7 @@ TEST(CheckerboardRouting, StraightRoutesAreXy)
 TEST(CheckerboardRouting, Case2NeedsTwoPhase)
 {
     Topology t = checkerboardTopo();
-    Routing cr(t, "cr");
+    Routing cr(t);
     Rng rng(5);
     // Half (1,0) -> half (3,2): even columns apart, different rows:
     // XY turn (3,0) half, YX turn (1,2) half -> two-phase (Fig 12(c)).
@@ -197,7 +211,7 @@ TEST(CheckerboardRouting, Case2NeedsTwoPhase)
 TEST(CheckerboardRouting, TwoPhaseCandidatesAllValid)
 {
     Topology t = checkerboardTopo();
-    Routing cr(t, "cr");
+    Routing cr(t);
     const NodeId src = t.nodeAt(1, 0);
     const NodeId dst = t.nodeAt(3, 2);
     const auto cands = cr.twoPhaseCandidates(src, dst);
@@ -211,7 +225,7 @@ TEST(CheckerboardRouting, TwoPhaseCandidatesAllValid)
 TEST(CheckerboardRouting, FullToFullOddDistanceIsImpossible)
 {
     Topology t = checkerboardTopo();
-    Routing cr(t, "cr");
+    Routing cr(t);
     Rng rng(6);
     // Fig. 12(a): full (0,0) to full (1,1): odd columns and rows away;
     // not routable on a checkerboard mesh.  Our traffic never needs
@@ -233,7 +247,7 @@ TEST(CheckerboardRouting, FullToFullOddDistanceIsImpossible)
 TEST(CheckerboardRouting, TopEdgeOddPairHasNoWaypoint)
 {
     Topology t = checkerboardTopo();
-    Routing cr(t, "cr");
+    Routing cr(t);
     Rng rng(8);
     const NodeId src = t.nodeAt(0, 0), dst = t.nodeAt(1, 3);
     EXPECT_TRUE(cr.twoPhaseCandidates(src, dst).empty());
@@ -246,7 +260,7 @@ TEST(CheckerboardRouting, TopEdgeOddPairHasNoWaypoint)
 TEST(CheckerboardRouting, BottomEdgeOddPairHasNoWaypoint)
 {
     Topology t = checkerboardTopo();
-    Routing cr(t, "cr");
+    Routing cr(t);
     Rng rng(8);
     const NodeId src = t.nodeAt(1, 5), dst = t.nodeAt(2, 2);
     EXPECT_TRUE(cr.twoPhaseCandidates(src, dst).empty());
@@ -259,7 +273,7 @@ TEST(CheckerboardRouting, BottomEdgeOddPairHasNoWaypoint)
 TEST(CheckerboardRouting, LeftEdgeOddPairHasNoWaypoint)
 {
     Topology t = checkerboardTopo();
-    Routing cr(t, "cr");
+    Routing cr(t);
     Rng rng(8);
     const NodeId src = t.nodeAt(0, 2), dst = t.nodeAt(3, 5);
     EXPECT_TRUE(cr.twoPhaseCandidates(src, dst).empty());
@@ -272,7 +286,7 @@ TEST(CheckerboardRouting, LeftEdgeOddPairHasNoWaypoint)
 TEST(CheckerboardRouting, RightEdgeOddPairHasNoWaypoint)
 {
     Topology t = checkerboardTopo();
-    Routing cr(t, "cr");
+    Routing cr(t);
     Rng rng(8);
     const NodeId src = t.nodeAt(5, 1), dst = t.nodeAt(2, 4);
     EXPECT_TRUE(cr.twoPhaseCandidates(src, dst).empty());
@@ -289,7 +303,7 @@ TEST(CheckerboardRouting, EveryWaypointTurnsOnlyAtFullRouters)
     // must be full routers, and the realized walk never turns at a
     // half-router.
     Topology t = checkerboardTopo();
-    Routing cr(t, "cr");
+    Routing cr(t);
     Rng rng(9);
     for (NodeId s = 0; s < t.numNodes(); ++s) {
         for (NodeId d = 0; d < t.numNodes(); ++d) {
@@ -324,7 +338,7 @@ TEST_P(CrPropertyTest, AllMemoryTrafficRoutesAreMinimalAndLegal)
 {
     auto [rows, cols, mcs] = GetParam();
     Topology t = checkerboardTopo(rows, cols, mcs);
-    Routing cr(t, "cr");
+    Routing cr(t);
     Rng rng(7);
 
     for (NodeId core : t.computeNodes()) {
@@ -363,7 +377,7 @@ TEST(CheckerboardRouting, McToMcRoutable)
 {
     // L2 miss traffic between half-routers must work (Sec. IV-A).
     Topology t = checkerboardTopo();
-    Routing cr(t, "cr");
+    Routing cr(t);
     Rng rng(8);
     for (NodeId a : t.mcNodes()) {
         for (NodeId b : t.mcNodes()) {
@@ -379,51 +393,30 @@ TEST(CheckerboardRouting, McToMcRoutable)
 
 TEST(MakeRouting, FactoryNames)
 {
-    // Each name fixes the mode initPacket gives a turning packet.
+    // Routing takes no name: the router kind fixes the mode initPacket
+    // gives a turning packet.
     const Topology cb = checkerboardTopo();
     const Topology full{TopologyParams{}};
     Rng rng(10);
     Packet pkt;
     pkt.src = full.nodeAt(0, 0);
     pkt.dst = full.nodeAt(3, 2);
-    Routing(full, "xy").initPacket(pkt, rng);
+    Routing(full).initPacket(pkt, rng);
     EXPECT_EQ(pkt.mode, RouteMode::XY);
-    Routing(full, "yx").initPacket(pkt, rng);
-    EXPECT_EQ(pkt.mode, RouteMode::YX);
     // (0,0) -> (3,2) on the checkerboard: the XY turn (3,0) is a
     // half-router, so CR picks YX.
-    Routing(cb, "cr").initPacket(pkt, rng);
+    Routing(cb).initPacket(pkt, rng);
     EXPECT_EQ(pkt.mode, RouteMode::YX);
-    EXPECT_EQ(Routing(cb, "cr").numRouteClasses(), 2u);
-    EXPECT_EQ(Routing(full, "xy").numRouteClasses(), 1u);
-    EXPECT_EQ(Routing(full, "yx").numRouteClasses(), 1u);
+    EXPECT_EQ(Routing(cb).numRouteClasses(), 2u);
+    EXPECT_EQ(Routing(full).numRouteClasses(), 1u);
 }
 
 TEST(MakeRouting, RouteClassesOfMatchesTheBuiltAlgorithm)
 {
-    const Topology cb = checkerboardTopo();
-    const Topology full{TopologyParams{}};
-    for (const char *name : {"xy", "yx", "cr"}) {
-        const std::string n = name;
-        const Topology &t = n == "cr" ? cb : full;
-        EXPECT_EQ(routeClassesOf(n), Routing(t, n).numRouteClasses())
-            << n;
-    }
-    // One name per algorithm: no aliases, and the retired algorithms
-    // are unknown.
-    for (const char *name : {"bogus", "dor", "checkerboard", "o1turn",
-                             "romm", "valiant"})
-        EXPECT_EQ(routeClassesOf(name), 0u) << name;
-}
-
-TEST(MakeRoutingDeath, UnknownNameIsFatal)
-{
-    Topology t = checkerboardTopo();
-    for (const char *name : {"bogus", "dor", "checkerboard", "valiant"}) {
-        EXPECT_EXIT({ Routing r(t, name); }, ::testing::ExitedWithCode(1),
-                    std::string("unknown routing algorithm '") + name +
-                        "'; noc.routing takes xy, yx or cr")
-            << name;
+    for (const Topology &t : {checkerboardTopo(), Topology{{}}}) {
+        EXPECT_EQ(routeClassesOf(t.params()),
+                  Routing(t).numRouteClasses())
+            << t.params().checkerboardRouters;
     }
 }
 
