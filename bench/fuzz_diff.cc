@@ -13,17 +13,24 @@
  * Bare FILE operands are replay files as well, so find/xargs can batch
  * them: `find tests/corpus -name '*.cfg' -exec fuzz_diff --replay {} +`.
  *
+ * Replay files are Config key files (noc.* mesh keys plus the harness
+ * keys; see diffConfigFromConfig), and so are the repros it writes.
+ *
  * Exit status: 0 when every config passes, 1 on any violation (or
- * usage error).  CI runs `fuzz_diff --configs 50 --seed <PR number>`
- * as a smoke job so every PR fuzzes a distinct slice of the space.
+ * usage error: an unknown option, or a --configs/--seed value that is
+ * not a whole unsigned number).  CI runs
+ * `fuzz_diff --configs 50 --seed <PR number>` as a smoke job so every
+ * PR fuzzes a distinct slice of the space.
  */
 
+#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -39,6 +46,26 @@ usage(const char *argv0)
     std::cerr << "usage: " << argv0
               << " [--configs N] [--seed S] [--out DIR]"
                  " [--replay FILE]... [FILE]...\n";
+}
+
+/** Parses all of `text` as a decimal unsigned number, or exits 1
+ *  with usage: "banana", "x7", "-1" and an out-of-range value are all
+ *  refused rather than read as 0 or wrapped. */
+template <typename T>
+T
+wholeNumber(const char *argv0, const std::string &text)
+{
+    T v{};
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    if (text.empty() || ec != std::errc() || ptr != end) {
+        std::cerr << argv0 << ": '" << text
+                  << "' is not a whole unsigned number (0 to "
+                  << std::numeric_limits<T>::max() << ")\n";
+        usage(argv0);
+        std::exit(1);
+    }
+    return v;
 }
 
 bool
@@ -80,9 +107,9 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--configs") {
-            configs = static_cast<unsigned>(std::strtoul(next(), nullptr, 0));
+            configs = wholeNumber<unsigned>(argv[0], next());
         } else if (arg == "--seed") {
-            seed = std::strtoull(next(), nullptr, 0);
+            seed = wholeNumber<std::uint64_t>(argv[0], next());
         } else if (arg == "--out") {
             out_dir = next();
         } else if (arg == "--replay") {
@@ -102,17 +129,16 @@ main(int argc, char **argv)
 
     // Replay mode: run the oracle battery on explicit corpus files.
     for (const std::string &path : replays) {
-        std::string text, err;
-        tenoc::DiffConfig cfg;
+        std::string text;
         if (!readFile(path, text)) {
             std::cerr << "fuzz_diff: cannot read " << path << "\n";
             return 1;
         }
-        if (!tenoc::DiffConfig::parse(text, cfg, &err)) {
-            std::cerr << "fuzz_diff: " << path << ": " << err << "\n";
-            return 1;
-        }
-        const tenoc::DiffReport rep = tenoc::runDiff(cfg);
+        // A malformed or illegal file is fatal (exit 1), naming the key.
+        tenoc::Config keys;
+        keys.parseText(text);
+        const tenoc::DiffReport rep =
+            tenoc::runDiff(tenoc::diffConfigFromConfig(keys));
         if (rep.ok()) {
             std::cout << "replay PASS " << path << " digest "
                       << std::hex << std::setw(16) << std::setfill('0')
@@ -160,7 +186,7 @@ main(int argc, char **argv)
             tenoc::runDiff(minimal);
         for (const std::string &v : minimal_rep.violations)
             out << "# violation: " << v << "\n";
-        out << minimal.serialize();
+        out << tenoc::toConfig(minimal).toText();
         std::cerr << "  minimized repro written to " << path.string()
                   << "\n";
     }

@@ -5,7 +5,7 @@
 
 #include "accel/chip_config.hh"
 
-#include <cstdint>
+#include <iterator>
 #include <set>
 
 #include "common/log.hh"
@@ -161,17 +161,15 @@ configIdFromName(const std::string &name)
 ChipParams
 chipParamsFromConfig(const Config &cfg)
 {
-    static const std::set<std::string> known = {
-        "base", "noc.rows", "noc.cols", "noc.mcs", "noc.placement",
-        "noc.halfRouters", "noc.flitBytes", "noc.vcsPerClass",
-        "noc.vcDepth", "noc.pipelineDepth", "noc.halfPipelineDepth",
-        "noc.mcInjPorts", "noc.mcEjPorts", "noc.sliced", "clk.coreMhz",
-        "clk.icntMhz", "clk.memMhz", "mc.inputQueueCap", "mc.l2HitLatency",
-        "dram.queueCapacity", "dram.banks", "dram.rowBytes", "sim.seed",
-        "sim.maxIcntCycles", "noc.validate", "noc.validateInterval",
-        "noc.watchdogWindow", "noc.maxPacketAge",
-        "noc.watchdogSnapshotPath",
-    };
+    static const std::set<std::string> known = [] {
+        std::set<std::string> keys(std::begin(MESH_CONFIG_KEYS),
+                                   std::end(MESH_CONFIG_KEYS));
+        keys.insert({"base", "noc.sliced", "clk.coreMhz", "clk.icntMhz",
+                     "clk.memMhz", "mc.inputQueueCap", "mc.l2HitLatency",
+                     "dram.queueCapacity", "dram.banks", "dram.rowBytes",
+                     "sim.seed", "sim.maxIcntCycles"});
+        return keys;
+    }();
     for (const auto &key : cfg.keys()) {
         if (!known.count(key))
             tenoc_fatal("unknown configuration key '", key, "'");
@@ -181,55 +179,12 @@ chipParamsFromConfig(const Config &cfg)
         configIdFromName(cfg.getString("base", "baseline")),
         cfg.getUint("sim.seed", 1));
 
-    // Reads a 32-bit field; a plain cast would wrap a larger value into
-    // a small, valid-looking one (noc.rows=4294967302 would give 6).
-    const auto getU32 = [&cfg](const char *key, unsigned def) {
-        const std::uint64_t v = cfg.getUint(key, def);
-        if (v > UINT32_MAX) {
-            tenoc_fatal("config key '", key, "' value ", v,
-                        " exceeds the 32-bit maximum ", UINT32_MAX);
-        }
-        return static_cast<unsigned>(v);
-    };
-
-    auto &m = p.mesh;
-    m.topo.rows = getU32("noc.rows", m.topo.rows);
-    m.topo.cols = getU32("noc.cols", m.topo.cols);
-    m.topo.numMcs = getU32("noc.mcs", m.topo.numMcs);
-    p.mc.numChannels = m.topo.numMcs;
-    if (cfg.has("noc.placement")) {
-        const std::string pl = cfg.getString("noc.placement");
-        if (pl == "top-bottom")
-            m.topo.placement = McPlacement::TOP_BOTTOM;
-        else if (pl == "checkerboard")
-            m.topo.placement = McPlacement::CHECKERBOARD;
-        else
-            tenoc_fatal("unknown placement '", pl, "'");
-    }
-    m.topo.checkerboardRouters =
-        cfg.getBool("noc.halfRouters", m.topo.checkerboardRouters);
-    m.flitBytes = getU32("noc.flitBytes", m.flitBytes);
-    m.vcsPerClass = getU32("noc.vcsPerClass", m.vcsPerClass);
-    m.vcDepth = getU32("noc.vcDepth", m.vcDepth);
-    m.pipelineDepth = getU32("noc.pipelineDepth", m.pipelineDepth);
-    m.halfPipelineDepth =
-        getU32("noc.halfPipelineDepth", m.halfPipelineDepth);
-    m.mcInjPorts = getU32("noc.mcInjPorts", m.mcInjPorts);
-    m.mcEjPorts = getU32("noc.mcEjPorts", m.mcEjPorts);
+    p.mesh = meshParamsFromConfig(cfg, p.mesh);
+    p.mc.numChannels = p.mesh.topo.numMcs;
     if (cfg.has("noc.sliced")) {
         p.netKind = cfg.getBool("noc.sliced", false)
             ? NetKind::DOUBLE : NetKind::MESH;
     }
-
-    // Hardening knobs (noc/invariants.hh).
-    m.validate = cfg.getBool("noc.validate", m.validate);
-    m.validateInterval =
-        cfg.getUint("noc.validateInterval", m.validateInterval);
-    m.watchdogWindow =
-        cfg.getUint("noc.watchdogWindow", m.watchdogWindow);
-    m.maxPacketAge = cfg.getUint("noc.maxPacketAge", m.maxPacketAge);
-    m.watchdogSnapshotPath = cfg.getString("noc.watchdogSnapshotPath",
-                                           m.watchdogSnapshotPath);
 
     p.coreClockMhz = cfg.getDouble("clk.coreMhz", p.coreClockMhz);
     p.icntClockMhz = cfg.getDouble("clk.icntMhz", p.icntClockMhz);
@@ -242,14 +197,15 @@ chipParamsFromConfig(const Config &cfg)
                     ")");
     }
 
-    p.mc.inputQueueCap = getU32("mc.inputQueueCap", p.mc.inputQueueCap);
-    p.mc.l2HitLatency = getU32("mc.l2HitLatency", p.mc.l2HitLatency);
+    p.mc.inputQueueCap =
+        cfg.getUint32("mc.inputQueueCap", p.mc.inputQueueCap);
+    p.mc.l2HitLatency = cfg.getUint32("mc.l2HitLatency", p.mc.l2HitLatency);
     p.mc.dram.queueCapacity =
-        getU32("dram.queueCapacity", p.mc.dram.queueCapacity);
+        cfg.getUint32("dram.queueCapacity", p.mc.dram.queueCapacity);
     p.mc.dram.timing.numBanks =
-        getU32("dram.banks", p.mc.dram.timing.numBanks);
+        cfg.getUint32("dram.banks", p.mc.dram.timing.numBanks);
     p.mc.dram.timing.rowBytes =
-        getU32("dram.rowBytes", p.mc.dram.timing.rowBytes);
+        cfg.getUint32("dram.rowBytes", p.mc.dram.timing.rowBytes);
     if (p.mc.dram.queueCapacity == 0) {
         tenoc_fatal("invalid DRAM config: 'dram.queueCapacity' must be"
                     " at least 1 (got 0)");
@@ -265,10 +221,18 @@ chipParamsFromConfig(const Config &cfg)
 
     p.maxIcntCycles = cfg.getUint("sim.maxIcntCycles",
                                   p.maxIcntCycles);
-    // Fail on a mesh the routers cannot build (over 64 input VCs, say)
-    // now, naming the keys, rather than when the network is built.
-    if (p.netKind == NetKind::MESH || p.netKind == NetKind::DOUBLE)
-        validateMeshNetworkParams(m);
+    // Fail on a mesh that cannot simulate (over 64 input VCs, say) now,
+    // naming the keys, rather than when the network is built.  A
+    // perfect or BW-limited network builds no routers, but its
+    // terminals still sit on the mesh topology.
+    MeshNetworkParams checked;
+    checked.topo = p.mesh.topo;
+    const bool routers =
+        p.netKind == NetKind::MESH || p.netKind == NetKind::DOUBLE;
+    if (const std::string why = meshParamsError(
+            routers ? p.mesh : checked, p.netKind == NetKind::DOUBLE);
+        !why.empty())
+        tenoc_fatal("invalid network config: ", why);
     return p;
 }
 

@@ -95,20 +95,26 @@ double dramBandwidthFlitsPerIcntCycle(const ChipParams &p);
  *   base            = name of a base config (default "baseline"):
  *                     baseline | 2x | 1cyc | perfect | cp |
  *                     cp-dor-4vc | cp-cr | double | thr-eff | cp-cr-2p
- *   noc.rows, noc.cols, noc.mcs
- *   noc.placement   = top-bottom | checkerboard
- *   noc.halfRouters = bool (half-routers route CR, full routers XY)
- *   noc.flitBytes, noc.vcsPerClass, noc.vcDepth, noc.pipelineDepth,
- *   noc.halfPipelineDepth, noc.mcInjPorts, noc.mcEjPorts, noc.sliced
+ *   noc.sliced      = bool (the channel-sliced double network)
+ *   the mesh keys meshParamsFromConfig reads (MESH_CONFIG_KEYS):
+ *     noc.rows, noc.cols, noc.mcs
+ *     noc.placement   = top-bottom | checkerboard
+ *     noc.halfRouters = bool (half-routers route CR, full routers XY)
+ *     noc.flitBytes, noc.vcsPerClass, noc.vcDepth, noc.pipelineDepth,
+ *     noc.halfPipelineDepth, noc.mcInjPorts, noc.mcEjPorts
+ *     noc.validate, noc.validateInterval, noc.watchdogWindow,
+ *     noc.maxPacketAge, noc.watchdogSnapshotPath
  *   clk.coreMhz, clk.icntMhz, clk.memMhz
  *   mc.inputQueueCap, mc.l2HitLatency
  *   dram.queueCapacity, dram.banks, dram.rowBytes
  *   sim.seed, sim.maxIcntCycles
  *
  * Unknown keys are fatal (catching typos in experiment scripts), and
- * so is a mesh router past the model's limits: 64 input VCs, that is
- * (4 + noc.mcInjPorts) inputs x protocol x routing classes x
- * noc.vcsPerClass, and 64 outputs, 4 + noc.mcEjPorts.
+ * so is any mesh meshParamsError refuses: a degenerate or oversized
+ * mesh, no MCs, a router past the model's limits (64 input VCs, that
+ * is (4 + noc.mcInjPorts) inputs x protocol x routing classes x
+ * noc.vcsPerClass, and 64 outputs, 4 + noc.mcEjPorts), and so on.
+ * A perfect or BW-limited chip is checked for its topology only.
  */
 ChipParams chipParamsFromConfig(const Config &cfg);
 

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <sstream>
 
 namespace tenoc
@@ -76,9 +77,10 @@ Config::set(const std::string &key, unsigned value)
 void
 Config::set(const std::string &key, double value)
 {
-    std::ostringstream os;
-    os << value;
-    values_[key] = os.str();
+    // The shortest text that reads back as the same double.
+    char buf[32];
+    const auto end = std::to_chars(buf, buf + sizeof buf, value).ptr;
+    values_[key] = std::string(buf, end);
 }
 
 bool
@@ -150,6 +152,17 @@ Config::getUint(const std::string &key, std::uint64_t def) const
         tenoc_fatal("config key '", key, "' has non-integer value '",
                     it->second, "'");
     }
+}
+
+std::uint32_t
+Config::getUint32(const std::string &key, std::uint32_t def) const
+{
+    const std::uint64_t v = getUint(key, def);
+    if (v > UINT32_MAX) {
+        tenoc_fatal("config key '", key, "' value ", v,
+                    " exceeds the 32-bit maximum ", UINT32_MAX);
+    }
+    return static_cast<std::uint32_t>(v);
 }
 
 double

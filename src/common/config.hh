@@ -48,6 +48,10 @@ class Config
     bool getBool(const std::string &key, bool def) const;
     std::int64_t getInt(const std::string &key, std::int64_t def) const;
     std::uint64_t getUint(const std::string &key, std::uint64_t def) const;
+    /** getUint bounded to 32 bits: a larger value is fatal rather
+     *  than wrapped into a small, valid-looking one. */
+    std::uint32_t getUint32(const std::string &key,
+                            std::uint32_t def) const;
     double getDouble(const std::string &key, double def) const;
 
     /**

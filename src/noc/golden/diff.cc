@@ -10,9 +10,8 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
-#include <sstream>
-#include <stdexcept>
+#include <iterator>
+#include <set>
 
 #include "common/log.hh"
 #include "noc/golden/golden.hh"
@@ -24,23 +23,18 @@ namespace tenoc
 namespace
 {
 
-/** Count of odd-parity (half-router) cells on a rows x cols mesh. */
-unsigned
-oddParityCells(unsigned rows, unsigned cols)
-{
-    return rows * cols / 2;
-}
-
 /**
  * Independent checkerboard routability predicate (Sec. IV-B): the only
  * pairs CR cannot route are full-router to full-router with both
  * coordinate offsets odd — then both DOR turn nodes and every minimal-
- * quadrant waypoint's second-leg turn land on half-routers.
+ * quadrant waypoint's second-leg turn land on half-routers.  XY on
+ * full routers (with either MC placement) routes every pair.
  */
 bool
 crUnroutable(const Topology &topo, NodeId src, NodeId dst)
 {
-    if (topo.isHalfRouter(src) || topo.isHalfRouter(dst))
+    if (!topo.params().checkerboardRouters || topo.isHalfRouter(src) ||
+        topo.isHalfRouter(dst))
         return false;
     const unsigned dx = topo.xOf(src) > topo.xOf(dst)
         ? topo.xOf(src) - topo.xOf(dst)
@@ -52,14 +46,9 @@ crUnroutable(const Topology &topo, NodeId src, NodeId dst)
 }
 
 bool
-routablePair(const DiffConfig &cfg, const Topology &topo, NodeId src,
-             NodeId dst)
+routablePair(const Topology &topo, NodeId src, NodeId dst)
 {
-    if (src == dst)
-        return false;
-    if (cfg.checkerboard)
-        return !crUnroutable(topo, src, dst);
-    return true;
+    return src != dst && !crUnroutable(topo, src, dst);
 }
 
 /** Caps a violation list so one broken config can't flood the log. */
@@ -79,18 +68,17 @@ void
 routingSweepOracle(const DiffConfig &cfg,
                    std::vector<std::string> &violations)
 {
-    const MeshNetworkParams np = cfg.toNetParams();
-    Topology topo(np.topo);
+    Topology topo(cfg.mesh.topo);
     const Routing algo(topo);
-    GoldenModel golden(topo, np);
-    Rng rng(deriveStreamSeed(cfg.seed, 0x5eedULL));
+    GoldenModel golden(topo, cfg.mesh);
+    Rng rng(deriveStreamSeed(cfg.mesh.seed, 0x5eedULL));
 
     std::vector<NodeId> expect, actual;
     for (NodeId src = 0; src < topo.numNodes(); ++src) {
         for (NodeId dst = 0; dst < topo.numNodes(); ++dst) {
             if (src == dst || full(violations))
                 continue;
-            if (cfg.checkerboard && crUnroutable(topo, src, dst)) {
+            if (crUnroutable(topo, src, dst)) {
                 // The implementation must agree these are impossible:
                 // an empty waypoint set (initPacket would panic, which
                 // the death tests cover; here we introspect instead).
@@ -209,7 +197,7 @@ class TrafficSchedule
         : cfg_(cfg), topo_(topo)
     {
         for (NodeId n = 0; n < topo.numNodes(); ++n)
-            rngs_.emplace_back(deriveStreamSeed(cfg.seed, n));
+            rngs_.emplace_back(deriveStreamSeed(cfg.mesh.seed, n));
     }
 
     /** Appends this cycle's new packets (in node order) to `out`. */
@@ -394,7 +382,7 @@ shadowRun(const DiffConfig &cfg, bool validate,
     const std::string run =
         std::string("shadow run (validate=") + (validate ? "1" : "0") + ")";
 
-    MeshNetworkParams np = cfg.toNetParams();
+    MeshNetworkParams np = cfg.mesh;
     np.validate = validate;
     np.watchdogWindow = DRAIN_CAP / 2;
 
@@ -493,10 +481,9 @@ void
 zeroLoadOracle(const DiffConfig &cfg, const DiffOptions &opts,
                std::vector<std::string> &violations)
 {
-    MeshNetworkParams np = cfg.toNetParams();
-    MeshNetwork net(np);
+    MeshNetwork net(cfg.mesh);
     const Topology &topo = net.topology();
-    GoldenModel golden(topo, np);
+    GoldenModel golden(topo, cfg.mesh);
     GoldenShadow shadow(golden, topo);
     shadow.setExpectZeroLoad(true);
 
@@ -506,14 +493,14 @@ zeroLoadOracle(const DiffConfig &cfg, const DiffOptions &opts,
         net.setSink(n, sinks.back().get());
     }
 
-    Rng rng(deriveStreamSeed(cfg.seed, 0x960b3ULL));
+    Rng rng(deriveStreamSeed(cfg.mesh.seed, 0x960b3ULL));
     Cycle now = 0;
     for (unsigned probe = 0; probe < opts.zeroLoadProbes; ++probe) {
         NodeId src, dst;
         do {
             src = static_cast<NodeId>(rng.nextRange(topo.numNodes()));
             dst = static_cast<NodeId>(rng.nextRange(topo.numNodes()));
-        } while (!routablePair(cfg, topo, src, dst));
+        } while (!routablePair(topo, src, dst));
 
         auto pkt = makePacket();
         pkt->src = src;
@@ -524,7 +511,7 @@ zeroLoadOracle(const DiffConfig &cfg, const DiffOptions &opts,
         // one VC buffer; larger packets stall on the credit round trip
         // (those are still covered by the shadow run's lower bound).
         pkt->sizeFlits = 1 + static_cast<unsigned>(rng.nextRange(
-            std::min<std::uint64_t>(4, cfg.vcDepth)));
+            std::min<std::uint64_t>(4, cfg.mesh.vcDepth)));
         pkt->sizeBytes = pkt->sizeFlits * net.flitBytes();
         pkt->createdCycle = now;
         const Packet *held = pkt.get();
@@ -564,7 +551,7 @@ void
 slicedEquivalenceOracle(const DiffConfig &cfg,
                         std::vector<std::string> &violations)
 {
-    MeshNetworkParams np = cfg.toNetParams();
+    MeshNetworkParams np = cfg.mesh;
     np.watchdogWindow = DRAIN_CAP / 2;
 
     // Pass 1: the real DoubleNetwork.
@@ -587,7 +574,7 @@ slicedEquivalenceOracle(const DiffConfig &cfg,
         std::vector<std::deque<PacketPtr>> pending(topo.numNodes());
         std::size_t pending_total = 0;
         std::vector<GenPacket> fresh;
-        const unsigned slice_flit_bytes = cfg.flitBytes / 2;
+        const unsigned slice_flit_bytes = cfg.mesh.flitBytes / 2;
 
         Cycle now = 0;
         const Cycle hard_end = cfg.genCycles + DRAIN_CAP;
@@ -654,7 +641,7 @@ slicedEquivalenceOracle(const DiffConfig &cfg,
     std::vector<std::deque<PacketPtr>> pending_rep(topo.numNodes());
     std::size_t pending_total = 0;
     std::vector<GenPacket> fresh;
-    const unsigned slice_flit_bytes = cfg.flitBytes / 2;
+    const unsigned slice_flit_bytes = cfg.mesh.flitBytes / 2;
 
     Cycle now = 0;
     const Cycle hard_end = cfg.genCycles + DRAIN_CAP;
@@ -722,231 +709,105 @@ slicedEquivalenceOracle(const DiffConfig &cfg,
 // DiffConfig
 // ---------------------------------------------------------------------
 
-MeshNetworkParams
-DiffConfig::toNetParams() const
+DiffConfig
+diffConfigFromConfig(const Config &cfg)
 {
-    MeshNetworkParams np;
-    np.topo.rows = rows;
-    np.topo.cols = cols;
-    np.topo.numMcs = numMcs;
-    np.topo.placement = checkerboard ? McPlacement::CHECKERBOARD
-                                     : McPlacement::TOP_BOTTOM;
-    np.topo.checkerboardRouters = checkerboard;
-    np.flitBytes = flitBytes;
-    np.protoClasses = protoClasses;
-    np.vcsPerClass = vcsPerClass;
-    np.vcDepth = vcDepth;
-    np.pipelineDepth = pipelineDepth;
-    np.halfPipelineDepth = halfPipelineDepth;
-    np.mcInjPorts = mcInjPorts;
-    np.mcEjPorts = mcEjPorts;
-    np.seed = seed;
-    return np;
+    static const std::set<std::string> known = [] {
+        std::set<std::string> keys(std::begin(MESH_CONFIG_KEYS),
+                                   std::end(MESH_CONFIG_KEYS));
+        keys.insert({"noc.protoClasses", "noc.sliced", "traffic.rate",
+                     "traffic.genCycles", "sim.seed"});
+        return keys;
+    }();
+    for (const auto &key : cfg.keys()) {
+        if (!known.count(key))
+            tenoc_fatal("unknown configuration key '", key, "'");
+    }
+
+    DiffConfig d;
+    d.mesh = meshParamsFromConfig(cfg, d.mesh);
+    d.mesh.protoClasses =
+        cfg.getUint32("noc.protoClasses", d.mesh.protoClasses);
+    d.mesh.seed = cfg.getUint("sim.seed", d.mesh.seed);
+    d.sliced = cfg.getBool("noc.sliced", d.sliced);
+    d.rate = cfg.getDouble("traffic.rate", d.rate);
+    d.genCycles = cfg.getUint("traffic.genCycles", d.genCycles);
+    if (const std::string why = meshParamsError(d.mesh, d.sliced);
+        !why.empty())
+        tenoc_fatal("invalid network config: ", why);
+    if (!(d.rate >= 0.0 && d.rate <= 1.0))
+        tenoc_fatal("traffic.rate must lie in [0, 1] (got ", d.rate, ")");
+    if (d.genCycles < 1)
+        tenoc_fatal("traffic.genCycles must be >= 1");
+    return d;
 }
 
-std::string
-DiffConfig::serialize() const
+Config
+toConfig(const DiffConfig &d)
 {
-    std::ostringstream os;
-    os.precision(17);
-    os << "rows = " << rows << "\n"
-       << "cols = " << cols << "\n"
-       << "numMcs = " << numMcs << "\n"
-       << "checkerboard = " << (checkerboard ? 1 : 0) << "\n"
-       << "flitBytes = " << flitBytes << "\n"
-       << "protoClasses = " << protoClasses << "\n"
-       << "vcsPerClass = " << vcsPerClass << "\n"
-       << "vcDepth = " << vcDepth << "\n"
-       << "pipelineDepth = " << pipelineDepth << "\n"
-       << "halfPipelineDepth = " << halfPipelineDepth << "\n"
-       << "mcInjPorts = " << mcInjPorts << "\n"
-       << "mcEjPorts = " << mcEjPorts << "\n"
-       << "sliced = " << (sliced ? 1 : 0) << "\n"
-       << "rate = " << rate << "\n"
-       << "genCycles = " << genCycles << "\n"
-       << "seed = " << seed << "\n";
-    return os.str();
-}
-
-bool
-DiffConfig::parse(const std::string &text, DiffConfig &out,
-                  std::string *err)
-{
-    auto fail = [&](const std::string &why) {
-        if (err)
-            *err = why;
-        return false;
-    };
-
-    // Whole-value numbers only: std::stoull alone would wrap a leading
-    // '-' modulo 2^64 and stop at trailing junk ("8abc" -> 8), and a
-    // plain cast would wrap a value past its field's width.
-    const auto uintOf = [](const std::string &val, std::uint64_t max) {
-        if (val.find('-') != std::string::npos)
-            throw std::invalid_argument(val);
-        std::size_t pos = 0;
-        const std::uint64_t v = std::stoull(val, &pos);
-        if (pos != val.size() || v > max)
-            throw std::out_of_range(val);
-        return v;
-    };
-    const auto u32 = [&](const std::string &val) {
-        return static_cast<unsigned>(uintOf(val, UINT32_MAX));
-    };
-    const auto doubleOf = [](const std::string &val) {
-        std::size_t pos = 0;
-        const double v = std::stod(val, &pos);
-        if (pos != val.size())
-            throw std::invalid_argument(val);
-        return v;
-    };
-
-    DiffConfig cfg;
-    std::istringstream is(text);
-    std::string line;
-    while (std::getline(is, line)) {
-        const auto hash = line.find('#');
-        if (hash != std::string::npos)
-            line.erase(hash);
-        const auto first = line.find_first_not_of(" \t\r");
-        if (first == std::string::npos)
-            continue;
-        const auto eq = line.find('=');
-        if (eq == std::string::npos)
-            return fail("malformed line (no '='): " + line);
-        auto trim = [](std::string s) {
-            const auto b = s.find_first_not_of(" \t\r");
-            const auto e = s.find_last_not_of(" \t\r");
-            return b == std::string::npos
-                ? std::string()
-                : s.substr(b, e - b + 1);
-        };
-        const std::string key = trim(line.substr(0, eq));
-        const std::string val = trim(line.substr(eq + 1));
-        if (key.empty() || val.empty())
-            return fail("malformed line: " + line);
-
-        try {
-            if (key == "rows")
-                cfg.rows = u32(val);
-            else if (key == "cols")
-                cfg.cols = u32(val);
-            else if (key == "numMcs")
-                cfg.numMcs = u32(val);
-            else if (key == "checkerboard")
-                cfg.checkerboard = uintOf(val, 1) != 0;
-            else if (key == "flitBytes")
-                cfg.flitBytes = u32(val);
-            else if (key == "protoClasses")
-                cfg.protoClasses = u32(val);
-            else if (key == "vcsPerClass")
-                cfg.vcsPerClass = u32(val);
-            else if (key == "vcDepth")
-                cfg.vcDepth = u32(val);
-            else if (key == "pipelineDepth")
-                cfg.pipelineDepth = u32(val);
-            else if (key == "halfPipelineDepth")
-                cfg.halfPipelineDepth = u32(val);
-            else if (key == "mcInjPorts")
-                cfg.mcInjPorts = u32(val);
-            else if (key == "mcEjPorts")
-                cfg.mcEjPorts = u32(val);
-            else if (key == "sliced")
-                cfg.sliced = uintOf(val, 1) != 0;
-            else if (key == "rate")
-                cfg.rate = doubleOf(val);
-            else if (key == "genCycles")
-                cfg.genCycles = uintOf(val, UINT64_MAX);
-            else if (key == "seed")
-                cfg.seed = uintOf(val, UINT64_MAX);
-            else
-                return fail("unknown key: " + key);
-        } catch (const std::exception &) {
-            return fail("bad value for " + key + ": " + val);
-        }
-    }
-    if (!legalDiffConfig(cfg))
-        return fail("parsed config violates the config-space rules");
-    out = cfg;
-    return true;
-}
-
-bool
-legalDiffConfig(const DiffConfig &cfg)
-{
-    if (cfg.rows < 2 || cfg.cols < 2)
-        return false;
-    // A 64-bit product: 32-bit rows x cols wraps.
-    const std::uint64_t nodes = std::uint64_t{cfg.rows} * cfg.cols;
-    if (nodes > UINT32_MAX || cfg.numMcs < 1 || cfg.numMcs >= nodes)
-        return false;
-    if (cfg.checkerboard) {
-        if (cfg.numMcs > oddParityCells(cfg.rows, cfg.cols))
-            return false;
-    } else {
-        // TOP_BOTTOM packs ceil(numMcs/2) MCs into the top row.
-        if ((cfg.numMcs + 1) / 2 > cfg.cols)
-            return false;
-    }
-    if (cfg.flitBytes < 1)
-        return false;
-    if (cfg.protoClasses < 1 || cfg.vcsPerClass < 1 || cfg.vcDepth < 1 ||
-        cfg.vcDepth > VcSlabs::MAX_DEPTH)
-        return false;
-    if (cfg.pipelineDepth < 1 || cfg.halfPipelineDepth < 1 ||
-        cfg.halfPipelineDepth > cfg.pipelineDepth)
-        return false;
-    if (cfg.mcInjPorts < 1 || cfg.mcEjPorts < 1)
-        return false;
-    // The simulator's own router limits: at most 64 input VCs and 64
-    // outputs.
-    if (!routerGeometryError(cfg.toNetParams()).empty())
-        return false;
-    if (cfg.sliced) {
-        if (cfg.protoClasses != 2)
-            return false;
-        if (cfg.flitBytes % 2 != 0 || cfg.flitBytes / 2 < 2)
-            return false;
-    }
-    if (cfg.rate < 0.0 || cfg.rate > 1.0)
-        return false;
-    if (cfg.genCycles < 1)
-        return false;
-    return true;
+    const MeshNetworkParams &m = d.mesh;
+    Config cfg;
+    cfg.set("noc.rows", m.topo.rows);
+    cfg.set("noc.cols", m.topo.cols);
+    cfg.set("noc.mcs", m.topo.numMcs);
+    cfg.set("noc.placement", placementName(m.topo.placement));
+    cfg.set("noc.halfRouters", m.topo.checkerboardRouters);
+    cfg.set("noc.flitBytes", m.flitBytes);
+    cfg.set("noc.protoClasses", m.protoClasses);
+    cfg.set("noc.vcsPerClass", m.vcsPerClass);
+    cfg.set("noc.vcDepth", m.vcDepth);
+    cfg.set("noc.pipelineDepth", m.pipelineDepth);
+    cfg.set("noc.halfPipelineDepth", m.halfPipelineDepth);
+    cfg.set("noc.mcInjPorts", m.mcInjPorts);
+    cfg.set("noc.mcEjPorts", m.mcEjPorts);
+    cfg.set("noc.sliced", d.sliced);
+    cfg.set("traffic.rate", d.rate);
+    cfg.set("traffic.genCycles", std::uint64_t{d.genCycles});
+    cfg.set("sim.seed", m.seed);
+    return cfg;
 }
 
 DiffConfig
 sampleDiffConfig(Rng &rng)
 {
     DiffConfig cfg;
-    cfg.rows = 4 + static_cast<unsigned>(rng.nextRange(5));
-    cfg.cols = 4 + static_cast<unsigned>(rng.nextRange(5));
+    TopologyParams &t = cfg.mesh.topo;
+    t.rows = 4 + static_cast<unsigned>(rng.nextRange(5));
+    t.cols = 4 + static_cast<unsigned>(rng.nextRange(5));
 
-    cfg.checkerboard = rng.nextBool(0.4);
-    if (cfg.checkerboard) {
-        const unsigned cap =
-            std::min(oddParityCells(cfg.rows, cfg.cols), 8u);
-        cfg.numMcs = 2 + static_cast<unsigned>(rng.nextRange(cap - 1));
-    } else {
-        const unsigned cap = std::min(2 * cfg.cols, 8u);
-        cfg.numMcs = 2 + static_cast<unsigned>(rng.nextRange(cap - 1));
-    }
+    // Placement and router kind are drawn independently; half-routers
+    // need the checkerboard placement, so top-bottom keeps full
+    // routers (TB-DOR) and checkerboard takes either (CP-DOR, CP-CR).
+    const bool checkerboard = rng.nextBool(0.5);
+    const bool half_routers = rng.nextBool(0.5);
+    t.placement = checkerboard ? McPlacement::CHECKERBOARD
+                               : McPlacement::TOP_BOTTOM;
+    t.checkerboardRouters = checkerboard && half_routers;
+    const unsigned cap =
+        std::min(checkerboard ? t.rows * t.cols / 2 : 2 * t.cols, 8u);
+    t.numMcs = 2 + static_cast<unsigned>(rng.nextRange(cap - 1));
 
-    cfg.flitBytes = rng.nextBool(0.5) ? 8 : 16;
-    cfg.protoClasses = 1 + static_cast<unsigned>(rng.nextRange(2));
-    cfg.vcsPerClass = 1 + static_cast<unsigned>(rng.nextRange(2));
-    cfg.vcDepth = 2 + static_cast<unsigned>(rng.nextRange(7));
-    cfg.pipelineDepth = 2 + static_cast<unsigned>(rng.nextRange(4));
-    cfg.halfPipelineDepth =
-        2 + static_cast<unsigned>(rng.nextRange(cfg.pipelineDepth - 1));
-    cfg.mcInjPorts = 1 + static_cast<unsigned>(rng.nextRange(2));
-    cfg.mcEjPorts = 1 + static_cast<unsigned>(rng.nextRange(2));
-    cfg.sliced = cfg.protoClasses == 2 && rng.nextBool(0.3);
+    // Two bounds here are the sampler's own, not legality rules: the
+    // half-router pipeline is no deeper than the full one, and sliced
+    // flits (8 or 16 bytes, halved) stay at least 2 bytes wide.
+    MeshNetworkParams &m = cfg.mesh;
+    m.flitBytes = rng.nextBool(0.5) ? 8 : 16;
+    m.protoClasses = 1 + static_cast<unsigned>(rng.nextRange(2));
+    m.vcsPerClass = 1 + static_cast<unsigned>(rng.nextRange(2));
+    m.vcDepth = 2 + static_cast<unsigned>(rng.nextRange(7));
+    m.pipelineDepth = 2 + static_cast<unsigned>(rng.nextRange(4));
+    m.halfPipelineDepth =
+        2 + static_cast<unsigned>(rng.nextRange(m.pipelineDepth - 1));
+    m.mcInjPorts = 1 + static_cast<unsigned>(rng.nextRange(2));
+    m.mcEjPorts = 1 + static_cast<unsigned>(rng.nextRange(2));
+    cfg.sliced = m.protoClasses == 2 && rng.nextBool(0.3);
     cfg.rate = 0.01 + 0.05 * rng.nextDouble();
     cfg.genCycles = 300 + rng.nextRange(500);
-    cfg.seed = rng.next();
+    m.seed = rng.next();
 
-    tenoc_assert(legalDiffConfig(cfg), "sampler produced illegal config");
+    tenoc_assert(meshParamsError(m, cfg.sliced).empty(),
+                 "sampler produced illegal config: ",
+                 meshParamsError(m, cfg.sliced));
     return cfg;
 }
 
@@ -958,9 +819,9 @@ DiffReport
 runDiff(const DiffConfig &cfg, const DiffOptions &opts)
 {
     DiffReport rep;
-    if (!legalDiffConfig(cfg)) {
-        rep.violations.push_back(
-            "config violates the legal configuration space");
+    if (const std::string why = meshParamsError(cfg.mesh, cfg.sliced);
+        !why.empty()) {
+        rep.violations.push_back("illegal config: " + why);
         return rep;
     }
 
@@ -1019,21 +880,21 @@ minimizeConfig(const DiffConfig &bad, const DiffOptions &opts,
             return true;
         },
         [](DiffConfig &c) {
-            if (c.rows <= 4)
+            if (c.mesh.topo.rows <= 4)
                 return false;
-            --c.rows;
+            --c.mesh.topo.rows;
             return true;
         },
         [](DiffConfig &c) {
-            if (c.cols <= 4)
+            if (c.mesh.topo.cols <= 4)
                 return false;
-            --c.cols;
+            --c.mesh.topo.cols;
             return true;
         },
         [](DiffConfig &c) {
-            if (c.numMcs <= 2)
+            if (c.mesh.topo.numMcs <= 2)
                 return false;
-            --c.numMcs;
+            --c.mesh.topo.numMcs;
             return true;
         },
         [](DiffConfig &c) {
@@ -1043,34 +904,35 @@ minimizeConfig(const DiffConfig &bad, const DiffOptions &opts,
             return true;
         },
         [](DiffConfig &c) {
-            if (c.vcsPerClass <= 1)
+            if (c.mesh.vcsPerClass <= 1)
                 return false;
-            c.vcsPerClass = 1;
+            c.mesh.vcsPerClass = 1;
             return true;
         },
         [](DiffConfig &c) {
-            if (c.protoClasses <= 1 || c.sliced)
+            if (c.mesh.protoClasses <= 1 || c.sliced)
                 return false;
-            c.protoClasses = 1;
+            c.mesh.protoClasses = 1;
             return true;
         },
         [](DiffConfig &c) {
-            if (c.mcInjPorts == 1 && c.mcEjPorts == 1)
+            if (c.mesh.mcInjPorts == 1 && c.mesh.mcEjPorts == 1)
                 return false;
-            c.mcInjPorts = c.mcEjPorts = 1;
+            c.mesh.mcInjPorts = c.mesh.mcEjPorts = 1;
             return true;
         },
         [](DiffConfig &c) {
-            if (c.vcDepth == 8)
+            if (c.mesh.vcDepth == 8)
                 return false;
-            c.vcDepth = 8;
+            c.mesh.vcDepth = 8;
             return true;
         },
         [](DiffConfig &c) {
-            if (c.pipelineDepth == 4 && c.halfPipelineDepth == 3)
+            if (c.mesh.pipelineDepth == 4 &&
+                c.mesh.halfPipelineDepth == 3)
                 return false;
-            c.pipelineDepth = 4;
-            c.halfPipelineDepth = 3;
+            c.mesh.pipelineDepth = 4;
+            c.mesh.halfPipelineDepth = 3;
             return true;
         },
     };
@@ -1082,7 +944,8 @@ minimizeConfig(const DiffConfig &bad, const DiffOptions &opts,
             if (trials >= max_trials)
                 break;
             DiffConfig candidate = best;
-            if (!m(candidate) || !legalDiffConfig(candidate))
+            if (!m(candidate) ||
+                !meshParamsError(candidate.mesh, candidate.sliced).empty())
                 continue;
             ++trials;
             if (!runDiff(candidate, opts).ok()) {

@@ -26,8 +26,9 @@
  *     two independently simulated half-width slices fed the same
  *     traffic schedule.
  *
- * Configs serialize to a line-oriented `key = value` format so failing
- * repros can be checked into tests/corpus/ and replayed forever.
+ * Configs are written as Config key files (noc.* mesh keys plus the
+ * harness keys, see diffConfigFromConfig) so failing repros can be
+ * checked into tests/corpus/ and replayed forever.
  */
 
 #ifndef TENOC_NOC_GOLDEN_DIFF_HH
@@ -45,46 +46,27 @@ namespace tenoc
 /** One fuzzable configuration point (see file comment). */
 struct DiffConfig
 {
-    unsigned rows = 6;
-    unsigned cols = 6;
-    unsigned numMcs = 8;
-    /** Checkerboard organization: half-routers, MCs at half-router
-     *  cells, and with them CR routing; otherwise full routers, MCs
-     *  top and bottom, and XY routing. */
-    bool checkerboard = false;
-
-    unsigned flitBytes = 16;
-    unsigned protoClasses = 2;
-    unsigned vcsPerClass = 1;
-    unsigned vcDepth = 8;
-    unsigned pipelineDepth = 4;
-    unsigned halfPipelineDepth = 3;
-    unsigned mcInjPorts = 1;
-    unsigned mcEjPorts = 1;
-    bool sliced = false;
-
-    double rate = 0.02;     ///< per-node packet generation probability
-    Cycle genCycles = 500;  ///< traffic generation window
-    std::uint64_t seed = 1;
-
-    /** Expands to full network parameters. */
-    MeshNetworkParams toNetParams() const;
-
-    /** Line-oriented `key = value` form (stable across versions). */
-    std::string serialize() const;
-
-    /**
-     * Parses serialize() output (unknown keys, malformed lines and
-     * numbers that are negative, carry trailing junk or overflow
-     * their field are errors; missing keys keep their defaults).
-     * @return true on success; on failure `err` explains why.
-     */
-    static bool parse(const std::string &text, DiffConfig &out,
-                      std::string *err);
+    /** The network; `mesh.seed` (key sim.seed) also seeds the traffic
+     *  schedule and the oracles' probes. */
+    MeshNetworkParams mesh;
+    bool sliced = false;    ///< noc.sliced: a DoubleNetwork
+    double rate = 0.02;     ///< traffic.rate: per-node packet probability
+    Cycle genCycles = 500;  ///< traffic.genCycles: generation window
 };
 
-/** @return true if `cfg` violates none of the config-space rules. */
-bool legalDiffConfig(const DiffConfig &cfg);
+/**
+ * Reads a harness config: the MESH_CONFIG_KEYS keys (via
+ * meshParamsFromConfig) plus the harness keys noc.protoClasses,
+ * noc.sliced, traffic.rate, traffic.genCycles and sim.seed (used as
+ * is for mesh.seed).  Missing keys keep DiffConfig's defaults.  Fatal
+ * on any other key, a malformed value, a mesh meshParamsError
+ * refuses, a rate outside [0, 1] or a zero traffic.genCycles.
+ */
+DiffConfig diffConfigFromConfig(const Config &cfg);
+
+/** Every key of `cfg` in diffConfigFromConfig's terms (placement must
+ *  not be CUSTOM). */
+Config toConfig(const DiffConfig &cfg);
 
 /** Draws a uniformly random *legal* configuration. */
 DiffConfig sampleDiffConfig(Rng &rng);

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <chrono>
 #include <fstream>
+#include <set>
 
 #include "common/log.hh"
 #include "telemetry/json.hh"
@@ -32,33 +33,143 @@ profileNowNs()
 } // namespace
 
 std::string
-routerGeometryError(const MeshNetworkParams &params)
+meshParamsError(const MeshNetworkParams &params, bool sliced)
 {
-    const unsigned route_classes = routeClassesOf(params.topo);
-    // MC routers have the most ports: NUM_DIRS + mcInjPorts inputs
-    // (a compute router has one injection port) and NUM_DIRS +
-    // mcEjPorts outputs.
-    const std::uint64_t inputs =
-        NUM_DIRS + std::max(params.mcInjPorts, 1u);
+    const auto why = [](auto &&...args) {
+        return detail::formatMessage(args...);
+    };
+    const TopologyParams &t = params.topo;
+
+    // The topology.
+    if (t.rows < 2 || t.cols < 2) {
+        return why("a mesh needs at least 2x2 nodes (got noc.rows=",
+                   t.rows, " x noc.cols=", t.cols, ")");
+    }
+    // A 64-bit product: the 32-bit one wraps.
+    const std::uint64_t nodes = std::uint64_t{t.rows} * t.cols;
+    if (nodes > INVALID_NODE) {
+        return why("a ", t.rows, "x", t.cols, " mesh has ", nodes,
+                   " nodes, more than the ", INVALID_NODE,
+                   " that 32-bit node ids number");
+    }
+    if (t.numMcs < 1)
+        return why("noc.mcs=0: the chip needs at least one MC");
+    if (t.numMcs >= nodes) {
+        return why("noc.mcs=", t.numMcs, " must leave at least one"
+                   " compute node on a ", t.rows, "x", t.cols, " mesh (",
+                   nodes, " nodes total)");
+    }
+    switch (t.placement) {
+      case McPlacement::TOP_BOTTOM:
+        if ((t.numMcs + 1) / 2 > t.cols) {
+            return why("top/bottom placement fits at most ", 2 * t.cols,
+                       " MCs on a ", t.cols, "-column mesh (noc.mcs=",
+                       t.numMcs, ")");
+        }
+        break;
+      case McPlacement::CHECKERBOARD:
+        if (t.numMcs > nodes / 2) {
+            return why("checkerboard placement has only ", nodes / 2,
+                       " half-router cells for noc.mcs=", t.numMcs);
+        }
+        break;
+      case McPlacement::CUSTOM:
+        if (t.customMcs.size() != t.numMcs) {
+            return why("custom placement lists ", t.customMcs.size(),
+                       " MC coordinates but numMcs=", t.numMcs);
+        }
+        break;
+    }
+    std::set<std::pair<unsigned, unsigned>> seen;
+    for (const auto &[x, y] : mcCoordinates(t)) {
+        if (x >= t.cols || y >= t.rows) {
+            return why("MC placement (", x, ",", y, ") is off the ",
+                       t.cols, "x", t.rows, " mesh");
+        }
+        if (!seen.insert({x, y}).second)
+            return why("duplicate MC placement at (", x, ",", y, ")");
+        // Sec. IV-A: MCs sit at half-routers so that no full-to-full
+        // route is ever required.
+        if (t.checkerboardRouters && Topology::parity(x, y) != 1) {
+            return why("MC at (", x, ",", y, ") is not on a half-router"
+                       " cell; checkerboard routing would be"
+                       " infeasible");
+        }
+    }
+
+    // The routers.
+    if (params.protoClasses == 0)
+        return why("noc.protoClasses must be >= 1");
+    if (params.vcsPerClass == 0) {
+        return why("noc.vcsPerClass must be >= 1: a network with 0"
+                   " virtual channels cannot carry traffic");
+    }
+    if (params.vcDepth == 0) {
+        return why("noc.vcDepth must be >= 1: 0-depth VC buffers can"
+                   " never accept a flit");
+    }
+    if (params.vcDepth > VcSlabs::MAX_DEPTH) {
+        return why("noc.vcDepth=", params.vcDepth, " exceeds ",
+                   VcSlabs::MAX_DEPTH, ", the deepest VC ring a router"
+                   " record's 16-bit head and count fields hold");
+    }
+    if (params.flitBytes == 0)
+        return why("noc.flitBytes must be >= 1");
+    if (params.pipelineDepth == 0 || params.halfPipelineDepth == 0) {
+        return why("noc.pipelineDepth and noc.halfPipelineDepth must be"
+                   " >= 1 (a flit spends at least one cycle in a"
+                   " router)");
+    }
+    if (params.mcInjPorts == 0 || params.mcEjPorts == 0) {
+        return why("MC routers need at least one injection and one"
+                   " ejection port (got noc.mcInjPorts=",
+                   params.mcInjPorts, " noc.mcEjPorts=",
+                   params.mcEjPorts, ")");
+    }
+    // MC routers have the most ports: NUM_DIRS + mcInjPorts inputs (a
+    // compute router has one injection port) and NUM_DIRS + mcEjPorts
+    // outputs.
+    const unsigned route_classes = routeClassesOf(t);
+    const std::uint64_t inputs = NUM_DIRS + std::uint64_t{params.mcInjPorts};
     const std::uint64_t vcs = std::uint64_t{params.protoClasses} *
         route_classes * params.vcsPerClass;
     if (inputs * vcs > Router::MAX_INPUT_VCS) {
-        return detail::formatMessage(
-            "a router takes at most ", Router::MAX_INPUT_VCS,
-            " input VCs, but each MC router would have (", NUM_DIRS,
-            " + noc.mcInjPorts=", params.mcInjPorts, ") inputs x (",
-            params.protoClasses, " protocol x ", route_classes,
-            " routing classes x noc.vcsPerClass=", params.vcsPerClass,
-            ") VCs = ",
-            inputs * vcs, " input VCs");
+        return why("a router takes at most ", Router::MAX_INPUT_VCS,
+                   " input VCs, but each MC router would have (",
+                   NUM_DIRS, " + noc.mcInjPorts=", params.mcInjPorts,
+                   ") inputs x (", params.protoClasses, " protocol x ",
+                   route_classes, " routing classes x noc.vcsPerClass=",
+                   params.vcsPerClass, ") VCs = ", inputs * vcs,
+                   " input VCs");
     }
-    const std::uint64_t outputs =
-        NUM_DIRS + std::uint64_t{params.mcEjPorts};
+    const std::uint64_t outputs = NUM_DIRS + std::uint64_t{params.mcEjPorts};
     if (outputs > Router::MAX_OUTPUTS) {
-        return detail::formatMessage(
-            "a router takes at most ", Router::MAX_OUTPUTS,
-            " outputs, but each MC router would have ", NUM_DIRS,
-            " + noc.mcEjPorts=", params.mcEjPorts, " = ", outputs);
+        return why("a router takes at most ", Router::MAX_OUTPUTS,
+                   " outputs, but each MC router would have ", NUM_DIRS,
+                   " + noc.mcEjPorts=", params.mcEjPorts, " = ", outputs);
+    }
+
+    // The NIs and the invariant audit.
+    if (params.ni.injQueueCap == 0 || params.ni.ejBufferFlits == 0) {
+        return why("NI queue capacities must be >= 1 (injQueueCap=",
+                   params.ni.injQueueCap, " ejBufferFlits=",
+                   params.ni.ejBufferFlits, ")");
+    }
+    if (params.validate && params.validateInterval == 0) {
+        return why("noc.validateInterval must be >= 1 when noc.validate"
+                   " is on");
+    }
+
+    // The channel-sliced double network (Sec. IV-C).
+    if (sliced && (params.flitBytes < 2 || params.flitBytes % 2 != 0)) {
+        return why("a channel-sliced double network halves the flit"
+                   " width, so noc.flitBytes must be an even value >= 2"
+                   " (got ", params.flitBytes, ")");
+    }
+    if (sliced && params.protoClasses != 2) {
+        return why("a channel-sliced double network carries requests"
+                   " and replies on its two slices, so noc.protoClasses"
+                   " must be 2 (got ", params.protoClasses, ")");
     }
     return {};
 }
@@ -66,51 +177,46 @@ routerGeometryError(const MeshNetworkParams &params)
 void
 validateMeshNetworkParams(const MeshNetworkParams &params)
 {
-    if (params.protoClasses == 0) {
-        tenoc_fatal("invalid network config: protoClasses must be >= 1"
-                    " (request/reply protocol isolation needs at least"
-                    " one class)");
-    }
-    if (params.vcsPerClass == 0) {
-        tenoc_fatal("invalid network config: vcsPerClass must be >= 1 —"
-                    " a network with 0 virtual channels cannot carry"
-                    " traffic");
-    }
-    if (params.vcDepth == 0) {
-        tenoc_fatal("invalid network config: vcDepth must be >= 1 —"
-                    " 0-depth VC buffers can never accept a flit");
-    }
-    if (params.vcDepth > VcSlabs::MAX_DEPTH) {
-        tenoc_fatal("invalid network config: noc.vcDepth=",
-                    params.vcDepth, " exceeds ", VcSlabs::MAX_DEPTH,
-                    ", the deepest VC ring a router record's 16-bit"
-                    " head and count fields hold");
-    }
-    if (params.flitBytes == 0) {
-        tenoc_fatal("invalid network config: flitBytes must be >= 1"
-                    " (channel width in bytes)");
-    }
-    if (params.pipelineDepth == 0 || params.halfPipelineDepth == 0) {
-        tenoc_fatal("invalid network config: pipelineDepth and"
-                    " halfPipelineDepth must be >= 1 (a flit spends at"
-                    " least one cycle in a router)");
-    }
-    if (params.mcInjPorts == 0 || params.mcEjPorts == 0) {
-        tenoc_fatal("invalid network config: MC routers need at least"
-                    " one injection and one ejection port (got inj=",
-                    params.mcInjPorts, " ej=", params.mcEjPorts, ")");
-    }
-    if (const std::string why = routerGeometryError(params); !why.empty())
+    if (const std::string why = meshParamsError(params, false);
+        !why.empty())
         tenoc_fatal("invalid network config: ", why);
-    if (params.ni.injQueueCap == 0 || params.ni.ejBufferFlits == 0) {
-        tenoc_fatal("invalid network config: NI queue capacities must"
-                    " be >= 1 (injQueueCap=", params.ni.injQueueCap,
-                    " ejBufferFlits=", params.ni.ejBufferFlits, ")");
+}
+
+MeshNetworkParams
+meshParamsFromConfig(const Config &cfg, MeshNetworkParams m)
+{
+    m.topo.rows = cfg.getUint32("noc.rows", m.topo.rows);
+    m.topo.cols = cfg.getUint32("noc.cols", m.topo.cols);
+    m.topo.numMcs = cfg.getUint32("noc.mcs", m.topo.numMcs);
+    if (cfg.has("noc.placement")) {
+        const std::string pl = cfg.getString("noc.placement");
+        if (pl == placementName(McPlacement::TOP_BOTTOM))
+            m.topo.placement = McPlacement::TOP_BOTTOM;
+        else if (pl == placementName(McPlacement::CHECKERBOARD))
+            m.topo.placement = McPlacement::CHECKERBOARD;
+        else
+            tenoc_fatal("unknown placement '", pl, "'");
     }
-    if (params.validate && params.validateInterval == 0) {
-        tenoc_fatal("invalid network config: validateInterval must be"
-                    " >= 1 when validate is enabled");
-    }
+    m.topo.checkerboardRouters =
+        cfg.getBool("noc.halfRouters", m.topo.checkerboardRouters);
+    m.flitBytes = cfg.getUint32("noc.flitBytes", m.flitBytes);
+    m.vcsPerClass = cfg.getUint32("noc.vcsPerClass", m.vcsPerClass);
+    m.vcDepth = cfg.getUint32("noc.vcDepth", m.vcDepth);
+    m.pipelineDepth = cfg.getUint32("noc.pipelineDepth", m.pipelineDepth);
+    m.halfPipelineDepth =
+        cfg.getUint32("noc.halfPipelineDepth", m.halfPipelineDepth);
+    m.mcInjPorts = cfg.getUint32("noc.mcInjPorts", m.mcInjPorts);
+    m.mcEjPorts = cfg.getUint32("noc.mcEjPorts", m.mcEjPorts);
+
+    // Hardening knobs (noc/invariants.hh).
+    m.validate = cfg.getBool("noc.validate", m.validate);
+    m.validateInterval =
+        cfg.getUint("noc.validateInterval", m.validateInterval);
+    m.watchdogWindow = cfg.getUint("noc.watchdogWindow", m.watchdogWindow);
+    m.maxPacketAge = cfg.getUint("noc.maxPacketAge", m.maxPacketAge);
+    m.watchdogSnapshotPath =
+        cfg.getString("noc.watchdogSnapshotPath", m.watchdogSnapshotPath);
+    return m;
 }
 
 double
@@ -634,13 +740,9 @@ MeshNetwork::drained() const
 MeshNetworkParams
 slicedParams(const MeshNetworkParams &base)
 {
+    if (const std::string why = meshParamsError(base, true); !why.empty())
+        tenoc_fatal("invalid network config: ", why);
     MeshNetworkParams slice = base;
-    if (base.flitBytes < 2 || base.flitBytes % 2 != 0) {
-        tenoc_fatal("invalid network config: a channel-sliced double"
-                    " network halves the flit width, so flitBytes must"
-                    " be an even value >= 2 (got ", base.flitBytes,
-                    ")");
-    }
     slice.flitBytes = base.flitBytes / 2;
     slice.protoClasses = 1; // dedicated networks need no protocol VCs
     // Keep each slice's total buffer *storage* equal to the unsliced

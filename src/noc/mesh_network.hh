@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/config.hh"
 #include "common/rng.hh"
 #include "noc/invariants.hh"
 #include "noc/link.hh"
@@ -70,21 +71,40 @@ struct MeshNetworkParams
 };
 
 /**
- * Checks the routers `params` builds against the router model's
- * limits: at most Router::MAX_INPUT_VCS input VCs (inputs x VCs) and
- * Router::MAX_OUTPUTS outputs per router.  @return an empty string
- * if they fit, else why not.
+ * Every legality rule of a mesh, in one place: the topology (at least
+ * 2x2, a node count the 32-bit NodeId numbers, 1 <= numMcs < nodes,
+ * MCs that fit their placement and sit on half-router cells under
+ * half-routers), the routers (at least one VC, buffer, pipeline stage
+ * and MC port; at most Router::MAX_INPUT_VCS input VCs and
+ * Router::MAX_OUTPUTS outputs; rings no deeper than
+ * VcSlabs::MAX_DEPTH), the NIs and the invariant audit, and with
+ * `sliced` the channel-sliced double network (an even flit width,
+ * two protocol classes).  @return an empty string if `params` can
+ * simulate, else why not, naming the noc.* keys at fault.
  */
-std::string routerGeometryError(const MeshNetworkParams &params);
+std::string meshParamsError(const MeshNetworkParams &params, bool sliced);
+
+/** Fatal when meshParamsError(params, false) refuses `params`.
+ *  Called by the MeshNetwork constructor. */
+void validateMeshNetworkParams(const MeshNetworkParams &params);
+
+/** Every key meshParamsFromConfig reads. */
+inline constexpr const char *MESH_CONFIG_KEYS[] = {
+    "noc.rows", "noc.cols", "noc.mcs", "noc.placement",
+    "noc.halfRouters", "noc.flitBytes", "noc.vcsPerClass",
+    "noc.vcDepth", "noc.pipelineDepth", "noc.halfPipelineDepth",
+    "noc.mcInjPorts", "noc.mcEjPorts", "noc.validate",
+    "noc.validateInterval", "noc.watchdogWindow", "noc.maxPacketAge",
+    "noc.watchdogSnapshotPath",
+};
 
 /**
- * Fatal-checks a MeshNetworkParams for configurations that cannot
- * simulate (0 VCs, 0-depth buffers, routers past the 64-input-VC
- * limit, ...) with actionable messages.  Called by the MeshNetwork
- * constructor and by chipParamsFromConfig, so a config fails when it
- * is read rather than when the network is built.
+ * `base` with every MESH_CONFIG_KEYS key `cfg` sets applied (fatal on
+ * a malformed value or an unknown noc.placement).  Reads no other
+ * key and checks no legality rule: callers run meshParamsError.
  */
-void validateMeshNetworkParams(const MeshNetworkParams &params);
+MeshNetworkParams meshParamsFromConfig(const Config &cfg,
+                                       MeshNetworkParams base);
 
 /**
  * Per-phase wall-time breakdown of MeshNetwork::cycle, accumulated
@@ -238,7 +258,7 @@ class MeshNetwork : public Network
  * The parameters of each slice of a DoubleNetwork built from `base`:
  * half-width flits, one protocol class and twice the lanes per class,
  * so a slice keeps the unsliced network's buffer storage.  Fatal when
- * `base.flitBytes` cannot be halved.
+ * meshParamsError(base, true) refuses `base`.
  */
 MeshNetworkParams slicedParams(const MeshNetworkParams &base);
 

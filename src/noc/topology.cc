@@ -9,6 +9,7 @@
 #include <cmath>
 
 #include "common/log.hh"
+#include "noc/mesh_network.hh"
 
 namespace tenoc
 {
@@ -54,31 +55,80 @@ defaultCheckerboardMcs6x6()
             {0, 5}};
 }
 
+const char *
+placementName(McPlacement placement)
+{
+    switch (placement) {
+      case McPlacement::TOP_BOTTOM: return "top-bottom";
+      case McPlacement::CHECKERBOARD: return "checkerboard";
+      case McPlacement::CUSTOM: break;
+    }
+    tenoc_panic("custom MC placement has no noc.placement name");
+}
+
+std::vector<std::pair<unsigned, unsigned>>
+mcCoordinates(const TopologyParams &params)
+{
+    std::vector<std::pair<unsigned, unsigned>> coords;
+    switch (params.placement) {
+      case McPlacement::TOP_BOTTOM: {
+        // Half the MCs on the top row, half on the bottom, packed into
+        // the central columns (Fig. 3).
+        const unsigned per_row = params.numMcs / 2;
+        const unsigned top = per_row + params.numMcs % 2;
+        for (unsigned i = 0; i < top; ++i)
+            coords.emplace_back((params.cols - top) / 2 + i, 0);
+        for (unsigned i = 0; i < per_row; ++i)
+            coords.emplace_back((params.cols - per_row) / 2 + i,
+                                params.rows - 1);
+        break;
+      }
+      case McPlacement::CHECKERBOARD: {
+        if (params.rows == 6 && params.cols == 6 && params.numMcs == 8)
+            return defaultCheckerboardMcs6x6();
+        // Generic staggered placement: take every k-th odd-parity cell
+        // in row-major order.  Each pair of rows holds `cols` of them,
+        // cols / 2 on the even row (odd x), the rest on the odd row.
+        const std::uint64_t cells =
+            std::uint64_t{params.rows} * params.cols / 2;
+        const double stride =
+            static_cast<double>(cells) / params.numMcs;
+        const unsigned half = params.cols / 2;
+        for (unsigned i = 0; i < params.numMcs; ++i) {
+            const auto k = static_cast<std::uint64_t>(i * stride);
+            const auto pair = static_cast<unsigned>(k / params.cols);
+            const auto r = static_cast<unsigned>(k % params.cols);
+            if (r < half)
+                coords.emplace_back(2 * r + 1, 2 * pair);
+            else
+                coords.emplace_back(2 * (r - half), 2 * pair + 1);
+        }
+        break;
+      }
+      case McPlacement::CUSTOM:
+        return params.customMcs;
+    }
+    return coords;
+}
+
 Topology::Topology(const TopologyParams &params) : params_(params)
 {
-    if (params_.rows < 2 || params_.cols < 2) {
-        tenoc_fatal("invalid topology: a mesh needs at least 2x2 nodes"
-                    " (got ", params_.rows, "x", params_.cols,
-                    "); set rows/cols >= 2");
-    }
+    MeshNetworkParams mesh;
+    mesh.topo = params;
+    if (const std::string why = meshParamsError(mesh, false); !why.empty())
+        tenoc_fatal("invalid topology: ", why);
+
     const unsigned n = numNodes();
-    if (params_.numMcs >= n) {
-        tenoc_fatal("invalid topology: numMcs=", params_.numMcs,
-                    " must leave at least one compute node on a ",
-                    params_.rows, "x", params_.cols, " mesh (", n,
-                    " nodes total)");
-    }
     is_mc_.assign(n, false);
     is_half_.assign(n, false);
-
     if (params_.checkerboardRouters) {
         for (unsigned y = 0; y < params_.rows; ++y)
             for (unsigned x = 0; x < params_.cols; ++x)
                 if (parity(x, y) == 1)
                     is_half_[nodeAt(x, y)] = true;
     }
-
-    placeMcs();
+    for (auto [x, y] : mcCoordinates(params_))
+        is_mc_[nodeAt(x, y)] = true;
 
     for (NodeId i = 0; i < n; ++i) {
         if (is_mc_[i])
@@ -86,7 +136,6 @@ Topology::Topology(const TopologyParams &params) : params_(params)
         else
             compute_nodes_.push_back(i);
     }
-    validate();
 }
 
 NodeId
@@ -95,107 +144,6 @@ Topology::nodeAt(unsigned x, unsigned y) const
     tenoc_assert(x < params_.cols && y < params_.rows,
                  "coordinates out of range: (", x, ",", y, ")");
     return y * params_.cols + x;
-}
-
-void
-Topology::placeMcs()
-{
-    auto mark = [&](unsigned x, unsigned y) {
-        if (x >= params_.cols || y >= params_.rows) {
-            tenoc_fatal("invalid topology: MC placement (", x, ",", y,
-                        ") is off the ", params_.cols, "x",
-                        params_.rows,
-                        " mesh; coordinates must satisfy x < cols and"
-                        " y < rows");
-        }
-        NodeId id = nodeAt(x, y);
-        if (is_mc_[id]) {
-            tenoc_fatal("invalid topology: duplicate MC placement at (",
-                        x, ",", y, "); every MC needs a distinct node");
-        }
-        is_mc_[id] = true;
-    };
-
-    switch (params_.placement) {
-      case McPlacement::TOP_BOTTOM: {
-        // Half the MCs on the top row, half on the bottom, packed into
-        // the central columns (Fig. 3).
-        const unsigned per_row = params_.numMcs / 2;
-        const unsigned rem = params_.numMcs % 2;
-        if (per_row + rem > params_.cols) {
-            tenoc_fatal("invalid topology: top/bottom placement fits at"
-                        " most ", 2 * params_.cols, " MCs on a ",
-                        params_.cols, "-column mesh (requested ",
-                        params_.numMcs, ")");
-        }
-        const unsigned start_top = (params_.cols - (per_row + rem)) / 2;
-        for (unsigned i = 0; i < per_row + rem; ++i)
-            mark(start_top + i, 0);
-        const unsigned start_bot = (params_.cols - per_row) / 2;
-        for (unsigned i = 0; i < per_row; ++i)
-            mark(start_bot + i, params_.rows - 1);
-        break;
-      }
-      case McPlacement::CHECKERBOARD: {
-        std::vector<std::pair<unsigned, unsigned>> coords;
-        if (params_.rows == 6 && params_.cols == 6 &&
-            params_.numMcs == 8) {
-            coords = defaultCheckerboardMcs6x6();
-        } else {
-            // Generic staggered placement: walk odd-parity cells in a
-            // diagonal-major order and take every k-th.
-            std::vector<std::pair<unsigned, unsigned>> odd_cells;
-            for (unsigned y = 0; y < params_.rows; ++y)
-                for (unsigned x = 0; x < params_.cols; ++x)
-                    if (parity(x, y) == 1)
-                        odd_cells.emplace_back(x, y);
-            if (params_.numMcs > odd_cells.size()) {
-                tenoc_fatal("invalid topology: checkerboard placement"
-                            " has only ", odd_cells.size(),
-                            " half-router cells for ", params_.numMcs,
-                            " MCs; reduce numMcs or grow the mesh");
-            }
-            const double stride =
-                static_cast<double>(odd_cells.size()) / params_.numMcs;
-            for (unsigned i = 0; i < params_.numMcs; ++i)
-                coords.push_back(
-                    odd_cells[static_cast<std::size_t>(i * stride)]);
-        }
-        for (auto [x, y] : coords)
-            mark(x, y);
-        break;
-      }
-      case McPlacement::CUSTOM: {
-        if (params_.customMcs.size() != params_.numMcs) {
-            tenoc_fatal("invalid topology: custom placement lists ",
-                        params_.customMcs.size(),
-                        " MC coordinates but numMcs=", params_.numMcs,
-                        "; the two must match");
-        }
-        for (auto [x, y] : params_.customMcs)
-            mark(x, y);
-        break;
-      }
-    }
-}
-
-void
-Topology::validate() const
-{
-    tenoc_assert(mc_nodes_.size() == params_.numMcs,
-                 "MC placement produced wrong count");
-    if (params_.checkerboardRouters) {
-        // Sec. IV-A: MC (and L2 bank) nodes must sit at half-routers so
-        // that no full-to-full route is ever required.
-        for (NodeId mc : mc_nodes_) {
-            if (!is_half_[mc]) {
-                tenoc_fatal("MC node ", mc, " at (", xOf(mc), ",",
-                            yOf(mc),
-                            ") is not on a half-router cell; "
-                            "checkerboard routing would be infeasible");
-            }
-        }
-    }
 }
 
 NodeId

@@ -84,6 +84,10 @@ enum class McPlacement
     CUSTOM        ///< user-specified coordinates
 };
 
+/** @return the `noc.placement` name of TOP_BOTTOM or CHECKERBOARD
+ *  ("top-bottom", "checkerboard"); CUSTOM has no key value. */
+const char *placementName(McPlacement placement);
+
 /** Topology construction parameters. */
 struct TopologyParams
 {
@@ -98,6 +102,13 @@ struct TopologyParams
 };
 
 /**
+ * The (x, y) cell of every MC `params` places, in placement order.
+ * `params` must fit its placement (meshParamsError checks this).
+ */
+std::vector<std::pair<unsigned, unsigned>>
+mcCoordinates(const TopologyParams &params);
+
+/**
  * Immutable mesh topology with node/coordinate mapping, MC placement,
  * and router-kind queries.  Coordinates: x grows east, y grows south;
  * node ids are row-major (id = y * cols + x).
@@ -105,6 +116,7 @@ struct TopologyParams
 class Topology
 {
   public:
+    /** Fatal when meshParamsError refuses `params`. */
     explicit Topology(const TopologyParams &params);
 
     unsigned rows() const { return params_.rows; }
@@ -146,9 +158,6 @@ class Topology
     const TopologyParams &params() const { return params_; }
 
   private:
-    void placeMcs();
-    void validate() const;
-
     TopologyParams params_;
     std::vector<bool> is_mc_;
     std::vector<bool> is_half_;

@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "accel/chip_config.hh"
+#include "noc/golden/diff.hh"
 
 namespace tenoc
 {
@@ -294,6 +295,157 @@ TEST(ChipConfig, RouterAtItsLimitsIsAccepted)
     perfect.set("base", "perfect");
     perfect.set("noc.vcsPerClass", "64");
     EXPECT_EQ(chipParamsFromConfig(perfect).netKind, NetKind::PERFECT);
+}
+
+TEST(ChipConfigDeath, MeshPastNodeIdsIsFatal)
+{
+    // rows x cols used to be a 32-bit product: 65537 x 65537 wrapped
+    // to 131,073 nodes and the MC placement wrote past the router-kind
+    // table (SIGSEGV), and 65536 x 65536 wrapped to "0 nodes total".
+    Config wrap;
+    wrap.set("noc.rows", 65537u);
+    wrap.set("noc.cols", 65537u);
+    EXPECT_EXIT(chipParamsFromConfig(wrap), ::testing::ExitedWithCode(1),
+                "a 65537x65537 mesh has 4295098369 nodes");
+    Config zero;
+    zero.set("noc.rows", 65536u);
+    zero.set("noc.cols", 65536u);
+    EXPECT_EXIT(chipParamsFromConfig(zero), ::testing::ExitedWithCode(1),
+                "a 65536x65536 mesh has 4294967296 nodes");
+}
+
+TEST(ChipConfigDeath, NoMcsIsFatal)
+{
+    // Interleaving addresses over 0 memory channels divided by zero
+    // (SIGFPE); a perfect network's terminals sit on the mesh too.
+    for (const char *base : {"baseline", "perfect"}) {
+        Config cfg;
+        cfg.set("base", base);
+        cfg.set("noc.mcs", 0u);
+        EXPECT_EXIT(chipParamsFromConfig(cfg),
+                    ::testing::ExitedWithCode(1), "noc.mcs=0")
+            << base;
+    }
+}
+
+TEST(ChipConfigDeath, HarnessOnlyKeysAreUnknown)
+{
+    // The fuzz harness's own keys give the chip no option.
+    for (const char *key :
+         {"noc.protoClasses", "traffic.rate", "traffic.genCycles"}) {
+        Config cfg;
+        cfg.set(key, "1");
+        EXPECT_EXIT(chipParamsFromConfig(cfg),
+                    ::testing::ExitedWithCode(1),
+                    std::string("unknown configuration key '") + key);
+    }
+}
+
+TEST(ConfigAgreementDeath, ParseRejectsGarbage)
+{
+    // Retired keys and malformed numbers: the chip reader and the fuzz
+    // harness reader both die, naming the key.  These numbers used to
+    // wrap (-1 -> 4294967295, 4294967302 -> 6) or drop the junk
+    // (8abc -> 8) in the harness's own parser.
+    const std::pair<const char *, const char *> garbage[] = {
+        {"noc.topology = torus", "unknown configuration key"},
+        {"noc.concentration = 2", "unknown configuration key"},
+        {"noc.agePriority = 0", "unknown configuration key"},
+        {"noc.routing = xy", "unknown configuration key"},
+        {"noc.channelLatency = 1", "unknown configuration key"},
+        {"noc.rows = -1", "'noc.rows' must be a non-negative integer"},
+        {"noc.vcDepth = 8abc", "'noc.vcDepth' has non-integer value"},
+        {"noc.cols = 4294967302",
+         "'noc.cols' value 4294967302 exceeds the 32-bit"},
+        {"noc.rows = banana", "'noc.rows' has non-integer value"},
+        {"noc.sliced = 2", "'noc.sliced' has non-boolean value"},
+    };
+    for (const auto &[text, why] : garbage) {
+        Config cfg;
+        cfg.parseText(text);
+        EXPECT_EXIT(chipParamsFromConfig(cfg),
+                    ::testing::ExitedWithCode(1), why)
+            << text;
+        EXPECT_EXIT(diffConfigFromConfig(cfg),
+                    ::testing::ExitedWithCode(1), why)
+            << text;
+    }
+}
+
+TEST(ConfigAgreementDeath, IllegalMeshesAreRefusedEverywhere)
+{
+    // Legal syntax, illegal mesh: the chip reader, the fuzz harness
+    // reader and meshParamsError all refuse it, for the same reason.
+    const std::pair<const char *, const char *> illegal[] = {
+        {"noc.rows = 65537\nnoc.cols = 65537", "4295098369 nodes"},
+        {"noc.rows = 65536\nnoc.cols = 65536", "4294967296 nodes"},
+        {"noc.rows = 1", "at least 2x2"},
+        {"noc.mcs = 0", "noc.mcs=0"},
+        {"noc.mcs = 36", "at least one compute node"},
+        {"noc.mcs = 13", "top/bottom placement fits at most 12"},
+        {"noc.placement = checkerboard\nnoc.mcs = 19",
+         "only 18 half-router cells"},
+        // Top-bottom MCs land on full-router cells.
+        {"noc.halfRouters = 1", "not on a half-router cell"},
+        // (4 + 7) inputs x 2 protocol x 3 lanes: two protocol classes
+        // make every chip count even, so 66 is the least past 64.
+        {"noc.mcInjPorts = 7\nnoc.vcsPerClass = 3", "= 66 input VCs"},
+        {"noc.mcEjPorts = 61", "noc.mcEjPorts=61 = 65"},
+        {"noc.vcDepth = 65536", "noc.vcDepth=65536 exceeds 65535"},
+        {"noc.vcsPerClass = 0", "noc.vcsPerClass must be >= 1"},
+        {"noc.sliced = 1\nnoc.flitBytes = 15", "even value >= 2"},
+    };
+    for (const auto &[text, why] : illegal) {
+        Config cfg;
+        cfg.parseText(text);
+        EXPECT_EXIT(chipParamsFromConfig(cfg),
+                    ::testing::ExitedWithCode(1), why)
+            << text;
+        EXPECT_EXIT(diffConfigFromConfig(cfg),
+                    ::testing::ExitedWithCode(1), why)
+            << text;
+        const std::string err = meshParamsError(
+            meshParamsFromConfig(cfg, MeshNetworkParams{}),
+            cfg.getBool("noc.sliced", false));
+        EXPECT_NE(err.find(why), std::string::npos) << text << ": " << err;
+    }
+    // The harness alone sets noc.protoClasses: one protocol class lets
+    // it reach exactly 65 input VCs, (4 + 1) inputs x 13 lanes.
+    Config one_class;
+    one_class.parseText("noc.protoClasses = 1\nnoc.vcsPerClass = 13");
+    EXPECT_EXIT(diffConfigFromConfig(one_class),
+                ::testing::ExitedWithCode(1), "= 65 input VCs");
+    MeshNetworkParams m;
+    m.protoClasses = 1;
+    m.vcsPerClass = 13;
+    EXPECT_NE(meshParamsError(m, false).find("= 65 input VCs"),
+              std::string::npos);
+    // The traffic keys, which only the harness reads.
+    const std::pair<const char *, const char *> traffic[] = {
+        {"traffic.rate = 0.02x", "'traffic.rate' has non-numeric value"},
+        {"traffic.rate = 1.5", "traffic.rate must lie in \\[0, 1\\]"},
+        {"traffic.genCycles = 0", "traffic.genCycles must be >= 1"},
+    };
+    for (const auto &[text, why] : traffic) {
+        Config cfg;
+        cfg.parseText(text);
+        EXPECT_EXIT(diffConfigFromConfig(cfg),
+                    ::testing::ExitedWithCode(1), why)
+            << text;
+    }
+}
+
+TEST(ConfigAgreement, LimitsAreAcceptedEverywhere)
+{
+    // (4 + 4) inputs x 2 protocol x 4 lanes = 64 input VCs, 4 + 60 = 64
+    // outputs and the deepest ring: legal for both readers.
+    Config cfg;
+    cfg.parseText("noc.vcsPerClass = 4\nnoc.mcInjPorts = 4\n"
+                  "noc.mcEjPorts = 60\nnoc.vcDepth = 65535");
+    EXPECT_EQ(chipParamsFromConfig(cfg).mesh.vcDepth, 65535u);
+    const DiffConfig d = diffConfigFromConfig(cfg);
+    EXPECT_EQ(d.mesh.mcEjPorts, 60u);
+    EXPECT_EQ(meshParamsError(d.mesh, false), "");
 }
 
 TEST(ChipConfig, DramGeometryLimitsAreAccepted)

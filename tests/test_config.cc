@@ -96,6 +96,22 @@ TEST(Config, ToTextRoundTrip)
     EXPECT_EQ(d.getString("z"), "w");
 }
 
+TEST(Config, DoublesReadBackBitExact)
+{
+    // set(double) writes the shortest text that reads back as the same
+    // value, so a sampled rate written to a key file replays exactly.
+    Config c;
+    c.set("a", 2.5);
+    EXPECT_EQ(c.getString("a"), "2.5");
+    for (const double v : {0.1, 1.0 / 3.0, 0.051088529171507163,
+                           1e-300, 123456789.125}) {
+        c.set("v", v);
+        Config back;
+        back.parseText(c.toText());
+        EXPECT_EQ(back.getDouble("v", 0.0), v) << c.getString("v");
+    }
+}
+
 TEST(Config, KeysSorted)
 {
     Config c;

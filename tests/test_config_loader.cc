@@ -12,9 +12,13 @@
 #include <utility>
 
 #include "accel/chip_config.hh"
+#include "noc/golden/diff.hh"
 
 #ifndef TENOC_CONFIGS_DIR
 #error "TENOC_CONFIGS_DIR must point at configs/"
+#endif
+#ifndef TENOC_CORPUS_DIR
+#error "TENOC_CORPUS_DIR must point at tests/corpus"
 #endif
 
 namespace tenoc
@@ -55,6 +59,26 @@ TEST(ConfigLoader, EverySampleConfigLoads)
         ++loaded;
     }
     EXPECT_GE(loaded, 3u);
+
+    // So must every fuzz corpus file, through the harness reader (which
+    // dies on a bad key or value) and the one mesh validator.
+    unsigned corpus = 0;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(TENOC_CORPUS_DIR)) {
+        if (entry.path().extension() != ".cfg")
+            continue;
+        SCOPED_TRACE(entry.path().filename().string());
+        std::ifstream in(entry.path());
+        ASSERT_TRUE(in) << "unreadable corpus file";
+        std::ostringstream text;
+        text << in.rdbuf();
+        Config cfg;
+        EXPECT_GT(cfg.parseText(text.str()), 0u);
+        const DiffConfig d = diffConfigFromConfig(cfg);
+        EXPECT_EQ(meshParamsError(d.mesh, d.sliced), "");
+        ++corpus;
+    }
+    EXPECT_GE(corpus, 9u);
 }
 
 TEST(ConfigLoader, BaseNames)

@@ -2,8 +2,9 @@
  * @file
  * Replays every minimized fuzz repro checked into tests/corpus/
  * through the full differential-testing oracle battery.  Each corpus
- * file is a configuration that once exposed a bug; it must parse, be
- * legal, and pass forever.
+ * file is a key file (diffConfigFromConfig) holding a configuration
+ * that once exposed a bug or covers a directed case; it must load,
+ * be legal, and pass forever.
  */
 
 #include <gtest/gtest.h>
@@ -89,11 +90,9 @@ TEST(FuzzCorpus, EveryReproReplaysClean)
         std::ostringstream text;
         text << in.rdbuf();
 
-        DiffConfig cfg;
-        std::string err;
-        ASSERT_TRUE(DiffConfig::parse(text.str(), cfg, &err)) << err;
-
-        const DiffReport rep = runDiff(cfg);
+        Config keys;
+        keys.parseText(text.str());
+        const DiffReport rep = runDiff(diffConfigFromConfig(keys));
         EXPECT_TRUE(rep.ok())
             << rep.violations.size() << " violations, first: "
             << rep.violations.front();

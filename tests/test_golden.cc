@@ -3,7 +3,7 @@
  * Tests for the golden reference models and the differential-testing
  * harness (src/noc/golden/): route reconstruction vs the real
  * algorithms, exact zero-load latency, shadow conservation, the config
- * space (serialize/parse/sample/legal), the full oracle battery on
+ * space (key-file round trip, sampling, legality), the full oracle battery on
  * directed configs — including validation off and on — and the
  * minimizer.
  */
@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 
 #include "noc/golden/diff.hh"
 #include "noc/golden/golden.hh"
@@ -258,73 +260,59 @@ TEST(GoldenShadow, FlagsFasterThanPossibleDelivery)
 
 TEST(DiffConfig, SerializeParseRoundtrip)
 {
+    // A sampled config written as a key file reads back field for
+    // field, the rate bit for bit.
     Rng rng(3);
     for (int i = 0; i < 50; ++i) {
         const DiffConfig cfg = sampleDiffConfig(rng);
-        DiffConfig back;
-        std::string err;
-        ASSERT_TRUE(DiffConfig::parse(cfg.serialize(), back, &err))
-            << err;
-        EXPECT_EQ(cfg.serialize(), back.serialize());
+        Config text;
+        text.parseText(toConfig(cfg).toText());
+        const DiffConfig back = diffConfigFromConfig(text);
+        const TopologyParams &t = cfg.mesh.topo, &bt = back.mesh.topo;
+        EXPECT_EQ(bt.rows, t.rows);
+        EXPECT_EQ(bt.cols, t.cols);
+        EXPECT_EQ(bt.numMcs, t.numMcs);
+        EXPECT_EQ(bt.placement, t.placement);
+        EXPECT_EQ(bt.checkerboardRouters, t.checkerboardRouters);
+        EXPECT_EQ(back.mesh.flitBytes, cfg.mesh.flitBytes);
+        EXPECT_EQ(back.mesh.protoClasses, cfg.mesh.protoClasses);
+        EXPECT_EQ(back.mesh.vcsPerClass, cfg.mesh.vcsPerClass);
+        EXPECT_EQ(back.mesh.vcDepth, cfg.mesh.vcDepth);
+        EXPECT_EQ(back.mesh.pipelineDepth, cfg.mesh.pipelineDepth);
+        EXPECT_EQ(back.mesh.halfPipelineDepth,
+                  cfg.mesh.halfPipelineDepth);
+        EXPECT_EQ(back.mesh.mcInjPorts, cfg.mesh.mcInjPorts);
+        EXPECT_EQ(back.mesh.mcEjPorts, cfg.mesh.mcEjPorts);
+        EXPECT_EQ(back.mesh.seed, cfg.mesh.seed);
+        EXPECT_EQ(back.sliced, cfg.sliced);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(back.rate),
+                  std::bit_cast<std::uint64_t>(cfg.rate));
+        EXPECT_EQ(back.genCycles, cfg.genCycles);
     }
-}
-
-TEST(DiffConfig, ParseRejectsGarbage)
-{
-    DiffConfig out;
-    std::string err;
-    EXPECT_FALSE(DiffConfig::parse("bogusKey = 3\n", out, &err));
-    EXPECT_FALSE(DiffConfig::parse("rows\n", out, &err));
-    EXPECT_FALSE(DiffConfig::parse("rows = banana\n", out, &err));
-    // Retired axes are unknown keys, not silently ignored.
-    for (const char *retired :
-         {"topology = torus\n", "concentration = 2\n",
-          "collectiveRate = 0.01\n", "agePriority = 0\n"}) {
-        EXPECT_FALSE(DiffConfig::parse(retired, out, &err)) << retired;
-        EXPECT_NE(err.find("unknown key"), std::string::npos) << err;
-    }
-    // Retired keys: the router kind decides the routing, and every
-    // link takes one cycle.
-    for (const char *retired : {"routing = xy\n", "channelLatency = 1\n"}) {
-        EXPECT_FALSE(DiffConfig::parse(retired, out, &err)) << retired;
-        EXPECT_NE(err.find("unknown key"), std::string::npos) << err;
-    }
-    // Numbers must be whole, non-negative and fit their field: these
-    // used to wrap (-1 -> 4294967295, 4294967302 -> 6) or drop the
-    // junk (8abc -> 8).
-    for (const char *bad :
-         {"rows = -1\n", "vcDepth = 8abc\n", "cols = 4294967302\n",
-          "rate = 0.02x\n", "sliced = 2\n"}) {
-        EXPECT_FALSE(DiffConfig::parse(bad, out, &err)) << bad;
-        EXPECT_NE(err.find("bad value"), std::string::npos) << err;
-    }
-    // Legal syntax, illegal config space: rows x cols wraps 32 bits.
-    EXPECT_FALSE(DiffConfig::parse("rows = 65536\ncols = 65536\n", out,
-                                   &err));
-    EXPECT_NE(err.find("config-space"), std::string::npos) << err;
-    // A router past 64 input VCs: 4 + 2 inputs x 2 protocol x 6 lanes.
-    EXPECT_FALSE(DiffConfig::parse(
-        "protoClasses = 2\nvcsPerClass = 6\nmcInjPorts = 2\n", out,
-        &err));
-    EXPECT_NE(err.find("config-space"), std::string::npos) << err;
-    // ...and past 64 outputs.
-    EXPECT_FALSE(DiffConfig::parse("mcEjPorts = 61\n", out, &err));
-    // ...and rings deeper than a VC record holds.
-    EXPECT_FALSE(DiffConfig::parse("vcDepth = 65536\n", out, &err));
-    EXPECT_TRUE(DiffConfig::parse("vcDepth = 65535\n", out, &err)) << err;
-    // Exactly 64 input VCs and 64 outputs are legal.
-    EXPECT_TRUE(DiffConfig::parse(
-        "protoClasses = 2\nvcsPerClass = 4\nmcInjPorts = 4\n"
-        "mcEjPorts = 60\n", out, &err)) << err;
-    // Comments and defaults are fine.
-    EXPECT_TRUE(DiffConfig::parse("# just a comment\n", out, &err));
 }
 
 TEST(DiffConfig, SampledConfigsAreLegal)
 {
+    // Every router kind under every placement it fits: TB-DOR, CP-DOR
+    // (checkerboard placement on full routers) and CP-CR.
     Rng rng(11);
-    for (int i = 0; i < 500; ++i)
-        EXPECT_TRUE(legalDiffConfig(sampleDiffConfig(rng)));
+    unsigned tb = 0, cp_dor = 0, cp_cr = 0;
+    for (int i = 0; i < 500; ++i) {
+        const DiffConfig cfg = sampleDiffConfig(rng);
+        EXPECT_EQ(meshParamsError(cfg.mesh, cfg.sliced), "");
+        const TopologyParams &t = cfg.mesh.topo;
+        if (t.placement == McPlacement::TOP_BOTTOM) {
+            EXPECT_FALSE(t.checkerboardRouters);
+            ++tb;
+        } else if (t.checkerboardRouters) {
+            ++cp_cr;
+        } else {
+            ++cp_dor;
+        }
+    }
+    EXPECT_GT(tb, 0u);
+    EXPECT_GT(cp_dor, 0u);
+    EXPECT_GT(cp_cr, 0u);
 }
 
 TEST(DiffHarness, DefaultConfigPassesAllToggleCombinations)
@@ -342,7 +330,22 @@ TEST(DiffHarness, DefaultConfigPassesAllToggleCombinations)
 TEST(DiffHarness, CheckerboardConfigPasses)
 {
     DiffConfig cfg;
-    cfg.checkerboard = true;
+    cfg.mesh.topo.placement = McPlacement::CHECKERBOARD;
+    cfg.mesh.topo.checkerboardRouters = true;
+    cfg.genCycles = 300;
+    const DiffReport rep = runDiff(cfg);
+    EXPECT_TRUE(rep.ok()) << rep.violations.size()
+                          << " violations, first: "
+                          << rep.violations.front();
+}
+
+TEST(DiffHarness, CheckerboardPlacementOnFullRoutersPasses)
+{
+    // CP-DOR (Fig. 17): checkerboard MCs, full routers, XY routing;
+    // every pair is routable.
+    DiffConfig cfg;
+    cfg.mesh.topo.placement = McPlacement::CHECKERBOARD;
+    cfg.mesh.vcsPerClass = 2;
     cfg.genCycles = 300;
     const DiffReport rep = runDiff(cfg);
     EXPECT_TRUE(rep.ok()) << rep.violations.size()
@@ -364,9 +367,12 @@ TEST(DiffHarness, SlicedConfigPasses)
 TEST(DiffHarness, RejectsIllegalConfig)
 {
     DiffConfig cfg;
-    cfg.rows = 1; // below the 2x2 minimum
+    cfg.mesh.topo.rows = 1; // below the 2x2 minimum
     const DiffReport rep = runDiff(cfg);
-    EXPECT_FALSE(rep.ok());
+    ASSERT_FALSE(rep.ok());
+    EXPECT_NE(rep.violations.front().find("at least 2x2"),
+              std::string::npos)
+        << rep.violations.front();
 }
 
 TEST(DiffHarness, MinimizerPreservesLegality)
@@ -376,8 +382,8 @@ TEST(DiffHarness, MinimizerPreservesLegality)
     DiffConfig cfg;
     cfg.genCycles = 100;
     const DiffConfig out = minimizeConfig(cfg, {}, 4);
-    EXPECT_TRUE(legalDiffConfig(out));
-    EXPECT_EQ(out.serialize(), cfg.serialize());
+    EXPECT_EQ(meshParamsError(out.mesh, out.sliced), "");
+    EXPECT_EQ(toConfig(out).toText(), toConfig(cfg).toText());
 }
 
 } // namespace

@@ -113,6 +113,38 @@ TEST(Topology, CheckerboardPlacementIsStaggered)
     EXPECT_GE(rows.size(), 5u);
 }
 
+TEST(Topology, CheckerboardPlacementTakesEveryKthOddCell)
+{
+    // mcCoordinates computes the k-th odd-parity cell directly; it must
+    // pick the cells a row-major walk of the odd cells picks.
+    for (unsigned rows = 2; rows <= 9; ++rows) {
+        for (unsigned cols = 2; cols <= 9; ++cols) {
+            std::vector<std::pair<unsigned, unsigned>> odd;
+            for (unsigned y = 0; y < rows; ++y)
+                for (unsigned x = 0; x < cols; ++x)
+                    if (Topology::parity(x, y) == 1)
+                        odd.emplace_back(x, y);
+            for (unsigned mcs = 1; mcs <= odd.size(); ++mcs) {
+                if (rows == 6 && cols == 6 && mcs == 8)
+                    continue; // the hand-placed "X" (Sec. V-B)
+                TopologyParams p;
+                p.rows = rows;
+                p.cols = cols;
+                p.numMcs = mcs;
+                p.placement = McPlacement::CHECKERBOARD;
+                const double stride =
+                    static_cast<double>(odd.size()) / mcs;
+                std::vector<std::pair<unsigned, unsigned>> expect;
+                for (unsigned i = 0; i < mcs; ++i)
+                    expect.push_back(
+                        odd[static_cast<std::size_t>(i * stride)]);
+                EXPECT_EQ(mcCoordinates(p), expect)
+                    << rows << "x" << cols << " with " << mcs << " MCs";
+            }
+        }
+    }
+}
+
 TEST(Topology, HalfRouterPattern)
 {
     auto p = baseParams();
